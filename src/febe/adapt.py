@@ -92,7 +92,8 @@ def run_adaptive(mesh, data_factory, solve_fn, estimate_fn,
             np.savetxt(os.path.join(ldir, "solution.csv"),
                        sol.u.reshape(-1, system.d), delimiter=",", fmt="%.17g")
             est.indicators_csv(ind, os.path.join(ldir, "indicators.csv"))
-        if system.nU >= max_dofs or (target_eta > 0 and total <= target_eta):
+        if (level == max_levels - 1 or system.nU >= max_dofs
+                or (target_eta > 0 and total <= target_eta)):
             break
         marked = mark(per_elem, theta)
         if not marked:

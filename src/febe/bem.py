@@ -81,13 +81,6 @@ class BoundarySpace:
         vals = np.asarray(fn(self.nodes), dtype=float)
         return vals.reshape(self.n_nodes * ncomp) if ncomp > 1 else vals.reshape(-1)
 
-    def eval_p1(self, coeffs, panel_idx, t, ncomp):
-        """Values of a P1 boundary function at local coordinates t on given panels."""
-        c = np.asarray(coeffs).reshape(self.n_nodes, ncomp)
-        a = c[self.panel_start[panel_idx]]
-        b = c[self.panel_end[panel_idx]]
-        return a * (1 - t)[:, None] + b * t[:, None]
-
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -338,14 +331,6 @@ class BoundaryOperators:
     half_factor: bool = False
     _S: np.ndarray = field(default=None, repr=False)
 
-    @property
-    def n_p0(self):
-        return self.V.shape[0]
-
-    @property
-    def n_p1(self):
-        return self.W.shape[0]
-
     def steklov_poincare(self):
         """S = W + (Mb-K)^T V^{-1} (Mb-K); halved when half_factor is set."""
         if self._S is None:
@@ -364,11 +349,6 @@ class BoundaryOperators:
         for name in ("V", "K", "W", "Mb", "M1"):
             np.savetxt(os.path.join(directory, name + ".csv"),
                        getattr(self, name), delimiter=",", fmt="%.17g")
-
-
-def steklov_poincare(ops):
-    """Module-level convenience: the discrete Steklov-Poincare matrix of ops."""
-    return ops.steklov_poincare()
 
 
 def _kernel_for(coeffs):

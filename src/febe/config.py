@@ -41,13 +41,11 @@ _DEFAULTS = {
     "adapt.max_dofs": 20000,
     "adapt.target_eta": 0.0,
     "out.dir": "out",
-    "seed": 0,
 }
 
 _BOOL = {"bem.half_factor", "bem.dump", "solver.stabilized"}
 _INT = {"mesh.n", "mesh.refine", "fem.quad_order", "bem.quad_order",
-        "solver.max_iter", "solver.compat_constraints", "adapt.max_dofs",
-        "seed"}
+        "solver.max_iter", "solver.compat_constraints", "adapt.max_dofs"}
 _FLOAT = {"material.p", "material.delta", "exterior.mu", "exterior.lambda",
           "solver.tol", "solver.gamma_min", "estimate.delta", "adapt.theta",
           "adapt.target_eta"}
@@ -95,6 +93,10 @@ class RunConfig:
             raise ConfigError("solver.formulation must be steklov or layerpotential")
         if v["estimate.kind"] not in ("auto", "sp", "lp", "appendix"):
             raise ConfigError("estimate.kind must be auto, sp, lp or appendix")
+        if (v["estimate.kind"] == "lp"
+                and v["solver.formulation"] != "layerpotential"):
+            raise ConfigError("estimate.kind = lp needs "
+                              "solver.formulation = layerpotential")
         if not 0 < v["adapt.theta"] <= 1:
             raise ConfigError("adapt.theta must lie in (0, 1]")
         if v["fem.quad_order"] < 2:

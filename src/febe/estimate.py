@@ -20,7 +20,7 @@ import numpy as np
 
 from . import material as mat
 from .bem import eval_double_layer_pv, eval_single_layer
-from .mesh import mesh_size
+from .mesh import edge_sets, mesh_size
 from .quadrature import QuadratureRule, segment_gauss
 
 
@@ -101,23 +101,25 @@ def recover_gradient(space, coeffs):
     return acc / wsum.reshape((nv,) + (1,) * (len(shape) - 1))
 
 
-def _edge_tractions(system, sol):
-    """Per boundary panel: conormal A'(eps(u_h)) nu, sigma_n, sigma_t."""
+def _incidence(system):
+    """Interior edges with both triangles (sorted by vertex pair) and the
+    triangle owning each boundary panel."""
     bs = system.bspace
-    space = system.space
-    mesh = space.mesh
-    eps = space.strains(sol.u)
-    sig = mat.stress(system.law, eps)
-    # map panel -> owning triangle
-    owner = {}
-    for k, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            owner[(min(a, b), max(a, b))] = k
-    d = system.d
-    tr = np.zeros((bs.n_panels, d))
+    interior, boundary = edge_sets(system.space.mesh)
+    owner = {key: k for key, k, _, _ in boundary}
+    panel_owner = np.zeros(bs.n_panels, dtype=int)
     for l in range(bs.n_panels):
         va, vb = bs.loop[bs.panel_start[l]], bs.loop[bs.panel_end[l]]
-        k = owner[(min(va, vb), max(va, vb))]
+        panel_owner[l] = owner[(min(va, vb), max(va, vb))]
+    return interior, panel_owner
+
+
+def _edge_tractions(system, sig, panel_owner):
+    """Per boundary panel: conormal A'(eps(u_h)) nu, sigma_n, sigma_t."""
+    bs = system.bspace
+    d = system.d
+    tr = np.zeros((bs.n_panels, d))
+    for l, k in enumerate(panel_owner):
         if d == 1:
             tr[l, 0] = sig[k] @ bs.normals[l]
         else:
@@ -130,20 +132,6 @@ def _edge_tractions(system, sol):
         tang = np.column_stack([-bs.normals[:, 1], bs.normals[:, 0]])
         sigma_t = -np.einsum("la,la->l", tr, tang)
     return tr, sigma_n, sigma_t
-
-
-def _panel_owner_map(system):
-    bs = system.bspace
-    mesh = system.space.mesh
-    owner = {}
-    for k, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            owner[(min(a, b), max(a, b))] = k
-    out = np.zeros(bs.n_panels, dtype=int)
-    for l in range(bs.n_panels):
-        va, vb = bs.loop[bs.panel_start[l]], bs.loop[bs.panel_end[l]]
-        out[l] = owner[(min(va, vb), max(va, vb))]
-    return out
 
 
 def _volume_term(system, quad_order=4):
@@ -168,51 +156,37 @@ def _volume_term(system, quad_order=4):
     return h_T ** pp * integ
 
 
-def _jump_term(system, sol):
+def _jump_term(system, sig, interior):
     """Per interior edge h_E || [A'(eps) nu] ||_{Lp'(E)}^{p'} (constant jumps)."""
-    space = system.space
-    mesh = space.mesh
-    law = system.law
-    pp = law.p_prime
-    eps = space.strains(sol.u)
-    sig = mat.stress(law, eps)
-    inc = {}
-    for k, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            inc.setdefault((min(a, b), max(a, b)), []).append(k)
+    pp = system.law.p_prime
+    p = system.space.mesh.vertices
     vals, index, owners = [], [], {}
-    p = mesh.vertices
-    for key in sorted(inc):
-        tris = inc[key]
-        if len(tris) != 2:
-            continue
+    for key, t0, t1 in interior:
         a, b = key
         t = p[b] - p[a]
         L = np.linalg.norm(t)
         nu = np.array([t[1], -t[0]]) / L
         if system.d == 1:
-            jump = np.abs((sig[tris[0]] - sig[tris[1]]) @ nu)
+            jump = np.abs((sig[t0] - sig[t1]) @ nu)
         else:
-            jump = np.linalg.norm((sig[tris[0]] - sig[tris[1]]) @ nu)
+            jump = np.linalg.norm((sig[t0] - sig[t1]) @ nu)
         vals.append(L * jump ** pp * L)        # h_E * |jump|^{p'} * measure
         index.append(key)
-        owners[key] = (tris[0], tris[1])
+        owners[key] = (t0, t1)
     return np.asarray(vals), index, owners
 
 
-def _dual_norm_edgewise(system, lifted, expo, panels=None):
+def _dual_norm_edgewise(system, lifted, expo):
     """(sum_l h_l ||g||_{L^expo(l)}^{expo})^(1/expo) pieces for a P1 lift g.
 
-    Returns the per-panel raw contributions h_l ||g||^expo (restricted to
-    `panels` when given).
+    Returns the per-panel raw contributions h_l ||g||^expo.
     """
     bs = system.bspace
     d = system.d
     g = np.asarray(lifted).reshape(bs.n_nodes, d)
     xq, wq = segment_gauss(6)
-    sel = range(bs.n_panels) if panels is None else panels
     out = np.zeros(bs.n_panels)
-    for l in sel:
+    for l in range(bs.n_panels):
         a = g[bs.panel_start[l]]
         b = g[bs.panel_end[l]]
         vals = a[None, :] * (1 - xq)[:, None] + b[None, :] * xq[:, None]
@@ -235,7 +209,6 @@ def _friction_terms(system, sol, sigma_n, sigma_t):
     xq, wq = segment_gauss(6)
     d = system.d
     v = sol.v.reshape(bs.n_nodes, d)
-    nrm = system.node_normals
     stick, compl, pos_n, pos_t = (np.zeros(bs.n_panels) for _ in range(4))
     for l in np.nonzero(slip)[0]:
         Fv = system.friction_on_panel(l, xq)
@@ -282,108 +255,30 @@ def _consistency_term(system, sol, phi=None):
     return out
 
 
-def _base_terms(system, sol, quad_order):
+def _residual_estimate(system, sol, data_residual, phi, quad_order):
+    """Residual estimator shared by both formulations.
+
+    data_residual: boundary residual functional without the conormal term,
+    t0 - S_h(w - u0) (Steklov-Poincare) or t0 - W(w - u0) + (1 - K') phi
+    (layer potential); phi: density of the consistency term (None: solve
+    for it).
+    """
     law = system.law
     q = law.q
     qp = q / (q - 1.0)
     pp = law.p_prime
     rp = law.r / (law.r - 1.0)
+    interior, panel_owner = _incidence(system)
+    sig = mat.stress(law, system.space.strains(sol.u))
     vol = _volume_term(system, quad_order)
-    jump, jump_index, jump_owner = _jump_term(system, sol)
-    tr, sigma_n, sigma_t = _edge_tractions(system, sol)
+    jump, jump_index, jump_owner = _jump_term(system, sig, interior)
+    tr, sigma_n, sigma_t = _edge_tractions(system, sig, panel_owner)
     stick, compl, pos_n, pos_t = _friction_terms(system, sol, sigma_n, sigma_t)
-    expo = {"p_prime": pp, "q_prime": qp, "r_prime": rp, "q": q, "r": law.r}
-    return (vol, jump, jump_index, jump_owner, tr, sigma_n, sigma_t,
-            stick, compl, pos_n, pos_t, expo)
 
-
-def estimate_sp(system, sol, quad_order=4):
-    """Residual estimator of the Steklov-Poincare formulation."""
-    law = system.law
-    qp = law.q / (law.q - 1.0)
-    pp = law.p_prime
-    rp = law.r / (law.r - 1.0)
-    (vol, jump, jump_index, jump_owner, tr, sigma_n, sigma_t,
-     stick, compl, pos_n, pos_t, expo) = _base_terms(system, sol, quad_order)
-
-    # boundary residual t0 - S_h(w - u0) - A'(eps) nu, lifted to P1
-    res_vec = system.t0b - system.S @ (sol.w - system.U0) - _traction_moments(system, tr)
-    lifted = _lift(system, res_vec)
+    # boundary residual minus the conormal A'(eps) nu, lifted to P1
+    lifted = _lift(system, data_residual - system._boundary_moments(tr))
     bres = _dual_norm_edgewise(system, lifted, rp)
-
-    cons = _consistency_term(system, sol, phi=None)
-
-    parts = {
-        "volume": float(np.sum(vol)),
-        "jump": float(np.sum(jump)),
-        "boundary_residual": float(np.sum(bres)),
-        "friction_stick_slip": float(np.sum(stick)),
-        "friction_normal_compl": float(np.sum(compl)),
-        "friction_sigma_n_pos": float(np.sum(pos_n)),
-        "friction_sigma_t_excess": float(np.sum(pos_t)),
-        "consistency": float(np.sum(cons)),
-    }
-    powers = {
-        "volume": qp / pp,
-        "jump": qp / pp,
-        "boundary_residual": qp / rp,
-        "friction_stick_slip": 1.0,
-        "friction_normal_compl": 1.0,
-        "friction_sigma_n_pos": 1.0 / rp,
-        "friction_sigma_t_excess": 1.0 / rp,
-        "consistency": 2.0 / 2.0,
-    }
-    element_terms = {"volume": _term_share(vol, powers["volume"])}
-    edge_terms = {"jump": _term_share(jump, powers["jump"])}
-    boundary_terms = {
-        "boundary_residual": _term_share(bres, powers["boundary_residual"]),
-        "friction_stick_slip": _term_share(stick, 1.0),
-        "friction_normal_compl": _term_share(compl, 1.0),
-        "friction_sigma_n_pos": _term_share(pos_n, powers["friction_sigma_n_pos"]),
-        "friction_sigma_t_excess": _term_share(pos_t, powers["friction_sigma_t_excess"]),
-        "consistency": _term_share(cons, 1.0),
-    }
-    return IndicatorBreakdown(
-        parts=parts, powers=powers,
-        element_terms=element_terms, edge_terms=edge_terms,
-        boundary_terms=boundary_terms, exponents=expo,
-        edge_index=jump_index, edge_owner=jump_owner,
-        boundary_index=list(range(system.bspace.n_panels)),
-        boundary_owner=_panel_owner_map(system),
-        n_elements=len(system.space.mesh.triangles))
-
-
-def _traction_moments(system, tr):
-    """Moments <A'(eps) nu, psi_i> of the edgewise-constant conormal trace."""
-    bs = system.bspace
-    d = system.d
-    out = np.zeros(bs.n_nodes * d)
-    for l in range(bs.n_panels):
-        n0, n1 = bs.panel_start[l], bs.panel_end[l]
-        for a in range(d):
-            out[n0 * d + a] += 0.5 * bs.lengths[l] * tr[l, a]
-            out[n1 * d + a] += 0.5 * bs.lengths[l] * tr[l, a]
-    return out
-
-
-def estimate_lp(system, sol, quad_order=4):
-    """Residual estimator of the layer-potential formulation (needs sol.phi)."""
-    if sol.phi is None:
-        raise ValueError("layer-potential estimator needs the phi density")
-    law = system.law
-    qp = law.q / (law.q - 1.0)
-    pp = law.p_prime
-    rp = law.r / (law.r - 1.0)
-    (vol, jump, jump_index, jump_owner, tr, sigma_n, sigma_t,
-     stick, compl, pos_n, pos_t, expo) = _base_terms(system, sol, quad_order)
-
-    ops = system.ops
-    g = sol.w - system.U0
-    res_vec = (system.t0b - ops.W @ g - (ops.K - ops.Mb).T @ sol.phi
-               - _traction_moments(system, tr))
-    lifted = _lift(system, res_vec)
-    bres = _dual_norm_edgewise(system, lifted, rp)
-    cons = _consistency_term(system, sol, phi=sol.phi)
+    cons = _consistency_term(system, sol, phi=phi)
 
     parts = {
         "volume": float(np.sum(vol)),
@@ -418,11 +313,29 @@ def estimate_lp(system, sol, quad_order=4):
     return IndicatorBreakdown(
         parts=parts, powers=powers,
         element_terms=element_terms, edge_terms=edge_terms,
-        boundary_terms=boundary_terms, exponents=expo,
+        boundary_terms=boundary_terms,
+        exponents={"p_prime": pp, "q_prime": qp, "r_prime": rp, "q": q,
+                   "r": law.r},
         edge_index=jump_index, edge_owner=jump_owner,
         boundary_index=list(range(system.bspace.n_panels)),
-        boundary_owner=_panel_owner_map(system),
+        boundary_owner=panel_owner,
         n_elements=len(system.space.mesh.triangles))
+
+
+def estimate_sp(system, sol, quad_order=4):
+    """Residual estimator of the Steklov-Poincare formulation."""
+    data_residual = system.t0b - system.S @ (sol.w - system.U0)
+    return _residual_estimate(system, sol, data_residual, None, quad_order)
+
+
+def estimate_lp(system, sol, quad_order=4):
+    """Residual estimator of the layer-potential formulation (needs sol.phi)."""
+    if sol.phi is None:
+        raise ValueError("layer-potential estimator needs the phi density")
+    ops = system.ops
+    data_residual = (system.t0b - ops.W @ (sol.w - system.U0)
+                     - (ops.K - ops.Mb).T @ sol.phi)
+    return _residual_estimate(system, sol, data_residual, sol.phi, quad_order)
 
 
 def quasinorm_kernel(p, delta, a, b):
@@ -477,10 +390,12 @@ def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
         eta_f = np.zeros(nt)
 
     cons = _consistency_term(system, sol, phi=sol.phi)
-    tr, sigma_n, sigma_t = _edge_tractions(system, sol)
+    _, panel_owner = _incidence(system)
+    tr, sigma_n, sigma_t = _edge_tractions(
+        system, mat.stress(law, space.strains(sol.u)), panel_owner)
 
     # boundary residual nu.A'(grad u_h) + S_h(w - u0) - t0 in W^{-1+1/p,p'}
-    res_vec = (_traction_moments(system, tr)
+    res_vec = (system._boundary_moments(tr)
                + system.S @ (sol.w - system.U0) - system.t0b)
     lifted = _lift(system, res_vec)
     eta_bd = _dual_norm_edgewise(system, lifted, pp)
@@ -539,7 +454,7 @@ def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
         exponents={"p_prime": pp, "q": law.q, "r": law.r},
         edge_index=[],
         boundary_index=list(range(bs.n_panels)),
-        boundary_owner=_panel_owner_map(system),
+        boundary_owner=panel_owner,
         n_elements=len(mesh.triangles))
 
 

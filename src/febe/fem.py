@@ -36,9 +36,6 @@ class FESpace:
         self.boundary_loop = loop
         self.boundary_labels = labels
 
-    def dof(self, vertex, comp=0):
-        return vertex * self.ncomp + comp
-
     def vertex_values(self, coeffs):
         """(nv, ncomp) view of a coefficient vector."""
         return np.asarray(coeffs).reshape(-1, self.ncomp)

@@ -131,7 +131,6 @@ class Mesh:
 
     def boundary_loop(self):
         """Ordered CCW vertex indices of the (single) boundary polygon."""
-        nxt = {}
         edge_of = {}
         for k, (a, b) in enumerate(self.boundary_edges):
             edge_of[(min(a, b), max(a, b))] = k

@@ -14,7 +14,6 @@ import itertools
 import numpy as np
 
 from . import fem
-from .vi import _Reduction
 
 
 class OracleError(ValueError):
@@ -116,7 +115,7 @@ def oracle_subgradient(system, iterations=200000, step0=None, seed=0):
 
     Returns (best objective, best x, gap estimate from the last tenth).
     """
-    red = _Reduction(system)
+    red = system.reduction
     z = red.z0(np.zeros(system.nU + system.nZ))
     bound = red.bound_red
     if step0 is None:

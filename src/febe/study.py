@@ -83,9 +83,6 @@ def estimate_from_config(cfg, system, sol):
     if kind == "sp":
         return est.estimate_sp(system, sol, quad_order=cfg["fem.quad_order"])
     if kind == "lp":
-        if sol.phi is None:
-            sol = solve_layerpotential_vi(system,
-                                          stabilized=cfg["solver.stabilized"])
         return est.estimate_lp(system, sol, quad_order=cfg["fem.quad_order"])
     return est.estimate_scalar_appendix(system, sol, delta=cfg["estimate.delta"],
                                         quad_order=cfg["fem.quad_order"])
@@ -129,14 +126,6 @@ def boundary_energy_error(system, man, sol):
     wex = system.bspace.interpolate_nodes(man.exact, system.d)
     e = sol.w - wex
     return float(np.sqrt(max(e @ (system.S @ e), 0.0)))
-
-
-def combined_error_q(system, man, sol):
-    """|| . ||_X^q surrogate: grad error^q + boundary energy error^q."""
-    q = system.law.q
-    ge = gradient_error_lp(system, man, sol)
-    be = boundary_energy_error(system, man, sol)
-    return ge ** q + be ** q
 
 
 # -- convergence study ----------------------------------------------------------

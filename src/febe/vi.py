@@ -11,7 +11,9 @@ eliminated exactly through pivot substitution.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +21,7 @@ import scipy.sparse.linalg as spla
 
 from . import fem
 from .bem import rigid_motions, stabilization_data, stabilization_vectors
+from .material import MaterialLaw
 from .quadrature import segment_gauss
 
 
@@ -31,12 +34,6 @@ class FrictionData:
     nodes: np.ndarray          # slip node indices into the boundary loop
     F: np.ndarray              # lumped friction bound int_{Gamma_s} F psi_k
     omega: np.ndarray          # lumped hat weights int psi_k over slip panels
-
-    @property
-    def bound_density(self):
-        """Nodal friction bound in stress units."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.omega > 0, self.F / self.omega, 0.0)
 
 
 @dataclass
@@ -311,6 +308,11 @@ class CoupledSystem:
             return 0.0
         return float(np.abs(self.C @ x - self.c0).max())
 
+    @cached_property
+    def reduction(self):
+        """Elimination of the compatibility rows, built on first use."""
+        return _Reduction(self)
+
 
 # -- reduced space (exact elimination of the compatibility constraints) -------
 
@@ -391,11 +393,31 @@ def _factor_solve(H, rhs):
         return spla.spsolve((H + shift * sp.identity(n)).tocsc(), rhs)
 
 
-def _minimize(system, gamma, x_init, tol, max_iter, track=None):
-    """Projected active-set Newton for the smoothed convex objective."""
-    red = _Reduction(system)
+def _residual_scale(system):
+    """Data magnitude that the absolute solver tolerances are relative to."""
+    return max(1.0, np.abs(system.gb).max(), np.abs(system.b_f).max())
+
+
+def _gamma_schedule(gamma_min):
+    """Smoothing parameters of the continuation: 1e-2, 1e-3, ... down to
+    gamma_min, without a stage that differs from gamma_min only by rounding."""
+    gammas = []
+    g = 1e-2
+    while g > gamma_min * (1.0 + 1e-12):
+        gammas.append(g)
+        g *= 0.1
+    gammas.append(gamma_min)
+    return gammas
+
+
+def _minimize(system, gamma, x_init, tol, max_iter, track=None, bounds=None):
+    """Projected active-set Newton for the smoothed convex objective.
+
+    bounds: reduced coordinates held <= 0 (default: the v_n coordinates).
+    """
+    red = system.reduction
     z = red.z0(np.asarray(x_init, dtype=float))
-    bound = red.bound_red
+    bound = red.bound_red if bounds is None else bounds
     z[bound] = np.minimum(z[bound], 0.0)
 
     def fun(zv):
@@ -404,7 +426,7 @@ def _minimize(system, gamma, x_init, tol, max_iter, track=None):
     fz = fun(z)
     if track is not None:
         track.append(fz)
-    scale = max(1.0, np.abs(system.gb).max(), np.abs(system.b_f).max())
+    scale = _residual_scale(system)
     it = 0
     for it in range(1, max_iter + 1):
         x = red.x(z)
@@ -458,8 +480,7 @@ def _minimize(system, gamma, x_init, tol, max_iter, track=None):
             track.append(fz)
         if step_len <= 1e-15 * (1.0 + np.linalg.norm(z)):
             break          # below double-precision progress
-    x = red.x(z)
-    return x, fz, it, resid, red
+    return red.x(z), fz, it, resid
 
 
 def _extract_solution(system, x, gamma, iters, resid, converged, history):
@@ -478,9 +499,8 @@ def _extract_solution(system, x, gamma, iters, resid, converged, history):
         mu_t = -(g[system.nU + system.idx_zt] - gfric_only)
     compat_mult = np.zeros(system.ncompat)
     if system.ncompat:
-        CP = system.C[:, :]
         # multipliers from least squares on the full gradient
-        compat_mult = np.linalg.lstsq(CP.T, -g, rcond=None)[0]
+        compat_mult = np.linalg.lstsq(system.C.T, -g, rcond=None)[0]
     return DiscreteSolution(
         u=U, z=Z, v=v, w=w,
         lam_n=lam_n, mu_t=mu_t,
@@ -495,66 +515,52 @@ def default_tolerance(law):
     return 1e-10 if law.p == 2.0 else 1e-8
 
 
+def _p2_warm_start(system, gamma, tol):
+    """Minimizer of the same problem with the linear (p = 2) law."""
+    p2 = copy.copy(system)
+    p2.law = MaterialLaw(p=2.0, kind="plaplace", mode=system.law.mode)
+    p2.reduction = system.reduction
+    x, *_ = _minimize(p2, gamma, np.zeros(system.nU + system.nZ), tol, 100)
+    return x
+
+
 def solve_transmission(system, tol=None, max_iter=200):
     """Smooth coupled solve: no contact constraint, no friction."""
     if np.any(system.friction.F > 0):
         raise ValueError("transmission solve requires zero friction bound")
     tol = tol or default_tolerance(system.law)
-    n = system.nU + system.nZ
-    x0 = np.zeros(n)
+    x0 = np.zeros(system.nU + system.nZ)
     history = []
     if system.law.p != 2.0:
-        sys2 = _p2_clone(system)
-        x0, *_ = _minimize(sys2, 0.0, x0, 1e-10, 100)
+        x0 = _p2_warm_start(system, 0.0, 1e-10)
     # transmission: ignore bound constraints entirely
-    saved_idx_zn = system.idx_zn
-    system.idx_zn = np.array([], dtype=int)
-    try:
-        x, fz, it, resid, _ = _minimize(system, 0.0, x0, tol, max_iter,
-                                        track=history)
-    finally:
-        system.idx_zn = saved_idx_zn
-    scale = max(1.0, np.abs(system.gb).max(), np.abs(system.b_f).max())
-    converged = resid <= tol * scale
+    x, fz, it, resid = _minimize(system, 0.0, x0, tol, max_iter, track=history,
+                                 bounds=np.array([], dtype=int))
+    converged = resid <= tol * _residual_scale(system)
     if not converged:
         raise SolverError("transmission solve stalled at residual %.3e" % resid)
     return _extract_solution(system, x, 0.0, it, resid, converged, history)
 
 
-def _p2_clone(system):
-    from .material import MaterialLaw
-    law2 = MaterialLaw(p=2.0, kind="plaplace", mode=system.law.mode)
-    clone = object.__new__(CoupledSystem)
-    clone.__dict__ = dict(system.__dict__)
-    clone.law = law2
-    return clone
-
-
 def solve_contact_vi(system, tol=None, gamma_min=1e-8, max_iter=200, x0=None):
     """Friction-contact solve by smoothing continuation + active set Newton."""
     tol = tol or default_tolerance(system.law)
-    n = system.nU + system.nZ
     history = []
     if x0 is not None:
         x = np.asarray(x0, dtype=float).copy()
+    elif system.law.p != 2.0:
+        x = _p2_warm_start(system, 1e-2, 1e-8)
     else:
-        x = np.zeros(n)
-        if system.law.p != 2.0:
-            sys2 = _p2_clone(system)
-            x, *_ = _minimize(sys2, 1e-2, x, 1e-8, 100)
-    gammas = []
-    g = 1e-2
-    while g > gamma_min:
-        gammas.append(g)
-        g *= 0.1
-    gammas.append(gamma_min)
+        x = np.zeros(system.nU + system.nZ)
+    gammas = _gamma_schedule(gamma_min)
     iters = 0
     for k, gam in enumerate(gammas):
-        stage_tol = tol if k == len(gammas) - 1 else max(tol, gam * 1e-3)
-        x, fz, it, resid, _ = _minimize(system, gam, x, stage_tol, max_iter,
-                                        track=history if k == len(gammas) - 1 else None)
+        last = k == len(gammas) - 1
+        stage_tol = tol if last else max(tol, gam * 1e-3)
+        x, fz, it, resid = _minimize(system, gam, x, stage_tol, max_iter,
+                                     track=history if last else None)
         iters += it
-    scale = max(1.0, np.abs(system.gb).max(), np.abs(system.b_f).max())
+    scale = _residual_scale(system)
     converged = resid <= tol * scale
     sol = _extract_solution(system, x, gammas[-1], iters, resid, converged,
                             history)
@@ -757,41 +763,22 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None,
     # with constants pins <phi, 1> to the data compatibility defect, so no
     # explicit constraint rows are added (they would be linearly dependent).
     lp = LayerPotentialSystem(system, stabilized=stabilized)
-    sys_ = system
-    tol = tol or default_tolerance(sys_.law)
-    ncon = 0
-    n = lp.n
-    ntot = n
-    y = np.zeros(ntot)
-    idx_n = sys_.nU + sys_.idx_zn            # global coordinates of v_n dofs
-    Ctil = np.zeros((ncon, n))
-
-    gammas = [1e-2]
-    while gammas[-1] > gamma_min:
-        gammas.append(max(gammas[-1] * 0.1, gamma_min))
-    if not np.any(sys_.friction.F > 0):
-        gammas = [gamma_min]
-
-    scale = max(1.0, np.abs(sys_.gb).max(), np.abs(sys_.b_f).max())
+    tol = tol or default_tolerance(system.law)
+    y = np.zeros(lp.n)
+    idx_n = system.nU + system.idx_zn            # global coordinates of v_n dofs
+    idx_t = system.nU + system.idx_zt
+    gammas = (_gamma_schedule(gamma_min) if np.any(system.friction.F > 0)
+              else [gamma_min])
+    scale = _residual_scale(system)
     iters = 0
     resid = np.inf
 
-    def full_residual(yv, gamma):
-        R = lp.residual(yv[:n], gamma)
-        if ncon:
-            R = R + Ctil.T @ yv[n:]
-            return np.concatenate([R, Ctil @ yv[:n]])
-        return R
-
-    def ss_residual(yv, gamma):
-        out = full_residual(yv, gamma)
+    def ss_residual(R, yv, gamma):
+        out = R.copy()
         if len(idx_n):
-            lam = -out[idx_n]
-            zn = yv[idx_n]
-            out[idx_n] = np.minimum(-zn, lam)     # NCP function
+            out[idx_n] = np.minimum(-yv[idx_n], -R[idx_n])     # NCP function
         # rescale friction rows by the smoothing curvature (see _minimize)
-        _, _, hd = sys_.friction_terms(yv[:sys_.nU + sys_.nZ], gamma)
-        idx_t = sys_.nU + sys_.idx_zt
+        _, _, hd = system.friction_terms(yv[:system.nU + system.nZ], gamma)
         out[idx_t] = out[idx_t] / (1.0 + hd[idx_t])
         return out
 
@@ -799,20 +786,15 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None,
         stage_tol = tol if k == len(gammas) - 1 else max(tol, gam * 1e-3)
         for _ in range(max_iter):
             iters += 1
-            R = full_residual(y, gam)
-            lam = -R[idx_n] if len(idx_n) else np.zeros(0)
-            Rss = ss_residual(y, gam)
-            resid = np.abs(Rss).max() if len(Rss) else 0.0
+            R = lp.residual(y, gam)
+            resid = np.abs(ss_residual(R, y, gam)).max()
             if resid <= stage_tol * scale:
                 break
-            J = lp.jacobian(y[:n], gam)
-            if ncon:
-                J = sp.bmat([[J, sp.csr_matrix(Ctil.T)],
-                             [sp.csr_matrix(Ctil), None]])
+            J = lp.jacobian(y, gam)   # drops the last step's LIL copy first
             J = J.tolil()
             rhs = -R
             if len(idx_n):
-                active = (lam + y[idx_n] * scale) > 0
+                active = (-R[idx_n] + y[idx_n] * scale) > 0
                 for kk, ig in enumerate(idx_n):
                     if active[kk]:
                         J.rows[ig] = [int(ig)]
@@ -821,34 +803,32 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None,
             dy = spla.spsolve(J.tocsc(), rhs)
             if not np.all(np.isfinite(dy)):
                 raise SolverError("layer-potential Newton step failed")
-            base = np.abs(Rss).max()
             t = 1.0
             for _ls in range(40):
                 cand = y + t * dy
-                if np.abs(ss_residual(cand, gam)).max() <= (1 - 1e-4 * t) * base + 1e-300:
+                rc = ss_residual(lp.residual(cand, gam), cand, gam)
+                if np.abs(rc).max() <= (1 - 1e-4 * t) * resid + 1e-300:
                     break
                 t *= 0.5
             y = y + t * dy
 
     if resid > tol * scale:
         raise SolverError("layer-potential solve stalled at %.3e" % resid)
-    y = y[:n]
 
     U, Z, P = lp.split(y)
-    x = y[:sys_.nU + sys_.nZ]
-    w = sys_.B @ x
+    x = y[:system.nU + system.nZ]
+    w = system.B @ x
     R = lp.residual(y, gammas[-1])
-    _, gfr, _ = sys_.friction_terms(x, gammas[-1])
-    ns = len(sys_.slip_nodes)
+    _, gfr, _ = system.friction_terms(x, gammas[-1])
+    ns = len(system.slip_nodes)
     lam_n = -R[idx_n] + 0.0 if len(idx_n) else np.zeros(ns)
-    mu_t = (-(R[sys_.nU + sys_.idx_zt] - gfr[sys_.nU + sys_.idx_zt])
-            if ns else np.zeros(0))
+    mu_t = -(R[idx_t] - gfr[idx_t]) if ns else np.zeros(0)
     sol = DiscreteSolution(
-        u=U, z=Z, v=sys_.Es @ Z, w=w, phi=P,
+        u=U, z=Z, v=system.Es @ Z, w=w, phi=P,
         lam_n=lam_n, mu_t=mu_t,
-        compat_mult=np.zeros(sys_.ncompat),
+        compat_mult=np.zeros(system.ncompat),
         compat_residual=(float(np.abs(lp.compat_rows @ P).max())
-                         if sys_.ncompat else 0.0),
-        objective=sys_.exact_objective(x),
+                         if system.ncompat else 0.0),
+        objective=system.exact_objective(x),
         iterations=iters, residual=resid, gamma=gammas[-1], converged=True)
     return sol

@@ -130,3 +130,18 @@ def test_target_eta_stops_early():
                            theta=0.5, max_dofs=10**6, target_eta=big_eta,
                            max_levels=8, build_fn=build_fn)
     assert len(recs) == 1
+
+
+def test_no_refinement_after_last_level(monkeypatch):
+    from febe import adapt
+    calls = []
+    refine = adapt.refine
+
+    def counting(mesh, marked):
+        calls.append(len(marked))
+        return refine(mesh, marked)
+
+    monkeypatch.setattr(adapt, "refine", counting)
+    records, _ = _loop(max_dofs=10**6, max_levels=3)
+    assert len(records) == 3
+    assert len(calls) == 2

@@ -138,6 +138,18 @@ def test_solve_layerpotential_formulation(tmp_path):
     assert (tmp_path / "lp" / "manifest.txt").exists()
 
 
+def test_lp_estimator_needs_layerpotential_formulation(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "estimate.kind = lp\nout.dir = %s\n"
+                    % (tmp_path / "o"))
+    assert main(["solve", "--config", cfg]) == 2
+    assert "estimate.kind" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError, match="layerpotential"):
+        parse_config("estimate.kind = lp\n").validate()
+    parse_config("estimate.kind = lp\n"
+                 "solver.formulation = layerpotential\n").validate()
+
+
 def test_solve_vector_problem(tmp_path):
     body = """
 problem = vector

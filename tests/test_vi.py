@@ -408,3 +408,90 @@ def test_p15_uniform_convergence():
                        "material.p": 1.5})
     rows = convergence_study(cfg, 3, "uniform")
     assert all(0.9 <= r["rate"] <= 1.1 for r in rows[1:])
+
+
+# -- solver structure: continuation stages, shared reduction, safeguards -------
+
+def _assert_distinct(stages):
+    for i, a in enumerate(stages):
+        for b in stages[i + 1:]:
+            assert abs(a - b) > 1e-12 * max(abs(a), abs(b)), stages
+
+
+def test_gamma_stages_distinct_steklov(monkeypatch):
+    sys_, _ = scalar_system("transition", p=1.5, n=4, refines=2, slip=("b",))
+    stages = []
+    minimize = vi._minimize
+
+    def recording(system, gamma, *args, **kw):
+        if system is sys_:                 # not the p=2 warm start
+            stages.append(gamma)
+        return minimize(system, gamma, *args, **kw)
+
+    monkeypatch.setattr(vi, "_minimize", recording)
+    sol = solve_contact_vi(sys_)
+    assert stages[0] == 1e-2 and stages[-1] == sol.gamma == 1e-8
+    _assert_distinct(stages)
+
+
+def test_gamma_stages_distinct_layerpotential(monkeypatch):
+    sys_, _ = vector_system("stick-vec", n=4)
+    seen = []
+    residual = vi.LayerPotentialSystem.residual
+
+    def recording(self, y, gamma):
+        seen.append(gamma)
+        return residual(self, y, gamma)
+
+    monkeypatch.setattr(vi.LayerPotentialSystem, "residual", recording)
+    sol = solve_layerpotential_vi(sys_)
+    stages = sorted(set(seen), reverse=True)
+    assert stages[-1] == sol.gamma == 1e-8
+    _assert_distinct(stages)
+
+
+def test_reduction_built_once_per_system(monkeypatch):
+    built = []
+    init = vi._Reduction.__init__
+
+    def counting(self, system):
+        built.append(system)
+        init(self, system)
+
+    monkeypatch.setattr(vi._Reduction, "__init__", counting)
+    sys_c, _ = scalar_system("transition", p=1.5, n=4, refines=2, slip=("b",))
+    solve_contact_vi(sys_c)
+    solve_contact_vi(sys_c)
+    assert built == [sys_c]
+    sys_t, _ = scalar_system("quadratic", p=1.5, refines=1)
+    solve_transmission(sys_t)
+    assert built == [sys_c, sys_t]
+
+
+@pytest.mark.parametrize("case", ["transition-p1.5", "stick-vec-p2"])
+def test_no_safeguard_fires_on_standard_presets(monkeypatch, case):
+    if case == "transition-p1.5":
+        sys_, _ = scalar_system("transition", p=1.5, n=4, refines=2, slip=("b",))
+    else:
+        sys_, _ = vector_system("stick-vec", n=4, refines=1)
+    failed_solves, certificates = [], []
+    spsolve = vi.spla.spsolve
+    certificate = vi.vi_certificate
+
+    def counted_spsolve(*args, **kw):
+        try:
+            return spsolve(*args, **kw)
+        except RuntimeError:               # _factor_solve then shifts the diagonal
+            failed_solves.append(args)
+            raise
+
+    def counted_certificate(*args, **kw):
+        certificates.append(args)
+        return certificate(*args, **kw)
+
+    monkeypatch.setattr(vi.spla, "spsolve", counted_spsolve)
+    monkeypatch.setattr(vi, "vi_certificate", counted_certificate)
+    sol = solve_contact_vi(sys_)
+    assert sol.converged
+    assert certificates == []
+    assert failed_solves == []
