@@ -20,7 +20,7 @@ import numpy as np
 
 from . import material as mat
 from .bem import eval_double_layer_pv, eval_single_layer
-from .mesh import edge_sets, mesh_size
+from .mesh import mesh_size
 from .quadrature import QuadratureRule, segment_gauss
 
 
@@ -41,9 +41,9 @@ class IndicatorBreakdown:
     edge_terms: dict
     boundary_terms: dict
     exponents: dict
-    edge_index: list = field(default_factory=list)
+    edge_index: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), int))
     boundary_index: list = field(default_factory=list)
-    edge_owner: dict = field(default_factory=dict)
+    edge_owner: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), int))
     boundary_owner: np.ndarray = None
     n_elements: int = 0
 
@@ -59,13 +59,11 @@ class IndicatorBreakdown:
         out = np.zeros(self.n_elements)
         for name, vals in self.element_terms.items():
             out += vals
+        # np.add.at adds in index order: edge by edge, first owner first
         for name, vals in self.edge_terms.items():
-            for e, v in zip(self.edge_index, vals):
-                out[self.edge_owner[e][0]] += 0.5 * v
-                out[self.edge_owner[e][1]] += 0.5 * v
+            np.add.at(out, self.edge_owner.ravel(), np.repeat(0.5 * vals, 2))
         for name, vals in self.boundary_terms.items():
-            for e, v in zip(self.boundary_index, vals):
-                out[self.boundary_owner[e]] += v
+            np.add.at(out, self.boundary_owner[self.boundary_index], vals)
         return out
 
     def boundary_indicator(self):
@@ -88,30 +86,24 @@ def recover_gradient(space, coeffs):
 
     Returns (nv, 2) in scalar mode, (nv, 2, 2) in vector mode.
     """
-    mesh = space.mesh
+    t = space.mesh.triangles.ravel()
     g = space.gradients(coeffs)
-    nv = len(mesh.vertices)
-    shape = (nv, 2) if space.ncomp == 1 else (nv, 2, 2)
-    acc = np.zeros(shape)
-    wsum = np.zeros(nv)
-    for k, tri in enumerate(mesh.triangles):
-        for v in tri:
-            acc[v] += space.areas[k] * g[k]
-            wsum[v] += space.areas[k]
-    return acc / wsum.reshape((nv,) + (1,) * (len(shape) - 1))
+    nv = len(space.mesh.vertices)
+    col = (-1,) + (1,) * (g.ndim - 1)
+    acc = np.zeros((nv,) + g.shape[1:])
+    np.add.at(acc, t, np.repeat(space.areas.reshape(col) * g, 3, axis=0))
+    wsum = np.bincount(t, weights=np.repeat(space.areas, 3), minlength=nv)
+    return acc / wsum.reshape(col)
 
 
 def _incidence(system):
-    """Interior edges with both triangles (sorted by vertex pair) and the
+    """Interior edges (sorted by vertex pair), their two triangles, and the
     triangle owning each boundary panel."""
     bs = system.bspace
-    interior, boundary = edge_sets(system.space.mesh)
-    owner = {key: k for key, k, _, _ in boundary}
-    panel_owner = np.zeros(bs.n_panels, dtype=int)
-    for l in range(bs.n_panels):
-        va, vb = bs.loop[bs.panel_start[l]], bs.loop[bs.panel_end[l]]
-        panel_owner[l] = owner[(min(va, vb), max(va, vb))]
-    return interior, panel_owner
+    mesh = system.space.mesh
+    interior = mesh.edge_triangles[:, 1] >= 0
+    panels = mesh.find_edges(bs.loop[bs.panel_start], bs.loop[bs.panel_end])
+    return mesh.edges[interior], mesh.edge_triangles[interior], mesh.edge_triangles[panels, 0]
 
 
 def _edge_tractions(system, sig, panel_owner):
@@ -156,13 +148,12 @@ def _volume_term(system, quad_order=4):
     return h_T ** pp * integ
 
 
-def _jump_term(system, sig, interior):
+def _jump_term(system, sig, edges, owners):
     """Per interior edge h_E || [A'(eps) nu] ||_{Lp'(E)}^{p'} (constant jumps)."""
     pp = system.law.p_prime
     p = system.space.mesh.vertices
-    vals, index, owners = [], [], {}
-    for key, t0, t1 in interior:
-        a, b = key
+    vals = []
+    for (a, b), (t0, t1) in zip(edges, owners):
         t = p[b] - p[a]
         L = np.linalg.norm(t)
         nu = np.array([t[1], -t[0]]) / L
@@ -171,9 +162,7 @@ def _jump_term(system, sig, interior):
         else:
             jump = np.linalg.norm((sig[t0] - sig[t1]) @ nu)
         vals.append(L * jump ** pp * L)        # h_E * |jump|^{p'} * measure
-        index.append(key)
-        owners[key] = (t0, t1)
-    return np.asarray(vals), index, owners
+    return np.asarray(vals)
 
 
 def _dual_norm_edgewise(system, lifted, expo):
@@ -268,10 +257,10 @@ def _residual_estimate(system, sol, data_residual, phi, quad_order):
     qp = q / (q - 1.0)
     pp = law.p_prime
     rp = law.r / (law.r - 1.0)
-    interior, panel_owner = _incidence(system)
+    edges, owners, panel_owner = _incidence(system)
     sig = mat.stress(law, system.space.strains(sol.u))
     vol = _volume_term(system, quad_order)
-    jump, jump_index, jump_owner = _jump_term(system, sig, interior)
+    jump = _jump_term(system, sig, edges, owners)
     tr, sigma_n, sigma_t = _edge_tractions(system, sig, panel_owner)
     stick, compl, pos_n, pos_t = _friction_terms(system, sol, sigma_n, sigma_t)
 
@@ -316,7 +305,7 @@ def _residual_estimate(system, sol, data_residual, phi, quad_order):
         boundary_terms=boundary_terms,
         exponents={"p_prime": pp, "q_prime": qp, "r_prime": rp, "q": q,
                    "r": law.r},
-        edge_index=jump_index, edge_owner=jump_owner,
+        edge_index=edges, edge_owner=owners,
         boundary_index=list(range(system.bspace.n_panels)),
         boundary_owner=panel_owner,
         n_elements=len(system.space.mesh.triangles))
@@ -390,7 +379,7 @@ def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
         eta_f = np.zeros(nt)
 
     cons = _consistency_term(system, sol, phi=sol.phi)
-    _, panel_owner = _incidence(system)
+    *_, panel_owner = _incidence(system)
     tr, sigma_n, sigma_t = _edge_tractions(
         system, mat.stress(law, space.strains(sol.u)), panel_owner)
 
@@ -452,7 +441,6 @@ def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
         element_terms=element_terms, edge_terms={},
         boundary_terms=boundary_terms,
         exponents={"p_prime": pp, "q": law.q, "r": law.r},
-        edge_index=[],
         boundary_index=list(range(bs.n_panels)),
         boundary_owner=panel_owner,
         n_elements=len(mesh.triangles))

@@ -17,6 +17,9 @@ TRANSMISSION = "T"
 # geometry is shrunk on load until the boundary diameter is below this
 DIAMETER_TARGET = 0.9
 
+# (edge, vertex) pairs tested at once by the hanging-node check
+_HANGING_PAIRS = 1 << 14
+
 
 class MeshError(ValueError):
     pass
@@ -35,22 +38,27 @@ class Mesh:
     boundary_labels length-nb list of "S"/"T"
     generation     (nt,) bisection depth per triangle
     scale_factor   factor applied to the input coordinates on load
+    edges          (ne, 2) undirected edges (a < b) in lexicographic order
+    edge_triangles (ne, 2) incident triangles in ascending order, -1 in the
+                   second column for a boundary edge
+    edge_lengths   (ne,) length of each edge
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_labels,
-                 generation=None, scale_factor=1.0, validate=True):
+                 generation=None, scale_factor=1.0):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
+        self.boundary_edges = np.ascontiguousarray(boundary_edges,
+                                                   dtype=np.int64).reshape(-1, 2)
         self.boundary_labels = list(boundary_labels)
         if generation is None:
             generation = np.zeros(len(self.triangles), dtype=np.int64)
         self.generation = np.asarray(generation, dtype=np.int64)
         self.scale_factor = float(scale_factor)
         self._orient_ccw()
-        if validate:
-            self._validate()
-        for a in (self.vertices, self.triangles, self.boundary_edges, self.generation):
+        self._validate(*self._edge_table())
+        for a in (self.vertices, self.triangles, self.boundary_edges, self.generation,
+                  self.edges, self.edge_triangles, self.edge_lengths, self._loop):
             a.flags.writeable = False
 
     # -- construction helpers -------------------------------------------------
@@ -67,117 +75,141 @@ class Mesh:
             t[flip, 1], t[flip, 2] = t[flip, 2].copy(), t[flip, 1].copy()
             self.triangles = t
 
-    def _validate(self):
-        nv = len(self.vertices)
-        t = self.triangles
-        if t.size and (t.min() < 0 or t.max() >= nv):
-            raise MeshError("triangle references vertex index out of range")
-        if self.boundary_edges.size and (self.boundary_edges.min() < 0
-                                         or self.boundary_edges.max() >= nv):
+    def _edge_table(self):
+        """Unique edges with their incident triangles and lengths.
+
+        Returns the number of triangles sharing each edge and the edge's
+        first vertex in the (CCW) order of its first triangle.
+        """
+        half = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        self.edges, inv, counts = np.unique(half, axis=0, return_inverse=True,
+                                            return_counts=True)
+        # half-edge h runs from triangles.ravel()[h] within triangle h // 3;
+        # a stable sort keeps each edge's half-edges in triangle order
+        half_of = np.argsort(inv.ravel(), kind="stable")
+        first = np.cumsum(counts) - counts
+        shared = counts > 1
+        self.edge_triangles = np.full((len(self.edges), 2), -1, dtype=np.int64)
+        self.edge_triangles[:, 0] = half_of[first] // 3
+        self.edge_triangles[shared, 1] = half_of[first[shared] + 1] // 3
+        self._edge_keys = self.edges[:, 0] * len(self.vertices) + self.edges[:, 1]
+        self.edge_lengths = np.linalg.norm(
+            self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]], axis=1)
+        return counts, self.triangles.ravel()[half_of[first]]
+
+    def _validate(self, counts, tail):
+        be = self.boundary_edges
+        if be.size and (be.min() < 0 or be.max() >= len(self.vertices)):
             raise MeshError("boundary edge references vertex index out of range")
         areas = triangle_areas(self)
         if np.any(areas <= 0):
             raise MeshError("degenerate (zero-area) triangle")
 
         # every undirected edge must appear in at most two triangles
-        counts = {}
-        for tri in t:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                counts[key] = counts.get(key, 0) + 1
-        if any(c > 2 for c in counts.values()):
+        if np.any(counts > 2):
             raise MeshError("non-conforming connectivity: edge shared by >2 triangles")
 
-        mesh_bnd = {k for k, c in counts.items() if c == 1}
-        labeled = {tuple(sorted(e)) for e in self.boundary_edges.tolist()}
-        if mesh_bnd - labeled:
-            raise MeshError("unlabeled boundary edge(s): %s" % sorted(mesh_bnd - labeled)[:3])
-        if labeled - mesh_bnd:
+        ids = self.find_edges(be[:, 0], be[:, 1])
+        labeled = np.zeros(len(self.edges), dtype=bool)
+        labeled[ids[ids >= 0]] = True
+        unlabeled = (counts == 1) & ~labeled
+        if np.any(unlabeled):
+            raise MeshError("unlabeled boundary edge(s): %s"
+                            % [tuple(e) for e in self.edges[unlabeled][:3].tolist()])
+        if np.any(ids < 0) or np.any(counts[ids] != 1):
             raise MeshError("labeled edge is not a boundary edge of the triangulation")
-        if len(self.boundary_labels) != len(self.boundary_edges):
+        if len(self.boundary_labels) != len(be):
             raise MeshError("label count does not match boundary edge count")
-        for lab in self.boundary_labels:
-            if lab not in (SLIP, TRANSMISSION):
-                raise MeshError("unknown boundary label %r" % lab)
+        unknown = ~np.isin(self.boundary_labels, [SLIP, TRANSMISSION])
+        if np.any(unknown):
+            raise MeshError("unknown boundary label %r"
+                            % self.boundary_labels[np.argmax(unknown)])
         if TRANSMISSION not in self.boundary_labels:
             raise MeshError("transmission part of the boundary is empty")
 
         # hanging nodes: no vertex may sit strictly inside another edge
-        self._check_hanging(counts.keys())
+        self._check_hanging(self.edges)
 
         # boundary must be a single closed polygon
-        self.boundary_loop()
+        self._trace_boundary(ids, tail)
 
     def _check_hanging(self, edges):
+        """Reject a vertex strictly inside an edge; edges: (a, b) pairs."""
+        if not isinstance(edges, np.ndarray):
+            edges = np.array(list(edges), dtype=np.int64)
+        a, b = edges.reshape(-1, 2).T
         p = self.vertices
-        used = np.zeros(len(p), dtype=bool)
-        used[self.triangles.ravel()] = True
-        idx = np.nonzero(used)[0]
-        pts = p[idx]
-        for a, b in edges:
-            pa, pb = p[a], p[b]
-            d = pb - pa
-            L2 = d @ d
-            s = ((pts - pa) @ d) / L2
-            off = pts - (pa + s[:, None] * d)
-            on_line = (np.einsum("ij,ij->i", off, off) < 1e-24 * L2)
+        # candidates: used vertices inside the edge's x-range, padded well
+        # beyond the 1e-12 L distance the on-line test below accepts
+        used = np.unique(self.triangles)
+        used = used[np.argsort(p[used, 0], kind="stable")]
+        pa, pb = p[a], p[b]
+        d = pb - pa
+        L2 = np.einsum("ij,ij->i", d, d)
+        pad = 1e-9 * np.sqrt(L2)
+        lo = np.searchsorted(p[used, 0], np.minimum(pa[:, 0], pb[:, 0]) - pad, "left")
+        n = np.searchsorted(p[used, 0], np.maximum(pa[:, 0], pb[:, 0]) + pad, "right") - lo
+        # (edge, candidate) pairs in blocks of edges to bound the memory
+        for blk in np.array_split(np.arange(len(a)), 1 + n.sum() // _HANGING_PAIRS):
+            cnt = n[blk]
+            e = np.repeat(blk, cnt)
+            # pair j of edge e sits at used[lo[e] + j - (pairs of earlier edges)]
+            v = used[np.repeat(lo[blk] - np.cumsum(cnt) + cnt, cnt) + np.arange(len(e))]
+            s = np.einsum("ij,ij->i", p[v] - pa[e], d[e]) / L2[e]
+            off = p[v] - (pa[e] + s[:, None] * d[e])
+            on_line = (np.einsum("ij,ij->i", off, off) < 1e-24 * L2[e])
             interior = (s > 1e-12) & (s < 1 - 1e-12)
             bad = on_line & interior
             if np.any(bad):
+                k = e[np.argmax(bad)]
                 raise MeshError("hanging node %d on edge (%d,%d)"
-                                % (idx[np.nonzero(bad)[0][0]], a, b))
+                                % (v[bad & (e == k)].min(), a[k], b[k]))
+
+    def _trace_boundary(self, ids, tail):
+        """Store the boundary loop, CCW as its triangles run, and its panel
+        labels; ids: the boundary edges' rows in the edge table, tail: see
+        _edge_table."""
+        be = self.boundary_edges
+        nv, nb = len(self.vertices), len(be)
+        # each boundary edge runs as in its CCW triangle: src -> dst
+        src = tail[ids]
+        dst = self.edges[ids].sum(axis=1) - src
+        bad = ((np.bincount(be.ravel(), minlength=nv) != 2)
+               | (np.bincount(src, minlength=nv) != 1))[be.ravel()]
+        if np.any(bad):
+            raise MeshError("boundary is not a simple closed polygon at vertex %d"
+                            % be.ravel()[np.argmax(bad)])
+        # steps from each vertex forward to the start, by pointer doubling
+        start = be.min()
+        nxt = np.arange(nv)
+        nxt[src] = dst
+        nxt[start] = start
+        steps = (nxt != np.arange(nv)).astype(np.int64)
+        for _ in range(nb.bit_length()):
+            steps += steps[nxt]
+            nxt = nxt[nxt]
+        if np.any(nxt[src] != start):
+            raise MeshError("boundary has more than one component")
+        order = np.argsort((nb - steps[src]) % nb)    # boundary edges in loop order
+        self._loop = src[order]
+        self._loop_labels = np.asarray(self.boundary_labels)[order].tolist()
 
     # -- queries ---------------------------------------------------------------
 
-    def boundary_loop(self):
-        """Ordered CCW vertex indices of the (single) boundary polygon."""
-        edge_of = {}
-        for k, (a, b) in enumerate(self.boundary_edges):
-            edge_of[(min(a, b), max(a, b))] = k
-        adj = {}
-        for a, b in self.boundary_edges:
-            adj.setdefault(int(a), []).append(int(b))
-            adj.setdefault(int(b), []).append(int(a))
-        for v, ns in adj.items():
-            if len(ns) != 2:
-                raise MeshError("boundary is not a simple closed polygon at vertex %d" % v)
-        start = min(adj)
-        loop = [start]
-        prev, cur = None, start
-        while True:
-            a, b = adj[cur]
-            nxt_v = a if a != prev else b
-            if nxt_v == start:
-                break
-            loop.append(nxt_v)
-            prev, cur = cur, nxt_v
-            if len(loop) > len(self.boundary_edges):
-                raise MeshError("boundary polygon does not close")
-        if len(loop) != len(self.boundary_edges):
-            raise MeshError("boundary has more than one component")
-        pts = self.vertices[loop]
-        area2 = np.sum(pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1])
-        if area2 < 0:
-            loop = [loop[0]] + loop[1:][::-1]
-        loop = np.asarray(loop, dtype=np.int64)
-        lab = []
-        for i in range(len(loop)):
-            a, b = loop[i], loop[(i + 1) % len(loop)]
-            lab.append(self.boundary_labels[edge_of[(min(a, b), max(a, b))]])
-        return loop, lab
+    def find_edges(self, a, b):
+        """Row of each undirected edge (a, b) in `edges`, -1 if it is no edge."""
+        key = np.minimum(a, b) * len(self.vertices) + np.maximum(a, b)
+        pos = np.minimum(np.searchsorted(self._edge_keys, key), len(self._edge_keys) - 1)
+        return np.where(self._edge_keys[pos] == key, pos, -1)
 
-    def boundary_label_map(self):
-        return {tuple(sorted(e)): lab
-                for e, lab in zip(self.boundary_edges.tolist(), self.boundary_labels)}
+    def boundary_loop(self):
+        """Ordered CCW vertex indices of the (single) boundary polygon and the
+        label of each panel (loop[k], loop[k + 1])."""
+        return self._loop, self._loop_labels
 
     def max_boundary_edges_per_triangle(self):
-        bset = {tuple(sorted(e)) for e in self.boundary_edges.tolist()}
-        best = 0
-        for tri in self.triangles:
-            n = sum(1 for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
-                    if (min(a, b), max(a, b)) in bset)
-            best = max(best, n)
-        return best
+        owners = self.edge_triangles[self.edge_triangles[:, 1] < 0, 0]
+        return int(np.bincount(owners, minlength=1).max())
 
 
 def triangle_areas(mesh):
@@ -186,7 +218,7 @@ def triangle_areas(mesh):
 
 
 def mesh_size(mesh):
-    """(h, h_T per triangle, h_E per undirected edge dict).
+    """(h, h_T per triangle, h_E per edge of mesh.edges).
 
     h_T is the triangle diameter (longest edge); h_E the edge length.
     """
@@ -195,13 +227,7 @@ def mesh_size(mesh):
     e12 = np.linalg.norm(p[t[:, 2]] - p[t[:, 1]], axis=1)
     e20 = np.linalg.norm(p[t[:, 0]] - p[t[:, 2]], axis=1)
     h_T = np.maximum(np.maximum(e01, e12), e20)
-    h_E = {}
-    for tri in t:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            if key not in h_E:
-                h_E[key] = float(np.linalg.norm(p[a] - p[b]))
-    return float(h_T.max()), h_T, h_E
+    return float(h_T.max()), h_T, mesh.edge_lengths
 
 
 def shape_regularity(mesh):
@@ -214,28 +240,6 @@ def shape_regularity(mesh):
     rho = 4.0 * area / (a + b + c)
     h = np.maximum(np.maximum(a, b), c)
     return float(np.max(h / rho))
-
-
-def edge_sets(mesh):
-    """EdgeSet view: interior edges with both incident triangles, boundary edges with length.
-
-    Returns (interior, boundary) where interior is a list of
-    ((va, vb), tri_left, tri_right) and boundary a list of ((va, vb), tri, label, length).
-    """
-    inc = {}
-    for k, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            inc.setdefault((min(a, b), max(a, b)), []).append(k)
-    labmap = mesh.boundary_label_map()
-    interior, boundary = [], []
-    for key in sorted(inc):
-        tris = inc[key]
-        L = float(np.linalg.norm(mesh.vertices[key[0]] - mesh.vertices[key[1]]))
-        if len(tris) == 2:
-            interior.append((key, tris[0], tris[1]))
-        else:
-            boundary.append((key, tris[0], labmap[key], L))
-    return interior, boundary
 
 
 # -- refinement ----------------------------------------------------------------
@@ -253,7 +257,8 @@ def refine(mesh, marked):
     tris = [tuple(t) for t in mesh.triangles]
     gen = list(mesh.generation)
     alive = [True] * nt
-    bnd = dict(mesh.boundary_label_map())
+    bnd = {tuple(sorted(e)): lab
+           for e, lab in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels)}
     midpoint = {}
 
     def mid(a, b):

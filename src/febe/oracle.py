@@ -110,7 +110,7 @@ def oracle_vi(system, max_constrained=12, subgrad_iterations=200000):
     return best
 
 
-def oracle_subgradient(system, iterations=200000, step0=None, seed=0):
+def oracle_subgradient(system, iterations=200000, step0=None):
     """Projected subgradient descent reference for p != 2 instances.
 
     Returns (best objective, best x, gap estimate from the last tenth).

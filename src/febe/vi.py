@@ -790,16 +790,16 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None,
             resid = np.abs(ss_residual(R, y, gam)).max()
             if resid <= stage_tol * scale:
                 break
-            J = lp.jacobian(y, gam)   # drops the last step's LIL copy first
-            J = J.tolil()
+            J = lp.jacobian(y, gam).tocoo()
             rhs = -R
             if len(idx_n):
-                active = (-R[idx_n] + y[idx_n] * scale) > 0
-                for kk, ig in enumerate(idx_n):
-                    if active[kk]:
-                        J.rows[ig] = [int(ig)]
-                        J.data[ig] = [1.0]
-                        rhs[ig] = -y[ig]
+                # active contact rows become identity rows: v_n = 0
+                active = idx_n[(-R[idx_n] + y[idx_n] * scale) > 0]
+                keep = ~np.isin(J.row, active)
+                J = sp.coo_matrix((np.concatenate([J.data[keep], np.ones(len(active))]),
+                                   (np.concatenate([J.row[keep], active]),
+                                    np.concatenate([J.col[keep], active]))), shape=J.shape)
+                rhs[active] = -y[active]
             dy = spla.spsolve(J.tocsc(), rhs)
             if not np.all(np.isfinite(dy)):
                 raise SolverError("layer-potential Newton step failed")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from febe import mesh as meshmod
-from febe.mesh import (MeshError, edge_sets, load_mesh, mesh_size, refine,
+from febe.mesh import (MeshError, load_mesh, mesh_size, refine,
                        refine_uniform, save_mesh, shape_regularity)
+from febe.presets import MESH_PRESETS
 
 from conftest import square_mesh_text, struct_square
 
@@ -54,7 +55,7 @@ def test_mesh_size_diagonal(unit_square):
     h, h_T, h_E = mesh_size(unit_square)
     assert h == pytest.approx(np.sqrt(2.0))
     assert h == pytest.approx(max(h_T))
-    assert max(h_E.values()) == pytest.approx(np.sqrt(2.0))
+    assert h_E.max() == pytest.approx(np.sqrt(2.0))
 
 
 def test_mesh_size_halves_under_two_sweeps(unit_square):
@@ -125,10 +126,66 @@ def test_generation_tracking(unit_square):
 
 
 def test_edge_sets(unit_square):
-    interior, boundary = edge_sets(unit_square)
-    assert len(interior) == 1
-    assert len(boundary) == 4
-    assert all(L > 0 for *_, L in boundary)
+    interior = unit_square.edge_triangles[:, 1] >= 0
+    assert np.count_nonzero(interior) == 1
+    assert np.count_nonzero(~interior) == 4
+    assert np.all(unit_square.edge_lengths[~interior] > 0)
+
+
+def _graded_meshes(preset):
+    """Uniform sweeps and seeded random local refinements of a preset."""
+    rng = np.random.default_rng(11)
+    m = load_mesh(MESH_PRESETS[preset](), scale=False)
+    out = [m, refine_uniform(m, 2)]
+    for _ in range(5):
+        m = refine(m, rng.choice(len(m.triangles), size=max(1, len(m.triangles) // 4),
+                                 replace=False))
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("preset", ["square-slip", "lshape"])
+def test_edge_table_matches_dict_incidence(preset):
+    for m in _graded_meshes(preset):
+        inc = {}
+        for k, tri in enumerate(m.triangles.tolist()):
+            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+                inc.setdefault((min(a, b), max(a, b)), []).append(k)
+        keys = sorted(inc)
+        assert [tuple(e) for e in m.edges.tolist()] == keys
+        assert m.edge_triangles.tolist() == [(inc[k] + [-1])[:2] for k in keys]
+        lengths = [np.linalg.norm(m.vertices[a] - m.vertices[b]) for a, b in keys]
+        np.testing.assert_allclose(m.edge_lengths, lengths, rtol=1e-15, atol=0)
+        # boundary edges: one owner, and exactly the labeled edges
+        rows = m.find_edges(m.boundary_edges[:, 1], m.boundary_edges[:, 0])
+        assert sorted(rows.tolist()) == np.nonzero(m.edge_triangles[:, 1] < 0)[0].tolist()
+        assert m.edge_triangles[rows, 0].tolist() == [
+            inc[(min(a, b), max(a, b))][0] for a, b in m.boundary_edges.tolist()]
+        per_tri = np.zeros(len(m.triangles), dtype=int)
+        for a, b in m.boundary_edges.tolist():
+            per_tri[inc[(min(a, b), max(a, b))][0]] += 1
+        assert m.max_boundary_edges_per_triangle() == per_tri.max()
+        # loop panels carry their edge's label
+        label = {tuple(sorted(e)): lab
+                 for e, lab in zip(m.boundary_edges.tolist(), m.boundary_labels)}
+        loop, labels = m.boundary_loop()
+        assert loop[0] == m.boundary_edges.min()
+        assert len(set(loop.tolist())) == len(loop) == len(m.boundary_edges)
+        pts = m.vertices[loop]
+        assert np.sum(pts[:, 0] * np.roll(pts[:, 1], -1)
+                      - np.roll(pts[:, 0], -1) * pts[:, 1]) > 0      # CCW
+        assert labels == [label[tuple(sorted((a, b)))]
+                          for a, b in zip(loop.tolist(), np.roll(loop, -1).tolist())]
+        assert m.boundary_loop()[0] is loop
+    assert m.find_edges([loop[0]], [loop[0]]).tolist() == [-1]
+
+
+def test_edge_table_read_only(unit_square):
+    for a in (unit_square.edges, unit_square.edge_triangles, unit_square.edge_lengths,
+              unit_square.boundary_loop()[0]):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_save_load_roundtrip():
@@ -146,6 +203,19 @@ def test_nonconforming_rejected():
                      "0 1 T", "1 3 T", "3 4 T", "4 1 T", "1 2 T", "2 0 T"])
     with pytest.raises(MeshError):
         load_mesh(txt)
+
+
+@pytest.mark.parametrize("coords", [
+    ["0 0", "2 0", "1 1", "1 0", "1 -1"],
+    ["0 0", "0 2", "-1 1", "0 1", "1 1"],      # hanging edge with no x-extent
+])
+def test_hanging_node_rejected(coords):
+    # vertex 3 is the midpoint of edge (0, 1) of triangle (0, 1, 2) only
+    txt = "\n".join(["5 3 7"] + coords + [
+        "0 1 2", "0 3 4", "3 1 4",
+        "0 1 T", "1 2 T", "2 0 T", "0 3 T", "4 0 T", "3 1 T", "1 4 T"])
+    with pytest.raises(MeshError, match="hanging node"):
+        load_mesh(txt, scale=False)
 
 
 def _assert_conforming(m):
