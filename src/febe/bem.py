@@ -6,8 +6,11 @@ boundary mass couplings, the discrete Steklov-Poincare operator
 S = W + (M - K)^T V^{-1} (M - K), and rigid-body stabilization data.
 
 Inner integrals over source panels are analytic; outer integrals use Gauss
-rules graded toward shared vertices.  Kernels: 2D Laplace (scalar exterior
-field) and 2D Lame (vector exterior field).
+rules graded toward shared vertices.  Assembly makes one pass per source
+panel: pair classes (self, cyclic neighbour, near, far) come from index masks,
+and one evaluation of the panel's inner integrals at the observation points
+of all rows yields its V, Ghat and K blocks.  Kernels: 2D Laplace (scalar
+exterior field) and 2D Lame (vector exterior field).
 """
 
 from __future__ import annotations
@@ -71,11 +74,21 @@ class BoundarySpace:
     def node_normals(self):
         """Averaged (length-weighted) outward normals at nodes, normalized."""
         n = np.zeros((self.n_nodes, 2))
-        for k in range(self.n_panels):
-            w = self.normals[k] * self.lengths[k]
-            n[self.panel_start[k]] += w
-            n[self.panel_end[k]] += w
+        w = self.normals * self.lengths[:, None]
+        np.add.at(n, self.panel_start, w)
+        np.add.at(n, self.panel_end, w)
         return n / np.linalg.norm(n, axis=1)[:, None]
+
+    def panel_points(self, t, panels=slice(None)):
+        """Points A + t (B - A) at parameters t on the given panels: (n, len(t), 2)."""
+        A = self.A[panels]
+        return A[:, None, :] + t[None, :, None] * (self.B[panels] - A)[:, None, :]
+
+    def p1_values(self, coef, t):
+        """Values of a nodal P1 field at parameters t on every panel: (L, len(t), d)."""
+        g = np.asarray(coef).reshape(self.n_nodes, -1)
+        return (g[self.panel_start][:, None, :] * (1 - t)[None, :, None]
+                + g[self.panel_end][:, None, :] * t[None, :, None])
 
     def interpolate_nodes(self, fn, ncomp):
         vals = np.asarray(fn(self.nodes), dtype=float)
@@ -288,27 +301,23 @@ def _primitives(panel_A, that, nhat, L, X):
     return p
 
 
-def _inner(kernel, bspace, m, X, what):
-    """Inner integral of a kernel family over panel m, at observation points X."""
-    A = bspace.A[m]
+def _inner(kernel, bspace, m, X):
+    """Inner integrals of all kernel families over panel m at observation points X.
+
+    Returns the (n, d, d) blocks (V, Ghat, K0, Kt); K0/Kt carry the start/end
+    node weights 1 - tau/L and tau/L, with principal values at on-line points.
+    """
     that = bspace.tangents[m]
     nhat = bspace.normals[m]
-    L = bspace.lengths[m]
-    prim = _primitives(A, that, nhat, L, X)
+    prim = _primitives(bspace.A[m], that, nhat, bspace.lengths[m], X)
     geo = (that, nhat)
-    if what == "V":
-        return kernel.v_block(prim, geo)
-    if what == "G":
-        return kernel.ghat_block(prim, geo)
-    if what == "K":
-        k0, kt = kernel.k_blocks(prim, geo)
-        if np.any(prim["online"]):
-            s0, st = kernel.k_self_inner(prim, geo)
-            mask = prim["online"][:, None, None]
-            k0 = np.where(mask, s0, k0)
-            kt = np.where(mask, st, kt)
-        return k0, kt
-    raise ValueError(what)
+    k0, kt = kernel.k_blocks(prim, geo)
+    if np.any(prim["online"]):
+        s0, st = kernel.k_self_inner(prim, geo)
+        mask = prim["online"][:, None, None]
+        k0 = np.where(mask, s0, k0)
+        kt = np.where(mask, st, kt)
+    return kernel.v_block(prim, geo), kernel.ghat_block(prim, geo), k0, kt
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +364,6 @@ def _kernel_for(coeffs):
     return _LaplaceKernel() if coeffs is None else _LameKernel(coeffs)
 
 
-def _pair_class(bspace, l, m):
-    if l == m:
-        return "self"
-    share = ({int(bspace.panel_start[l]), int(bspace.panel_end[l])}
-             & {int(bspace.panel_start[m]), int(bspace.panel_end[m])})
-    if share:
-        return "adjacent"
-    dist = np.linalg.norm(bspace.mids[l] - bspace.mids[m])
-    if dist < 1.5 * max(bspace.lengths[l], bspace.lengths[m]):
-        return "near"
-    return "far"
-
-
 def assemble_operators(bspace, coeffs=None, quad_order=8, check_scaling=True):
     """Assemble V, K, W and the mass couplings for the given exterior kernel."""
     if check_scaling and bspace.diameter() >= 1.0:
@@ -378,75 +374,56 @@ def assemble_operators(bspace, coeffs=None, quad_order=8, check_scaling=True):
     L = bspace.n_panels
     M = bspace.n_nodes
     q = max(4, int(quad_order))
+    lengths = bspace.lengths
 
+    # outer rules: plain Gauss for far rows, finer for near rows, graded
+    # toward the shared vertex for neighbours and toward both ends for self
     xg, wg = segment_gauss(q)
+    xgn, wgn = segment_gauss(3 * q)
     xga, wga = graded_gauss(levels=12, order=8, toward_zero=True)
+    xgs = np.concatenate([0.5 * xga, 1.0 - 0.5 * xga])
+    wgs = np.concatenate([0.5 * wga, 0.5 * wga])
+
+    # pair classes; on a simple loop, sharing a vertex means cyclic neighbours
+    panel = np.arange(L)
+    nxt = (panel + 1) % L
+    prv = (panel - 1) % L
+    # midpoint distances via a matmul self-dot, which rounds like the 1-D
+    # norm of each difference
+    dm = bspace.mids[:, None, :] - bspace.mids[None, :, :]
+    dist = np.sqrt((dm[..., None, :] @ dm[..., :, None])[..., 0, 0])
+    near = dist < 1.5 * np.maximum(lengths[:, None], lengths[None, :])
 
     Vfull = np.zeros((L, L, d, d))
     Gfull = np.zeros((L, L, d, d))
     K0full = np.zeros((L, L, d, d))   # weight (1 - tau/L): node = panel_start[m]
     Ktfull = np.zeros((L, L, d, d))   # weight tau/L:       node = panel_end[m]
 
-    classes = np.empty((L, L), dtype=object)
-    for l in range(L):
-        for m in range(L):
-            classes[l, m] = _pair_class(bspace, l, m)
-
-    # far/near pairs: plain Gauss outer (finer for near), vectorized over rows
-    xgn, wgn = segment_gauss(3 * q)
+    # one pass per source panel m: every row's outer points in one evaluation
     for m in range(L):
-        for cls, nodes, wts in (("far", xg, wg), ("near", xgn, wgn)):
-            rows = [l for l in range(L) if classes[l, m] == cls]
-            if not rows:
-                continue
-            nq = len(nodes)
-            idx = np.asarray(rows)
-            pts = (bspace.A[idx][:, None, :]
-                   + nodes[None, :, None] * (bspace.B[idx] - bspace.A[idx])[:, None, :])
-            Xall = pts.reshape(-1, 2)
-            vb = _inner(ker, bspace, m, Xall, "V").reshape(len(idx), nq, d, d)
-            gb = _inner(ker, bspace, m, Xall, "G").reshape(len(idx), nq, d, d)
-            k0, kt = _inner(ker, bspace, m, Xall, "K")
-            k0 = k0.reshape(len(idx), nq, d, d)
-            kt = kt.reshape(len(idx), nq, d, d)
-            wl = (wts[None, :] * bspace.lengths[idx][:, None])
-            Vfull[idx, m] = np.einsum("lq,lqab->lab", wl, vb)
-            Gfull[idx, m] = np.einsum("lq,lqab->lab", wl, gb)
-            K0full[idx, m] = np.einsum("lq,lqab->lab", wl, k0)
-            Ktfull[idx, m] = np.einsum("lq,lqab->lab", wl, kt)
+        other = (panel != m) & (panel != nxt[m]) & (panel != prv[m])
+        groups = (
+            (np.nonzero(other & ~near[:, m])[0], xg, wg),
+            (np.nonzero(other & near[:, m])[0], xgn, wgn),
+            (nxt[m:m + 1], xga, wga),
+            (prv[m:m + 1], 1.0 - xga, wga),
+            (panel[m:m + 1], xgs, wgs),
+        )
+        pts = [bspace.panel_points(t, rows).reshape(-1, 2) for rows, t, _ in groups]
+        blocks = _inner(ker, bspace, m, np.concatenate(pts))
+        start = 0
+        for rows, t, w in groups:
+            stop = start + len(rows) * len(t)
+            wl = w[None, :] * lengths[rows][:, None]
+            for full, blk in zip((Vfull, Gfull, K0full, Ktfull), blocks):
+                full[rows, m] = np.einsum("lq,lqab->lab", wl,
+                                          blk[start:stop].reshape(len(rows), len(t), d, d))
+            start = stop
 
-    # adjacent pairs: graded outer rule toward the shared vertex
+    # self pairs: analytic V and Ghat
     for l in range(L):
-        for m in range(L):
-            cls = classes[l, m]
-            if cls not in ("adjacent",):
-                continue
-            shared = ({int(bspace.panel_start[l]), int(bspace.panel_end[l])}
-                      & {int(bspace.panel_start[m]), int(bspace.panel_end[m])}).pop()
-            toward_start = (shared == int(bspace.panel_start[l]))
-            t = xga if toward_start else 1.0 - xga
-            pts = bspace.A[l][None, :] + t[:, None] * (bspace.B[l] - bspace.A[l])[None, :]
-            wl = wga * bspace.lengths[l]
-            vb = _inner(ker, bspace, m, pts, "V")
-            gb = _inner(ker, bspace, m, pts, "G")
-            k0, kt = _inner(ker, bspace, m, pts, "K")
-            Vfull[l, m] = np.einsum("q,qab->ab", wl, vb)
-            Gfull[l, m] = np.einsum("q,qab->ab", wl, gb)
-            K0full[l, m] = np.einsum("q,qab->ab", wl, k0)
-            Ktfull[l, m] = np.einsum("q,qab->ab", wl, kt)
-
-    # self pairs
-    xgs = np.concatenate([0.5 * xga, 1.0 - 0.5 * xga])
-    wgs = np.concatenate([0.5 * wga, 0.5 * wga])
-    for l in range(L):
-        Vfull[l, l] = ker.v_self(bspace.lengths[l], bspace.tangents[l])
-        Gfull[l, l] = ker.ghat_self(bspace.lengths[l], bspace.tangents[l])
-        if d == 2:
-            pts = bspace.A[l][None, :] + xgs[:, None] * (bspace.B[l] - bspace.A[l])[None, :]
-            k0, kt = _inner(ker, bspace, l, pts, "K")
-            wl = wgs * bspace.lengths[l]
-            K0full[l, l] = np.einsum("q,qab->ab", wl, k0)
-            Ktfull[l, l] = np.einsum("q,qab->ab", wl, kt)
+        Vfull[l, l] = ker.v_self(lengths[l], bspace.tangents[l])
+        Gfull[l, l] = ker.ghat_self(lengths[l], bspace.tangents[l])
 
     # flatten to (dL, dL) / (dL, dM)
     def flat_ll(Mfull):
@@ -457,44 +434,37 @@ def assemble_operators(bspace, coeffs=None, quad_order=8, check_scaling=True):
     V = 0.5 * (V + V.T)
     Gpair = 0.5 * (Gpair + Gpair.T)
 
-    Kpv = np.zeros((L * d, M * d))
-    for m in range(L):
-        n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
-        Kpv[:, n0 * d:(n0 + 1) * d] += K0full[:, m].reshape(L * d, d)
-        Kpv[:, n1 * d:(n1 + 1) * d] += Ktfull[:, m].reshape(L * d, d)
+    # scatter panel blocks to nodes; every node gets exactly two contributions
+    Kp = np.zeros((L, M, d, d))
+    np.add.at(Kp, (slice(None), bspace.panel_start), K0full)
+    np.add.at(Kp, (slice(None), bspace.panel_end), Ktfull)
+    Kpv = Kp.transpose(0, 2, 1, 3).reshape(L * d, M * d)
+
+    comp = np.arange(d)
+    prow = (panel[:, None] * d + comp).ravel()                  # P0 dof a of panel m
+    n0 = (bspace.panel_start[:, None] * d + comp).ravel()       # P1 dof a of its start
+    n1 = (bspace.panel_end[:, None] * d + comp).ravel()         # P1 dof a of its end
+    M0 = np.repeat(lengths, d)
 
     Mb = np.zeros((L * d, M * d))
-    for m in range(L):
-        n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
-        half = 0.5 * bspace.lengths[m] * np.eye(d)
-        Mb[m * d:(m + 1) * d, n0 * d:(n0 + 1) * d] += half
-        Mb[m * d:(m + 1) * d, n1 * d:(n1 + 1) * d] += half
+    np.add.at(Mb, (prow, n0), 0.5 * M0)
+    np.add.at(Mb, (prow, n1), 0.5 * M0)
 
     Kext = 0.5 * Mb + Kpv
 
     # W through its tangential-derivative reduction: W = D^T Gpair D
     D = np.zeros((L * d, M * d))
-    for m in range(L):
-        n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
-        inv = 1.0 / bspace.lengths[m]
-        for a in range(d):
-            D[m * d + a, n0 * d + a] = -inv
-            D[m * d + a, n1 * d + a] = +inv
+    inv = 1.0 / M0
+    D[prow, n0] = -inv
+    D[prow, n1] = inv
     W = D.T @ Gpair @ D
     W = 0.5 * (W + W.T)
 
     M1 = np.zeros((M * d, M * d))
-    for m in range(L):
-        n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
-        Le = bspace.lengths[m]
-        for a in range(d):
-            i, j = n0 * d + a, n1 * d + a
-            M1[i, i] += Le / 3
-            M1[j, j] += Le / 3
-            M1[i, j] += Le / 6
-            M1[j, i] += Le / 6
-
-    M0 = np.repeat(bspace.lengths, d)
+    np.add.at(M1, (n0, n0), M0 / 3)
+    np.add.at(M1, (n1, n1), M0 / 3)
+    np.add.at(M1, (n0, n1), M0 / 6)
+    np.add.at(M1, (n1, n0), M0 / 6)
 
     return BoundaryOperators(bspace=bspace, coeffs=coeffs, d=d, V=V, K=Kext,
                              W=W, Mb=Mb, M1=M1, M0=M0)
@@ -571,8 +541,8 @@ def eval_single_layer(bspace, coeffs, density, X):
     dens = np.asarray(density).reshape(bspace.n_panels, d)
     out = np.zeros((len(X), d))
     for m in range(bspace.n_panels):
-        blk = _inner(ker, bspace, m, X, "V")      # (n, d, d)
-        out += np.einsum("nab,b->na", blk, dens[m])
+        vb = _inner(ker, bspace, m, X)[0]         # (n, d, d)
+        out += np.einsum("nab,b->na", vb, dens[m])
     return out
 
 
@@ -584,7 +554,7 @@ def eval_double_layer_pv(bspace, coeffs, wcoef, X):
     w = np.asarray(wcoef).reshape(bspace.n_nodes, d)
     out = np.zeros((len(X), d))
     for m in range(bspace.n_panels):
-        k0, kt = _inner(ker, bspace, m, X, "K")
+        _, _, k0, kt = _inner(ker, bspace, m, X)
         n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
         out += np.einsum("nab,b->na", k0, w[n0]) + np.einsum("nab,b->na", kt, w[n1])
     return out

@@ -171,17 +171,9 @@ def _dual_norm_edgewise(system, lifted, expo):
     Returns the per-panel raw contributions h_l ||g||^expo.
     """
     bs = system.bspace
-    d = system.d
-    g = np.asarray(lifted).reshape(bs.n_nodes, d)
     xq, wq = segment_gauss(6)
-    out = np.zeros(bs.n_panels)
-    for l in range(bs.n_panels):
-        a = g[bs.panel_start[l]]
-        b = g[bs.panel_end[l]]
-        vals = a[None, :] * (1 - xq)[:, None] + b[None, :] * xq[:, None]
-        mag = np.linalg.norm(vals, axis=1)
-        out[l] = bs.lengths[l] * bs.lengths[l] * np.sum(wq * mag ** expo)
-    return out
+    mag = np.linalg.norm(bs.p1_values(lifted, xq), axis=2)
+    return bs.lengths * bs.lengths * np.sum(wq * mag ** expo, axis=1)
 
 
 def _lift(system, functional):
@@ -230,18 +222,12 @@ def _consistency_term(system, sol, phi=None):
         T = ops.Mb - ops.K
         phi = np.linalg.solve(ops.V, -(T @ g))
     xq, wq = segment_gauss(3)
-    out = np.zeros(bs.n_panels)
-    coeffs = ops.coeffs
-    gv = g.reshape(bs.n_nodes, d)
-    for l in range(bs.n_panels):
-        pts = bs.A[l][None, :] + xq[:, None] * (bs.B[l] - bs.A[l])[None, :]
-        vals = eval_single_layer(bs, coeffs, phi, pts)
-        gl = (gv[bs.panel_start[l]][None, :] * (1 - xq)[:, None]
-              + gv[bs.panel_end[l]][None, :] * xq[:, None])
-        vals = vals + 0.5 * gl - eval_double_layer_pv(bs, coeffs, g, pts)
-        mag = np.linalg.norm(vals, axis=1)
-        out[l] = bs.lengths[l] * bs.lengths[l] * np.sum(wq * mag ** 2)
-    return out
+    pts = bs.panel_points(xq).reshape(-1, 2)
+    gl = bs.p1_values(g, xq).reshape(-1, d)
+    vals = (eval_single_layer(bs, ops.coeffs, phi, pts) + 0.5 * gl
+            - eval_double_layer_pv(bs, ops.coeffs, g, pts))
+    mag = np.linalg.norm(vals, axis=1).reshape(bs.n_panels, len(xq))
+    return bs.lengths * bs.lengths * np.sum(wq * mag ** 2, axis=1)
 
 
 def _residual_estimate(system, sol, data_residual, phi, quad_order):

@@ -316,14 +316,14 @@ def refine_uniform(mesh, sweeps=1):
 
 def _assign_peaks(vertices, triangles):
     """Reorder each triangle so the refinement edge (positions 1,2) is its longest edge."""
-    out = []
-    for tri in triangles:
-        p = vertices[list(tri)]
-        lens = [np.linalg.norm(p[2] - p[1]), np.linalg.norm(p[0] - p[2]),
-                np.linalg.norm(p[1] - p[0])]
-        peak = int(np.argmax(lens))  # vertex opposite the longest edge
-        out.append((tri[peak], tri[(peak + 1) % 3], tri[(peak + 2) % 3]))
-    return np.asarray(out, dtype=np.int64)
+    p = vertices[triangles]
+    d = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]         # edge opposite each vertex
+    # sqrt of a matmul self-dot rounds like the 1-D norm of each edge, so
+    # argmax breaks ties between equal edges (circle fans) the same way
+    lens = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+    peak = np.argmax(lens, axis=1)                 # vertex opposite the longest edge
+    cols = (peak[:, None] + np.arange(3)) % 3
+    return np.take_along_axis(triangles, cols, axis=1)
 
 
 def load_mesh(text, scale=True):

@@ -627,37 +627,25 @@ def vi_certificate(system, sol, step=None):
     """
     x = np.concatenate([sol.u, sol.z])
     g = system.grad_smooth(x)
+    it = system.nU + system.idx_zt          # friction coordinates
+    inn = system.nU + system.idx_zn         # normal (bound) coordinates
+    other = np.ones(len(x), dtype=bool)
+    other[it] = False
+    other[inn] = False
     if system.ncompat:
         # multiplier from the smooth/unconstrained rows only: friction and
         # bound coordinates carry subdifferential terms, not zero gradients
-        n = len(x)
-        skip = np.zeros(n, dtype=bool)
-        skip[system.nU + system.idx_zt] = True
-        skip[system.nU + system.idx_zn] = True
-        rows = ~skip
-        y = np.linalg.lstsq(system.C[:, rows].T, -g[rows], rcond=None)[0]
+        y = np.linalg.lstsq(system.C[:, other].T, -g[other], rcond=None)[0]
         g = g + system.C.T @ y
     scale = max(1.0, np.abs(x).max())
     tau = step if step is not None else 0.1 * scale
-    worst = np.inf
-    t_of = {int(zi): k for k, zi in enumerate(system.idx_zt)}
-    n_of = {int(zi): k for k, zi in enumerate(system.idx_zn)}
-    for i in range(len(x)):
-        gi = g[i]
-        zi = i - system.nU
-        if zi >= 0 and zi in t_of:
-            Fk = system.friction.F[t_of[zi]]
-            sk = x[i]
-            for sgn in (+1.0, -1.0):
-                dj = Fk * (abs(sk + sgn * tau) - abs(sk))
-                worst = min(worst, (sgn * tau * gi + dj) / tau)
-        elif zi >= 0 and zi in n_of:
-            worst = min(worst, -gi)             # d = -e always feasible
-            if x[i] + tau <= 0:
-                worst = min(worst, gi)
-        else:
-            worst = min(worst, gi, -gi)
-    return float(worst)
+    gt, st, F = g[it], x[it], system.friction.F
+    # d = -e is always feasible for a bound coordinate, d = +e only if it stays <= 0
+    cand = [g[other], -g[other], -g[inn], g[inn][x[inn] + tau <= 0]]
+    for sgn in (+1.0, -1.0):
+        dj = F * (np.abs(st + sgn * tau) - np.abs(st))
+        cand.append((sgn * tau * gt + dj) / tau)
+    return float(np.min(np.concatenate(cand), initial=np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from febe import bem
 from febe.material import ExteriorCoefficients
-from febe.mesh import load_mesh
+from febe.mesh import load_mesh, refine_uniform
 from febe.quadrature import segment_gauss
 
 from conftest import circle_mesh, square_mesh_text, struct_square
@@ -350,3 +350,79 @@ def test_lame_dipole_on_square_geometry():
             mom[2 * n1 + a] += -bs.lengths[l] * np.sum(wq * tn[:, a] * xq)
     rel = np.linalg.norm(S @ w - mom) / np.linalg.norm(mom)
     assert rel < 0.05
+
+
+def _count_primitives(monkeypatch):
+    calls = []
+    prim = bem._primitives
+
+    def counted(*args):
+        calls.append(len(np.atleast_2d(args[-1])))
+        return prim(*args)
+
+    monkeypatch.setattr(bem, "_primitives", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lame", [False, True])
+def test_assembly_evaluates_each_source_panel_once(monkeypatch, lame):
+    bs = bem.BoundarySpace(circle_mesh(24, 0.4))
+    co = ExteriorCoefficients(mu=1.0, lam=1.3) if lame else None
+    calls = _count_primitives(monkeypatch)
+    bem.assemble_operators(bs, co)
+    assert len(calls) == bs.n_panels
+    # each call covers the outer points of every row: far/near Gauss rules,
+    # both graded neighbour rules and the split self rule
+    assert min(calls) > 3 * bs.n_panels
+
+
+@pytest.mark.parametrize("lame", [False, True])
+def test_pointwise_evaluation_batch_invariant(lame):
+    # one batched call equals the point-by-point results bit for bit, for
+    # points on panels, at vertices and off the boundary
+    m = refine_uniform(load_mesh(struct_square(3, lo=0.1, hi=0.6), scale=False), 1)
+    bs = bem.BoundarySpace(m)
+    co = ExteriorCoefficients(mu=1.0, lam=1.3) if lame else None
+    d = 2 if lame else 1
+    rng = np.random.default_rng(5)
+    on = bs.panel_points(np.array([0.2, 0.5, 0.9])).reshape(-1, 2)
+    off = rng.uniform(0.0, 0.7, size=(9, 2))
+    X = np.concatenate([on, bs.nodes, off])
+    dens = rng.normal(size=bs.n_panels * d)
+    w = rng.normal(size=bs.n_nodes * d)
+    for fn, coef in ((bem.eval_single_layer, dens), (bem.eval_double_layer_pv, w)):
+        batch = fn(bs, co, coef, X)
+        single = np.concatenate([fn(bs, co, coef, x[None, :]) for x in X])
+        assert np.array_equal(batch, single)
+
+
+@pytest.mark.parametrize("lame", [False, True])
+def test_node_scatter_matches_panel_loops(lame):
+    # per-panel loops as the reference for the node normals and the P0xP1
+    # and P1 boundary mass matrices
+    from febe.mesh import refine
+    m = refine_uniform(load_mesh(struct_square(2, lo=0.1, hi=0.6), scale=False), 1)
+    m = refine(m, np.random.default_rng(7).choice(len(m.triangles), 5, replace=False))
+    bs = bem.BoundarySpace(m)
+    co = ExteriorCoefficients(mu=1.0, lam=1.3) if lame else None
+    ops = bem.assemble_operators(bs, co)
+    d, L, M = ops.d, bs.n_panels, bs.n_nodes
+    nrm = np.zeros((M, 2))
+    Mb = np.zeros((L * d, M * d))
+    M1 = np.zeros((M * d, M * d))
+    for k in range(L):
+        n0, n1 = bs.panel_start[k], bs.panel_end[k]
+        Le = bs.lengths[k]
+        nrm[n0] += bs.normals[k] * Le
+        nrm[n1] += bs.normals[k] * Le
+        for a in range(d):
+            i, j = n0 * d + a, n1 * d + a
+            Mb[k * d + a, i] += 0.5 * Le
+            Mb[k * d + a, j] += 0.5 * Le
+            M1[i, i] += Le / 3
+            M1[j, j] += Le / 3
+            M1[i, j] += Le / 6
+            M1[j, i] += Le / 6
+    assert np.array_equal(bs.node_normals(), nrm / np.linalg.norm(nrm, axis=1)[:, None])
+    assert np.array_equal(ops.Mb, Mb)
+    assert np.array_equal(ops.M1, M1)

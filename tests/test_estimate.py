@@ -226,3 +226,61 @@ def test_uniform_estimator_decreases_four_levels():
         sys_, man, sol = make("quadratic", p=2.0, refines=r)
         totals.append(estimate_sp(sys_, sol).total())
     assert all(b < a for a, b in zip(totals, totals[1:]))
+
+
+def test_consistency_term_two_kernel_passes(monkeypatch):
+    # V phi and K_pv g at all 3L consistency points: one pass over the source
+    # panels each, so 2L evaluations of the panel integrals per estimate
+    from febe import bem
+    sys_, man, sol = make("transition", p=1.5, slip=("b",))
+    calls = []
+    prim = bem._primitives
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return prim(*args)
+
+    monkeypatch.setattr(bem, "_primitives", counted)
+    estimate_sp(sys_, sol)
+    L = sys_.bspace.n_panels
+    assert calls == [3 * L] * (2 * L)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_boundary_terms_match_panel_loops(vector):
+    # per-panel loops as the reference; the batched consistency and
+    # dual-norm terms do the same arithmetic, so they agree bit for bit
+    from febe.bem import eval_double_layer_pv, eval_single_layer
+    from febe.quadrature import segment_gauss
+    if vector:
+        law = mat.MaterialLaw(p=2.0, mode=mat.MODE_MATRIX)
+        m = refine_uniform(load_mesh(presets.square_text(2, slip=("b",)), scale=False), 1)
+        sys_ = build_system(m, law, presets.vector_stick(law).data)
+        sol = solve_contact_vi(sys_)
+    else:
+        sys_, _, sol = make("transition", p=1.5, slip=("b",))
+    bs, ops, d = sys_.bspace, sys_.ops, sys_.d
+    g = sol.w - sys_.U0
+    phi = np.linalg.solve(ops.V, -((ops.Mb - ops.K) @ g))
+    lifted = np.random.default_rng(4).normal(size=bs.n_nodes * d)
+    x3, w3 = segment_gauss(3)
+    x6, w6 = segment_gauss(6)
+    expos = (4.0 / 3.0, 1.5, 2.0, 3.0)
+    cons = np.zeros(bs.n_panels)
+    dual = np.zeros((len(expos), bs.n_panels))
+    for l in range(bs.n_panels):
+        Le = bs.lengths[l]
+        pts = bs.A[l][None, :] + x3[:, None] * (bs.B[l] - bs.A[l])[None, :]
+        a, b = g.reshape(-1, d)[bs.panel_start[l]], g.reshape(-1, d)[bs.panel_end[l]]
+        gl = a[None, :] * (1 - x3)[:, None] + b[None, :] * x3[:, None]
+        vals = (eval_single_layer(bs, ops.coeffs, phi, pts) + 0.5 * gl
+                - eval_double_layer_pv(bs, ops.coeffs, g, pts))
+        cons[l] = Le * Le * np.sum(w3 * np.linalg.norm(vals, axis=1) ** 2)
+        a = lifted.reshape(-1, d)[bs.panel_start[l]]
+        b = lifted.reshape(-1, d)[bs.panel_end[l]]
+        mag = np.linalg.norm(a[None, :] * (1 - x6)[:, None] + b[None, :] * x6[:, None], axis=1)
+        for k, e in enumerate(expos):
+            dual[k, l] = Le * Le * np.sum(w6 * mag ** e)
+    assert np.array_equal(estimate._consistency_term(sys_, sol), cons)
+    for k, e in enumerate(expos):
+        assert np.array_equal(estimate._dual_norm_edgewise(sys_, lifted, e), dual[k])

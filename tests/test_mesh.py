@@ -225,3 +225,30 @@ def _assert_conforming(m):
             counts[(min(a, b), max(a, b))] = counts.get((min(a, b), max(a, b)), 0) + 1
     assert all(c <= 2 for c in counts.values())
     m._check_hanging(counts.keys())
+
+
+@pytest.mark.parametrize("radius", [0.35, 0.4, 2.5])
+def test_assign_peaks_matches_per_triangle_norms(radius):
+    # circle fans have two equal radial edges per triangle; the peak must be
+    # the first longest edge as measured by the per-edge 1-D norm
+    from febe.presets import circle_text
+
+    def reference(vertices, triangles):
+        out = []
+        for tri in triangles:
+            p = vertices[list(tri)]
+            lens = [np.linalg.norm(p[2] - p[1]), np.linalg.norm(p[0] - p[2]),
+                    np.linalg.norm(p[1] - p[0])]
+            peak = int(np.argmax(lens))
+            out.append((tri[peak], tri[(peak + 1) % 3], tri[(peak + 2) % 3]))
+        return np.asarray(out, dtype=np.int64)
+
+    for n in (8, 12, 17, 32, 45, 64, 100, 128):
+        text = circle_text(n, radius)
+        tok = text.split()
+        nv, nt = int(tok[0]), int(tok[1])
+        verts = np.asarray(tok[3:3 + 2 * nv], dtype=float).reshape(nv, 2)
+        tris = np.asarray(tok[3 + 2 * nv:3 + 2 * nv + 3 * nt],
+                          dtype=np.int64).reshape(nt, 3)
+        m = load_mesh(text, scale=False)
+        assert np.array_equal(m.triangles, reference(verts, tris))

@@ -495,3 +495,67 @@ def test_no_safeguard_fires_on_standard_presets(monkeypatch, case):
     assert sol.converged
     assert certificates == []
     assert failed_solves == []
+
+
+def _certificate_loop(system, sol, step=None):
+    """Per-coordinate reference for vi_certificate."""
+    x = np.concatenate([sol.u, sol.z])
+    g = system.grad_smooth(x)
+    if system.ncompat:
+        rows = np.ones(len(x), dtype=bool)
+        rows[system.nU + system.idx_zt] = False
+        rows[system.nU + system.idx_zn] = False
+        y = np.linalg.lstsq(system.C[:, rows].T, -g[rows], rcond=None)[0]
+        g = g + system.C.T @ y
+    tau = step if step is not None else 0.1 * max(1.0, np.abs(x).max())
+    worst = np.inf
+    t_of = {int(zi): k for k, zi in enumerate(system.idx_zt)}
+    n_of = {int(zi): k for k, zi in enumerate(system.idx_zn)}
+    for i in range(len(x)):
+        gi = g[i]
+        zi = i - system.nU
+        if zi >= 0 and zi in t_of:
+            Fk = system.friction.F[t_of[zi]]
+            for sgn in (+1.0, -1.0):
+                dj = Fk * (abs(x[i] + sgn * tau) - abs(x[i]))
+                worst = min(worst, (sgn * tau * gi + dj) / tau)
+        elif zi >= 0 and zi in n_of:
+            worst = min(worst, -gi)
+            if x[i] + tau <= 0:
+                worst = min(worst, gi)
+        else:
+            worst = min(worst, gi, -gi)
+    return float(worst)
+
+
+@pytest.mark.parametrize("case", ["scalar", "vector"])
+def test_vi_certificate_matches_coordinate_loop(case):
+    if case == "scalar":
+        sys_, _ = scalar_system("transition", p=2.0, refines=1, slip=("b",))
+    else:
+        sys_, _ = vector_system("stick-vec")
+    sol = solve_contact_vi(sys_)
+    for step in (None, 1e-3, 0.5):
+        assert vi_certificate(sys_, sol, step) == _certificate_loop(sys_, sol, step)
+    rng = np.random.default_rng(1)
+    sol.u = sol.u + rng.normal(size=len(sol.u))
+    sol.z = sol.z + rng.normal(size=len(sol.z))
+    assert vi_certificate(sys_, sol) == _certificate_loop(sys_, sol)
+
+
+def test_vi_certificate_matches_coordinate_loop_on_random_gradients():
+    # a stand-in system with random gradients, so that every candidate class
+    # (interior +-g, friction +-step, normal -g and +g below -step) wins some draws
+    from types import SimpleNamespace
+    rng = np.random.default_rng(2)
+    nU, nZ = 7, 8
+    for _ in range(200):
+        scale = np.exp(rng.normal(size=nU + nZ))
+        grad = rng.normal(size=nU + nZ) * scale
+        sys_ = SimpleNamespace(nU=nU, ncompat=0, idx_zt=np.array([1, 3, 4, 7]),
+                               idx_zn=np.array([0, 2, 6]),
+                               friction=SimpleNamespace(F=rng.uniform(0, 2, 4)),
+                               grad_smooth=lambda x: grad)
+        sol = SimpleNamespace(u=rng.normal(size=nU), z=rng.normal(size=nZ))
+        step = rng.uniform(0.05, 0.5)
+        assert vi_certificate(sys_, sol, step) == _certificate_loop(sys_, sol, step)
