@@ -533,28 +533,36 @@ def stabilization_vectors(ops, basis):
 
 # pointwise evaluation --------------------------------------------------------
 
-def eval_single_layer(bspace, coeffs, density, X):
-    """(V phi)(x) for a P0 density phi, at arbitrary points X."""
+def eval_layer_potentials(bspace, coeffs, density, wcoef, X):
+    """(V phi)(x) for a P0 density phi and principal-value (K_pv w)(x) for a
+    P1 density w, at points X on or off the boundary.
+
+    One evaluation of the panel integrals per source panel gives both.
+    """
     ker = _kernel_for(coeffs)
     d = ker.d
     X = np.atleast_2d(X)
     dens = np.asarray(density).reshape(bspace.n_panels, d)
-    out = np.zeros((len(X), d))
+    w = np.asarray(wcoef).reshape(bspace.n_nodes, d)
+    vphi = np.zeros((len(X), d))
+    kw = np.zeros((len(X), d))
     for m in range(bspace.n_panels):
-        vb = _inner(ker, bspace, m, X)[0]         # (n, d, d)
-        out += np.einsum("nab,b->na", vb, dens[m])
-    return out
+        vb, _, k0, kt = _inner(ker, bspace, m, X)       # (n, d, d) each
+        n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
+        vphi += np.einsum("nab,b->na", vb, dens[m])
+        kw += np.einsum("nab,b->na", k0, w[n0]) + np.einsum("nab,b->na", kt, w[n1])
+    return vphi, kw
+
+
+def eval_single_layer(bspace, coeffs, density, X):
+    """(V phi)(x) for a P0 density phi, at arbitrary points X."""
+    d = _kernel_for(coeffs).d
+    return eval_layer_potentials(bspace, coeffs, density,
+                                 np.zeros(bspace.n_nodes * d), X)[0]
 
 
 def eval_double_layer_pv(bspace, coeffs, wcoef, X):
     """Principal-value (K_pv w)(x) for a P1 density w, at points X on or off the boundary."""
-    ker = _kernel_for(coeffs)
-    d = ker.d
-    X = np.atleast_2d(X)
-    w = np.asarray(wcoef).reshape(bspace.n_nodes, d)
-    out = np.zeros((len(X), d))
-    for m in range(bspace.n_panels):
-        _, _, k0, kt = _inner(ker, bspace, m, X)
-        n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
-        out += np.einsum("nab,b->na", k0, w[n0]) + np.einsum("nab,b->na", kt, w[n1])
-    return out
+    d = _kernel_for(coeffs).d
+    return eval_layer_potentials(bspace, coeffs, np.zeros(bspace.n_panels * d),
+                                 wcoef, X)[1]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import material as mat
-from .bem import eval_double_layer_pv, eval_single_layer
+from .bem import eval_layer_potentials
 from .mesh import mesh_size
 from .quadrature import QuadratureRule, segment_gauss
 
@@ -224,8 +224,8 @@ def _consistency_term(system, sol, phi=None):
     xq, wq = segment_gauss(3)
     pts = bs.panel_points(xq).reshape(-1, 2)
     gl = bs.p1_values(g, xq).reshape(-1, d)
-    vals = (eval_single_layer(bs, ops.coeffs, phi, pts) + 0.5 * gl
-            - eval_double_layer_pv(bs, ops.coeffs, g, pts))
+    vphi, kg = eval_layer_potentials(bs, ops.coeffs, phi, g, pts)
+    vals = vphi + 0.5 * gl - kg
     mag = np.linalg.norm(vals, axis=1).reshape(bs.n_panels, len(xq))
     return bs.lengths * bs.lengths * np.sum(wq * mag ** 2, axis=1)
 

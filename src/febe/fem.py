@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -36,6 +38,36 @@ class FESpace:
         self.boundary_loop = loop
         self.boundary_labels = labels
 
+    @cached_property
+    def basis_strains(self):
+        """Per-element strain of each local basis function.
+
+        scalar: (nt, 3, 2) gradients; vector: (nt, 6, 2, 2) symmetrized dyads,
+        local dof ordering (vertex-major, component-minor).
+        """
+        g = self.grads
+        if self.ncomp == 1:
+            return g
+        nt = g.shape[0]
+        out = np.zeros((nt, 6, 2, 2))
+        for k in range(3):
+            for c in range(2):
+                e = np.zeros(2)
+                e[c] = 1.0
+                dy = 0.5 * (e[:, None] * g[:, k, None, :] + g[:, k, :, None] * e[None, :])
+                out[:, 2 * k + c] = dy
+        return out
+
+    @cached_property
+    def local_dofs(self):
+        """(nt, 3 * ncomp) global dof of each local basis function."""
+        t = self.mesh.triangles
+        if self.ncomp == 1:
+            return t
+        return np.stack([2 * t[:, 0], 2 * t[:, 0] + 1,
+                         2 * t[:, 1], 2 * t[:, 1] + 1,
+                         2 * t[:, 2], 2 * t[:, 2] + 1], axis=1)
+
     def vertex_values(self, coeffs):
         """(nv, ncomp) view of a coefficient vector."""
         return np.asarray(coeffs).reshape(-1, self.ncomp)
@@ -61,35 +93,6 @@ class FESpace:
         return vals.reshape(-1, 2).reshape(-1)
 
 
-def _basis_strains(space):
-    """Per-element strain of each local basis function.
-
-    scalar: (nt, 3, 2) gradients; vector: (nt, 6, 2, 2) symmetrized dyads,
-    local dof ordering (vertex-major, component-minor).
-    """
-    g = space.grads
-    if space.ncomp == 1:
-        return g
-    nt = g.shape[0]
-    out = np.zeros((nt, 6, 2, 2))
-    for k in range(3):
-        for c in range(2):
-            e = np.zeros(2)
-            e[c] = 1.0
-            dy = 0.5 * (e[:, None] * g[:, k, None, :] + g[:, k, :, None] * e[None, :])
-            out[:, 2 * k + c] = dy
-    return out
-
-
-def _local_dofs(space):
-    t = space.mesh.triangles
-    if space.ncomp == 1:
-        return t
-    return np.stack([2 * t[:, 0], 2 * t[:, 0] + 1,
-                     2 * t[:, 1], 2 * t[:, 1] + 1,
-                     2 * t[:, 2], 2 * t[:, 2] + 1], axis=1)
-
-
 def assemble_residual(space, law, coeffs, quad_order=4):
     """Vector with entries <A'(strain(u_h)), strain(phi_i)>.
 
@@ -100,13 +103,13 @@ def assemble_residual(space, law, coeffs, quad_order=4):
         raise ValueError("quadrature order below 2 rejected")
     eps = space.strains(coeffs)
     sig = mat.stress(law, eps)
-    bs = _basis_strains(space)
+    bs = space.basis_strains
     if space.ncomp == 1:
         loc = np.einsum("td,tkd,t->tk", sig, bs, space.areas)
     else:
         loc = np.einsum("tij,tkij,t->tk", sig, bs, space.areas)
     R = np.zeros(space.ndof)
-    np.add.at(R, _local_dofs(space), loc)
+    np.add.at(R, space.local_dofs, loc)
     return R
 
 
@@ -114,7 +117,7 @@ def assemble_tangent(space, law, coeffs):
     """Sparse symmetric linearization of the residual at coeffs."""
     eps = space.strains(coeffs)
     c1, c2 = mat.tangent_coeffs(law, eps)
-    bs = _basis_strains(space)
+    bs = space.basis_strains
     if space.ncomp == 1:
         bb = np.einsum("tkd,tld->tkl", bs, bs)
         xb = np.einsum("td,tkd->tk", eps, bs)
@@ -124,7 +127,7 @@ def assemble_tangent(space, law, coeffs):
     loc = (c1[:, None, None] * bb
            + c2[:, None, None] * xb[:, :, None] * xb[:, None, :])
     loc *= space.areas[:, None, None]
-    dofs = _local_dofs(space)
+    dofs = space.local_dofs
     n = dofs.shape[1]
     rows = np.repeat(dofs, n, axis=1).ravel()
     cols = np.tile(dofs, (1, n)).ravel()
@@ -147,7 +150,7 @@ def assemble_load(space, f, quad_order=4):
         loc = np.einsum("tqc,qk,q,t->tkc", fv, rule.bary, rule.weights,
                         space.areas).reshape(nt, 6)
     R = np.zeros(space.ndof)
-    np.add.at(R, _local_dofs(space), loc)
+    np.add.at(R, space.local_dofs, loc)
     return R
 
 

@@ -7,6 +7,13 @@ enforced nodewise; Tresca friction uses the mass-lumped bound F_k with the
 smoothed absolute value sqrt(s^2 + gamma^2) - gamma driven to gamma_min by
 continuation.  The n=2 compatibility constraints <S 1_j, w - u0> = 0 are
 eliminated exactly through pivot substitution.
+
+Per Newton step only the FE tangent and the friction diagonal change.  The
+constant parts of the Newton matrix are built once per system: N^T H_bd N
+and the U-rows of the null-space basis N (Steklov-Poincare form), the W, K,
+V and stabilization blocks (layer-potential form).  Each step adds the
+tangent to them, and SuperLU factors the result with the symmetric
+minimum-degree ordering on A^T + A.
 """
 
 from __future__ import annotations
@@ -269,12 +276,6 @@ class CoupledSystem:
         g += self.H_bd @ x - self.g_bd
         return g
 
-    def hess_smooth(self, x):
-        U = x[:self.nU]
-        Hu = fem.assemble_tangent(self.space, self.law, U)
-        H = sp.block_diag([Hu, sp.csr_matrix((self.nZ, self.nZ))]).tocsr()
-        return H + self.H_bd
-
     def friction_terms(self, x, gamma):
         """(value, grad contribution, Hessian diagonal) of the smoothed friction."""
         val = 0.0
@@ -328,6 +329,7 @@ class _Reduction:
             self.xp = np.zeros(n)
             self.N = sp.identity(n, format="csr")
             self.bound_red = system.nU + system.idx_zn
+            self._cache_blocks(system)
             return
         # pivots among boundary-trace U dofs (never Z): greedy max-pivot Gauss
         bd_cols = np.unique(system.Tr.indices)
@@ -376,6 +378,22 @@ class _Reduction:
         if np.any(red < 0):
             raise SolverError("a constrained dof was chosen as pivot")
         self.bound_red = red
+        self._cache_blocks(system)
+
+    def _cache_blocks(self, system):
+        # the Newton matrix N^T (Hu (+) 0 + H_bd + diag(h)) N changes only
+        # through Hu and the friction diagonal h, which lives on free Z rows
+        self.NT = self.N.T.tocsr()
+        self.NU = self.N[:system.nU]
+        self.NUT = self.NU.T.tocsr()
+        self.H_const = (self.NT @ system.H_bd @ self.N).tocsr()
+
+    def newton_matrix(self, Hu, hdiag, keep):
+        """Rows and columns `keep` of the reduced Hessian
+        N^T (Hu (+) 0 + H_bd + diag(hdiag)) N."""
+        H = (self.NUT @ Hu @ self.NU + self.H_const
+             + sp.diags(hdiag[self.free])).tocsr()
+        return H[keep][:, keep]
 
     def x(self, z):
         return self.xp + self.N @ z
@@ -384,13 +402,20 @@ class _Reduction:
         return x[self.free] - self.xp[self.free]
 
 
+# SuperLU column ordering of every Newton solve: minimum degree on A^T + A
+# suits the symmetric (or nearly so) Newton matrices and fills in far less
+# than the default COLAMD
+_ORDERING = "MMD_AT_PLUS_A"
+
+
 def _factor_solve(H, rhs):
     try:
-        return spla.spsolve(H.tocsc(), rhs)
+        return spla.spsolve(H.tocsc(), rhs, permc_spec=_ORDERING)
     except RuntimeError:
         n = H.shape[0]
         shift = 1e-12 * (abs(H.diagonal()).max() + 1.0)
-        return spla.spsolve((H + shift * sp.identity(n)).tocsc(), rhs)
+        return spla.spsolve((H + shift * sp.identity(n)).tocsc(), rhs,
+                            permc_spec=_ORDERING)
 
 
 def _residual_scale(system):
@@ -432,7 +457,7 @@ def _minimize(system, gamma, x_init, tol, max_iter, track=None, bounds=None):
         x = red.x(z)
         _, gfr, hdiag = system.friction_terms(x, gamma)
         g = system.grad_smooth(x) + gfr
-        gz = red.N.T @ g
+        gz = red.NT @ g
 
         # KKT measure: free coords gradient, bound coords complementarity.
         # Friction coords are rescaled by the smoothing curvature: near the
@@ -448,15 +473,13 @@ def _minimize(system, gamma, x_init, tol, max_iter, track=None, bounds=None):
         if resid <= tol * scale:
             break
 
-        H = system.hess_smooth(x) + sp.diags(hdiag)
-        Hz = (red.N.T @ H @ red.N).tocsr()
-
         fixed = np.zeros(len(z), dtype=bool)
         if len(bound):
             fixed[bound] = (z[bound] >= -1e-14 * max(1.0, np.abs(z).max())) & (gz[bound] < 0)
         free = np.nonzero(~fixed)[0]
         d = np.zeros_like(z)
-        Hf = Hz[free][:, free]
+        Hu = fem.assemble_tangent(system.space, system.law, x[:system.nU])
+        Hf = red.newton_matrix(Hu, hdiag, free)
         d[free] = _factor_solve(Hf, -gz[free])
         if not np.all(np.isfinite(d)) or gz @ d > 0:
             d = -gz
@@ -687,13 +710,20 @@ class LayerPotentialSystem:
         if system.ncompat > d:             # rotation moment of the density
             p0, _ = rigid_motions(system.bspace, d)
             self.compat_rows[d] = ops.M0 * p0[:, -1] if p0.shape[1] > d else 0.0
+        # Jacobian blocks that do not depend on the iterate
+        J = sp.bmat([[B.T @ sp.csr_matrix(ops.W) @ B, B.T @ sp.csr_matrix(-self.T.T)],
+                     [sp.csr_matrix(self.T) @ B, sp.csr_matrix(ops.V)]]).tocsr()
         if self.stabilized:
             basis = stabilization_data(system.bspace, ops)
             A = stabilization_vectors(ops, basis)      # (D, dM + dL)
             self.stabA = A
             self.stab_c = A[:, :ops.Mb.shape[1]] @ system.U0
+            lift = sp.bmat([[B, None], [None, sp.identity(self.nP)]]).tocsr()
+            Atil = sp.csr_matrix(A) @ lift
+            J = J + Atil.T @ Atil
         else:
             self.stabA = None
+        self.J_const = J.tocoo()
 
     def split(self, y):
         return (y[:self.nU], y[self.nU:self.nU + self.nZ],
@@ -723,25 +753,17 @@ class LayerPotentialSystem:
         return R
 
     def jacobian(self, y, gamma):
+        """Jacobian at y in COO format, with duplicate entries to be summed:
+        the constant blocks plus the FE tangent and the friction diagonal."""
         sys = self.sp
-        x = y[:self.nU + self.nZ]
-        U = y[:self.nU]
-        Hu = fem.assemble_tangent(sys.space, sys.law, U)
-        _, _, hd = sys.friction_terms(x, gamma)
-        nx = self.nU + self.nZ
-        J11 = (sp.block_diag([Hu, sp.csr_matrix((self.nZ, self.nZ))])
-               + self.B.T @ sp.csr_matrix(self.ops.W) @ self.B
-               + sp.diags(hd))
-        J12 = self.B.T @ sp.csr_matrix(-self.T.T)
-        J21 = sp.csr_matrix(self.T) @ self.B
-        J22 = sp.csr_matrix(self.ops.V)
-        J = sp.bmat([[J11, J12], [J21, J22]]).tocsr()
-        if self.stabilized:
-            lift = sp.bmat([[self.B, None],
-                            [None, sp.identity(self.nP)]]).tocsr()
-            Atil = sp.csr_matrix(self.stabA) @ lift
-            J = J + Atil.T @ Atil
-        return J
+        Hu = fem.assemble_tangent(sys.space, sys.law, y[:self.nU]).tocoo()
+        _, _, hd = sys.friction_terms(y[:self.nU + self.nZ], gamma)
+        it = self.nU + sys.idx_zt
+        J0 = self.J_const
+        return sp.coo_matrix(
+            (np.concatenate([J0.data, Hu.data, hd[it]]),
+             (np.concatenate([J0.row, Hu.row, it]),
+              np.concatenate([J0.col, Hu.col, it]))), shape=J0.shape)
 
 
 def solve_layerpotential_vi(system, stabilized=False, tol=None,
@@ -778,7 +800,7 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None,
             resid = np.abs(ss_residual(R, y, gam)).max()
             if resid <= stage_tol * scale:
                 break
-            J = lp.jacobian(y, gam).tocoo()
+            J = lp.jacobian(y, gam)
             rhs = -R
             if len(idx_n):
                 # active contact rows become identity rows: v_n = 0
@@ -788,7 +810,7 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None,
                                    (np.concatenate([J.row[keep], active]),
                                     np.concatenate([J.col[keep], active]))), shape=J.shape)
                 rhs[active] = -y[active]
-            dy = spla.spsolve(J.tocsc(), rhs)
+            dy = spla.spsolve(J.tocsc(), rhs, permc_spec=_ORDERING)
             if not np.all(np.isfinite(dy)):
                 raise SolverError("layer-potential Newton step failed")
             t = 1.0

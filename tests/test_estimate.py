@@ -228,9 +228,9 @@ def test_uniform_estimator_decreases_four_levels():
     assert all(b < a for a, b in zip(totals, totals[1:]))
 
 
-def test_consistency_term_two_kernel_passes(monkeypatch):
-    # V phi and K_pv g at all 3L consistency points: one pass over the source
-    # panels each, so 2L evaluations of the panel integrals per estimate
+def test_consistency_term_one_kernel_pass(monkeypatch):
+    # V phi and K_pv g at all 3L consistency points from one pass over the
+    # source panels, so L evaluations of the panel integrals per estimate
     from febe import bem
     sys_, man, sol = make("transition", p=1.5, slip=("b",))
     calls = []
@@ -243,7 +243,7 @@ def test_consistency_term_two_kernel_passes(monkeypatch):
     monkeypatch.setattr(bem, "_primitives", counted)
     estimate_sp(sys_, sol)
     L = sys_.bspace.n_panels
-    assert calls == [3 * L] * (2 * L)
+    assert calls == [3 * L] * L
 
 
 @pytest.mark.parametrize("vector", [False, True])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from febe import fem, material as mat, presets, vi
 from febe.driver import build_system
@@ -468,22 +469,31 @@ def test_reduction_built_once_per_system(monkeypatch):
     assert built == [sys_c, sys_t]
 
 
-@pytest.mark.parametrize("case", ["transition-p1.5", "stick-vec-p2"])
+@pytest.mark.parametrize("case", ["transition-p1.5", "stick-vec-p2",
+                                  "transition-p1.2", "transition-p4",
+                                  "stick-vec-p2-lp"])
 def test_no_safeguard_fires_on_standard_presets(monkeypatch, case):
-    if case == "transition-p1.5":
-        sys_, _ = scalar_system("transition", p=1.5, n=4, refines=2, slip=("b",))
+    # the standard presets plus the parameter sets of the contact-sweep
+    # benchmark (scalar p=1.2 and p=4, the layer-potential vector solve)
+    if case.startswith("transition"):
+        p = float(case.split("-p")[1])
+        sys_, _ = scalar_system("transition", p=p, n=4, refines=2, slip=("b",))
     else:
         sys_, _ = vector_system("stick-vec", n=4, refines=1)
+    solve = solve_layerpotential_vi if case.endswith("-lp") else solve_contact_vi
     failed_solves, certificates = [], []
     spsolve = vi.spla.spsolve
     certificate = vi.vi_certificate
 
     def counted_spsolve(*args, **kw):
         try:
-            return spsolve(*args, **kw)
+            x = spsolve(*args, **kw)
         except RuntimeError:               # _factor_solve then shifts the diagonal
             failed_solves.append(args)
             raise
+        if not np.all(np.isfinite(x)):     # exactly singular: NaN and a warning
+            failed_solves.append(args)
+        return x
 
     def counted_certificate(*args, **kw):
         certificates.append(args)
@@ -491,10 +501,72 @@ def test_no_safeguard_fires_on_standard_presets(monkeypatch, case):
 
     monkeypatch.setattr(vi.spla, "spsolve", counted_spsolve)
     monkeypatch.setattr(vi, "vi_certificate", counted_certificate)
-    sol = solve_contact_vi(sys_)
+    sol = solve(sys_)
     assert sol.converged
     assert certificates == []
     assert failed_solves == []
+
+
+# -- Newton matrices from cached constant blocks vs. full assembly ----------
+
+def _full_newton_matrix(system, Hu, hdiag, keep):
+    """Reduced Newton matrix assembled from the whole Hessian on every step."""
+    H = (sp.block_diag([Hu, sp.csr_matrix((system.nZ, system.nZ))]).tocsr()
+         + system.H_bd + sp.diags(hdiag))
+    N = system.reduction.N
+    return (N.T @ H @ N).tocsr()[keep][:, keep]
+
+
+@pytest.mark.parametrize("case", ["transition-p1.5", "stick-vec-p2"])
+def test_newton_matrix_matches_full_assembly(case):
+    if case == "transition-p1.5":
+        sys_, _ = scalar_system("transition", p=1.5, n=4, refines=1, slip=("b",))
+        assert sys_.ncompat == 1
+    else:
+        sys_, _ = vector_system("stick-vec", n=4)
+        assert sys_.ncompat == 2
+    red = sys_.reduction
+    rng = np.random.default_rng(5)
+    x = red.x(rng.normal(size=len(red.free)))
+    Hu = fem.assemble_tangent(sys_.space, sys_.law, x[:sys_.nU])
+    _, _, hdiag = sys_.friction_terms(x, 1e-3)
+    assert np.any(hdiag > 0)
+    keep = np.ones(len(red.free), dtype=bool)
+    keep[red.bound_red[::2]] = False       # hold every other v_n coordinate
+    keep = np.nonzero(keep)[0]
+    if case == "stick-vec-p2":
+        assert len(keep) < len(red.free)
+    H = red.newton_matrix(Hu, hdiag, keep).toarray()
+    ref = _full_newton_matrix(sys_, Hu, hdiag, keep).toarray()
+    assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _block_lp_jacobian(lp, y, gamma):
+    """Layer-potential Jacobian assembled block by block on every step."""
+    sys_ = lp.sp
+    Hu = fem.assemble_tangent(sys_.space, sys_.law, y[:lp.nU])
+    _, _, hd = sys_.friction_terms(y[:lp.nU + lp.nZ], gamma)
+    J11 = (sp.block_diag([Hu, sp.csr_matrix((lp.nZ, lp.nZ))])
+           + lp.B.T @ sp.csr_matrix(lp.ops.W) @ lp.B + sp.diags(hd))
+    J12 = lp.B.T @ sp.csr_matrix(-lp.T.T)
+    J21 = sp.csr_matrix(lp.T) @ lp.B
+    J22 = sp.csr_matrix(lp.ops.V)
+    J = sp.bmat([[J11, J12], [J21, J22]]).tocsr()
+    if lp.stabilized:
+        lift = sp.bmat([[lp.B, None], [None, sp.identity(lp.nP)]]).tocsr()
+        Atil = sp.csr_matrix(lp.stabA) @ lift
+        J = J + Atil.T @ Atil
+    return J
+
+
+@pytest.mark.parametrize("stabilized", [False, True])
+def test_layerpotential_jacobian_matches_block_assembly(stabilized):
+    sys_, _ = vector_system("stick-vec", p=1.5, n=4)
+    lp = vi.LayerPotentialSystem(sys_, stabilized=stabilized)
+    y = np.random.default_rng(6).normal(size=lp.n)
+    J = lp.jacobian(y, 1e-3).toarray()
+    ref = _block_lp_jacobian(lp, y, 1e-3).toarray()
+    assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _certificate_loop(system, sol, step=None):
