@@ -90,6 +90,16 @@ class BoundarySpace:
         return (g[self.panel_start][:, None, :] * (1 - t)[None, :, None]
                 + g[self.panel_end][:, None, :] * t[None, :, None])
 
+    def p1_moments(self, vals, t, w):
+        """Moments int f psi_k of panel values f at parameters t with weights
+        w, given as (L, len(t), d): (M d,), the transpose of p1_values."""
+        f = np.asarray(vals, dtype=float).reshape(self.n_panels, len(t), -1)
+        wl = self.lengths[:, None] * w
+        out = np.zeros((self.n_nodes, f.shape[2]))
+        out[self.panel_start] += np.sum((wl * (1 - t))[:, :, None] * f, axis=1)
+        out[self.panel_end] += np.sum((wl * t)[:, :, None] * f, axis=1)
+        return out.reshape(-1)
+
     def interpolate_nodes(self, fn, ncomp):
         vals = np.asarray(fn(self.nodes), dtype=float)
         return vals.reshape(self.n_nodes * ncomp) if ncomp > 1 else vals.reshape(-1)

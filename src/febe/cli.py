@@ -37,15 +37,14 @@ def _apply_overrides(cfg, args):
 def cmd_solve(args):
     cfg = _apply_overrides(load_config(args.config), args)
     mesh = mesh_from_config(cfg)
+    system, man = build_from_config(cfg, mesh)
     if args.check_compat:
-        system, _ = build_from_config(cfg, mesh)
         res = np.abs(system.compat_data_residual).max()
         if res > 1e-8:
             print("warning: data compatibility residual int f + <t0,1> = %.3e"
                   % res)
         else:
             print("data compatibility residual %.3e" % res)
-    system, man = build_from_config(cfg, mesh)
     sol = solve_from_config(cfg, system)
     ind = estimate_from_config(cfg, system, sol)
     out = _out_dir(cfg)

@@ -10,6 +10,13 @@ problem.  Negative-order boundary norms are localized edgewise:
 
 with boundary residual functionals lifted to P1 functions through the
 boundary mass matrix.
+
+Both the residual and the gradient-recovery estimator read the boundary
+through `_boundary_data`: the conormal tractions A'(eps(u_h)) nu per
+panel, the lift of the boundary residual, and `_slip_quadrature`, which
+evaluates the friction bound, v_t and v_n at the 6-point Gauss rule on all
+slip panels at once.  The traction, jump and friction terms are array
+expressions over all panels or edges.
 """
 
 from __future__ import annotations
@@ -110,12 +117,8 @@ def _edge_tractions(system, sig, panel_owner):
     """Per boundary panel: conormal A'(eps(u_h)) nu, sigma_n, sigma_t."""
     bs = system.bspace
     d = system.d
-    tr = np.zeros((bs.n_panels, d))
-    for l, k in enumerate(panel_owner):
-        if d == 1:
-            tr[l, 0] = sig[k] @ bs.normals[l]
-        else:
-            tr[l] = sig[k] @ bs.normals[l]
+    # one matmul per panel, so each rounds like sig[k] @ nu
+    tr = (sig[panel_owner].reshape(-1, d, 2) @ bs.normals[:, :, None])[:, :, 0]
     if d == 1:
         sigma_n = np.zeros(bs.n_panels)
         sigma_t = -tr[:, 0]                    # scalar stress sigma = -A' nu
@@ -151,18 +154,18 @@ def _volume_term(system, quad_order=4):
 def _jump_term(system, sig, edges, owners):
     """Per interior edge h_E || [A'(eps) nu] ||_{Lp'(E)}^{p'} (constant jumps)."""
     pp = system.law.p_prime
+    d = system.d
     p = system.space.mesh.vertices
-    vals = []
-    for (a, b), (t0, t1) in zip(edges, owners):
-        t = p[b] - p[a]
-        L = np.linalg.norm(t)
-        nu = np.array([t[1], -t[0]]) / L
-        if system.d == 1:
-            jump = np.abs((sig[t0] - sig[t1]) @ nu)
-        else:
-            jump = np.linalg.norm((sig[t0] - sig[t1]) @ nu)
-        vals.append(L * jump ** pp * L)        # h_E * |jump|^{p'} * measure
-    return np.asarray(vals)
+    t = p[edges[:, 1]] - p[edges[:, 0]]
+    # sqrt of a matmul self-dot rounds like the 1-D norm of each edge
+    L = np.sqrt((t[:, None, :] @ t[:, :, None])[:, 0, 0])
+    nu = np.column_stack([t[:, 1], -t[:, 0]]) / L[:, None]
+    jump = (sig[owners[:, 0]] - sig[owners[:, 1]]).reshape(-1, d, 2) @ nu[:, :, None]
+    if d == 1:
+        mag = np.abs(jump[:, 0, 0])
+    else:
+        mag = np.sqrt((jump.transpose(0, 2, 1) @ jump)[:, 0, 0])
+    return L * mag ** pp * L                   # h_E * |jump|^{p'} * measure
 
 
 def _dual_norm_edgewise(system, lifted, expo):
@@ -181,34 +184,47 @@ def _lift(system, functional):
     return np.linalg.solve(system.ops.M1, functional)
 
 
-def _friction_terms(system, sol, sigma_n, sigma_t):
+def _slip_quadrature(system, sol):
+    """Slip panels, the 6-point Gauss weights, and the friction bound, v_t
+    and v_n at those points on each slip panel: (n_slip, 6) arrays."""
+    bs = system.bspace
+    slip = np.nonzero(bs.slip_panels())[0]
+    xq, wq = segment_gauss(6)
+    v = bs.p1_values(sol.v, xq)[slip]
+    if system.d == 1:
+        vt = v[:, :, 0]
+        vn = np.zeros_like(vt)
+    else:
+        nu = bs.normals[slip]
+        tau = np.column_stack([-nu[:, 1], nu[:, 0]])
+        vt = (v @ tau[:, :, None])[:, :, 0]
+        vn = (v @ nu[:, :, None])[:, :, 0]
+    return slip, wq, system.friction_bound(xq, slip), vt, vn
+
+
+def _boundary_data(system, sol, sig, panel_owner, data_residual):
+    """What both estimators evaluate on the boundary: the P1 lift of the
+    boundary residual (data_residual minus the conormal moments), sigma_n
+    and sigma_t per panel, and the slip-panel quadrature."""
+    tr, sigma_n, sigma_t = _edge_tractions(system, sig, panel_owner)
+    lifted = _lift(system, data_residual - system._boundary_moments(tr))
+    return lifted, sigma_n, sigma_t, _slip_quadrature(system, sol)
+
+
+def _friction_terms(system, sigma_n, sigma_t, quad):
     """Edgewise slip/complementarity integrals and positive-part norms."""
     bs = system.bspace
     law = system.law
     rp = law.r / (law.r - 1.0)
-    slip = bs.slip_panels()
-    xq, wq = segment_gauss(6)
-    d = system.d
-    v = sol.v.reshape(bs.n_nodes, d)
+    slip, wq, Fv, vt, vn = quad
+    Le = bs.lengths[slip]
+    sn = sigma_n[slip][:, None]
+    st = sigma_t[slip][:, None]
     stick, compl, pos_n, pos_t = (np.zeros(bs.n_panels) for _ in range(4))
-    for l in np.nonzero(slip)[0]:
-        Fv = system.friction_on_panel(l, xq)
-        va = v[bs.panel_start[l]]
-        vb = v[bs.panel_end[l]]
-        vv = va[None, :] * (1 - xq)[:, None] + vb[None, :] * xq[:, None]
-        if d == 1:
-            vt = vv[:, 0]
-            vn = np.zeros_like(vt)
-        else:
-            nu = bs.normals[l]
-            tau = np.array([-nu[1], nu[0]])
-            vt = vv @ tau
-            vn = vv @ nu
-        Le = bs.lengths[l]
-        stick[l] = max(Le * np.sum(wq * (Fv * np.abs(vt) + sigma_t[l] * vt)), 0.0)
-        compl[l] = Le * np.sum(wq * np.maximum(sigma_n[l] * vn, 0.0))
-        pos_n[l] = Le * Le * np.sum(wq * np.maximum(sigma_n[l], 0.0) ** rp)
-        pos_t[l] = Le * Le * np.sum(wq * np.maximum(np.abs(sigma_t[l]) - Fv, 0.0) ** rp)
+    stick[slip] = np.maximum(Le * np.sum(wq * (Fv * np.abs(vt) + st * vt), axis=1), 0.0)
+    compl[slip] = Le * np.sum(wq * np.maximum(sn * vn, 0.0), axis=1)
+    pos_n[slip] = Le * Le * np.sum(wq * np.maximum(sn, 0.0) ** rp, axis=1)
+    pos_t[slip] = Le * Le * np.sum(wq * np.maximum(np.abs(st) - Fv, 0.0) ** rp, axis=1)
     return stick, compl, pos_n, pos_t
 
 
@@ -247,11 +263,9 @@ def _residual_estimate(system, sol, data_residual, phi, quad_order):
     sig = mat.stress(law, system.space.strains(sol.u))
     vol = _volume_term(system, quad_order)
     jump = _jump_term(system, sig, edges, owners)
-    tr, sigma_n, sigma_t = _edge_tractions(system, sig, panel_owner)
-    stick, compl, pos_n, pos_t = _friction_terms(system, sol, sigma_n, sigma_t)
-
-    # boundary residual minus the conormal A'(eps) nu, lifted to P1
-    lifted = _lift(system, data_residual - system._boundary_moments(tr))
+    lifted, sigma_n, sigma_t, quad = _boundary_data(
+        system, sol, sig, panel_owner, data_residual)
+    stick, compl, pos_n, pos_t = _friction_terms(system, sigma_n, sigma_t, quad)
     bres = _dual_norm_edgewise(system, lifted, rp)
     cons = _consistency_term(system, sol, phi=phi)
 
@@ -366,32 +380,22 @@ def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
 
     cons = _consistency_term(system, sol, phi=sol.phi)
     *_, panel_owner = _incidence(system)
-    tr, sigma_n, sigma_t = _edge_tractions(
-        system, mat.stress(law, space.strains(sol.u)), panel_owner)
-
-    # boundary residual nu.A'(grad u_h) + S_h(w - u0) - t0 in W^{-1+1/p,p'}
-    res_vec = (system._boundary_moments(tr)
-               + system.S @ (sol.w - system.U0) - system.t0b)
-    lifted = _lift(system, res_vec)
+    # boundary residual nu.A'(grad u_h) + S_h(w - u0) - t0 in W^{-1+1/p,p'},
+    # lifted with the opposite sign, which the norm does not see
+    lifted, _, sigma_t, (slip, wq, gval, vt, _) = _boundary_data(
+        system, sol, mat.stress(law, space.strains(sol.u)), panel_owner,
+        system.t0b - system.S @ (sol.w - system.U0))
     eta_bd = _dual_norm_edgewise(system, lifted, pp)
 
     # friction: sigma here is the scalar -A'(grad u_h).nu on slip panels
     bs = system.bspace
-    slip = np.nonzero(bs.slip_panels())[0]
-    xq, wq = segment_gauss(6)
-    v = sol.v.reshape(bs.n_nodes)
-    g_excess = np.zeros(bs.n_panels)
-    g_slack = np.zeros(bs.n_panels)
-    g_compl = np.zeros(bs.n_panels)
-    for l in slip:
-        gval = system.friction_on_panel(l, xq)
-        vv = (v[bs.panel_start[l]] * (1 - xq) + v[bs.panel_end[l]] * xq)
-        sig = sigma_t[l]
-        Le = bs.lengths[l]
-        g_excess[l] = Le * Le * np.sum(wq * np.maximum(np.abs(sig) - gval, 0.0) ** 2)
-        g_slack[l] = Le * np.sum(wq * np.abs(np.minimum(np.abs(sig) - gval, 0.0))
-                                 * np.abs(vv))
-        g_compl[l] = Le * np.sum(wq * np.maximum(sig * vv, 0.0))
+    Le = bs.lengths[slip]
+    sig = sigma_t[slip][:, None]
+    g_excess, g_slack, g_compl = (np.zeros(bs.n_panels) for _ in range(3))
+    g_excess[slip] = Le * Le * np.sum(wq * np.maximum(np.abs(sig) - gval, 0.0) ** 2, axis=1)
+    g_slack[slip] = Le * np.sum(wq * np.abs(np.minimum(np.abs(sig) - gval, 0.0))
+                                * np.abs(vt), axis=1)
+    g_compl[slip] = Le * np.sum(wq * np.maximum(sig * vt, 0.0), axis=1)
 
     parts = {
         "grad_recovery": float(np.sum(eta_gr)),

@@ -13,7 +13,9 @@ constant parts of the Newton matrix are built once per system: N^T H_bd N
 and the U-rows of the null-space basis N (Steklov-Poincare form), the W, K,
 V and stabilization blocks (layer-potential form).  Each step adds the
 tangent to them, and SuperLU factors the result with the symmetric
-minimum-degree ordering on A^T + A.
+minimum-degree ordering on A^T + A.  SuperLU does not raise on an exactly
+singular matrix; it warns and returns NaN, and the Newton step then falls
+back to the projected steepest-descent direction.
 """
 
 from __future__ import annotations
@@ -104,18 +106,18 @@ class CoupledSystem:
         else:
             self.idx_zn = 2 * np.arange(ns)
             self.idx_zt = 2 * np.arange(ns) + 1
+        # Es maps Z to the slip jump: v_k = Z_j (d=1), v_k = nu_k Z_n + tau_k Z_t
         nrm = bspace.node_normals()
-        cols, rows, vals = [], [], []
-        for j, k in enumerate(self.slip_nodes):
-            if d == 1:
-                rows.append(k); cols.append(j); vals.append(1.0)
-            else:
-                nu = nrm[k]
-                tau = np.array([-nu[1], nu[0]])
-                for a in range(2):
-                    rows.append(2 * k + a); cols.append(2 * j); vals.append(nu[a])
-                    rows.append(2 * k + a); cols.append(2 * j + 1); vals.append(tau[a])
-        self.Es = sp.csr_matrix((vals, (rows, cols)), shape=(M * d, self.nZ))
+        if d == 1:
+            frame = np.ones((ns, 1, 1))
+        else:
+            nu = nrm[self.slip_nodes]
+            frame = np.stack([nu, np.column_stack([-nu[:, 1], nu[:, 0]])], axis=2)
+        rows = (d * self.slip_nodes)[:, None, None] + np.arange(d)[None, :, None]
+        cols = (d * np.arange(ns))[:, None, None] + np.arange(d)[None, None, :]
+        rows, cols = np.broadcast_arrays(rows, cols)
+        self.Es = sp.csr_matrix((frame.ravel(), (rows.ravel(), cols.ravel())),
+                                shape=(M * d, self.nZ))
         self.node_normals = nrm
 
         # data vectors; u0/t0/friction accept callables or nodal/panel arrays
@@ -129,21 +131,7 @@ class CoupledSystem:
             self.U0 = bspace.interpolate_nodes(data.u0, d)
         self.t0b = self._boundary_moments(data.t0)
         self.gb = self.t0b + self.S @ self.U0
-        self.friction = self._friction_data(data.friction)
-
-        # compatibility constraint rows over x = (U, Z)
-        if ncompat is None:
-            ncompat = 1 if d == 1 else 2
-        self.ncompat = int(ncompat)
-        self.compat_dirs = self._compat_directions()
-        n = self.nU + self.nZ
-        if self.ncompat:
-            Cw = self.compat_dirs.T @ self.S            # (ncon, dM)
-            self.C = np.hstack([Cw @ self.Tr.toarray(), Cw @ self.Es.toarray()])
-            self.c0 = Cw @ self.U0
-        else:
-            self.C = np.zeros((0, n))
-            self.c0 = np.zeros(0)
+        self.friction = self._friction_data()
 
         # constant part of the Hessian: [Tr,Es]^T S [Tr,Es]
         B = sp.hstack([self.Tr, self.Es]).tocsr()
@@ -151,83 +139,63 @@ class CoupledSystem:
         self.H_bd = (B.T @ sp.csr_matrix(self.S) @ B).tocsr()
         self.g_bd = B.T @ self.gb
 
+        # compatibility constraint rows over x = (U, Z)
+        if ncompat is None:
+            ncompat = 1 if d == 1 else 2
+        self.ncompat = int(ncompat)
+        self.compat_dirs = self._compat_directions()
+        Cw = self.compat_dirs.T @ self.S                # (ncon, dM)
+        self.C = np.ascontiguousarray(Cw @ B)
+        self.c0 = Cw @ self.U0
+
         self.compat_data_residual = self._data_compat_residual()
 
     # -- assembly helpers ---------------------------------------------------
 
     def _boundary_moments(self, t0):
+        """P1 moments of a traction given as panel values (L, d), which the
+        midpoint rule integrates exactly, or as a callable (pts, panel
+        normal), called once per panel on its 4 Gauss points."""
         bs = self.bspace
-        d = self.d
-        out = np.zeros(bs.n_nodes * d)
         if t0 is None:
-            return out
+            return np.zeros(bs.n_nodes * self.d)
         if isinstance(t0, np.ndarray):
-            vals = np.asarray(t0, dtype=float).reshape(bs.n_panels, d)
-            for l in range(bs.n_panels):
-                n0, n1 = bs.panel_start[l], bs.panel_end[l]
-                for a in range(d):
-                    out[n0 * d + a] += 0.5 * bs.lengths[l] * vals[l, a]
-                    out[n1 * d + a] += 0.5 * bs.lengths[l] * vals[l, a]
-            return out
-        xq, wq = segment_gauss(4)
-        for l in range(bs.n_panels):
-            pts = bs.A[l][None, :] + xq[:, None] * (bs.B[l] - bs.A[l])[None, :]
-            vals = np.asarray(t0(pts, bs.normals[l]), dtype=float).reshape(len(xq), d)
-            n0, n1 = bs.panel_start[l], bs.panel_end[l]
-            w0 = bs.lengths[l] * wq * (1 - xq)
-            w1 = bs.lengths[l] * wq * xq
-            for a in range(d):
-                out[n0 * d + a] += np.sum(w0 * vals[:, a])
-                out[n1 * d + a] += np.sum(w1 * vals[:, a])
-        return out
+            t, w, vals = np.array([0.5]), np.array([1.0]), t0
+        else:
+            t, w = segment_gauss(4)
+            pts = bs.panel_points(t)
+            vals = [t0(pts[l], bs.normals[l]) for l in range(bs.n_panels)]
+        return bs.p1_moments(np.reshape(vals, (bs.n_panels, len(t), self.d)), t, w)
 
-    def _friction_data(self, fr):
-        bs = self.bspace
-        nodes = self.slip_nodes
-        F = np.zeros(len(nodes))
-        omega = np.zeros(len(nodes))
-        if len(nodes) == 0:
-            return FrictionData(nodes=nodes, F=F, omega=omega)
-        xq, wq = segment_gauss(4)
-        pos = {int(k): j for j, k in enumerate(nodes)}
-        slip = bs.slip_panels()
-        fr_nodal = fr if isinstance(fr, np.ndarray) else None
-        if fr_nodal is not None:
-            fr_nodal = np.asarray(fr_nodal, dtype=float).reshape(bs.n_nodes)
-        for l in range(bs.n_panels):
-            if not slip[l]:
-                continue
-            pts = bs.A[l][None, :] + xq[:, None] * (bs.B[l] - bs.A[l])[None, :]
-            if fr_nodal is not None:
-                g = (fr_nodal[bs.panel_start[l]] * (1 - xq)
-                     + fr_nodal[bs.panel_end[l]] * xq)
-            elif fr is not None:
-                g = np.asarray(fr(pts), dtype=float).reshape(-1)
-            else:
-                g = np.zeros(len(xq))
-            if np.any(g < -1e-14):
-                raise ValueError("friction bound must be nonnegative")
-            n0, n1 = int(bs.panel_start[l]), int(bs.panel_end[l])
-            if n0 in pos:
-                F[pos[n0]] += bs.lengths[l] * np.sum(wq * (1 - xq) * g)
-                omega[pos[n0]] += bs.lengths[l] * np.sum(wq * (1 - xq))
-            if n1 in pos:
-                F[pos[n1]] += bs.lengths[l] * np.sum(wq * xq * g)
-                omega[pos[n1]] += bs.lengths[l] * np.sum(wq * xq)
-        return FrictionData(nodes=nodes, F=F, omega=omega)
-
-    def friction_on_panel(self, l, t):
-        """Friction bound values at local coordinates t on panel l."""
+    def friction_bound(self, t, panels):
+        """Friction bound at parameters t on the given panels: (len(panels), len(t))."""
         fr = self.data.friction
         bs = self.bspace
-        t = np.asarray(t, dtype=float)
         if fr is None:
-            return np.zeros(len(t))
+            return np.zeros((len(panels), len(t)))
         if isinstance(fr, np.ndarray):
             v = np.asarray(fr, dtype=float).reshape(bs.n_nodes)
-            return v[bs.panel_start[l]] * (1 - t) + v[bs.panel_end[l]] * t
-        pts = bs.A[l][None, :] + t[:, None] * (bs.B[l] - bs.A[l])[None, :]
-        return np.asarray(fr(pts), dtype=float).reshape(-1)
+            return (v[bs.panel_start[panels]][:, None] * (1 - t)
+                    + v[bs.panel_end[panels]][:, None] * t)
+        pts = bs.panel_points(t, panels).reshape(-1, 2)
+        return np.asarray(fr(pts), dtype=float).reshape(len(panels), len(t))
+
+    def _friction_data(self):
+        # a slip node has slip panels on both sides, so its moments only
+        # see slip-panel values
+        bs = self.bspace
+        nodes = self.slip_nodes
+        if len(nodes) == 0:
+            return FrictionData(nodes=nodes, F=np.zeros(0), omega=np.zeros(0))
+        xq, wq = segment_gauss(4)
+        slip = np.nonzero(bs.slip_panels())[0]
+        g = np.zeros((bs.n_panels, len(xq)))
+        g[slip] = self.friction_bound(xq, slip)
+        if np.any(g < -1e-14):
+            raise ValueError("friction bound must be nonnegative")
+        F = bs.p1_moments(g, xq, wq)[nodes]
+        omega = bs.p1_moments(np.ones_like(g), xq, wq)[nodes]
+        return FrictionData(nodes=nodes, F=F, omega=omega)
 
     def _compat_directions(self):
         M, d = self.bspace.n_nodes, self.d
@@ -323,31 +291,19 @@ class _Reduction:
         C, c0 = system.C, system.c0
         ncon = C.shape[0]
         self.n = n
-        if ncon == 0:
-            self.free = np.arange(n)
-            self.pivots = np.array([], dtype=int)
-            self.xp = np.zeros(n)
-            self.N = sp.identity(n, format="csr")
-            self.bound_red = system.nU + system.idx_zn
-            self._cache_blocks(system)
-            return
         # pivots among boundary-trace U dofs (never Z): greedy max-pivot Gauss
-        bd_cols = np.unique(system.Tr.indices)
+        allowed = np.zeros(n, dtype=bool)
+        allowed[system.Tr.indices] = True
         piv = []
         work = C.copy()
-        used = np.zeros(n, dtype=bool)
         for i in range(ncon):
             row = work[i]
-            cand = np.abs(row)
-            cand[used] = 0.0
-            mask = np.zeros(n, dtype=bool)
-            mask[bd_cols] = True
-            cand[~mask] = 0.0
+            cand = np.where(allowed, np.abs(row), 0.0)
             j = int(np.argmax(cand))
             if cand[j] == 0.0:
                 raise SolverError("compatibility rows are degenerate")
             piv.append(j)
-            used[j] = True
+            allowed[j] = False
             for k in range(ncon):
                 if k != i:
                     work[k] = work[k] - work[k, j] / row[j] * row
@@ -378,9 +334,6 @@ class _Reduction:
         if np.any(red < 0):
             raise SolverError("a constrained dof was chosen as pivot")
         self.bound_red = red
-        self._cache_blocks(system)
-
-    def _cache_blocks(self, system):
         # the Newton matrix N^T (Hu (+) 0 + H_bd + diag(h)) N changes only
         # through Hu and the friction diagonal h, which lives on free Z rows
         self.NT = self.N.T.tocsr()
@@ -408,31 +361,22 @@ class _Reduction:
 _ORDERING = "MMD_AT_PLUS_A"
 
 
-def _factor_solve(H, rhs):
-    try:
-        return spla.spsolve(H.tocsc(), rhs, permc_spec=_ORDERING)
-    except RuntimeError:
-        n = H.shape[0]
-        shift = 1e-12 * (abs(H.diagonal()).max() + 1.0)
-        return spla.spsolve((H + shift * sp.identity(n)).tocsc(), rhs,
-                            permc_spec=_ORDERING)
-
-
 def _residual_scale(system):
     """Data magnitude that the absolute solver tolerances are relative to."""
     return max(1.0, np.abs(system.gb).max(), np.abs(system.b_f).max())
 
 
-def _gamma_schedule(gamma_min):
-    """Smoothing parameters of the continuation: 1e-2, 1e-3, ... down to
-    gamma_min, without a stage that differs from gamma_min only by rounding."""
+def _gamma_schedule(gamma_min, tol):
+    """(gamma, stage tolerance) pairs of the continuation: gamma = 1e-2,
+    1e-3, ... down to gamma_min, without a stage that differs from gamma_min
+    only by rounding.  The last stage is solved to tol, earlier ones only to
+    max(tol, 1e-3 gamma)."""
     gammas = []
     g = 1e-2
     while g > gamma_min * (1.0 + 1e-12):
         gammas.append(g)
         g *= 0.1
-    gammas.append(gamma_min)
-    return gammas
+    return [(gam, max(tol, gam * 1e-3)) for gam in gammas] + [(gamma_min, tol)]
 
 
 def _minimize(system, gamma, x_init, tol, max_iter, track=None, bounds=None):
@@ -480,7 +424,7 @@ def _minimize(system, gamma, x_init, tol, max_iter, track=None, bounds=None):
         d = np.zeros_like(z)
         Hu = fem.assemble_tangent(system.space, system.law, x[:system.nU])
         Hf = red.newton_matrix(Hu, hdiag, free)
-        d[free] = _factor_solve(Hf, -gz[free])
+        d[free] = spla.spsolve(Hf.tocsc(), -gz[free], permc_spec=_ORDERING)
         if not np.all(np.isfinite(d)) or gz @ d > 0:
             d = -gz
             d[fixed] = 0.0
@@ -575,18 +519,16 @@ def solve_contact_vi(system, tol=None, gamma_min=1e-8, max_iter=200, x0=None):
         x = _p2_warm_start(system, 1e-2, 1e-8)
     else:
         x = np.zeros(system.nU + system.nZ)
-    gammas = _gamma_schedule(gamma_min)
+    stages = _gamma_schedule(gamma_min, tol)
     iters = 0
-    for k, gam in enumerate(gammas):
-        last = k == len(gammas) - 1
-        stage_tol = tol if last else max(tol, gam * 1e-3)
+    for k, (gam, stage_tol) in enumerate(stages):
+        last = k == len(stages) - 1
         x, fz, it, resid = _minimize(system, gam, x, stage_tol, max_iter,
                                      track=history if last else None)
         iters += it
     scale = _residual_scale(system)
     converged = resid <= tol * scale
-    sol = _extract_solution(system, x, gammas[-1], iters, resid, converged,
-                            history)
+    sol = _extract_solution(system, x, gam, iters, resid, converged, history)
     if not converged:
         # smoothed-gradient stalls near a kink can fall a few ulps short of
         # the raw tolerance; accept iff the exact nonsmooth VI certificate
@@ -777,8 +719,8 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None,
     y = np.zeros(lp.n)
     idx_n = system.nU + system.idx_zn            # global coordinates of v_n dofs
     idx_t = system.nU + system.idx_zt
-    gammas = (_gamma_schedule(gamma_min) if np.any(system.friction.F > 0)
-              else [gamma_min])
+    stages = (_gamma_schedule(gamma_min, tol) if np.any(system.friction.F > 0)
+              else [(gamma_min, tol)])
     scale = _residual_scale(system)
     iters = 0
     resid = np.inf
@@ -792,8 +734,7 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None,
         out[idx_t] = out[idx_t] / (1.0 + hd[idx_t])
         return out
 
-    for k, gam in enumerate(gammas):
-        stage_tol = tol if k == len(gammas) - 1 else max(tol, gam * 1e-3)
+    for gam, stage_tol in stages:
         for _ in range(max_iter):
             iters += 1
             R = lp.residual(y, gam)
@@ -828,8 +769,8 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None,
     U, Z, P = lp.split(y)
     x = y[:system.nU + system.nZ]
     w = system.B @ x
-    R = lp.residual(y, gammas[-1])
-    _, gfr, _ = system.friction_terms(x, gammas[-1])
+    R = lp.residual(y, gam)
+    _, gfr, _ = system.friction_terms(x, gam)
     ns = len(system.slip_nodes)
     lam_n = -R[idx_n] + 0.0 if len(idx_n) else np.zeros(ns)
     mu_t = -(R[idx_t] - gfr[idx_t]) if ns else np.zeros(0)
@@ -840,5 +781,5 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None,
         compat_residual=(float(np.abs(lp.compat_rows @ P).max())
                          if system.ncompat else 0.0),
         objective=system.exact_objective(x),
-        iterations=iters, residual=resid, gamma=gammas[-1], converged=True)
+        iterations=iters, residual=resid, gamma=gam, converged=True)
     return sol

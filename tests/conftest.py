@@ -58,3 +58,38 @@ def circle_mesh(nseg, radius=0.4):
 @pytest.fixture(scope="session")
 def unit_square():
     return meshmod.load_mesh(square_mesh_text(), scale=False)
+
+
+def graded_slip_system(vector, p=2.0, friction="preset"):
+    """Square with slip panels on two sides, locally refined so that panel
+    lengths vary, with the scalar transition or the vector stick data.
+
+    friction: "preset" keeps the data's callable bound, "nodal" uses seeded
+    random nodal values, "none" no bound, an array those nodal values.
+    """
+    from febe import material as mat, presets
+    from febe.driver import build_system
+    from febe.vi import ProblemData
+    law = mat.MaterialLaw(p=p, mode=mat.MODE_MATRIX if vector else mat.MODE_VECTOR)
+    lines = presets.square_text(2, slip=("b", "r")).split("\n")
+    lines[5] = "0.83 0.77"          # move the centre vertex: edges in all directions
+    m = meshmod.refine_uniform(meshmod.load_mesh("\n".join(lines), scale=False), 1)
+    m = meshmod.refine(m, np.random.default_rng(11).choice(len(m.triangles), 6,
+                                                           replace=False))
+    data = (presets.vector_stick(law) if vector else presets.scalar_transition(law)).data
+    if isinstance(friction, str):
+        nodal = np.random.default_rng(12).uniform(0.0, 1.0, len(m.boundary_loop()[0]))
+        friction = {"preset": data.friction, "none": None, "nodal": nodal}[friction]
+    data = ProblemData(f=data.f, u0=data.u0, t0=data.t0, friction=friction)
+    return build_system(m, law, data)
+
+
+def friction_bound_loop(system, l, t):
+    """The friction bound on panel l at parameters t, one panel at a time."""
+    fr, bs = system.data.friction, system.bspace
+    if fr is None:
+        return np.zeros(len(t))
+    if isinstance(fr, np.ndarray):
+        return fr[bs.panel_start[l]] * (1 - t) + fr[bs.panel_end[l]] * t
+    pts = bs.A[l][None, :] + t[:, None] * (bs.B[l] - bs.A[l])[None, :]
+    return np.asarray(fr(pts), dtype=float).reshape(-1)

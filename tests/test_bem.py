@@ -426,3 +426,26 @@ def test_node_scatter_matches_panel_loops(lame):
     assert np.array_equal(bs.node_normals(), nrm / np.linalg.norm(nrm, axis=1)[:, None])
     assert np.array_equal(ops.Mb, Mb)
     assert np.array_equal(ops.M1, M1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_p1_moments_is_adjoint_of_p1_values(d):
+    # c . int f psi = sum over panels and points of L w f . (P1 field c)
+    from febe.mesh import refine
+    m = refine_uniform(load_mesh(struct_square(2, lo=0.1, hi=0.6), scale=False), 1)
+    m = refine(m, np.random.default_rng(8).choice(len(m.triangles), 5, replace=False))
+    bs = bem.BoundarySpace(m)
+    rng = np.random.default_rng(9)
+    for nq in (1, 4, 6):
+        t, w = segment_gauss(nq)
+        f = rng.normal(size=(bs.n_panels, nq, d))
+        c = rng.normal(size=bs.n_nodes * d)
+        lhs = c @ bs.p1_moments(f, t, w)
+        rhs = np.sum(bs.lengths[:, None, None] * w[None, :, None] * f
+                     * bs.p1_values(c, t))
+        assert abs(lhs - rhs) <= 1e-14 * np.sum(np.abs(bs.lengths[:, None, None]
+                                                       * w[None, :, None] * f))
+    # constants integrate to the boundary length
+    t, w = segment_gauss(4)
+    ones = bs.p1_moments(np.ones((bs.n_panels, len(t), d)), t, w)
+    assert np.isclose(ones.sum(), d * bs.lengths.sum(), rtol=1e-14)

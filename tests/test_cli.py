@@ -65,6 +65,23 @@ def test_check_compat_warning(tmp_path, capsys):
     assert "warning" in outtxt and "compatibility" in outtxt
 
 
+def test_check_compat_builds_system_once(tmp_path, monkeypatch, capsys):
+    # the compatibility check reads the system that the solve then uses
+    from febe import study
+    built = []
+    build = study.build_system
+
+    def counting(*args, **kw):
+        built.append(args)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(study, "build_system", counting)
+    cfg = write_cfg(tmp_path, "out.dir = %s\n" % (tmp_path / "o3"))
+    assert main(["solve", "--config", cfg, "--check-compat"]) == 0
+    assert "compatibility residual" in capsys.readouterr().out
+    assert len(built) == 1
+
+
 def test_study_single_level(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "out.dir = %s\n" % (tmp_path / "out_study"))
     assert main(["study", "--config", cfg, "--levels", "1"]) == 0

@@ -9,6 +9,8 @@ from febe.mesh import load_mesh, refine_uniform
 from febe.vi import ProblemData, solve_contact_vi, solve_layerpotential_vi, \
     solve_transmission
 
+from conftest import friction_bound_loop, graded_slip_system
+
 
 def make(preset, p=2.0, refines=1, slip=(), solver="sp"):
     law = mat.MaterialLaw(p=p)
@@ -284,3 +286,133 @@ def test_boundary_terms_match_panel_loops(vector):
     assert np.array_equal(estimate._consistency_term(sys_, sol), cons)
     for k, e in enumerate(expos):
         assert np.array_equal(estimate._dual_norm_edgewise(sys_, lifted, e), dual[k])
+
+
+# -- boundary terms: the per-panel and per-edge loops they replace ----------
+
+def _random_solution(system, seed, u_scale=1.0):
+    from febe.vi import DiscreteSolution
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=system.nU + system.nZ)
+    x[:system.nU] *= u_scale
+    U, Z = system.split(x)
+    return DiscreteSolution(u=U, z=Z, v=system.Es @ Z, w=system.w_of(x))
+
+
+def _edge_tractions_loop(system, sig, panel_owner):
+    bs = system.bspace
+    tr = np.zeros((bs.n_panels, system.d))
+    for l, k in enumerate(panel_owner):
+        tr[l] = sig[k] @ bs.normals[l]
+    return tr
+
+
+def _jump_loop(system, sig, edges, owners):
+    """Edge lengths and jump magnitudes, one edge at a time."""
+    p = system.space.mesh.vertices
+    lens, jumps = [], []
+    for (a, b), (t0, t1) in zip(edges, owners):
+        t = p[b] - p[a]
+        L = np.linalg.norm(t)
+        nu = np.array([t[1], -t[0]]) / L
+        if system.d == 1:
+            jumps.append(np.abs((sig[t0] - sig[t1]) @ nu))
+        else:
+            jumps.append(np.linalg.norm((sig[t0] - sig[t1]) @ nu))
+        lens.append(L)
+    return np.asarray(lens), np.asarray(jumps)
+
+
+def _friction_loop(system, sol, sigma_n, sigma_t):
+    from febe.quadrature import segment_gauss
+    bs, d = system.bspace, system.d
+    rp = system.law.r / (system.law.r - 1.0)
+    xq, wq = segment_gauss(6)
+    v = sol.v.reshape(bs.n_nodes, d)
+    stick, compl, pos_n, pos_t = (np.zeros(bs.n_panels) for _ in range(4))
+    for l in np.nonzero(bs.slip_panels())[0]:
+        Fv = friction_bound_loop(system, l, xq)
+        vv = v[bs.panel_start[l]][None, :] * (1 - xq)[:, None] \
+            + v[bs.panel_end[l]][None, :] * xq[:, None]
+        if d == 1:
+            vt, vn = vv[:, 0], np.zeros(len(xq))
+        else:
+            nu = bs.normals[l]
+            vt, vn = vv @ np.array([-nu[1], nu[0]]), vv @ nu
+        Le = bs.lengths[l]
+        stick[l] = max(Le * np.sum(wq * (Fv * np.abs(vt) + sigma_t[l] * vt)), 0.0)
+        compl[l] = Le * np.sum(wq * np.maximum(sigma_n[l] * vn, 0.0))
+        pos_n[l] = Le * Le * np.sum(wq * np.maximum(sigma_n[l], 0.0) ** rp)
+        pos_t[l] = Le * Le * np.sum(wq * np.maximum(np.abs(sigma_t[l]) - Fv, 0.0) ** rp)
+    return stick, compl, pos_n, pos_t
+
+
+def _assert_close(a, b, rtol=1e-14):
+    assert np.abs(a - b).max(initial=0.0) <= rtol * np.abs(b).max(initial=0.0)
+
+
+@pytest.mark.parametrize("case", ["scalar-p1.5", "scalar-p3-nodal", "vector-p2",
+                                  "vector-p1.5-nodal"])
+def test_residual_boundary_terms_match_loops(case):
+    # the loops are the reference; the array versions do the same arithmetic,
+    # except that an array ** may round differently from a scalar ** (the jump
+    # power and the sigma_n positive part), which stays within 1e-14
+    vector = case.startswith("vector")
+    p = float(case.split("-p")[1].split("-")[0])
+    sys_ = graded_slip_system(vector, p, "nodal" if case.endswith("nodal") else "preset")
+    sol = _random_solution(sys_, 13)
+    edges, owners, panel_owner = estimate._incidence(sys_)
+    sig = mat.stress(sys_.law, sys_.space.strains(sol.u))
+
+    tr = estimate._edge_tractions(sys_, sig, panel_owner)[0]
+    assert np.array_equal(tr, _edge_tractions_loop(sys_, sig, panel_owner))
+
+    pp = sys_.law.p_prime
+    lens, jumps = _jump_loop(sys_, sig, edges, owners)
+    jump = estimate._jump_term(sys_, sig, edges, owners)
+    assert np.array_equal(jump, lens * jumps ** pp * lens)
+    _assert_close(jump, np.array([L * j ** pp * L for L, j in zip(lens, jumps)]))
+
+    # random tractions so that every positive part and maximum is taken
+    rng = np.random.default_rng(14)
+    sigma_n = rng.normal(size=sys_.bspace.n_panels)
+    sigma_t = rng.normal(size=sys_.bspace.n_panels)
+    quad = estimate._slip_quadrature(sys_, sol)
+    new = estimate._friction_terms(sys_, sigma_n, sigma_t, quad)
+    ref = _friction_loop(sys_, sol, sigma_n, sigma_t)
+    stick, compl, pos_n, pos_t = new
+    assert np.array_equal(stick, ref[0])
+    assert np.array_equal(compl, ref[1])
+    _assert_close(pos_n, ref[2])
+    assert np.array_equal(pos_t, ref[3])
+    assert all(np.any(a > 0) for a in (stick, pos_n, pos_t))
+    assert np.any(compl > 0) == vector
+
+
+@pytest.mark.parametrize("friction", ["preset", "nodal"])
+def test_appendix_friction_terms_match_panel_loop(friction):
+    from febe.quadrature import segment_gauss
+    sys_ = graded_slip_system(False, 3.0, friction)
+    sol = _random_solution(sys_, 15, u_scale=0.1)      # |sigma_t| on both sides of F
+    ind = estimate_scalar_appendix(sys_, sol)
+    sigma_t = estimate._edge_tractions(
+        sys_, mat.stress(sys_.law, sys_.space.strains(sol.u)),
+        estimate._incidence(sys_)[2])[2]
+    bs = sys_.bspace
+    xq, wq = segment_gauss(6)
+    v = sol.v.reshape(bs.n_nodes)
+    ref = {k: np.zeros(bs.n_panels) for k in
+           ("friction_excess", "friction_slack_slip", "friction_compl")}
+    for l in np.nonzero(bs.slip_panels())[0]:
+        g = friction_bound_loop(sys_, l, xq)
+        vv = v[bs.panel_start[l]] * (1 - xq) + v[bs.panel_end[l]] * xq
+        s, Le = sigma_t[l], bs.lengths[l]
+        ref["friction_excess"][l] = Le * Le * np.sum(wq * np.maximum(np.abs(s) - g, 0.0) ** 2)
+        ref["friction_slack_slip"][l] = Le * np.sum(
+            wq * np.abs(np.minimum(np.abs(s) - g, 0.0)) * np.abs(vv))
+        ref["friction_compl"][l] = Le * np.sum(wq * np.maximum(s * vv, 0.0))
+    for name, raw in ref.items():
+        assert np.any(raw > 0)
+        assert ind.parts[name] == float(np.sum(raw))
+        assert np.array_equal(ind.boundary_terms[name],
+                              estimate._term_share(raw, ind.powers[name]))

@@ -10,6 +10,8 @@ from febe.vi import (ProblemData, kkt_residuals, solve_contact_vi,
                      solve_layerpotential_vi, solve_transmission,
                      vi_certificate)
 
+from conftest import friction_bound_loop, graded_slip_system
+
 
 def scalar_system(preset="quadratic", p=2.0, n=2, refines=0, slip=(),
                   ncompat=None):
@@ -488,7 +490,7 @@ def test_no_safeguard_fires_on_standard_presets(monkeypatch, case):
     def counted_spsolve(*args, **kw):
         try:
             x = spsolve(*args, **kw)
-        except RuntimeError:               # _factor_solve then shifts the diagonal
+        except RuntimeError:               # a SuperLU failure other than singularity
             failed_solves.append(args)
             raise
         if not np.all(np.isfinite(x)):     # exactly singular: NaN and a warning
@@ -631,3 +633,138 @@ def test_vi_certificate_matches_coordinate_loop_on_random_gradients():
         sol = SimpleNamespace(u=rng.normal(size=nU), z=rng.normal(size=nZ))
         step = rng.uniform(0.05, 0.5)
         assert vi_certificate(sys_, sol, step) == _certificate_loop(sys_, sol, step)
+
+
+# -- system set-up: the per-panel and per-node loops it replaces -------------
+
+def _boundary_moments_loop(system, t0):
+    from febe.quadrature import segment_gauss
+    bs, d = system.bspace, system.d
+    out = np.zeros(bs.n_nodes * d)
+    if isinstance(t0, np.ndarray):
+        for l in range(bs.n_panels):
+            for a in range(d):
+                out[bs.panel_start[l] * d + a] += 0.5 * bs.lengths[l] * t0[l, a]
+                out[bs.panel_end[l] * d + a] += 0.5 * bs.lengths[l] * t0[l, a]
+        return out
+    xq, wq = segment_gauss(4)
+    for l in range(bs.n_panels):
+        pts = bs.A[l][None, :] + xq[:, None] * (bs.B[l] - bs.A[l])[None, :]
+        vals = np.asarray(t0(pts, bs.normals[l]), dtype=float).reshape(len(xq), d)
+        w0 = bs.lengths[l] * wq * (1 - xq)
+        w1 = bs.lengths[l] * wq * xq
+        for a in range(d):
+            out[bs.panel_start[l] * d + a] += np.sum(w0 * vals[:, a])
+            out[bs.panel_end[l] * d + a] += np.sum(w1 * vals[:, a])
+    return out
+
+
+def _friction_data_loop(system):
+    from febe.quadrature import segment_gauss
+    bs = system.bspace
+    pos = {int(k): j for j, k in enumerate(system.slip_nodes)}
+    F, omega = np.zeros(len(pos)), np.zeros(len(pos))
+    xq, wq = segment_gauss(4)
+    for l in np.nonzero(bs.slip_panels())[0]:
+        n0, n1 = int(bs.panel_start[l]), int(bs.panel_end[l])
+        g = friction_bound_loop(system, l, xq)
+        Le = bs.lengths[l]
+        if n0 in pos:
+            F[pos[n0]] += Le * np.sum(wq * (1 - xq) * g)
+            omega[pos[n0]] += Le * np.sum(wq * (1 - xq))
+        if n1 in pos:
+            F[pos[n1]] += Le * np.sum(wq * xq * g)
+            omega[pos[n1]] += Le * np.sum(wq * xq)
+    return F, omega
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_boundary_moments_match_panel_loops(vector):
+    sys_ = graded_slip_system(vector)
+    t0 = sys_.data.t0
+    assert callable(t0)
+    assert np.array_equal(sys_.t0b, _boundary_moments_loop(sys_, t0))
+    panel = np.random.default_rng(22).normal(size=(sys_.bspace.n_panels, sys_.d))
+    assert np.array_equal(sys_._boundary_moments(panel),
+                          _boundary_moments_loop(sys_, panel))
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("kind", ["preset", "nodal", "none"])
+def test_friction_data_matches_panel_loop(vector, kind):
+    # the loop scales each panel's 4-point sum by the panel length, the P1
+    # moments scale each point's weight, as the traction moments always did:
+    # equal up to that rounding
+    sys_ = graded_slip_system(vector, friction=kind)
+    F, omega = _friction_data_loop(sys_)
+    assert len(F) == len(sys_.slip_nodes) > 0
+    assert np.abs(sys_.friction.F - F).max() <= 1e-15 * max(np.abs(F).max(), 1e-300)
+    assert np.abs(sys_.friction.omega - omega).max() <= 1e-15 * omega.max()
+    assert np.all(F > 0) == (kind != "none")
+    slip = np.nonzero(sys_.bspace.slip_panels())[0]
+    t = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(sys_.friction_bound(t, slip),
+                          [friction_bound_loop(sys_, l, t) for l in slip])
+
+
+def test_friction_bound_checked_on_slip_panels_only():
+    bs = graded_slip_system(False).bspace
+    slip = bs.slip_panels()
+    fr = np.ones(bs.n_nodes)
+    fr[np.setdiff1d(np.arange(bs.n_nodes),
+                    np.concatenate([bs.panel_start[slip], bs.panel_end[slip]]))] = -1.0
+    graded_slip_system(False, friction=fr)
+    fr[bs.slip_nodes()[0]] = -1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        graded_slip_system(False, friction=fr)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_slip_frame_and_compat_rows_match_dense_build(vector):
+    sys_ = graded_slip_system(vector)
+    M, d = sys_.bspace.n_nodes, sys_.d
+    rows, cols, vals = [], [], []
+    for j, k in enumerate(sys_.slip_nodes):
+        if d == 1:
+            rows.append(k); cols.append(j); vals.append(1.0)
+        else:
+            nu = sys_.node_normals[k]
+            tau = np.array([-nu[1], nu[0]])
+            for a in range(2):
+                rows.append(2 * k + a); cols.append(2 * j); vals.append(nu[a])
+                rows.append(2 * k + a); cols.append(2 * j + 1); vals.append(tau[a])
+    Es = sp.csr_matrix((vals, (rows, cols)), shape=(M * d, sys_.nZ))
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(sys_.Es, attr), getattr(Es, attr))
+    # a trace column of C copies one entry of Cw; a slip column sums d
+    # products, which a dense BLAS product may fuse into one rounding
+    Cw = sys_.compat_dirs.T @ sys_.S
+    C = np.hstack([Cw @ sys_.Tr.toarray(), Cw @ Es.toarray()])
+    assert np.array_equal(sys_.C[:, :sys_.nU], C[:, :sys_.nU])
+    assert np.abs(sys_.C - C).max() <= 1e-15 * np.abs(C).max()
+    assert np.array_equal(sys_.c0, Cw @ sys_.U0)
+
+
+def test_reduction_without_compatibility_rows_is_identity():
+    law = mat.MaterialLaw(p=2.0, mode=mat.MODE_MATRIX)
+    m = load_mesh(presets.square_text(2, slip=("b",)), scale=False)
+    sys_ = build_system(m, law, presets.vector_stick(law).data, ncompat=0)
+    red = sys_.reduction
+    n = sys_.nU + sys_.nZ
+    assert sys_.C.shape == (0, n) and sys_.c0.shape == (0,)
+    assert np.array_equal(red.free, np.arange(n)) and len(red.pivots) == 0
+    assert np.array_equal(red.xp, np.zeros(n))
+    assert (red.N != sp.identity(n)).nnz == 0
+    assert np.array_equal(red.bound_red, sys_.nU + sys_.idx_zn)
+    sol = solve_contact_vi(sys_)
+    assert sol.converged and sol.compat_residual == 0.0
+
+
+def test_gamma_schedule_stage_tolerances():
+    tol = 1e-8
+    stages = vi._gamma_schedule(1e-8, tol)
+    gammas = [g for g, _ in stages]
+    assert gammas[0] == 1e-2 and gammas[-1] == 1e-8 and len(stages) == 7
+    for k, (g, stage_tol) in enumerate(stages):
+        assert stage_tol == (tol if k == len(stages) - 1 else max(tol, g * 1e-3))
+    assert vi._gamma_schedule(0.5, 1e-10) == [(0.5, 1e-10)]
