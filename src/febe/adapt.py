@@ -48,13 +48,12 @@ def mark(values, theta):
     return out
 
 
-def run_adaptive(mesh, data_factory, solve_fn, estimate_fn,
+def run_adaptive(mesh, build_fn, solve_fn, estimate_fn,
                  theta=0.5, max_dofs=20000, target_eta=0.0, max_levels=30,
-                 error_fn=None, out_dir=None, build_fn=None):
+                 error_fn=None, out_dir=None):
     """Generic adaptive loop.
 
-    data_factory(mesh) -> ProblemData for the (possibly refined) mesh
-    build_fn(mesh, data) -> CoupledSystem
+    build_fn(mesh)       -> CoupledSystem on the (possibly refined) mesh
     solve_fn(system)     -> DiscreteSolution
     estimate_fn(system, sol) -> IndicatorBreakdown
     error_fn(system, sol) -> scalar (optional, for manufactured runs)
@@ -63,8 +62,7 @@ def run_adaptive(mesh, data_factory, solve_fn, estimate_fn,
     solutions = []
     for level in range(max_levels):
         t0 = time.time()
-        data = data_factory(mesh)
-        system = build_fn(mesh, data)
+        system = build_fn(mesh)
         sol = solve_fn(system)
         ind = estimate_fn(system, sol)
         per_elem = ind.element_indicator()

@@ -30,7 +30,6 @@ _DEFAULTS = {
     "bem.half_factor": False,
     "bem.dump": False,
     "solver.tol": 0.0,                   # 0 -> by p (1e-10 for p=2, 1e-8 else)
-    "solver.gamma_min": 1e-8,
     "solver.max_iter": 200,
     "solver.formulation": "steklov",     # steklov | layerpotential
     "solver.stabilized": False,
@@ -42,14 +41,6 @@ _DEFAULTS = {
     "adapt.target_eta": 0.0,
     "out.dir": "out",
 }
-
-_BOOL = {"bem.half_factor", "bem.dump", "solver.stabilized"}
-_INT = {"mesh.n", "mesh.refine", "fem.quad_order", "bem.quad_order",
-        "solver.max_iter", "solver.compat_constraints", "adapt.max_dofs"}
-_FLOAT = {"material.p", "material.delta", "exterior.mu", "exterior.lambda",
-          "solver.tol", "solver.gamma_min", "estimate.delta", "adapt.theta",
-          "adapt.target_eta"}
-
 
 @dataclass
 class RunConfig:
@@ -121,15 +112,13 @@ def parse_config(text):
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _DEFAULTS:
             raise ConfigError("unknown config key %r" % key)
+        # each value takes the type of its default (bool is an int subtype)
+        kind = type(_DEFAULTS[key])
         try:
-            if key in _BOOL:
+            if kind is bool:
                 cfg.values[key] = val.lower() in ("1", "true", "yes", "on")
-            elif key in _INT:
-                cfg.values[key] = int(val)
-            elif key in _FLOAT:
-                cfg.values[key] = float(val)
             else:
-                cfg.values[key] = val
+                cfg.values[key] = kind(val)
         except ValueError:
             raise ConfigError("bad value for %s: %r" % (key, val))
     return cfg

@@ -59,6 +59,23 @@ class FESpace:
         return out
 
     @cached_property
+    def basis_gram(self):
+        """(nt, k, k) pairings <strain(phi_k), strain(phi_l)> of the local basis."""
+        bs = self.basis_strains
+        if self.ncomp == 1:
+            return np.einsum("tkd,tld->tkl", bs, bs)
+        return np.einsum("tkij,tlij->tkl", bs, bs)
+
+    @cached_property
+    def tangent_pattern(self):
+        """COO (rows, cols) of the element matrices, local row-major order,
+        in the index type scipy.sparse picks for this size (so no copy)."""
+        itype = np.int32 if self.ndof <= np.iinfo(np.int32).max else np.int64
+        dofs = self.local_dofs.astype(itype)
+        n = dofs.shape[1]
+        return np.repeat(dofs, n, axis=1).ravel(), np.tile(dofs, (1, n)).ravel()
+
+    @cached_property
     def local_dofs(self):
         """(nt, 3 * ncomp) global dof of each local basis function."""
         t = self.mesh.triangles
@@ -119,18 +136,13 @@ def assemble_tangent(space, law, coeffs):
     c1, c2 = mat.tangent_coeffs(law, eps)
     bs = space.basis_strains
     if space.ncomp == 1:
-        bb = np.einsum("tkd,tld->tkl", bs, bs)
         xb = np.einsum("td,tkd->tk", eps, bs)
     else:
-        bb = np.einsum("tkij,tlij->tkl", bs, bs)
         xb = np.einsum("tij,tkij->tk", eps, bs)
-    loc = (c1[:, None, None] * bb
+    loc = (c1[:, None, None] * space.basis_gram
            + c2[:, None, None] * xb[:, :, None] * xb[:, None, :])
     loc *= space.areas[:, None, None]
-    dofs = space.local_dofs
-    n = dofs.shape[1]
-    rows = np.repeat(dofs, n, axis=1).ravel()
-    cols = np.tile(dofs, (1, n)).ravel()
+    rows, cols = space.tangent_pattern
     A = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(space.ndof, space.ndof))
     return A.tocsr()
 

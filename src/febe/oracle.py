@@ -102,7 +102,7 @@ def oracle_vi(system, max_constrained=12, subgrad_iterations=200000):
                         break
             if not ok:
                 continue
-            val = system.exact_objective(x)
+            val = system.objective(x)
             if val < best[0]:
                 best = (val, x)
     if best[1] is None:
@@ -134,7 +134,7 @@ def oracle_subgradient(system, iterations=200000, step0=None):
         gnorm = max(np.linalg.norm(gz), 1e-300)
         z = z - step0 / (np.sqrt(k) * gnorm) * gz
         z[bound] = np.minimum(z[bound], 0.0)
-        val = system.exact_objective(red.x(z))
+        val = system.objective(red.x(z))
         if val < best_val:
             best_val, best_x = val, red.x(z)
         if k > iterations * 0.9:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -59,10 +61,14 @@ class QuadratureRule:
         return np.einsum("qk,...kd->...qd", self.bary, verts)
 
 
+@lru_cache(maxsize=None)
 def segment_gauss(n):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
+    """Gauss-Legendre nodes/weights on [0, 1], computed once per n and
+    returned as read-only arrays."""
     x, w = np.polynomial.legendre.leggauss(int(n))
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def graded_intervals(levels=10, toward_zero=True):

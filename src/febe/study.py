@@ -70,9 +70,9 @@ def solve_from_config(cfg, system):
     kw = dict(tol=tol, max_iter=cfg["solver.max_iter"])
     if cfg["solver.formulation"] == "layerpotential":
         return solve_layerpotential_vi(system, stabilized=cfg["solver.stabilized"],
-                                       gamma_min=cfg["solver.gamma_min"], **kw)
+                                       **kw)
     if np.any(system.friction.F > 0) or len(system.slip_nodes):
-        return solve_contact_vi(system, gamma_min=cfg["solver.gamma_min"], **kw)
+        return solve_contact_vi(system, **kw)
     return solve_transmission(system, **kw)
 
 
@@ -151,24 +151,17 @@ def convergence_study(cfg, levels, mode="uniform"):
             if lvl < levels - 1:
                 mesh = refine_uniform(mesh, 2)      # halves h
     elif mode == "adaptive":
-        def data_factory(m):
-            return manufactured_from_config(cfg, m).data
-
-        def build_fn(m, data):
-            system, _ = build_from_config(cfg, m)
-            return system
-
         def err(system, sol):
             man = manufactured_from_config(cfg, system.space.mesh)
             return gradient_error_lp(system, man, sol)
 
         records, _ = adapt_mod.run_adaptive(
-            mesh0, data_factory,
+            mesh0, lambda m: build_from_config(cfg, m)[0],
             lambda s: solve_from_config(cfg, s),
             lambda s, sol: estimate_from_config(cfg, s, sol),
             theta=cfg["adapt.theta"], max_dofs=cfg["adapt.max_dofs"],
             target_eta=cfg["adapt.target_eta"], max_levels=levels,
-            error_fn=err, build_fn=build_fn)
+            error_fn=err)
         for rec in records:
             rows.append({
                 "level": rec.level, "h": rec.h, "dofs": rec.dofs_interior,

@@ -3,19 +3,25 @@
 Unknowns: interior P1 coefficients U, slip-boundary jump coefficients Z in
 nodal normal/tangential coordinates, and (layer-potential formulation) a
 piecewise-constant boundary density P.  The contact constraint v_n <= 0 is
-enforced nodewise; Tresca friction uses the mass-lumped bound F_k with the
-smoothed absolute value sqrt(s^2 + gamma^2) - gamma driven to gamma_min by
-continuation.  The n=2 compatibility constraints <S 1_j, w - u0> = 0 are
-eliminated exactly through pivot substitution.
+enforced nodewise; Tresca friction uses the mass-lumped bound F_k and the
+exact nonsmooth term sum_k F_k |Z_t,k|.  The n=2 compatibility constraints
+<S 1_j, w - u0> = 0 are eliminated exactly through pivot substitution.
 
-Per Newton step only the FE tangent and the friction diagonal change.  The
-constant parts of the Newton matrix are built once per system: N^T H_bd N
-and the U-rows of the null-space basis N (Steklov-Poincare form), the W, K,
-V and stabilization blocks (layer-potential form).  Each step adds the
-tangent to them, and SuperLU factors the result with the symmetric
-minimum-degree ordering on A^T + A.  SuperLU does not raise on an exactly
-singular matrix; it warns and returns NaN, and the Newton step then falls
-back to the projected steepest-descent direction.
+Both solvers are active-set Newton methods on the exact conditions.  An
+active v_n and a sticking Z_t (Z_t = 0 with |mu_t| <= F) are held at zero;
+every other coordinate takes a Newton step, a slipping Z_t with its friction
+force F sign(Z_t).  The Steklov-Poincare solver minimises the energy with a
+projected Armijo search; the layer-potential solver drives the semismooth
+residual of the complementarity conditions to zero.
+
+Per Newton step only the FE tangent changes.  The constant parts of the
+Newton matrix are built once per system: N^T H_bd N and the U-rows of the
+null-space basis N (Steklov-Poincare form), the W, K, V and stabilization
+blocks (layer-potential form).  Each step adds the tangent to them, and
+SuperLU factors the result with the symmetric minimum-degree ordering on
+A^T + A.  SuperLU does not raise on an exactly singular matrix; it warns and
+returns NaN.  The Steklov-Poincare step then falls back to the projected
+steepest-descent direction; the layer-potential solver raises SolverError.
 """
 
 from __future__ import annotations
@@ -67,7 +73,6 @@ class DiscreteSolution:
     objective: float = 0.0
     iterations: int = 0
     residual: float = 0.0
-    gamma: float = 0.0
     converged: bool = True
     energy_history: list = field(default_factory=list)
 
@@ -139,11 +144,16 @@ class CoupledSystem:
         self.H_bd = (B.T @ sp.csr_matrix(self.S) @ B).tocsr()
         self.g_bd = B.T @ self.gb
 
-        # compatibility constraint rows over x = (U, Z)
+        # compatibility constraint rows over x = (U, Z): the nodal traces of
+        # the first ncompat rigid motions
         if ncompat is None:
             ncompat = 1 if d == 1 else 2
         self.ncompat = int(ncompat)
-        self.compat_dirs = self._compat_directions()
+        rigid = rigid_motions(bspace, d)[1]
+        if self.ncompat > rigid.shape[1]:
+            raise ValueError("ncompat = %d exceeds the %d rigid motions"
+                             % (self.ncompat, rigid.shape[1]))
+        self.compat_dirs = np.ascontiguousarray(rigid[:, :self.ncompat])
         Cw = self.compat_dirs.T @ self.S                # (ncon, dM)
         self.C = np.ascontiguousarray(Cw @ B)
         self.c0 = Cw @ self.U0
@@ -197,20 +207,6 @@ class CoupledSystem:
         omega = bs.p1_moments(np.ones_like(g), xq, wq)[nodes]
         return FrictionData(nodes=nodes, F=F, omega=omega)
 
-    def _compat_directions(self):
-        M, d = self.bspace.n_nodes, self.d
-        dirs = []
-        if d == 1:
-            dirs.append(np.ones(M))
-        else:
-            for e in np.eye(2):
-                dirs.append(np.tile(e, M))
-            rot = np.column_stack([-self.bspace.nodes[:, 1],
-                                   self.bspace.nodes[:, 0]]).reshape(-1)
-            dirs.append(rot)
-        return np.column_stack(dirs[:max(self.ncompat, 1)])[:, :self.ncompat] \
-            if self.ncompat else np.zeros((M * d, 0))
-
     def _data_compat_residual(self):
         """int f . c + <t0, c> per constant direction (should vanish for n=2)."""
         M, d = self.bspace.n_nodes, self.d
@@ -244,33 +240,10 @@ class CoupledSystem:
         g += self.H_bd @ x - self.g_bd
         return g
 
-    def friction_terms(self, x, gamma):
-        """(value, grad contribution, Hessian diagonal) of the smoothed friction."""
-        val = 0.0
-        g = np.zeros_like(x)
-        hdiag = np.zeros_like(x)
-        if self.nZ == 0 or len(self.friction.F) == 0:
-            return val, g, hdiag
-        idx = self.nU + self.idx_zt
-        s = x[idx]
-        F = self.friction.F
-        root = np.sqrt(s * s + gamma * gamma)
-        val = float(np.sum(F * (root - gamma)))
-        g[idx] = F * s / np.maximum(root, 1e-300)
-        hdiag[idx] = F * gamma * gamma / np.maximum(root ** 3, 1e-300)
-        return val, g, hdiag
-
-    def objective(self, x, gamma):
-        val, _, _ = self.friction_terms(x, gamma)
-        return self.phi_smooth(x) + val
-
-    def exact_objective(self, x):
+    def objective(self, x):
         """J_h + lumped nonsmooth friction term."""
-        val = 0.0
-        if self.nZ and len(self.friction.F):
-            s = x[self.nU + self.idx_zt]
-            val = float(np.sum(self.friction.F * np.abs(s)))
-        return self.phi_smooth(x) + val
+        s = x[self.nU + self.idx_zt]
+        return self.phi_smooth(x) + float(np.sum(self.friction.F * np.abs(s)))
 
     def compat_residual(self, x):
         if self.ncompat == 0:
@@ -326,26 +299,25 @@ class _Reduction:
             cols.extend(nz.tolist())
             vals.extend(M[i, nz].tolist())
         self.N = sp.csr_matrix((vals, (rows, cols)), shape=(n, len(self.free)))
-        # bound coordinates (v_n) in reduced numbering
-        glob = system.nU + system.idx_zn
+        # bound coordinates (v_n) and friction coordinates (Z_t with F > 0)
+        # in reduced numbering; as free coordinates they have x = z
         lookup = -np.ones(n, dtype=int)
         lookup[self.free] = np.arange(len(self.free))
-        red = lookup[glob]
-        if np.any(red < 0):
+        slip = system.friction.F > 0
+        self.bound_red = lookup[system.nU + system.idx_zn]
+        self.fric_red = lookup[system.nU + system.idx_zt[slip]]
+        if np.any(self.bound_red < 0) or np.any(self.fric_red < 0):
             raise SolverError("a constrained dof was chosen as pivot")
-        self.bound_red = red
-        # the Newton matrix N^T (Hu (+) 0 + H_bd + diag(h)) N changes only
-        # through Hu and the friction diagonal h, which lives on free Z rows
+        self.fric_F = system.friction.F[slip]
+        # the Newton matrix N^T (Hu (+) 0 + H_bd) N changes only through Hu
         self.NT = self.N.T.tocsr()
         self.NU = self.N[:system.nU]
         self.NUT = self.NU.T.tocsr()
         self.H_const = (self.NT @ system.H_bd @ self.N).tocsr()
 
-    def newton_matrix(self, Hu, hdiag, keep):
-        """Rows and columns `keep` of the reduced Hessian
-        N^T (Hu (+) 0 + H_bd + diag(hdiag)) N."""
-        H = (self.NUT @ Hu @ self.NU + self.H_const
-             + sp.diags(hdiag[self.free])).tocsr()
+    def newton_matrix(self, Hu, keep):
+        """Rows and columns `keep` of the reduced Hessian N^T (Hu (+) 0 + H_bd) N."""
+        H = (self.NUT @ Hu @ self.NU + self.H_const).tocsr()
         return H[keep][:, keep]
 
     def x(self, z):
@@ -366,31 +338,23 @@ def _residual_scale(system):
     return max(1.0, np.abs(system.gb).max(), np.abs(system.b_f).max())
 
 
-def _gamma_schedule(gamma_min, tol):
-    """(gamma, stage tolerance) pairs of the continuation: gamma = 1e-2,
-    1e-3, ... down to gamma_min, without a stage that differs from gamma_min
-    only by rounding.  The last stage is solved to tol, earlier ones only to
-    max(tol, 1e-3 gamma)."""
-    gammas = []
-    g = 1e-2
-    while g > gamma_min * (1.0 + 1e-12):
-        gammas.append(g)
-        g *= 0.1
-    return [(gam, max(tol, gam * 1e-3)) for gam in gammas] + [(gamma_min, tol)]
-
-
-def _minimize(system, gamma, x_init, tol, max_iter, track=None, bounds=None):
-    """Projected active-set Newton for the smoothed convex objective.
+def _minimize(system, x_init, tol, max_iter, track=None, bounds=None):
+    """Projected active-set Newton for the convex energy
+    phi_smooth + sum_k F_k |Z_t,k|.
 
     bounds: reduced coordinates held <= 0 (default: the v_n coordinates).
+    A friction coordinate uses the minimum-norm subgradient of the energy;
+    where it sticks (Z_t = 0 and |g| <= F) it is held at zero, and the line
+    search stops it at zero instead of letting it change sign.
     """
     red = system.reduction
     z = red.z0(np.asarray(x_init, dtype=float))
     bound = red.bound_red if bounds is None else bounds
     z[bound] = np.minimum(z[bound], 0.0)
+    fric, F = red.fric_red, red.fric_F
 
     def fun(zv):
-        return system.objective(red.x(zv), gamma)
+        return system.objective(red.x(zv))
 
     fz = fun(z)
     if track is not None:
@@ -399,31 +363,30 @@ def _minimize(system, gamma, x_init, tol, max_iter, track=None, bounds=None):
     it = 0
     for it in range(1, max_iter + 1):
         x = red.x(z)
-        _, gfr, hdiag = system.friction_terms(x, gamma)
-        g = system.grad_smooth(x) + gfr
-        gz = red.NT @ g
+        gz = red.NT @ system.grad_smooth(x)
+        # friction coordinates: sign of the slip the step assumes, and the
+        # minimum-norm subgradient g + F sign (0 where they stick)
+        s, gs = z[fric], gz[fric]
+        sign = np.where(s != 0, np.sign(s), -np.sign(gs))
+        stick = (s == 0) & (np.abs(gs) <= F)
+        gz[fric] = np.where(stick, 0.0, gs + F * sign)
 
-        # KKT measure: free coords gradient, bound coords complementarity.
-        # Friction coords are rescaled by the smoothing curvature: near the
-        # kink the gradient slope is ~F/gamma and a raw gradient tolerance
-        # would demand sub-eps coordinate accuracy.
-        relax = 1.0 + hdiag[red.free]
-        meas = np.abs(gz) / relax
+        # KKT measure: free coords gradient, bound coords complementarity
+        meas = np.abs(gz)
+        fixed = np.zeros(len(z), dtype=bool)
+        fixed[fric[stick]] = True
         if len(bound):
             act = z[bound] >= -1e-14 * max(1.0, np.abs(z).max())
-            comp = np.where(act, np.maximum(gz[bound], 0.0), np.abs(gz[bound]))
-            meas[bound] = comp
+            meas[bound] = np.where(act, np.maximum(gz[bound], 0.0), np.abs(gz[bound]))
+            fixed[bound] = act & (gz[bound] < 0)
         resid = float(meas.max()) if len(meas) else 0.0
         if resid <= tol * scale:
             break
 
-        fixed = np.zeros(len(z), dtype=bool)
-        if len(bound):
-            fixed[bound] = (z[bound] >= -1e-14 * max(1.0, np.abs(z).max())) & (gz[bound] < 0)
         free = np.nonzero(~fixed)[0]
         d = np.zeros_like(z)
         Hu = fem.assemble_tangent(system.space, system.law, x[:system.nU])
-        Hf = red.newton_matrix(Hu, hdiag, free)
+        Hf = red.newton_matrix(Hu, free)
         d[free] = spla.spsolve(Hf.tocsc(), -gz[free], permc_spec=_ORDERING)
         if not np.all(np.isfinite(d)) or gz @ d > 0:
             d = -gz
@@ -434,6 +397,7 @@ def _minimize(system, gamma, x_init, tol, max_iter, track=None, bounds=None):
         for _ in range(60):
             zt = z + t * d
             zt[bound] = np.minimum(zt[bound], 0.0)
+            zt[fric] = np.where(sign * zt[fric] < 0, 0.0, zt[fric])
             ft = fun(zt)
             if ft <= fz + 1e-4 * (gz @ (zt - z)):
                 accepted = True
@@ -450,96 +414,74 @@ def _minimize(system, gamma, x_init, tol, max_iter, track=None, bounds=None):
     return red.x(z), fz, it, resid
 
 
-def _extract_solution(system, x, gamma, iters, resid, converged, history):
+def _smooth_coords(system, n):
+    """Mask of the coordinates without a friction or bound term."""
+    other = np.ones(n, dtype=bool)
+    other[system.nU + system.idx_zt] = False
+    other[system.nU + system.idx_zn] = False
+    return other
+
+
+def _compat_multiplier(system, g):
+    """Least-squares multiplier of the compatibility rows for the gradient g,
+    from the smooth coordinates only: friction and bound coordinates carry
+    subdifferential terms, not zero gradients."""
+    other = _smooth_coords(system, len(g))
+    return np.linalg.lstsq(system.C[:, other].T, -g[other], rcond=None)[0]
+
+
+def _extract_solution(system, x, iters, resid, history):
     U, Z = system.split(x)
-    w = system.w_of(x)
-    v = system.Es @ Z
-    _, gfr, _ = system.friction_terms(x, gamma)
-    g = system.grad_smooth(x) + gfr
+    g = system.grad_smooth(x)
     ns = len(system.slip_nodes)
-    lam_n = np.zeros(ns)
-    mu_t = np.zeros(ns)
-    if ns:
-        if system.d == 2:
-            lam_n = -(g[system.nU + system.idx_zn])
-        gfric_only = gfr[system.nU + system.idx_zt]
-        mu_t = -(g[system.nU + system.idx_zt] - gfric_only)
-    compat_mult = np.zeros(system.ncompat)
-    if system.ncompat:
-        # multipliers from least squares on the full gradient
-        compat_mult = np.linalg.lstsq(system.C.T, -g, rcond=None)[0]
+    lam_n = -g[system.nU + system.idx_zn] if system.d == 2 else np.zeros(ns)
     return DiscreteSolution(
-        u=U, z=Z, v=v, w=w,
-        lam_n=lam_n, mu_t=mu_t,
-        compat_mult=compat_mult,
+        u=U, z=Z, v=system.Es @ Z, w=system.w_of(x),
+        lam_n=lam_n, mu_t=-g[system.nU + system.idx_zt],
+        compat_mult=_compat_multiplier(system, g),
         compat_residual=system.compat_residual(x),
-        objective=system.exact_objective(x),
-        iterations=iters, residual=resid, gamma=gamma,
-        converged=converged, energy_history=history)
+        objective=system.objective(x),
+        iterations=iters, residual=resid, energy_history=history)
 
 
 def default_tolerance(law):
     return 1e-10 if law.p == 2.0 else 1e-8
 
 
-def _p2_warm_start(system, gamma, tol):
+def _p2_warm_start(system):
     """Minimizer of the same problem with the linear (p = 2) law."""
     p2 = copy.copy(system)
     p2.law = MaterialLaw(p=2.0, kind="plaplace", mode=system.law.mode)
     p2.reduction = system.reduction
-    x, *_ = _minimize(p2, gamma, np.zeros(system.nU + system.nZ), tol, 100)
+    x, *_ = _minimize(p2, np.zeros(system.nU + system.nZ),
+                      default_tolerance(p2.law), 100)
     return x
+
+
+def _solve(system, x0, tol, max_iter, what, bounds=None):
+    tol = tol or default_tolerance(system.law)
+    if x0 is None:
+        x0 = (_p2_warm_start(system) if system.law.p != 2.0
+              else np.zeros(system.nU + system.nZ))
+    history = []
+    x, _, it, resid = _minimize(system, x0, tol, max_iter, track=history,
+                                bounds=bounds)
+    if resid > tol * _residual_scale(system):
+        raise SolverError("%s solve stalled at residual %.3e" % (what, resid))
+    return _extract_solution(system, x, it, resid, history)
 
 
 def solve_transmission(system, tol=None, max_iter=200):
     """Smooth coupled solve: no contact constraint, no friction."""
     if np.any(system.friction.F > 0):
         raise ValueError("transmission solve requires zero friction bound")
-    tol = tol or default_tolerance(system.law)
-    x0 = np.zeros(system.nU + system.nZ)
-    history = []
-    if system.law.p != 2.0:
-        x0 = _p2_warm_start(system, 0.0, 1e-10)
-    # transmission: ignore bound constraints entirely
-    x, fz, it, resid = _minimize(system, 0.0, x0, tol, max_iter, track=history,
-                                 bounds=np.array([], dtype=int))
-    converged = resid <= tol * _residual_scale(system)
-    if not converged:
-        raise SolverError("transmission solve stalled at residual %.3e" % resid)
-    return _extract_solution(system, x, 0.0, it, resid, converged, history)
+    return _solve(system, None, tol, max_iter, "transmission",
+                  bounds=np.array([], dtype=int))
 
 
-def solve_contact_vi(system, tol=None, gamma_min=1e-8, max_iter=200, x0=None):
-    """Friction-contact solve by smoothing continuation + active set Newton."""
-    tol = tol or default_tolerance(system.law)
-    history = []
-    if x0 is not None:
-        x = np.asarray(x0, dtype=float).copy()
-    elif system.law.p != 2.0:
-        x = _p2_warm_start(system, 1e-2, 1e-8)
-    else:
-        x = np.zeros(system.nU + system.nZ)
-    stages = _gamma_schedule(gamma_min, tol)
-    iters = 0
-    for k, (gam, stage_tol) in enumerate(stages):
-        last = k == len(stages) - 1
-        x, fz, it, resid = _minimize(system, gam, x, stage_tol, max_iter,
-                                     track=history if last else None)
-        iters += it
-    scale = _residual_scale(system)
-    converged = resid <= tol * scale
-    sol = _extract_solution(system, x, gam, iters, resid, converged, history)
-    if not converged:
-        # smoothed-gradient stalls near a kink can fall a few ulps short of
-        # the raw tolerance; accept iff the exact nonsmooth VI certificate
-        # holds with matching margin
-        margin = vi_certificate(system, sol)
-        if margin >= -100 * tol * scale:
-            sol.converged = True
-        else:
-            raise SolverError("contact solve stalled at residual %.3e "
-                              "(certificate margin %.3e)" % (resid, margin))
-    return sol
+def solve_contact_vi(system, tol=None, max_iter=200, x0=None):
+    """Friction-contact solve by active-set Newton on the exact energy."""
+    return _solve(system, x0, tol, max_iter, "contact")
 
 
 def kkt_residuals(sol, system):
@@ -583,8 +525,9 @@ def vi_certificate(system, sol, step=None):
     For the test point x + step*e the inequality's left minus right side is
     exactly  step*.g_smooth_i + j(z + step*e) - j(z); the returned value is
     its minimum over all feasible perturbations divided by step.  Values
-    >= -tol certify the solution (the nonsmooth term is evaluated exactly,
-    so smoothing only contributes O(gamma/step)).
+    >= -tol certify the solution.  The nonsmooth term is evaluated exactly,
+    and both solvers solve the exact conditions, so at a computed solution
+    only the solver's residual (up to tol) makes the value negative.
 
     Perturbations must stay in K: the compatibility rows are accounted for
     through their least-squares multiplier (coordinate directions composed
@@ -594,14 +537,9 @@ def vi_certificate(system, sol, step=None):
     g = system.grad_smooth(x)
     it = system.nU + system.idx_zt          # friction coordinates
     inn = system.nU + system.idx_zn         # normal (bound) coordinates
-    other = np.ones(len(x), dtype=bool)
-    other[it] = False
-    other[inn] = False
+    other = _smooth_coords(system, len(x))
     if system.ncompat:
-        # multiplier from the smooth/unconstrained rows only: friction and
-        # bound coordinates carry subdifferential terms, not zero gradients
-        y = np.linalg.lstsq(system.C[:, other].T, -g[other], rcond=None)[0]
-        g = g + system.C.T @ y
+        g = g + system.C.T @ _compat_multiplier(system, g)
     scale = max(1.0, np.abs(x).max())
     tau = step if step is not None else 0.1 * scale
     gt, st, F = g[it], x[it], system.friction.F
@@ -643,15 +581,9 @@ class LayerPotentialSystem:
         self.WU0 = ops.W @ system.U0
         self.TU0 = self.T @ system.U0
         self.rhs_w = system.t0b + self.WU0
-        d = ops.d
-        self.compat_rows = np.zeros((system.ncompat, self.nP))
-        for a in range(min(system.ncompat, d)):
-            row = np.zeros(self.nP)
-            row[a::d] = ops.M0[a::d]
-            self.compat_rows[a] = row
-        if system.ncompat > d:             # rotation moment of the density
-            p0, _ = rigid_motions(system.bspace, d)
-            self.compat_rows[d] = ops.M0 * p0[:, -1] if p0.shape[1] > d else 0.0
+        # moments of the density against the first ncompat rigid motions
+        p0 = rigid_motions(system.bspace, ops.d)[0][:, :system.ncompat]
+        self.compat_rows = (ops.M0[:, None] * p0).T
         # Jacobian blocks that do not depend on the iterate
         J = sp.bmat([[B.T @ sp.csr_matrix(ops.W) @ B, B.T @ sp.csr_matrix(-self.T.T)],
                      [sp.csr_matrix(self.T) @ B, sp.csr_matrix(ops.V)]]).tocsr()
@@ -671,7 +603,9 @@ class LayerPotentialSystem:
         return (y[:self.nU], y[self.nU:self.nU + self.nZ],
                 y[self.nU + self.nZ:])
 
-    def residual(self, y, gamma):
+    def residual(self, y):
+        """Residual of the smooth block system; the friction force is added
+        by the solver."""
         sys = self.sp
         x = y[:self.nU + self.nZ]
         P = y[self.nU + self.nZ:]
@@ -683,8 +617,6 @@ class LayerPotentialSystem:
         R[:self.nU] = (fem.assemble_residual(sys.space, sys.law, U)
                        - sys.b_f)
         R[:self.nU + self.nZ] += self.B.T @ rb
-        _, gfr, _ = sys.friction_terms(x, gamma)
-        R[:self.nU + self.nZ] += gfr
         R[self.nU + self.nZ:] = self.ops.V @ P + self.T @ w - self.TU0
         if self.stabilized:
             wP = np.concatenate([w, P])
@@ -694,92 +626,93 @@ class LayerPotentialSystem:
             R[self.nU + self.nZ:] += add[self.ops.Mb.shape[1]:]
         return R
 
-    def jacobian(self, y, gamma):
-        """Jacobian at y in COO format, with duplicate entries to be summed:
-        the constant blocks plus the FE tangent and the friction diagonal."""
+    def jacobian(self, y):
+        """Jacobian of the residual at y in COO format, with duplicate entries
+        to be summed: the constant blocks plus the FE tangent."""
         sys = self.sp
         Hu = fem.assemble_tangent(sys.space, sys.law, y[:self.nU]).tocoo()
-        _, _, hd = sys.friction_terms(y[:self.nU + self.nZ], gamma)
-        it = self.nU + sys.idx_zt
         J0 = self.J_const
         return sp.coo_matrix(
-            (np.concatenate([J0.data, Hu.data, hd[it]]),
-             (np.concatenate([J0.row, Hu.row, it]),
-              np.concatenate([J0.col, Hu.col, it]))), shape=J0.shape)
+            (np.concatenate([J0.data, Hu.data]),
+             (np.concatenate([J0.row, Hu.row]),
+              np.concatenate([J0.col, Hu.col]))), shape=J0.shape)
 
 
-def solve_layerpotential_vi(system, stabilized=False, tol=None,
-                            gamma_min=1e-8, max_iter=200):
-    """Semismooth Newton (PDAS on v_n <= 0) for the layer-potential system."""
+def solve_layerpotential_vi(system, stabilized=False, tol=None, max_iter=200):
+    """Semismooth Newton (primal-dual active set on v_n <= 0 and on the
+    friction bound) for the layer-potential system."""
     # The zero-total-flux condition is intrinsic here: testing the trace rows
     # with constants pins <phi, 1> to the data compatibility defect, so no
     # explicit constraint rows are added (they would be linearly dependent).
     lp = LayerPotentialSystem(system, stabilized=stabilized)
     tol = tol or default_tolerance(system.law)
+    nx = system.nU + system.nZ
     y = np.zeros(lp.n)
+    if system.law.p != 2.0:
+        # start, as the Steklov-Poincare solver does, from the p = 2
+        # minimizer (with its density): at zero strain the FE tangent of a
+        # p > 2 law vanishes and the first Newton matrix is singular
+        x = _p2_warm_start(system)
+        y[:nx] = x
+        y[nx:] = np.linalg.solve(lp.ops.V, lp.TU0 - lp.T @ (system.B @ x))
     idx_n = system.nU + system.idx_zn            # global coordinates of v_n dofs
-    idx_t = system.nU + system.idx_zt
-    stages = (_gamma_schedule(gamma_min, tol) if np.any(system.friction.F > 0)
-              else [(gamma_min, tol)])
-    scale = _residual_scale(system)
-    iters = 0
-    resid = np.inf
+    slip = system.friction.F > 0
+    idx_f = system.nU + system.idx_zt[slip]      # Z_t dofs with a friction bound
+    F = system.friction.F[slip]
+    c = scale = _residual_scale(system)
 
-    def ss_residual(R, yv, gamma):
+    def ss_residual(R, yv):
+        # NCP functions: min(-v_n, lam_n) and mu_t - proj_[-F,F](mu_t + c Z_t)
         out = R.copy()
-        if len(idx_n):
-            out[idx_n] = np.minimum(-yv[idx_n], -R[idx_n])     # NCP function
-        # rescale friction rows by the smoothing curvature (see _minimize)
-        _, _, hd = system.friction_terms(yv[:system.nU + system.nZ], gamma)
-        out[idx_t] = out[idx_t] / (1.0 + hd[idx_t])
+        out[idx_n] = np.minimum(-yv[idx_n], -R[idx_n])
+        out[idx_f] = -R[idx_f] - np.clip(-R[idx_f] + c * yv[idx_f], -F, F)
         return out
 
-    for gam, stage_tol in stages:
-        for _ in range(max_iter):
-            iters += 1
-            R = lp.residual(y, gam)
-            resid = np.abs(ss_residual(R, y, gam)).max()
-            if resid <= stage_tol * scale:
+    resid = np.inf
+    iters = 0
+    for iters in range(1, max_iter + 1):
+        R = lp.residual(y)
+        resid = np.abs(ss_residual(R, y)).max()
+        if resid <= tol * scale:
+            break
+        J = lp.jacobian(y)
+        rhs = -R
+        # active contact and sticking friction rows become identity rows
+        # (v_n = 0, Z_t = 0); slipping friction rows carry the force F sign(q)
+        q = -R[idx_f] + c * y[idx_f]
+        rhs[idx_f] -= F * np.sign(q)
+        fixed = np.concatenate([idx_n[(-R[idx_n] + c * y[idx_n]) > 0],
+                                idx_f[np.abs(q) <= F]])
+        keep = ~np.isin(J.row, fixed)
+        J = sp.coo_matrix((np.concatenate([J.data[keep], np.ones(len(fixed))]),
+                           (np.concatenate([J.row[keep], fixed]),
+                            np.concatenate([J.col[keep], fixed]))), shape=J.shape)
+        rhs[fixed] = -y[fixed]
+        dy = spla.spsolve(J.tocsc(), rhs, permc_spec=_ORDERING)
+        if not np.all(np.isfinite(dy)):
+            raise SolverError("layer-potential Newton step failed")
+        t = 1.0
+        for _ls in range(40):
+            cand = y + t * dy
+            rc = ss_residual(lp.residual(cand), cand)
+            if np.abs(rc).max() <= (1 - 1e-4 * t) * resid + 1e-300:
                 break
-            J = lp.jacobian(y, gam)
-            rhs = -R
-            if len(idx_n):
-                # active contact rows become identity rows: v_n = 0
-                active = idx_n[(-R[idx_n] + y[idx_n] * scale) > 0]
-                keep = ~np.isin(J.row, active)
-                J = sp.coo_matrix((np.concatenate([J.data[keep], np.ones(len(active))]),
-                                   (np.concatenate([J.row[keep], active]),
-                                    np.concatenate([J.col[keep], active]))), shape=J.shape)
-                rhs[active] = -y[active]
-            dy = spla.spsolve(J.tocsc(), rhs, permc_spec=_ORDERING)
-            if not np.all(np.isfinite(dy)):
-                raise SolverError("layer-potential Newton step failed")
-            t = 1.0
-            for _ls in range(40):
-                cand = y + t * dy
-                rc = ss_residual(lp.residual(cand, gam), cand, gam)
-                if np.abs(rc).max() <= (1 - 1e-4 * t) * resid + 1e-300:
-                    break
-                t *= 0.5
-            y = y + t * dy
+            t *= 0.5
+        y = y + t * dy
 
     if resid > tol * scale:
         raise SolverError("layer-potential solve stalled at %.3e" % resid)
 
     U, Z, P = lp.split(y)
-    x = y[:system.nU + system.nZ]
-    w = system.B @ x
-    R = lp.residual(y, gam)
-    _, gfr, _ = system.friction_terms(x, gam)
+    x = y[:nx]
+    R = lp.residual(y)
     ns = len(system.slip_nodes)
-    lam_n = -R[idx_n] + 0.0 if len(idx_n) else np.zeros(ns)
-    mu_t = -(R[idx_t] - gfr[idx_t]) if ns else np.zeros(0)
-    sol = DiscreteSolution(
-        u=U, z=Z, v=system.Es @ Z, w=w, phi=P,
-        lam_n=lam_n, mu_t=mu_t,
+    return DiscreteSolution(
+        u=U, z=Z, v=system.Es @ Z, w=system.B @ x, phi=P,
+        lam_n=-R[idx_n] + 0.0 if system.d == 2 else np.zeros(ns),
+        mu_t=-R[system.nU + system.idx_zt],
         compat_mult=np.zeros(system.ncompat),
         compat_residual=(float(np.abs(lp.compat_rows @ P).max())
                          if system.ncompat else 0.0),
-        objective=system.exact_objective(x),
-        iterations=iters, residual=resid, gamma=gam, converged=True)
-    return sol
+        objective=system.objective(x),
+        iterations=iters, residual=resid)

@@ -37,15 +37,12 @@ def _loop(max_dofs, theta=0.5, max_levels=6):
     law = mat.MaterialLaw(p=2.0)
     mesh = load_mesh(presets.square_text(2), scale=False)
 
-    def data_factory(m):
-        return presets.scalar_quadratic(law).data
+    def build_fn(m):
+        return build_system(m, law, presets.scalar_quadratic(law).data)
 
-    def build_fn(m, data):
-        return build_system(m, law, data)
-
-    return run_adaptive(mesh, data_factory, solve_transmission,
+    return run_adaptive(mesh, build_fn, solve_transmission,
                         estimate_sp, theta=theta, max_dofs=max_dofs,
-                        max_levels=max_levels, build_fn=build_fn)
+                        max_levels=max_levels)
 
 
 def test_zero_dof_budget_single_record():
@@ -78,16 +75,12 @@ def test_adaptive_writes_level_outputs(tmp_path):
     law = mat.MaterialLaw(p=2.0)
     mesh = load_mesh(presets.square_text(2), scale=False)
 
-    def data_factory(m):
-        return presets.scalar_quadratic(law).data
+    def build_fn(m):
+        return build_system(m, law, presets.scalar_quadratic(law).data)
 
-    def build_fn(m, data):
-        return build_system(m, law, data)
-
-    records, _ = run_adaptive(mesh, data_factory, solve_transmission,
+    records, _ = run_adaptive(mesh, build_fn, solve_transmission,
                               estimate_sp, theta=0.5, max_dofs=100,
-                              max_levels=3, out_dir=str(tmp_path),
-                              build_fn=build_fn)
+                              max_levels=3, out_dir=str(tmp_path))
     for rec in records:
         d = tmp_path / ("level_%d" % rec.level)
         assert (d / "mesh.txt").exists()
@@ -99,15 +92,12 @@ def test_adaptive_loop_with_contact():
     law = mat.MaterialLaw(p=2.0)
     mesh = load_mesh(presets.square_text(4, slip=("b",)), scale=False)
 
-    def data_factory(m):
-        return presets.scalar_transition(law).data
+    def build_fn(m):
+        return build_system(m, law, presets.scalar_transition(law).data)
 
-    def build_fn(m, data):
-        return build_system(m, law, data)
-
-    records, sols = run_adaptive(mesh, data_factory, solve_contact_vi,
+    records, sols = run_adaptive(mesh, build_fn, solve_contact_vi,
                                  estimate_sp, theta=0.5, max_dofs=400,
-                                 max_levels=8, build_fn=build_fn)
+                                 max_levels=8)
     assert len(records) >= 3
     assert records[-1].estimator_total < records[0].estimator_total
     # per-level outputs carry friction terms
@@ -120,15 +110,12 @@ def test_target_eta_stops_early():
     law = mat.MaterialLaw(p=2.0)
     mesh = load_mesh(presets.square_text(2), scale=False)
 
-    def data_factory(m):
-        return presets.scalar_quadratic(law).data
+    def build_fn(m):
+        return build_system(m, law, presets.scalar_quadratic(law).data)
 
-    def build_fn(m, data):
-        return build_system(m, law, data)
-
-    recs, _ = run_adaptive(mesh, data_factory, solve_transmission, estimate_sp,
+    recs, _ = run_adaptive(mesh, build_fn, solve_transmission, estimate_sp,
                            theta=0.5, max_dofs=10**6, target_eta=big_eta,
-                           max_levels=8, build_fn=build_fn)
+                           max_levels=8)
     assert len(recs) == 1
 
 

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from febe import fem, material as mat
 from febe.mesh import Mesh, load_mesh, refine_uniform
-from febe.quadrature import QuadratureRule
+from febe.quadrature import QuadratureRule, segment_gauss
 
 from conftest import square_mesh_text
 
@@ -32,6 +33,16 @@ def test_quadrature_exactness(order):
             y = rule.bary[:, 2]
             got = 0.5 * np.sum(rule.weights * x ** a * y ** b)
             assert got == pytest.approx(exact_moment(a, b), rel=1e-12, abs=1e-15)
+
+
+def test_segment_gauss_shared_and_read_only():
+    x, w = segment_gauss(5)
+    assert segment_gauss(5)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+    assert abs(w.sum() - 1.0) <= 1e-15 and np.all((x > 0) & (x < 1))
 
 
 def test_residual_zero_field(unit_square):
@@ -75,20 +86,50 @@ def test_residual_quad_order_validation(unit_square):
         fem.assemble_residual(space, law, np.zeros(space.ndof), quad_order=1)
 
 
+def _tangent_per_call(space, law, coeffs):
+    """The tangent with the basis Gram array and the COO pattern rebuilt."""
+    eps = space.strains(coeffs)
+    c1, c2 = mat.tangent_coeffs(law, eps)
+    bs = space.basis_strains
+    if space.ncomp == 1:
+        bb = np.einsum("tkd,tld->tkl", bs, bs)
+        xb = np.einsum("td,tkd->tk", eps, bs)
+    else:
+        bb = np.einsum("tkij,tlij->tkl", bs, bs)
+        xb = np.einsum("tij,tkij->tk", eps, bs)
+    loc = (c1[:, None, None] * bb
+           + c2[:, None, None] * xb[:, :, None] * xb[:, None, :])
+    loc *= space.areas[:, None, None]
+    dofs = space.local_dofs
+    n = dofs.shape[1]
+    rows = np.repeat(dofs, n, axis=1).ravel()
+    cols = np.tile(dofs, (1, n)).ravel()
+    return sp.coo_matrix((loc.ravel(), (rows, cols)),
+                         shape=(space.ndof, space.ndof)).tocsr()
+
+
 def test_tangent_directional_derivative(unit_square):
     m = refine_uniform(unit_square, 2)
-    space = fem.FESpace(m, ncomp=2)
-    law = mat.MaterialLaw(p=3.0, mode=mat.MODE_MATRIX)
     rng = np.random.default_rng(0)
-    u = rng.normal(size=space.ndof)
-    w = rng.normal(size=space.ndof)
-    M = fem.assemble_tangent(space, law, u)
-    errs = []
-    for t in (1e-4, 1e-5, 1e-6):
-        fd = (fem.assemble_residual(space, law, u + t * w)
-              - fem.assemble_residual(space, law, u - t * w)) / (2 * t)
-        errs.append(np.linalg.norm(fd - M @ w))
-    assert errs[-1] <= 1e-6 * max(1.0, np.linalg.norm(M @ w))
+    for ncomp, mode in ((2, mat.MODE_MATRIX), (1, mat.MODE_VECTOR)):
+        space = fem.FESpace(m, ncomp=ncomp)
+        law = mat.MaterialLaw(p=3.0, mode=mode)
+        u = rng.normal(size=space.ndof)
+        w = rng.normal(size=space.ndof)
+        M = fem.assemble_tangent(space, law, u)
+        errs = []
+        for t in (1e-4, 1e-5, 1e-6):
+            fd = (fem.assemble_residual(space, law, u + t * w)
+                  - fem.assemble_residual(space, law, u - t * w)) / (2 * t)
+            errs.append(np.linalg.norm(fd - M @ w))
+        assert errs[-1] <= 1e-6 * max(1.0, np.linalg.norm(M @ w))
+        # the cached per-space constants give the same matrix, and a second
+        # call reuses them
+        ref = _tangent_per_call(space, law, u)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(M, attr), getattr(ref, attr))
+        M2 = fem.assemble_tangent(space, law, -u)
+        assert np.array_equal(M2.data, _tangent_per_call(space, law, -u).data)
 
 
 def test_tangent_p2_independent_of_state(unit_square):

@@ -109,7 +109,7 @@ def test_compatibility_residual_small():
 def test_full_stick_scalar():
     sys_, man = scalar_system("stick", p=2.0, refines=1, slip=("b",))
     sol = solve_contact_vi(sys_)
-    assert np.abs(sol.z).max() < 3e-8     # stick up to the smoothing scale
+    assert np.all(sol.z == 0)             # sticking coordinates are held at zero
     res = kkt_residuals(sol, sys_)
     for k, v in res.items():
         assert v <= 1e-6, (k, v)
@@ -121,7 +121,7 @@ def test_full_stick_vector():
     sol = solve_contact_vi(sys_)
     vt = sol.z[sys_.idx_zt]
     vn = sol.z[sys_.idx_zn]
-    assert np.abs(vt).max() < 3e-8        # stick up to the smoothing scale
+    assert np.all(vt == 0)                # sticking coordinates are held at zero
     assert np.all(vn <= 0) and vn.min() > -1e-7
     res = kkt_residuals(sol, sys_)
     for k, v in res.items():
@@ -164,7 +164,8 @@ def test_inactive_contact_equals_transmission():
     assert np.abs(sol_c.z - sol_t.z).max() < 1e-8
 
 
-def test_solver_matches_enumeration_oracle_scalar():
+def _scalar_oracle_systems():
+    """Six random scalar p=2 friction problems small enough to enumerate."""
     rng = np.random.default_rng(42)
     for trial in range(6):
         law = mat.MaterialLaw(p=2.0)
@@ -188,7 +189,11 @@ def test_solver_matches_enumeration_oracle_scalar():
             return 0.0
 
         data = ProblemData(f=f, u0=u0, t0=t0, friction=g)
-        sys_ = build_system(m, law, data, ncompat=0)
+        yield build_system(m, law, data, ncompat=0)
+
+
+def test_solver_matches_enumeration_oracle_scalar():
+    for sys_ in _scalar_oracle_systems():
         sol = solve_contact_vi(sys_)
         val, x = oracle_vi(sys_)
         assert sol.objective <= val + 1e-8 * max(1, abs(val))
@@ -200,6 +205,15 @@ def test_solver_matches_enumeration_oracle_scalar():
         assert np.all((np.abs(zt_s) < tol) == (np.abs(zt_o) < tol))
         assert np.all(np.sign(np.where(np.abs(zt_s) < tol, 0, zt_s))
                       == np.sign(np.where(np.abs(zt_o) < tol, 0, zt_o)))
+
+
+def test_contact_vi_matches_oracle_to_roundoff():
+    # the exact nonsmooth energy is minimized, so only rounding separates
+    # the solver from the enumerated minimum
+    for sys_ in _scalar_oracle_systems():
+        sol = solve_contact_vi(sys_)
+        val, _ = oracle_vi(sys_)
+        assert abs(sol.objective - val) <= 1e-13 * abs(val)
 
 
 def test_solver_matches_enumeration_oracle_vector():
@@ -238,13 +252,6 @@ def test_uniqueness_from_random_starts():
         sols.append(solve_contact_vi(sys_, x0=x0))
     d = np.abs(np.concatenate([sols[0].u - sols[1].u, sols[0].z - sols[1].z])).max()
     assert d <= 10 * 1e-9 * max(1.0, np.abs(sols[0].u).max())
-
-
-def test_gamma_continuation_consistency():
-    sys_, _ = scalar_system("transition", p=2.0, refines=0, slip=("b",))
-    sols = [solve_contact_vi(sys_, gamma_min=g) for g in (1e-4, 5e-5)]
-    d = np.abs(sols[0].z - sols[1].z).max()
-    assert d <= 10 * 1e-4
 
 
 def test_vi_certificate_nonnegative():
@@ -383,13 +390,15 @@ def test_extreme_exponents_contact(p):
     assert vi_certificate(sys_, sol) >= -1e-7
 
 
-@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
 def test_lp_matches_sp_nonlinear_contact(p):
     sys_, _ = scalar_system("transition", p=p, refines=1, slip=("b",))
     sol_lp = solve_layerpotential_vi(sys_)
     sol_sp = solve_contact_vi(sys_)
     assert np.abs(sol_lp.u - sol_sp.u).max() < 1e-6
     assert np.abs(sol_lp.z - sol_sp.z).max() < 1e-6
+    # both minimize the same exact energy
+    assert abs(sol_lp.objective - sol_sp.objective) <= 1e-12 * abs(sol_sp.objective)
 
 
 def test_half_factor_changes_generic_solution():
@@ -413,45 +422,7 @@ def test_p15_uniform_convergence():
     assert all(0.9 <= r["rate"] <= 1.1 for r in rows[1:])
 
 
-# -- solver structure: continuation stages, shared reduction, safeguards -------
-
-def _assert_distinct(stages):
-    for i, a in enumerate(stages):
-        for b in stages[i + 1:]:
-            assert abs(a - b) > 1e-12 * max(abs(a), abs(b)), stages
-
-
-def test_gamma_stages_distinct_steklov(monkeypatch):
-    sys_, _ = scalar_system("transition", p=1.5, n=4, refines=2, slip=("b",))
-    stages = []
-    minimize = vi._minimize
-
-    def recording(system, gamma, *args, **kw):
-        if system is sys_:                 # not the p=2 warm start
-            stages.append(gamma)
-        return minimize(system, gamma, *args, **kw)
-
-    monkeypatch.setattr(vi, "_minimize", recording)
-    sol = solve_contact_vi(sys_)
-    assert stages[0] == 1e-2 and stages[-1] == sol.gamma == 1e-8
-    _assert_distinct(stages)
-
-
-def test_gamma_stages_distinct_layerpotential(monkeypatch):
-    sys_, _ = vector_system("stick-vec", n=4)
-    seen = []
-    residual = vi.LayerPotentialSystem.residual
-
-    def recording(self, y, gamma):
-        seen.append(gamma)
-        return residual(self, y, gamma)
-
-    monkeypatch.setattr(vi.LayerPotentialSystem, "residual", recording)
-    sol = solve_layerpotential_vi(sys_)
-    stages = sorted(set(seen), reverse=True)
-    assert stages[-1] == sol.gamma == 1e-8
-    _assert_distinct(stages)
-
+# -- solver structure: shared reduction, safeguards --------------------------
 
 def test_reduction_built_once_per_system(monkeypatch):
     built = []
@@ -511,10 +482,10 @@ def test_no_safeguard_fires_on_standard_presets(monkeypatch, case):
 
 # -- Newton matrices from cached constant blocks vs. full assembly ----------
 
-def _full_newton_matrix(system, Hu, hdiag, keep):
+def _full_newton_matrix(system, Hu, keep):
     """Reduced Newton matrix assembled from the whole Hessian on every step."""
     H = (sp.block_diag([Hu, sp.csr_matrix((system.nZ, system.nZ))]).tocsr()
-         + system.H_bd + sp.diags(hdiag))
+         + system.H_bd)
     N = system.reduction.N
     return (N.T @ H @ N).tocsr()[keep][:, keep]
 
@@ -531,25 +502,22 @@ def test_newton_matrix_matches_full_assembly(case):
     rng = np.random.default_rng(5)
     x = red.x(rng.normal(size=len(red.free)))
     Hu = fem.assemble_tangent(sys_.space, sys_.law, x[:sys_.nU])
-    _, _, hdiag = sys_.friction_terms(x, 1e-3)
-    assert np.any(hdiag > 0)
     keep = np.ones(len(red.free), dtype=bool)
     keep[red.bound_red[::2]] = False       # hold every other v_n coordinate
     keep = np.nonzero(keep)[0]
     if case == "stick-vec-p2":
         assert len(keep) < len(red.free)
-    H = red.newton_matrix(Hu, hdiag, keep).toarray()
-    ref = _full_newton_matrix(sys_, Hu, hdiag, keep).toarray()
+    H = red.newton_matrix(Hu, keep).toarray()
+    ref = _full_newton_matrix(sys_, Hu, keep).toarray()
     assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def _block_lp_jacobian(lp, y, gamma):
+def _block_lp_jacobian(lp, y):
     """Layer-potential Jacobian assembled block by block on every step."""
     sys_ = lp.sp
     Hu = fem.assemble_tangent(sys_.space, sys_.law, y[:lp.nU])
-    _, _, hd = sys_.friction_terms(y[:lp.nU + lp.nZ], gamma)
     J11 = (sp.block_diag([Hu, sp.csr_matrix((lp.nZ, lp.nZ))])
-           + lp.B.T @ sp.csr_matrix(lp.ops.W) @ lp.B + sp.diags(hd))
+           + lp.B.T @ sp.csr_matrix(lp.ops.W) @ lp.B)
     J12 = lp.B.T @ sp.csr_matrix(-lp.T.T)
     J21 = sp.csr_matrix(lp.T) @ lp.B
     J22 = sp.csr_matrix(lp.ops.V)
@@ -566,8 +534,8 @@ def test_layerpotential_jacobian_matches_block_assembly(stabilized):
     sys_, _ = vector_system("stick-vec", p=1.5, n=4)
     lp = vi.LayerPotentialSystem(sys_, stabilized=stabilized)
     y = np.random.default_rng(6).normal(size=lp.n)
-    J = lp.jacobian(y, 1e-3).toarray()
-    ref = _block_lp_jacobian(lp, y, 1e-3).toarray()
+    J = lp.jacobian(y).toarray()
+    ref = _block_lp_jacobian(lp, y).toarray()
     assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -745,6 +713,31 @@ def test_slip_frame_and_compat_rows_match_dense_build(vector):
     assert np.array_equal(sys_.c0, Cw @ sys_.U0)
 
 
+@pytest.mark.parametrize("vector", [False, True])
+def test_compat_rows_are_rigid_motion_moments(vector):
+    # reference: the directions and density rows written out per motion
+    sys_ = graded_slip_system(vector)
+    bs, d, M0 = sys_.bspace, sys_.d, sys_.ops.M0
+    if d == 1:
+        dirs, rows = [np.ones(bs.n_nodes)], [M0]
+    else:
+        rot = np.column_stack([-bs.mids[:, 1], bs.mids[:, 0]]).reshape(-1)
+        dirs = [np.tile(e, bs.n_nodes) for e in np.eye(2)]
+        dirs.append(np.column_stack([-bs.nodes[:, 1], bs.nodes[:, 0]]).reshape(-1))
+        rows = [np.where(np.arange(len(M0)) % 2 == a, M0, 0.0) for a in range(2)]
+        rows.append(M0 * rot)
+    for ncompat in range(len(dirs) + 1):
+        s = build_system(sys_.space.mesh, sys_.law, sys_.data, ncompat=ncompat)
+        lp = vi.LayerPotentialSystem(s)
+        assert s.ncompat == ncompat == s.C.shape[0] == lp.compat_rows.shape[0]
+        assert np.array_equal(s.compat_dirs,
+                              np.reshape(dirs[:ncompat], (ncompat, len(dirs[0]))).T)
+        assert np.array_equal(lp.compat_rows,
+                              np.reshape(rows[:ncompat], (ncompat, len(M0))))
+    with pytest.raises(ValueError, match="rigid motions"):
+        build_system(sys_.space.mesh, sys_.law, sys_.data, ncompat=len(dirs) + 1)
+
+
 def test_reduction_without_compatibility_rows_is_identity():
     law = mat.MaterialLaw(p=2.0, mode=mat.MODE_MATRIX)
     m = load_mesh(presets.square_text(2, slip=("b",)), scale=False)
@@ -758,13 +751,3 @@ def test_reduction_without_compatibility_rows_is_identity():
     assert np.array_equal(red.bound_red, sys_.nU + sys_.idx_zn)
     sol = solve_contact_vi(sys_)
     assert sol.converged and sol.compat_residual == 0.0
-
-
-def test_gamma_schedule_stage_tolerances():
-    tol = 1e-8
-    stages = vi._gamma_schedule(1e-8, tol)
-    gammas = [g for g, _ in stages]
-    assert gammas[0] == 1e-2 and gammas[-1] == 1e-8 and len(stages) == 7
-    for k, (g, stage_tol) in enumerate(stages):
-        assert stage_tol == (tol if k == len(stages) - 1 else max(tol, g * 1e-3))
-    assert vi._gamma_schedule(0.5, 1e-10) == [(0.5, 1e-10)]
