@@ -14,7 +14,7 @@ from .export import export_fields
 from .oracle import OracleError, oracle_vi
 from .study import (build_from_config, convergence_study, estimate_from_config,
                     mesh_from_config, solve_from_config, table_csv)
-from .vi import kkt_residuals
+from .vi import SolverError, kkt_residuals
 
 
 def _out_dir(cfg):
@@ -139,6 +139,9 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
+    except SolverError as exc:
+        print("solver error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,12 +7,13 @@ enforced nodewise; Tresca friction uses the mass-lumped bound F_k and the
 exact nonsmooth term sum_k F_k |Z_t,k|.  The n=2 compatibility constraints
 <S 1_j, w - u0> = 0 are eliminated exactly through pivot substitution.
 
-Both solvers are active-set Newton methods on the exact conditions.  An
-active v_n and a sticking Z_t (Z_t = 0 with |mu_t| <= F) are held at zero;
-every other coordinate takes a Newton step, a slipping Z_t with its friction
-force F sign(Z_t).  The Steklov-Poincare solver minimises the energy with a
-projected Armijo search; the layer-potential solver drives the semismooth
-residual of the complementarity conditions to zero.
+Both formulations are solved by one primal-dual active-set (semismooth)
+Newton core on the exact conditions, min(-v_n, lam_n) = 0 and
+mu_t = clip(mu_t + c Z_t, -F, F); they differ only in residual and Jacobian
+(the reduced energy gradient, or the layer-potential block residual).  An
+active v_n and a sticking Z_t are held at zero; every other coordinate takes
+a Newton step, a slipping Z_t with its friction force.  The step length comes
+from an Armijo search on the squared NCP residual.
 
 Per Newton step only the FE tangent changes.  The constant parts of the
 Newton matrix are built once per system: N^T H_bd N and the U-rows of the
@@ -20,8 +21,8 @@ null-space basis N (Steklov-Poincare form), the W, K, V and stabilization
 blocks (layer-potential form).  Each step adds the tangent to them, and
 SuperLU factors the result with the symmetric minimum-degree ordering on
 A^T + A.  SuperLU does not raise on an exactly singular matrix; it warns and
-returns NaN.  The Steklov-Poincare step then falls back to the projected
-steepest-descent direction; the layer-potential solver raises SolverError.
+returns NaN, and the solver raises SolverError, as it does when the line
+search cannot decrease the residual or the iterations run out.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class DiscreteSolution:
     iterations: int = 0
     residual: float = 0.0
     converged: bool = True
-    energy_history: list = field(default_factory=list)
+    residual_history: list = field(default_factory=list)  # |Phi|_2 per iterate
 
 
 class CoupledSystem:
@@ -315,10 +316,9 @@ class _Reduction:
         self.NUT = self.NU.T.tocsr()
         self.H_const = (self.NT @ system.H_bd @ self.N).tocsr()
 
-    def newton_matrix(self, Hu, keep):
-        """Rows and columns `keep` of the reduced Hessian N^T (Hu (+) 0 + H_bd) N."""
-        H = (self.NUT @ Hu @ self.NU + self.H_const).tocsr()
-        return H[keep][:, keep]
+    def newton_matrix(self, Hu):
+        """The reduced Hessian N^T (Hu (+) 0 + H_bd) N."""
+        return self.NUT @ Hu @ self.NU + self.H_const
 
     def x(self, z):
         return self.xp + self.N @ z
@@ -338,80 +338,71 @@ def _residual_scale(system):
     return max(1.0, np.abs(system.gb).max(), np.abs(system.b_f).max())
 
 
-def _minimize(system, x_init, tol, max_iter, track=None, bounds=None):
-    """Projected active-set Newton for the convex energy
-    phi_smooth + sum_k F_k |Z_t,k|.
+def _active_set_newton(y, residual, jacobian, idx_n, idx_f, F, scale, tol,
+                       max_iter, what):
+    """Primal-dual active-set (semismooth) Newton on R(y) = 0 with the
+    contact bound y[idx_n] <= 0, multiplier -R[idx_n] >= 0, and Tresca
+    friction on y[idx_f], friction force -R[idx_f] in [-F, F].
 
-    bounds: reduced coordinates held <= 0 (default: the v_n coordinates).
-    A friction coordinate uses the minimum-norm subgradient of the energy;
-    where it sticks (Z_t = 0 and |g| <= F) it is held at zero, and the line
-    search stops it at zero instead of letting it change sign.
+    residual(y) is the gradient of the smooth part (Steklov-Poincare) or the
+    block residual (layer-potential); jacobian(y) is its derivative as a
+    sparse matrix.  The NCP residual Phi replaces the bound rows by
+    min(-y_n, -R_n) and the friction rows by mu - clip(mu + c y_f, -F, F),
+    mu = -R_f, c = scale.  Each step holds active contact and sticking
+    friction rows at zero (identity rows); a slipping row carries the force
+    F sign(mu + c y_f).  Armijo backtracking on |Phi|_2^2.  A singular Newton
+    matrix, an exhausted line search and a stall raise SolverError.
+
+    Returns y, R(y), the iteration count, |Phi|_inf and |Phi|_2 per
+    accepted iterate.
     """
-    red = system.reduction
-    z = red.z0(np.asarray(x_init, dtype=float))
-    bound = red.bound_red if bounds is None else bounds
-    z[bound] = np.minimum(z[bound], 0.0)
-    fric, F = red.fric_red, red.fric_F
+    c = scale
 
-    def fun(zv):
-        return system.objective(red.x(zv))
+    def ncp(R, yv):
+        phi = R.copy()
+        phi[idx_n] = np.minimum(-yv[idx_n], -R[idx_n])
+        phi[idx_f] = -R[idx_f] - np.clip(-R[idx_f] + c * yv[idx_f], -F, F)
+        return phi
 
-    fz = fun(z)
-    if track is not None:
-        track.append(fz)
-    scale = _residual_scale(system)
-    it = 0
+    R = residual(y)
+    phi = ncp(R, y)
+    merit = phi @ phi
+    history = [np.sqrt(merit)]
     for it in range(1, max_iter + 1):
-        x = red.x(z)
-        gz = red.NT @ system.grad_smooth(x)
-        # friction coordinates: sign of the slip the step assumes, and the
-        # minimum-norm subgradient g + F sign (0 where they stick)
-        s, gs = z[fric], gz[fric]
-        sign = np.where(s != 0, np.sign(s), -np.sign(gs))
-        stick = (s == 0) & (np.abs(gs) <= F)
-        gz[fric] = np.where(stick, 0.0, gs + F * sign)
-
-        # KKT measure: free coords gradient, bound coords complementarity
-        meas = np.abs(gz)
-        fixed = np.zeros(len(z), dtype=bool)
-        fixed[fric[stick]] = True
-        if len(bound):
-            act = z[bound] >= -1e-14 * max(1.0, np.abs(z).max())
-            meas[bound] = np.where(act, np.maximum(gz[bound], 0.0), np.abs(gz[bound]))
-            fixed[bound] = act & (gz[bound] < 0)
-        resid = float(meas.max()) if len(meas) else 0.0
+        resid = float(np.abs(phi).max(initial=0.0))
         if resid <= tol * scale:
-            break
-
-        free = np.nonzero(~fixed)[0]
-        d = np.zeros_like(z)
-        Hu = fem.assemble_tangent(system.space, system.law, x[:system.nU])
-        Hf = red.newton_matrix(Hu, free)
-        d[free] = spla.spsolve(Hf.tocsc(), -gz[free], permc_spec=_ORDERING)
-        if not np.all(np.isfinite(d)) or gz @ d > 0:
-            d = -gz
-            d[fixed] = 0.0
-
+            return y, R, it, resid, history
+        J = jacobian(y).tocoo()
+        rhs = -R
+        q = -R[idx_f] + c * y[idx_f]
+        rhs[idx_f] -= F * np.sign(q)
+        fixed = np.concatenate([idx_n[-R[idx_n] + c * y[idx_n] > 0],
+                                idx_f[np.abs(q) <= F]])
+        keep = ~np.isin(J.row, fixed)
+        J = sp.coo_matrix((np.concatenate([J.data[keep], np.ones(len(fixed))]),
+                           (np.concatenate([J.row[keep], fixed]),
+                            np.concatenate([J.col[keep], fixed]))), shape=J.shape)
+        rhs[fixed] = -y[fixed]
+        dy = spla.spsolve(J.tocsc(), rhs, permc_spec=_ORDERING)
+        if not np.all(np.isfinite(dy)):
+            raise SolverError("%s Newton matrix is singular at residual %.3e"
+                              % (what, resid))
+        dy[fixed] = -y[fixed]            # SuperLU leaves rounding there
         t = 1.0
-        accepted = False
-        for _ in range(60):
-            zt = z + t * d
-            zt[bound] = np.minimum(zt[bound], 0.0)
-            zt[fric] = np.where(sign * zt[fric] < 0, 0.0, zt[fric])
-            ft = fun(zt)
-            if ft <= fz + 1e-4 * (gz @ (zt - z)):
-                accepted = True
+        for _ in range(40):
+            cand = y + t * dy
+            Rc = residual(cand)
+            phic = ncp(Rc, cand)
+            mc = phic @ phic
+            if mc <= (1 - 1e-4 * t) * merit:
                 break
             t *= 0.5
-        if not accepted:
-            break
-        step_len = np.linalg.norm(zt - z)
-        z, fz = zt, ft
-        if track is not None:
-            track.append(fz)
-        if step_len <= 1e-15 * (1.0 + np.linalg.norm(z)):
-            break          # below double-precision progress
-    return red.x(z), fz, it, resid
+        else:
+            raise SolverError("%s line search failed at residual %.3e"
+                              % (what, resid))
+        y, R, phi, merit = cand, Rc, phic, mc
+        history.append(np.sqrt(merit))
+    raise SolverError("%s solve stalled at residual %.3e" % (what, resid))
 
 
 def _smooth_coords(system, n):
@@ -441,33 +432,45 @@ def _extract_solution(system, x, iters, resid, history):
         compat_mult=_compat_multiplier(system, g),
         compat_residual=system.compat_residual(x),
         objective=system.objective(x),
-        iterations=iters, residual=resid, energy_history=history)
+        iterations=iters, residual=resid, residual_history=history)
 
 
 def default_tolerance(law):
     return 1e-10 if law.p == 2.0 else 1e-8
 
 
-def _p2_warm_start(system):
+def _steklov_newton(system, x0, tol, max_iter, what, contact):
+    """The active-set core on the reduced Steklov-Poincare energy."""
+    red = system.reduction
+    space, law, nU = system.space, system.law, system.nU
+    z, _, it, resid, history = _active_set_newton(
+        red.z0(np.asarray(x0, dtype=float)),
+        lambda z: red.NT @ system.grad_smooth(red.x(z)),
+        lambda z: red.newton_matrix(
+            fem.assemble_tangent(space, law, red.x(z)[:nU])),
+        red.bound_red if contact else np.array([], dtype=int),
+        red.fric_red, red.fric_F, _residual_scale(system), tol, max_iter, what)
+    return red.x(z), it, resid, history
+
+
+def _p2_warm_start(system, contact=True):
     """Minimizer of the same problem with the linear (p = 2) law."""
     p2 = copy.copy(system)
     p2.law = MaterialLaw(p=2.0, kind="plaplace", mode=system.law.mode)
     p2.reduction = system.reduction
-    x, *_ = _minimize(p2, np.zeros(system.nU + system.nZ),
-                      default_tolerance(p2.law), 100)
+    x, *_ = _steklov_newton(p2, np.zeros(system.nU + system.nZ),
+                            default_tolerance(p2.law), 100, "p = 2 warm start",
+                            contact)
     return x
 
 
-def _solve(system, x0, tol, max_iter, what, bounds=None):
+def _solve(system, x0, tol, max_iter, what, contact=True):
     tol = tol or default_tolerance(system.law)
     if x0 is None:
-        x0 = (_p2_warm_start(system) if system.law.p != 2.0
+        x0 = (_p2_warm_start(system, contact) if system.law.p != 2.0
               else np.zeros(system.nU + system.nZ))
-    history = []
-    x, _, it, resid = _minimize(system, x0, tol, max_iter, track=history,
-                                bounds=bounds)
-    if resid > tol * _residual_scale(system):
-        raise SolverError("%s solve stalled at residual %.3e" % (what, resid))
+    x, it, resid, history = _steklov_newton(system, x0, tol, max_iter, what,
+                                            contact)
     return _extract_solution(system, x, it, resid, history)
 
 
@@ -475,12 +478,11 @@ def solve_transmission(system, tol=None, max_iter=200):
     """Smooth coupled solve: no contact constraint, no friction."""
     if np.any(system.friction.F > 0):
         raise ValueError("transmission solve requires zero friction bound")
-    return _solve(system, None, tol, max_iter, "transmission",
-                  bounds=np.array([], dtype=int))
+    return _solve(system, None, tol, max_iter, "transmission", contact=False)
 
 
 def solve_contact_vi(system, tol=None, max_iter=200, x0=None):
-    """Friction-contact solve by active-set Newton on the exact energy."""
+    """Friction-contact solve by active-set Newton on the exact conditions."""
     return _solve(system, x0, tol, max_iter, "contact")
 
 
@@ -657,55 +659,12 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None, max_iter=200):
         y[nx:] = np.linalg.solve(lp.ops.V, lp.TU0 - lp.T @ (system.B @ x))
     idx_n = system.nU + system.idx_zn            # global coordinates of v_n dofs
     slip = system.friction.F > 0
-    idx_f = system.nU + system.idx_zt[slip]      # Z_t dofs with a friction bound
-    F = system.friction.F[slip]
-    c = scale = _residual_scale(system)
-
-    def ss_residual(R, yv):
-        # NCP functions: min(-v_n, lam_n) and mu_t - proj_[-F,F](mu_t + c Z_t)
-        out = R.copy()
-        out[idx_n] = np.minimum(-yv[idx_n], -R[idx_n])
-        out[idx_f] = -R[idx_f] - np.clip(-R[idx_f] + c * yv[idx_f], -F, F)
-        return out
-
-    resid = np.inf
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        R = lp.residual(y)
-        resid = np.abs(ss_residual(R, y)).max()
-        if resid <= tol * scale:
-            break
-        J = lp.jacobian(y)
-        rhs = -R
-        # active contact and sticking friction rows become identity rows
-        # (v_n = 0, Z_t = 0); slipping friction rows carry the force F sign(q)
-        q = -R[idx_f] + c * y[idx_f]
-        rhs[idx_f] -= F * np.sign(q)
-        fixed = np.concatenate([idx_n[(-R[idx_n] + c * y[idx_n]) > 0],
-                                idx_f[np.abs(q) <= F]])
-        keep = ~np.isin(J.row, fixed)
-        J = sp.coo_matrix((np.concatenate([J.data[keep], np.ones(len(fixed))]),
-                           (np.concatenate([J.row[keep], fixed]),
-                            np.concatenate([J.col[keep], fixed]))), shape=J.shape)
-        rhs[fixed] = -y[fixed]
-        dy = spla.spsolve(J.tocsc(), rhs, permc_spec=_ORDERING)
-        if not np.all(np.isfinite(dy)):
-            raise SolverError("layer-potential Newton step failed")
-        t = 1.0
-        for _ls in range(40):
-            cand = y + t * dy
-            rc = ss_residual(lp.residual(cand), cand)
-            if np.abs(rc).max() <= (1 - 1e-4 * t) * resid + 1e-300:
-                break
-            t *= 0.5
-        y = y + t * dy
-
-    if resid > tol * scale:
-        raise SolverError("layer-potential solve stalled at %.3e" % resid)
-
+    y, R, iters, resid, history = _active_set_newton(
+        y, lp.residual, lp.jacobian, idx_n, system.nU + system.idx_zt[slip],
+        system.friction.F[slip], _residual_scale(system), tol, max_iter,
+        "layer-potential")
     U, Z, P = lp.split(y)
     x = y[:nx]
-    R = lp.residual(y)
     ns = len(system.slip_nodes)
     return DiscreteSolution(
         u=U, z=Z, v=system.Es @ Z, w=system.B @ x, phi=P,
@@ -715,4 +674,4 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None, max_iter=200):
         compat_residual=(float(np.abs(lp.compat_rows @ P).max())
                          if system.ncompat else 0.0),
         objective=system.objective(x),
-        iterations=iters, residual=resid)
+        iterations=iters, residual=resid, residual_history=history)

@@ -40,6 +40,21 @@ def test_invalid_p_names_key(tmp_path, capsys):
     assert "material.p" in err
 
 
+def test_solver_error_exit_code(tmp_path, capsys, monkeypatch):
+    import febe.cli
+    from febe.vi import SolverError
+
+    def fail(cfg, system):
+        raise SolverError("contact solve stalled at residual 1.000e+00")
+
+    monkeypatch.setattr(febe.cli, "solve_from_config", fail)
+    cfg = write_cfg(tmp_path, "out.dir = %s\n" % (tmp_path / "out"))
+    assert main(["solve", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "solver error: contact solve stalled at residual 1.000e+00\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config("nonsense.key = 1\n")
