@@ -61,7 +61,7 @@ def run_adaptive(mesh, build_fn, solve_fn, estimate_fn,
     records = []
     solutions = []
     for level in range(max_levels):
-        t0 = time.time()
+        t0 = time.perf_counter()
         system = build_fn(mesh)
         sol = solve_fn(system)
         ind = estimate_fn(system, sol)
@@ -79,7 +79,7 @@ def run_adaptive(mesh, build_fn, solve_fn, estimate_fn,
             estimator_parts={k: ind.term_value(k) for k in ind.parts},
             error=err,
             iterations=sol.iterations,
-            wall_time=time.time() - t0)
+            wall_time=time.perf_counter() - t0)
         records.append(rec)
         solutions.append((system, sol, ind))
         if out_dir is not None:

@@ -7,10 +7,14 @@ S = W + (M - K)^T V^{-1} (M - K), and rigid-body stabilization data.
 
 Inner integrals over source panels are analytic; outer integrals use Gauss
 rules graded toward shared vertices.  Assembly makes one pass per source
-panel: pair classes (self, cyclic neighbour, near, far) come from index masks,
-and one evaluation of the panel's inner integrals at the observation points
-of all rows yields its V, Ghat and K blocks.  Kernels: 2D Laplace (scalar
-exterior field) and 2D Lame (vector exterior field).
+panel: a pair-class table (self, cyclic neighbour, near, far) picks each
+row's outer rule, the panel's scalar inner integrals are evaluated once at
+the outer points of all rows and contracted with the outer weights, and
+then one d x d block of V, Ghat and K is built per (row, panel) pair; the
+blocks are linear in the integrals.  Each kernel names the integrals it
+reads, and only those are computed (three for Laplace, sixteen for Lame).
+For Laplace, Ghat is V.  Kernels: 2D Laplace (scalar exterior field) and
+2D Lame (vector exterior field).
 """
 
 from __future__ import annotations
@@ -128,21 +132,19 @@ def fundamental_solution(coeffs, x, y):
 
 
 class _LaplaceKernel:
-    """Scalar exterior Laplace: G = -(1/2pi) log|x-y|."""
+    """Scalar exterior Laplace: G = -(1/2pi) log|x-y|.  The W kernel Ghat
+    equals G, so the Ghat matrix is V."""
 
     d = 1
+    prims = ("ilog0", "s1_0", "s1_t")       # primitives the blocks read
+    k_prims = ("s1_0", "s1_t")              # read by k_blocks (off-line points)
+    ghat_is_v = True
 
     def __init__(self):
         self.c_log = 1.0 / (2 * np.pi)      # G = c_log * (-log rho)
-        self.c_dyad = 0.0
-        self.w_log = 1.0 / (2 * np.pi)      # Ghat = w_log * (-log rho)
-        self.w_dyad = 0.0
 
     def v_block(self, prim, geo):
         return self.c_log * prim["ilog0"][:, None, None]
-
-    def ghat_block(self, prim, geo):
-        return self.w_log * prim["ilog0"][:, None, None]
 
     def k_blocks(self, prim, geo):
         # dlp kernel (x-y).n_y / (2 pi rho^2) = eta/(2 pi rho^2);
@@ -154,9 +156,6 @@ class _LaplaceKernel:
     def v_self(self, L, that):
         return np.array([[L * L * (1.5 - np.log(L)) / (2 * np.pi)]])
 
-    def ghat_self(self, L, that):
-        return self.v_self(L, that)
-
     def k_self_inner(self, prim, geo):
         z = np.zeros_like(prim["s1_0"])
         return z[:, None, None], z[:, None, None]
@@ -166,6 +165,10 @@ class _LameKernel:
     """2D Lame kernel set for exterior coefficients (mu, lambda)."""
 
     d = 2
+    k_prims = ("s1_0", "s1_t", "s2_0", "s2_t", "p2_0", "p2_t",
+               "p1_0", "p1_t", "p0_0", "p0_t")
+    prims = ("ilog0", "dy00", "dy01", "dy11") + k_prims + ("pv0", "pvt")
+    ghat_is_v = False
 
     def __init__(self, coeffs):
         lam, mu = coeffs.lam, coeffs.mu
@@ -245,12 +248,29 @@ class _LameKernel:
 # analytic inner integrals over one source panel
 # ---------------------------------------------------------------------------
 
-def _primitives(panel_A, that, nhat, L, X):
-    """Definite inner integrals over the source panel for observation points X.
+class _Memo(dict):
+    """Values computed on first access by rules[key](self).  The rules get
+    the memo as an argument rather than by closure, so no reference cycle
+    keeps a call's arrays alive until the next garbage collection."""
+
+    def __init__(self, rules):
+        super().__init__()
+        self.rules = rules
+
+    def __missing__(self, key):
+        val = self[key] = self.rules[key](self)
+        return val
+
+
+def _primitives(keys, panel_A, that, nhat, L, X):
+    """Definite inner integrals `keys` over the source panel at observation
+    points X, plus the on-line mask "online".
 
     Frame coordinates: xi = (x-A).that, eta = (x-A).nhat, u in [-xi, L-xi].
     All returned combinations are finite; |eta| < _ONLINE_REL*L uses the
-    on-line (principal-value) branch.
+    on-line (principal-value) branch.  The shared core is computed always;
+    a combination, and a subexpression some combinations share, only when
+    it is asked for, and once.
     """
     X = np.atleast_2d(X)
     rel = X - panel_A[None, :]
@@ -273,53 +293,63 @@ def _primitives(panel_A, that, nhat, L, X):
     dat = at2 - at1
     dlog = log2 - log1
 
-    p = {}
-    # int (-log rho), plain and tau/L weighted
-    ulog1 = np.where(np.abs(u1) < tiny, 0.0, u1 * log1)
-    ulog2 = np.where(np.abs(u2) < tiny, 0.0, u2 * log2)
-    p["ilog0"] = -(ulog2 - ulog1 - (u2 - u1) + eta * dat)
-    prim_ulog = 0.5 * (r2s * log2 - r1s * log1) - 0.25 * (r2s - r1s)
-    p["ilog_t"] = (-prim_ulog + xi * p["ilog0"]) / L
-    # dyadic /rho^2 pieces
-    p["dy00"] = (u2 - u1) - eta * dat
-    p["dy01"] = -eta * dlog
-    p["dy11"] = eta * dat
-    # dlp combos
-    p["s1_0"] = dat
-    p["s1_t"] = (eta * dlog + xi * dat) / L
-    p["s2_0"] = dlog
-    p["s2_t"] = ((u2 - u1) - eta * dat + xi * dlog) / L
-    p["p2_0"] = np.where(online, 0.0, -0.5 * eta * (u2 / r2s - u1 / r1s) + 0.5 * dat)
-    p["p2_t"] = np.where(
-        online, 0.0,
-        (eta * dlog + 0.5 * eta ** 3 * (1 / r2s - 1 / r1s)
-         + xi * (-0.5 * eta * (u2 / r2s - u1 / r1s) + 0.5 * dat)) / L)
-    p["p1_0"] = -0.5 * eta ** 2 * (1 / r2s - 1 / r1s)
-    p["p1_t"] = (np.where(online, 0.0,
-                          -0.5 * eta ** 2 * (u2 / r2s - u1 / r1s) + 0.5 * eta * dat)
-                 + xi * p["p1_0"]) / L
-    p["p0_0"] = np.where(online, 0.0, 0.5 * eta * (u2 / r2s - u1 / r1s) + 0.5 * dat)
-    p["p0_t"] = (np.where(online, 0.0, -0.5 * eta ** 3 * (1 / r2s - 1 / r1s))
-                 + xi * p["p0_0"]) / L
-    # on-line principal values of int w/u (Lame self/collinear rotation term)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pv = np.where(online, np.log(np.maximum(np.abs(u2), tiny))
-                      - np.log(np.maximum(np.abs(u1), tiny)), 0.0)
-    p["pv0"] = pv
-    p["pvt"] = np.where(online, (u2 - u1) / L, 0.0) + xi * pv / L
+    def ilog0(g):
+        # int (-log rho)
+        ulog1 = np.where(np.abs(u1) < tiny, 0.0, u1 * log1)
+        ulog2 = np.where(np.abs(u2) < tiny, 0.0, u2 * log2)
+        return -(ulog2 - ulog1 - (u2 - u1) + eta * dat)
+
+    def pv0(g):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(online, np.log(np.maximum(np.abs(u2), tiny))
+                            - np.log(np.maximum(np.abs(u1), tiny)), 0.0)
+
+    rules = {
+        # subexpressions shared by several combinations
+        "dq": lambda g: u2 / r2s - u1 / r1s,
+        "dinv": lambda g: 1 / r2s - 1 / r1s,
+        "eta3": lambda g: eta ** 3,
+        "ilog0": ilog0,
+        # dyadic /rho^2 pieces
+        "dy00": lambda g: (u2 - u1) - eta * dat,
+        "dy01": lambda g: -eta * dlog,
+        "dy11": lambda g: eta * dat,
+        # dlp combos, plain and tau/L weighted
+        "s1_0": lambda g: dat,
+        "s1_t": lambda g: (eta * dlog + xi * dat) / L,
+        "s2_0": lambda g: dlog,
+        "s2_t": lambda g: ((u2 - u1) - eta * dat + xi * dlog) / L,
+        "p2_0": lambda g: np.where(online, 0.0, -0.5 * eta * g["dq"] + 0.5 * dat),
+        "p2_t": lambda g: np.where(
+            online, 0.0,
+            (eta * dlog + 0.5 * g["eta3"] * g["dinv"]
+             + xi * (-0.5 * eta * g["dq"] + 0.5 * dat)) / L),
+        "p1_0": lambda g: -0.5 * eta ** 2 * g["dinv"],
+        "p1_t": lambda g: (np.where(online, 0.0,
+                                    -0.5 * eta ** 2 * g["dq"] + 0.5 * eta * dat)
+                           + xi * g["p1_0"]) / L,
+        "p0_0": lambda g: np.where(online, 0.0, 0.5 * eta * g["dq"] + 0.5 * dat),
+        "p0_t": lambda g: (np.where(online, 0.0, -0.5 * g["eta3"] * g["dinv"])
+                           + xi * g["p0_0"]) / L,
+        # on-line principal values of int w/u (Lame self/collinear rotation term)
+        "pv0": pv0,
+        "pvt": lambda g: np.where(online, (u2 - u1) / L, 0.0) + xi * g["pv0"] / L,
+    }
+    g = _Memo(rules)
+    p = {k: g[k] for k in keys}
     p["online"] = online
     return p
 
 
 def _inner(kernel, bspace, m, X):
-    """Inner integrals of all kernel families over panel m at observation points X.
+    """Pointwise kernel blocks of panel m at observation points X.
 
-    Returns the (n, d, d) blocks (V, Ghat, K0, Kt); K0/Kt carry the start/end
-    node weights 1 - tau/L and tau/L, with principal values at on-line points.
+    Returns the (n, d, d) blocks (V, K0, Kt); K0/Kt carry the start/end node
+    weights 1 - tau/L and tau/L, with principal values at on-line points.
     """
     that = bspace.tangents[m]
     nhat = bspace.normals[m]
-    prim = _primitives(bspace.A[m], that, nhat, bspace.lengths[m], X)
+    prim = _primitives(kernel.prims, bspace.A[m], that, nhat, bspace.lengths[m], X)
     geo = (that, nhat)
     k0, kt = kernel.k_blocks(prim, geo)
     if np.any(prim["online"]):
@@ -327,7 +357,7 @@ def _inner(kernel, bspace, m, X):
         mask = prim["online"][:, None, None]
         k0 = np.where(mask, s0, k0)
         kt = np.where(mask, st, kt)
-    return kernel.v_block(prim, geo), kernel.ghat_block(prim, geo), k0, kt
+    return kernel.v_block(prim, geo), k0, kt
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +404,81 @@ def _kernel_for(coeffs):
     return _LaplaceKernel() if coeffs is None else _LameKernel(coeffs)
 
 
+def _pair_blocks(ker, bspace, quad_order):
+    """(L, L, d, d) Galerkin blocks of V, Ghat and the start/end node parts
+    of K for every (row panel, source panel) pair.  For Laplace the Ghat
+    array is the V array."""
+    d = ker.d
+    L = bspace.n_panels
+    q = max(4, int(quad_order))
+    lengths = bspace.lengths
+
+    # pair classes, by row and source panel: 0 far, 1 near, 2 the row is the
+    # next panel, 3 the previous one, 4 self; on a simple loop, sharing a
+    # vertex means cyclic neighbours.  Midpoint distances via a matmul
+    # self-dot, which rounds like the 1-D norm of each difference
+    panel = np.arange(L)
+    nxt = (panel + 1) % L
+    prv = (panel - 1) % L
+    dm = bspace.mids[:, None, :] - bspace.mids[None, :, :]
+    dist = np.sqrt((dm[..., None, :] @ dm[..., :, None])[..., 0, 0])
+    pair_class = (dist < 1.5 * np.maximum(lengths[:, None], lengths[None, :])).astype(int)
+    pair_class[nxt, panel] = 2
+    pair_class[prv, panel] = 3
+    pair_class[panel, panel] = 4
+
+    # outer rule per class: plain Gauss for far rows, finer for near rows,
+    # graded toward the shared vertex for neighbours and toward both ends
+    # for self.  The outer points and weights of every panel under every
+    # rule, once, flat; first[c, l] is where panel l's points under rule c start
+    xga, wga = graded_gauss(levels=12, order=8, toward_zero=True)
+    rules = (segment_gauss(q), segment_gauss(3 * q), (xga, wga), (1.0 - xga, wga),
+             (np.concatenate([0.5 * xga, 1.0 - 0.5 * xga]),
+              np.concatenate([0.5 * wga, 0.5 * wga])))
+    pts = np.concatenate([bspace.panel_points(t).reshape(-1, 2) for t, _ in rules])
+    wts = np.concatenate([(lengths[:, None] * w[None, :]).ravel() for _, w in rules])
+    n_rule = np.array([len(t) for t, _ in rules])
+    first = (np.cumsum(L * n_rule) - L * n_rule)[:, None] + n_rule[:, None] * panel
+
+    Vfull = np.zeros((L, L, d, d))
+    Gfull = Vfull if ker.ghat_is_v else np.zeros((L, L, d, d))
+    K0full = np.zeros((L, L, d, d))   # weight (1 - tau/L): node = panel_start[m]
+    Ktfull = np.zeros((L, L, d, d))   # weight tau/L:       node = panel_end[m]
+    kprim = [ker.prims.index(k) for k in ker.k_prims]
+
+    # one pass per source panel m: one evaluation of its inner integrals at
+    # the outer points of all rows, contracted with the outer weights into
+    # one value per row, then one d x d block per (row, m) pair; the blocks
+    # are linear in the integrals
+    for m in range(L):
+        cls = pair_class[:, m]
+        nq = n_rule[cls]
+        seg = np.cumsum(nq) - nq                 # row l's points start at seg[l]
+        idx = np.repeat(first[cls, panel] - seg, nq) + np.arange(seg[-1] + nq[-1])
+        geo = (bspace.tangents[m], bspace.normals[m])
+        prim = _primitives(ker.prims, bspace.A[m], *geo, lengths[m], pts[idx])
+        P = np.stack([prim[k] for k in ker.prims])
+        # on-line points take the principal value (k_self_inner, from pv0/pvt,
+        # which vanish off the line) in place of the k_blocks integrals
+        online = np.flatnonzero(prim["online"])
+        P[np.ix_(kprim, online)] = 0.0
+        red = dict(zip(ker.prims, np.add.reduceat(P * wts[idx], seg, axis=1)))
+        Vfull[:, m] = ker.v_block(red, geo)
+        if not ker.ghat_is_v:
+            Gfull[:, m] = ker.ghat_block(red, geo)
+        k0, kt = ker.k_blocks(red, geo)
+        s0, st = ker.k_self_inner(red, geo)
+        K0full[:, m] = k0 + s0
+        Ktfull[:, m] = kt + st
+
+    # self pairs: analytic V and Ghat
+    for l in range(L):
+        Vfull[l, l] = ker.v_self(lengths[l], bspace.tangents[l])
+        if not ker.ghat_is_v:
+            Gfull[l, l] = ker.ghat_self(lengths[l], bspace.tangents[l])
+    return Vfull, Gfull, K0full, Ktfull
+
+
 def assemble_operators(bspace, coeffs=None, quad_order=8, check_scaling=True):
     """Assemble V, K, W and the mass couplings for the given exterior kernel."""
     if check_scaling and bspace.diameter() >= 1.0:
@@ -383,74 +488,23 @@ def assemble_operators(bspace, coeffs=None, quad_order=8, check_scaling=True):
     d = ker.d
     L = bspace.n_panels
     M = bspace.n_nodes
-    q = max(4, int(quad_order))
     lengths = bspace.lengths
-
-    # outer rules: plain Gauss for far rows, finer for near rows, graded
-    # toward the shared vertex for neighbours and toward both ends for self
-    xg, wg = segment_gauss(q)
-    xgn, wgn = segment_gauss(3 * q)
-    xga, wga = graded_gauss(levels=12, order=8, toward_zero=True)
-    xgs = np.concatenate([0.5 * xga, 1.0 - 0.5 * xga])
-    wgs = np.concatenate([0.5 * wga, 0.5 * wga])
-
-    # pair classes; on a simple loop, sharing a vertex means cyclic neighbours
-    panel = np.arange(L)
-    nxt = (panel + 1) % L
-    prv = (panel - 1) % L
-    # midpoint distances via a matmul self-dot, which rounds like the 1-D
-    # norm of each difference
-    dm = bspace.mids[:, None, :] - bspace.mids[None, :, :]
-    dist = np.sqrt((dm[..., None, :] @ dm[..., :, None])[..., 0, 0])
-    near = dist < 1.5 * np.maximum(lengths[:, None], lengths[None, :])
-
-    Vfull = np.zeros((L, L, d, d))
-    Gfull = np.zeros((L, L, d, d))
-    K0full = np.zeros((L, L, d, d))   # weight (1 - tau/L): node = panel_start[m]
-    Ktfull = np.zeros((L, L, d, d))   # weight tau/L:       node = panel_end[m]
-
-    # one pass per source panel m: every row's outer points in one evaluation
-    for m in range(L):
-        other = (panel != m) & (panel != nxt[m]) & (panel != prv[m])
-        groups = (
-            (np.nonzero(other & ~near[:, m])[0], xg, wg),
-            (np.nonzero(other & near[:, m])[0], xgn, wgn),
-            (nxt[m:m + 1], xga, wga),
-            (prv[m:m + 1], 1.0 - xga, wga),
-            (panel[m:m + 1], xgs, wgs),
-        )
-        pts = [bspace.panel_points(t, rows).reshape(-1, 2) for rows, t, _ in groups]
-        blocks = _inner(ker, bspace, m, np.concatenate(pts))
-        start = 0
-        for rows, t, w in groups:
-            stop = start + len(rows) * len(t)
-            wl = w[None, :] * lengths[rows][:, None]
-            for full, blk in zip((Vfull, Gfull, K0full, Ktfull), blocks):
-                full[rows, m] = np.einsum("lq,lqab->lab", wl,
-                                          blk[start:stop].reshape(len(rows), len(t), d, d))
-            start = stop
-
-    # self pairs: analytic V and Ghat
-    for l in range(L):
-        Vfull[l, l] = ker.v_self(lengths[l], bspace.tangents[l])
-        Gfull[l, l] = ker.ghat_self(lengths[l], bspace.tangents[l])
+    Vfull, Gfull, K0full, Ktfull = _pair_blocks(ker, bspace, quad_order)
 
     # flatten to (dL, dL) / (dL, dM)
-    def flat_ll(Mfull):
-        return Mfull.transpose(0, 2, 1, 3).reshape(L * d, L * d)
+    def flat_sym(Mfull):
+        A = Mfull.transpose(0, 2, 1, 3).reshape(L * d, L * d)
+        return 0.5 * (A + A.T)
 
-    V = flat_ll(Vfull)
-    Gpair = flat_ll(Gfull)
-    V = 0.5 * (V + V.T)
-    Gpair = 0.5 * (Gpair + Gpair.T)
+    V = flat_sym(Vfull)
+    Gpair = V if ker.ghat_is_v else flat_sym(Gfull)
 
-    # scatter panel blocks to nodes; every node gets exactly two contributions
-    Kp = np.zeros((L, M, d, d))
-    np.add.at(Kp, (slice(None), bspace.panel_start), K0full)
-    np.add.at(Kp, (slice(None), bspace.panel_end), Ktfull)
+    # scatter panel blocks to nodes: node j starts panel j and ends panel j-1
+    Kp = K0full + np.roll(Ktfull, 1, axis=1)
     Kpv = Kp.transpose(0, 2, 1, 3).reshape(L * d, M * d)
 
     comp = np.arange(d)
+    panel = np.arange(L)
     prow = (panel[:, None] * d + comp).ravel()                  # P0 dof a of panel m
     n0 = (bspace.panel_start[:, None] * d + comp).ravel()       # P1 dof a of its start
     n1 = (bspace.panel_end[:, None] * d + comp).ravel()         # P1 dof a of its end
@@ -557,7 +611,7 @@ def eval_layer_potentials(bspace, coeffs, density, wcoef, X):
     vphi = np.zeros((len(X), d))
     kw = np.zeros((len(X), d))
     for m in range(bspace.n_panels):
-        vb, _, k0, kt = _inner(ker, bspace, m, X)       # (n, d, d) each
+        vb, k0, kt = _inner(ker, bspace, m, X)          # (n, d, d) each
         n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
         vphi += np.einsum("nab,b->na", vb, dens[m])
         kw += np.einsum("nab,b->na", k0, w[n0]) + np.einsum("nab,b->na", kt, w[n1])

@@ -145,12 +145,12 @@ class Manufactured:
 
 
 def _stress_t0(law, exact_grad):
-    def t0(pts, normal):
+    def t0(pts, normals):
         g = exact_grad(pts)
         sig = mat.stress(law, g)
         if law.mode == mat.MODE_MATRIX:
-            return np.einsum("nij,j->ni", sig, normal)
-        return sig @ normal
+            return np.einsum("nij,nj->ni", sig, normals)
+        return np.einsum("ni,ni->n", sig, normals)
     return t0
 
 

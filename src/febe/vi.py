@@ -56,7 +56,7 @@ class FrictionData:
 class ProblemData:
     f: object = None          # callable pts -> (n,) or (n,2)
     u0: object = None         # callable pts -> (n,) or (n,2)
-    t0: object = None         # callable (pts, normal) -> (n,) or (n,2)
+    t0: object = None         # callable (pts (n,2), normals (n,2)) -> (n,) or (n,2)
     friction: object = None   # callable pts -> (n,) nonneg bound on Gamma_s
 
 
@@ -165,8 +165,9 @@ class CoupledSystem:
 
     def _boundary_moments(self, t0):
         """P1 moments of a traction given as panel values (L, d), which the
-        midpoint rule integrates exactly, or as a callable (pts, panel
-        normal), called once per panel on its 4 Gauss points."""
+        midpoint rule integrates exactly, or as a callable (pts, normals),
+        called once on the 4 Gauss points of every panel with each point's
+        panel normal."""
         bs = self.bspace
         if t0 is None:
             return np.zeros(bs.n_nodes * self.d)
@@ -174,8 +175,8 @@ class CoupledSystem:
             t, w, vals = np.array([0.5]), np.array([1.0]), t0
         else:
             t, w = segment_gauss(4)
-            pts = bs.panel_points(t)
-            vals = [t0(pts[l], bs.normals[l]) for l in range(bs.n_panels)]
+            vals = t0(bs.panel_points(t).reshape(-1, 2),
+                      np.repeat(bs.normals, len(t), axis=0))
         return bs.p1_moments(np.reshape(vals, (bs.n_panels, len(t), self.d)), t, w)
 
     def friction_bound(self, t, panels):

@@ -132,7 +132,7 @@ def test_criterion_4_vi_exactness():
         data = ProblemData(
             f=lambda p, c=c: c[0] + c[1] * p[:, 0] + c[2] * p[:, 1],
             u0=lambda p, c=c: 0.4 * c[3] * p[:, 0] * p[:, 1],
-            t0=lambda p, nv, c=c: c[4] * p[:, 0] * nv[0] - c[0] * nv[1],
+            t0=lambda p, nv, c=c: c[4] * p[:, 0] * nv[:, 0] - c[0] * nv[:, 1],
             friction=lambda p, c=c: 0.03 + 0.03 * abs(c[2]) * (p[:, 0] - 0.6))
         sys_ = build_system(mesh, law_s, data)
         sol = solve_contact_vi(sys_)

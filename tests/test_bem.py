@@ -353,12 +353,14 @@ def test_lame_dipole_on_square_geometry():
 
 
 def _count_primitives(monkeypatch):
+    """Record (number of observation points, returned keys) per call."""
     calls = []
     prim = bem._primitives
 
     def counted(*args):
-        calls.append(len(np.atleast_2d(args[-1])))
-        return prim(*args)
+        out = prim(*args)
+        calls.append((len(np.atleast_2d(args[-1])), set(out)))
+        return out
 
     monkeypatch.setattr(bem, "_primitives", counted)
     return calls
@@ -373,7 +375,12 @@ def test_assembly_evaluates_each_source_panel_once(monkeypatch, lame):
     assert len(calls) == bs.n_panels
     # each call covers the outer points of every row: far/near Gauss rules,
     # both graded neighbour rules and the split self rule
-    assert min(calls) > 3 * bs.n_panels
+    assert min(n for n, _ in calls) > 3 * bs.n_panels
+    # only the integrals the kernel reads are computed
+    for _, keys in calls:
+        assert "ilog_t" not in keys
+        if not lame:
+            assert keys == {"ilog0", "s1_0", "s1_t", "online"}
 
 
 @pytest.mark.parametrize("lame", [False, True])
@@ -449,3 +456,82 @@ def test_p1_moments_is_adjoint_of_p1_values(d):
     t, w = segment_gauss(4)
     ones = bs.p1_moments(np.ones((bs.n_panels, len(t), d)), t, w)
     assert np.isclose(ones.sum(), d * bs.lengths.sum(), rtol=1e-14)
+
+
+def _assembly_meshes():
+    from febe.mesh import refine
+    from febe.presets import lshape_text
+    graded = refine_uniform(load_mesh(struct_square(2, lo=0.1, hi=0.6), scale=False), 1)
+    graded = refine(graded, np.random.default_rng(7).choice(len(graded.triangles), 5,
+                                                            replace=False))
+    return {
+        # on-line points only on the self panel
+        "circle": circle_mesh(32, 0.4),
+        # collinear rows along each side
+        "square": refine_uniform(load_mesh(struct_square(4, lo=0.1, hi=0.6), scale=False), 1),
+        # near rows of mixed lengths
+        "graded": graded,
+        # re-entrant corner
+        "lshape": load_mesh(lshape_text(4)),
+    }
+
+
+@pytest.mark.parametrize("kernel", ["laplace", "lame"])
+def test_contracted_assembly_matches_pointwise_blocks(monkeypatch, kernel):
+    # the per-point-block assembly and the all-integrals primitives it
+    # replaced are the reference: the contraction moves before the (linear)
+    # block build, so the operators agree to rounding; every integral the
+    # kernel reads and the pointwise evaluation agree bit for bit
+    from conftest import (reference_layer_potentials, reference_pair_blocks,
+                          reference_primitives)
+    co = ExteriorCoefficients(mu=1.0, lam=1.3) if kernel == "lame" else None
+    prim = bem._primitives
+    for name, m in _assembly_meshes().items():
+        bs = bem.BoundarySpace(m)
+        recorded = []
+        monkeypatch.setattr(bem, "_primitives", lambda *a: recorded.append(a) or prim(*a))
+        ops = bem.assemble_operators(bs, co)
+        monkeypatch.undo()
+        assert len(recorded) == bs.n_panels
+        for keys, *args in recorded:
+            new, ref = prim(keys, *args), reference_primitives(*args)
+            assert set(new) == set(keys) | {"online"}
+            for k in new:
+                assert np.array_equal(new[k], ref[k]), (name, k)
+
+        monkeypatch.setattr(bem, "_pair_blocks", reference_pair_blocks)
+        ref_ops = bem.assemble_operators(bs, co)
+        monkeypatch.undo()
+        for a, b in ((ops.V, ref_ops.V), (ops.K, ref_ops.K), (ops.W, ref_ops.W),
+                     (ops.steklov_poincare(), ref_ops.steklov_poincare())):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
+
+        d = ops.d
+        rng = np.random.default_rng(3)
+        on = bs.panel_points(np.array([0.2, 0.5, 0.9])).reshape(-1, 2)
+        lo, hi = bs.nodes.min(axis=0), bs.nodes.max(axis=0)
+        off = rng.uniform(lo - 0.1, hi + 0.1, size=(9, 2))
+        X = np.concatenate([on, bs.nodes, off])
+        dens = rng.normal(size=bs.n_panels * d)
+        w = rng.normal(size=bs.n_nodes * d)
+        for a, b in zip(bem.eval_layer_potentials(bs, co, dens, w, X),
+                        reference_layer_potentials(bs, co, dens, w, X)):
+            assert np.array_equal(a, b), name
+
+
+def test_assembly_leaves_no_reference_cycles():
+    # the arrays of each source panel's integrals are freed when its call
+    # returns, not at the next garbage collection, so peak memory does not
+    # grow with the number of panels
+    import gc
+    bs = bem.BoundarySpace(circle_mesh(24, 0.4))
+    co = ExteriorCoefficients(mu=1.0, lam=1.3)
+    gc.collect()
+    gc.disable()
+    try:
+        bem.assemble_operators(bs, co)
+        bem.eval_layer_potentials(bs, co, np.ones(2 * bs.n_panels),
+                                  np.ones(2 * bs.n_nodes), bs.mids)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

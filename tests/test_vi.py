@@ -183,7 +183,7 @@ def _scalar_oracle_systems():
             return 0.3 * c[3] * p[:, 0] * p[:, 1]
 
         def t0(p, nv, c=c):
-            return c[1] * p[:, 0] * nv[0] - c[0] * nv[1] - _mean(c)
+            return c[1] * p[:, 0] * nv[:, 0] - c[0] * nv[:, 1] - _mean(c)
 
         def g(p, c=c):
             return 0.05 + 0.04 * abs(c[2]) * (p[:, 0] - 0.6)
@@ -649,7 +649,8 @@ def _boundary_moments_loop(system, t0):
     xq, wq = segment_gauss(4)
     for l in range(bs.n_panels):
         pts = bs.A[l][None, :] + xq[:, None] * (bs.B[l] - bs.A[l])[None, :]
-        vals = np.asarray(t0(pts, bs.normals[l]), dtype=float).reshape(len(xq), d)
+        nrm = np.tile(bs.normals[l], (len(xq), 1))
+        vals = np.asarray(t0(pts, nrm), dtype=float).reshape(len(xq), d)
         w0 = bs.lengths[l] * wq * (1 - xq)
         w1 = bs.lengths[l] * wq * xq
         for a in range(d):
@@ -686,6 +687,39 @@ def test_boundary_moments_match_panel_loops(vector):
     panel = np.random.default_rng(22).normal(size=(sys_.bspace.n_panels, sys_.d))
     assert np.array_equal(sys_._boundary_moments(panel),
                           _boundary_moments_loop(sys_, panel))
+
+
+def _per_panel_traction_moments(system, exact_grad):
+    """t0b under the per-panel contract: the preset traction (stress times
+    normal) called once per panel with that panel's single normal."""
+    from febe.quadrature import segment_gauss
+    bs, law = system.bspace, system.law
+
+    def t0(pts, normal):
+        sig = mat.stress(law, exact_grad(pts))
+        if law.mode == mat.MODE_MATRIX:
+            return np.einsum("nij,j->ni", sig, normal)
+        return sig @ normal
+
+    t, w = segment_gauss(4)
+    pts = bs.panel_points(t)
+    vals = [t0(pts[l], bs.normals[l]) for l in range(bs.n_panels)]
+    return bs.p1_moments(np.reshape(vals, (bs.n_panels, len(t), system.d)), t, w)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_traction_callable_called_once(vector):
+    # the scalar and vector presets through the one-call (pts, normals)
+    # contract, against the per-panel calls it replaced
+    p = 3.0 if vector else 1.5
+    sys_ = graded_slip_system(vector, p=p)
+    man = (presets.vector_smooth if vector else presets.scalar_quadratic)(sys_.law)
+    calls = []
+    t0b = sys_._boundary_moments(lambda *a: calls.append(a) or man.data.t0(*a))
+    assert len(calls) == 1
+    assert np.array_equal(t0b, sys_.t0b)
+    ref = _per_panel_traction_moments(sys_, man.exact_grad)
+    assert np.abs(t0b - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("vector", [False, True])
