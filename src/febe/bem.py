@@ -543,7 +543,6 @@ class RigidBodyBasis:
     """L2-orthonormal piecewise-constant projections of the rigid motions."""
 
     xi: np.ndarray        # (dL, D)
-    rigid_p1: np.ndarray  # (dM, D) nodal traces of the rigid motions
 
     @property
     def dim(self):
@@ -570,7 +569,7 @@ def rigid_motions(bspace, d):
 
 def stabilization_data(bspace, ops):
     """Gram-Schmidt of rigid-motion P0 projections in the boundary L2 product."""
-    p0, p1 = rigid_motions(bspace, ops.d)
+    p0 = rigid_motions(bspace, ops.d)[0]
     w = ops.M0
     xi = p0.astype(float).copy()
     for j in range(xi.shape[1]):
@@ -578,7 +577,7 @@ def stabilization_data(bspace, ops):
             xi[:, j] -= (xi[:, i] * w) @ xi[:, j] * xi[:, i]
         nrm = np.sqrt((xi[:, j] * w) @ xi[:, j])
         xi[:, j] /= nrm
-    return RigidBodyBasis(xi=xi, rigid_p1=p1)
+    return RigidBodyBasis(xi=xi)
 
 
 def stabilization_vectors(ops, basis):

@@ -133,30 +133,39 @@ def load_data_file(path, bspace, ncomp):
     """File-borne nodal boundary data: CSV rows 'kind,index,comp,value'.
 
     kinds: u0_node (P1 nodal values), t0_panel (per-panel tractions),
-    F_node (nodal friction bound).  Returns a ProblemData.
+    F_node (nodal friction bound, comp 0).  Returns a ProblemData.  A
+    malformed row, or an index or component out of range, is a ConfigError.
     """
     from .vi import ProblemData
-    u0 = np.zeros(bspace.n_nodes * ncomp)
+    u0 = np.zeros((bspace.n_nodes, ncomp))
     t0 = np.zeros((bspace.n_panels, ncomp))
-    F = np.zeros(bspace.n_nodes)
+    F = np.zeros((bspace.n_nodes, 1))
+    arrays = {"u0_node": u0, "t0_panel": t0, "F_node": F}
     seen = set()
     with open(path) as fh:
-        for raw in fh:
+        for ln, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#") or line.startswith("kind"):
                 continue
-            kind, idx, comp, val = line.split(",")
-            idx, comp, val = int(idx), int(comp), float(val)
+            where = "%s line %d" % (path, ln)
+            fields = line.split(",")
+            if len(fields) != 4:
+                raise ConfigError("%s: expected 'kind,index,comp,value', got %r"
+                                  % (where, line))
+            kind = fields[0].strip()
+            if kind not in arrays:
+                raise ConfigError("%s: unknown data kind %r" % (where, kind))
+            try:
+                idx, comp, val = int(fields[1]), int(fields[2]), float(fields[3])
+            except ValueError:
+                raise ConfigError("%s: bad number in %r" % (where, line))
+            arr = arrays[kind]
+            if not (0 <= idx < arr.shape[0] and 0 <= comp < arr.shape[1]):
+                raise ConfigError("%s: %s index %d, comp %d outside %d x %d"
+                                  % ((where, kind, idx, comp) + arr.shape))
+            arr[idx, comp] = val
             seen.add(kind)
-            if kind == "u0_node":
-                u0[idx * ncomp + comp] = val
-            elif kind == "t0_panel":
-                t0[idx, comp] = val
-            elif kind == "F_node":
-                F[idx] = val
-            else:
-                raise ConfigError("unknown data kind %r in %s" % (kind, path))
     return ProblemData(f=None,
-                       u0=u0 if "u0_node" in seen else None,
+                       u0=u0.reshape(-1) if "u0_node" in seen else None,
                        t0=t0 if "t0_panel" in seen else None,
-                       friction=F if "F_node" in seen else None)
+                       friction=F[:, 0] if "F_node" in seen else None)

@@ -4,7 +4,8 @@ For p = 2 the discrete problem is a QP with nodewise |.|-terms and bounds;
 the oracle enumerates every contact/stick/slip pattern, solves the smooth
 equality-constrained subproblem, and returns the feasible minimum.  For
 p != 2 a long-horizon projected subgradient descent provides an approximate
-reference with a reported gap.
+reference with a reported gap; it works in the full coordinates (U, Z) and
+keeps the compatibility rows C x = c0 by projection.
 """
 
 from __future__ import annotations
@@ -113,30 +114,40 @@ def oracle_vi(system, max_constrained=12, subgrad_iterations=200000):
 def oracle_subgradient(system, iterations=200000, step0=None):
     """Projected subgradient descent reference for p != 2 instances.
 
+    Each step moves x = (U, Z) along the subgradient projected onto null(C),
+    clips v_n <= 0, and restores C x = c0 by the least-norm change of U.
     Returns (best objective, best x, gap estimate from the last tenth).
     """
-    red = system.reduction
-    z = red.z0(np.zeros(system.nU + system.nZ))
-    bound = red.bound_red
+    nU, n = system.nU, system.nU + system.nZ
+    C, c0 = system.C, system.c0
+    Q = np.linalg.qr(C.T)[0]                   # orthonormal basis of range(C^T)
+    lift = np.linalg.pinv(C[:, :nU])           # least-norm U for a C defect
+    bound = nU + system.idx_zn
+
+    def restore(x):
+        x[:nU] += lift @ (c0 - C @ x)
+        return x
+
+    x = restore(np.zeros(n))
     if step0 is None:
         step0 = 0.1
     best_val, best_x = np.inf, None
     vals = []
     for k in range(1, int(iterations) + 1):
-        x = red.x(z)
         g = system.grad_smooth(x)
         if system.nZ and len(system.friction.F):
-            idx = system.nU + system.idx_zt
+            idx = nU + system.idx_zt
             s = x[idx]
             sub = np.where(s != 0, np.sign(s), 0.0)
             g[idx] += system.friction.F * sub
-        gz = red.N.T @ g
-        gnorm = max(np.linalg.norm(gz), 1e-300)
-        z = z - step0 / (np.sqrt(k) * gnorm) * gz
-        z[bound] = np.minimum(z[bound], 0.0)
-        val = system.objective(red.x(z))
+        g -= Q @ (Q.T @ g)
+        gnorm = max(np.linalg.norm(g), 1e-300)
+        x = x - step0 / (np.sqrt(k) * gnorm) * g
+        x[bound] = np.minimum(x[bound], 0.0)
+        restore(x)
+        val = system.objective(x)
         if val < best_val:
-            best_val, best_x = val, red.x(z)
+            best_val, best_x = val, x.copy()
         if k > iterations * 0.9:
             vals.append(val)
     gap = float(np.std(vals)) if vals else np.inf

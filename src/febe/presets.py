@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import material as mat
-from .mesh import load_mesh
 from .vi import ProblemData
 
 SQUARE_LO, SQUARE_HI = 0.6, 1.0
@@ -121,12 +120,6 @@ MESH_PRESETS = {
     "lshape": lambda n=4: lshape_text(n),
     "circle": lambda n=32: circle_text(n),
 }
-
-
-def mesh_from_preset(name, n):
-    if name not in MESH_PRESETS:
-        raise ValueError("unknown mesh preset %r" % name)
-    return load_mesh(MESH_PRESETS[name](n), scale=False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,21 @@ nodal normal/tangential coordinates, and (layer-potential formulation) a
 piecewise-constant boundary density P.  The contact constraint v_n <= 0 is
 enforced nodewise; Tresca friction uses the mass-lumped bound F_k and the
 exact nonsmooth term sum_k F_k |Z_t,k|.  The n=2 compatibility constraints
-<S 1_j, w - u0> = 0 are eliminated exactly through pivot substitution.
+<S 1_j, w - u0> = 0 are rows C x = c0 with a Lagrange multiplier lam, which
+borders the Steklov-Poincare system.
 
 Both formulations are solved by one primal-dual active-set (semismooth)
 Newton core on the exact conditions, min(-v_n, lam_n) = 0 and
 mu_t = clip(mu_t + c Z_t, -F, F); they differ only in residual and Jacobian
-(the reduced energy gradient, or the layer-potential block residual).  An
+(the bordered energy gradient, or the layer-potential block residual).  An
 active v_n and a sticking Z_t are held at zero; every other coordinate takes
 a Newton step, a slipping Z_t with its friction force.  The step length comes
 from an Armijo search on the squared NCP residual.
 
-Per Newton step only the FE tangent changes.  The constant parts of the
-Newton matrix are built once per system: N^T H_bd N and the U-rows of the
-null-space basis N (Steklov-Poincare form), the W, K, V and stabilization
-blocks (layer-potential form).  Each step adds the tangent to them, and
+Per Newton step only the FE tangent changes.  The constant part of the
+Newton matrix is built once per system, as COO: [[H_bd, C^T], [C, 0]]
+(Steklov-Poincare form), or the W, K, V and stabilization blocks
+(layer-potential form).  Each step adds the tangent to it, and
 SuperLU factors the result with the symmetric minimum-degree ordering on
 A^T + A.  SuperLU does not raise on an exactly singular matrix; it warns and
 returns NaN, and the solver raises SolverError, as it does when the line
@@ -253,79 +254,12 @@ class CoupledSystem:
         return float(np.abs(self.C @ x - self.c0).max())
 
     @cached_property
-    def reduction(self):
-        """Elimination of the compatibility rows, built on first use."""
-        return _Reduction(self)
-
-
-# -- reduced space (exact elimination of the compatibility constraints) -------
-
-class _Reduction:
-    def __init__(self, system):
-        n = system.nU + system.nZ
-        C, c0 = system.C, system.c0
-        ncon = C.shape[0]
-        self.n = n
-        # pivots among boundary-trace U dofs (never Z): greedy max-pivot Gauss
-        allowed = np.zeros(n, dtype=bool)
-        allowed[system.Tr.indices] = True
-        piv = []
-        work = C.copy()
-        for i in range(ncon):
-            row = work[i]
-            cand = np.where(allowed, np.abs(row), 0.0)
-            j = int(np.argmax(cand))
-            if cand[j] == 0.0:
-                raise SolverError("compatibility rows are degenerate")
-            piv.append(j)
-            allowed[j] = False
-            for k in range(ncon):
-                if k != i:
-                    work[k] = work[k] - work[k, j] / row[j] * row
-        self.pivots = np.asarray(piv, dtype=int)
-        self.free = np.setdiff1d(np.arange(n), self.pivots)
-        CP = C[:, self.pivots]
-        CF = C[:, self.free]
-        self.CPinv = np.linalg.inv(CP)
-        xp = np.zeros(n)
-        xp[self.pivots] = self.CPinv @ c0
-        self.xp = xp
-        # N: x = xp + N z ;  x_free = z, x_piv = -CP^{-1} CF z
-        rows = list(self.free)
-        cols = list(range(len(self.free)))
-        vals = [1.0] * len(self.free)
-        M = -self.CPinv @ CF                      # (ncon, nfree)
-        for i, p in enumerate(self.pivots):
-            nz = np.nonzero(M[i])[0]
-            rows.extend([p] * len(nz))
-            cols.extend(nz.tolist())
-            vals.extend(M[i, nz].tolist())
-        self.N = sp.csr_matrix((vals, (rows, cols)), shape=(n, len(self.free)))
-        # bound coordinates (v_n) and friction coordinates (Z_t with F > 0)
-        # in reduced numbering; as free coordinates they have x = z
-        lookup = -np.ones(n, dtype=int)
-        lookup[self.free] = np.arange(len(self.free))
-        slip = system.friction.F > 0
-        self.bound_red = lookup[system.nU + system.idx_zn]
-        self.fric_red = lookup[system.nU + system.idx_zt[slip]]
-        if np.any(self.bound_red < 0) or np.any(self.fric_red < 0):
-            raise SolverError("a constrained dof was chosen as pivot")
-        self.fric_F = system.friction.F[slip]
-        # the Newton matrix N^T (Hu (+) 0 + H_bd) N changes only through Hu
-        self.NT = self.N.T.tocsr()
-        self.NU = self.N[:system.nU]
-        self.NUT = self.NU.T.tocsr()
-        self.H_const = (self.NT @ system.H_bd @ self.N).tocsr()
-
-    def newton_matrix(self, Hu):
-        """The reduced Hessian N^T (Hu (+) 0 + H_bd) N."""
-        return self.NUT @ Hu @ self.NU + self.H_const
-
-    def x(self, z):
-        return self.xp + self.N @ z
-
-    def z0(self, x):
-        return x[self.free] - self.xp[self.free]
+    def J_const(self):
+        """Constant part of the Newton matrix over y = (U, Z, lam), built on
+        first use in COO format: the bordered compatibility system
+        [[H_bd, C^T], [C, 0]].  Each step adds the FE tangent."""
+        C = sp.csr_matrix(self.C)
+        return sp.bmat([[self.H_bd, C.T], [C, None]]).tocoo()
 
 
 # SuperLU column ordering of every Newton solve: minimum degree on A^T + A
@@ -345,14 +279,15 @@ def _active_set_newton(y, residual, jacobian, idx_n, idx_f, F, scale, tol,
     contact bound y[idx_n] <= 0, multiplier -R[idx_n] >= 0, and Tresca
     friction on y[idx_f], friction force -R[idx_f] in [-F, F].
 
-    residual(y) is the gradient of the smooth part (Steklov-Poincare) or the
-    block residual (layer-potential); jacobian(y) is its derivative as a
-    sparse matrix.  The NCP residual Phi replaces the bound rows by
-    min(-y_n, -R_n) and the friction rows by mu - clip(mu + c y_f, -F, F),
-    mu = -R_f, c = scale.  Each step holds active contact and sticking
-    friction rows at zero (identity rows); a slipping row carries the force
-    F sign(mu + c y_f).  Armijo backtracking on |Phi|_2^2.  A singular Newton
-    matrix, an exhausted line search and a stall raise SolverError.
+    residual(y) is the block residual of either formulation (the smooth
+    gradient bordered by the compatibility rows, or the layer-potential
+    rows); jacobian(y) is its derivative as a sparse matrix.  The NCP
+    residual Phi replaces the bound rows by min(-y_n, -R_n) and the friction
+    rows by mu - clip(mu + c y_f, -F, F), mu = -R_f, c = scale.  Each step
+    holds active contact and sticking friction rows at zero (identity rows);
+    a slipping row carries the force F sign(mu + c y_f).  Armijo backtracking
+    on |Phi|_2^2.  A singular Newton matrix, an exhausted line search and a
+    stall raise SolverError.
 
     Returns y, R(y), the iteration count, |Phi|_inf and |Phi|_2 per
     accepted iterate.
@@ -406,6 +341,17 @@ def _active_set_newton(y, residual, jacobian, idx_n, idx_f, F, scale, tol,
     raise SolverError("%s solve stalled at residual %.3e" % (what, resid))
 
 
+def _block_jacobian(system, J0, U):
+    """Newton matrix of either formulation: the constant block J0 plus the FE
+    tangent at U in its leading nU x nU block, in COO format with duplicate
+    entries to be summed."""
+    Hu = fem.assemble_tangent(system.space, system.law, U).tocoo()
+    return sp.coo_matrix(
+        (np.concatenate([J0.data, Hu.data]),
+         (np.concatenate([J0.row, Hu.row]),
+          np.concatenate([J0.col, Hu.col]))), shape=J0.shape)
+
+
 def _smooth_coords(system, n):
     """Mask of the coordinates without a friction or bound term."""
     other = np.ones(n, dtype=bool)
@@ -422,7 +368,7 @@ def _compat_multiplier(system, g):
     return np.linalg.lstsq(system.C[:, other].T, -g[other], rcond=None)[0]
 
 
-def _extract_solution(system, x, iters, resid, history):
+def _extract_solution(system, x, lam, iters, resid, history):
     U, Z = system.split(x)
     g = system.grad_smooth(x)
     ns = len(system.slip_nodes)
@@ -430,7 +376,7 @@ def _extract_solution(system, x, iters, resid, history):
     return DiscreteSolution(
         u=U, z=Z, v=system.Es @ Z, w=system.w_of(x),
         lam_n=lam_n, mu_t=-g[system.nU + system.idx_zt],
-        compat_mult=_compat_multiplier(system, g),
+        compat_mult=lam,
         compat_residual=system.compat_residual(x),
         objective=system.objective(x),
         iterations=iters, residual=resid, residual_history=history)
@@ -441,24 +387,33 @@ def default_tolerance(law):
 
 
 def _steklov_newton(system, x0, tol, max_iter, what, contact):
-    """The active-set core on the reduced Steklov-Poincare energy."""
-    red = system.reduction
-    space, law, nU = system.space, system.law, system.nU
-    z, _, it, resid, history = _active_set_newton(
-        red.z0(np.asarray(x0, dtype=float)),
-        lambda z: red.NT @ system.grad_smooth(red.x(z)),
-        lambda z: red.newton_matrix(
-            fem.assemble_tangent(space, law, red.x(z)[:nU])),
-        red.bound_red if contact else np.array([], dtype=int),
-        red.fric_red, red.fric_F, _residual_scale(system), tol, max_iter, what)
-    return red.x(z), it, resid, history
+    """The active-set core on the Steklov-Poincare energy, bordered by the
+    compatibility rows: y = (U, Z, lam) solves grad_smooth(x) + C^T lam = 0
+    and C x = c0.  lam starts at the least-squares multiplier of x0."""
+    n, nU = system.nU + system.nZ, system.nU
+    C, c0 = system.C, system.c0
+    x0 = np.asarray(x0, dtype=float)
+    lam0 = _compat_multiplier(system, system.grad_smooth(x0))
+    y0 = np.concatenate([x0, lam0])
+
+    def residual(y):
+        x, lam = y[:n], y[n:]
+        return np.concatenate([system.grad_smooth(x) + C.T @ lam, C @ x - c0])
+
+    slip = system.friction.F > 0
+    y, _, it, resid, history = _active_set_newton(
+        y0, residual, lambda y: _block_jacobian(system, system.J_const, y[:nU]),
+        nU + system.idx_zn if contact else np.array([], dtype=int),
+        nU + system.idx_zt[slip], system.friction.F[slip],
+        _residual_scale(system), tol, max_iter, what)
+    return y[:n], y[n:], it, resid, history
 
 
 def _p2_warm_start(system, contact=True):
     """Minimizer of the same problem with the linear (p = 2) law."""
     p2 = copy.copy(system)
     p2.law = MaterialLaw(p=2.0, kind="plaplace", mode=system.law.mode)
-    p2.reduction = system.reduction
+    p2.J_const = system.J_const
     x, *_ = _steklov_newton(p2, np.zeros(system.nU + system.nZ),
                             default_tolerance(p2.law), 100, "p = 2 warm start",
                             contact)
@@ -470,9 +425,9 @@ def _solve(system, x0, tol, max_iter, what, contact=True):
     if x0 is None:
         x0 = (_p2_warm_start(system, contact) if system.law.p != 2.0
               else np.zeros(system.nU + system.nZ))
-    x, it, resid, history = _steklov_newton(system, x0, tol, max_iter, what,
-                                            contact)
-    return _extract_solution(system, x, it, resid, history)
+    x, lam, it, resid, history = _steklov_newton(system, x0, tol, max_iter,
+                                                 what, contact)
+    return _extract_solution(system, x, lam, it, resid, history)
 
 
 def solve_transmission(system, tol=None, max_iter=200):
@@ -632,13 +587,7 @@ class LayerPotentialSystem:
     def jacobian(self, y):
         """Jacobian of the residual at y in COO format, with duplicate entries
         to be summed: the constant blocks plus the FE tangent."""
-        sys = self.sp
-        Hu = fem.assemble_tangent(sys.space, sys.law, y[:self.nU]).tocoo()
-        J0 = self.J_const
-        return sp.coo_matrix(
-            (np.concatenate([J0.data, Hu.data]),
-             (np.concatenate([J0.row, Hu.row]),
-              np.concatenate([J0.col, Hu.col]))), shape=J0.shape)
+        return _block_jacobian(self.sp, self.J_const, y[:self.nU])
 
 
 def solve_layerpotential_vi(system, stabilized=False, tol=None, max_iter=200):

@@ -97,6 +97,22 @@ def test_check_compat_builds_system_once(tmp_path, monkeypatch, capsys):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("row", [
+    "u0_node,0,1,5.0",          # component 1 of a scalar problem
+    "F_node,-1,0,2.0",          # negative node index
+    "t0_panel,1000,0,1.0",      # panel index past the end
+    "F_node,0,2.0",             # three fields
+])
+def test_bad_data_file_row_is_config_error(tmp_path, capsys, row):
+    datafile = tmp_path / "data.csv"
+    datafile.write_text("kind,index,comp,value\nu0_node,0,0,0.0\n%s\n" % row)
+    cfg = write_cfg(tmp_path, "data.file = %s\nout.dir = %s\n"
+                    % (datafile, tmp_path / "out"))
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s line 3: " % datafile)
+
+
 def test_study_single_level(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "out.dir = %s\n" % (tmp_path / "out_study"))
     assert main(["study", "--config", cfg, "--levels", "1"]) == 0

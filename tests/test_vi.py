@@ -1,3 +1,6 @@
+import dataclasses
+from functools import cached_property
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -426,17 +429,20 @@ def test_p15_uniform_convergence():
     assert all(0.9 <= r["rate"] <= 1.1 for r in rows[1:])
 
 
-# -- solver structure: shared reduction, safeguards --------------------------
+# -- solver structure: shared constant block, safeguards ---------------------
 
-def test_reduction_built_once_per_system(monkeypatch):
+def test_constant_block_built_once_per_system(monkeypatch):
+    # the p = 2 warm start shares the bordered block of its system
     built = []
-    init = vi._Reduction.__init__
+    block = vi.CoupledSystem.J_const.func
 
-    def counting(self, system):
-        built.append(system)
-        init(self, system)
+    def counting(self):
+        built.append(self)
+        return block(self)
 
-    monkeypatch.setattr(vi._Reduction, "__init__", counting)
+    prop = cached_property(counting)
+    prop.__set_name__(vi.CoupledSystem, "J_const")
+    monkeypatch.setattr(vi.CoupledSystem, "J_const", prop)
     sys_c, _ = scalar_system("transition", p=1.5, n=4, refines=2, slip=("b",))
     solve_contact_vi(sys_c)
     solve_contact_vi(sys_c)
@@ -513,34 +519,12 @@ def test_contact_set_found_in_few_steps(refines):
 
 # -- Newton matrices from cached constant blocks vs. full assembly ----------
 
-def _full_newton_matrix(system, Hu, keep):
-    """Reduced Newton matrix assembled from the whole Hessian on every step."""
-    H = (sp.block_diag([Hu, sp.csr_matrix((system.nZ, system.nZ))]).tocsr()
-         + system.H_bd)
-    N = system.reduction.N
-    return (N.T @ H @ N).tocsr()[keep][:, keep]
-
-
-@pytest.mark.parametrize("case", ["transition-p1.5", "stick-vec-p2"])
-def test_newton_matrix_matches_full_assembly(case):
-    if case == "transition-p1.5":
-        sys_, _ = scalar_system("transition", p=1.5, n=4, refines=1, slip=("b",))
-        assert sys_.ncompat == 1
-    else:
-        sys_, _ = vector_system("stick-vec", n=4)
-        assert sys_.ncompat == 2
-    red = sys_.reduction
-    rng = np.random.default_rng(5)
-    x = red.x(rng.normal(size=len(red.free)))
-    Hu = fem.assemble_tangent(sys_.space, sys_.law, x[:sys_.nU])
-    keep = np.ones(len(red.free), dtype=bool)
-    keep[red.bound_red[::2]] = False       # hold every other v_n coordinate
-    keep = np.nonzero(keep)[0]
-    if case == "stick-vec-p2":
-        assert len(keep) < len(red.free)
-    H = red.newton_matrix(Hu).tocsr()[keep][:, keep].toarray()
-    ref = _full_newton_matrix(sys_, Hu, keep).toarray()
-    assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
+def _block_sp_jacobian(system, y):
+    """Bordered Steklov-Poincare Jacobian assembled block by block."""
+    Hu = fem.assemble_tangent(system.space, system.law, y[:system.nU])
+    H = sp.block_diag([Hu, sp.csr_matrix((system.nZ, system.nZ))]) + system.H_bd
+    C = sp.csr_matrix(system.C)
+    return sp.bmat([[H, C.T], [C, None]]).tocsr()
 
 
 def _block_lp_jacobian(lp, y):
@@ -560,13 +544,22 @@ def _block_lp_jacobian(lp, y):
     return J
 
 
-@pytest.mark.parametrize("stabilized", [False, True])
+@pytest.mark.parametrize("stabilized", [False, True, None])
 def test_layerpotential_jacobian_matches_block_assembly(stabilized):
+    # stabilized=None: the Steklov-Poincare Jacobian over (U, Z, lam), from
+    # the same helper on its bordered constant block
     sys_, _ = vector_system("stick-vec", p=1.5, n=4)
-    lp = vi.LayerPotentialSystem(sys_, stabilized=stabilized)
-    y = np.random.default_rng(6).normal(size=lp.n)
-    J = lp.jacobian(y).toarray()
-    ref = _block_lp_jacobian(lp, y).toarray()
+    rng = np.random.default_rng(6)
+    if stabilized is None:
+        assert sys_.ncompat == 2
+        y = rng.normal(size=sys_.nU + sys_.nZ + sys_.ncompat)
+        J = vi._block_jacobian(sys_, sys_.J_const, y[:sys_.nU]).toarray()
+        ref = _block_sp_jacobian(sys_, y).toarray()
+    else:
+        lp = vi.LayerPotentialSystem(sys_, stabilized=stabilized)
+        y = rng.normal(size=lp.n)
+        J = lp.jacobian(y).toarray()
+        ref = _block_lp_jacobian(lp, y).toarray()
     assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -803,16 +796,31 @@ def test_compat_rows_are_rigid_motion_moments(vector):
         build_system(sys_.space.mesh, sys_.law, sys_.data, ncompat=len(dirs) + 1)
 
 
-def test_reduction_without_compatibility_rows_is_identity():
+def test_contact_solve_without_compatibility_rows():
     law = mat.MaterialLaw(p=2.0, mode=mat.MODE_MATRIX)
     m = load_mesh(presets.square_text(2, slip=("b",)), scale=False)
     sys_ = build_system(m, law, presets.vector_stick(law).data, ncompat=0)
-    red = sys_.reduction
     n = sys_.nU + sys_.nZ
     assert sys_.C.shape == (0, n) and sys_.c0.shape == (0,)
-    assert np.array_equal(red.free, np.arange(n)) and len(red.pivots) == 0
-    assert np.array_equal(red.xp, np.zeros(n))
-    assert (red.N != sp.identity(n)).nnz == 0
-    assert np.array_equal(red.bound_red, sys_.nU + sys_.idx_zn)
+    assert sys_.J_const.shape == (n, n)
     sol = solve_contact_vi(sys_)
     assert sol.converged and sol.compat_residual == 0.0
+    assert sol.compat_mult.shape == (0,)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_compat_mult_is_least_squares_multiplier(vector):
+    # a constant traction violates the compatibility condition, so the
+    # compatibility rows carry a nonzero multiplier
+    if vector:
+        sys_, man = vector_system("stick-vec", n=4)
+    else:
+        sys_, man = scalar_system("transition", p=1.5, n=4, refines=1, slip=("b",))
+    t0 = np.tile(np.arange(1.0, sys_.d + 1), (sys_.bspace.n_panels, 1))
+    sys_ = build_system(sys_.space.mesh, sys_.law,
+                        dataclasses.replace(man.data, t0=t0))
+    sol = solve_contact_vi(sys_)
+    x = np.concatenate([sol.u, sol.z])
+    ref = vi._compat_multiplier(sys_, sys_.grad_smooth(x))
+    assert np.all(np.abs(ref) > 0.1)
+    assert np.abs(sol.compat_mult - ref).max() <= 1e-10 * np.abs(ref).max()
