@@ -49,7 +49,6 @@ class IndicatorBreakdown:
     boundary_terms: dict
     exponents: dict
     edge_index: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), int))
-    boundary_index: list = field(default_factory=list)
     edge_owner: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), int))
     boundary_owner: np.ndarray = None
     n_elements: int = 0
@@ -70,13 +69,7 @@ class IndicatorBreakdown:
         for name, vals in self.edge_terms.items():
             np.add.at(out, self.edge_owner.ravel(), np.repeat(0.5 * vals, 2))
         for name, vals in self.boundary_terms.items():
-            np.add.at(out, self.boundary_owner[self.boundary_index], vals)
-        return out
-
-    def boundary_indicator(self):
-        out = np.zeros(len(self.boundary_index))
-        for vals in self.boundary_terms.values():
-            out += vals
+            np.add.at(out, self.boundary_owner, vals)
         return out
 
 
@@ -306,7 +299,6 @@ def _residual_estimate(system, sol, data_residual, phi, quad_order):
         exponents={"p_prime": pp, "q_prime": qp, "r_prime": rp, "q": q,
                    "r": law.r},
         edge_index=edges, edge_owner=owners,
-        boundary_index=list(range(system.bspace.n_panels)),
         boundary_owner=panel_owner,
         n_elements=len(system.space.mesh.triangles))
 
@@ -431,7 +423,6 @@ def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
         element_terms=element_terms, edge_terms={},
         boundary_terms=boundary_terms,
         exponents={"p_prime": pp, "q": law.q, "r": law.r},
-        boundary_index=list(range(bs.n_panels)),
         boundary_owner=panel_owner,
         n_elements=len(mesh.triangles))
 
@@ -447,7 +438,7 @@ def indicators_csv(ind, path):
             rows.append("edge,%s,%d-%d,%.17g,%.17g"
                         % (name, e[0], e[1], v, ind.powers[name]))
     for name, vals in ind.boundary_terms.items():
-        for e, v in zip(ind.boundary_index, vals):
+        for e, v in enumerate(vals):
             rows.append("boundary,%s,%d,%.17g,%.17g" % (name, e, v, ind.powers[name]))
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")

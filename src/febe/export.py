@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 
+from .vi import slip_fields
+
 FMT = "%.17g"
 
 
@@ -17,8 +19,8 @@ def export_fields(sol, system, directory, indicators=None):
     """Write solution.vtk with point/cell data, plus CSV mirrors.
 
     Point data: displacement u (vector), boundary fields v_n, v_t, sigma_n,
-    sigma_t (zero off the contact boundary).  Cell data: per-triangle
-    indicator values when given.
+    sigma_t from vi.slip_fields (zero off the slip nodes).  Cell data:
+    per-triangle indicator values when given.
     """
     os.makedirs(directory, exist_ok=True)
     mesh = system.space.mesh
@@ -27,21 +29,9 @@ def export_fields(sol, system, directory, indicators=None):
     nt = len(mesh.triangles)
     u = sol.u.reshape(nv, d)
 
-    vn = np.zeros(nv)
-    vt = np.zeros(nv)
-    sn = np.zeros(nv)
-    st = np.zeros(nv)
-    fr = system.friction
-    if len(fr.nodes):
-        omega = np.maximum(fr.omega, 1e-300)
-        verts = system.bspace.loop[system.slip_nodes]
-        if d == 2:
-            vn[verts] = sol.z[system.idx_zn]
-            vt[verts] = sol.z[system.idx_zt]
-            sn[verts] = -sol.lam_n / omega
-        else:
-            vt[verts] = sol.z
-        st[verts] = -sol.mu_t / omega
+    fields = np.zeros((4, nv))          # v_n, v_t, sigma_n, sigma_t
+    fields[:, system.bspace.loop[system.slip_nodes]] = slip_fields(sol, system)[:4]
+    vn, vt, sn, st = fields
 
     cell_ind = (np.asarray(indicators, dtype=float)
                 if indicators is not None else np.zeros(nt))

@@ -110,14 +110,9 @@ class FESpace:
         return vals.reshape(-1, 2).reshape(-1)
 
 
-def assemble_residual(space, law, coeffs, quad_order=4):
-    """Vector with entries <A'(strain(u_h)), strain(phi_i)>.
-
-    Exact for P1 (the integrand is constant per element); quad_order is
-    validated for interface consistency with the load assembly.
-    """
-    if quad_order < 2:
-        raise ValueError("quadrature order below 2 rejected")
+def assemble_residual(space, law, coeffs):
+    """Vector with entries <A'(strain(u_h)), strain(phi_i)>, exact for P1
+    (the integrand is constant per element)."""
     eps = space.strains(coeffs)
     sig = mat.stress(law, eps)
     bs = space.basis_strains

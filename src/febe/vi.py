@@ -10,11 +10,15 @@ borders the Steklov-Poincare system.
 
 Both formulations are solved by one primal-dual active-set (semismooth)
 Newton core on the exact conditions, min(-v_n, lam_n) = 0 and
-mu_t = clip(mu_t + c Z_t, -F, F); they differ only in residual and Jacobian
-(the bordered energy gradient, or the layer-potential block residual).  An
-active v_n and a sticking Z_t are held at zero; every other coordinate takes
-a Newton step, a slipping Z_t with its friction force.  The step length comes
-from an Armijo search on the squared NCP residual.
+mu_t = clip(mu_t + c Z_t, -F, F); they differ only in their block form, a
+residual and a constant Jacobian block (the energy gradient bordered by the
+compatibility rows, or the layer-potential block residual).  An active v_n
+and a sticking Z_t are held at zero; every other coordinate takes a Newton
+step, a slipping Z_t with its friction force.  The step length comes from an
+Armijo search on the squared NCP residual.  The multipliers lam_n and mu_t of
+a solution are the solved residual rows of the v_n and Z_t coordinates, for
+both formulations, and the KKT report and the field export read the same
+nodal stresses from them (slip_fields).
 
 Per Newton step only the FE tangent changes.  The constant part of the
 Newton matrix is built once per system, as COO: [[H_bd, C^T], [C, 0]]
@@ -48,7 +52,6 @@ class SolverError(RuntimeError):
 
 @dataclass
 class FrictionData:
-    nodes: np.ndarray          # slip node indices into the boundary loop
     F: np.ndarray              # lumped friction bound int_{Gamma_s} F psi_k
     omega: np.ndarray          # lumped hat weights int psi_k over slip panels
 
@@ -68,7 +71,7 @@ class DiscreteSolution:
     v: np.ndarray
     w: np.ndarray
     phi: np.ndarray = None
-    lam_n: np.ndarray = None          # multipliers of v_n <= 0 (>= 0)
+    lam_n: np.ndarray = None          # multipliers of v_n <= 0 (>= 0), empty if d=1
     mu_t: np.ndarray = None           # friction dual (|mu| <= F)
     compat_mult: np.ndarray = None
     compat_residual: float = 0.0
@@ -199,7 +202,7 @@ class CoupledSystem:
         bs = self.bspace
         nodes = self.slip_nodes
         if len(nodes) == 0:
-            return FrictionData(nodes=nodes, F=np.zeros(0), omega=np.zeros(0))
+            return FrictionData(F=np.zeros(0), omega=np.zeros(0))
         xq, wq = segment_gauss(4)
         slip = np.nonzero(bs.slip_panels())[0]
         g = np.zeros((bs.n_panels, len(xq)))
@@ -208,7 +211,7 @@ class CoupledSystem:
             raise ValueError("friction bound must be nonnegative")
         F = bs.p1_moments(g, xq, wq)[nodes]
         omega = bs.p1_moments(np.ones_like(g), xq, wq)[nodes]
-        return FrictionData(nodes=nodes, F=F, omega=omega)
+        return FrictionData(F=F, omega=omega)
 
     def _data_compat_residual(self):
         """int f . c + <t0, c> per constant direction (should vanish for n=2)."""
@@ -252,6 +255,14 @@ class CoupledSystem:
         if self.ncompat == 0:
             return 0.0
         return float(np.abs(self.C @ x - self.c0).max())
+
+    def residual(self, y):
+        """Bordered residual over y = (U, Z, lam): the smooth gradient plus
+        C^T lam, and the compatibility rows C x - c0."""
+        n = self.nU + self.nZ
+        x, lam = y[:n], y[n:]
+        return np.concatenate([self.grad_smooth(x) + self.C.T @ lam,
+                               self.C @ x - self.c0])
 
     @cached_property
     def J_const(self):
@@ -368,45 +379,45 @@ def _compat_multiplier(system, g):
     return np.linalg.lstsq(system.C[:, other].T, -g[other], rcond=None)[0]
 
 
-def _extract_solution(system, x, lam, iters, resid, history):
-    U, Z = system.split(x)
-    g = system.grad_smooth(x)
-    ns = len(system.slip_nodes)
-    lam_n = -g[system.nU + system.idx_zn] if system.d == 2 else np.zeros(ns)
-    return DiscreteSolution(
-        u=U, z=Z, v=system.Es @ Z, w=system.w_of(x),
-        lam_n=lam_n, mu_t=-g[system.nU + system.idx_zt],
-        compat_mult=lam,
-        compat_residual=system.compat_residual(x),
-        objective=system.objective(x),
-        iterations=iters, residual=resid, residual_history=history)
-
-
 def default_tolerance(law):
     return 1e-10 if law.p == 2.0 else 1e-8
 
 
-def _steklov_newton(system, x0, tol, max_iter, what, contact):
-    """The active-set core on the Steklov-Poincare energy, bordered by the
-    compatibility rows: y = (U, Z, lam) solves grad_smooth(x) + C^T lam = 0
-    and C x = c0.  lam starts at the least-squares multiplier of x0."""
-    n, nU = system.nU + system.nZ, system.nU
-    C, c0 = system.C, system.c0
-    x0 = np.asarray(x0, dtype=float)
-    lam0 = _compat_multiplier(system, system.grad_smooth(x0))
-    y0 = np.concatenate([x0, lam0])
-
-    def residual(y):
-        x, lam = y[:n], y[n:]
-        return np.concatenate([system.grad_smooth(x) + C.T @ lam, C @ x - c0])
-
+def _newton(system, form, y0, tol, max_iter, what, contact=True):
+    """The active-set core on a block form of system (the CoupledSystem
+    itself, or its LayerPotentialSystem): form.residual with the Newton
+    matrix form.J_const plus the FE tangent, the bound rows of v_n (unless
+    contact is False) and the friction rows of the slip nodes with a
+    positive bound."""
+    nU = system.nU
     slip = system.friction.F > 0
-    y, _, it, resid, history = _active_set_newton(
-        y0, residual, lambda y: _block_jacobian(system, system.J_const, y[:nU]),
+    return _active_set_newton(
+        y0, form.residual, lambda y: _block_jacobian(system, form.J_const, y[:nU]),
         nU + system.idx_zn if contact else np.array([], dtype=int),
         nU + system.idx_zt[slip], system.friction.F[slip],
         _residual_scale(system), tol, max_iter, what)
-    return y[:n], y[n:], it, resid, history
+
+
+def _start(system, x0):
+    """Start (x0, lam0) of the bordered system: lam0 is the least-squares
+    multiplier of x0."""
+    x0 = np.asarray(x0, dtype=float)
+    return np.concatenate([x0, _compat_multiplier(system, system.grad_smooth(x0))])
+
+
+def _solution(system, y, R, iters, resid, history, compat_mult,
+              compat_residual, phi=None):
+    """DiscreteSolution of either formulation at the solved iterate y with
+    residual R: the multipliers lam_n and mu_t are the residual rows of the
+    v_n and Z_t coordinates."""
+    nU, n = system.nU, system.nU + system.nZ
+    x, Z = y[:n], y[nU:n]
+    return DiscreteSolution(
+        u=y[:nU], z=Z, v=system.Es @ Z, w=system.B @ x, phi=phi,
+        lam_n=-R[nU + system.idx_zn] + 0.0, mu_t=-R[nU + system.idx_zt],
+        compat_mult=compat_mult, compat_residual=compat_residual,
+        objective=system.objective(x),
+        iterations=iters, residual=resid, residual_history=history)
 
 
 def _p2_warm_start(system, contact=True):
@@ -414,20 +425,21 @@ def _p2_warm_start(system, contact=True):
     p2 = copy.copy(system)
     p2.law = MaterialLaw(p=2.0, kind="plaplace", mode=system.law.mode)
     p2.J_const = system.J_const
-    x, *_ = _steklov_newton(p2, np.zeros(system.nU + system.nZ),
-                            default_tolerance(p2.law), 100, "p = 2 warm start",
-                            contact)
-    return x
+    y, *_ = _newton(p2, p2, _start(p2, np.zeros(system.nU + system.nZ)),
+                    default_tolerance(p2.law), 100, "p = 2 warm start", contact)
+    return y[:system.nU + system.nZ]
 
 
 def _solve(system, x0, tol, max_iter, what, contact=True):
     tol = tol or default_tolerance(system.law)
+    n = system.nU + system.nZ
     if x0 is None:
         x0 = (_p2_warm_start(system, contact) if system.law.p != 2.0
-              else np.zeros(system.nU + system.nZ))
-    x, lam, it, resid, history = _steklov_newton(system, x0, tol, max_iter,
-                                                 what, contact)
-    return _extract_solution(system, x, lam, it, resid, history)
+              else np.zeros(n))
+    y, R, *run = _newton(system, system, _start(system, x0), tol, max_iter,
+                         what, contact)
+    return _solution(system, y, R, *run, compat_mult=y[n:],
+                     compat_residual=system.compat_residual(y[:n]))
 
 
 def solve_transmission(system, tol=None, max_iter=200):
@@ -442,29 +454,26 @@ def solve_contact_vi(system, tol=None, max_iter=200, x0=None):
     return _solve(system, x0, tol, max_iter, "contact")
 
 
-def kkt_residuals(sol, system):
-    """Nodewise maxima of the five Tresca contact conditions.
-
-    sigma_n, sigma_t are the variational (multiplier) stresses in stress
-    units; the bound density is F_k / omega_k.
-    """
+def slip_fields(sol, system):
+    """Nodal contact fields per slip node: v_n, v_t, the variational
+    (multiplier) stresses sigma_n = -lam_n / omega and sigma_t = -mu_t / omega
+    in stress units, and the bound density F / omega.  v_n and sigma_n are
+    zero for d = 1."""
     fr = system.friction
-    ns = len(system.slip_nodes)
-    if ns == 0:
-        z = 0.0
-        return {"sigma_n_positive": z, "gap_positive": z, "normal_compl": z,
-                "tangential_excess": z, "friction_compl": z}
     omega = np.maximum(fr.omega, 1e-300)
-    Fd = fr.F / omega
     if system.d == 2:
-        vn = sol.z[system.idx_zn]
-        vt = sol.z[system.idx_zt]
+        vn, vt = sol.z[system.idx_zn], sol.z[system.idx_zt]
         sigma_n = -sol.lam_n / omega
     else:
-        vn = np.zeros(ns)
-        vt = sol.z
-        sigma_n = np.zeros(ns)
-    sigma_t = sol.mu_t / omega * -1.0
+        vn, vt = np.zeros(len(omega)), sol.z
+        sigma_n = np.zeros(len(omega))
+    return vn, vt, sigma_n, -sol.mu_t / omega, fr.F / omega
+
+
+def kkt_residuals(sol, system):
+    """Nodewise maxima of the five Tresca contact conditions on the nodal
+    fields of slip_fields (all zero without slip nodes)."""
+    vn, vt, sigma_n, sigma_t, Fd = slip_fields(sol, system)
     return {
         "sigma_n_positive": float(np.max(np.maximum(sigma_n, 0.0), initial=0.0)),
         "gap_positive": float(np.max(np.maximum(vn, 0.0), initial=0.0)),
@@ -538,7 +547,6 @@ class LayerPotentialSystem:
         self.T = ops.Mb - ops.K            # (dL, dM)
         self.WU0 = ops.W @ system.U0
         self.TU0 = self.T @ system.U0
-        self.rhs_w = system.t0b + self.WU0
         # moments of the density against the first ncompat rigid motions
         p0 = rigid_motions(system.bspace, ops.d)[0][:, :system.ncompat]
         self.compat_rows = (ops.M0[:, None] * p0).T
@@ -556,10 +564,6 @@ class LayerPotentialSystem:
         else:
             self.stabA = None
         self.J_const = J.tocoo()
-
-    def split(self, y):
-        return (y[:self.nU], y[self.nU:self.nU + self.nZ],
-                y[self.nU + self.nZ:])
 
     def residual(self, y):
         """Residual of the smooth block system; the friction force is added
@@ -584,11 +588,6 @@ class LayerPotentialSystem:
             R[self.nU + self.nZ:] += add[self.ops.Mb.shape[1]:]
         return R
 
-    def jacobian(self, y):
-        """Jacobian of the residual at y in COO format, with duplicate entries
-        to be summed: the constant blocks plus the FE tangent."""
-        return _block_jacobian(self.sp, self.J_const, y[:self.nU])
-
 
 def solve_layerpotential_vi(system, stabilized=False, tol=None, max_iter=200):
     """Semismooth Newton (primal-dual active set on v_n <= 0 and on the
@@ -607,21 +606,9 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None, max_iter=200):
         x = _p2_warm_start(system)
         y[:nx] = x
         y[nx:] = np.linalg.solve(lp.ops.V, lp.TU0 - lp.T @ (system.B @ x))
-    idx_n = system.nU + system.idx_zn            # global coordinates of v_n dofs
-    slip = system.friction.F > 0
-    y, R, iters, resid, history = _active_set_newton(
-        y, lp.residual, lp.jacobian, idx_n, system.nU + system.idx_zt[slip],
-        system.friction.F[slip], _residual_scale(system), tol, max_iter,
-        "layer-potential")
-    U, Z, P = lp.split(y)
-    x = y[:nx]
-    ns = len(system.slip_nodes)
-    return DiscreteSolution(
-        u=U, z=Z, v=system.Es @ Z, w=system.B @ x, phi=P,
-        lam_n=-R[idx_n] + 0.0 if system.d == 2 else np.zeros(ns),
-        mu_t=-R[system.nU + system.idx_zt],
-        compat_mult=np.zeros(system.ncompat),
-        compat_residual=(float(np.abs(lp.compat_rows @ P).max())
-                         if system.ncompat else 0.0),
-        objective=system.objective(x),
-        iterations=iters, residual=resid, residual_history=history)
+    y, R, *run = _newton(system, lp, y, tol, max_iter, "layer-potential")
+    P = y[nx:]
+    return _solution(system, y, R, *run, compat_mult=np.zeros(system.ncompat),
+                     compat_residual=(float(np.abs(lp.compat_rows @ P).max())
+                                      if system.ncompat else 0.0),
+                     phi=P)

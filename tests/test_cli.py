@@ -113,6 +113,24 @@ def test_bad_data_file_row_is_config_error(tmp_path, capsys, row):
     assert err.startswith("config error: %s line 3: " % datafile)
 
 
+def test_exported_friction_stress_within_bound(tmp_path, capsys):
+    # a constant traction with nonzero mean loads the compatibility row, so
+    # the exported multiplier stress must carry its C^T lam term to stay
+    # within the friction bound 0.05
+    npanel = 16       # one bisection sweep leaves the 4 x 4 square's boundary as is
+    rows = ["kind,index,comp,value"]
+    rows += ["t0_panel,%d,0,1.0" % k for k in range(npanel)]
+    rows += ["F_node,%d,0,0.05" % k for k in range(npanel)]
+    datafile = tmp_path / "data.csv"
+    datafile.write_text("\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path, "material.p = 1.5\nmesh.preset = square-slip\n"
+                              "mesh.n = 4\ndata.file = %s\nout.dir = %s\n"
+                              % (datafile, tmp_path / "out"))
+    assert main(["solve", "--config", cfg]) == 0
+    fields = read_fields_csv(tmp_path / "out" / "fields.csv")
+    assert np.abs(fields["sigma_t"]).max() <= 0.05 * (1 + 1e-8)
+
+
 def test_study_single_level(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "out.dir = %s\n" % (tmp_path / "out_study"))
     assert main(["study", "--config", cfg, "--levels", "1"]) == 0

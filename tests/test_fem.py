@@ -79,13 +79,6 @@ def test_residual_constant_strain_single_triangle():
             assert R[2 * k + c] == pytest.approx(area * np.sum(sig * beps))
 
 
-def test_residual_quad_order_validation(unit_square):
-    space = fem.FESpace(unit_square)
-    law = mat.MaterialLaw(p=2.0)
-    with pytest.raises(ValueError):
-        fem.assemble_residual(space, law, np.zeros(space.ndof), quad_order=1)
-
-
 def _tangent_per_call(space, law, coeffs):
     """The tangent with the basis Gram array and the COO pattern rebuilt."""
     eps = space.strains(coeffs)

@@ -558,7 +558,7 @@ def test_layerpotential_jacobian_matches_block_assembly(stabilized):
     else:
         lp = vi.LayerPotentialSystem(sys_, stabilized=stabilized)
         y = rng.normal(size=lp.n)
-        J = lp.jacobian(y).toarray()
+        J = vi._block_jacobian(sys_, lp.J_const, y[:sys_.nU]).toarray()
         ref = _block_lp_jacobian(lp, y).toarray()
     assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -824,3 +824,5 @@ def test_compat_mult_is_least_squares_multiplier(vector):
     ref = vi._compat_multiplier(sys_, sys_.grad_smooth(x))
     assert np.all(np.abs(ref) > 0.1)
     assert np.abs(sol.compat_mult - ref).max() <= 1e-10 * np.abs(ref).max()
+    # the reported multipliers carry the C^T lam term the solve balanced
+    assert max(kkt_residuals(sol, sys_).values()) <= 1e-8
