@@ -6,19 +6,20 @@ boundary mass couplings, the discrete Steklov-Poincare operator
 S = W + (M - K)^T V^{-1} (M - K), and rigid-body stabilization data.
 
 Inner integrals over source panels are analytic; outer integrals use Gauss
-rules graded toward shared vertices.  Assembly makes one pass per source
-panel: a pair-class table (self, cyclic neighbour, near, far) picks each
-row's outer rule, the panel's scalar inner integrals are evaluated once at
-the outer points of all rows and contracted with the outer weights, and
-then one d x d block of V, Ghat and K is built per (row, panel) pair; the
-blocks are linear in the integrals.  Each kernel names the integrals it
-reads, and only those are computed (three for Laplace, sixteen for Lame).
-For Laplace, Ghat is V.  Kernels: 2D Laplace (scalar exterior field) and
-2D Lame (vector exterior field).
+rules graded toward shared vertices, picked per (row, source) panel pair by
+a pair-class table (self, cyclic neighbour, near, far).  Assembly works in
+blocked array passes over all pairs: per block of source panels, each inner
+integral the kernel reads (three for Laplace, sixteen for Lame) is evaluated
+once at the outer points of every pair and contracted with the outer
+weights; then all d x d blocks of V, Ghat and K are built in one broadcast
+pass, as they are linear in the integrals.  For Laplace, Ghat is V.
+Kernels: 2D Laplace (scalar exterior field) and 2D Lame (vector exterior
+field).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ import scipy.linalg as sla
 from .quadrature import graded_gauss, segment_gauss
 
 _ONLINE_REL = 1e-12
+_BLOCK_POINTS = 8192      # observation points per _primitives call; bounds its memory
 
 
 # ---------------------------------------------------------------------------
@@ -138,37 +140,38 @@ class _LaplaceKernel:
     d = 1
     prims = ("ilog0", "s1_0", "s1_t")       # primitives the blocks read
     k_prims = ("s1_0", "s1_t")              # read by k_blocks (off-line points)
-    ghat_is_v = True
 
     def __init__(self):
         self.c_log = 1.0 / (2 * np.pi)      # G = c_log * (-log rho)
 
-    def v_block(self, prim, geo):
-        return self.c_log * prim["ilog0"][:, None, None]
+    def vg_blocks(self, prim, geo):
+        v = self.c_log * prim["ilog0"][..., None, None]
+        return v, v
 
     def k_blocks(self, prim, geo):
         # dlp kernel (x-y).n_y / (2 pi rho^2) = eta/(2 pi rho^2);
         # weights: start node 1 - tau/L, end node tau/L
         kt = prim["s1_t"] / (2 * np.pi)
         k0 = prim["s1_0"] / (2 * np.pi) - kt
-        return k0[:, None, None], kt[:, None, None]
+        return k0[..., None, None], kt[..., None, None]
 
     def v_self(self, L, that):
-        return np.array([[L * L * (1.5 - np.log(L)) / (2 * np.pi)]])
+        return (L * L * (1.5 - np.log(L)) / (2 * np.pi))[..., None, None]
+
+    ghat_self = v_self
 
     def k_self_inner(self, prim, geo):
         z = np.zeros_like(prim["s1_0"])
-        return z[:, None, None], z[:, None, None]
+        return z[..., None, None], z[..., None, None]
 
 
 class _LameKernel:
-    """2D Lame kernel set for exterior coefficients (mu, lambda)."""
+    """2D Lame kernels for exterior coefficients (mu, lambda); blocks broadcast."""
 
     d = 2
     k_prims = ("s1_0", "s1_t", "s2_0", "s2_t", "p2_0", "p2_t",
                "p1_0", "p1_t", "p0_0", "p0_t")
     prims = ("ilog0", "dy00", "dy01", "dy11") + k_prims + ("pv0", "pvt")
-    ghat_is_v = False
 
     def __init__(self, coeffs):
         lam, mu = coeffs.lam, coeffs.mu
@@ -182,22 +185,17 @@ class _LameKernel:
         self.tc = mu / (2 * np.pi * (lam + 2 * mu))       # traction kernel constants
         self.td = (lam + mu) / (np.pi * (lam + 2 * mu))
 
-    def _dyad(self, prim, geo):
+    def vg_blocks(self, prim, geo):
+        """V and Ghat blocks, from one dyadic term."""
         that, nhat = geo
-        tt = that[:, None] * that[None, :]
-        tn = that[:, None] * nhat[None, :] + nhat[:, None] * that[None, :]
-        nn = nhat[:, None] * nhat[None, :]
-        return (prim["dy00"][:, None, None] * tt
-                + prim["dy01"][:, None, None] * tn
-                + prim["dy11"][:, None, None] * nn)
-
-    def v_block(self, prim, geo):
-        eye = np.eye(2)
-        return self.c_log * prim["ilog0"][:, None, None] * eye + self.c_dyad * self._dyad(prim, geo)
-
-    def ghat_block(self, prim, geo):
-        eye = np.eye(2)
-        return self.w_log * prim["ilog0"][:, None, None] * eye + self.w_dyad * self._dyad(prim, geo)
+        tt = that[..., :, None] * that[..., None, :]
+        tn = that[..., :, None] * nhat[..., None, :] + nhat[..., :, None] * that[..., None, :]
+        nn = nhat[..., :, None] * nhat[..., None, :]
+        dyad = (prim["dy00"][..., None, None] * tt + prim["dy01"][..., None, None] * tn
+                + prim["dy11"][..., None, None] * nn)
+        ilog = prim["ilog0"][..., None, None] * np.eye(2)
+        return (self.c_log * ilog + self.c_dyad * dyad,
+                self.w_log * ilog + self.w_dyad * dyad)
 
     def k_blocks(self, prim, geo):
         """Double layer potential kernel, transposed traction-of-columns contraction.
@@ -206,6 +204,9 @@ class _LameKernel:
         integrated against weights {1-tau/L, tau/L}; r = x - y = -u that + eta nhat.
         """
         that, nhat = geo
+        tt = that[..., :, None] * that[..., None, :]
+        tn = that[..., :, None] * nhat[..., None, :] + nhat[..., :, None] * that[..., None, :]
+        nn = nhat[..., :, None] * nhat[..., None, :]
         eye = np.eye(2)
         out = []
         for tag in ("0", "t"):
@@ -215,37 +216,37 @@ class _LameKernel:
             p1 = prim["p1_" + tag]      # eta^2 int w u/rho^4
             p0 = prim["p0_" + tag]      # eta^3 int w /rho^4
             # int w r/rho^2 = -that*s2 + nhat*s1
-            rvec = -that[None, :] * s2[:, None] + nhat[None, :] * s1[:, None]
-            anti = (nhat[:, None] * rvec[:, None, :] - rvec[:, :, None] * nhat[None, :])
-            tt = that[:, None] * that[None, :]
-            tn = that[:, None] * nhat[None, :] + nhat[:, None] * that[None, :]
-            nn = nhat[:, None] * nhat[None, :]
-            dy4 = (p2[:, None, None] * tt - p1[:, None, None] * tn
-                   + p0[:, None, None] * nn)
-            blk = self.tc * (s1[:, None, None] * eye + anti) + self.td * dy4
-            out.append(blk)
+            rvec = -that * s2[..., None] + nhat * s1[..., None]
+            anti = (nhat[..., :, None] * rvec[..., None, :]
+                    - rvec[..., :, None] * nhat[..., None, :])
+            dy4 = (p2[..., None, None] * tt - p1[..., None, None] * tn
+                   + p0[..., None, None] * nn)
+            out.append(self.tc * (s1[..., None, None] * eye + anti) + self.td * dy4)
         return out[0] - out[1], out[1]
 
     def v_self(self, L, that):
-        tt = that[:, None] * that[None, :]
+        L = np.asarray(L)[..., None, None]
+        tt = that[..., :, None] * that[..., None, :]
         return self.A * L * L * ((1.5 - np.log(L)) * np.eye(2) + self.B * tt)
 
     def ghat_self(self, L, that):
-        tt = that[:, None] * that[None, :]
+        L = np.asarray(L)[..., None, None]
+        tt = that[..., :, None] * that[..., None, :]
         return self.w_log * L * L * ((1.5 - np.log(L)) * np.eye(2) + tt)
 
     def k_self_inner(self, prim, geo):
         """On-line principal value: only the antisymmetric rotation term survives."""
         that, nhat = geo
-        anti = that[:, None] * nhat[None, :] - nhat[:, None] * that[None, :]
+        anti = that[..., :, None] * nhat[..., None, :] - nhat[..., :, None] * that[..., None, :]
         # r = -u that: Kmat = tc (n r^T - r n^T)/rho^2 = -tc (n that^T - that n^T)/u
-        kt = self.tc * prim["pvt"][:, None, None] * (-anti.T)
-        k0 = self.tc * prim["pv0"][:, None, None] * (-anti.T) - kt
+        rot = -np.swapaxes(anti, -1, -2)
+        kt = self.tc * prim["pvt"][..., None, None] * rot
+        k0 = self.tc * prim["pv0"][..., None, None] * rot - kt
         return k0, kt
 
 
 # ---------------------------------------------------------------------------
-# analytic inner integrals over one source panel
+# analytic inner integrals over source panels
 # ---------------------------------------------------------------------------
 
 class _Memo(dict):
@@ -262,20 +263,28 @@ class _Memo(dict):
         return val
 
 
-def _primitives(keys, panel_A, that, nhat, L, X):
-    """Definite inner integrals `keys` over the source panel at observation
-    points X, plus the on-line mask "online".
+def _primitives(keys, bspace, src, X):
+    """Definite inner integrals `keys` over the panel src[i] of bspace at
+    each observation point X[i], plus the on-line mask "online".
 
-    Frame coordinates: xi = (x-A).that, eta = (x-A).nhat, u in [-xi, L-xi].
+    Frame coordinates of the panel (start A, tangent that, normal nhat,
+    length L): xi = (x-A).that, eta = (x-A).nhat, u in [-xi, L-xi].
     All returned combinations are finite; |eta| < _ONLINE_REL*L uses the
     on-line (principal-value) branch.  The shared core is computed always;
     a combination, and a subexpression some combinations share, only when
     it is asked for, and once.
     """
-    X = np.atleast_2d(X)
-    rel = X - panel_A[None, :]
-    xi = rel @ that
-    eta = rel @ nhat
+    n = len(X)
+    L = np.take(bspace.lengths, src)
+    rel = X - np.take(bspace.A, src, axis=0)
+    # per source panel: xi, eta by BLAS, which rounds a two-term dot as
+    # fma(a0, b0, a1 b1), and tiny by scalar pow; no array form rounds alike
+    start = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])[:n]
+    xi, eta, tiny = np.empty((3, n))
+    for s, e in zip(start, np.r_[start[1:], n]):
+        xi[s:e] = rel[s:e] @ bspace.tangents[src[s]]
+        eta[s:e] = rel[s:e] @ bspace.normals[src[s]]
+        tiny[s:e] = (_ONLINE_REL * bspace.lengths[src[s]]) ** 2
     online = np.abs(eta) <= _ONLINE_REL * L
     eta_safe = np.where(online, 1.0, eta)
     u1 = -xi
@@ -283,7 +292,6 @@ def _primitives(keys, panel_A, that, nhat, L, X):
     r1s = u1 * u1 + eta * eta
     r2s = u2 * u2 + eta * eta
     # avoid log(0) when an observation point coincides with a panel endpoint
-    tiny = (_ONLINE_REL * L) ** 2
     r1s = np.maximum(r1s, tiny * tiny)
     r2s = np.maximum(r2s, tiny * tiny)
     log1 = 0.5 * np.log(r1s)
@@ -341,25 +349,6 @@ def _primitives(keys, panel_A, that, nhat, L, X):
     return p
 
 
-def _inner(kernel, bspace, m, X):
-    """Pointwise kernel blocks of panel m at observation points X.
-
-    Returns the (n, d, d) blocks (V, K0, Kt); K0/Kt carry the start/end node
-    weights 1 - tau/L and tau/L, with principal values at on-line points.
-    """
-    that = bspace.tangents[m]
-    nhat = bspace.normals[m]
-    prim = _primitives(kernel.prims, bspace.A[m], that, nhat, bspace.lengths[m], X)
-    geo = (that, nhat)
-    k0, kt = kernel.k_blocks(prim, geo)
-    if np.any(prim["online"]):
-        s0, st = kernel.k_self_inner(prim, geo)
-        mask = prim["online"][:, None, None]
-        k0 = np.where(mask, s0, k0)
-        kt = np.where(mask, st, kt)
-    return kernel.v_block(prim, geo), k0, kt
-
-
 # ---------------------------------------------------------------------------
 # operator assembly
 # ---------------------------------------------------------------------------
@@ -404,13 +393,18 @@ def _kernel_for(coeffs):
     return _LaplaceKernel() if coeffs is None else _LameKernel(coeffs)
 
 
+def _panel_blocks(counts):
+    """Slices of consecutive panels with at most _BLOCK_POINTS points in all
+    (panel m has counts[m]), or with one panel."""
+    step = max(1, _BLOCK_POINTS // max(1, int(counts.max())))
+    return [slice(s, s + step) for s in range(0, len(counts), step)]
+
+
 def _pair_blocks(ker, bspace, quad_order):
     """(L, L, d, d) Galerkin blocks of V, Ghat and the start/end node parts
     of K for every (row panel, source panel) pair.  For Laplace the Ghat
     array is the V array."""
-    d = ker.d
     L = bspace.n_panels
-    q = max(4, int(quad_order))
     lengths = bspace.lengths
 
     # pair classes, by row and source panel: 0 far, 1 near, 2 the row is the
@@ -432,7 +426,7 @@ def _pair_blocks(ker, bspace, quad_order):
     # for self.  The outer points and weights of every panel under every
     # rule, once, flat; first[c, l] is where panel l's points under rule c start
     xga, wga = graded_gauss(levels=12, order=8, toward_zero=True)
-    rules = (segment_gauss(q), segment_gauss(3 * q), (xga, wga), (1.0 - xga, wga),
+    rules = (segment_gauss(quad_order), segment_gauss(3 * quad_order), (xga, wga), (1.0 - xga, wga),
              (np.concatenate([0.5 * xga, 1.0 - 0.5 * xga]),
               np.concatenate([0.5 * wga, 0.5 * wga])))
     pts = np.concatenate([bspace.panel_points(t).reshape(-1, 2) for t, _ in rules])
@@ -440,47 +434,44 @@ def _pair_blocks(ker, bspace, quad_order):
     n_rule = np.array([len(t) for t, _ in rules])
     first = (np.cumsum(L * n_rule) - L * n_rule)[:, None] + n_rule[:, None] * panel
 
-    Vfull = np.zeros((L, L, d, d))
-    Gfull = Vfull if ker.ghat_is_v else np.zeros((L, L, d, d))
-    K0full = np.zeros((L, L, d, d))   # weight (1 - tau/L): node = panel_start[m]
-    Ktfull = np.zeros((L, L, d, d))   # weight tau/L:       node = panel_end[m]
+    # (row l, source m) pairs, source-major: pair (l, m) reads its n_rule[c]
+    # outer points from first[c, l], c = pair_class[l, m].  Per block of
+    # source panels, each integral is evaluated once at every pair's outer
+    # points and contracted with the outer weights into one value per pair
+    cls = pair_class.T
+    nq = n_rule[cls]
     kprim = [ker.prims.index(k) for k in ker.k_prims]
-
-    # one pass per source panel m: one evaluation of its inner integrals at
-    # the outer points of all rows, contracted with the outer weights into
-    # one value per row, then one d x d block per (row, m) pair; the blocks
-    # are linear in the integrals
-    for m in range(L):
-        cls = pair_class[:, m]
-        nq = n_rule[cls]
-        seg = np.cumsum(nq) - nq                 # row l's points start at seg[l]
-        idx = np.repeat(first[cls, panel] - seg, nq) + np.arange(seg[-1] + nq[-1])
-        geo = (bspace.tangents[m], bspace.normals[m])
-        prim = _primitives(ker.prims, bspace.A[m], *geo, lengths[m], pts[idx])
+    ints = np.empty((len(ker.prims), L, L))                 # [integral, m, l]
+    for blk in _panel_blocks(nq.sum(axis=1)):
+        n = nq[blk].ravel()
+        seg = np.cumsum(n) - n                  # pair j's points start at seg[j]
+        idx = np.repeat(first[cls[blk], panel].ravel() - seg, n) + np.arange(n.sum())
+        src = np.repeat(panel[blk], nq[blk].sum(axis=1))
+        prim = _primitives(ker.prims, bspace, src, np.take(pts, idx, axis=0))
         P = np.stack([prim[k] for k in ker.prims])
         # on-line points take the principal value (k_self_inner, from pv0/pvt,
         # which vanish off the line) in place of the k_blocks integrals
-        online = np.flatnonzero(prim["online"])
-        P[np.ix_(kprim, online)] = 0.0
-        red = dict(zip(ker.prims, np.add.reduceat(P * wts[idx], seg, axis=1)))
-        Vfull[:, m] = ker.v_block(red, geo)
-        if not ker.ghat_is_v:
-            Gfull[:, m] = ker.ghat_block(red, geo)
-        k0, kt = ker.k_blocks(red, geo)
-        s0, st = ker.k_self_inner(red, geo)
-        K0full[:, m] = k0 + s0
-        Ktfull[:, m] = kt + st
+        P[np.ix_(kprim, np.flatnonzero(prim["online"]))] = 0.0
+        P *= wts[idx]
+        ints[:, blk] = np.add.reduceat(P, seg, axis=1).reshape(len(P), -1, L)
+
+    # every (row, source) block at once; the blocks are linear in the integrals
+    red = dict(zip(ker.prims, ints.transpose(0, 2, 1)))
+    geo = (bspace.tangents, bspace.normals)
+    Vfull, Gfull = ker.vg_blocks(red, geo)
+    k0, kt = ker.k_blocks(red, geo)
+    s0, st = ker.k_self_inner(red, geo)
 
     # self pairs: analytic V and Ghat
-    for l in range(L):
-        Vfull[l, l] = ker.v_self(lengths[l], bspace.tangents[l])
-        if not ker.ghat_is_v:
-            Gfull[l, l] = ker.ghat_self(lengths[l], bspace.tangents[l])
-    return Vfull, Gfull, K0full, Ktfull
+    Vfull[panel, panel] = ker.v_self(lengths, bspace.tangents)
+    Gfull[panel, panel] = ker.ghat_self(lengths, bspace.tangents)
+    return Vfull, Gfull, k0 + s0, kt + st
 
 
 def assemble_operators(bspace, coeffs=None, quad_order=8, check_scaling=True):
     """Assemble V, K, W and the mass couplings for the given exterior kernel."""
+    if not isinstance(quad_order, numbers.Integral) or quad_order < 4:
+        raise ValueError("quad_order must be an integer >= 4, got %r" % (quad_order,))
     if check_scaling and bspace.diameter() >= 1.0:
         raise ValueError("boundary diameter >= 1: rescale the geometry first "
                          "(single-layer positivity requires capacity < 1)")
@@ -497,7 +488,7 @@ def assemble_operators(bspace, coeffs=None, quad_order=8, check_scaling=True):
         return 0.5 * (A + A.T)
 
     V = flat_sym(Vfull)
-    Gpair = V if ker.ghat_is_v else flat_sym(Gfull)
+    Gpair = V if Gfull is Vfull else flat_sym(Gfull)
 
     # scatter panel blocks to nodes: node j starts panel j and ends panel j-1
     Kp = K0full + np.roll(Ktfull, 1, axis=1)
@@ -600,21 +591,30 @@ def eval_layer_potentials(bspace, coeffs, density, wcoef, X):
     """(V phi)(x) for a P0 density phi and principal-value (K_pv w)(x) for a
     P1 density w, at points X on or off the boundary.
 
-    One evaluation of the panel integrals per source panel gives both.
+    One evaluation of the panel integrals per (point, panel) pair, in
+    blocks of panels, gives both.
     """
     ker = _kernel_for(coeffs)
     d = ker.d
     X = np.atleast_2d(X)
+    n = len(X)
     dens = np.asarray(density).reshape(bspace.n_panels, d)
     w = np.asarray(wcoef).reshape(bspace.n_nodes, d)
-    vphi = np.zeros((len(X), d))
-    kw = np.zeros((len(X), d))
-    for m in range(bspace.n_panels):
-        vb, k0, kt = _inner(ker, bspace, m, X)          # (n, d, d) each
-        n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
-        vphi += np.einsum("nab,b->na", vb, dens[m])
-        kw += np.einsum("nab,b->na", k0, w[n0]) + np.einsum("nab,b->na", kt, w[n1])
-    return vphi, kw
+    acc = np.zeros((1, 2, n, d))              # running (V phi, K_pv w)
+    for blk in _panel_blocks(np.full(bspace.n_panels, n)):
+        m = np.arange(bspace.n_panels)[blk]
+        prim = _primitives(ker.prims, bspace, np.repeat(m, n), np.tile(X, (len(m), 1)))
+        prim = {k: v.reshape(len(m), n) for k, v in prim.items()}
+        geo = (bspace.tangents[m, None], bspace.normals[m, None])
+        online = prim["online"][..., None, None]
+        k0, kt = (np.where(online, s, k) for s, k in
+                  zip(ker.k_self_inner(prim, geo), ker.k_blocks(prim, geo)))
+        # contributions added to the sums in panel order, as += per panel would
+        c = np.stack([np.einsum("mnab,mb->mna", ker.vg_blocks(prim, geo)[0], dens[m]),
+                      np.einsum("mnab,mb->mna", k0, w[bspace.panel_start[m]])
+                      + np.einsum("mnab,mb->mna", kt, w[bspace.panel_end[m]])], axis=1)
+        acc = np.cumsum(np.concatenate([acc, c]), axis=0)[-1:]
+    return acc[0, 0], acc[0, 1]
 
 
 def eval_single_layer(bspace, coeffs, density, X):

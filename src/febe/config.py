@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -92,6 +93,9 @@ class RunConfig:
             raise ConfigError("adapt.theta must lie in (0, 1]")
         if v["fem.quad_order"] < 2:
             raise ConfigError("fem.quad_order must be >= 2")
+        q = v["bem.quad_order"]
+        if not isinstance(q, numbers.Integral) or q < 4:
+            raise ConfigError("bem.quad_order must be an integer >= 4")
         return self
 
     def manifest(self, extra=None):

@@ -139,22 +139,42 @@ class Mesh:
             edges = np.array(list(edges), dtype=np.int64)
         a, b = edges.reshape(-1, 2).T
         p = self.vertices
-        # candidates: used vertices inside the edge's x-range, padded well
-        # beyond the 1e-12 L distance the on-line test below accepts
+        # candidates: the used vertices in the cells, of a grid with about one
+        # vertex per cell, that the edge's bounding box overlaps, padded well
+        # beyond the 1e-12 L distance the on-line test below accepts.  Sorted
+        # by cell, column-major, so the candidates of one column are one run
         used = np.unique(self.triangles)
-        used = used[np.argsort(p[used, 0], kind="stable")]
+        lo = p[used].min(axis=0)
+        nc = int(np.sqrt(len(used))) + 1
+        h = (p[used].max(axis=0) - lo) / nc
+
+        def cell(x):
+            return np.clip(((x - lo) / h).astype(np.int64), 0, nc - 1)
+
+        key = cell(p[used]) @ np.array([nc, 1])
+        order = np.argsort(key, kind="stable")
+        used = used[order]
+        cstart = np.searchsorted(key[order], np.arange(nc * nc + 1))
         pa, pb = p[a], p[b]
         d = pb - pa
         L2 = np.einsum("ij,ij->i", d, d)
-        pad = 1e-9 * np.sqrt(L2)
-        lo = np.searchsorted(p[used, 0], np.minimum(pa[:, 0], pb[:, 0]) - pad, "left")
-        n = np.searchsorted(p[used, 0], np.maximum(pa[:, 0], pb[:, 0]) + pad, "right") - lo
+        pad = 1e-9 * np.sqrt(L2)[:, None]
+        c0, c1 = cell(np.minimum(pa, pb) - pad), cell(np.maximum(pa, pb) + pad)
+        # runs: one per (edge, column), edge-major
+        ncol = c1[:, 0] - c0[:, 0] + 1
+        re = np.repeat(np.arange(len(a)), ncol)
+        first_run = np.cumsum(ncol) - ncol
+        col = np.arange(len(re)) - np.repeat(first_run - c0[:, 0], ncol)
+        rlo = cstart[col * nc + c0[re, 1]]
+        rn = cstart[col * nc + c1[re, 1] + 1] - rlo
         # (edge, candidate) pairs in blocks of edges to bound the memory
-        for blk in np.array_split(np.arange(len(a)), 1 + n.sum() // _HANGING_PAIRS):
-            cnt = n[blk]
-            e = np.repeat(blk, cnt)
-            # pair j of edge e sits at used[lo[e] + j - (pairs of earlier edges)]
-            v = used[np.repeat(lo[blk] - np.cumsum(cnt) + cnt, cnt) + np.arange(len(e))]
+        sections = min(len(a), 1 + rn.sum() // _HANGING_PAIRS)
+        for blk in np.array_split(np.arange(len(a)), sections):
+            runs = slice(first_run[blk[0]], first_run[blk[-1]] + ncol[blk[-1]])
+            cnt = rn[runs]
+            e = np.repeat(re[runs], cnt)
+            # pair j of run r sits at used[rlo[r] + j - (pairs of earlier runs)]
+            v = used[np.repeat(rlo[runs] - np.cumsum(cnt) + cnt, cnt) + np.arange(len(e))]
             s = np.einsum("ij,ij->i", p[v] - pa[e], d[e]) / L2[e]
             off = p[v] - (pa[e] + s[:, None] * d[e])
             on_line = (np.einsum("ij,ij->i", off, off) < 1e-24 * L2[e])

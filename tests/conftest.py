@@ -96,7 +96,8 @@ def friction_bound_loop(system, l, t):
 
 
 # -- BEM references: the per-point-block assembly and the all-integrals
-# -- primitives that the contracted assembly replaced ------------------------
+# -- primitives that the contracted assembly replaced, and the per-source-
+# -- panel loops that the blocked assembly and evaluation replaced -----------
 
 def reference_primitives(panel_A, that, nhat, L, X):
     """Every inner integral over the source panel at observation points X."""
@@ -167,8 +168,7 @@ def _reference_inner(kernel, bspace, m, X):
         mask = prim["online"][:, None, None]
         k0 = np.where(mask, s0, k0)
         kt = np.where(mask, st, kt)
-    ghat = kernel.v_block if kernel.ghat_is_v else kernel.ghat_block
-    return kernel.v_block(prim, geo), ghat(prim, geo), k0, kt
+    return (*kernel.vg_blocks(prim, geo), k0, kt)
 
 
 def reference_pair_blocks(ker, bspace, quad_order):
@@ -216,8 +216,7 @@ def reference_pair_blocks(ker, bspace, quad_order):
             start = stop
     for l in range(L):
         Vfull[l, l] = ker.v_self(lengths[l], bspace.tangents[l])
-        Gfull[l, l] = (ker.v_self if ker.ghat_is_v else ker.ghat_self)(
-            lengths[l], bspace.tangents[l])
+        Gfull[l, l] = ker.ghat_self(lengths[l], bspace.tangents[l])
     return Vfull, Gfull, K0full, Ktfull
 
 
@@ -233,6 +232,95 @@ def reference_layer_potentials(bspace, coeffs, density, wcoef, X):
     kw = np.zeros((len(X), d))
     for m in range(bspace.n_panels):
         vb, _, k0, kt = _reference_inner(ker, bspace, m, X)
+        n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
+        vphi += np.einsum("nab,b->na", vb, dens[m])
+        kw += np.einsum("nab,b->na", k0, w[n0]) + np.einsum("nab,b->na", kt, w[n1])
+    return vphi, kw
+
+
+def loop_pair_blocks(ker, bspace, quad_order):
+    """(L, L, d, d) Galerkin blocks of V, Ghat, K0 and Kt from one pass per
+    source panel: its integrals at the outer points of all rows, contracted
+    into one value per row, then one d x d block per (row, panel) pair."""
+    from febe import bem
+    from febe.quadrature import graded_gauss, segment_gauss
+    d = ker.d
+    L = bspace.n_panels
+    q = max(4, int(quad_order))
+    lengths = bspace.lengths
+    panel = np.arange(L)
+    nxt = (panel + 1) % L
+    prv = (panel - 1) % L
+    dm = bspace.mids[:, None, :] - bspace.mids[None, :, :]
+    dist = np.sqrt((dm[..., None, :] @ dm[..., :, None])[..., 0, 0])
+    pair_class = (dist < 1.5 * np.maximum(lengths[:, None], lengths[None, :])).astype(int)
+    pair_class[nxt, panel] = 2
+    pair_class[prv, panel] = 3
+    pair_class[panel, panel] = 4
+    xga, wga = graded_gauss(levels=12, order=8, toward_zero=True)
+    rules = (segment_gauss(q), segment_gauss(3 * q), (xga, wga), (1.0 - xga, wga),
+             (np.concatenate([0.5 * xga, 1.0 - 0.5 * xga]),
+              np.concatenate([0.5 * wga, 0.5 * wga])))
+    pts = np.concatenate([bspace.panel_points(t).reshape(-1, 2) for t, _ in rules])
+    wts = np.concatenate([(lengths[:, None] * w[None, :]).ravel() for _, w in rules])
+    n_rule = np.array([len(t) for t, _ in rules])
+    first = (np.cumsum(L * n_rule) - L * n_rule)[:, None] + n_rule[:, None] * panel
+
+    Vfull = np.zeros((L, L, d, d))
+    Gfull = np.zeros((L, L, d, d))
+    K0full = np.zeros((L, L, d, d))
+    Ktfull = np.zeros((L, L, d, d))
+    kprim = [ker.prims.index(k) for k in ker.k_prims]
+    for m in range(L):
+        cls = pair_class[:, m]
+        nq = n_rule[cls]
+        seg = np.cumsum(nq) - nq
+        idx = np.repeat(first[cls, panel] - seg, nq) + np.arange(seg[-1] + nq[-1])
+        geo = (bspace.tangents[m], bspace.normals[m])
+        prim = bem._primitives(ker.prims, bspace, np.full(len(idx), m), pts[idx])
+        P = np.stack([prim[k] for k in ker.prims])
+        online = np.flatnonzero(prim["online"])
+        P[np.ix_(kprim, online)] = 0.0
+        red = dict(zip(ker.prims, np.add.reduceat(P * wts[idx], seg, axis=1)))
+        Vfull[:, m], Gfull[:, m] = ker.vg_blocks(red, geo)
+        k0, kt = ker.k_blocks(red, geo)
+        s0, st = ker.k_self_inner(red, geo)
+        K0full[:, m] = k0 + s0
+        Ktfull[:, m] = kt + st
+    for l in range(L):
+        Vfull[l, l] = ker.v_self(lengths[l], bspace.tangents[l])
+        Gfull[l, l] = ker.ghat_self(lengths[l], bspace.tangents[l])
+    return Vfull, Gfull, K0full, Ktfull
+
+
+def _loop_inner(kernel, bspace, m, X):
+    """(n, d, d) blocks V, K0, Kt of panel m at observation points X."""
+    from febe import bem
+    that = bspace.tangents[m]
+    nhat = bspace.normals[m]
+    prim = bem._primitives(kernel.prims, bspace, np.full(len(X), m), X)
+    geo = (that, nhat)
+    k0, kt = kernel.k_blocks(prim, geo)
+    if np.any(prim["online"]):
+        s0, st = kernel.k_self_inner(prim, geo)
+        mask = prim["online"][:, None, None]
+        k0 = np.where(mask, s0, k0)
+        kt = np.where(mask, st, kt)
+    return kernel.vg_blocks(prim, geo)[0], k0, kt
+
+
+def loop_layer_potentials(bspace, coeffs, density, wcoef, X):
+    """(V phi)(x) and principal-value (K_pv w)(x), one panel at a time."""
+    from febe.bem import _kernel_for
+    ker = _kernel_for(coeffs)
+    d = ker.d
+    X = np.atleast_2d(X)
+    dens = np.asarray(density).reshape(bspace.n_panels, d)
+    w = np.asarray(wcoef).reshape(bspace.n_nodes, d)
+    vphi = np.zeros((len(X), d))
+    kw = np.zeros((len(X), d))
+    for m in range(bspace.n_panels):
+        vb, k0, kt = _loop_inner(ker, bspace, m, X)
         n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
         vphi += np.einsum("nab,b->na", vb, dens[m])
         kw += np.einsum("nab,b->na", k0, w[n0]) + np.einsum("nab,b->na", kt, w[n1])

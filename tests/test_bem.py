@@ -110,6 +110,13 @@ def test_scaling_guard():
         bem.assemble_operators(bs, None)
 
 
+@pytest.mark.parametrize("order", [2, 3, 8.0, 6.5])
+def test_quadrature_order_below_four_or_fractional_rejected(sq_scaled, order):
+    # no silent clamp to max(4, int(order))
+    with pytest.raises(ValueError, match="quad_order"):
+        bem.assemble_operators(sq_scaled, None, quad_order=order)
+
+
 def test_steklov_symmetry(circ64):
     _, ops = circ64
     S = ops.steklov_poincare()
@@ -353,34 +360,70 @@ def test_lame_dipole_on_square_geometry():
 
 
 def _count_primitives(monkeypatch):
-    """Record (number of observation points, returned keys) per call."""
+    """Record (source panels, observation points, returned keys) per call."""
     calls = []
     prim = bem._primitives
 
-    def counted(*args):
-        out = prim(*args)
-        calls.append((len(np.atleast_2d(args[-1])), set(out)))
+    def counted(keys, bspace, src, X):
+        out = prim(keys, bspace, src, X)
+        calls.append((src, X, set(out)))
         return out
 
     monkeypatch.setattr(bem, "_primitives", counted)
     return calls
 
 
+def _source_point_pairs(calls):
+    """The (source panel, x, y) rows of all calls, sorted."""
+    rows = np.concatenate([np.column_stack([src, X]) for src, X, _ in calls])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _within_block_bound(calls):
+    return all(len(X) <= bem._BLOCK_POINTS or len(np.unique(src)) == 1
+               for src, X, _ in calls)
+
+
 @pytest.mark.parametrize("lame", [False, True])
 def test_assembly_evaluates_each_source_panel_once(monkeypatch, lame):
+    # summed over the blocked calls, every outer point of every (row,
+    # source) pair is evaluated exactly once: the (source panel, point)
+    # pairs of one pass per source panel, whose far/near Gauss rules, graded
+    # neighbour rules and split self rule give sum n_rule[pair_class] points
+    from conftest import loop_pair_blocks
     bs = bem.BoundarySpace(circle_mesh(24, 0.4))
     co = ExteriorCoefficients(mu=1.0, lam=1.3) if lame else None
     calls = _count_primitives(monkeypatch)
     bem.assemble_operators(bs, co)
+    blocked = calls[:]
+    calls.clear()
+    loop_pair_blocks(bem._kernel_for(co), bs, 8)
     assert len(calls) == bs.n_panels
-    # each call covers the outer points of every row: far/near Gauss rules,
-    # both graded neighbour rules and the split self rule
-    assert min(n for n, _ in calls) > 3 * bs.n_panels
+    assert np.array_equal(_source_point_pairs(blocked), _source_point_pairs(calls))
+    assert _within_block_bound(blocked)
     # only the integrals the kernel reads are computed
-    for _, keys in calls:
+    for _, _, keys in blocked:
         assert "ilog_t" not in keys
         if not lame:
             assert keys == {"ilog0", "s1_0", "s1_t", "online"}
+
+
+def test_assembly_blocks_bound_the_working_set(monkeypatch):
+    # no _primitives call holds more than _BLOCK_POINTS points unless it
+    # holds a single source panel: several panels per call on 64 panels,
+    # one per call on 512, where one source panel has over half as many
+    calls = _count_primitives(monkeypatch)
+    for nseg, most in ((64, bem._BLOCK_POINTS), (512, None)):
+        calls.clear()
+        bs = bem.BoundarySpace(circle_mesh(nseg, 0.4))
+        bem.assemble_operators(bs, None)
+        assert _within_block_bound(calls)
+        per_call = [len(np.unique(src)) for src, _, _ in calls]
+        assert sum(per_call) == bs.n_panels
+        if most:
+            assert 1 < len(calls) and max(per_call) > 1
+        else:
+            assert max(per_call) == 1
 
 
 @pytest.mark.parametrize("lame", [False, True])
@@ -492,12 +535,15 @@ def test_contracted_assembly_matches_pointwise_blocks(monkeypatch, kernel):
         monkeypatch.setattr(bem, "_primitives", lambda *a: recorded.append(a) or prim(*a))
         ops = bem.assemble_operators(bs, co)
         monkeypatch.undo()
-        assert len(recorded) == bs.n_panels
-        for keys, *args in recorded:
-            new, ref = prim(keys, *args), reference_primitives(*args)
+        for keys, _, src, X in recorded:
+            new = prim(keys, bs, src, X)
             assert set(new) == set(keys) | {"online"}
-            for k in new:
-                assert np.array_equal(new[k], ref[k]), (name, k)
+            for p in np.unique(src):
+                s = src == p
+                ref = reference_primitives(bs.A[p], bs.tangents[p], bs.normals[p],
+                                           bs.lengths[p], X[s])
+                for k in new:
+                    assert np.array_equal(new[k][s], ref[k]), (name, k)
 
         monkeypatch.setattr(bem, "_pair_blocks", reference_pair_blocks)
         ref_ops = bem.assemble_operators(bs, co)
@@ -516,6 +562,41 @@ def test_contracted_assembly_matches_pointwise_blocks(monkeypatch, kernel):
         w = rng.normal(size=bs.n_nodes * d)
         for a, b in zip(bem.eval_layer_potentials(bs, co, dens, w, X),
                         reference_layer_potentials(bs, co, dens, w, X)):
+            assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("kernel", ["laplace", "lame"])
+def test_blocked_assembly_is_bit_identical_to_panel_loop(monkeypatch, kernel):
+    # the blocked passes do the per-source-panel loops' arithmetic, so the
+    # pair blocks and both potentials agree bit for bit, also when the
+    # boundary needs more than one block of source panels
+    from conftest import loop_layer_potentials, loop_pair_blocks
+    from febe.presets import square_text
+    co = ExteriorCoefficients(mu=1.0, lam=1.3) if kernel == "lame" else None
+    ker = bem._kernel_for(co)
+    meshes = _assembly_meshes()
+    meshes["square-slip"] = refine_uniform(load_mesh(square_text(4, slip=("b",)),
+                                                     scale=False), 5)
+    calls = _count_primitives(monkeypatch)
+    for name, m in meshes.items():
+        bs = bem.BoundarySpace(m)
+        for q in (8, 12):
+            calls.clear()
+            blocked = bem._pair_blocks(ker, bs, q)
+            if name == "square-slip":
+                assert len(calls) > 1
+            for a, b in zip(blocked, loop_pair_blocks(ker, bs, q)):
+                assert np.array_equal(a, b), (name, q)
+        d = ker.d
+        rng = np.random.default_rng(4)
+        on = bs.panel_points(np.array([0.2, 0.5, 0.9])).reshape(-1, 2)
+        lo, hi = bs.nodes.min(axis=0), bs.nodes.max(axis=0)
+        off = rng.uniform(lo - 0.1, hi + 0.1, size=(9, 2))
+        X = np.concatenate([on, bs.nodes, off])
+        dens = rng.normal(size=bs.n_panels * d)
+        w = rng.normal(size=bs.n_nodes * d)
+        for a, b in zip(bem.eval_layer_potentials(bs, co, dens, w, X),
+                        loop_layer_potentials(bs, co, dens, w, X)):
             assert np.array_equal(a, b), name
 
 

@@ -60,6 +60,18 @@ def test_unknown_key_rejected():
         parse_config("nonsense.key = 1\n")
 
 
+@pytest.mark.parametrize("text, value", [("2", None), ("3", None), ("8", 8.0), ("8", 6.5)])
+def test_bem_quad_order_must_be_integer_at_least_four(text, value):
+    # the assembly used to run such an order as max(4, int(order)), while
+    # the manifest recorded the value given
+    cfg = parse_config("bem.quad_order = %s\n" % text)
+    if value is not None:
+        cfg.values["bem.quad_order"] = value
+    with pytest.raises(ConfigError, match="bem.quad_order"):
+        cfg.validate()
+    assert parse_config("bem.quad_order = 4\n").validate()["bem.quad_order"] == 4
+
+
 def test_comments_and_defaults():
     cfg = parse_config("# comment only\nmaterial.p = 3.0  # trailing\n")
     assert cfg["material.p"] == 3.0

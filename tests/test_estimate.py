@@ -232,20 +232,23 @@ def test_uniform_estimator_decreases_four_levels():
 
 def test_consistency_term_one_kernel_pass(monkeypatch):
     # V phi and K_pv g at all 3L consistency points from one pass over the
-    # source panels, so L evaluations of the panel integrals per estimate
+    # source panels, so each panel's integrals are evaluated once at each
+    # point, in calls of at most _BLOCK_POINTS points or one panel
     from febe import bem
     sys_, man, sol = make("transition", p=1.5, slip=("b",))
     calls = []
     prim = bem._primitives
 
-    def counted(*args):
-        calls.append(len(args[-1]))
-        return prim(*args)
+    def counted(keys, bspace, src, X):
+        calls.append(src)
+        return prim(keys, bspace, src, X)
 
     monkeypatch.setattr(bem, "_primitives", counted)
     estimate_sp(sys_, sol)
     L = sys_.bspace.n_panels
-    assert calls == [3 * L] * L
+    assert sum(len(src) for src in calls) == 3 * L * L
+    assert np.array_equal(np.bincount(np.concatenate(calls), minlength=L), np.full(L, 3 * L))
+    assert all(len(src) <= bem._BLOCK_POINTS or len(np.unique(src)) == 1 for src in calls)
 
 
 @pytest.mark.parametrize("vector", [False, True])

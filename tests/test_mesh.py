@@ -252,3 +252,68 @@ def test_assign_peaks_matches_per_triangle_norms(radius):
                           dtype=np.int64).reshape(nt, 3)
         m = load_mesh(text, scale=False)
         assert np.array_equal(m.triangles, reference(verts, tris))
+
+
+def _x_window_hanging(mesh, edges):
+    """The hanging-node check that the grid buckets replaced, which draws
+    the candidates of an edge from its padded x-range: its error message,
+    or None."""
+    a, b = np.asarray(edges).reshape(-1, 2).T
+    p = mesh.vertices
+    used = np.unique(mesh.triangles)
+    used = used[np.argsort(p[used, 0], kind="stable")]
+    pa, pb = p[a], p[b]
+    d = pb - pa
+    L2 = np.einsum("ij,ij->i", d, d)
+    pad = 1e-9 * np.sqrt(L2)
+    lo = np.searchsorted(p[used, 0], np.minimum(pa[:, 0], pb[:, 0]) - pad, "left")
+    n = np.searchsorted(p[used, 0], np.maximum(pa[:, 0], pb[:, 0]) + pad, "right") - lo
+    for blk in np.array_split(np.arange(len(a)), 1 + n.sum() // meshmod._HANGING_PAIRS):
+        cnt = n[blk]
+        e = np.repeat(blk, cnt)
+        v = used[np.repeat(lo[blk] - np.cumsum(cnt) + cnt, cnt) + np.arange(len(e))]
+        s = np.einsum("ij,ij->i", p[v] - pa[e], d[e]) / L2[e]
+        off = p[v] - (pa[e] + s[:, None] * d[e])
+        on_line = (np.einsum("ij,ij->i", off, off) < 1e-24 * L2[e])
+        interior = (s > 1e-12) & (s < 1 - 1e-12)
+        bad = on_line & interior
+        if np.any(bad):
+            k = e[np.argmax(bad)]
+            return ("hanging node %d on edge (%d,%d)"
+                    % (v[bad & (e == k)].min(), a[k], b[k]))
+    return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("inject", ["none", "moved", "axis-edge", "diagonal-edge"])
+def test_hanging_check_matches_x_window_version(seed, inject):
+    # same verdict and same reported vertex and edge as the x-window check,
+    # on random meshes with vertices moved onto, or just off, random edges
+    # and with long edges laid over rows of vertices
+    from types import SimpleNamespace
+    rng = np.random.default_rng(seed)
+    m = refine_uniform(load_mesh(struct_square(2 + seed % 3), scale=False), 1 + seed % 2)
+    m = refine(m, rng.choice(len(m.triangles), len(m.triangles) // 3, replace=False))
+    p, edges = m.vertices.copy(), m.edges.copy()
+    if inject == "moved":
+        for k in rng.choice(len(edges), 4, replace=False):
+            a, b = edges[k]
+            v = rng.choice(np.setdiff1d(np.arange(len(p)), [a, b]))
+            d = p[b] - p[a]
+            # on the line, inside the 1e-12 L tolerance, or beyond it
+            off = rng.choice([0.0, 3e-13, 3e-11]) * np.array([-d[1], d[0]])
+            p[v] = p[a] + rng.uniform(0.02, 0.98) * d + off
+    elif inject != "none":
+        corner = [np.argmin(p @ w) for w in ((1, 1), (-1, 1), (-1, -1))]
+        long_edge = corner[:2] if inject == "axis-edge" else corner[::2]
+        edges = np.insert(edges, rng.integers(len(edges)), long_edge, axis=0)
+    mesh = SimpleNamespace(vertices=p, triangles=m.triangles)
+    want = _x_window_hanging(mesh, edges)
+    if want is None:
+        meshmod.Mesh._check_hanging(mesh, edges)
+    else:
+        with pytest.raises(MeshError) as err:
+            meshmod.Mesh._check_hanging(mesh, edges)
+        assert str(err.value) == want
+    if inject != "moved":
+        assert (want is None) == (inject == "none")
