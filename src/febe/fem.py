@@ -34,9 +34,6 @@ class FESpace:
         g[:, 2, 0] = v0[:, 1] - v1[:, 1]
         g[:, 2, 1] = v1[:, 0] - v0[:, 0]
         self.grads = g / twoA[:, None, None]
-        loop, labels = mesh.boundary_loop()
-        self.boundary_loop = loop
-        self.boundary_labels = labels
 
     @cached_property
     def basis_strains(self):

@@ -3,11 +3,11 @@
 Triangles are stored peak-first: the refinement edge of triangle (a, b, c)
 is (b, c), and bisection inserts the midpoint of (b, c).  Boundary edges
 carry a label: "S" (slip/contact part) or "T" (transmission part).
+Refinement runs in rounds of whole-array bisection.  An undirected edge is
+identified everywhere by one integer key, `_edge_key`.
 """
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 
@@ -29,6 +29,11 @@ def _cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def _edge_key(a, b, n):
+    """Key of the undirected edge (a, b) between vertex ids below n."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
 class Mesh:
     """Immutable conforming triangulation of a polygonal domain.
 
@@ -42,6 +47,7 @@ class Mesh:
     edge_triangles (ne, 2) incident triangles in ascending order, -1 in the
                    second column for a boundary edge
     edge_lengths   (ne,) length of each edge
+    triangle_edges (nt, 3) rows in `edges` of triangle edges (0,1), (1,2), (2,0)
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_labels,
@@ -58,7 +64,8 @@ class Mesh:
         self._orient_ccw()
         self._validate(*self._edge_table())
         for a in (self.vertices, self.triangles, self.boundary_edges, self.generation,
-                  self.edges, self.edge_triangles, self.edge_lengths, self._loop):
+                  self.edges, self.edge_triangles, self.edge_lengths,
+                  self.triangle_edges, self._loop):
             a.flags.writeable = False
 
     # -- construction helpers -------------------------------------------------
@@ -81,10 +88,13 @@ class Mesh:
         Returns the number of triangles sharing each edge and the edge's
         first vertex in the (CCW) order of its first triangle.
         """
-        half = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        self.edges, inv, counts = np.unique(half, axis=0, return_inverse=True,
-                                            return_counts=True)
-        # half-edge h runs from triangles.ravel()[h] within triangle h // 3;
+        nv, t = len(self.vertices), self.triangles
+        # half-edge h = 3 k + j runs from t[k, j] to t[k, j + 1 mod 3]
+        self._edge_keys, inv, counts = np.unique(
+            _edge_key(t, np.roll(t, -1, axis=1), nv), return_inverse=True,
+            return_counts=True)
+        self.triangle_edges = inv.reshape(t.shape)
+        self.edges = np.column_stack(np.divmod(self._edge_keys, nv))
         # a stable sort keeps each edge's half-edges in triangle order
         half_of = np.argsort(inv.ravel(), kind="stable")
         first = np.cumsum(counts) - counts
@@ -92,10 +102,9 @@ class Mesh:
         self.edge_triangles = np.full((len(self.edges), 2), -1, dtype=np.int64)
         self.edge_triangles[:, 0] = half_of[first] // 3
         self.edge_triangles[shared, 1] = half_of[first[shared] + 1] // 3
-        self._edge_keys = self.edges[:, 0] * len(self.vertices) + self.edges[:, 1]
         self.edge_lengths = np.linalg.norm(
             self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]], axis=1)
-        return counts, self.triangles.ravel()[half_of[first]]
+        return counts, t.ravel()[half_of[first]]
 
     def _validate(self, counts, tail):
         be = self.boundary_edges
@@ -218,7 +227,7 @@ class Mesh:
 
     def find_edges(self, a, b):
         """Row of each undirected edge (a, b) in `edges`, -1 if it is no edge."""
-        key = np.minimum(a, b) * len(self.vertices) + np.maximum(a, b)
+        key = _edge_key(a, b, len(self.vertices))
         pos = np.minimum(np.searchsorted(self._edge_keys, key), len(self._edge_keys) - 1)
         return np.where(self._edge_keys[pos] == key, pos, -1)
 
@@ -242,20 +251,13 @@ def mesh_size(mesh):
 
     h_T is the triangle diameter (longest edge); h_E the edge length.
     """
-    p, t = mesh.vertices, mesh.triangles
-    e01 = np.linalg.norm(p[t[:, 1]] - p[t[:, 0]], axis=1)
-    e12 = np.linalg.norm(p[t[:, 2]] - p[t[:, 1]], axis=1)
-    e20 = np.linalg.norm(p[t[:, 0]] - p[t[:, 2]], axis=1)
-    h_T = np.maximum(np.maximum(e01, e12), e20)
+    h_T = mesh.edge_lengths[mesh.triangle_edges].max(axis=1)
     return float(h_T.max()), h_T, mesh.edge_lengths
 
 
 def shape_regularity(mesh):
     """max over triangles of h_T / rho_T, rho_T the inscribed-circle diameter."""
-    p, t = mesh.vertices, mesh.triangles
-    a = np.linalg.norm(p[t[:, 1]] - p[t[:, 0]], axis=1)
-    b = np.linalg.norm(p[t[:, 2]] - p[t[:, 1]], axis=1)
-    c = np.linalg.norm(p[t[:, 0]] - p[t[:, 2]], axis=1)
+    a, b, c = mesh.edge_lengths[mesh.triangle_edges].T
     area = triangle_areas(mesh)
     rho = 4.0 * area / (a + b + c)
     h = np.maximum(np.maximum(a, b), c)
@@ -265,65 +267,66 @@ def shape_regularity(mesh):
 # -- refinement ----------------------------------------------------------------
 
 def refine(mesh, marked):
-    """Newest-vertex bisection of the marked triangles plus conforming closure."""
+    """Newest-vertex bisection of the marked triangles plus conforming closure.
+
+    Each round bisects its queue in index order: (a, b, c) gets m = mid(b, c),
+    numbered when a round first meets (b, c), and children (m, a, b),
+    (m, c, a).  The next queue is every live triangle with a bisected edge.
+    Only input edges are bisected (a child's refinement edge is an edge of its
+    parent; every edge of a grandchild has a new vertex), so fewer than
+    n = nv + ne vertices are made, and n keys the edges.
+    """
     nt = len(mesh.triangles)
-    marked = sorted(set(int(m) for m in marked))
-    if any(m < 0 or m >= nt for m in marked):
+    queue = np.unique(np.fromiter(marked, dtype=np.int64))
+    if queue.size and (queue[0] < 0 or queue[-1] >= nt):
         raise MeshError("marked triangle id out of range")
-    if not marked:
+    if not queue.size:
         return mesh
 
-    verts = [tuple(v) for v in mesh.vertices]
-    tris = [tuple(t) for t in mesh.triangles]
-    gen = list(mesh.generation)
-    alive = [True] * nt
-    bnd = {tuple(sorted(e)): lab
-           for e, lab in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels)}
-    midpoint = {}
-
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        m = midpoint.get(key)
-        if m is None:
-            m = len(verts)
-            verts.append(tuple(0.5 * (np.asarray(verts[a]) + np.asarray(verts[b]))))
-            midpoint[key] = m
-            if key in bnd:
-                lab = bnd.pop(key)
-                bnd[(min(a, m), max(a, m))] = lab
-                bnd[(min(m, b), max(m, b))] = lab
-        return m
-
-    def bisect(k):
-        a, b, c = tris[k]
-        m = mid(b, c)
-        alive[k] = False
-        tris.append((m, a, b)); gen.append(gen[k] + 1); alive.append(True)
-        tris.append((m, c, a)); gen.append(gen[k] + 1); alive.append(True)
-
-    queue = list(marked)
-    while queue:
-        for k in queue:
-            if alive[k]:
-                bisect(k)
+    n = len(mesh.vertices) + len(mesh.edges)
+    verts, tris, gen = mesh.vertices, mesh.triangles, mesh.generation
+    alive = np.ones(nt, dtype=bool)
+    keys = mids = np.empty(0, dtype=np.int64)     # bisected edges, sorted by key
+    while queue.size:
+        a, b, c = tris[queue].T
+        edge, first, inv = np.unique(_edge_key(b, c, n), return_index=True,
+                                     return_inverse=True)
+        # new midpoints are numbered in the order the round first meets them
+        known = np.isin(edge, keys)
+        new = np.flatnonzero(~known)[np.argsort(first[~known])]
+        m = np.empty(len(edge), dtype=np.int64)
+        m[known] = mids[np.searchsorted(keys, edge[known])]
+        m[new] = len(verts) + np.arange(len(new))
+        verts = np.concatenate([verts, 0.5 * (verts[b] + verts[c])[first[new]]])
+        keys = np.concatenate([keys, edge[new]])
+        mids = np.concatenate([mids, m[new]])[np.argsort(keys)]
+        keys = np.sort(keys)
+        m = m[inv]
+        alive[queue] = False
+        tris = np.concatenate([tris, np.stack([m, a, b, m, c, a], 1).reshape(-1, 3)])
+        gen = np.concatenate([gen, np.repeat(gen[queue] + 1, 2)])
+        alive = np.concatenate([alive, np.ones(2 * len(queue), dtype=bool)])
         # closure: any live triangle with a bisected edge must be bisected too
-        queue = []
-        for k, t in enumerate(tris):
-            if not alive[k]:
-                continue
-            a, b, c = t
-            for e in ((a, b), (b, c), (c, a)):
-                if (min(e), max(e)) in midpoint:
-                    queue.append(k)
-                    break
+        live = np.flatnonzero(alive)
+        t = tris[live]
+        queue = live[np.isin(_edge_key(t, np.roll(t, -1, axis=1), n), keys).any(axis=1)]
 
-    keep = [k for k in range(len(tris)) if alive[k]]
-    new_tris = np.asarray([tris[k] for k in keep], dtype=np.int64)
-    new_gen = np.asarray([gen[k] for k in keep], dtype=np.int64)
-    edges = sorted(bnd)
-    return Mesh(np.asarray(verts, dtype=float), new_tris,
-                np.asarray(edges, dtype=np.int64), [bnd[e] for e in edges],
-                generation=new_gen, scale_factor=mesh.scale_factor)
+    # split the labeled boundary edges at their midpoints until none has one
+    a, b = mesh.boundary_edges.T
+    labels = np.asarray(mesh.boundary_labels)
+    while True:
+        key = _edge_key(a, b, n)
+        split = np.isin(key, keys)
+        if not split.any():
+            break
+        m = mids[np.searchsorted(keys, key[split])]
+        a = np.concatenate([a[~split], a[split], m])
+        b = np.concatenate([b[~split], m, b[split]])
+        labels = np.concatenate([labels[~split], labels[split], labels[split]])
+    order = np.argsort(key)
+    return Mesh(verts, tris[alive], np.column_stack(np.divmod(key[order], n)),
+                labels[order].tolist(), generation=gen[alive],
+                scale_factor=mesh.scale_factor)
 
 
 def refine_uniform(mesh, sweeps=1):
@@ -353,27 +356,23 @@ def load_mesh(text, scale=True):
     boundary diameter is >= 1 (single-layer positivity needs capacity < 1);
     the factor is stored on the mesh.
     """
-    tok = io.StringIO(text).read().split()
+    tok = text.split()
     if len(tok) < 3:
         raise MeshError("truncated mesh file")
     nv, nt, nb = int(tok[0]), int(tok[1]), int(tok[2])
     need = 3 + 2 * nv + 3 * nt + 3 * nb
     if len(tok) < need:
         raise MeshError("truncated mesh file")
-    pos = 3
-    verts = np.asarray(tok[pos:pos + 2 * nv], dtype=float).reshape(nv, 2)
-    pos += 2 * nv
-    tris = np.asarray(tok[pos:pos + 3 * nt], dtype=np.int64).reshape(nt, 3)
-    pos += 3 * nt
-    if tris.size and (tris.min() < 0 or tris.max() >= nv):
-        raise MeshError("triangle references vertex index out of range")
-    edges = []
-    labels = []
-    for k in range(nb):
-        a, b, lab = tok[pos + 3 * k], tok[pos + 3 * k + 1], tok[pos + 3 * k + 2]
-        edges.append((int(a), int(b)))
-        labels.append(lab.upper())
-    edges = np.asarray(edges, dtype=np.int64)
+    body = tok[3:need]
+    verts = np.asarray(body[:2 * nv], dtype=float).reshape(nv, 2)
+    tris = np.asarray(body[2 * nv:2 * nv + 3 * nt], dtype=np.int64).reshape(nt, 3)
+    labeled = np.asarray(body[2 * nv + 3 * nt:], dtype=str).reshape(nb, 3)
+    edges = labeled[:, :2].astype(np.int64)
+    labels = np.char.upper(labeled[:, 2]).tolist()
+    # both index the vertices below, before Mesh validates them
+    for ids, what in ((tris, "triangle"), (edges, "boundary edge")):
+        if ids.size and (ids.min() < 0 or ids.max() >= nv):
+            raise MeshError("%s references vertex index out of range" % what)
 
     bidx = np.unique(edges.ravel()) if len(edges) else np.arange(nv)
     pts = verts[bidx] if len(bidx) else verts

@@ -325,3 +325,69 @@ def loop_layer_potentials(bspace, coeffs, density, wcoef, X):
         vphi += np.einsum("nab,b->na", vb, dens[m])
         kw += np.einsum("nab,b->na", k0, w[n0]) + np.einsum("nab,b->na", kt, w[n1])
     return vphi, kw
+
+
+# -- mesh reference: the tuple/dict refinement that the bisection rounds of
+# -- mesh.refine replaced ------------------------------------------------------
+
+def loop_refine(mesh, marked):
+    """Newest-vertex bisection of the marked triangles plus conforming closure."""
+    from febe.mesh import Mesh, MeshError
+    nt = len(mesh.triangles)
+    marked = sorted(set(int(m) for m in marked))
+    if any(m < 0 or m >= nt for m in marked):
+        raise MeshError("marked triangle id out of range")
+    if not marked:
+        return mesh
+
+    verts = [tuple(v) for v in mesh.vertices]
+    tris = [tuple(t) for t in mesh.triangles]
+    gen = list(mesh.generation)
+    alive = [True] * nt
+    bnd = {tuple(sorted(e)): lab
+           for e, lab in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels)}
+    midpoint = {}
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        m = midpoint.get(key)
+        if m is None:
+            m = len(verts)
+            verts.append(tuple(0.5 * (np.asarray(verts[a]) + np.asarray(verts[b]))))
+            midpoint[key] = m
+            if key in bnd:
+                lab = bnd.pop(key)
+                bnd[(min(a, m), max(a, m))] = lab
+                bnd[(min(m, b), max(m, b))] = lab
+        return m
+
+    def bisect(k):
+        a, b, c = tris[k]
+        m = mid(b, c)
+        alive[k] = False
+        tris.append((m, a, b)); gen.append(gen[k] + 1); alive.append(True)
+        tris.append((m, c, a)); gen.append(gen[k] + 1); alive.append(True)
+
+    queue = list(marked)
+    while queue:
+        for k in queue:
+            if alive[k]:
+                bisect(k)
+        # closure: any live triangle with a bisected edge must be bisected too
+        queue = []
+        for k, t in enumerate(tris):
+            if not alive[k]:
+                continue
+            a, b, c = t
+            for e in ((a, b), (b, c), (c, a)):
+                if (min(e), max(e)) in midpoint:
+                    queue.append(k)
+                    break
+
+    keep = [k for k in range(len(tris)) if alive[k]]
+    new_tris = np.asarray([tris[k] for k in keep], dtype=np.int64)
+    new_gen = np.asarray([gen[k] for k in keep], dtype=np.int64)
+    edges = sorted(bnd)
+    return Mesh(np.asarray(verts, dtype=float), new_tris,
+                np.asarray(edges, dtype=np.int64), [bnd[e] for e in edges],
+                generation=new_gen, scale_factor=mesh.scale_factor)

@@ -4,9 +4,9 @@ import pytest
 from febe import mesh as meshmod
 from febe.mesh import (MeshError, load_mesh, mesh_size, refine,
                        refine_uniform, save_mesh, shape_regularity)
-from febe.presets import MESH_PRESETS
+from febe.presets import MESH_PRESETS, square_text
 
-from conftest import square_mesh_text, struct_square
+from conftest import loop_refine, square_mesh_text, struct_square
 
 
 def test_load_unit_square(unit_square):
@@ -25,6 +25,12 @@ def test_left_edge_slip_label():
 def test_vertex_index_out_of_range():
     bad = square_mesh_text().replace("0 2 3", "0 2 9")
     with pytest.raises(MeshError):
+        load_mesh(bad)
+
+
+def test_boundary_edge_vertex_out_of_range():
+    bad = square_mesh_text().replace("1 2 T", "1 9 T")
+    with pytest.raises(MeshError, match="boundary edge references vertex index"):
         load_mesh(bad)
 
 
@@ -178,6 +184,55 @@ def test_edge_table_matches_dict_incidence(preset):
                           for a, b in zip(loop.tolist(), np.roll(loop, -1).tolist())]
         assert m.boundary_loop()[0] is loop
     assert m.find_edges([loop[0]], [loop[0]]).tolist() == [-1]
+
+
+_REFINE_MESHES = {
+    "square-slip": MESH_PRESETS["square-slip"],
+    "lshape": MESH_PRESETS["lshape"],
+    "circle": MESH_PRESETS["circle"],
+    "square-two-slip": lambda: square_text(2, slip=("b", "r")),
+}
+
+
+def _assert_same_mesh(m, ref):
+    for name in ("vertices", "triangles", "boundary_edges", "generation", "edges",
+                 "edge_triangles"):
+        assert np.array_equal(getattr(m, name), getattr(ref, name)), name
+    assert m.boundary_labels == ref.boundary_labels
+    assert np.array_equal(m.boundary_loop()[0], ref.boundary_loop()[0])
+    assert m.boundary_loop()[1] == ref.boundary_loop()[1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("preset", sorted(_REFINE_MESHES))
+def test_array_refine_matches_loop_refine(preset, seed):
+    """Two uniform sweeps, random markings of 1/3 to 1/12 of the triangles and
+    a single-triangle marking give the tuple/dict refinement's arrays."""
+    rng = np.random.default_rng(seed)
+    m = load_mesh(_REFINE_MESHES[preset](), scale=False)
+    for step in range(9):
+        nt = len(m.triangles)
+        if step < 2:
+            marked = range(nt)
+        elif step < 8:
+            marked = rng.choice(nt, size=max(1, nt // rng.integers(3, 13)), replace=False)
+        else:
+            marked = [int(rng.integers(nt))]
+        ref = loop_refine(m, marked)
+        m = refine(m, marked)
+        _assert_same_mesh(m, ref)
+        # triangle_edges names the edges (0,1), (1,2), (2,0); h_T and
+        # h_T / rho_T from it equal those from per-triangle norms
+        t = m.triangles
+        assert np.array_equal(m.edges[m.triangle_edges],
+                              np.sort(np.stack([t, np.roll(t, -1, axis=1)], axis=2), axis=2))
+        assert not m.triangle_edges.flags.writeable
+        p = m.vertices[t]
+        a, b, c = (np.linalg.norm(p[:, (i + 1) % 3] - p[:, i], axis=1) for i in range(3))
+        h_T = np.maximum(np.maximum(a, b), c)
+        assert np.array_equal(mesh_size(m)[1], h_T)
+        rho = 4.0 * meshmod.triangle_areas(m) / (a + b + c)
+        assert shape_regularity(m) == np.max(h_T / rho)
 
 
 def test_edge_table_read_only(unit_square):
