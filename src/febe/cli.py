@@ -11,6 +11,7 @@ import numpy as np
 from . import estimate as est
 from .config import ConfigError, load_config
 from .export import export_fields
+from .mesh import MeshError
 from .oracle import OracleError, oracle_vi
 from .study import (build_from_config, convergence_study, estimate_from_config,
                     mesh_from_config, solve_from_config, table_csv)
@@ -138,6 +139,9 @@ def main(argv=None):
         return args.fn(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
+        return 2
+    except MeshError as exc:
+        print("mesh error: %s" % exc, file=sys.stderr)
         return 2
     except SolverError as exc:
         print("solver error: %s" % exc, file=sys.stderr)

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import material as mat
 from .bem import eval_layer_potentials
+from .export import format_rows
 from .mesh import mesh_size
 from .quadrature import QuadratureRule, segment_gauss
 
@@ -429,16 +430,16 @@ def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
 
 def indicators_csv(ind, path):
     """One row per entity: kind, term, entity id, value, power tag."""
-    rows = ["kind,term,entity,value,power"]
-    for name, vals in ind.element_terms.items():
-        for k, v in enumerate(vals):
-            rows.append("element,%s,%d,%.17g,%.17g" % (name, k, v, ind.powers[name]))
-    for name, vals in ind.edge_terms.items():
-        for e, v in zip(ind.edge_index, vals):
-            rows.append("edge,%s,%d-%d,%.17g,%.17g"
-                        % (name, e[0], e[1], v, ind.powers[name]))
-    for name, vals in ind.boundary_terms.items():
-        for e, v in enumerate(vals):
-            rows.append("boundary,%s,%d,%.17g,%.17g" % (name, e, v, ind.powers[name]))
+    parts = ["kind,term,entity,value,power\n"]
+    for kind, terms in (("element", ind.element_terms), ("edge", ind.edge_terms),
+                        ("boundary", ind.boundary_terms)):
+        for name, vals in terms.items():
+            # the term's name and power are fixed in the row format
+            head = "%s,%s," % (kind, name)
+            tail = ",%%.17g,%.17g\n" % ind.powers[name]
+            if kind == "edge":
+                parts.append(format_rows(head + "%d-%d" + tail, *ind.edge_index.T, vals))
+            else:
+                parts.append(format_rows(head + "%d" + tail, np.arange(len(vals)), vals))
     with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("".join(parts))

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import os
+from itertools import chain
 
 import numpy as np
 
 from .vi import slip_fields
 
-FMT = "%.17g"
 
-
-def _fmt(x):
-    return FMT % x
+def format_rows(fmt, *cols):
+    """The lines fmt % row for the rows of the given columns, formatted by one
+    % operation on a tuple of Python scalars (numpy floats print alike)."""
+    rows = zip(*(np.asarray(c).tolist() for c in cols))
+    return (fmt * len(cols[0])) % tuple(chain.from_iterable(rows))
 
 
 def export_fields(sol, system, directory, indicators=None):
@@ -28,55 +30,39 @@ def export_fields(sol, system, directory, indicators=None):
     nv = len(mesh.vertices)
     nt = len(mesh.triangles)
     u = sol.u.reshape(nv, d)
+    x, y = mesh.vertices.T
 
     fields = np.zeros((4, nv))          # v_n, v_t, sigma_n, sigma_t
     fields[:, system.bspace.loop[system.slip_nodes]] = slip_fields(sol, system)[:4]
-    vn, vt, sn, st = fields
 
     cell_ind = (np.asarray(indicators, dtype=float)
                 if indicators is not None else np.zeros(nt))
 
-    lines = ["# vtk DataFile Version 3.0", "febe fields", "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             "POINTS %d double" % nv]
-    for x, y in mesh.vertices:
-        lines.append("%s %s 0" % (_fmt(x), _fmt(y)))
-    lines.append("CELLS %d %d" % (nt, 4 * nt))
-    for a, b, c in mesh.triangles:
-        lines.append("3 %d %d %d" % (a, b, c))
-    lines.append("CELL_TYPES %d" % nt)
-    lines.extend(["5"] * nt)
-    lines.append("POINT_DATA %d" % nv)
-    lines.append("VECTORS u double")
-    for k in range(nv):
-        ux = u[k, 0]
-        uy = u[k, 1] if d == 2 else 0.0
-        lines.append("%s %s 0" % (_fmt(ux), _fmt(uy)))
-    for name, arr in (("v_n", vn), ("v_t", vt), ("sigma_n", sn), ("sigma_t", st)):
-        lines.append("SCALARS %s double 1" % name)
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(x) for x in arr)
-    lines.append("CELL_DATA %d" % nt)
-    lines.append("SCALARS indicator double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(_fmt(x) for x in cell_ind)
+    parts = ["# vtk DataFile Version 3.0\nfebe fields\nASCII\n"
+             "DATASET UNSTRUCTURED_GRID\nPOINTS %d double\n" % nv,
+             format_rows("%.17g %.17g 0\n", x, y),
+             "CELLS %d %d\n" % (nt, 4 * nt),
+             format_rows("3 %d %d %d\n", *mesh.triangles.T),
+             "CELL_TYPES %d\n" % nt, "5\n" * nt,
+             "POINT_DATA %d\nVECTORS u double\n" % nv,
+             format_rows("%.17g %.17g 0\n", u[:, 0],
+                         u[:, 1] if d == 2 else np.zeros(nv))]
+    for name, arr in zip(("v_n", "v_t", "sigma_n", "sigma_t"), fields):
+        parts += ["SCALARS %s double 1\nLOOKUP_TABLE default\n" % name,
+                  format_rows("%.17g\n", arr)]
+    parts += ["CELL_DATA %d\nSCALARS indicator double 1\nLOOKUP_TABLE default\n" % nt,
+              format_rows("%.17g\n", cell_ind)]
     with open(os.path.join(directory, "solution.vtk"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))
 
     # CSV mirrors
-    header = "x,y," + ",".join("u%d" % c for c in range(d)) + ",v_n,v_t,sigma_n,sigma_t"
-    rows = [header]
-    for k in range(nv):
-        vals = ([mesh.vertices[k, 0], mesh.vertices[k, 1]]
-                + list(u[k]) + [vn[k], vt[k], sn[k], st[k]])
-        rows.append(",".join(_fmt(x) for x in vals))
+    header = "x,y," + ",".join("u%d" % c for c in range(d)) + ",v_n,v_t,sigma_n,sigma_t\n"
     with open(os.path.join(directory, "fields.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    rows = ["triangle,indicator"]
-    for k in range(nt):
-        rows.append("%d,%s" % (k, _fmt(cell_ind[k])))
+        fh.write(header + format_rows(",".join(["%.17g"] * (6 + d)) + "\n",
+                                      x, y, *u.T, *fields))
     with open(os.path.join(directory, "cells.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("triangle,indicator\n"
+                 + format_rows("%d,%.17g\n", np.arange(nt), cell_ind))
     return os.path.join(directory, "solution.vtk")
 
 

@@ -10,9 +10,12 @@ borders the Steklov-Poincare system.
 
 Both formulations are solved by one primal-dual active-set (semismooth)
 Newton core on the exact conditions, min(-v_n, lam_n) = 0 and
-mu_t = clip(mu_t + c Z_t, -F, F); they differ only in their block form, a
+mu_t = clip(mu_t + c_k Z_t, -F, F); they differ only in their block form, a
 residual and a constant Jacobian block (the energy gradient bordered by the
-compatibility rows, or the layer-potential block residual).  An active v_n
+compatibility rows, or the layer-potential block residual).  The constant
+c_k = scale * omega_k of slip node k scales the data magnitude by the node's
+hat-function weight on the slip boundary, as the lumped multipliers are, so
+the step counts do not grow with the mesh.  An active v_n
 and a sticking Z_t are held at zero; every other coordinate takes a Newton
 step, a slipping Z_t with its friction force.  The step length comes from an
 Armijo search on the squared NCP residual.  The multipliers lam_n and mu_t of
@@ -284,8 +287,8 @@ def _residual_scale(system):
     return max(1.0, np.abs(system.gb).max(), np.abs(system.b_f).max())
 
 
-def _active_set_newton(y, residual, jacobian, idx_n, idx_f, F, scale, tol,
-                       max_iter, what):
+def _active_set_newton(y, residual, jacobian, idx_n, c_n, idx_f, c_f, F,
+                       scale, tol, max_iter, what):
     """Primal-dual active-set (semismooth) Newton on R(y) = 0 with the
     contact bound y[idx_n] <= 0, multiplier -R[idx_n] >= 0, and Tresca
     friction on y[idx_f], friction force -R[idx_f] in [-F, F].
@@ -294,21 +297,23 @@ def _active_set_newton(y, residual, jacobian, idx_n, idx_f, F, scale, tol,
     gradient bordered by the compatibility rows, or the layer-potential
     rows); jacobian(y) is its derivative as a sparse matrix.  The NCP
     residual Phi replaces the bound rows by min(-y_n, -R_n) and the friction
-    rows by mu - clip(mu + c y_f, -F, F), mu = -R_f, c = scale.  Each step
-    holds active contact and sticking friction rows at zero (identity rows);
-    a slipping row carries the force F sign(mu + c y_f).  Armijo backtracking
-    on |Phi|_2^2.  A singular Newton matrix, an exhausted line search and a
-    stall raise SolverError.
+    rows by mu - clip(mu + c_f y_f, -F, F), mu = -R_f, with one
+    complementarity constant per row (c_n for the bound rows, c_f for the
+    friction rows; _newton passes c_k = scale * omega_k, which keeps the
+    step counts from growing with the mesh).  Each step holds active
+    contact rows (-R_n + c_n y_n > 0) and sticking friction rows at zero
+    (identity rows); a slipping row carries the force F sign(mu + c_f y_f).
+    Armijo backtracking on |Phi|_2^2; the iteration stops at
+    |Phi|_inf <= tol * scale.  A singular Newton matrix, an exhausted line
+    search and a stall raise SolverError.
 
     Returns y, R(y), the iteration count, |Phi|_inf and |Phi|_2 per
     accepted iterate.
     """
-    c = scale
-
     def ncp(R, yv):
         phi = R.copy()
         phi[idx_n] = np.minimum(-yv[idx_n], -R[idx_n])
-        phi[idx_f] = -R[idx_f] - np.clip(-R[idx_f] + c * yv[idx_f], -F, F)
+        phi[idx_f] = -R[idx_f] - np.clip(-R[idx_f] + c_f * yv[idx_f], -F, F)
         return phi
 
     R = residual(y)
@@ -321,9 +326,9 @@ def _active_set_newton(y, residual, jacobian, idx_n, idx_f, F, scale, tol,
             return y, R, it, resid, history
         J = jacobian(y).tocoo()
         rhs = -R
-        q = -R[idx_f] + c * y[idx_f]
+        q = -R[idx_f] + c_f * y[idx_f]
         rhs[idx_f] -= F * np.sign(q)
-        fixed = np.concatenate([idx_n[-R[idx_n] + c * y[idx_n] > 0],
+        fixed = np.concatenate([idx_n[-R[idx_n] + c_n * y[idx_n] > 0],
                                 idx_f[np.abs(q) <= F]])
         keep = ~np.isin(J.row, fixed)
         J = sp.coo_matrix((np.concatenate([J.data[keep], np.ones(len(fixed))]),
@@ -388,14 +393,23 @@ def _newton(system, form, y0, tol, max_iter, what, contact=True):
     itself, or its LayerPotentialSystem): form.residual with the Newton
     matrix form.J_const plus the FE tangent, the bound rows of v_n (unless
     contact is False) and the friction rows of the slip nodes with a
-    positive bound."""
+    positive bound.
+
+    The complementarity constant of slip node k is c_k = scale * omega_k.
+    The multiplier of a row is a lumped force, about sigma * omega_k, so the
+    discrete NCP is then the function-space one, sigma + scale * z, tested
+    with the hat function of node k; a mesh-free c would outweigh the
+    multiplier by 1/h and the step counts would grow with the mesh."""
     nU = system.nU
-    slip = system.friction.F > 0
+    scale = _residual_scale(system)
+    fr = system.friction
+    c = scale * fr.omega
+    bound = system.idx_zn if contact else system.idx_zn[:0]   # none for d = 1
+    slip = fr.F > 0
     return _active_set_newton(
         y0, form.residual, lambda y: _block_jacobian(system, form.J_const, y[:nU]),
-        nU + system.idx_zn if contact else np.array([], dtype=int),
-        nU + system.idx_zt[slip], system.friction.F[slip],
-        _residual_scale(system), tol, max_iter, what)
+        nU + bound, c[:len(bound)], nU + system.idx_zt[slip], c[slip],
+        fr.F[slip], scale, tol, max_iter, what)
 
 
 def _start(system, x0):

@@ -391,3 +391,90 @@ def loop_refine(mesh, marked):
     return Mesh(np.asarray(verts, dtype=float), new_tris,
                 np.asarray(edges, dtype=np.int64), [bnd[e] for e in edges],
                 generation=new_gen, scale_factor=mesh.scale_factor)
+
+
+# -- export references: the per-value writers that the block-formatted
+# -- export_fields and indicators_csv replaced ----------------------------------
+
+def _fmt(x):
+    return "%.17g" % x
+
+
+def loop_export_fields(sol, system, directory, indicators=None):
+    """Write solution.vtk, fields.csv and cells.csv one value at a time."""
+    import os
+
+    from febe.vi import slip_fields
+    os.makedirs(directory, exist_ok=True)
+    mesh = system.space.mesh
+    d = system.d
+    nv = len(mesh.vertices)
+    nt = len(mesh.triangles)
+    u = sol.u.reshape(nv, d)
+
+    fields = np.zeros((4, nv))          # v_n, v_t, sigma_n, sigma_t
+    fields[:, system.bspace.loop[system.slip_nodes]] = slip_fields(sol, system)[:4]
+    vn, vt, sn, st = fields
+
+    cell_ind = (np.asarray(indicators, dtype=float)
+                if indicators is not None else np.zeros(nt))
+
+    lines = ["# vtk DataFile Version 3.0", "febe fields", "ASCII",
+             "DATASET UNSTRUCTURED_GRID",
+             "POINTS %d double" % nv]
+    for x, y in mesh.vertices:
+        lines.append("%s %s 0" % (_fmt(x), _fmt(y)))
+    lines.append("CELLS %d %d" % (nt, 4 * nt))
+    for a, b, c in mesh.triangles:
+        lines.append("3 %d %d %d" % (a, b, c))
+    lines.append("CELL_TYPES %d" % nt)
+    lines.extend(["5"] * nt)
+    lines.append("POINT_DATA %d" % nv)
+    lines.append("VECTORS u double")
+    for k in range(nv):
+        ux = u[k, 0]
+        uy = u[k, 1] if d == 2 else 0.0
+        lines.append("%s %s 0" % (_fmt(ux), _fmt(uy)))
+    for name, arr in (("v_n", vn), ("v_t", vt), ("sigma_n", sn), ("sigma_t", st)):
+        lines.append("SCALARS %s double 1" % name)
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(_fmt(x) for x in arr)
+    lines.append("CELL_DATA %d" % nt)
+    lines.append("SCALARS indicator double 1")
+    lines.append("LOOKUP_TABLE default")
+    lines.extend(_fmt(x) for x in cell_ind)
+    with open(os.path.join(directory, "solution.vtk"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+    # CSV mirrors
+    header = "x,y," + ",".join("u%d" % c for c in range(d)) + ",v_n,v_t,sigma_n,sigma_t"
+    rows = [header]
+    for k in range(nv):
+        vals = ([mesh.vertices[k, 0], mesh.vertices[k, 1]]
+                + list(u[k]) + [vn[k], vt[k], sn[k], st[k]])
+        rows.append(",".join(_fmt(x) for x in vals))
+    with open(os.path.join(directory, "fields.csv"), "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    rows = ["triangle,indicator"]
+    for k in range(nt):
+        rows.append("%d,%s" % (k, _fmt(cell_ind[k])))
+    with open(os.path.join(directory, "cells.csv"), "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    return os.path.join(directory, "solution.vtk")
+
+
+def loop_indicators_csv(ind, path):
+    """One row per entity: kind, term, entity id, value, power tag."""
+    rows = ["kind,term,entity,value,power"]
+    for name, vals in ind.element_terms.items():
+        for k, v in enumerate(vals):
+            rows.append("element,%s,%d,%.17g,%.17g" % (name, k, v, ind.powers[name]))
+    for name, vals in ind.edge_terms.items():
+        for e, v in zip(ind.edge_index, vals):
+            rows.append("edge,%s,%d-%d,%.17g,%.17g"
+                        % (name, e[0], e[1], v, ind.powers[name]))
+    for name, vals in ind.boundary_terms.items():
+        for e, v in enumerate(vals):
+            rows.append("boundary,%s,%d,%.17g,%.17g" % (name, e, v, ind.powers[name]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")

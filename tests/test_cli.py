@@ -55,6 +55,19 @@ def test_solver_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_mesh_error_exit_code(tmp_path, capsys):
+    # a square whose boundary edge 3 0 is missing from the edge list
+    meshfile = tmp_path / "open.txt"
+    meshfile.write_text("4 2 3\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n"
+                        "0 1 T\n1 2 T\n2 3 T\n")
+    cfg = write_cfg(tmp_path, "out.dir = %s\n" % (tmp_path / "out"))
+    assert main(["solve", "--config", cfg, "--mesh", str(meshfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("mesh error: unlabeled boundary edge")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config("nonsense.key = 1\n")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from febe import estimate, fem, material as mat, presets
 from febe.driver import build_system
 from febe.estimate import (estimate_lp, estimate_scalar_appendix, estimate_sp,
                            quasinorm_kernel, recover_gradient)
+from febe.export import export_fields
 from febe.mesh import load_mesh, refine_uniform
 from febe.vi import ProblemData, solve_contact_vi, solve_layerpotential_vi, \
     solve_transmission
 
-from conftest import friction_bound_loop, graded_slip_system
+from conftest import (friction_bound_loop, graded_slip_system, loop_export_fields,
+                      loop_indicators_csv)
 
 
 def make(preset, p=2.0, refines=1, slip=(), solver="sp"):
@@ -419,3 +423,28 @@ def test_appendix_friction_terms_match_panel_loop(friction):
         assert ind.parts[name] == float(np.sum(raw))
         assert np.array_equal(ind.boundary_terms[name],
                               estimate._term_share(raw, ind.powers[name]))
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("with_indicators", [False, True])
+def test_block_writers_match_loop_writers(tmp_path, vector, with_indicators):
+    # the same solution through the block-formatted and the per-value writers
+    sys_ = graded_slip_system(vector)
+    sol = solve_contact_vi(sys_)
+    sol.u[::7] = -0.0                   # signed zeros print as "-0" in both
+    sol.u[1::7] *= 1e-300
+    inds = [estimate_sp(sys_, sol)] + ([] if vector else [estimate_scalar_appendix(sys_, sol)])
+    indicators = inds[0].element_indicator() if with_indicators else None
+    export_fields(sol, sys_, tmp_path / "block", indicators=indicators)
+    loop_export_fields(sol, sys_, tmp_path / "loop", indicators=indicators)
+    for k, ind in enumerate(inds):
+        estimate.indicators_csv(ind, tmp_path / "block" / ("indicators%d.csv" % k))
+        loop_indicators_csv(ind, tmp_path / "loop" / ("indicators%d.csv" % k))
+    names = sorted(os.listdir(tmp_path / "loop"))
+    assert names == sorted(os.listdir(tmp_path / "block"))
+    assert len(names) == 3 + len(inds)
+    # estimate_sp writes edge rows, the scalar appendix estimator none
+    assert inds[0].edge_terms and (vector or not inds[1].edge_terms)
+    for name in names:
+        assert ((tmp_path / "block" / name).read_bytes()
+                == (tmp_path / "loop" / name).read_bytes()), name

@@ -517,6 +517,35 @@ def test_contact_set_found_in_few_steps(refines):
     assert solve_contact_vi(sys_).iterations <= 8
 
 
+def _newton_steps(monkeypatch, system):
+    """Newton steps (linear solves) of each active-set run of a contact solve:
+    [warm start, main solve] for p != 2, [main solve] for p = 2."""
+    steps = []
+    core = vi._active_set_newton
+
+    def counted(*args, **kw):
+        out = core(*args, **kw)
+        steps.append(len(out[4]) - 1)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(vi, "_active_set_newton", counted)
+        solve_contact_vi(system)
+    return steps
+
+
+def test_newton_steps_do_not_grow_with_the_mesh(monkeypatch):
+    # c_k = scale * omega_k: the NCP of the function-space problem, so the
+    # active-set guesses do not degrade as h shrinks (nt = 256 and 4096)
+    coarse, fine = (_newton_steps(monkeypatch, scalar_system(
+        "transition", p=1.5, n=4, refines=r, slip=("b",))[0]) for r in (3, 7))
+    assert len(coarse) == 2 and coarse == fine
+    # stick-vec p = 2, nt = 512 and 2048
+    coarse, fine = (_newton_steps(monkeypatch, vector_system(
+        "stick-vec", p=2.0, n=4, refines=r)[0]) for r in (4, 6))
+    assert len(coarse) == 1 and fine[0] <= coarse[0]
+
+
 # -- Newton matrices from cached constant blocks vs. full assembly ----------
 
 def _block_sp_jacobian(system, y):
