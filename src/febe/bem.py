@@ -316,7 +316,7 @@ def _primitives(keys, bspace, src, X):
         # subexpressions shared by several combinations
         "dq": lambda g: u2 / r2s - u1 / r1s,
         "dinv": lambda g: 1 / r2s - 1 / r1s,
-        "eta3": lambda g: eta ** 3,
+        "eta3": lambda g: eta * eta * eta,
         "ilog0": ilog0,
         # dyadic /rho^2 pieces
         "dy00": lambda g: (u2 - u1) - eta * dat,

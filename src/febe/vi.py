@@ -23,10 +23,20 @@ a solution are the solved residual rows of the v_n and Z_t coordinates, for
 both formulations, and the KKT report and the field export read the same
 nodal stresses from them (slip_fields).
 
+The exterior problem enters only through the boundary columns bcols: the
+trace dofs of the boundary loop, then every Z dof.  The trace map
+B = [Tr, Es] has all its entries there, and Bd = B[:, bcols] = [I, Es].  The
+constant blocks are dense products on bcols, rounded as the sparse products
+with B were: B^T S B and C = Cw B (Steklov-Poincare form), or
+[[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] over bcols and the density dofs, plus
+the stabilization (layer-potential form).  Their exact zeros are not
+stored, so the sparsity patterns are those of the sparse products.
+
 Per Newton step only the FE tangent changes.  The constant part of the
-Newton matrix is built once per system, as COO: [[H_bd, C^T], [C, 0]]
-(Steklov-Poincare form), or the W, K, V and stabilization blocks
-(layer-potential form).  Each step adds the tangent to it, and
+Newton matrix is built once per system in canonical CSC form:
+[[H_bd, C^T], [C, 0]], or the layer-potential block.  Each step adds the
+tangent to it with one sparse add, zeroes the held rows by a row mask and
+adds their unit diagonal with a second, which drops the zeroed entries.
 SuperLU factors the result with the symmetric minimum-degree ordering on
 A^T + A.  SuperLU does not raise on an exactly singular matrix; it warns and
 returns NaN, and the solver raises SolverError, as it does when the line
@@ -86,7 +96,14 @@ class DiscreteSolution:
 
 
 class CoupledSystem:
-    """Discrete energy J_h + lumped friction over (U, Z) with S_h coupling."""
+    """Discrete energy J_h + lumped friction over (U, Z) with S_h coupling.
+
+    B = [Tr, Es] maps x = (U, Z) to the boundary trace w.  The constant
+    Hessian H_bd = B^T S B and the compatibility rows C = Cw B come from
+    dense blocks on the boundary columns bcols (times_bd, bd_sandwich);
+    H_bd and the bordered block J_const are canonical CSC.  No dense block
+    is kept on the system.
+    """
 
     def __init__(self, space, bspace, ops, law, data, ncompat=None,
                  quad_order=4):
@@ -126,12 +143,21 @@ class CoupledSystem:
         else:
             nu = nrm[self.slip_nodes]
             frame = np.stack([nu, np.column_stack([-nu[:, 1], nu[:, 0]])], axis=2)
-        rows = (d * self.slip_nodes)[:, None, None] + np.arange(d)[None, :, None]
-        cols = (d * np.arange(ns))[:, None, None] + np.arange(d)[None, None, :]
-        rows, cols = np.broadcast_arrays(rows, cols)
-        self.Es = sp.csr_matrix((frame.ravel(), (rows.ravel(), cols.ravel())),
+        self.slip_frames = frame
+        srows = (d * self.slip_nodes)[:, None, None] + np.arange(d)[None, :, None]
+        scols = (d * np.arange(ns))[:, None, None] + np.arange(d)[None, None, :]
+        srows, scols = (a.ravel() for a in np.broadcast_arrays(srows, scols))
+        self.Es = sp.csr_matrix((frame.ravel(), (srows, scols)),
                                 shape=(M * d, self.nZ))
         self.node_normals = nrm
+        # B = [Tr, Es] maps x = (U, Z) to the boundary trace w; its columns
+        # bcols (the trace dofs of the loop, then every Z dof) hold all its
+        # entries, and B[:, bcols] = [I, Es]
+        self.B = sp.csr_matrix(
+            (np.concatenate([np.ones(M * d), frame.ravel()]),
+             (np.concatenate([rows, srows]), np.concatenate([cols, self.nU + scols]))),
+            shape=(M * d, self.nU + self.nZ))
+        self.bcols = np.concatenate([cols, self.nU + np.arange(self.nZ)])
 
         # data vectors; u0/t0/friction accept callables or nodal/panel arrays
         self.b_f = (fem.assemble_load(space, data.f, quad_order)
@@ -146,12 +172,6 @@ class CoupledSystem:
         self.gb = self.t0b + self.S @ self.U0
         self.friction = self._friction_data()
 
-        # constant part of the Hessian: [Tr,Es]^T S [Tr,Es]
-        B = sp.hstack([self.Tr, self.Es]).tocsr()
-        self.B = B
-        self.H_bd = (B.T @ sp.csr_matrix(self.S) @ B).tocsr()
-        self.g_bd = B.T @ self.gb
-
         # compatibility constraint rows over x = (U, Z): the nodal traces of
         # the first ncompat rigid motions
         if ncompat is None:
@@ -162,13 +182,44 @@ class CoupledSystem:
             raise ValueError("ncompat = %d exceeds the %d rigid motions"
                              % (self.ncompat, rigid.shape[1]))
         self.compat_dirs = np.ascontiguousarray(rigid[:, :self.ncompat])
-        Cw = self.compat_dirs.T @ self.S                # (ncon, dM)
-        self.C = np.ascontiguousarray(Cw @ B)
-        self.c0 = Cw @ self.U0
+        self.c0 = self.compat_dirs.T @ self.S @ self.U0
+
+        # constant part of the Hessian, B^T S B, and the compatibility rows
+        # C = Cw B, from their dense blocks on bcols
+        n = self.nU + self.nZ
+        Hd, Cb = self._boundary_blocks()
+        self.H_bd = _embed(Hd, self.bcols, n)
+        self.g_bd = self.B.T @ self.gb
+        self.C = np.zeros((self.ncompat, n))
+        self.C[:, self.bcols] = Cb
 
         self.compat_data_residual = self._data_compat_residual()
 
     # -- assembly helpers ---------------------------------------------------
+
+    def times_bd(self, X):
+        """X B[:, bcols] for a dense X over the boundary P1 dofs: X itself
+        on the trace columns, and on Z column (j, b) the sum over a of
+        X[:, d s_j + a] frame_j[a, b], one rounding per product as in the
+        sparse product X B."""
+        d, frame = self.d, self.slip_frames
+        Xa = [X[:, d * self.slip_nodes + a] for a in range(d)]
+        XE = np.empty((len(X), len(frame), d))
+        for b in range(d):
+            XE[:, :, b] = Xa[0] * frame[:, 0, b]
+            for a in range(1, d):
+                XE[:, :, b] += Xa[a] * frame[:, a, b]
+        return np.hstack([X, XE.reshape(len(X), self.nZ)])
+
+    def bd_sandwich(self, X):
+        """B[:, bcols]^T X B[:, bcols], rounded as the sparse product
+        (B^T X) B."""
+        return self.times_bd(self.times_bd(X.T).T)
+
+    def _boundary_blocks(self):
+        """The dense blocks of B^T S B and of C = Cw B on bcols."""
+        return (self.bd_sandwich(self.S),
+                self.times_bd(self.compat_dirs.T @ self.S))
 
     def _boundary_moments(self, t0):
         """P1 moments of a traction given as panel values (L, d), which the
@@ -230,12 +281,6 @@ class CoupledSystem:
 
     # -- objective ----------------------------------------------------------
 
-    def split(self, x):
-        return x[:self.nU], x[self.nU:]
-
-    def w_of(self, x):
-        return self.B @ x
-
     def phi_smooth(self, x):
         U = x[:self.nU]
         w = self.B @ x
@@ -270,10 +315,27 @@ class CoupledSystem:
     @cached_property
     def J_const(self):
         """Constant part of the Newton matrix over y = (U, Z, lam), built on
-        first use in COO format: the bordered compatibility system
+        first use as canonical CSC from its dense block on bcols and the
+        multiplier dofs: the bordered compatibility system
         [[H_bd, C^T], [C, 0]].  Each step adds the FE tangent."""
-        C = sp.csr_matrix(self.C)
-        return sp.bmat([[self.H_bd, C.T], [C, None]]).tocoo()
+        n, m = self.nU + self.nZ, self.ncompat
+        Hd, Cb = self._boundary_blocks()
+        block = np.block([[Hd, Cb.T], [Cb, np.zeros((m, m))]])
+        return _embed(block, np.concatenate([self.bcols, n + np.arange(m)]), n + m)
+
+
+def _embed(block, idx, n):
+    """The n x n matrix, in canonical CSC form with int32 indices, that
+    holds the nonzero entries of the dense block at rows and columns idx
+    (distinct); exact zeros are not stored."""
+    order = np.argsort(idx)
+    idx = idx[order].astype(np.int32)
+    cols = block.take(order, axis=1).take(order, axis=0).T   # column-major walk
+    nz = cols != 0
+    counts = np.zeros(n + 1, dtype=np.int32)
+    counts[idx + 1] = np.count_nonzero(nz, axis=1)
+    return sp.csc_matrix((cols[nz], np.broadcast_to(idx, nz.shape)[nz],
+                          np.cumsum(counts, dtype=np.int32)), shape=(n, n))
 
 
 # SuperLU column ordering of every Newton solve: minimum degree on A^T + A
@@ -295,9 +357,9 @@ def _active_set_newton(y, residual, jacobian, idx_n, c_n, idx_f, c_f, F,
 
     residual(y) is the block residual of either formulation (the smooth
     gradient bordered by the compatibility rows, or the layer-potential
-    rows); jacobian(y) is its derivative as a sparse matrix.  The NCP
-    residual Phi replaces the bound rows by min(-y_n, -R_n) and the friction
-    rows by mu - clip(mu + c_f y_f, -F, F), mu = -R_f, with one
+    rows); jacobian(y) is its derivative, a new canonical CSC matrix.  The
+    NCP residual Phi replaces the bound rows by min(-y_n, -R_n) and the
+    friction rows by mu - clip(mu + c_f y_f, -F, F), mu = -R_f, with one
     complementarity constant per row (c_n for the bound rows, c_f for the
     friction rows; _newton passes c_k = scale * omega_k, which keeps the
     step counts from growing with the mesh).  Each step holds active
@@ -324,18 +386,14 @@ def _active_set_newton(y, residual, jacobian, idx_n, c_n, idx_f, c_f, F,
         resid = float(np.abs(phi).max(initial=0.0))
         if resid <= tol * scale:
             return y, R, it, resid, history
-        J = jacobian(y).tocoo()
+        J = jacobian(y)
         rhs = -R
         q = -R[idx_f] + c_f * y[idx_f]
         rhs[idx_f] -= F * np.sign(q)
         fixed = np.concatenate([idx_n[-R[idx_n] + c_n * y[idx_n] > 0],
                                 idx_f[np.abs(q) <= F]])
-        keep = ~np.isin(J.row, fixed)
-        J = sp.coo_matrix((np.concatenate([J.data[keep], np.ones(len(fixed))]),
-                           (np.concatenate([J.row[keep], fixed]),
-                            np.concatenate([J.col[keep], fixed]))), shape=J.shape)
         rhs[fixed] = -y[fixed]
-        dy = spla.spsolve(J.tocsc(), rhs, permc_spec=_ORDERING)
+        dy = spla.spsolve(_fix_rows(J, fixed), rhs, permc_spec=_ORDERING)
         if not np.all(np.isfinite(dy)):
             raise SolverError("%s Newton matrix is singular at residual %.3e"
                               % (what, resid))
@@ -358,14 +416,25 @@ def _active_set_newton(y, residual, jacobian, idx_n, c_n, idx_f, c_f, F,
 
 
 def _block_jacobian(system, J0, U):
-    """Newton matrix of either formulation: the constant block J0 plus the FE
-    tangent at U in its leading nU x nU block, in COO format with duplicate
-    entries to be summed."""
-    Hu = fem.assemble_tangent(system.space, system.law, U).tocoo()
-    return sp.coo_matrix(
-        (np.concatenate([J0.data, Hu.data]),
-         (np.concatenate([J0.row, Hu.row]),
-          np.concatenate([J0.col, Hu.col]))), shape=J0.shape)
+    """Newton matrix of either formulation: the canonical CSC constant block
+    J0 plus the FE tangent at U, converted to CSC and padded to the leading
+    nU x nU block, by one sparse add."""
+    Hu = fem.assemble_tangent(system.space, system.law, U).tocsc()
+    pad = np.full(J0.shape[1] - Hu.shape[1], Hu.indptr[-1], dtype=Hu.indptr.dtype)
+    return J0 + sp.csc_matrix((Hu.data, Hu.indices, np.concatenate([Hu.indptr, pad])),
+                              shape=J0.shape)
+
+
+def _fix_rows(J, fixed):
+    """The CSC matrix J with the rows `fixed` replaced by unit rows: a row
+    mask zeroes their entries in place, and the sparse add of their unit
+    diagonal drops the zeroed entries."""
+    mask = np.zeros(J.shape[0], dtype=bool)
+    mask[fixed] = True
+    J.data[mask[J.indices]] = 0.0
+    rows = np.flatnonzero(mask).astype(J.indices.dtype)
+    indptr = np.concatenate([[0], np.cumsum(mask, dtype=J.indptr.dtype)])
+    return J + sp.csc_matrix((np.ones(len(rows)), rows, indptr), shape=J.shape)
 
 
 def _smooth_coords(system, n):
@@ -546,6 +615,10 @@ class LayerPotentialSystem:
     plus nodewise contact bounds, lumped friction on Z_t, the zero-mean
     compatibility rows on phi, and optionally the rank-D rigid-body
     stabilization (which vanishes at the solution).
+
+    J_const, in canonical CSC form, holds one dense block over the boundary
+    columns bcols and the density dofs, [[Bd^T W Bd, -Bd^T T^T], [T Bd, V]]
+    with T = Mb - K and Bd = B[:, bcols], plus Atil^T Atil when stabilized.
     """
 
     def __init__(self, system, stabilized=False):
@@ -556,28 +629,34 @@ class LayerPotentialSystem:
         self.nP = ops.V.shape[0]
         self.n = self.nU + self.nZ + self.nP
         self.stabilized = bool(stabilized)
-        B = system.B                       # (dM, nU+nZ), maps x to w
-        self.B = B
+        self.B = system.B                  # (dM, nU+nZ), maps x to w
         self.T = ops.Mb - ops.K            # (dL, dM)
         self.WU0 = ops.W @ system.U0
         self.TU0 = self.T @ system.U0
         # moments of the density against the first ncompat rigid motions
         p0 = rigid_motions(system.bspace, ops.d)[0][:, :system.ncompat]
         self.compat_rows = (ops.M0[:, None] * p0).T
-        # Jacobian blocks that do not depend on the iterate
-        J = sp.bmat([[B.T @ sp.csr_matrix(ops.W) @ B, B.T @ sp.csr_matrix(-self.T.T)],
-                     [sp.csr_matrix(self.T) @ B, sp.csr_matrix(ops.V)]]).tocsr()
+        # Jacobian blocks that do not depend on the iterate, dense on the
+        # boundary columns bcols and the density dofs
+        TB = system.times_bd(self.T)
+        J = np.block([[system.bd_sandwich(ops.W), -TB.T], [TB, ops.V]])
         if self.stabilized:
             basis = stabilization_data(system.bspace, ops)
             A = stabilization_vectors(ops, basis)      # (D, dM + dL)
             self.stabA = A
-            self.stab_c = A[:, :ops.Mb.shape[1]] @ system.U0
-            lift = sp.bmat([[B, None], [None, sp.identity(self.nP)]]).tocsr()
-            Atil = sp.csr_matrix(A) @ lift
-            J = J + Atil.T @ Atil
+            dM = ops.Mb.shape[1]
+            self.stab_c = A[:, :dM] @ system.U0
+            # Atil^T Atil summed over the D rows in order, as the sparse
+            # product rounds it
+            Atil = np.hstack([system.times_bd(A[:, :dM]), A[:, dM:]])
+            AtA = np.multiply.outer(Atil[0], Atil[0])
+            for a in Atil[1:]:
+                AtA += np.multiply.outer(a, a)
+            J += AtA
         else:
             self.stabA = None
-        self.J_const = J.tocoo()
+        dens = self.nU + self.nZ + np.arange(self.nP)
+        self.J_const = _embed(J, np.concatenate([system.bcols, dens]), self.n)
 
     def residual(self, y):
         """Residual of the smooth block system; the friction force is added

@@ -327,6 +327,60 @@ def loop_layer_potentials(bspace, coeffs, density, wcoef, X):
     return vphi, kw
 
 
+# -- vi references: the sparse-product constant blocks and the COO Newton
+# -- matrix that the dense boundary blocks and the canonical CSC constant
+# -- block replaced ------------------------------------------------------------
+
+def sparse_sp_blocks(system):
+    """H_bd, g_bd, C, c0 and the bordered J_const (COO) of a CoupledSystem
+    from sparse products of B = [Tr, Es]."""
+    import scipy.sparse as sp
+    B = sp.hstack([system.Tr, system.Es]).tocsr()
+    H_bd = (B.T @ sp.csr_matrix(system.S) @ B).tocsr()
+    g_bd = B.T @ system.gb
+    Cw = system.compat_dirs.T @ system.S
+    C = np.ascontiguousarray(Cw @ B)
+    c0 = Cw @ system.U0
+    Cs = sp.csr_matrix(C)
+    return H_bd, g_bd, C, c0, sp.bmat([[H_bd, Cs.T], [Cs, None]]).tocoo()
+
+
+def sparse_lp_block(system, stabilized):
+    """J_const (COO) of LayerPotentialSystem(system, stabilized) from
+    sparse products of B = [Tr, Es]."""
+    import scipy.sparse as sp
+    from febe.bem import stabilization_data, stabilization_vectors
+    ops = system.ops
+    B = sp.hstack([system.Tr, system.Es]).tocsr()
+    T = ops.Mb - ops.K
+    J = sp.bmat([[B.T @ sp.csr_matrix(ops.W) @ B, B.T @ sp.csr_matrix(-T.T)],
+                 [sp.csr_matrix(T) @ B, sp.csr_matrix(ops.V)]]).tocsr()
+    if stabilized:
+        A = stabilization_vectors(ops, stabilization_data(system.bspace, ops))
+        lift = sp.bmat([[B, None], [None, sp.identity(ops.V.shape[0])]]).tocsr()
+        Atil = sp.csr_matrix(A) @ lift
+        J = J + Atil.T @ Atil
+    return J.tocoo()
+
+
+def coo_newton_matrix(system, J0, U, fixed):
+    """Newton matrix of a step with the rows `fixed` held: the COO constant
+    block J0 and the FE tangent at U concatenated, the fixed rows removed
+    by np.isin, their unit diagonal appended, summed by the CSC conversion."""
+    import scipy.sparse as sp
+    from febe import fem
+    Hu = fem.assemble_tangent(system.space, system.law, U).tocoo()
+    J = sp.coo_matrix(
+        (np.concatenate([J0.data, Hu.data]),
+         (np.concatenate([J0.row, Hu.row]),
+          np.concatenate([J0.col, Hu.col]))), shape=J0.shape)
+    keep = ~np.isin(J.row, fixed)
+    J = sp.coo_matrix((np.concatenate([J.data[keep], np.ones(len(fixed))]),
+                       (np.concatenate([J.row[keep], fixed]),
+                        np.concatenate([J.col[keep], fixed]))), shape=J.shape)
+    return J.tocsc()
+
+
 # -- mesh reference: the tuple/dict refinement that the bisection rounds of
 # -- mesh.refine replaced ------------------------------------------------------
 

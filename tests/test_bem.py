@@ -524,7 +524,9 @@ def test_contracted_assembly_matches_pointwise_blocks(monkeypatch, kernel):
     # the per-point-block assembly and the all-integrals primitives it
     # replaced are the reference: the contraction moves before the (linear)
     # block build, so the operators agree to rounding; every integral the
-    # kernel reads and the pointwise evaluation agree bit for bit
+    # kernel reads and the pointwise evaluation agree bit for bit, except
+    # the two Lame integrals with eta^3, which the primitives form as
+    # eta * eta * eta and the reference as eta ** 3 (numpy's pow)
     from conftest import (reference_layer_potentials, reference_pair_blocks,
                           reference_primitives)
     co = ExteriorCoefficients(mu=1.0, lam=1.3) if kernel == "lame" else None
@@ -543,7 +545,11 @@ def test_contracted_assembly_matches_pointwise_blocks(monkeypatch, kernel):
                 ref = reference_primitives(bs.A[p], bs.tangents[p], bs.normals[p],
                                            bs.lengths[p], X[s])
                 for k in new:
-                    assert np.array_equal(new[k][s], ref[k]), (name, k)
+                    if k in ("p2_t", "p0_t"):
+                        err = np.abs(new[k][s] - ref[k]).max()
+                        assert err <= 1e-14 * np.abs(ref[k]).max(), (name, k)
+                    else:
+                        assert np.array_equal(new[k][s], ref[k]), (name, k)
 
         monkeypatch.setattr(bem, "_pair_blocks", reference_pair_blocks)
         ref_ops = bem.assemble_operators(bs, co)
@@ -562,7 +568,10 @@ def test_contracted_assembly_matches_pointwise_blocks(monkeypatch, kernel):
         w = rng.normal(size=bs.n_nodes * d)
         for a, b in zip(bem.eval_layer_potentials(bs, co, dens, w, X),
                         reference_layer_potentials(bs, co, dens, w, X)):
-            assert np.array_equal(a, b), name
+            if kernel == "lame":        # K reads p2_t and p0_t
+                assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
+            else:
+                assert np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("kernel", ["laplace", "lame"])

@@ -302,8 +302,8 @@ def _random_solution(system, seed, u_scale=1.0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=system.nU + system.nZ)
     x[:system.nU] *= u_scale
-    U, Z = system.split(x)
-    return DiscreteSolution(u=U, z=Z, v=system.Es @ Z, w=system.w_of(x))
+    U, Z = x[:system.nU], x[system.nU:]
+    return DiscreteSolution(u=U, z=Z, v=system.Es @ Z, w=system.B @ x)
 
 
 def _edge_tractions_loop(system, sig, panel_owner):

@@ -517,21 +517,30 @@ def test_contact_set_found_in_few_steps(refines):
     assert solve_contact_vi(sys_).iterations <= 8
 
 
+def _solves_per_run(monkeypatch, run):
+    """Linear solves (spsolve calls) of each active-set run that run() makes."""
+    counts = []
+    core, spsolve = vi._active_set_newton, vi.spla.spsolve
+
+    def counted_core(*args, **kw):
+        counts.append(0)
+        return core(*args, **kw)
+
+    def counted_spsolve(*args, **kw):
+        counts[-1] += 1
+        return spsolve(*args, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(vi, "_active_set_newton", counted_core)
+        m.setattr(vi.spla, "spsolve", counted_spsolve)
+        run()
+    return counts
+
+
 def _newton_steps(monkeypatch, system):
     """Newton steps (linear solves) of each active-set run of a contact solve:
     [warm start, main solve] for p != 2, [main solve] for p = 2."""
-    steps = []
-    core = vi._active_set_newton
-
-    def counted(*args, **kw):
-        out = core(*args, **kw)
-        steps.append(len(out[4]) - 1)
-        return out
-
-    with monkeypatch.context() as m:
-        m.setattr(vi, "_active_set_newton", counted)
-        solve_contact_vi(system)
-    return steps
+    return _solves_per_run(monkeypatch, lambda: solve_contact_vi(system))
 
 
 def test_newton_steps_do_not_grow_with_the_mesh(monkeypatch):
@@ -544,6 +553,93 @@ def test_newton_steps_do_not_grow_with_the_mesh(monkeypatch):
     coarse, fine = (_newton_steps(monkeypatch, vector_system(
         "stick-vec", p=2.0, n=4, refines=r)[0]) for r in (4, 6))
     assert len(coarse) == 1 and fine[0] <= coarse[0]
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("pipeline-transition", [2, 3]),
+    ("contact-sweep", [2, 5, 3, 5, 3, 1]),
+])
+def test_benchmark_step_counts(monkeypatch, tmp_path, name, counts):
+    # linear solves per Newton run of one benchmark case at seed 0 (nt=1024):
+    # warm start and main solve of p=1.5; p=1.2, p=4, stick-vec SP and LP
+    from test_bench_workloads import WORKLOADS
+    work = WORKLOADS[name](0, "full", str(tmp_path))
+    work.setup()
+    assert _solves_per_run(monkeypatch, work.run) == counts
+
+
+# -- constant blocks and Newton matrices vs. the sparse constructions ------
+
+def _square_and_lshape_system(case):
+    if case == "graded":                # slip corner: two terms per frame column
+        return graded_slip_system(True)
+    if case == "scalar":
+        return scalar_system("transition", p=1.5, n=4, refines=1, slip=("b",))[0]
+    if case == "vector":
+        return vector_system("stick-vec", n=4, refines=1)[0]
+    law = mat.MaterialLaw(p=2.0)
+    m = load_mesh(presets.lshape_text(4), scale=False)
+    return build_system(m, law, presets.scalar_corner(law).data)
+
+
+def _canonical_csr(A):
+    A = sp.csr_matrix(A, copy=True)
+    A.sum_duplicates()
+    return A
+
+
+def _assert_same_matrix(new, ref):
+    new, ref = _canonical_csr(new), _canonical_csr(ref)
+    assert np.array_equal(new.indptr, ref.indptr)
+    assert np.array_equal(new.indices, ref.indices)
+    assert np.array_equal(new.data, ref.data)
+
+
+@pytest.mark.parametrize("case", ["scalar", "vector", "lshape", "graded"])
+def test_dense_boundary_blocks_match_sparse_products(case):
+    # the dense blocks on the boundary columns round each entry as the
+    # sparse products of B = [Tr, Es] did, and their exact zeros are not
+    # stored, so the patterns SuperLU orders are the same
+    from conftest import sparse_lp_block, sparse_sp_blocks
+    sys_ = _square_and_lshape_system(case)
+    assert (sys_.nZ == 0) == (case == "lshape")
+    H_bd, g_bd, C, c0, J = sparse_sp_blocks(sys_)
+    _assert_same_matrix(sys_.H_bd, H_bd)
+    assert np.array_equal(sys_.g_bd, g_bd)
+    assert np.array_equal(sys_.C, C)
+    assert np.array_equal(sys_.c0, c0)
+    assert sys_.J_const.format == "csc" and sys_.J_const.has_canonical_format
+    _assert_same_matrix(sys_.J_const, J)
+    for stabilized in (False, True):
+        lp = vi.LayerPotentialSystem(sys_, stabilized=stabilized)
+        assert lp.J_const.format == "csc" and lp.J_const.has_canonical_format
+        _assert_same_matrix(lp.J_const, sparse_lp_block(sys_, stabilized))
+
+
+@pytest.mark.parametrize("form", ["sp", "lp"])
+@pytest.mark.parametrize("case", ["scalar", "vector"])
+def test_newton_matrix_matches_coo_construction(case, form):
+    # the COO construction stored the exact zeros of the FE tangent (on
+    # these structured meshes, cross-component couplings of the vector law,
+    # say); the sparse adds drop them and keep every other entry bit for bit
+    from conftest import coo_newton_matrix, sparse_lp_block, sparse_sp_blocks
+    sys_ = _square_and_lshape_system(case)
+    if form == "sp":
+        J0, ref0 = sys_.J_const, sparse_sp_blocks(sys_)[4]
+    else:
+        J0, ref0 = vi.LayerPotentialSystem(sys_).J_const, sparse_lp_block(sys_, False)
+    U = np.random.default_rng(7).normal(size=sys_.nU)
+    bound = sys_.nU + sys_.idx_zn
+    assert len(bound) == (len(sys_.idx_zt) if case == "vector" else 0)
+    for fixed in (bound[:0], bound[::3], sys_.nU + sys_.idx_zt):
+        J = vi._fix_rows(vi._block_jacobian(sys_, J0, U), fixed)
+        assert J.format == "csc"
+        ref = coo_newton_matrix(sys_, ref0, U, fixed)
+        stored = ref.nnz
+        ref.eliminate_zeros()
+        assert J.nnz == ref.nnz <= stored
+        _assert_same_matrix(J, ref)
+        assert np.array_equal(J[fixed].toarray(), np.eye(J.shape[0])[fixed])
 
 
 # -- Newton matrices from cached constant blocks vs. full assembly ----------
