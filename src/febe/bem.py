@@ -366,19 +366,15 @@ class BoundaryOperators:
     Mb: np.ndarray                 # (dL, dM) P0xP1 coupling
     M1: np.ndarray                 # (dM, dM) P1 boundary mass
     M0: np.ndarray = None          # (dL,) P0 mass diagonal
-    half_factor: bool = False
     _S: np.ndarray = field(default=None, repr=False)
 
     def steklov_poincare(self):
-        """S = W + (Mb-K)^T V^{-1} (Mb-K); halved when half_factor is set."""
+        """S = W + (Mb-K)^T V^{-1} (Mb-K)."""
         if self._S is None:
             T = self.Mb - self.K
             X = sla.cho_solve(sla.cho_factor(self.V), T)
             S = self.W + T.T @ X
-            S = 0.5 * (S + S.T)
-            if self.half_factor:
-                S = 0.5 * S
-            self._S = S
+            self._S = 0.5 * (S + S.T)
         return self._S
 
     def dump_csv(self, directory):
@@ -468,11 +464,11 @@ def _pair_blocks(ker, bspace, quad_order):
     return Vfull, Gfull, k0 + s0, kt + st
 
 
-def assemble_operators(bspace, coeffs=None, quad_order=8, check_scaling=True):
+def assemble_operators(bspace, coeffs=None, quad_order=8):
     """Assemble V, K, W and the mass couplings for the given exterior kernel."""
     if not isinstance(quad_order, numbers.Integral) or quad_order < 4:
         raise ValueError("quad_order must be an integer >= 4, got %r" % (quad_order,))
-    if check_scaling and bspace.diameter() >= 1.0:
+    if bspace.diameter() >= 1.0:
         raise ValueError("boundary diameter >= 1: rescale the geometry first "
                          "(single-layer positivity requires capacity < 1)")
     ker = _kernel_for(coeffs)
@@ -529,17 +525,6 @@ def assemble_operators(bspace, coeffs=None, quad_order=8, check_scaling=True):
 # rigid body stabilization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RigidBodyBasis:
-    """L2-orthonormal piecewise-constant projections of the rigid motions."""
-
-    xi: np.ndarray        # (dL, D)
-
-    @property
-    def dim(self):
-        return self.xi.shape[1]
-
-
 def rigid_motions(bspace, d):
     """Rigid-motion traces: P0 midpoint projections and P1 nodal values."""
     L, M = bspace.n_panels, bspace.n_nodes
@@ -559,7 +544,9 @@ def rigid_motions(bspace, d):
 
 
 def stabilization_data(bspace, ops):
-    """Gram-Schmidt of rigid-motion P0 projections in the boundary L2 product."""
+    """L2-orthonormal piecewise-constant projections xi (dL, D) of the rigid
+    motions: Gram-Schmidt of their P0 projections in the boundary L2
+    product."""
     p0 = rigid_motions(bspace, ops.d)[0]
     w = ops.M0
     xi = p0.astype(float).copy()
@@ -568,10 +555,10 @@ def stabilization_data(bspace, ops):
             xi[:, j] -= (xi[:, i] * w) @ xi[:, j] * xi[:, i]
         nrm = np.sqrt((xi[:, j] * w) @ xi[:, j])
         xi[:, j] /= nrm
-    return RigidBodyBasis(xi=xi)
+    return xi
 
 
-def stabilization_vectors(ops, basis):
+def stabilization_vectors(ops, xi):
     """Rows a_j over stacked (P1 trace dofs, P0 density dofs) such that
 
     a_j . (w, phi) = <xi_j, (1-K) w + V phi>.
@@ -580,8 +567,8 @@ def stabilization_vectors(ops, basis):
     hand side adds sum_j <xi_j, (1-K) u0> a_j.
     """
     T = ops.Mb - ops.K
-    aw = basis.xi.T @ T           # (D, dM)
-    aphi = basis.xi.T @ ops.V     # (D, dL)
+    aw = xi.T @ T           # (D, dM)
+    aphi = xi.T @ ops.V     # (D, dL)
     return np.hstack([aw, aphi])
 
 

@@ -28,7 +28,6 @@ _DEFAULTS = {
     "data.file": "",
     "fem.quad_order": 4,
     "bem.quad_order": 8,
-    "bem.half_factor": False,
     "bem.dump": False,
     "solver.tol": 0.0,                   # 0 -> by p (1e-10 for p=2, 1e-8 else)
     "solver.max_iter": 200,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import material as mat
 from .bem import BoundarySpace, assemble_operators
 from .fem import FESpace
@@ -11,7 +9,7 @@ from .vi import CoupledSystem
 
 
 def build_system(mesh, law, data, exterior=None, ncompat=None,
-                 bem_quad=8, fem_quad=4, half_factor=False):
+                 bem_quad=8, fem_quad=4):
     """Assemble spaces, boundary operators and the coupled system."""
     ncomp = 2 if law.mode == mat.MODE_MATRIX else 1
     space = FESpace(mesh, ncomp)
@@ -20,7 +18,5 @@ def build_system(mesh, law, data, exterior=None, ncompat=None,
     if ncomp == 2:
         coeffs = exterior or mat.ExteriorCoefficients(mu=1.0, lam=1.0)
     ops = assemble_operators(bspace, coeffs, quad_order=bem_quad)
-    if half_factor:
-        ops = dataclasses.replace(ops, half_factor=True, _S=None)
     return CoupledSystem(space, bspace, ops, law, data, ncompat=ncompat,
                          quad_order=fem_quad)

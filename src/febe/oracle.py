@@ -29,11 +29,8 @@ def _qp_matrices(system):
                              np.zeros(system.nU))
     n = system.nU + system.nZ
     H = (sp.block_diag([K, sp.csr_matrix((system.nZ, system.nZ))])
-         + system.H_bd).toarray()
-    b = np.zeros(n)
-    b[:system.nU] = system.b_f
-    b += system.g_bd
-    return H, b
+         + system.J_const[:n, :n]).toarray()
+    return H, system.rhs[:n]
 
 
 def oracle_vi(system, max_constrained=12, subgrad_iterations=200000):

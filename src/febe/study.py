@@ -60,8 +60,7 @@ def build_from_config(cfg, mesh):
                           exterior=exterior_from_config(cfg),
                           ncompat=ncompat,
                           bem_quad=cfg["bem.quad_order"],
-                          fem_quad=cfg["fem.quad_order"],
-                          half_factor=cfg["bem.half_factor"])
+                          fem_quad=cfg["fem.quad_order"])
     return system, man
 
 

@@ -8,11 +8,18 @@ exact nonsmooth term sum_k F_k |Z_t,k|.  The n=2 compatibility constraints
 <S 1_j, w - u0> = 0 are rows C x = c0 with a Lagrange multiplier lam, which
 borders the Steklov-Poincare system.
 
-Both formulations are solved by one primal-dual active-set (semismooth)
-Newton core on the exact conditions, min(-v_n, lam_n) = 0 and
-mu_t = clip(mu_t + c_k Z_t, -F, F); they differ only in their block form, a
-residual and a constant Jacobian block (the energy gradient bordered by the
-compatibility rows, or the layer-potential block residual).  The constant
+Each formulation is one affine block form (J_const, rhs): apart from the FE
+residual, its residual is affine in the unknowns, so
+
+    R(y) = J_const y - rhs,  plus the FE residual of U on the first nU rows,
+
+and its Newton matrix is J_const plus the FE tangent.  The Steklov-Poincare
+form acts on y = (U, Z, lam) with J_const = [[B^T S B, C^T], [C, 0]] and
+rhs = (b_f + B^T (t0 + S u0), c0); the layer-potential form acts on
+y = (U, Z, P) with the W, K, V and stabilization blocks (LayerPotentialSystem).
+Both are solved by one primal-dual active-set (semismooth) Newton core on
+the exact conditions, min(-v_n, lam_n) = 0 and
+mu_t = clip(mu_t + c_k Z_t, -F, F).  The constant
 c_k = scale * omega_k of slip node k scales the data magnitude by the node's
 hat-function weight on the slip boundary, as the lumped multipliers are, so
 the step counts do not grow with the mesh.  An active v_n
@@ -25,27 +32,27 @@ nodal stresses from them (slip_fields).
 
 The exterior problem enters only through the boundary columns bcols: the
 trace dofs of the boundary loop, then every Z dof.  The trace map
-B = [Tr, Es] has all its entries there, and Bd = B[:, bcols] = [I, Es].  The
-constant blocks are dense products on bcols, rounded as the sparse products
-with B were: B^T S B and C = Cw B (Steklov-Poincare form), or
-[[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] over bcols and the density dofs, plus
-the stabilization (layer-potential form).  Their exact zeros are not
-stored, so the sparsity patterns are those of the sparse products.
+B = [Tr, Es] has all its entries there, and Bd = B[:, bcols] = [I, Es].
+J_const is built once per system, in canonical CSC form, from one dense
+block on bcols and the multiplier or density dofs, rounded as the sparse
+products with B were: B^T S B and C = Cw B, or
+[[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] plus the stabilization.  Its exact
+zeros are not stored, so the sparsity patterns are those of the sparse
+products.
 
-Per Newton step only the FE tangent changes.  The constant part of the
-Newton matrix is built once per system in canonical CSC form:
-[[H_bd, C^T], [C, 0]], or the layer-potential block.  Each step adds the
-tangent to it with one sparse add, zeroes the held rows by a row mask and
-adds their unit diagonal with a second, which drops the zeroed entries.
+Per Newton step only the FE tangent changes: each step adds it to J_const
+with one sparse add, zeroes the held rows by a row mask and adds their unit
+diagonal with a second, which drops the zeroed entries.
 SuperLU factors the result with the symmetric minimum-degree ordering on
 A^T + A.  SuperLU does not raise on an exactly singular matrix; it warns and
 returns NaN, and the solver raises SolverError, as it does when the line
-search cannot decrease the residual or the iterations run out.
+search cannot decrease the residual or the steps run out.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -98,11 +105,12 @@ class DiscreteSolution:
 class CoupledSystem:
     """Discrete energy J_h + lumped friction over (U, Z) with S_h coupling.
 
-    B = [Tr, Es] maps x = (U, Z) to the boundary trace w.  The constant
-    Hessian H_bd = B^T S B and the compatibility rows C = Cw B come from
-    dense blocks on the boundary columns bcols (times_bd, bd_sandwich);
-    H_bd and the bordered block J_const are canonical CSC.  No dense block
-    is kept on the system.
+    B = [Tr, Es] maps x = (U, Z) to the boundary trace w.  The system is the
+    Steklov-Poincare block form (J_const, rhs) over y = (U, Z, lam): the
+    bordered block J_const = [[B^T S B, C^T], [C, 0]], canonical CSC, and
+    rhs = (b_f + B^T gb, c0) with gb = t0 moments + S u0.  The compatibility
+    rows C = Cw B and B^T S B come from dense blocks on the boundary columns
+    bcols (times_bd, bd_sandwich); no dense block is kept on the system.
     """
 
     def __init__(self, space, bspace, ops, law, data, ncompat=None,
@@ -184,14 +192,13 @@ class CoupledSystem:
         self.compat_dirs = np.ascontiguousarray(rigid[:, :self.ncompat])
         self.c0 = self.compat_dirs.T @ self.S @ self.U0
 
-        # constant part of the Hessian, B^T S B, and the compatibility rows
-        # C = Cw B, from their dense blocks on bcols
+        # compatibility rows C = Cw B, from their dense block on bcols, and
+        # the right-hand side of the block form over y = (U, Z, lam)
         n = self.nU + self.nZ
-        Hd, Cb = self._boundary_blocks()
-        self.H_bd = _embed(Hd, self.bcols, n)
-        self.g_bd = self.B.T @ self.gb
         self.C = np.zeros((self.ncompat, n))
-        self.C[:, self.bcols] = Cb
+        self.C[:, self.bcols] = self.times_bd(self.compat_dirs.T @ self.S)
+        self.rhs = np.concatenate([self.b_f, np.zeros(self.nZ), self.c0])
+        self.rhs[:n] += self.B.T @ self.gb
 
         self.compat_data_residual = self._data_compat_residual()
 
@@ -215,11 +222,6 @@ class CoupledSystem:
         """B[:, bcols]^T X B[:, bcols], rounded as the sparse product
         (B^T X) B."""
         return self.times_bd(self.times_bd(X.T).T)
-
-    def _boundary_blocks(self):
-        """The dense blocks of B^T S B and of C = Cw B on bcols."""
-        return (self.bd_sandwich(self.S),
-                self.times_bd(self.compat_dirs.T @ self.S))
 
     def _boundary_moments(self, t0):
         """P1 moments of a traction given as panel values (L, d), which the
@@ -288,11 +290,10 @@ class CoupledSystem:
         return (e + 0.5 * w @ (self.S @ w) - self.b_f @ U - self.gb @ w)
 
     def grad_smooth(self, x):
-        U = x[:self.nU]
-        g = np.zeros_like(x)
-        g[:self.nU] = fem.assemble_residual(self.space, self.law, U) - self.b_f
-        g += self.H_bd @ x - self.g_bd
-        return g
+        """Gradient of the smooth energy: the x rows of the block residual
+        at lam = 0."""
+        y = np.concatenate([x, np.zeros(self.ncompat)])
+        return _block_residual(self, self, y)[:len(x)]
 
     def objective(self, x):
         """J_h + lumped nonsmooth friction term."""
@@ -304,23 +305,15 @@ class CoupledSystem:
             return 0.0
         return float(np.abs(self.C @ x - self.c0).max())
 
-    def residual(self, y):
-        """Bordered residual over y = (U, Z, lam): the smooth gradient plus
-        C^T lam, and the compatibility rows C x - c0."""
-        n = self.nU + self.nZ
-        x, lam = y[:n], y[n:]
-        return np.concatenate([self.grad_smooth(x) + self.C.T @ lam,
-                               self.C @ x - self.c0])
-
     @cached_property
     def J_const(self):
-        """Constant part of the Newton matrix over y = (U, Z, lam), built on
-        first use as canonical CSC from its dense block on bcols and the
+        """Constant block of the form over y = (U, Z, lam), built on first
+        use as canonical CSC from its dense block on bcols and the
         multiplier dofs: the bordered compatibility system
-        [[H_bd, C^T], [C, 0]].  Each step adds the FE tangent."""
+        [[B^T S B, C^T], [C, 0]].  Each Newton step adds the FE tangent."""
         n, m = self.nU + self.nZ, self.ncompat
-        Hd, Cb = self._boundary_blocks()
-        block = np.block([[Hd, Cb.T], [Cb, np.zeros((m, m))]])
+        Cb = self.C[:, self.bcols]
+        block = np.block([[self.bd_sandwich(self.S), Cb.T], [Cb, np.zeros((m, m))]])
         return _embed(block, np.concatenate([self.bcols, n + np.arange(m)]), n + m)
 
 
@@ -355,9 +348,8 @@ def _active_set_newton(y, residual, jacobian, idx_n, c_n, idx_f, c_f, F,
     contact bound y[idx_n] <= 0, multiplier -R[idx_n] >= 0, and Tresca
     friction on y[idx_f], friction force -R[idx_f] in [-F, F].
 
-    residual(y) is the block residual of either formulation (the smooth
-    gradient bordered by the compatibility rows, or the layer-potential
-    rows); jacobian(y) is its derivative, a new canonical CSC matrix.  The
+    residual(y) is the residual of a block form (_block_residual);
+    jacobian(y) is its derivative, a new canonical CSC matrix.  The
     NCP residual Phi replaces the bound rows by min(-y_n, -R_n) and the
     friction rows by mu - clip(mu + c_f y_f, -F, F), mu = -R_f, with one
     complementarity constant per row (c_n for the bound rows, c_f for the
@@ -366,11 +358,13 @@ def _active_set_newton(y, residual, jacobian, idx_n, c_n, idx_f, c_f, F,
     contact rows (-R_n + c_n y_n > 0) and sticking friction rows at zero
     (identity rows); a slipping row carries the force F sign(mu + c_f y_f).
     Armijo backtracking on |Phi|_2^2; the iteration stops at
-    |Phi|_inf <= tol * scale.  A singular Newton matrix, an exhausted line
-    search and a stall raise SolverError.
+    |Phi|_inf <= tol * scale, tested on the start and after every step.  A
+    singular Newton matrix, an exhausted line search and an iterate that
+    misses the tolerance after max_iter steps (none if max_iter <= 0) raise
+    SolverError.
 
-    Returns y, R(y), the iteration count, |Phi|_inf and |Phi|_2 per
-    accepted iterate.
+    Returns y, R(y), the number of Newton steps, |Phi|_inf and |Phi|_2 per
+    iterate (the start included).
     """
     def ncp(R, yv):
         phi = R.copy()
@@ -382,10 +376,12 @@ def _active_set_newton(y, residual, jacobian, idx_n, c_n, idx_f, c_f, F,
     phi = ncp(R, y)
     merit = phi @ phi
     history = [np.sqrt(merit)]
-    for it in range(1, max_iter + 1):
+    for steps in itertools.count():
         resid = float(np.abs(phi).max(initial=0.0))
         if resid <= tol * scale:
-            return y, R, it, resid, history
+            return y, R, steps, resid, history
+        if steps >= max_iter:
+            raise SolverError("%s solve stalled at residual %.3e" % (what, resid))
         J = jacobian(y)
         rhs = -R
         q = -R[idx_f] + c_f * y[idx_f]
@@ -412,7 +408,14 @@ def _active_set_newton(y, residual, jacobian, idx_n, c_n, idx_f, c_f, F,
                               % (what, resid))
         y, R, phi, merit = cand, Rc, phic, mc
         history.append(np.sqrt(merit))
-    raise SolverError("%s solve stalled at residual %.3e" % (what, resid))
+
+
+def _block_residual(system, form, y):
+    """Residual of a block form of system: form.J_const y - form.rhs, plus
+    the FE residual of U on the first nU rows."""
+    R = form.J_const @ y - form.rhs
+    R[:system.nU] += fem.assemble_residual(system.space, system.law, y[:system.nU])
+    return R
 
 
 def _block_jacobian(system, J0, U):
@@ -459,7 +462,7 @@ def default_tolerance(law):
 
 def _newton(system, form, y0, tol, max_iter, what, contact=True):
     """The active-set core on a block form of system (the CoupledSystem
-    itself, or its LayerPotentialSystem): form.residual with the Newton
+    itself, or its LayerPotentialSystem): its residual with the Newton
     matrix form.J_const plus the FE tangent, the bound rows of v_n (unless
     contact is False) and the friction rows of the slip nodes with a
     positive bound.
@@ -476,7 +479,8 @@ def _newton(system, form, y0, tol, max_iter, what, contact=True):
     bound = system.idx_zn if contact else system.idx_zn[:0]   # none for d = 1
     slip = fr.F > 0
     return _active_set_newton(
-        y0, form.residual, lambda y: _block_jacobian(system, form.J_const, y[:nU]),
+        y0, lambda y: _block_residual(system, form, y),
+        lambda y: _block_jacobian(system, form.J_const, y[:nU]),
         nU + bound, c[:len(bound)], nU + system.idx_zt[slip], c[slip],
         fr.F[slip], scale, tol, max_iter, what)
 
@@ -606,7 +610,7 @@ def vi_certificate(system, sol, step=None):
 # ---------------------------------------------------------------------------
 
 class LayerPotentialSystem:
-    """Monotone block system of the direct layer-potential formulation.
+    """Monotone block form of the direct layer-potential formulation.
 
     Rows tested with interior/jump functions:
         A'(eps(U)) + W(w - u0) + (K' - 1) phi = f, t0 moments
@@ -614,38 +618,41 @@ class LayerPotentialSystem:
         V phi + (1 - K)(w - u0) = 0
     plus nodewise contact bounds, lumped friction on Z_t, the zero-mean
     compatibility rows on phi, and optionally the rank-D rigid-body
-    stabilization (which vanishes at the solution).
+    stabilization sum_j a_j (a_j . (w - u0, phi)), which vanishes at the
+    solution.
 
-    J_const, in canonical CSC form, holds one dense block over the boundary
-    columns bcols and the density dofs, [[Bd^T W Bd, -Bd^T T^T], [T Bd, V]]
-    with T = Mb - K and Bd = B[:, bcols], plus Atil^T Atil when stabilized.
+    The form (J_const, rhs) acts on y = (U, Z, P).  J_const, in canonical
+    CSC form, holds one dense block over the boundary columns bcols and the
+    density dofs, [[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] with T = Mb - K and
+    Bd = B[:, bcols], plus Atil^T Atil when stabilized;
+    rhs = (b_f + B^T (W u0 + t0 moments + A_w^T c), T u0 + A_phi^T c) with
+    the stabilization rows A = [A_w, A_phi] and c = A_w u0 (zero when not
+    stabilized).
     """
 
     def __init__(self, system, stabilized=False):
         self.sp = system
         ops = system.ops
-        self.ops = ops
         self.nU, self.nZ = system.nU, system.nZ
         self.nP = ops.V.shape[0]
         self.n = self.nU + self.nZ + self.nP
         self.stabilized = bool(stabilized)
-        self.B = system.B                  # (dM, nU+nZ), maps x to w
-        self.T = ops.Mb - ops.K            # (dL, dM)
-        self.WU0 = ops.W @ system.U0
-        self.TU0 = self.T @ system.U0
+        T = ops.Mb - ops.K                 # (dL, dM)
         # moments of the density against the first ncompat rigid motions
         p0 = rigid_motions(system.bspace, ops.d)[0][:, :system.ncompat]
         self.compat_rows = (ops.M0[:, None] * p0).T
-        # Jacobian blocks that do not depend on the iterate, dense on the
-        # boundary columns bcols and the density dofs
-        TB = system.times_bd(self.T)
+        # the constant block, dense on the boundary columns bcols and the
+        # density dofs, and the data of the trace and density rows
+        TB = system.times_bd(T)
         J = np.block([[system.bd_sandwich(ops.W), -TB.T], [TB, ops.V]])
+        rb = ops.W @ system.U0 + system.t0b
+        rp = T @ system.U0
         if self.stabilized:
-            basis = stabilization_data(system.bspace, ops)
-            A = stabilization_vectors(ops, basis)      # (D, dM + dL)
-            self.stabA = A
+            A = stabilization_vectors(ops, stabilization_data(system.bspace, ops))
             dM = ops.Mb.shape[1]
-            self.stab_c = A[:, :dM] @ system.U0
+            stab_c = A[:, :dM] @ system.U0
+            rb += A[:, :dM].T @ stab_c
+            rp += A[:, dM:].T @ stab_c
             # Atil^T Atil summed over the D rows in order, as the sparse
             # product rounds it
             Atil = np.hstack([system.times_bd(A[:, :dM]), A[:, dM:]])
@@ -653,33 +660,10 @@ class LayerPotentialSystem:
             for a in Atil[1:]:
                 AtA += np.multiply.outer(a, a)
             J += AtA
-        else:
-            self.stabA = None
         dens = self.nU + self.nZ + np.arange(self.nP)
         self.J_const = _embed(J, np.concatenate([system.bcols, dens]), self.n)
-
-    def residual(self, y):
-        """Residual of the smooth block system; the friction force is added
-        by the solver."""
-        sys = self.sp
-        x = y[:self.nU + self.nZ]
-        P = y[self.nU + self.nZ:]
-        w = self.B @ x
-        U = y[:self.nU]
-        rb = self.ops.W @ w - self.WU0 + self.T.T @ (-P) - sys.t0b
-        # note: (K'-1) phi tested with w-hat = (K - Mb)^T phi = -T^T phi
-        R = np.zeros(self.n)
-        R[:self.nU] = (fem.assemble_residual(sys.space, sys.law, U)
-                       - sys.b_f)
-        R[:self.nU + self.nZ] += self.B.T @ rb
-        R[self.nU + self.nZ:] = self.ops.V @ P + self.T @ w - self.TU0
-        if self.stabilized:
-            wP = np.concatenate([w, P])
-            s = self.stabA @ wP - self.stab_c
-            add = self.stabA.T @ s
-            R[:self.nU + self.nZ] += self.B.T @ add[:self.ops.Mb.shape[1]]
-            R[self.nU + self.nZ:] += add[self.ops.Mb.shape[1]:]
-        return R
+        self.rhs = np.concatenate([system.b_f, np.zeros(self.nZ), rp])
+        self.rhs[:self.nU + self.nZ] += system.B.T @ rb
 
 
 def solve_layerpotential_vi(system, stabilized=False, tol=None, max_iter=200):
@@ -694,11 +678,13 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None, max_iter=200):
     y = np.zeros(lp.n)
     if system.law.p != 2.0:
         # start, as the Steklov-Poincare solver does, from the p = 2
-        # minimizer (with its density): at zero strain the FE tangent of a
-        # p > 2 law vanishes and the first Newton matrix is singular
+        # minimizer (with its density from the density rows of the form):
+        # at zero strain the FE tangent of a p > 2 law vanishes and the
+        # first Newton matrix is singular
         x = _p2_warm_start(system)
         y[:nx] = x
-        y[nx:] = np.linalg.solve(lp.ops.V, lp.TU0 - lp.T @ (system.B @ x))
+        J = lp.J_const
+        y[nx:] = np.linalg.solve(J[nx:, nx:].toarray(), lp.rhs[nx:] - J[nx:, :nx] @ x)
     y, R, *run = _newton(system, lp, y, tol, max_iter, "layer-potential")
     P = y[nx:]
     return _solution(system, y, R, *run, compat_mult=np.zeros(system.ncompat),

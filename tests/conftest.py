@@ -363,6 +363,60 @@ def sparse_lp_block(system, stabilized):
     return J.tocoo()
 
 
+# -- vi references: the hand-written residuals that the affine block forms
+# -- (J_const, rhs) replaced; the deleted system attributes H_bd, g_bd, WU0,
+# -- TU0, stabA and stab_c are recomputed here ------------------------------
+
+def reference_grad_smooth(system, x):
+    """CoupledSystem.grad_smooth: FE residual minus load, plus H_bd x - g_bd."""
+    from febe import fem
+    H_bd, g_bd = sparse_sp_blocks(system)[:2]
+    U = x[:system.nU]
+    g = np.zeros_like(x)
+    g[:system.nU] = fem.assemble_residual(system.space, system.law, U) - system.b_f
+    g += H_bd @ x - g_bd
+    return g
+
+
+def reference_sp_residual(system, y):
+    """CoupledSystem.residual: the bordered residual over y = (U, Z, lam),
+    the smooth gradient plus C^T lam, and the compatibility rows C x - c0."""
+    n = system.nU + system.nZ
+    x, lam = y[:n], y[n:]
+    return np.concatenate([reference_grad_smooth(system, x) + system.C.T @ lam,
+                           system.C @ x - system.c0])
+
+
+def reference_lp_residual(system, stabilized, y):
+    """LayerPotentialSystem.residual over y = (U, Z, P)."""
+    from febe import fem
+    from febe.bem import stabilization_data, stabilization_vectors
+    ops = system.ops
+    nU, nZ = system.nU, system.nZ
+    n = nU + nZ + ops.V.shape[0]
+    B, T = system.B, ops.Mb - ops.K
+    WU0, TU0 = ops.W @ system.U0, T @ system.U0
+    x = y[:nU + nZ]
+    P = y[nU + nZ:]
+    w = B @ x
+    U = y[:nU]
+    rb = ops.W @ w - WU0 + T.T @ (-P) - system.t0b
+    R = np.zeros(n)
+    R[:nU] = fem.assemble_residual(system.space, system.law, U) - system.b_f
+    R[:nU + nZ] += B.T @ rb
+    R[nU + nZ:] = ops.V @ P + T @ w - TU0
+    if stabilized:
+        stabA = stabilization_vectors(ops, stabilization_data(system.bspace, ops))
+        dM = ops.Mb.shape[1]
+        stab_c = stabA[:, :dM] @ system.U0
+        wP = np.concatenate([w, P])
+        s = stabA @ wP - stab_c
+        add = stabA.T @ s
+        R[:nU + nZ] += B.T @ add[:dM]
+        R[nU + nZ:] += add[dM:]
+    return R
+
+
 def coo_newton_matrix(system, J0, U, fixed):
     """Newton matrix of a step with the rows `fixed` held: the COO constant
     block J0 and the FE tangent at U concatenated, the fixed rows removed
