@@ -36,16 +36,11 @@ def mark(values, theta):
     if total <= 0:
         return []
     order = np.argsort(-values, kind="stable")
-    acc = 0.0
-    out = []
-    for idx in order:
-        if values[idx] <= 0:
-            break
-        out.append(int(idx))
-        acc += values[idx]
-        if acc >= theta * total - 1e-15 * total:
-            break
-    return out
+    pos = order[:np.count_nonzero(values > 0)]
+    # cumsum adds in marking order, so acc[k] is the running sum after k + 1
+    acc = np.cumsum(values[pos])
+    k = np.searchsorted(acc, theta * total - 1e-15 * total)
+    return pos[:k + 1].tolist()
 
 
 def run_adaptive(mesh, build_fn, solve_fn, estimate_fn,

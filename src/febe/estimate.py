@@ -17,11 +17,15 @@ panel, the lift of the boundary residual, and `_slip_quadrature`, which
 evaluates the friction bound, v_t and v_n at the 6-point Gauss rule on all
 slip panels at once.  The traction, jump and friction terms are array
 expressions over all panels or edges.
+
+Each estimator ends in one term table: ordered rows (kind, name, raw value
+per entity, outer power), which `_breakdown` turns into the term sums,
+powers and per-entity shares of an IndicatorBreakdown, in row order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +38,15 @@ from .quadrature import QuadratureRule, segment_gauss
 
 @dataclass
 class IndicatorBreakdown:
-    """Named estimator terms with per-entity contributions.
+    """Named estimator terms with per-entity contributions, built by
+    `_breakdown` from one term table in the order the estimator lists them.
 
     parts: term name -> raw inner sum (before the outer exponent)
     powers: term name -> outer exponent applied in the total
     element_terms / edge_terms / boundary_terms: per-entity shares of the
     final (exponentiated) term values, for marking.
-    exponents: the (p', q', r') family used.
+    edge_index, edge_owner: interior edges and their two triangles;
+    boundary_owner: the triangle owning each boundary panel.
     """
 
     parts: dict
@@ -48,11 +54,10 @@ class IndicatorBreakdown:
     element_terms: dict
     edge_terms: dict
     boundary_terms: dict
-    exponents: dict
-    edge_index: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), int))
-    edge_owner: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), int))
-    boundary_owner: np.ndarray = None
-    n_elements: int = 0
+    edge_index: np.ndarray
+    edge_owner: np.ndarray
+    boundary_owner: np.ndarray
+    n_elements: int
 
     def term_value(self, name):
         return self.parts[name] ** self.powers[name]
@@ -80,6 +85,22 @@ def _term_share(raw, power):
     if s <= 0:
         return np.zeros_like(raw)
     return raw / s * s ** power
+
+
+def _breakdown(system, terms, incidence):
+    """IndicatorBreakdown from ordered rows (kind, name, raw per entity,
+    power), kind one of "element", "edge", "boundary"; incidence is what
+    `_incidence` returns."""
+    parts, powers = {}, {}
+    shares = {"element": {}, "edge": {}, "boundary": {}}
+    for kind, name, raw, power in terms:
+        parts[name] = float(np.sum(raw))
+        powers[name] = power
+        shares[kind][name] = _term_share(raw, power)
+    edges, owners, panel_owner = incidence
+    return IndicatorBreakdown(parts, powers, shares["element"], shares["edge"],
+                              shares["boundary"], edges, owners, panel_owner,
+                              len(system.space.mesh.triangles))
 
 
 def recover_gradient(space, coeffs):
@@ -118,8 +139,7 @@ def _edge_tractions(system, sig, panel_owner):
         sigma_t = -tr[:, 0]                    # scalar stress sigma = -A' nu
     else:
         sigma_n = -np.einsum("la,la->l", tr, bs.normals)
-        tang = np.column_stack([-bs.normals[:, 1], bs.normals[:, 0]])
-        sigma_t = -np.einsum("la,la->l", tr, tang)
+        sigma_t = -np.einsum("la,la->l", tr, bs.tangents)
     return tr, sigma_n, sigma_t
 
 
@@ -189,10 +209,8 @@ def _slip_quadrature(system, sol):
         vt = v[:, :, 0]
         vn = np.zeros_like(vt)
     else:
-        nu = bs.normals[slip]
-        tau = np.column_stack([-nu[:, 1], nu[:, 0]])
-        vt = (v @ tau[:, :, None])[:, :, 0]
-        vn = (v @ nu[:, :, None])[:, :, 0]
+        vt = (v @ bs.tangents[slip][:, :, None])[:, :, 0]
+        vn = (v @ bs.normals[slip][:, :, None])[:, :, 0]
     return slip, wq, system.friction_bound(xq, slip), vt, vn
 
 
@@ -249,59 +267,24 @@ def _residual_estimate(system, sol, data_residual, phi, quad_order):
     for it).
     """
     law = system.law
-    q = law.q
-    qp = q / (q - 1.0)
+    qp = law.q / (law.q - 1.0)
     pp = law.p_prime
     rp = law.r / (law.r - 1.0)
-    edges, owners, panel_owner = _incidence(system)
+    incidence = edges, owners, panel_owner = _incidence(system)
     sig = mat.stress(law, system.space.strains(sol.u))
-    vol = _volume_term(system, quad_order)
-    jump = _jump_term(system, sig, edges, owners)
     lifted, sigma_n, sigma_t, quad = _boundary_data(
         system, sol, sig, panel_owner, data_residual)
     stick, compl, pos_n, pos_t = _friction_terms(system, sigma_n, sigma_t, quad)
-    bres = _dual_norm_edgewise(system, lifted, rp)
-    cons = _consistency_term(system, sol, phi=phi)
-
-    parts = {
-        "volume": float(np.sum(vol)),
-        "jump": float(np.sum(jump)),
-        "boundary_residual": float(np.sum(bres)),
-        "friction_stick_slip": float(np.sum(stick)),
-        "friction_normal_compl": float(np.sum(compl)),
-        "friction_sigma_n_pos": float(np.sum(pos_n)),
-        "friction_sigma_t_excess": float(np.sum(pos_t)),
-        "consistency": float(np.sum(cons)),
-    }
-    powers = {
-        "volume": qp / pp,
-        "jump": qp / pp,
-        "boundary_residual": qp / rp,
-        "friction_stick_slip": 1.0,
-        "friction_normal_compl": 1.0,
-        "friction_sigma_n_pos": 1.0 / rp,
-        "friction_sigma_t_excess": 1.0 / rp,
-        "consistency": 1.0,
-    }
-    element_terms = {"volume": _term_share(vol, powers["volume"])}
-    edge_terms = {"jump": _term_share(jump, powers["jump"])}
-    boundary_terms = {
-        "boundary_residual": _term_share(bres, powers["boundary_residual"]),
-        "friction_stick_slip": _term_share(stick, 1.0),
-        "friction_normal_compl": _term_share(compl, 1.0),
-        "friction_sigma_n_pos": _term_share(pos_n, powers["friction_sigma_n_pos"]),
-        "friction_sigma_t_excess": _term_share(pos_t, powers["friction_sigma_t_excess"]),
-        "consistency": _term_share(cons, 1.0),
-    }
-    return IndicatorBreakdown(
-        parts=parts, powers=powers,
-        element_terms=element_terms, edge_terms=edge_terms,
-        boundary_terms=boundary_terms,
-        exponents={"p_prime": pp, "q_prime": qp, "r_prime": rp, "q": q,
-                   "r": law.r},
-        edge_index=edges, edge_owner=owners,
-        boundary_owner=panel_owner,
-        n_elements=len(system.space.mesh.triangles))
+    return _breakdown(system, [
+        ("element", "volume", _volume_term(system, quad_order), qp / pp),
+        ("edge", "jump", _jump_term(system, sig, edges, owners), qp / pp),
+        ("boundary", "boundary_residual", _dual_norm_edgewise(system, lifted, rp), qp / rp),
+        ("boundary", "friction_stick_slip", stick, 1.0),
+        ("boundary", "friction_normal_compl", compl, 1.0),
+        ("boundary", "friction_sigma_n_pos", pos_n, 1.0 / rp),
+        ("boundary", "friction_sigma_t_excess", pos_t, 1.0 / rp),
+        ("boundary", "consistency", _consistency_term(system, sol, phi=phi), 1.0),
+    ], incidence)
 
 
 def estimate_sp(system, sol, quad_order=4):
@@ -320,6 +303,11 @@ def estimate_lp(system, sol, quad_order=4):
     return _residual_estimate(system, sol, data_residual, sol.phi, quad_order)
 
 
+def _kernel(p, delta, amag, bmag):
+    """G_{p,delta} in magnitude form: |b|^2 (|a| + |b| + delta)^(p-2)."""
+    return bmag ** 2 * (amag + bmag + delta) ** (p - 2.0)
+
+
 def quasinorm_kernel(p, delta, a, b):
     """G_{p,delta}(a, b) = |b|^2 (|a| + |b| + delta)^(p-2).
 
@@ -329,7 +317,7 @@ def quasinorm_kernel(p, delta, a, b):
     b = np.asarray(b, dtype=float)
     amag = np.linalg.norm(a, axis=-1) if a.ndim >= 1 else np.abs(a)
     bmag = np.linalg.norm(b, axis=-1) if b.ndim >= 1 else np.abs(b)
-    return bmag ** 2 * (amag + bmag + delta) ** (p - 2.0)
+    return _kernel(p, delta, amag, bmag)
 
 
 def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
@@ -346,17 +334,14 @@ def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
     _, h_T, _ = mesh_size(mesh)
 
     grads = space.gradients(sol.u)                       # (nt, 2)
+    gmag = np.linalg.norm(grads, axis=1)[:, None]
     G = recover_gradient(space, sol.u)                   # (nv, 2)
-    verts = mesh.vertices[mesh.triangles]
-    pts = rule.points(verts)
+    pts = rule.points(mesh.vertices[mesh.triangles])
     nt, nq = pts.shape[:2]
     Gq = np.einsum("qk,tkc->tqc", rule.bary, G[mesh.triangles])
 
     # eta_gr^2 = sum_K int G_{p,delta}(grad u_h, grad u_h - G_h u_h)
-    diff = grads[:, None, :] - Gq
-    amag = np.linalg.norm(grads, axis=1)[:, None]
-    bmag = np.linalg.norm(diff, axis=2)
-    kern = bmag ** 2 * (amag + bmag + delta) ** (law.p - 2.0)
+    kern = _kernel(law.p, delta, gmag, np.linalg.norm(grads[:, None, :] - Gq, axis=2))
     eta_gr = np.einsum("tq,q,t->t", kern, rule.weights, space.areas)
 
     # eta_f^2 = sum_K int G_{p',1}(|grad u_h|^{p-1}, h_K (f - f_K))
@@ -364,21 +349,17 @@ def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
         fv = np.asarray(system.data.f(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq)
         fK = np.einsum("tq,q->t", fv, rule.weights)      # elementwise mean
         dev = h_T[:, None] * (fv - fK[:, None])
-        a2 = (np.linalg.norm(grads, axis=1) ** (law.p - 1.0))[:, None]
-        b2 = np.abs(dev)
-        kern2 = b2 ** 2 * (a2 + b2 + 1.0) ** (pp - 2.0)
-        eta_f = np.einsum("tq,q,t->t", kern2, rule.weights, space.areas)
+        kern = _kernel(pp, 1.0, gmag ** (law.p - 1.0), np.abs(dev))
+        eta_f = np.einsum("tq,q,t->t", kern, rule.weights, space.areas)
     else:
         eta_f = np.zeros(nt)
 
-    cons = _consistency_term(system, sol, phi=sol.phi)
-    *_, panel_owner = _incidence(system)
+    incidence = _incidence(system)
     # boundary residual nu.A'(grad u_h) + S_h(w - u0) - t0 in W^{-1+1/p,p'},
     # lifted with the opposite sign, which the norm does not see
     lifted, _, sigma_t, (slip, wq, gval, vt, _) = _boundary_data(
-        system, sol, mat.stress(law, space.strains(sol.u)), panel_owner,
+        system, sol, mat.stress(law, space.strains(sol.u)), incidence[2],
         system.t0b - system.S @ (sol.w - system.U0))
-    eta_bd = _dual_norm_edgewise(system, lifted, pp)
 
     # friction: sigma here is the scalar -A'(grad u_h).nu on slip panels
     bs = system.bspace
@@ -390,42 +371,16 @@ def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
                                 * np.abs(vt), axis=1)
     g_compl[slip] = Le * np.sum(wq * np.maximum(sig * vt, 0.0), axis=1)
 
-    parts = {
-        "grad_recovery": float(np.sum(eta_gr)),
-        "data_oscillation": float(np.sum(eta_f)),
-        "consistency": float(np.sum(cons)),
-        "boundary_residual": float(np.sum(eta_bd)),
-        "friction_excess": float(np.sum(g_excess)),
-        "friction_slack_slip": float(np.sum(g_slack)),
-        "friction_compl": float(np.sum(g_compl)),
-    }
-    powers = {
-        "grad_recovery": 1.0,
-        "data_oscillation": 1.0,
-        "consistency": 1.0,
-        "boundary_residual": 1.0,       # raw sum is already the p'-power
-        "friction_excess": pp / 2.0,
-        "friction_slack_slip": 1.0,
-        "friction_compl": 1.0,
-    }
-    element_terms = {
-        "grad_recovery": _term_share(eta_gr, 1.0),
-        "data_oscillation": _term_share(eta_f, 1.0),
-    }
-    boundary_terms = {
-        "consistency": _term_share(cons, 1.0),
-        "boundary_residual": _term_share(eta_bd, 1.0),
-        "friction_excess": _term_share(g_excess, powers["friction_excess"]),
-        "friction_slack_slip": _term_share(g_slack, 1.0),
-        "friction_compl": _term_share(g_compl, 1.0),
-    }
-    return IndicatorBreakdown(
-        parts=parts, powers=powers,
-        element_terms=element_terms, edge_terms={},
-        boundary_terms=boundary_terms,
-        exponents={"p_prime": pp, "q": law.q, "r": law.r},
-        boundary_owner=panel_owner,
-        n_elements=len(mesh.triangles))
+    return _breakdown(system, [
+        ("element", "grad_recovery", eta_gr, 1.0),
+        ("element", "data_oscillation", eta_f, 1.0),
+        ("boundary", "consistency", _consistency_term(system, sol, phi=sol.phi), 1.0),
+        # the raw sum is already the p'-power
+        ("boundary", "boundary_residual", _dual_norm_edgewise(system, lifted, pp), 1.0),
+        ("boundary", "friction_excess", g_excess, pp / 2.0),
+        ("boundary", "friction_slack_slip", g_slack, 1.0),
+        ("boundary", "friction_compl", g_compl, 1.0),
+    ], incidence)
 
 
 def indicators_csv(ind, path):

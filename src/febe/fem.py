@@ -146,13 +146,10 @@ def assemble_load(space, f, quad_order=4):
     pts = rule.points(verts)                            # (nt, nq, 2)
     fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
     nt, nq = pts.shape[:2]
-    if space.ncomp == 1:
-        fv = fv.reshape(nt, nq)
-        loc = np.einsum("tq,qk,q,t->tk", fv, rule.bary, rule.weights, space.areas)
-    else:
-        fv = fv.reshape(nt, nq, 2)
-        loc = np.einsum("tqc,qk,q,t->tkc", fv, rule.bary, rule.weights,
-                        space.areas).reshape(nt, 6)
+    bw = rule.bary.T * rule.weights                     # (3, nq) constant table
+    # (nt, 3, ncomp) moments on the reference triangle, scaled by the areas
+    loc = bw @ fv.reshape(nt, nq, space.ncomp) * space.areas[:, None, None]
+    loc = loc.reshape(nt, 3 * space.ncomp)
     R = np.zeros(space.ndof)
     np.add.at(R, space.local_dofs, loc)
     return R

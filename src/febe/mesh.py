@@ -394,12 +394,20 @@ def _diameter(pts):
     return float(np.sqrt(d2.max()))
 
 
+def _mesh_text(vertices, triangles, edges, labels):
+    """The plain-text format load_mesh reads: the 'nv nt nb' header, then one
+    line per vertex, triangle and labeled boundary edge, without a trailing
+    newline.  The vertex and triangle blocks are each formatted by one %
+    operation on Python scalars."""
+    v = np.asarray(vertices, dtype=float).ravel().tolist()
+    t = np.asarray(triangles, dtype=np.int64).ravel().tolist()
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist()
+    return ("%d %d %d" % (len(v) // 2, len(t) // 3, len(e))
+            + ("\n%.17g %.17g" * (len(v) // 2)) % tuple(v)
+            + ("\n%d %d %d" * (len(t) // 3)) % tuple(t)
+            + "".join("\n%d %d %s" % (a, b, lab) for (a, b), lab in zip(e, labels)))
+
+
 def save_mesh(mesh):
-    out = ["%d %d %d" % (len(mesh.vertices), len(mesh.triangles), len(mesh.boundary_edges))]
-    for x, y in mesh.vertices:
-        out.append("%.17g %.17g" % (x, y))
-    for a, b, c in mesh.triangles:
-        out.append("%d %d %d" % (a, b, c))
-    for (a, b), lab in zip(mesh.boundary_edges, mesh.boundary_labels):
-        out.append("%d %d %s" % (a, b, lab))
-    return "\n".join(out) + "\n"
+    return _mesh_text(mesh.vertices, mesh.triangles, mesh.boundary_edges,
+                      mesh.boundary_labels) + "\n"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import material as mat
+from .mesh import _mesh_text
 from .vi import ProblemData
 
 SQUARE_LO, SQUARE_HI = 0.6, 1.0
@@ -39,17 +40,12 @@ def square_text(n=2, slip=()):
             tris.append((a, b, c))
             tris.append((a, c, d))
     lab = {s: ("S" if s in slip else "T") for s in "brtl"}
-    edges = []
+    edges, labels = [], []
     for i in range(n):
-        edges.append((idx(i, 0), idx(i + 1, 0), lab["b"]))
-        edges.append((idx(n, i), idx(n, i + 1), lab["r"]))
-        edges.append((idx(i + 1, n), idx(i, n), lab["t"]))
-        edges.append((idx(0, i + 1), idx(0, i), lab["l"]))
-    lines = ["%d %d %d" % (len(verts), len(tris), len(edges))]
-    lines += ["%.17g %.17g" % v for v in verts]
-    lines += ["%d %d %d" % t for t in tris]
-    lines += ["%d %d %s" % e for e in edges]
-    return "\n".join(lines)
+        edges += [(idx(i, 0), idx(i + 1, 0)), (idx(n, i), idx(n, i + 1)),
+                  (idx(i + 1, n), idx(i, n)), (idx(0, i + 1), idx(0, i))]
+        labels += [lab["b"], lab["r"], lab["t"], lab["l"]]
+    return _mesh_text(verts, tris, edges, labels)
 
 
 def lshape_text(n=4):
@@ -95,11 +91,7 @@ def lshape_text(n=4):
         edges.append((idx(i, n), idx(i - 1, n)))
     for j in range(n, 0, -1):
         edges.append((idx(0, j), idx(0, j - 1)))
-    lines = ["%d %d %d" % (len(verts), len(tris), len(edges))]
-    lines += ["%.17g %.17g" % v for v in verts]
-    lines += ["%d %d %d" % t for t in tris]
-    lines += ["%d %d T" % e for e in edges]
-    return "\n".join(lines)
+    return _mesh_text(verts, tris, edges, ["T"] * len(edges))
 
 
 def circle_text(nseg=32, radius=CIRCLE_RADIUS):
@@ -107,11 +99,7 @@ def circle_text(nseg=32, radius=CIRCLE_RADIUS):
     verts = [(0.0, 0.0)] + [(radius * np.cos(t), radius * np.sin(t)) for t in th]
     tris = [(0, 1 + k, 1 + (k + 1) % nseg) for k in range(nseg)]
     edges = [(1 + k, 1 + (k + 1) % nseg) for k in range(nseg)]
-    lines = ["%d %d %d" % (len(verts), len(tris), len(edges))]
-    lines += ["%.17g %.17g" % v for v in verts]
-    lines += ["%d %d %d" % t for t in tris]
-    lines += ["%d %d T" % e for e in edges]
-    return "\n".join(lines)
+    return _mesh_text(verts, tris, edges, ["T"] * len(edges))
 
 
 MESH_PRESETS = {

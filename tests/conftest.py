@@ -65,7 +65,7 @@ def graded_slip_system(vector, p=2.0, friction="preset"):
     lengths vary, with the scalar transition or the vector stick data.
 
     friction: "preset" keeps the data's callable bound, "nodal" uses seeded
-    random nodal values, "none" no bound, an array those nodal values.
+    random nodal values, "none" no bound, an array or a callable that bound.
     """
     from febe import material as mat, presets
     from febe.driver import build_system
@@ -501,6 +501,18 @@ def loop_refine(mesh, marked):
                 generation=new_gen, scale_factor=mesh.scale_factor)
 
 
+# -- mesh text reference: the line-by-line writer that each preset and
+# -- save_mesh carried before the shared block writer -------------------------
+
+def loop_mesh_text(vertices, triangles, edges, labels):
+    """Header, then one formatted line per vertex, triangle and edge."""
+    lines = ["%d %d %d" % (len(vertices), len(triangles), len(edges))]
+    lines += ["%.17g %.17g" % tuple(v) for v in vertices]
+    lines += ["%d %d %d" % tuple(t) for t in triangles]
+    lines += ["%d %d %s" % (e[0], e[1], lab) for e, lab in zip(edges, labels)]
+    return "\n".join(lines)
+
+
 # -- export references: the per-value writers that the block-formatted
 # -- export_fields and indicators_csv replaced ----------------------------------
 
@@ -586,3 +598,24 @@ def loop_indicators_csv(ind, path):
             rows.append("boundary,%s,%d,%.17g,%.17g" % (name, e, v, ind.powers[name]))
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
+
+
+# -- adapt reference: the greedy loop that the cumulative-sum marking replaced
+
+def loop_mark(values, theta):
+    """Minimal greedy set of entities whose indicator sum reaches theta*total."""
+    values = np.asarray(values, dtype=float)
+    total = values.sum()
+    if total <= 0:
+        return []
+    order = np.argsort(-values, kind="stable")
+    acc = 0.0
+    out = []
+    for idx in order:
+        if values[idx] <= 0:
+            break
+        out.append(int(idx))
+        acc += values[idx]
+        if acc >= theta * total - 1e-15 * total:
+            break
+    return out

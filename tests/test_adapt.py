@@ -8,6 +8,8 @@ from febe.estimate import estimate_sp
 from febe.mesh import load_mesh
 from febe.vi import solve_contact_vi, solve_transmission
 
+from conftest import loop_mark
+
 
 def test_mark_theta_one_takes_all_nonzero():
     vals = np.array([0.5, 0.0, 0.2, 0.3])
@@ -31,6 +33,29 @@ def test_mark_validates_theta():
         mark(np.ones(3), 0.0)
     with pytest.raises(ValueError):
         mark(np.ones(3), 1.5)
+
+
+def test_mark_matches_greedy_loop():
+    # random, tied (few distinct values) and zero- or negative-padded
+    # indicators, at theta 1, 0.5 and random fractions
+    rng = np.random.default_rng(3)
+    for case in range(3000):
+        n = int(rng.integers(0, 40))
+        kind = case % 3
+        if kind == 0:
+            vals = rng.exponential(size=n) ** 3
+        elif kind == 1:
+            vals = rng.integers(0, 4, size=n) * 0.1
+        else:
+            vals = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+            vals[rng.random(n) < 0.1] *= -1.0
+        theta = float(rng.choice([1.0, 0.5, rng.uniform(1e-3, 1.0)]))
+        assert mark(vals, theta) == loop_mark(vals, theta)
+    # a running sum equal to the threshold stops the marking there
+    vals = np.array([0.3, 0.2, 0.5, 0.0])
+    theta = 0.5 + 1e-15
+    assert theta * vals.sum() - 1e-15 * vals.sum() == 0.5
+    assert mark(vals, theta) == loop_mark(vals, theta) == [2]
 
 
 def _loop(max_dofs, theta=0.5, max_levels=6):

@@ -118,6 +118,44 @@ def test_element_indicator_sums_to_total():
     assert np.all(per_elem >= -1e-15)
 
 
+_RESIDUAL_ROWS = (("element", "volume"), ("edge", "jump"),
+                  ("boundary", "boundary_residual"), ("boundary", "friction_stick_slip"),
+                  ("boundary", "friction_normal_compl"), ("boundary", "friction_sigma_n_pos"),
+                  ("boundary", "friction_sigma_t_excess"), ("boundary", "consistency"))
+_APPENDIX_ROWS = (("element", "grad_recovery"), ("element", "data_oscillation"),
+                  ("boundary", "consistency"), ("boundary", "boundary_residual"),
+                  ("boundary", "friction_excess"), ("boundary", "friction_slack_slip"),
+                  ("boundary", "friction_compl"))
+
+
+@pytest.mark.parametrize("case", ["sp-scalar", "lp-scalar", "appendix-scalar",
+                                  "sp-vector", "lp-vector"])
+def test_term_table_order_shares_and_total(case):
+    # transition data (scalar p=3) or stick data under a bound small enough
+    # to slip (vector p=2) on a graded mesh with two slip sides, solved by
+    # the estimator's own formulation
+    which, kind = case.split("-")
+    sys_ = (graded_slip_system(True, 2.0, lambda x: np.full(len(x), 0.002))
+            if kind == "vector" else graded_slip_system(False, 3.0))
+    sol = (solve_layerpotential_vi if which == "lp" else solve_contact_vi)(sys_)
+    fn = {"sp": estimate_sp, "lp": estimate_lp, "appendix": estimate_scalar_appendix}[which]
+    ind = fn(sys_, sol)
+    rows = _APPENDIX_ROWS if which == "appendix" else _RESIDUAL_ROWS
+    names = [n for _, n in rows]
+    assert list(ind.parts) == names and list(ind.powers) == names
+    sizes = {"element": len(sys_.space.mesh.triangles), "edge": len(ind.edge_index),
+             "boundary": sys_.bspace.n_panels}
+    for k in ("element", "edge", "boundary"):
+        shares = getattr(ind, k + "_terms")
+        assert list(shares) == [n for kk, n in rows if kk == k]
+        for name, share in shares.items():
+            assert share.shape == (sizes[k],)
+            value = ind.term_value(name)
+            assert abs(share.sum() - value) <= 1e-13 * value, name
+    assert any(ind.parts[n] > 0 for n in names if n.startswith("friction"))
+    assert abs(ind.element_indicator().sum() - ind.total()) <= 1e-13 * ind.total()
+
+
 # -- gradient recovery / appendix estimator ---------------------------------
 
 def test_recovery_exact_on_linears(unit_square):

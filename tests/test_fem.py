@@ -160,6 +160,26 @@ def test_load_partition_of_unity(unit_square):
     assert L2[1::2].sum() == pytest.approx(-c)
 
 
+@pytest.mark.parametrize("ncomp", [1, 2])
+@pytest.mark.parametrize("quad_order", [1, 4, 6])
+def test_load_matches_four_operand_einsum(ncomp, quad_order):
+    # reference: the (f, bary, weights, areas) einsum the contraction against
+    # the constant bary * weights table replaced
+    m = refine_uniform(load_mesh(square_mesh_text(), scale=False), 5)
+    space = fem.FESpace(m, ncomp=ncomp)
+    f = lambda x: np.column_stack([np.sin(3 * x[:, 0]) * x[:, 1],
+                                   np.exp(x[:, 0] - x[:, 1])])[:, :ncomp].squeeze()
+    rule = QuadratureRule(quad_order)
+    pts = rule.points(m.vertices[m.triangles])
+    nt, nq = pts.shape[:2]
+    fv = f(pts.reshape(-1, 2)).reshape(nt, nq, ncomp)
+    loc = np.einsum("tqc,qk,q,t->tkc", fv, rule.bary, rule.weights, space.areas)
+    ref = np.zeros(space.ndof)
+    np.add.at(ref, space.local_dofs, loc.reshape(nt, 3 * ncomp))
+    got = fem.assemble_load(space, f, quad_order)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_load_reference_triangle_moments():
     # f = (x, 0); frozen values from the exact monomial moments
     m = ref_triangle()

@@ -6,7 +6,7 @@ from febe.mesh import (MeshError, load_mesh, mesh_size, refine,
                        refine_uniform, save_mesh, shape_regularity)
 from febe.presets import MESH_PRESETS, square_text
 
-from conftest import loop_refine, square_mesh_text, struct_square
+from conftest import loop_mesh_text, loop_refine, square_mesh_text, struct_square
 
 
 def test_load_unit_square(unit_square):
@@ -248,6 +248,29 @@ def test_save_load_roundtrip():
     m2 = load_mesh(save_mesh(m))
     assert len(m2.triangles) == len(m.triangles)
     assert sorted(m2.boundary_labels) == sorted(m.boundary_labels)
+
+
+def test_mesh_text_writer_matches_line_writer(monkeypatch):
+    # the block writer against the line-by-line one, through every preset
+    # at several sizes and through save_mesh on refined meshes
+    from febe import presets
+    assert presets.square_text(1, slip=("b",)) == (
+        "4 2 4\n0.59999999999999998 0.59999999999999998\n1 0.59999999999999998\n"
+        "0.59999999999999998 1\n1 1\n0 1 3\n0 3 2\n0 1 S\n1 3 T\n3 2 T\n2 0 T")
+    texts = lambda: ([presets.square_text(n, slip) for n in (1, 3, 8)
+                      for slip in ((), ("b",), ("b", "r", "t", "l"))]
+                     + [presets.lshape_text(n) for n in (2, 4, 10)]
+                     + [presets.circle_text(n, r) for n in (3, 17, 64) for r in (0.4, 2.5)]
+                     + [f() for f in MESH_PRESETS.values()])
+    block = texts()
+    with monkeypatch.context() as mp:
+        mp.setattr(presets, "_mesh_text", loop_mesh_text)
+        assert block == texts()
+    for text in block[-4:]:
+        m = refine_uniform(load_mesh(text), 1)
+        m = refine(m, np.arange(0, len(m.triangles), 5))
+        assert save_mesh(m) == loop_mesh_text(m.vertices, m.triangles, m.boundary_edges,
+                                              m.boundary_labels) + "\n"
 
 
 def test_nonconforming_rejected():
