@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from .mesh import diameter
 from .quadrature import graded_gauss, segment_gauss
 
 _ONLINE_REL = 1e-12
@@ -63,10 +64,6 @@ class BoundarySpace:
         self.normals = np.column_stack([self.tangents[:, 1], -self.tangents[:, 0]])
         self.mids = 0.5 * (self.A + self.B)
         self.n_panels = self.n_nodes
-
-    def diameter(self):
-        d2 = np.sum((self.nodes[:, None] - self.nodes[None, :]) ** 2, axis=2)
-        return float(np.sqrt(d2.max()))
 
     def slip_panels(self):
         return np.asarray([lab == "S" for lab in self.labels], dtype=bool)
@@ -107,8 +104,7 @@ class BoundarySpace:
         return out.reshape(-1)
 
     def interpolate_nodes(self, fn, ncomp):
-        vals = np.asarray(fn(self.nodes), dtype=float)
-        return vals.reshape(self.n_nodes * ncomp) if ncomp > 1 else vals.reshape(-1)
+        return np.asarray(fn(self.nodes), dtype=float).reshape(self.n_nodes * ncomp)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +417,7 @@ def _pair_blocks(ker, bspace, quad_order):
     # graded toward the shared vertex for neighbours and toward both ends
     # for self.  The outer points and weights of every panel under every
     # rule, once, flat; first[c, l] is where panel l's points under rule c start
-    xga, wga = graded_gauss(levels=12, order=8, toward_zero=True)
+    xga, wga = graded_gauss(levels=12, order=8)
     rules = (segment_gauss(quad_order), segment_gauss(3 * quad_order), (xga, wga), (1.0 - xga, wga),
              (np.concatenate([0.5 * xga, 1.0 - 0.5 * xga]),
               np.concatenate([0.5 * wga, 0.5 * wga])))
@@ -468,7 +464,7 @@ def assemble_operators(bspace, coeffs=None, quad_order=8):
     """Assemble V, K, W and the mass couplings for the given exterior kernel."""
     if not isinstance(quad_order, numbers.Integral) or quad_order < 4:
         raise ValueError("quad_order must be an integer >= 4, got %r" % (quad_order,))
-    if bspace.diameter() >= 1.0:
+    if diameter(bspace.nodes) >= 1.0:
         raise ValueError("boundary diameter >= 1: rescale the geometry first "
                          "(single-layer positivity requires capacity < 1)")
     ker = _kernel_for(coeffs)

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadrature import _RULES
+
 
 class ConfigError(ValueError):
     pass
@@ -76,6 +78,8 @@ class RunConfig:
             from .presets import MESH_PRESETS
             if v["mesh.preset"] not in MESH_PRESETS:
                 raise ConfigError("mesh.preset unknown: %s" % v["mesh.preset"])
+            if v["mesh.preset"] == "lshape" and v["mesh.n"] % 2:
+                raise ConfigError("mesh.preset = lshape needs an even mesh.n")
         if not v["data.file"]:
             from .presets import DATA_PRESETS
             if v["data.preset"] not in DATA_PRESETS:
@@ -88,10 +92,14 @@ class RunConfig:
                 and v["solver.formulation"] != "layerpotential"):
             raise ConfigError("estimate.kind = lp needs "
                               "solver.formulation = layerpotential")
+        if v["estimate.kind"] == "appendix" and (v["problem"] != "scalar"
+                                                 or v["material.p"] < 2):
+            raise ConfigError("estimate.kind = appendix needs problem = scalar "
+                              "and material.p >= 2")
         if not 0 < v["adapt.theta"] <= 1:
             raise ConfigError("adapt.theta must lie in (0, 1]")
-        if v["fem.quad_order"] < 2:
-            raise ConfigError("fem.quad_order must be >= 2")
+        if not 2 <= v["fem.quad_order"] <= max(_RULES):
+            raise ConfigError("fem.quad_order must lie in [2, %d]" % max(_RULES))
         q = v["bem.quad_order"]
         if not isinstance(q, numbers.Integral) or q < 4:
             raise ConfigError("bem.quad_order must be an integer >= 4")

@@ -11,11 +11,10 @@ from .vi import CoupledSystem
 def build_system(mesh, law, data, exterior=None, ncompat=None,
                  bem_quad=8, fem_quad=4):
     """Assemble spaces, boundary operators and the coupled system."""
-    ncomp = 2 if law.mode == mat.MODE_MATRIX else 1
-    space = FESpace(mesh, ncomp)
+    space = FESpace(mesh, law.ncomp)
     bspace = BoundarySpace(mesh)
     coeffs = None
-    if ncomp == 2:
+    if law.ncomp == 2:
         coeffs = exterior or mat.ExteriorCoefficients(mu=1.0, lam=1.0)
     ops = assemble_operators(bspace, coeffs, quad_order=bem_quad)
     return CoupledSystem(space, bspace, ops, law, data, ncompat=ncompat,

@@ -157,10 +157,7 @@ def _volume_term(system, quad_order=4):
     pts = rule.points(verts)
     fv = np.asarray(system.data.f(pts.reshape(-1, 2)), dtype=float)
     nt, nq = pts.shape[:2]
-    if system.d == 1:
-        mag = np.abs(fv.reshape(nt, nq))
-    else:
-        mag = np.linalg.norm(fv.reshape(nt, nq, 2), axis=2)
+    mag = np.linalg.norm(fv.reshape(nt, nq, -1), axis=2)
     integ = np.einsum("tq,q,t->t", mag ** pp, rule.weights, space.areas)
     return h_T ** pp * integ
 
@@ -175,10 +172,7 @@ def _jump_term(system, sig, edges, owners):
     L = np.sqrt((t[:, None, :] @ t[:, :, None])[:, 0, 0])
     nu = np.column_stack([t[:, 1], -t[:, 0]]) / L[:, None]
     jump = (sig[owners[:, 0]] - sig[owners[:, 1]]).reshape(-1, d, 2) @ nu[:, :, None]
-    if d == 1:
-        mag = np.abs(jump[:, 0, 0])
-    else:
-        mag = np.sqrt((jump.transpose(0, 2, 1) @ jump)[:, 0, 0])
+    mag = np.sqrt((jump.transpose(0, 2, 1) @ jump)[:, 0, 0])
     return L * mag ** pp * L                   # h_E * |jump|^{p'} * measure
 
 
@@ -323,7 +317,7 @@ def quasinorm_kernel(p, delta, a, b):
 def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
     """Gradient-recovery estimator for the scalar problem with p >= 2."""
     law = system.law
-    if law.mode != mat.MODE_VECTOR or system.d != 1:
+    if system.d != 1:
         raise ValueError("appendix estimator is scalar-only")
     if law.p < 2.0:
         raise ValueError("appendix estimator requires p >= 2")

@@ -37,10 +37,12 @@ class FESpace:
 
     @cached_property
     def basis_strains(self):
-        """Per-element strain of each local basis function.
+        """(nt, 3 * ncomp, m) per-element strain of each local basis function
+        on the flat component axis of ``strains(u).reshape(nt, -1)``.
 
-        scalar: (nt, 3, 2) gradients; vector: (nt, 6, 2, 2) symmetrized dyads,
-        local dof ordering (vertex-major, component-minor).
+        scalar: m = 2, the gradients; vector: m = 4, the row-major entries of
+        the symmetrized dyads; local dof ordering vertex-major,
+        component-minor (as ``local_dofs``).
         """
         g = self.grads
         if self.ncomp == 1:
@@ -53,15 +55,13 @@ class FESpace:
                 e[c] = 1.0
                 dy = 0.5 * (e[:, None] * g[:, k, None, :] + g[:, k, :, None] * e[None, :])
                 out[:, 2 * k + c] = dy
-        return out
+        return out.reshape(nt, 6, 4)
 
     @cached_property
     def basis_gram(self):
         """(nt, k, k) pairings <strain(phi_k), strain(phi_l)> of the local basis."""
         bs = self.basis_strains
-        if self.ncomp == 1:
-            return np.einsum("tkd,tld->tkl", bs, bs)
-        return np.einsum("tkij,tlij->tkl", bs, bs)
+        return np.einsum("tkm,tlm->tkl", bs, bs)
 
     @cached_property
     def tangent_pattern(self):
@@ -76,11 +76,7 @@ class FESpace:
     def local_dofs(self):
         """(nt, 3 * ncomp) global dof of each local basis function."""
         t = self.mesh.triangles
-        if self.ncomp == 1:
-            return t
-        return np.stack([2 * t[:, 0], 2 * t[:, 0] + 1,
-                         2 * t[:, 1], 2 * t[:, 1] + 1,
-                         2 * t[:, 2], 2 * t[:, 2] + 1], axis=1)
+        return (self.ncomp * t[:, :, None] + np.arange(self.ncomp)).reshape(len(t), -1)
 
     def vertex_values(self, coeffs):
         """(nv, ncomp) view of a coefficient vector."""
@@ -101,22 +97,15 @@ class FESpace:
 
     def interpolate(self, fn):
         """Nodal interpolation of a callable fn(points)->(n,) or (n,2)."""
-        vals = np.asarray(fn(self.mesh.vertices), dtype=float)
-        if self.ncomp == 1:
-            return vals.reshape(-1)
-        return vals.reshape(-1, 2).reshape(-1)
+        return np.asarray(fn(self.mesh.vertices), dtype=float).reshape(-1)
 
 
 def assemble_residual(space, law, coeffs):
     """Vector with entries <A'(strain(u_h)), strain(phi_i)>, exact for P1
     (the integrand is constant per element)."""
     eps = space.strains(coeffs)
-    sig = mat.stress(law, eps)
-    bs = space.basis_strains
-    if space.ncomp == 1:
-        loc = np.einsum("td,tkd,t->tk", sig, bs, space.areas)
-    else:
-        loc = np.einsum("tij,tkij,t->tk", sig, bs, space.areas)
+    sig = mat.stress(law, eps).reshape(len(eps), -1)
+    loc = np.einsum("tm,tkm,t->tk", sig, space.basis_strains, space.areas)
     R = np.zeros(space.ndof)
     np.add.at(R, space.local_dofs, loc)
     return R
@@ -126,11 +115,7 @@ def assemble_tangent(space, law, coeffs):
     """Sparse symmetric linearization of the residual at coeffs."""
     eps = space.strains(coeffs)
     c1, c2 = mat.tangent_coeffs(law, eps)
-    bs = space.basis_strains
-    if space.ncomp == 1:
-        xb = np.einsum("td,tkd->tk", eps, bs)
-    else:
-        xb = np.einsum("tij,tkij->tk", eps, bs)
+    xb = np.einsum("tm,tkm->tk", eps.reshape(len(eps), -1), space.basis_strains)
     loc = (c1[:, None, None] * space.basis_gram
            + c2[:, None, None] * xb[:, :, None] * xb[:, None, :])
     loc *= space.areas[:, None, None]
@@ -170,19 +155,11 @@ def norms(space, coeffs, p, quad_order=6, trace_labels=("S", "T")):
     umag = np.sqrt(np.einsum("tqc,tqc->tq", uq, uq))
     int_u_p = np.einsum("tq,q,t->", umag ** p, rule.weights, space.areas)
 
-    g = space.gradients(coeffs)
-    if space.ncomp == 1:
-        gmag = np.linalg.norm(g, axis=1)
-    else:
-        gmag = np.sqrt(np.einsum("tij,tij->t", g, g))
-    int_g_p = float(np.sum(gmag ** p * space.areas))
-
-    eps = space.strains(coeffs)
-    if space.ncomp == 1:
-        emag = np.linalg.norm(eps, axis=1)
-    else:
-        emag = np.sqrt(np.einsum("tij,tij->t", eps, eps))
-    int_e_p = float(np.sum(emag ** p * space.areas))
+    nt = len(space.areas)
+    g = space.gradients(coeffs).reshape(nt, -1)
+    int_g_p = float(np.sum(np.sqrt(np.einsum("tm,tm->t", g, g)) ** p * space.areas))
+    eps = space.strains(coeffs).reshape(nt, -1)
+    int_e_p = float(np.sum(np.sqrt(np.einsum("tm,tm->t", eps, eps)) ** p * space.areas))
 
     trace = boundary_trace_l1(space, coeffs, trace_labels)
     w1p = (int_u_p + int_g_p) ** (1.0 / p)
@@ -192,14 +169,10 @@ def norms(space, coeffs, p, quad_order=6, trace_labels=("S", "T")):
 def boundary_trace_l1(space, coeffs, labels=("S", "T")):
     """L^1 norm of |u_h| over the selected boundary parts."""
     mesh = space.mesh
+    a, b = mesh.boundary_edges[np.isin(mesh.boundary_labels, labels)].T
+    L = np.linalg.norm(mesh.vertices[b] - mesh.vertices[a], axis=1)
     vals = space.vertex_values(coeffs)
     x, w = segment_gauss(4)
-    total = 0.0
-    for (a, b), lab in zip(mesh.boundary_edges, mesh.boundary_labels):
-        if lab not in labels:
-            continue
-        L = float(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a]))
-        ua, ub = vals[a], vals[b]
-        uq = ua[None, :] * (1 - x)[:, None] + ub[None, :] * x[:, None]
-        total += L * float(np.sum(w * np.linalg.norm(uq, axis=1)))
-    return total
+    # (edges, 4 points, ncomp) values of the linear trace on each edge
+    uq = vals[a, None, :] * (1 - x)[:, None] + vals[b, None, :] * x[:, None]
+    return float(np.sum(L * (np.linalg.norm(uq, axis=2) @ w)))

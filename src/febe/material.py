@@ -1,7 +1,9 @@
 """Pointwise nonlinear constitutive laws and the exterior Lame coefficients.
 
 The law acts on 2-vectors (gradients, scalar problem) or on symmetric 2x2
-matrices (strains, vector problem) with the Frobenius inner product.
+matrices (strains, vector problem) with the Frobenius inner product.  Both
+are the same radial law on one flat component axis (2 components, or the 4
+row-major entries of a matrix); `_flat` gives that view.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ class MaterialLaw:
             raise ValueError("unknown material mode %r" % self.mode)
 
     @property
+    def ncomp(self):
+        """Displacement components: 2 for strains (vector problem), 1 for gradients."""
+        return 2 if self.mode == MODE_MATRIX else 1
+
+    @property
     def p_prime(self):
         return self.p / (self.p - 1.0)
 
@@ -67,12 +74,22 @@ class ExteriorCoefficients:
             raise ValueError("exterior lambda must exceed -mu")
 
 
+def _flat(law, x):
+    """x with its components on one trailing axis: 2-vectors as they are,
+    2x2 matrices as their 4 row-major entries."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(x.shape[:-2] + (4,)) if law.mode == MODE_MATRIX else x
+
+
+def _dot(a, b):
+    """Pointwise pairing over the flat component axis."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def _norm(law, x):
     """Pointwise norm over the trailing component axes."""
-    x = np.asarray(x, dtype=float)
-    if law.mode == MODE_MATRIX:
-        return np.sqrt(np.einsum("...ij,...ij->...", x, x))
-    return np.sqrt(np.einsum("...i,...i->...", x, x))
+    v = _flat(law, x)
+    return np.sqrt(_dot(v, v))
 
 
 def _scalar_coeff(law, s):
@@ -104,11 +121,8 @@ def _scalar_coeff_deriv(law, s):
 def stress(law, x):
     """A'(x), acting pointwise on arrays of gradients/strains."""
     x = np.asarray(x, dtype=float)
-    s = _norm(law, x)
-    c = _scalar_coeff(law, s)
-    if law.mode == MODE_MATRIX:
-        return c[..., None, None] * x
-    return c[..., None] * x
+    c = _scalar_coeff(law, _norm(law, x))
+    return (c[..., None] * _flat(law, x)).reshape(x.shape)
 
 
 def tangent_coeffs(law, x):
@@ -131,22 +145,19 @@ def tangent_coeffs(law, x):
 
 def tangent(law, x):
     """Dense matrix of DA'(x) on the flattened component space (2x2 or 4x4)."""
-    x = np.asarray(x, dtype=float)
     c1, c2 = tangent_coeffs(law, x)
-    v = x.reshape(x.shape[:-2] + (4,)) if law.mode == MODE_MATRIX else x
-    n = v.shape[-1]
-    eye = np.eye(n)
+    v = _flat(law, x)
+    eye = np.eye(v.shape[-1])
     return c1[..., None, None] * eye + c2[..., None, None] * (
         v[..., :, None] * v[..., None, :])
 
 
 def tangent_apply(law, x, h):
+    """DA'(x) h, in the shape of x and h broadcast together."""
     c1, c2 = tangent_coeffs(law, x)
-    if law.mode == MODE_MATRIX:
-        dot = np.einsum("...ij,...ij->...", x, h)
-        return c1[..., None, None] * h + (c2 * dot)[..., None, None] * x
-    dot = np.einsum("...i,...i->...", x, h)
-    return c1[..., None] * h + (c2 * dot)[..., None] * x
+    xv, hv = _flat(law, x), _flat(law, h)
+    out = c1[..., None] * hv + (c2 * _dot(xv, hv))[..., None] * xv
+    return out.reshape(np.broadcast_shapes(np.shape(x), np.shape(h)))
 
 
 _GAUSS32 = np.polynomial.legendre.leggauss(32)
@@ -176,10 +187,7 @@ def monotonicity_gap(law, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = x - y
-    if law.mode == MODE_MATRIX:
-        lhs = np.einsum("...ij,...ij->...", stress(law, x) - stress(law, y), d)
-    else:
-        lhs = np.einsum("...i,...i->...", stress(law, x) - stress(law, y), d)
+    lhs = _dot(_flat(law, stress(law, x) - stress(law, y)), _flat(law, d))
     sx, sy, sd = _norm(law, x), _norm(law, y), _norm(law, d)
     ssum = sx + sy
     with np.errstate(divide="ignore", invalid="ignore"):

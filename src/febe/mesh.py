@@ -376,7 +376,7 @@ def load_mesh(text, scale=True):
 
     bidx = np.unique(edges.ravel()) if len(edges) else np.arange(nv)
     pts = verts[bidx] if len(bidx) else verts
-    diam = _diameter(pts)
+    diam = diameter(pts)
     factor = 1.0
     if scale and diam >= 1.0:
         factor = DIAMETER_TARGET / diam
@@ -387,7 +387,8 @@ def load_mesh(text, scale=True):
     return Mesh(verts, tris, edges, labels, scale_factor=factor)
 
 
-def _diameter(pts):
+def diameter(pts):
+    """Largest pairwise distance of a point set (0 for fewer than two)."""
     if len(pts) < 2:
         return 0.0
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)

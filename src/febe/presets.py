@@ -309,6 +309,6 @@ def data_from_preset(name, law):
         raise ValueError("unknown data preset %r" % name)
     ncomp, fn = DATA_PRESETS[name]
     man = fn(law)
-    if ncomp != (2 if law.mode == mat.MODE_MATRIX else 1):
+    if ncomp != law.ncomp:
         raise ValueError("preset %r does not match the material mode" % name)
     return man

@@ -71,18 +71,14 @@ def segment_gauss(n):
     return x, w
 
 
-def graded_intervals(levels=10, toward_zero=True):
-    """Geometric subdivision of [0,1] accumulating at one endpoint."""
-    pts = [0.0] + [2.0 ** (-k) for k in range(levels, -1, -1)]
-    pts = np.asarray(pts)
-    if not toward_zero:
-        pts = 1.0 - pts[::-1]
-    return pts
+def graded_intervals(levels=10):
+    """Geometric subdivision of [0,1] accumulating at 0."""
+    return np.asarray([0.0] + [2.0 ** (-k) for k in range(levels, -1, -1)])
 
 
-def graded_gauss(levels=10, order=8, toward_zero=True):
-    """Composite Gauss rule on [0,1], graded geometrically toward an endpoint."""
-    cuts = graded_intervals(levels, toward_zero)
+def graded_gauss(levels=10, order=8):
+    """Composite Gauss rule on [0,1], graded geometrically toward 0."""
+    cuts = graded_intervals(levels)
     x, w = segment_gauss(order)
     nodes, wts = [], []
     for a, b in zip(cuts[:-1], cuts[1:]):

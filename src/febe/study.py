@@ -44,11 +44,13 @@ def manufactured_from_config(cfg, mesh=None):
         if mesh is None:
             raise ConfigError("data.file needs the mesh")
         bs = BoundarySpace(mesh)
-        d = 2 if law.mode == mat.MODE_MATRIX else 1
-        data = load_data_file(cfg["data.file"], bs, d)
+        data = load_data_file(cfg["data.file"], bs, law.ncomp)
         from .presets import Manufactured
-        return Manufactured("file", d, data)
-    return data_from_preset(cfg["data.preset"], law)
+        return Manufactured("file", law.ncomp, data)
+    try:
+        return data_from_preset(cfg["data.preset"], law)
+    except ValueError as exc:
+        raise ConfigError("data.preset: %s" % exc)
 
 
 def build_from_config(cfg, mesh):
@@ -105,15 +107,8 @@ def gradient_error_lp(system, man, sol, quad_order=6):
     pts = rule.points(verts)
     nt, nq = pts.shape[:2]
     gex = np.asarray(man.exact_grad(pts.reshape(-1, 2)), dtype=float)
-    gh = space.strains(sol.u)
-    if system.d == 1:
-        gex = gex.reshape(nt, nq, 2)
-        diff = gh[:, None, :] - gex
-        mag = np.linalg.norm(diff, axis=2)
-    else:
-        gex = gex.reshape(nt, nq, 2, 2)
-        diff = gh[:, None, :, :] - gex
-        mag = np.sqrt(np.einsum("tqij,tqij->tq", diff, diff))
+    diff = space.strains(sol.u).reshape(nt, 1, -1) - gex.reshape(nt, nq, -1)
+    mag = np.sqrt(np.einsum("tqm,tqm->tq", diff, diff))
     val = np.einsum("tq,q,t->", mag ** p, rule.weights, space.areas)
     return float(val ** (1.0 / p))
 

@@ -181,7 +181,7 @@ def reference_pair_blocks(ker, bspace, quad_order):
     lengths = bspace.lengths
     xg, wg = segment_gauss(q)
     xgn, wgn = segment_gauss(3 * q)
-    xga, wga = graded_gauss(levels=12, order=8, toward_zero=True)
+    xga, wga = graded_gauss(levels=12, order=8)
     xgs = np.concatenate([0.5 * xga, 1.0 - 0.5 * xga])
     wgs = np.concatenate([0.5 * wga, 0.5 * wga])
     panel = np.arange(L)
@@ -257,7 +257,7 @@ def loop_pair_blocks(ker, bspace, quad_order):
     pair_class[nxt, panel] = 2
     pair_class[prv, panel] = 3
     pair_class[panel, panel] = 4
-    xga, wga = graded_gauss(levels=12, order=8, toward_zero=True)
+    xga, wga = graded_gauss(levels=12, order=8)
     rules = (segment_gauss(q), segment_gauss(3 * q), (xga, wga), (1.0 - xga, wga),
              (np.concatenate([0.5 * xga, 1.0 - 0.5 * xga]),
               np.concatenate([0.5 * wga, 0.5 * wga])))

@@ -68,6 +68,25 @@ def test_mesh_error_exit_code(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("extra", [
+    "fem.quad_order = 8",                                   # no such rule
+    "mesh.preset = lshape\nmesh.n = 3",                    # odd subdivision
+    "estimate.kind = appendix\nproblem = vector\ndata.preset = stick-vec",
+    "estimate.kind = appendix\nmaterial.p = 1.5",
+    "problem = vector",                                     # quadratic is scalar
+    "data.preset = corner\nmaterial.p = 3.0",              # corner needs p = 2
+    "material.kind = carreau\nmaterial.delta = 0.5",       # quadratic: power law
+], ids=["quad-order", "lshape-odd-n", "appendix-vector", "appendix-p-below-2",
+        "quadratic-vector", "corner-p3", "quadratic-carreau"])
+def test_config_mistakes_exit_2(tmp_path, capsys, extra):
+    cfg = write_cfg(tmp_path, "%s\nout.dir = %s\n" % (extra, tmp_path / "out"))
+    assert main(["solve", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config("nonsense.key = 1\n")

@@ -83,7 +83,7 @@ def _tangent_per_call(space, law, coeffs):
     """The tangent with the basis Gram array and the COO pattern rebuilt."""
     eps = space.strains(coeffs)
     c1, c2 = mat.tangent_coeffs(law, eps)
-    bs = space.basis_strains
+    bs = space.basis_strains.reshape((len(eps), -1) + eps.shape[1:])
     if space.ncomp == 1:
         bb = np.einsum("tkd,tld->tkl", bs, bs)
         xb = np.einsum("td,tkd->tk", eps, bs)
@@ -250,3 +250,66 @@ def test_korn_constant_stable_under_refinement():
         consts.append(max(cs))
         m = refine_uniform(m, 1)
     assert max(consts) <= 2.0 * min(consts)
+
+
+def _loop_boundary_trace_l1(space, coeffs, labels):
+    """The per-edge loop boundary_trace_l1 replaced: the same 4-point rule
+    on each selected boundary edge, summed in edge order."""
+    mesh = space.mesh
+    vals = space.vertex_values(coeffs)
+    x, w = segment_gauss(4)
+    total = 0.0
+    for (a, b), lab in zip(mesh.boundary_edges, mesh.boundary_labels):
+        if lab not in labels:
+            continue
+        L = float(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a]))
+        uq = vals[a][None, :] * (1 - x)[:, None] + vals[b][None, :] * x[:, None]
+        total += L * float(np.sum(w * np.linalg.norm(uq, axis=1)))
+    return total
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+@pytest.mark.parametrize("labels", [("S",), ("T",), ("S", "T")])
+def test_boundary_trace_matches_edge_loop(ncomp, labels):
+    m = refine_uniform(load_mesh(square_mesh_text(left_label="S"), scale=False), 3)
+    space = fem.FESpace(m, ncomp=ncomp)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        u = rng.normal(size=space.ndof)
+        ref = _loop_boundary_trace_l1(space, u, labels)
+        got = fem.boundary_trace_l1(space, u, labels)
+        assert ref > 0
+        assert abs(got - ref) <= 1e-14 * ref
+
+
+def _per_mode_residual(space, law, coeffs):
+    """The residual with the per-mode contractions of the (nt, 3, 2) gradient
+    and (nt, 6, 2, 2) dyad layouts."""
+    eps = space.strains(coeffs)
+    sig = mat.stress(law, eps)
+    bs = space.basis_strains.reshape((len(eps), -1) + eps.shape[1:])
+    if space.ncomp == 1:
+        loc = np.einsum("td,tkd,t->tk", sig, bs, space.areas)
+    else:
+        loc = np.einsum("tij,tkij,t->tk", sig, bs, space.areas)
+    R = np.zeros(space.ndof)
+    np.add.at(R, space.local_dofs, loc)
+    return R
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+@pytest.mark.parametrize("p, kind, delta", [(1.5, mat.P_LAPLACE, 0.0),
+                                            (3.0, mat.P_LAPLACE, 0.0),
+                                            (1.5, mat.CARREAU, 0.5)])
+def test_residual_on_flat_axis_matches_per_mode_formula(ncomp, p, kind, delta):
+    m = refine_uniform(load_mesh(square_mesh_text(), scale=False), 3)
+    space = fem.FESpace(m, ncomp=ncomp)
+    mode = mat.MODE_MATRIX if ncomp == 2 else mat.MODE_VECTOR
+    law = mat.MaterialLaw(p=p, kind=kind, delta=delta, mode=mode)
+    assert law.ncomp == ncomp
+    assert space.basis_strains.shape == (len(m.triangles), 3 * ncomp, 2 * ncomp)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        u = rng.normal(size=space.ndof)
+        assert np.array_equal(fem.assemble_residual(space, law, u),
+                              _per_mode_residual(space, law, u))

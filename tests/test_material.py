@@ -145,3 +145,33 @@ def test_invalid_parameters():
         mat.ExteriorCoefficients(mu=-1.0)
     with pytest.raises(ValueError):
         mat.ExteriorCoefficients(mu=1.0, lam=-2.0)
+
+
+@pytest.mark.parametrize("law", [mat.MaterialLaw(p=1.5, mode=mat.MODE_MATRIX),
+                                 mat.MaterialLaw(p=3.0, mode=mat.MODE_MATRIX),
+                                 mat.MaterialLaw(p=1.7, kind=mat.CARREAU, delta=0.5,
+                                                 mode=mat.MODE_MATRIX)],
+                         ids=lambda l: f"{l.kind}-p{l.p}")
+def test_matrix_mode_on_flat_axis_matches_frobenius_formulas(law):
+    # the (..., 2, 2) formulas with the '...ij,...ij' Frobenius pairing
+    rng = np.random.default_rng(13)
+    x, y, h = (rng.normal(size=(40, 3, 2, 2)) for _ in range(3))
+
+    def norm(a):
+        return np.sqrt(np.einsum("...ij,...ij->...", a, a))
+
+    def stress(a):
+        return mat._scalar_coeff(law, norm(a))[..., None, None] * a
+
+    assert np.array_equal(mat.stress(law, x), stress(x))
+    c1, c2 = mat.tangent_coeffs(law, x)
+    dot = np.einsum("...ij,...ij->...", x, h)
+    assert np.array_equal(mat.tangent_apply(law, x, h),
+                          c1[..., None, None] * h + (c2 * dot)[..., None, None] * x)
+    lhs, lower, upper = mat.monotonicity_gap(law, x, y)
+    assert np.array_equal(lhs, np.einsum("...ij,...ij->...", stress(x) - stress(y), x - y))
+    sd, ssum = norm(x - y), norm(x) + norm(y)
+    mixed, powr = ssum ** (law.p - 2.0) * sd ** 2, sd ** law.p
+    assert np.array_equal(lower, mixed if law.p < 2 else powr)
+    assert np.array_equal(upper, powr if law.p < 2 else mixed)
+    assert law.ncomp == 2 and mat.MaterialLaw(p=2.0).ncomp == 1
