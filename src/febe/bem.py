@@ -12,7 +12,9 @@ blocked array passes over all pairs: per block of source panels, each inner
 integral the kernel reads (three for Laplace, sixteen for Lame) is evaluated
 once at the outer points of every pair and contracted with the outer
 weights; then all d x d blocks of V, Ghat and K are built in one broadcast
-pass, as they are linear in the integrals.  For Laplace, Ghat is V.
+pass, as they are linear in the integrals.  For Laplace, Ghat is V.  Self
+pairs have analytic V and Ghat blocks and take K's principal value, so at
+their outer points only the integrals of that value are evaluated (Lame).
 Kernels: 2D Laplace (scalar exterior field) and 2D Lame (vector exterior
 field).
 """
@@ -136,6 +138,7 @@ class _LaplaceKernel:
     d = 1
     prims = ("ilog0", "s1_0", "s1_t")       # primitives the blocks read
     k_prims = ("s1_0", "s1_t")              # read by k_blocks (off-line points)
+    self_prims = ()                         # read by k_self_inner (on-line points)
 
     def __init__(self):
         self.c_log = 1.0 / (2 * np.pi)      # G = c_log * (-log rho)
@@ -167,7 +170,8 @@ class _LameKernel:
     d = 2
     k_prims = ("s1_0", "s1_t", "s2_0", "s2_t", "p2_0", "p2_t",
                "p1_0", "p1_t", "p0_0", "p0_t")
-    prims = ("ilog0", "dy00", "dy01", "dy11") + k_prims + ("pv0", "pvt")
+    self_prims = ("pv0", "pvt")
+    prims = ("ilog0", "dy00", "dy01", "dy11") + k_prims + self_prims
 
     def __init__(self, coeffs):
         lam, mu = coeffs.lam, coeffs.mu
@@ -395,7 +399,14 @@ def _panel_blocks(counts):
 def _pair_blocks(ker, bspace, quad_order):
     """(L, L, d, d) Galerkin blocks of V, Ghat and the start/end node parts
     of K for every (row panel, source panel) pair.  For Laplace the Ghat
-    array is the V array."""
+    array is the V array.
+
+    Self pairs stay out of the blocked passes: their V and Ghat blocks are
+    analytic, and every self outer point lies on the source panel, where
+    the k_blocks integrals are replaced by the principal value
+    (k_self_inner).  Only the integrals that value reads (ker.self_prims,
+    none for Laplace) are evaluated at the self points, in passes of their own.
+    """
     L = bspace.n_panels
     lengths = bspace.lengths
 
@@ -426,18 +437,23 @@ def _pair_blocks(ker, bspace, quad_order):
     n_rule = np.array([len(t) for t, _ in rules])
     first = (np.cumsum(L * n_rule) - L * n_rule)[:, None] + n_rule[:, None] * panel
 
-    # (row l, source m) pairs, source-major: pair (l, m) reads its n_rule[c]
-    # outer points from first[c, l], c = pair_class[l, m].  Per block of
-    # source panels, each integral is evaluated once at every pair's outer
-    # points and contracted with the outer weights into one value per pair
+    # (row l, source m) pairs, source-major, flat at m L + l: pair (l, m)
+    # reads its n_rule[c] outer points from first[c, l], c = pair_class[l, m].
+    # Per block of source panels, each integral is evaluated once at every
+    # non-self pair's outer points and contracted with the outer weights
+    # into one value per pair.  A zero-length reduceat segment would return
+    # the point at its start, so the self pairs are left out of the segments
+    # and their values stay zero unless the self pass below sets them
     cls = pair_class.T
     nq = n_rule[cls]
+    nq[panel, panel] = 0
     kprim = [ker.prims.index(k) for k in ker.k_prims]
-    ints = np.empty((len(ker.prims), L, L))                 # [integral, m, l]
+    ints = np.zeros((len(ker.prims), L * L))                # [integral, m L + l]
     for blk in _panel_blocks(nq.sum(axis=1)):
-        n = nq[blk].ravel()
+        pair = np.flatnonzero(nq[blk])          # non-self pairs of the block
+        n = nq[blk].ravel()[pair]
         seg = np.cumsum(n) - n                  # pair j's points start at seg[j]
-        idx = np.repeat(first[cls[blk], panel].ravel() - seg, n) + np.arange(n.sum())
+        idx = np.repeat(first[cls[blk], panel].ravel()[pair] - seg, n) + np.arange(n.sum())
         src = np.repeat(panel[blk], nq[blk].sum(axis=1))
         prim = _primitives(ker.prims, bspace, src, np.take(pts, idx, axis=0))
         P = np.stack([prim[k] for k in ker.prims])
@@ -445,7 +461,20 @@ def _pair_blocks(ker, bspace, quad_order):
         # which vanish off the line) in place of the k_blocks integrals
         P[np.ix_(kprim, np.flatnonzero(prim["online"]))] = 0.0
         P *= wts[idx]
-        ints[:, blk] = np.add.reduceat(P, seg, axis=1).reshape(len(P), -1, L)
+        ints[:, blk.start * L + pair] = np.add.reduceat(P, seg, axis=1)
+
+    # self pairs (m, m), flat at m (L + 1): only the integrals k_self_inner
+    # reads, at the self rule's points
+    ns = n_rule[4]
+    rows = [ker.prims.index(k) for k in ker.self_prims]
+    for blk in _panel_blocks(np.full(L, ns)) if rows else ():
+        m = panel[blk]
+        idx = (first[4, m][:, None] + np.arange(ns)).ravel()
+        prim = _primitives(ker.self_prims, bspace, np.repeat(m, ns), np.take(pts, idx, axis=0))
+        P = np.stack([prim[k] for k in ker.self_prims])
+        P *= wts[idx]
+        ints[np.ix_(rows, m * (L + 1))] = np.add.reduceat(P, ns * np.arange(len(m)), axis=1)
+    ints = ints.reshape(-1, L, L)
 
     # every (row, source) block at once; the blocks are linear in the integrals
     red = dict(zip(ker.prims, ints.transpose(0, 2, 1)))

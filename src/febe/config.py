@@ -98,8 +98,10 @@ class RunConfig:
                               "and material.p >= 2")
         if not 0 < v["adapt.theta"] <= 1:
             raise ConfigError("adapt.theta must lie in (0, 1]")
-        if not 2 <= v["fem.quad_order"] <= max(_RULES):
-            raise ConfigError("fem.quad_order must lie in [2, %d]" % max(_RULES))
+        orders = [q for q in sorted(_RULES) if q >= 2]
+        if v["fem.quad_order"] not in orders:
+            raise ConfigError("fem.quad_order must be one of %s (triangle rules), got %s"
+                              % (", ".join(map(str, orders)), v["fem.quad_order"]))
         q = v["bem.quad_order"]
         if not isinstance(q, numbers.Integral) or q < 4:
             raise ConfigError("bem.quad_order must be an integer >= 4")

@@ -37,6 +37,10 @@ def _edge_key(a, b, n):
 class Mesh:
     """Immutable conforming triangulation of a polygonal domain.
 
+    The constructor checks the topology, the labels and the boundary loop.
+    It does not scan for hanging nodes: load_mesh does that for input
+    meshes, and refine's bisection with closure makes none.
+
     vertices       (nv, 2) float array
     triangles      (nt, 3) int array, peak-first ordering, CCW
     boundary_edges (nb, 2) int array
@@ -136,63 +140,12 @@ class Mesh:
         if TRANSMISSION not in self.boundary_labels:
             raise MeshError("transmission part of the boundary is empty")
 
-        # hanging nodes: no vertex may sit strictly inside another edge
-        self._check_hanging(self.edges)
-
         # boundary must be a single closed polygon
         self._trace_boundary(ids, tail)
 
     def _check_hanging(self, edges):
         """Reject a vertex strictly inside an edge; edges: (a, b) pairs."""
-        if not isinstance(edges, np.ndarray):
-            edges = np.array(list(edges), dtype=np.int64)
-        a, b = edges.reshape(-1, 2).T
-        p = self.vertices
-        # candidates: the used vertices in the cells, of a grid with about one
-        # vertex per cell, that the edge's bounding box overlaps, padded well
-        # beyond the 1e-12 L distance the on-line test below accepts.  Sorted
-        # by cell, column-major, so the candidates of one column are one run
-        used = np.unique(self.triangles)
-        lo = p[used].min(axis=0)
-        nc = int(np.sqrt(len(used))) + 1
-        h = (p[used].max(axis=0) - lo) / nc
-
-        def cell(x):
-            return np.clip(((x - lo) / h).astype(np.int64), 0, nc - 1)
-
-        key = cell(p[used]) @ np.array([nc, 1])
-        order = np.argsort(key, kind="stable")
-        used = used[order]
-        cstart = np.searchsorted(key[order], np.arange(nc * nc + 1))
-        pa, pb = p[a], p[b]
-        d = pb - pa
-        L2 = np.einsum("ij,ij->i", d, d)
-        pad = 1e-9 * np.sqrt(L2)[:, None]
-        c0, c1 = cell(np.minimum(pa, pb) - pad), cell(np.maximum(pa, pb) + pad)
-        # runs: one per (edge, column), edge-major
-        ncol = c1[:, 0] - c0[:, 0] + 1
-        re = np.repeat(np.arange(len(a)), ncol)
-        first_run = np.cumsum(ncol) - ncol
-        col = np.arange(len(re)) - np.repeat(first_run - c0[:, 0], ncol)
-        rlo = cstart[col * nc + c0[re, 1]]
-        rn = cstart[col * nc + c1[re, 1] + 1] - rlo
-        # (edge, candidate) pairs in blocks of edges to bound the memory
-        sections = min(len(a), 1 + rn.sum() // _HANGING_PAIRS)
-        for blk in np.array_split(np.arange(len(a)), sections):
-            runs = slice(first_run[blk[0]], first_run[blk[-1]] + ncol[blk[-1]])
-            cnt = rn[runs]
-            e = np.repeat(re[runs], cnt)
-            # pair j of run r sits at used[rlo[r] + j - (pairs of earlier runs)]
-            v = used[np.repeat(rlo[runs] - np.cumsum(cnt) + cnt, cnt) + np.arange(len(e))]
-            s = np.einsum("ij,ij->i", p[v] - pa[e], d[e]) / L2[e]
-            off = p[v] - (pa[e] + s[:, None] * d[e])
-            on_line = (np.einsum("ij,ij->i", off, off) < 1e-24 * L2[e])
-            interior = (s > 1e-12) & (s < 1 - 1e-12)
-            bad = on_line & interior
-            if np.any(bad):
-                k = e[np.argmax(bad)]
-                raise MeshError("hanging node %d on edge (%d,%d)"
-                                % (v[bad & (e == k)].min(), a[k], b[k]))
+        _scan_hanging(self.vertices, self.triangles, edges)
 
     def _trace_boundary(self, ids, tail):
         """Store the boundary loop, CCW as its triangles run, and its panel
@@ -239,6 +192,58 @@ class Mesh:
     def max_boundary_edges_per_triangle(self):
         owners = self.edge_triangles[self.edge_triangles[:, 1] < 0, 0]
         return int(np.bincount(owners, minlength=1).max())
+
+
+def _scan_hanging(p, triangles, edges):
+    """Reject a vertex of p strictly inside an edge; edges: (a, b) pairs."""
+    if not isinstance(edges, np.ndarray):
+        edges = np.array(list(edges), dtype=np.int64)
+    a, b = edges.reshape(-1, 2).T
+    # candidates: the used vertices in the cells, of a grid with about one
+    # vertex per cell, that the edge's bounding box overlaps, padded well
+    # beyond the 1e-12 L distance the on-line test below accepts.  Sorted
+    # by cell, column-major, so the candidates of one column are one run
+    used = np.unique(triangles)
+    lo = p[used].min(axis=0)
+    nc = int(np.sqrt(len(used))) + 1
+    h = (p[used].max(axis=0) - lo) / nc
+
+    def cell(x):
+        return np.clip(((x - lo) / h).astype(np.int64), 0, nc - 1)
+
+    key = cell(p[used]) @ np.array([nc, 1])
+    order = np.argsort(key, kind="stable")
+    used = used[order]
+    cstart = np.searchsorted(key[order], np.arange(nc * nc + 1))
+    pa, pb = p[a], p[b]
+    d = pb - pa
+    L2 = np.einsum("ij,ij->i", d, d)
+    pad = 1e-9 * np.sqrt(L2)[:, None]
+    c0, c1 = cell(np.minimum(pa, pb) - pad), cell(np.maximum(pa, pb) + pad)
+    # runs: one per (edge, column), edge-major
+    ncol = c1[:, 0] - c0[:, 0] + 1
+    re = np.repeat(np.arange(len(a)), ncol)
+    first_run = np.cumsum(ncol) - ncol
+    col = np.arange(len(re)) - np.repeat(first_run - c0[:, 0], ncol)
+    rlo = cstart[col * nc + c0[re, 1]]
+    rn = cstart[col * nc + c1[re, 1] + 1] - rlo
+    # (edge, candidate) pairs in blocks of edges to bound the memory
+    sections = min(len(a), 1 + rn.sum() // _HANGING_PAIRS)
+    for blk in np.array_split(np.arange(len(a)), sections):
+        runs = slice(first_run[blk[0]], first_run[blk[-1]] + ncol[blk[-1]])
+        cnt = rn[runs]
+        e = np.repeat(re[runs], cnt)
+        # pair j of run r sits at used[rlo[r] + j - (pairs of earlier runs)]
+        v = used[np.repeat(rlo[runs] - np.cumsum(cnt) + cnt, cnt) + np.arange(len(e))]
+        s = np.einsum("ij,ij->i", p[v] - pa[e], d[e]) / L2[e]
+        off = p[v] - (pa[e] + s[:, None] * d[e])
+        on_line = (np.einsum("ij,ij->i", off, off) < 1e-24 * L2[e])
+        interior = (s > 1e-12) & (s < 1 - 1e-12)
+        bad = on_line & interior
+        if np.any(bad):
+            k = e[np.argmax(bad)]
+            raise MeshError("hanging node %d on edge (%d,%d)"
+                            % (v[bad & (e == k)].min(), a[k], b[k]))
 
 
 def triangle_areas(mesh):
@@ -354,7 +359,8 @@ def load_mesh(text, scale=True):
 
     With scale=True the geometry is rescaled about its centroid if the
     boundary diameter is >= 1 (single-layer positivity needs capacity < 1);
-    the factor is stored on the mesh.
+    the factor is stored on the mesh.  Input meshes are scanned for hanging
+    nodes here, not in Mesh: refine's bisection with closure makes none.
     """
     tok = text.split()
     if len(tok) < 3:
@@ -384,6 +390,12 @@ def load_mesh(text, scale=True):
         verts = centroid + factor * (verts - centroid)
 
     tris = _assign_peaks(verts, tris)
+    # before Mesh's label and boundary-loop checks, which a hanging node
+    # also fails; an empty mesh or a zero-area triangle is left to Mesh
+    p = verts[tris]
+    if len(tris) and np.all(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) != 0):
+        keys = np.unique(_edge_key(tris, np.roll(tris, -1, axis=1), nv))
+        _scan_hanging(verts, tris, np.column_stack(np.divmod(keys, nv)))
     return Mesh(verts, tris, edges, labels, scale_factor=factor)
 
 

@@ -45,12 +45,11 @@ class QuadratureRule:
 
     def __init__(self, order):
         order = int(order)
-        avail = sorted(_RULES)
-        use = next((o for o in avail if o >= order), None)
-        if order < 1 or use is None:
-            raise ValueError("unsupported triangle quadrature order %d" % order)
-        data = np.asarray(_RULES[use], dtype=float)
-        self.order = use
+        if order not in _RULES:
+            raise ValueError("no triangle quadrature rule of order %d (orders: %s)"
+                             % (order, ", ".join(map(str, sorted(_RULES)))))
+        data = np.asarray(_RULES[order], dtype=float)
+        self.order = order
         self.bary = data[:, :3]
         self.weights = data[:, 3]
         if np.any(self.weights <= 0):
@@ -76,12 +75,16 @@ def graded_intervals(levels=10):
     return np.asarray([0.0] + [2.0 ** (-k) for k in range(levels, -1, -1)])
 
 
+@lru_cache(maxsize=None)
 def graded_gauss(levels=10, order=8):
-    """Composite Gauss rule on [0,1], graded geometrically toward 0."""
+    """Composite Gauss rule on [0,1], graded geometrically toward 0,
+    computed once per (levels, order) and returned as read-only arrays."""
     cuts = graded_intervals(levels)
     x, w = segment_gauss(order)
     nodes, wts = [], []
     for a, b in zip(cuts[:-1], cuts[1:]):
         nodes.append(a + (b - a) * x)
         wts.append((b - a) * w)
-    return np.concatenate(nodes), np.concatenate(wts)
+    x, w = np.concatenate(nodes), np.concatenate(wts)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w

@@ -377,28 +377,73 @@ def _within_block_bound(calls):
                for src, X, _ in calls)
 
 
+def _self_rule_points(bs):
+    """(source panel, point) rows of every self pair's outer rule, which is
+    graded toward both ends of the panel."""
+    from febe.quadrature import graded_gauss
+    xga, _ = graded_gauss(levels=12, order=8)
+    t = np.concatenate([0.5 * xga, 1.0 - 0.5 * xga])
+    return [(np.full(len(t), m), X, None) for m, X in enumerate(bs.panel_points(t))]
+
+
 @pytest.mark.parametrize("lame", [False, True])
 def test_assembly_evaluates_each_source_panel_once(monkeypatch, lame):
-    # summed over the blocked calls, every outer point of every (row,
-    # source) pair is evaluated exactly once: the (source panel, point)
-    # pairs of one pass per source panel, whose far/near Gauss rules, graded
-    # neighbour rules and split self rule give sum n_rule[pair_class] points
+    # summed over the blocked calls, every outer point of every non-self
+    # (row, source) pair is evaluated exactly once, with every integral the
+    # kernel reads: with the self rule's points, these are the (source
+    # panel, point) pairs of one pass per source panel.  The self points
+    # are evaluated only for the principal values k_self_inner reads:
+    # once, for {pv0, pvt}, for Lame, and not at all for Laplace
     from conftest import loop_pair_blocks
     bs = bem.BoundarySpace(circle_mesh(24, 0.4))
     co = ExteriorCoefficients(mu=1.0, lam=1.3) if lame else None
+    ker = bem._kernel_for(co)
     calls = _count_primitives(monkeypatch)
     bem.assemble_operators(bs, co)
     blocked = calls[:]
     calls.clear()
-    loop_pair_blocks(bem._kernel_for(co), bs, 8)
+    loop_pair_blocks(ker, bs, 8)
     assert len(calls) == bs.n_panels
-    assert np.array_equal(_source_point_pairs(blocked), _source_point_pairs(calls))
+    full = [c for c in blocked if c[2] == set(ker.prims) | {"online"}]
+    pv = [c for c in blocked if c[2] == {"pv0", "pvt", "online"}]
+    assert len(full) + len(pv) == len(blocked)
+    self_points = _self_rule_points(bs)
+    assert np.array_equal(_source_point_pairs(full + self_points), _source_point_pairs(calls))
+    if lame:
+        assert np.array_equal(_source_point_pairs(pv), _source_point_pairs(self_points))
+    else:
+        assert pv == []
     assert _within_block_bound(blocked)
     # only the integrals the kernel reads are computed
     for _, _, keys in blocked:
         assert "ilog_t" not in keys
         if not lame:
             assert keys == {"ilog0", "s1_0", "s1_t", "online"}
+
+
+def test_self_rule_points_lie_on_their_panel():
+    # the self pairs skip the k_blocks integrals and take the principal
+    # value instead, which is right only where every self outer point is
+    # on the line of its panel: |eta| <= 1e-12 L
+    from febe.mesh import Mesh, refine
+    from febe.presets import lshape_text, square_text
+    m = refine_uniform(load_mesh(struct_square(4, lo=0.1, hi=0.6), scale=False), 1)
+    rng = np.random.default_rng(12)
+    jittered = Mesh(m.vertices + rng.uniform(-0.01, 0.01, m.vertices.shape), m.triangles,
+                    m.boundary_edges, m.boundary_labels)
+    lshape = load_mesh(lshape_text(4))
+    for _ in range(4):
+        lshape = refine(lshape, rng.choice(len(lshape.triangles), len(lshape.triangles) // 4,
+                                           replace=False))
+    meshes = {"circle": circle_mesh(64, 0.4), "lshape": lshape, "jittered": jittered,
+              "square-slip": refine_uniform(load_mesh(square_text(4, slip=("b",)),
+                                                      scale=False), 4)}
+    for name, mesh in meshes.items():
+        bs = bem.BoundarySpace(mesh)
+        rows = _self_rule_points(bs)
+        src = np.concatenate([r[0] for r in rows])
+        X = np.concatenate([r[1] for r in rows])
+        assert bem._primitives(("pv0",), bs, src, X)["online"].all(), name
 
 
 def test_assembly_blocks_bound_the_working_set(monkeypatch):

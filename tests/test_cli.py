@@ -87,6 +87,18 @@ def test_config_mistakes_exit_2(tmp_path, capsys, extra):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_fem_quad_order_needs_a_triangle_rule(tmp_path, capsys):
+    # order 3 has no rule; it used to run the order-4 rule while the
+    # manifest recorded 3
+    cfg = write_cfg(tmp_path, "fem.quad_order = 3\nout.dir = %s\n" % (tmp_path / "out"))
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fem.quad_order must be one of 2, 4, 5, 6")
+    assert err.count("\n") == 1
+    for q in (2, 4, 5, 6):
+        assert parse_config("fem.quad_order = %d\n" % q).validate()["fem.quad_order"] == q
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config("nonsense.key = 1\n")

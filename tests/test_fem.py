@@ -45,6 +45,27 @@ def test_segment_gauss_shared_and_read_only():
     assert abs(w.sum() - 1.0) <= 1e-15 and np.all((x > 0) & (x < 1))
 
 
+def test_graded_gauss_cached_and_read_only():
+    # every BEM assembly reads the same 104-point rule: one construction,
+    # equal to a fresh one, shared and not writeable
+    from febe.quadrature import graded_gauss
+    x, w = graded_gauss(levels=12, order=8)
+    fx, fw = graded_gauss.__wrapped__(levels=12, order=8)
+    assert fx is not x and np.array_equal(x, fx) and np.array_equal(w, fw)
+    assert len(x) == 104
+    assert graded_gauss(levels=12, order=8)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+@pytest.mark.parametrize("order", [0, 3, 7])
+def test_quadrature_order_without_rule_rejected(order):
+    # no silent switch to the next larger rule
+    with pytest.raises(ValueError, match="orders: 1, 2, 4, 5, 6"):
+        QuadratureRule(order)
+
+
 def test_residual_zero_field(unit_square):
     space = fem.FESpace(unit_square, ncomp=2)
     law = mat.MaterialLaw(p=3.0, mode=mat.MODE_MATRIX)

@@ -305,6 +305,25 @@ def _assert_conforming(m):
     m._check_hanging(counts.keys())
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("preset", ["lshape", "square-slip", "circle"])
+def test_refined_meshes_stay_conforming(preset, seed):
+    # Mesh does not scan for hanging nodes, since bisection with closure
+    # makes none; every refine output, after random local marks and
+    # uniform sweeps, passes the scan and the conformity check
+    rng = np.random.default_rng(seed)
+    m = load_mesh(MESH_PRESETS[preset](), scale=False)
+    for step in range(8):
+        nt = len(m.triangles)
+        if step % 4 == 3:
+            marked = range(nt)
+        else:
+            marked = rng.choice(nt, size=max(1, nt // rng.integers(2, 10)), replace=False)
+        m = refine(m, marked)
+        m._check_hanging(m.edges)
+        _assert_conforming(m)
+
+
 @pytest.mark.parametrize("radius", [0.35, 0.4, 2.5])
 def test_assign_peaks_matches_per_triangle_norms(radius):
     # circle fans have two equal radial edges per triangle; the peak must be
