@@ -5,16 +5,19 @@ hypersingular W (assembled through its tangential-derivative regularization),
 boundary mass couplings, the discrete Steklov-Poincare operator
 S = W + (M - K)^T V^{-1} (M - K), and rigid-body stabilization data.
 
-Inner integrals over source panels are analytic; outer integrals use Gauss
-rules graded toward shared vertices, picked per (row, source) panel pair by
-a pair-class table (self, cyclic neighbour, near, far).  Assembly works in
-blocked array passes over all pairs: per block of source panels, each inner
-integral the kernel reads (three for Laplace, sixteen for Lame) is evaluated
-once at the outer points of every pair and contracted with the outer
-weights; then all d x d blocks of V, Ghat and K are built in one broadcast
-pass, as they are linear in the integrals.  For Laplace, Ghat is V.  Self
-pairs have analytic V and Ghat blocks and take K's principal value, so at
-their outer points only the integrals of that value are evaluated (Lame).
+Each kernel is described once, by a table: for V, Ghat and the start and
+end node parts of K, the d x d coefficient block of every analytic inner
+integral over the source panel that the operator reads (three for Laplace,
+whose Ghat table is V's, sixteen for Lame).  Outer integrals use Gauss rules
+graded toward shared vertices, picked per (row, source) panel pair by a
+pair-class table (self, cyclic neighbour, near, far).  Assembly works in
+blocked array passes over all pairs: per block of source panels, each
+integral is evaluated once at the outer points of every pair and contracted
+with the outer weights; then the table is contracted with these integrals.
+Self pairs take the exact panel x panel integrals of V and Ghat, and K's
+principal value, so at their outer points only the integrals of that value
+are evaluated (Lame).  Pointwise evaluation contracts the table with the
+densities per panel first and the integrals at the points afterwards.
 Kernels: 2D Laplace (scalar exterior field) and 2D Lame (vector exterior
 field).
 """
@@ -133,45 +136,30 @@ def fundamental_solution(coeffs, x, y):
 
 class _LaplaceKernel:
     """Scalar exterior Laplace: G = -(1/2pi) log|x-y|.  The W kernel Ghat
-    equals G, so the Ghat matrix is V."""
+    equals G, so the Ghat table is the V table and the Ghat matrix is V."""
 
     d = 1
-    prims = ("ilog0", "s1_0", "s1_t")       # primitives the blocks read
-    k_prims = ("s1_0", "s1_t")              # read by k_blocks (off-line points)
-    self_prims = ()                         # read by k_self_inner (on-line points)
+    self_prims = ()                         # principal values read at on-line points
 
     def __init__(self):
         self.c_log = 1.0 / (2 * np.pi)      # G = c_log * (-log rho)
 
-    def vg_blocks(self, prim, geo):
-        v = self.c_log * prim["ilog0"][..., None, None]
-        return v, v
-
-    def k_blocks(self, prim, geo):
+    def terms(self, that, nhat):
+        """{operator: {integral: (..., d, d) coefficient block}} for V, Ghat
+        ("G") and the start/end node parts K0, Kt of K on source panels with
+        tangents that and normals nhat.  K0 reads every integral Kt reads."""
+        c = np.full(that.shape[:-1] + (1, 1), self.c_log)
+        v = {"ilog0": c}
         # dlp kernel (x-y).n_y / (2 pi rho^2) = eta/(2 pi rho^2);
         # weights: start node 1 - tau/L, end node tau/L
-        kt = prim["s1_t"] / (2 * np.pi)
-        k0 = prim["s1_0"] / (2 * np.pi) - kt
-        return k0[..., None, None], kt[..., None, None]
-
-    def v_self(self, L, that):
-        return (L * L * (1.5 - np.log(L)) / (2 * np.pi))[..., None, None]
-
-    ghat_self = v_self
-
-    def k_self_inner(self, prim, geo):
-        z = np.zeros_like(prim["s1_0"])
-        return z[..., None, None], z[..., None, None]
+        return {"V": v, "G": v, "K0": {"s1_0": c, "s1_t": -c}, "Kt": {"s1_t": c}}
 
 
 class _LameKernel:
-    """2D Lame kernels for exterior coefficients (mu, lambda); blocks broadcast."""
+    """2D Lame kernels for exterior coefficients (mu, lambda)."""
 
     d = 2
-    k_prims = ("s1_0", "s1_t", "s2_0", "s2_t", "p2_0", "p2_t",
-               "p1_0", "p1_t", "p0_0", "p0_t")
     self_prims = ("pv0", "pvt")
-    prims = ("ilog0", "dy00", "dy01", "dy11") + k_prims + self_prims
 
     def __init__(self, coeffs):
         lam, mu = coeffs.lam, coeffs.mu
@@ -185,64 +173,32 @@ class _LameKernel:
         self.tc = mu / (2 * np.pi * (lam + 2 * mu))       # traction kernel constants
         self.td = (lam + mu) / (np.pi * (lam + 2 * mu))
 
-    def vg_blocks(self, prim, geo):
-        """V and Ghat blocks, from one dyadic term."""
-        that, nhat = geo
-        tt = that[..., :, None] * that[..., None, :]
-        tn = that[..., :, None] * nhat[..., None, :] + nhat[..., :, None] * that[..., None, :]
-        nn = nhat[..., :, None] * nhat[..., None, :]
-        dyad = (prim["dy00"][..., None, None] * tt + prim["dy01"][..., None, None] * tn
-                + prim["dy11"][..., None, None] * nn)
-        ilog = prim["ilog0"][..., None, None] * np.eye(2)
-        return (self.c_log * ilog + self.c_dyad * dyad,
-                self.w_log * ilog + self.w_dyad * dyad)
+    def terms(self, that, nhat):
+        """{operator: {integral: (..., 2, 2) coefficient block}} for V, Ghat
+        ("G") and the start/end node parts K0, Kt of K on source panels with
+        tangents that and normals nhat.
 
-    def k_blocks(self, prim, geo):
-        """Double layer potential kernel, transposed traction-of-columns contraction.
-
-        Kmat_ab = [c((r.n) I + n r^T - r n^T) + d (r.n) r r^T / rho^2]_ab / rho^2
-        integrated against weights {1-tau/L, tau/L}; r = x - y = -u that + eta nhat.
+        V and Ghat are c I ilog0 + c' (dy00 tt + dy01 tn + dy11 nn).  K is the
+        transposed traction-of-columns contraction
+        [c((r.n) I + n r^T - r n^T) + d (r.n) r r^T / rho^2] / rho^2 with
+        r = x - y = -u that + eta nhat, integrated against the weights
+        {1-tau/L, tau/L} (tags 0, t) to tc (s1 I + s2 R) + td (p2 tt - p1 tn
+        + p0 nn), R = that nhat^T - nhat that^T; on the line only the
+        principal value tc pv R is left.
         """
-        that, nhat = geo
-        tt = that[..., :, None] * that[..., None, :]
-        tn = that[..., :, None] * nhat[..., None, :] + nhat[..., :, None] * that[..., None, :]
-        nn = nhat[..., :, None] * nhat[..., None, :]
-        eye = np.eye(2)
-        out = []
-        for tag in ("0", "t"):
-            s1 = prim["s1_" + tag]      # int w eta/rho^2
-            s2 = prim["s2_" + tag]      # int w u/rho^2
-            p2 = prim["p2_" + tag]      # eta int w u^2/rho^4
-            p1 = prim["p1_" + tag]      # eta^2 int w u/rho^4
-            p0 = prim["p0_" + tag]      # eta^3 int w /rho^4
-            # int w r/rho^2 = -that*s2 + nhat*s1
-            rvec = -that * s2[..., None] + nhat * s1[..., None]
-            anti = (nhat[..., :, None] * rvec[..., None, :]
-                    - rvec[..., :, None] * nhat[..., None, :])
-            dy4 = (p2[..., None, None] * tt - p1[..., None, None] * tn
-                   + p0[..., None, None] * nn)
-            out.append(self.tc * (s1[..., None, None] * eye + anti) + self.td * dy4)
-        return out[0] - out[1], out[1]
-
-    def v_self(self, L, that):
-        L = np.asarray(L)[..., None, None]
-        tt = that[..., :, None] * that[..., None, :]
-        return self.A * L * L * ((1.5 - np.log(L)) * np.eye(2) + self.B * tt)
-
-    def ghat_self(self, L, that):
-        L = np.asarray(L)[..., None, None]
-        tt = that[..., :, None] * that[..., None, :]
-        return self.w_log * L * L * ((1.5 - np.log(L)) * np.eye(2) + tt)
-
-    def k_self_inner(self, prim, geo):
-        """On-line principal value: only the antisymmetric rotation term survives."""
-        that, nhat = geo
-        anti = that[..., :, None] * nhat[..., None, :] - nhat[..., :, None] * that[..., None, :]
-        # r = -u that: Kmat = tc (n r^T - r n^T)/rho^2 = -tc (n that^T - that n^T)/u
-        rot = -np.swapaxes(anti, -1, -2)
-        kt = self.tc * prim["pvt"][..., None, None] * rot
-        k0 = self.tc * prim["pv0"][..., None, None] * rot - kt
-        return k0, kt
+        t, n = that[..., :, None], nhat[..., :, None]
+        tT, nT = that[..., None, :], nhat[..., None, :]
+        tt, tn, nn, R = t * tT, t * nT + n * tT, n * nT, t * nT - n * tT
+        eye = np.broadcast_to(np.eye(2), tt.shape)
+        dyad = {"dy00": tt, "dy01": tn, "dy11": nn}
+        V = {"ilog0": self.c_log * eye, **{k: self.c_dyad * b for k, b in dyad.items()}}
+        G = {"ilog0": self.w_log * eye, **{k: self.w_dyad * b for k, b in dyad.items()}}
+        tc, td = self.tc, self.td
+        K = {tag: {"s1_" + tag: tc * eye, "s2_" + tag: tc * R, "p2_" + tag: td * tt,
+                   "p1_" + tag: -td * tn, "p0_" + tag: td * nn, "pv" + tag: tc * R}
+             for tag in ("0", "t")}
+        K0 = {**K["0"], **{k: -b for k, b in K["t"].items()}}
+        return {"V": V, "G": G, "K0": K0, "Kt": K["t"]}
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +225,9 @@ def _primitives(keys, bspace, src, X):
 
     Frame coordinates of the panel (start A, tangent that, normal nhat,
     length L): xi = (x-A).that, eta = (x-A).nhat, u in [-xi, L-xi].
-    All returned combinations are finite; |eta| < _ONLINE_REL*L uses the
-    on-line (principal-value) branch.  The shared core is computed always;
+    All returned combinations are finite; |eta| <= _ONLINE_REL*max(L, |A|)
+    uses the on-line (principal-value) branch, as the rounding of eta grows
+    with the coordinates.  The shared core is computed always;
     a combination, and a subexpression some combinations share, only when
     it is asked for, and once.
     """
@@ -285,7 +242,8 @@ def _primitives(keys, bspace, src, X):
         xi[s:e] = rel[s:e] @ bspace.tangents[src[s]]
         eta[s:e] = rel[s:e] @ bspace.normals[src[s]]
         tiny[s:e] = (_ONLINE_REL * bspace.lengths[src[s]]) ** 2
-    online = np.abs(eta) <= _ONLINE_REL * L
+    tol = _ONLINE_REL * np.maximum(bspace.lengths, np.hypot(bspace.A[:, 0], bspace.A[:, 1]))
+    online = np.abs(eta) <= np.take(tol, src)
     eta_safe = np.where(online, 1.0, eta)
     u1 = -xi
     u2 = L - xi
@@ -396,17 +354,48 @@ def _panel_blocks(counts):
     return [slice(s, s + step) for s in range(0, len(counts), step)]
 
 
+def _table_integrals(ker, table):
+    """The integrals a kernel table reads, in table order, and the K
+    integrals other than the principal values: those are zeroed at on-line
+    points, where K takes the principal value (ker.self_prims, which vanish
+    off the line)."""
+    prims = list(dict.fromkeys(k for terms in table.values() for k in terms))
+    return prims, {*table["K0"], *table["Kt"]} - set(ker.self_prims)
+
+
+def _table_values(prims, kzero, bspace, src, X):
+    """{integral: (n,)} of the integrals prims over the panels src at the
+    points X, with the kzero ones zeroed at on-line points (in place: each
+    array _primitives returns is its own)."""
+    prim = _primitives(prims, bspace, src, X)
+    for k in kzero:
+        np.copyto(prim[k], 0.0, where=prim["online"])
+    return prim
+
+
+def _self_pair_integrals(lengths):
+    """Exact panel x panel integrals of the V and Ghat tables over each
+    self pair (source panel = row panel): on the line eta = 0, so dy01 and
+    dy11 vanish."""
+    L2 = lengths * lengths
+    zero = np.zeros_like(lengths)
+    return {"ilog0": L2 * (1.5 - np.log(lengths)), "dy00": L2, "dy01": zero, "dy11": zero}
+
+
 def _pair_blocks(ker, bspace, quad_order):
     """(L, L, d, d) Galerkin blocks of V, Ghat and the start/end node parts
-    of K for every (row panel, source panel) pair.  For Laplace the Ghat
-    array is the V array.
+    of K for every (row panel, source panel) pair: the kernel table
+    contracted with the pair integrals.  For Laplace the Ghat array is the
+    V array.
 
-    Self pairs stay out of the blocked passes: their V and Ghat blocks are
-    analytic, and every self outer point lies on the source panel, where
-    the k_blocks integrals are replaced by the principal value
-    (k_self_inner).  Only the integrals that value reads (ker.self_prims,
-    none for Laplace) are evaluated at the self points, in passes of their own.
+    Self pairs stay out of the blocked passes: every self outer point lies
+    on the source panel, where the non-PV K integrals vanish, and the V and
+    Ghat integrals are analytic (_self_pair_integrals).  Only the principal
+    values (ker.self_prims, none for Laplace) are evaluated at the self
+    points, in passes of their own.
     """
+    table = ker.terms(bspace.tangents, bspace.normals)
+    prims, kzero = _table_integrals(ker, table)
     L = bspace.n_panels
     lengths = bspace.lengths
 
@@ -447,46 +436,43 @@ def _pair_blocks(ker, bspace, quad_order):
     cls = pair_class.T
     nq = n_rule[cls]
     nq[panel, panel] = 0
-    kprim = [ker.prims.index(k) for k in ker.k_prims]
-    ints = np.zeros((len(ker.prims), L * L))                # [integral, m L + l]
+    ints = np.zeros((len(prims), L * L))                    # [integral, m L + l]
     for blk in _panel_blocks(nq.sum(axis=1)):
         pair = np.flatnonzero(nq[blk])          # non-self pairs of the block
         n = nq[blk].ravel()[pair]
         seg = np.cumsum(n) - n                  # pair j's points start at seg[j]
         idx = np.repeat(first[cls[blk], panel].ravel()[pair] - seg, n) + np.arange(n.sum())
         src = np.repeat(panel[blk], nq[blk].sum(axis=1))
-        prim = _primitives(ker.prims, bspace, src, np.take(pts, idx, axis=0))
-        P = np.stack([prim[k] for k in ker.prims])
-        # on-line points take the principal value (k_self_inner, from pv0/pvt,
-        # which vanish off the line) in place of the k_blocks integrals
-        P[np.ix_(kprim, np.flatnonzero(prim["online"]))] = 0.0
+        P = _table_values(prims, kzero, bspace, src, np.take(pts, idx, axis=0))
+        P = np.stack([P[k] for k in prims])
         P *= wts[idx]
         ints[:, blk.start * L + pair] = np.add.reduceat(P, seg, axis=1)
 
-    # self pairs (m, m), flat at m (L + 1): only the integrals k_self_inner
-    # reads, at the self rule's points
+    # self pairs (m, m), flat at m (L + 1): the analytic V and Ghat
+    # integrals, and the principal values from the self rule's points
+    exact = _self_pair_integrals(lengths)
+    for k in {**table["V"], **table["G"]}:
+        ints[prims.index(k), panel * (L + 1)] = exact[k]
     ns = n_rule[4]
-    rows = [ker.prims.index(k) for k in ker.self_prims]
+    rows = [prims.index(k) for k in ker.self_prims]
     for blk in _panel_blocks(np.full(L, ns)) if rows else ():
         m = panel[blk]
         idx = (first[4, m][:, None] + np.arange(ns)).ravel()
-        prim = _primitives(ker.self_prims, bspace, np.repeat(m, ns), np.take(pts, idx, axis=0))
-        P = np.stack([prim[k] for k in ker.self_prims])
+        P = _table_values(ker.self_prims, (), bspace, np.repeat(m, ns), np.take(pts, idx, axis=0))
+        P = np.stack([P[k] for k in ker.self_prims])
         P *= wts[idx]
         ints[np.ix_(rows, m * (L + 1))] = np.add.reduceat(P, ns * np.arange(len(m)), axis=1)
-    ints = ints.reshape(-1, L, L)
 
-    # every (row, source) block at once; the blocks are linear in the integrals
-    red = dict(zip(ker.prims, ints.transpose(0, 2, 1)))
-    geo = (bspace.tangents, bspace.normals)
-    Vfull, Gfull = ker.vg_blocks(red, geo)
-    k0, kt = ker.k_blocks(red, geo)
-    s0, st = ker.k_self_inner(red, geo)
+    # every (row, source) block at once: each operator's coefficient blocks
+    # times its integrals, summed in table order
+    red = dict(zip(prims, ints.reshape(-1, L, L).transpose(0, 2, 1)))
 
-    # self pairs: analytic V and Ghat
-    Vfull[panel, panel] = ker.v_self(lengths, bspace.tangents)
-    Gfull[panel, panel] = ker.ghat_self(lengths, bspace.tangents)
-    return Vfull, Gfull, k0 + s0, kt + st
+    def contract(terms):
+        return sum(red[k][..., None, None] * c for k, c in terms.items())
+
+    V = contract(table["V"])
+    G = V if table["G"] is table["V"] else contract(table["G"])
+    return V, G, contract(table["K0"]), contract(table["Kt"])
 
 
 def assemble_operators(bspace, coeffs=None, quad_order=8):
@@ -599,32 +585,43 @@ def stabilization_vectors(ops, xi):
 
 # pointwise evaluation --------------------------------------------------------
 
+def _apply(blocks, v):
+    """Per panel, (L, d, d) blocks times (L, d) vectors."""
+    return (blocks @ v[..., None])[..., 0]
+
+
 def eval_layer_potentials(bspace, coeffs, density, wcoef, X):
     """(V phi)(x) for a P0 density phi and principal-value (K_pv w)(x) for a
     P1 density w, at points X on or off the boundary.
 
-    One evaluation of the panel integrals per (point, panel) pair, in
-    blocks of panels, gives both.
+    The kernel table is contracted with the densities first: one d-vector
+    per (integral, panel) for each potential (V with phi, K0 with w at the
+    panel's start node, Kt with w at its end node).  One evaluation of the
+    panel integrals per (point, panel) pair, in blocks of panels, then
+    gives both.
     """
     ker = _kernel_for(coeffs)
     d = ker.d
     X = np.atleast_2d(X)
     n = len(X)
+    table = ker.terms(bspace.tangents, bspace.normals)
+    prims, kzero = _table_integrals(ker, table)
     dens = np.asarray(density).reshape(bspace.n_panels, d)
     w = np.asarray(wcoef).reshape(bspace.n_nodes, d)
+    w0, w1, kt = w[bspace.panel_start], w[bspace.panel_end], table["Kt"]
+    gv = {k: _apply(c, dens) for k, c in table["V"].items()}
+    gk = {k: _apply(c, w0) + (_apply(kt[k], w1) if k in kt else 0)
+          for k, c in table["K0"].items()}
     acc = np.zeros((1, 2, n, d))              # running (V phi, K_pv w)
     for blk in _panel_blocks(np.full(bspace.n_panels, n)):
         m = np.arange(bspace.n_panels)[blk]
-        prim = _primitives(ker.prims, bspace, np.repeat(m, n), np.tile(X, (len(m), 1)))
-        prim = {k: v.reshape(len(m), n) for k, v in prim.items()}
-        geo = (bspace.tangents[m, None], bspace.normals[m, None])
-        online = prim["online"][..., None, None]
-        k0, kt = (np.where(online, s, k) for s, k in
-                  zip(ker.k_self_inner(prim, geo), ker.k_blocks(prim, geo)))
-        # contributions added to the sums in panel order, as += per panel would
-        c = np.stack([np.einsum("mnab,mb->mna", ker.vg_blocks(prim, geo)[0], dens[m]),
-                      np.einsum("mnab,mb->mna", k0, w[bspace.panel_start[m]])
-                      + np.einsum("mnab,mb->mna", kt, w[bspace.panel_end[m]])], axis=1)
+        P = _table_values(prims, kzero, bspace, np.repeat(m, n), np.tile(X, (len(m), 1)))
+        # sums over the integrals in table order; contributions added to the
+        # sums in panel order, as += per panel would
+        c = np.zeros((len(m), 2, n, d))
+        for j, gs in enumerate((gv, gk)):
+            for k, g in gs.items():
+                c[:, j] += P[k].reshape(len(m), n, 1) * g[m, None]
         acc = np.cumsum(np.concatenate([acc, c]), axis=0)[-1:]
     return acc[0, 0], acc[0, 1]
 

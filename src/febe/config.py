@@ -114,6 +114,10 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
 def parse_config(text):
     cfg = RunConfig()
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -129,10 +133,10 @@ def parse_config(text):
         kind = type(_DEFAULTS[key])
         try:
             if kind is bool:
-                cfg.values[key] = val.lower() in ("1", "true", "yes", "on")
+                cfg.values[key] = _BOOLS[val.lower()]
             else:
                 cfg.values[key] = kind(val)
-        except ValueError:
+        except (KeyError, ValueError):
             raise ConfigError("bad value for %s: %r" % (key, val))
     return cfg
 

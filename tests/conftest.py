@@ -95,9 +95,10 @@ def friction_bound_loop(system, l, t):
     return np.asarray(fr(pts), dtype=float).reshape(-1)
 
 
-# -- BEM references: the per-point-block assembly and the all-integrals
-# -- primitives that the contracted assembly replaced, and the per-source-
-# -- panel loops that the blocked assembly and evaluation replaced -----------
+# -- BEM references: the per-point-block assembly, its d x d block formulas
+# -- and the all-integrals primitives that the contracted assembly and the
+# -- kernel tables replaced, and the per-source-panel loops that the blocked
+# -- assembly and evaluation replaced ------------------------------------------
 
 def reference_primitives(panel_A, that, nhat, L, X):
     """Every inner integral over the source panel at observation points X."""
@@ -106,7 +107,7 @@ def reference_primitives(panel_A, that, nhat, L, X):
     rel = X - panel_A[None, :]
     xi = rel @ that
     eta = rel @ nhat
-    online = np.abs(eta) <= _ONLINE_REL * L
+    online = np.abs(eta) <= _ONLINE_REL * max(L, np.hypot(*panel_A))
     eta_safe = np.where(online, 1.0, eta)
     u1 = -xi
     u2 = L - xi
@@ -156,19 +157,118 @@ def reference_primitives(panel_A, that, nhat, L, X):
     return p
 
 
+class _ReferenceLaplace:
+    """The d x d block formulas of the scalar Laplace kernel, from its
+    constants: the V and Ghat blocks, K's start and end node parts off the
+    line (k_blocks) and on it (k_self_inner), and the analytic self-pair
+    V and Ghat blocks."""
+
+    def __init__(self, kernel):
+        self.__dict__.update(vars(kernel))
+
+    def vg_blocks(self, prim, geo):
+        v = self.c_log * prim["ilog0"][..., None, None]
+        return v, v
+
+    def k_blocks(self, prim, geo):
+        # dlp kernel (x-y).n_y / (2 pi rho^2) = eta/(2 pi rho^2);
+        # weights: start node 1 - tau/L, end node tau/L
+        kt = prim["s1_t"] / (2 * np.pi)
+        k0 = prim["s1_0"] / (2 * np.pi) - kt
+        return k0[..., None, None], kt[..., None, None]
+
+    def v_self(self, L, that):
+        return (L * L * (1.5 - np.log(L)) / (2 * np.pi))[..., None, None]
+
+    ghat_self = v_self
+
+    def k_self_inner(self, prim, geo):
+        z = np.zeros_like(prim["s1_0"])
+        return z[..., None, None], z[..., None, None]
+
+
+class _ReferenceLame(_ReferenceLaplace):
+    """The d x d block formulas of the 2D Lame kernels, from their constants."""
+
+    def vg_blocks(self, prim, geo):
+        """V and Ghat blocks, from one dyadic term."""
+        that, nhat = geo
+        tt = that[..., :, None] * that[..., None, :]
+        tn = that[..., :, None] * nhat[..., None, :] + nhat[..., :, None] * that[..., None, :]
+        nn = nhat[..., :, None] * nhat[..., None, :]
+        dyad = (prim["dy00"][..., None, None] * tt + prim["dy01"][..., None, None] * tn
+                + prim["dy11"][..., None, None] * nn)
+        ilog = prim["ilog0"][..., None, None] * np.eye(2)
+        return (self.c_log * ilog + self.c_dyad * dyad,
+                self.w_log * ilog + self.w_dyad * dyad)
+
+    def k_blocks(self, prim, geo):
+        """Double layer potential kernel, transposed traction-of-columns contraction.
+
+        Kmat_ab = [c((r.n) I + n r^T - r n^T) + d (r.n) r r^T / rho^2]_ab / rho^2
+        integrated against weights {1-tau/L, tau/L}; r = x - y = -u that + eta nhat.
+        """
+        that, nhat = geo
+        tt = that[..., :, None] * that[..., None, :]
+        tn = that[..., :, None] * nhat[..., None, :] + nhat[..., :, None] * that[..., None, :]
+        nn = nhat[..., :, None] * nhat[..., None, :]
+        eye = np.eye(2)
+        out = []
+        for tag in ("0", "t"):
+            s1 = prim["s1_" + tag]      # int w eta/rho^2
+            s2 = prim["s2_" + tag]      # int w u/rho^2
+            p2 = prim["p2_" + tag]      # eta int w u^2/rho^4
+            p1 = prim["p1_" + tag]      # eta^2 int w u/rho^4
+            p0 = prim["p0_" + tag]      # eta^3 int w /rho^4
+            # int w r/rho^2 = -that*s2 + nhat*s1
+            rvec = -that * s2[..., None] + nhat * s1[..., None]
+            anti = (nhat[..., :, None] * rvec[..., None, :]
+                    - rvec[..., :, None] * nhat[..., None, :])
+            dy4 = (p2[..., None, None] * tt - p1[..., None, None] * tn
+                   + p0[..., None, None] * nn)
+            out.append(self.tc * (s1[..., None, None] * eye + anti) + self.td * dy4)
+        return out[0] - out[1], out[1]
+
+    def v_self(self, L, that):
+        L = np.asarray(L)[..., None, None]
+        tt = that[..., :, None] * that[..., None, :]
+        return self.A * L * L * ((1.5 - np.log(L)) * np.eye(2) + self.B * tt)
+
+    def ghat_self(self, L, that):
+        L = np.asarray(L)[..., None, None]
+        tt = that[..., :, None] * that[..., None, :]
+        return self.w_log * L * L * ((1.5 - np.log(L)) * np.eye(2) + tt)
+
+    def k_self_inner(self, prim, geo):
+        """On-line principal value: only the antisymmetric rotation term survives."""
+        that, nhat = geo
+        anti = that[..., :, None] * nhat[..., None, :] - nhat[..., :, None] * that[..., None, :]
+        # r = -u that: Kmat = tc (n r^T - r n^T)/rho^2 = -tc (n that^T - that n^T)/u
+        rot = -np.swapaxes(anti, -1, -2)
+        kt = self.tc * prim["pvt"][..., None, None] * rot
+        k0 = self.tc * prim["pv0"][..., None, None] * rot - kt
+        return k0, kt
+
+
+def reference_blocks(kernel):
+    """The block formulas of a febe.bem kernel."""
+    return (_ReferenceLaplace if kernel.d == 1 else _ReferenceLame)(kernel)
+
+
 def _reference_inner(kernel, bspace, m, X):
     """(n, d, d) blocks V, Ghat, K0, Kt at every observation point."""
+    ref = reference_blocks(kernel)
     that = bspace.tangents[m]
     nhat = bspace.normals[m]
     prim = reference_primitives(bspace.A[m], that, nhat, bspace.lengths[m], X)
     geo = (that, nhat)
-    k0, kt = kernel.k_blocks(prim, geo)
+    k0, kt = ref.k_blocks(prim, geo)
     if np.any(prim["online"]):
-        s0, st = kernel.k_self_inner(prim, geo)
+        s0, st = ref.k_self_inner(prim, geo)
         mask = prim["online"][:, None, None]
         k0 = np.where(mask, s0, k0)
         kt = np.where(mask, st, kt)
-    return (*kernel.vg_blocks(prim, geo), k0, kt)
+    return (*ref.vg_blocks(prim, geo), k0, kt)
 
 
 def reference_pair_blocks(ker, bspace, quad_order):
@@ -214,9 +314,10 @@ def reference_pair_blocks(ker, bspace, quad_order):
                 full[rows, m] = np.einsum("lq,lqab->lab", wl,
                                           blk[start:stop].reshape(len(rows), len(t), d, d))
             start = stop
+    ref = reference_blocks(ker)
     for l in range(L):
-        Vfull[l, l] = ker.v_self(lengths[l], bspace.tangents[l])
-        Gfull[l, l] = ker.ghat_self(lengths[l], bspace.tangents[l])
+        Vfull[l, l] = ref.v_self(lengths[l], bspace.tangents[l])
+        Gfull[l, l] = ref.ghat_self(lengths[l], bspace.tangents[l])
     return Vfull, Gfull, K0full, Ktfull
 
 
@@ -241,7 +342,7 @@ def reference_layer_potentials(bspace, coeffs, density, wcoef, X):
 def loop_pair_blocks(ker, bspace, quad_order):
     """(L, L, d, d) Galerkin blocks of V, Ghat, K0 and Kt from one pass per
     source panel: its integrals at the outer points of all rows, contracted
-    into one value per row, then one d x d block per (row, panel) pair."""
+    into one value per row, then its kernel table contracted with them."""
     from febe import bem
     from febe.quadrature import graded_gauss, segment_gauss
     d = ker.d
@@ -266,65 +367,82 @@ def loop_pair_blocks(ker, bspace, quad_order):
     n_rule = np.array([len(t) for t, _ in rules])
     first = (np.cumsum(L * n_rule) - L * n_rule)[:, None] + n_rule[:, None] * panel
 
-    Vfull = np.zeros((L, L, d, d))
-    Gfull = np.zeros((L, L, d, d))
-    K0full = np.zeros((L, L, d, d))
-    Ktfull = np.zeros((L, L, d, d))
-    kprim = [ker.prims.index(k) for k in ker.k_prims]
+    table = ker.terms(bspace.tangents, bspace.normals)
+    prims, kzero = bem._table_integrals(ker, table)
+    exact = bem._self_pair_integrals(lengths)
+    full = {op: np.zeros((L, L, d, d)) for op in ("V", "G", "K0", "Kt")}
     for m in range(L):
         cls = pair_class[:, m]
         nq = n_rule[cls]
         seg = np.cumsum(nq) - nq
         idx = np.repeat(first[cls, panel] - seg, nq) + np.arange(seg[-1] + nq[-1])
-        geo = (bspace.tangents[m], bspace.normals[m])
-        prim = bem._primitives(ker.prims, bspace, np.full(len(idx), m), pts[idx])
-        P = np.stack([prim[k] for k in ker.prims])
-        online = np.flatnonzero(prim["online"])
-        P[np.ix_(kprim, online)] = 0.0
-        red = dict(zip(ker.prims, np.add.reduceat(P * wts[idx], seg, axis=1)))
-        Vfull[:, m], Gfull[:, m] = ker.vg_blocks(red, geo)
-        k0, kt = ker.k_blocks(red, geo)
-        s0, st = ker.k_self_inner(red, geo)
-        K0full[:, m] = k0 + s0
-        Ktfull[:, m] = kt + st
-    for l in range(L):
-        Vfull[l, l] = ker.v_self(lengths[l], bspace.tangents[l])
-        Gfull[l, l] = ker.ghat_self(lengths[l], bspace.tangents[l])
-    return Vfull, Gfull, K0full, Ktfull
+        P = bem._table_values(prims, kzero, bspace, np.full(len(idx), m), pts[idx])
+        P = np.stack([P[k] for k in prims])
+        red = dict(zip(prims, np.add.reduceat(P * wts[idx], seg, axis=1)))
+        # the self pair: analytic V and Ghat integrals, no other K integral
+        for k in red:
+            if k in exact:
+                red[k][m] = exact[k][m]
+            elif k not in ker.self_prims:
+                red[k][m] = 0.0
+        for op, terms in table.items():
+            full[op][:, m] = sum(red[k][:, None, None] * c[m] for k, c in terms.items())
+    return full["V"], full["G"], full["K0"], full["Kt"]
 
 
-def _loop_inner(kernel, bspace, m, X):
-    """(n, d, d) blocks V, K0, Kt of panel m at observation points X."""
+def _loop_inner(kernel, table, bspace, m, X):
+    """Integrals of panel m at observation points X, the non-PV K ones
+    zeroed on the line, as {integral: (n, 1)}."""
     from febe import bem
-    that = bspace.tangents[m]
-    nhat = bspace.normals[m]
-    prim = bem._primitives(kernel.prims, bspace, np.full(len(X), m), X)
-    geo = (that, nhat)
-    k0, kt = kernel.k_blocks(prim, geo)
-    if np.any(prim["online"]):
-        s0, st = kernel.k_self_inner(prim, geo)
-        mask = prim["online"][:, None, None]
-        k0 = np.where(mask, s0, k0)
-        kt = np.where(mask, st, kt)
-    return kernel.vg_blocks(prim, geo)[0], k0, kt
+    prims, kzero = bem._table_integrals(kernel, table)
+    P = bem._table_values(prims, kzero, bspace, np.full(len(X), m), X)
+    return {k: P[k][:, None] for k in prims}
 
 
 def loop_layer_potentials(bspace, coeffs, density, wcoef, X):
     """(V phi)(x) and principal-value (K_pv w)(x), one panel at a time."""
-    from febe.bem import _kernel_for
-    ker = _kernel_for(coeffs)
+    from febe import bem
+    ker = bem._kernel_for(coeffs)
     d = ker.d
     X = np.atleast_2d(X)
     dens = np.asarray(density).reshape(bspace.n_panels, d)
     w = np.asarray(wcoef).reshape(bspace.n_nodes, d)
+    table = ker.terms(bspace.tangents, bspace.normals)
     vphi = np.zeros((len(X), d))
     kw = np.zeros((len(X), d))
+    # the densities contracted with the tables per panel
+    gv = {k: bem._apply(c, dens) for k, c in table["V"].items()}
+    gk = {k: bem._apply(c, w[bspace.panel_start]) for k, c in table["K0"].items()}
+    for k, c in table["Kt"].items():
+        gk[k] = gk[k] + bem._apply(c, w[bspace.panel_end])
     for m in range(bspace.n_panels):
-        vb, k0, kt = _loop_inner(ker, bspace, m, X)
-        n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
-        vphi += np.einsum("nab,b->na", vb, dens[m])
-        kw += np.einsum("nab,b->na", k0, w[n0]) + np.einsum("nab,b->na", kt, w[n1])
+        P = _loop_inner(ker, table, bspace, m, X)
+        vphi += sum(P[k] * g[m] for k, g in gv.items())
+        kw += sum(P[k] * g[m] for k, g in gk.items())
     return vphi, kw
+
+
+def record_online_mismatches(monkeypatch):
+    """Patch febe.bem._primitives to record every point whose on-line flag
+    differs from the length-only test |eta| <= _ONLINE_REL L, which the
+    on-line test was before it scaled with the coordinates.  Returns the
+    list the (source panel, x, y) rows go to, and the number of points seen."""
+    from febe import bem
+    prim = bem._primitives
+    rows, seen = [], [0]
+
+    def checked(keys, bspace, src, X):
+        out = prim(keys, bspace, src, X)
+        for p in np.unique(src):
+            s = src == p
+            eta = (X[s] - bspace.A[p]) @ bspace.normals[p]
+            old = np.abs(eta) <= bem._ONLINE_REL * bspace.lengths[p]
+            rows.extend((p, *x) for x in X[s][old != out["online"][s]])
+        seen[0] += len(src)
+        return out
+
+    monkeypatch.setattr(bem, "_primitives", checked)
+    return rows, seen
 
 
 # -- vi references: the sparse-product constant blocks and the COO Newton

@@ -33,3 +33,16 @@ def test_workload_passes_its_checks(name, size, tmp_path):
     work = WORKLOADS[name](0, size, str(tmp_path))
     work.setup()
     assert work.check(work.run(), reference) == []
+
+
+def test_workload_online_sets_need_no_coordinate_scaling(tmp_path, monkeypatch):
+    # on every mesh of the three workloads at seed 0, each point the BEM
+    # on-line test puts on the line lies within 1e-12 L of it, as before
+    # the test scaled with the coordinates
+    from conftest import record_online_mismatches
+    rows, seen = record_online_mismatches(monkeypatch)
+    for name in sorted(WORKLOADS):
+        work = WORKLOADS[name](0, "full", str(tmp_path / name))
+        work.setup()
+        work.run()
+    assert seen[0] > 0 and rows == []

@@ -76,8 +76,10 @@ def test_mesh_error_exit_code(tmp_path, capsys):
     "problem = vector",                                     # quadratic is scalar
     "data.preset = corner\nmaterial.p = 3.0",              # corner needs p = 2
     "material.kind = carreau\nmaterial.delta = 0.5",       # quadratic: power law
+    "bem.dump = ture",                                      # misspelled boolean
+    "solver.stabilized = maybe",                            # not a boolean
 ], ids=["quad-order", "lshape-odd-n", "appendix-vector", "appendix-p-below-2",
-        "quadratic-vector", "corner-p3", "quadratic-carreau"])
+        "quadratic-vector", "corner-p3", "quadratic-carreau", "bool-typo", "bool-maybe"])
 def test_config_mistakes_exit_2(tmp_path, capsys, extra):
     cfg = write_cfg(tmp_path, "%s\nout.dir = %s\n" % (extra, tmp_path / "out"))
     assert main(["solve", "--config", cfg]) == 2
@@ -85,6 +87,14 @@ def test_config_mistakes_exit_2(tmp_path, capsys, extra):
     assert captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_boolean_spellings():
+    # 1/true/yes/on and 0/false/no/off, in any case; anything else is a
+    # ConfigError (see test_config_mistakes_exit_2)
+    for val, want in (("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                      ("0", False), ("False", False), ("NO", False), ("Off", False)):
+        assert parse_config("bem.dump = %s\n" % val)["bem.dump"] is want
 
 
 def test_fem_quad_order_needs_a_triangle_rule(tmp_path, capsys):
