@@ -242,8 +242,9 @@ def _primitives(keys, bspace, src, X):
         xi[s:e] = rel[s:e] @ bspace.tangents[src[s]]
         eta[s:e] = rel[s:e] @ bspace.normals[src[s]]
         tiny[s:e] = (_ONLINE_REL * bspace.lengths[src[s]]) ** 2
-    tol = _ONLINE_REL * np.maximum(bspace.lengths, np.hypot(bspace.A[:, 0], bspace.A[:, 1]))
-    online = np.abs(eta) <= np.take(tol, src)
+    tol = np.take(_ONLINE_REL * np.maximum(bspace.lengths,
+                                           np.hypot(bspace.A[:, 0], bspace.A[:, 1])), src)
+    online = np.abs(eta) <= tol
     eta_safe = np.where(online, 1.0, eta)
     u1 = -xi
     u2 = L - xi
@@ -266,9 +267,11 @@ def _primitives(keys, bspace, src, X):
         return -(ulog2 - ulog1 - (u2 - u1) + eta * dat)
 
     def pv0(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(online, np.log(np.maximum(np.abs(u2), tiny))
-                            - np.log(np.maximum(np.abs(u1), tiny)), 0.0)
+        # log|u2| - log|u1|, without the log of an end within tol of the
+        # point: at a shared vertex the two panels' terms cancel exactly
+        a1, a2 = np.abs(u1), np.abs(u2)
+        return np.where(online, np.log(np.where(a2 > tol, a2, 1.0))
+                        - np.log(np.where(a1 > tol, a1, 1.0)), 0.0)
 
     rules = {
         # subexpressions shared by several combinations

@@ -1,11 +1,15 @@
-"""Verification oracles for the contact solves.
+"""Verification oracle for the contact solves.
 
-For p = 2 the discrete problem is a QP with nodewise |.|-terms and bounds;
-the oracle enumerates every contact/stick/slip pattern, solves the smooth
-equality-constrained subproblem, and returns the feasible minimum.  For
-p != 2 a long-horizon projected subgradient descent provides an approximate
-reference with a reported gap; it works in the full coordinates (U, Z) and
-keeps the compatibility rows C x = c0 by projection.
+The discrete contact problem minimizes a smooth convex energy plus
+nodewise |.|-terms under bounds.  Fix a pattern: per slip node, v_n held
+at 0 or free (vector case), and z_t held at 0 or given a sign s_k.  What
+is left is the smooth convex energy phi_smooth(x) + sum_k s_k F_k z_t,k on
+the affine set {C x = c0, held coordinates = 0}.  The oracle minimizes it
+for every pattern by damped Newton on the pattern's dense KKT system and
+returns the least objective over the patterns whose minimizer is feasible
+(v_n <= 0 where free, s_k z_t,k >= 0).  The same enumeration serves every
+p; at p = 2 each pattern takes one KKT solve.  It uses the system's
+energy and FE tangent only, none of the solver's active-set Newton.
 """
 
 from __future__ import annotations
@@ -15,90 +19,117 @@ import itertools
 import numpy as np
 
 from . import fem
+from .material import MaterialLaw
+
+# Z dofs above which the enumeration (3 or 6 patterns per slip node) is refused
+MAX_CONSTRAINED = 12
+# Newton steps per pattern, and backtracking halvings per step
+_NEWTON_STEPS = 200
+_BACKTRACKS = 40
 
 
 class OracleError(ValueError):
     pass
 
 
-def _qp_matrices(system):
-    if system.law.p != 2.0:
-        raise OracleError("enumeration oracle requires p = 2")
-    import scipy.sparse as sp
-    K = fem.assemble_tangent(system.space, system.law,
-                             np.zeros(system.nU))
-    n = system.nU + system.nZ
-    H = (sp.block_diag([K, sp.csr_matrix((system.nZ, system.nZ))])
-         + system.J_const[:n, :n]).toarray()
-    return H, system.rhs[:n]
+def _hessian(system, J0, law, U):
+    """Dense Hessian of phi_smooth at x = (U, Z) under law: the FE tangent
+    at U added to J0, the dense constant block of the Steklov-Poincare
+    form over x."""
+    H = J0.copy()
+    H[:system.nU, :system.nU] += fem.assemble_tangent(system.space, law, U).toarray()
+    return H
 
 
-def oracle_vi(system, max_constrained=12, subgrad_iterations=200000):
-    """Reference minimizer of the contact problem.
+def _pattern_minimizer(system, J0, H0, g0, E, e0, lin):
+    """Minimizer of phi_smooth(x) + lin . x on {E x = e0}, or None when the
+    pattern's KKT matrix is singular.
 
-    p = 2: exact enumeration over every contact/stick/slip pattern (v_n
-    active/inactive, v_t in {-, 0, +}); each pattern is an equality-
-    constrained QP.  Returns (objective, x).
+    Damped Newton on [[H(x), E^T], [E, 0]] with Armijo backtracking on the
+    pattern energy.  The first step starts from x = 0, where phi_smooth
+    has the gradient g0, with the p = 2 Hessian H0, so it lands on the
+    pattern's p = 2 minimizer; at p = 2 the iteration stops there.  A
+    later step ends the iteration once its Newton decrement is at the
+    rounding level of the energy; a run that does not get there raises
+    OracleError."""
+    n, m = len(lin), len(e0)
+    zero = np.zeros((m, m))
 
-    p != 2: long-horizon projected subgradient descent; returns
-    (best objective, x) with the spread of the trailing iterates folded
-    into the objective as a reported attribute on the array.
+    def energy(x):
+        return system.phi_smooth(x) + lin @ x
+
+    x, H, g = np.zeros(n), H0, g0 + lin
+    for step in range(_NEWTON_STEPS):
+        try:
+            dx = np.linalg.solve(np.block([[H, E.T], [E, zero]]),
+                                 np.concatenate([-g, e0 - E @ x]))[:n]
+        except np.linalg.LinAlgError:
+            if step:
+                raise OracleError("singular Newton matrix on a pattern") from None
+            return None
+        if step == 0:
+            x = x + dx
+            if system.law.p == 2.0:
+                return x
+        else:
+            dec = -(g @ dx)
+            e = energy(x)
+            if dec <= 1e-14 * max(1.0, abs(e)):
+                return x + dx
+            t = 1.0
+            for _ in range(_BACKTRACKS):
+                if energy(x + t * dx) <= e - 1e-4 * t * dec:
+                    break
+                t *= 0.5
+            else:
+                raise OracleError("line search failed on a pattern "
+                                  "(Newton decrement %.3e)" % dec)
+            x = x + t * dx
+        H = _hessian(system, J0, system.law, x[:system.nU])
+        g = system.grad_smooth(x) + lin
+    raise OracleError("pattern Newton did not converge in %d steps"
+                      % _NEWTON_STEPS)
+
+
+def oracle_vi(system):
+    """Reference minimizer of the contact problem, for every p.
+
+    Enumerates every contact/stick/slip pattern (v_n held at 0 or free,
+    z_t held at 0 or of sign -/+), minimizes each pattern's smooth energy
+    on its affine set and returns (objective, x) of the feasible pattern
+    minimizer with the least objective.  Patterns with a singular KKT
+    matrix are skipped; a pattern whose Newton run fails raises
+    OracleError, as does an instance with more than MAX_CONSTRAINED Z dofs
+    or with no feasible pattern.
     """
-    ns = len(system.slip_nodes)
-    if system.nZ > max_constrained:
+    if system.nZ > MAX_CONSTRAINED:
         raise OracleError("instance too large for enumeration (%d dofs)" % system.nZ)
-    if system.law.p != 2.0:
-        val, x, gap = oracle_subgradient(system, iterations=subgrad_iterations)
-        return val, x
-    H, b = _qp_matrices(system)
-    n = H.shape[0]
-    C, c0 = system.C, system.c0
+    nU, n = system.nU, system.nU + system.nZ
+    ns = len(system.slip_nodes)
+    zn, zt = nU + system.idx_zn, nU + system.idx_zt
     F = system.friction.F
-    tol_feas = 1e-10 * max(1.0, np.abs(b).max())
-
-    n_states = [(0, 1)] * ns if system.d == 2 else [(None,)] * ns
-    t_states = [(-1, 0, 1)] * ns
+    eye = np.eye(n)
+    tol_feas = 1e-10 * max(1.0, np.abs(system.rhs[:n]).max())
+    J0 = system.J_const[:n, :n].toarray()
+    H0 = _hessian(system, J0, MaterialLaw(p=2.0, mode=system.law.mode), np.zeros(nU))
+    g0 = system.grad_smooth(np.zeros(n))
 
     best = (np.inf, None)
-    for npat in itertools.product(*n_states):
-        for tpat in itertools.product(*t_states):
-            rows = [C] if len(C) else []
-            rhs = [c0] if len(C) else []
-            lin = b.copy()
-            for k in range(ns):
-                if system.d == 2 and npat[k] == 1:
-                    r = np.zeros(n)
-                    r[system.nU + system.idx_zn[k]] = 1.0
-                    rows.append(r[None, :])
-                    rhs.append([0.0])
-                if tpat[k] == 0:
-                    r = np.zeros(n)
-                    r[system.nU + system.idx_zt[k]] = 1.0
-                    rows.append(r[None, :])
-                    rhs.append([0.0])
-                else:
-                    lin[system.nU + system.idx_zt[k]] -= tpat[k] * F[k]
-            E = np.vstack(rows) if rows else np.zeros((0, n))
-            e0 = np.concatenate([np.atleast_1d(r) for r in rhs]) if rhs else np.zeros(0)
-            m = len(e0)
-            KKT = np.block([[H, E.T], [E, np.zeros((m, m))]])
-            try:
-                sol = np.linalg.solve(KKT, np.concatenate([lin, e0]))
-            except np.linalg.LinAlgError:
+    for npat in itertools.product((0, 1), repeat=ns if system.d == 2 else 0):
+        npat = np.array(npat, dtype=int)
+        for tpat in itertools.product((-1, 0, 1), repeat=ns):
+            tpat = np.array(tpat)
+            # held rows in coordinate order, after the compatibility rows
+            held = np.sort(np.concatenate([zn[npat == 1], zt[tpat == 0]]))
+            lin = np.zeros(n)
+            lin[zt] = tpat * F
+            x = _pattern_minimizer(
+                system, J0, H0, g0, np.vstack([system.C, eye[held]]),
+                np.concatenate([system.c0, np.zeros(len(held))]), lin)
+            if x is None:
                 continue
-            x = sol[:n]
-            ok = True
-            for k in range(ns):
-                zt = x[system.nU + system.idx_zt[k]]
-                if tpat[k] != 0 and zt * tpat[k] < -tol_feas:
-                    ok = False
-                    break
-                if system.d == 2:
-                    zn = x[system.nU + system.idx_zn[k]]
-                    if npat[k] == 0 and zn > tol_feas:
-                        ok = False
-                        break
-            if not ok:
+            if (np.any(tpat * x[zt] < -tol_feas)
+                    or np.any(x[zn][npat == 0] > tol_feas)):
                 continue
             val = system.objective(x)
             if val < best[0]:
@@ -106,46 +137,3 @@ def oracle_vi(system, max_constrained=12, subgrad_iterations=200000):
     if best[1] is None:
         raise OracleError("no feasible pattern found")
     return best
-
-
-def oracle_subgradient(system, iterations=200000, step0=None):
-    """Projected subgradient descent reference for p != 2 instances.
-
-    Each step moves x = (U, Z) along the subgradient projected onto null(C),
-    clips v_n <= 0, and restores C x = c0 by the least-norm change of U.
-    Returns (best objective, best x, gap estimate from the last tenth).
-    """
-    nU, n = system.nU, system.nU + system.nZ
-    C, c0 = system.C, system.c0
-    Q = np.linalg.qr(C.T)[0]                   # orthonormal basis of range(C^T)
-    lift = np.linalg.pinv(C[:, :nU])           # least-norm U for a C defect
-    bound = nU + system.idx_zn
-
-    def restore(x):
-        x[:nU] += lift @ (c0 - C @ x)
-        return x
-
-    x = restore(np.zeros(n))
-    if step0 is None:
-        step0 = 0.1
-    best_val, best_x = np.inf, None
-    vals = []
-    for k in range(1, int(iterations) + 1):
-        g = system.grad_smooth(x)
-        if system.nZ and len(system.friction.F):
-            idx = nU + system.idx_zt
-            s = x[idx]
-            sub = np.where(s != 0, np.sign(s), 0.0)
-            g[idx] += system.friction.F * sub
-        g -= Q @ (Q.T @ g)
-        gnorm = max(np.linalg.norm(g), 1e-300)
-        x = x - step0 / (np.sqrt(k) * gnorm) * g
-        x[bound] = np.minimum(x[bound], 0.0)
-        restore(x)
-        val = system.objective(x)
-        if val < best_val:
-            best_val, best_x = val, x.copy()
-        if k > iterations * 0.9:
-            vals.append(val)
-    gap = float(np.std(vals)) if vals else np.inf
-    return best_val, best_x, gap

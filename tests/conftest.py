@@ -107,7 +107,8 @@ def reference_primitives(panel_A, that, nhat, L, X):
     rel = X - panel_A[None, :]
     xi = rel @ that
     eta = rel @ nhat
-    online = np.abs(eta) <= _ONLINE_REL * max(L, np.hypot(*panel_A))
+    tol = _ONLINE_REL * max(L, np.hypot(*panel_A))
+    online = np.abs(eta) <= tol
     eta_safe = np.where(online, 1.0, eta)
     u1 = -xi
     u2 = L - xi
@@ -148,9 +149,10 @@ def reference_primitives(panel_A, that, nhat, L, X):
     p["p0_0"] = np.where(online, 0.0, 0.5 * eta * (u2 / r2s - u1 / r1s) + 0.5 * dat)
     p["p0_t"] = (np.where(online, 0.0, -0.5 * eta ** 3 * (1 / r2s - 1 / r1s))
                  + xi * p["p0_0"]) / L
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pv = np.where(online, np.log(np.maximum(np.abs(u2), tiny))
-                      - np.log(np.maximum(np.abs(u1), tiny)), 0.0)
+    # an end within tol of the point drops its log|u|
+    a1, a2 = np.abs(u1), np.abs(u2)
+    pv = np.where(online, np.log(np.where(a2 > tol, a2, 1.0))
+                  - np.log(np.where(a1 > tol, a1, 1.0)), 0.0)
     p["pv0"] = pv
     p["pvt"] = np.where(online, (u2 - u1) / L, 0.0) + xi * pv / L
     p["online"] = online

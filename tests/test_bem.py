@@ -477,6 +477,30 @@ def test_boundary_far_from_origin_assembles_as_at_origin(lame):
         assert np.abs(a - b).max() <= 1e-8 * np.abs(a).max()
 
 
+@pytest.mark.parametrize("lame", [False, True])
+def test_vertex_potentials_do_not_depend_on_translation(lame):
+    # at a boundary vertex the log|u| ends of the two adjacent panels'
+    # principal values cancel; which of them rounds to exactly 0 depends on
+    # the coordinates, so without the cancellation a translation moves the
+    # Lame K_pv w by O(1).  The bound is the rounding of the translated
+    # vertices, which grows with the offset (1e-12 of the largest entry at
+    # offset 100)
+    from febe.mesh import Mesh
+    m = circle_mesh(32, 0.4)
+    co = ExteriorCoefficients(mu=1.0, lam=1.3) if lame else None
+    d = 2 if lame else 1
+    rng = np.random.default_rng(6)
+    dens = rng.normal(size=32 * d)
+    w = rng.normal(size=32 * d)
+    bs = bem.BoundarySpace(m)
+    ref = bem.eval_layer_potentials(bs, co, dens, w, bs.nodes)
+    for offset in (30, 300, 3000):
+        far = bem.BoundarySpace(Mesh(m.vertices + offset * np.array([0.6, 0.8]),
+                                     m.triangles, m.boundary_edges, m.boundary_labels))
+        for a, b in zip(ref, bem.eval_layer_potentials(far, co, dens, w, far.nodes)):
+            assert np.abs(a - b).max() <= 1e-14 * offset * np.abs(a).max(), offset
+
+
 def test_online_sets_of_test_meshes_need_no_coordinate_scaling(monkeypatch):
     # on the meshes of these tests every point the on-line test puts on the
     # line lies within 1e-12 L of it, as before the test scaled with the

@@ -206,10 +206,11 @@ def test_study_single_level(tmp_path, capsys):
     assert lines[1].split(",")[-1] == "nan"
 
 
-def test_oracle_command(tmp_path):
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_oracle_command(tmp_path, p):
     cfg = write_cfg(tmp_path, "mesh.refine = 0\nmesh.preset = square-slip\n"
-                              "data.preset = transition\nout.dir = %s\n"
-                              % (tmp_path / "out_o"))
+                              "data.preset = transition\nmaterial.p = %r\n"
+                              "out.dir = %s\n" % (p, tmp_path / "out_o"))
     assert main(["oracle", "--config", cfg]) == 0
 
 
