@@ -65,12 +65,63 @@ class FESpace:
 
     @cached_property
     def tangent_pattern(self):
-        """COO (rows, cols) of the element matrices, local row-major order,
-        in the index type scipy.sparse picks for this size (so no copy)."""
-        itype = np.int32 if self.ndof <= np.iinfo(np.int32).max else np.int64
-        dofs = self.local_dofs.astype(itype)
-        n = dofs.shape[1]
-        return np.repeat(dofs, n, axis=1).ravel(), np.tile(dofs, (1, n)).ravel()
+        """Canonical CSC structure (indptr, indices) of the tangent, and the
+        slot in its data of each element entry, flat in the local row-major
+        order of the (nt, k, k) element matrices.
+
+        The structure is the vertex graph (every mesh edge both ways, and
+        the diagonal) times a full ncomp x ncomp block, in the index type
+        scipy.sparse picks for this size, exact zeros included.  Column v of
+        the vertex graph lists the neighbours a < v (the edges (a, v),
+        ordered by a), v itself, then the neighbours c > v (the edges
+        (v, c), consecutive in the lexicographic edge table); dof column
+        (v, j) walks it with ncomp rows per vertex.
+        """
+        mesh, nc = self.mesh, self.ncomp
+        nv, (a, b) = len(mesh.vertices), mesh.edges.T
+        ne = len(a)
+        below = np.bincount(b, minlength=nv)
+        above = np.bincount(a, minlength=nv)
+        size = below + 1 + above
+        vptr = np.concatenate([[0], np.cumsum(size)])
+        # vertex-graph position of the diagonal and of (a, b) and (b, a)
+        # for each edge (a, b): the edges (a, .) are rows cumsum(above)[a - 1]
+        # on, and a stable sort by b lists the edges (., b) in the order of a
+        diag = vptr[:-1] + below
+        upper = (diag + 1 - np.cumsum(above) + above)[a] + np.arange(ne)
+        by_b = np.argsort(b, kind="stable")
+        lower = np.empty(ne, dtype=np.int64)
+        lower[by_b] = (vptr[:-1] - np.cumsum(below) + below)[b[by_b]] + np.arange(ne)
+        rows = np.empty(vptr[-1], dtype=np.int64)
+        rows[diag], rows[lower], rows[upper] = np.arange(nv), a, b
+
+        # position of element pair (i, j): (i, i + 1) and (i + 1, i) lie on
+        # triangle edge i
+        t = mesh.triangles
+        i, j = [0, 1, 2], [1, 2, 0]
+        flip = t > t[:, j]
+        lo, up = lower[mesh.triangle_edges], upper[mesh.triangle_edges]
+        pos = np.empty((len(t), 3, 3), dtype=np.int64)
+        pos[:, i, j] = np.where(flip, up, lo)
+        pos[:, j, i] = np.where(flip, lo, up)
+        pos[:, i, i] = diag[t]
+
+        # dof (v, c) = nc v + c: vertex column v becomes nc dof columns of
+        # nc size[v] entries each, and coupling (ci, cj) of vertex position p
+        # in it lies at first[p] + cj step[p] + ci
+        step = nc * np.repeat(size, size)
+        first = nc * (np.arange(vptr[-1]) + (nc - 1) * np.repeat(vptr[:-1], size))
+        itype = np.int32 if nc * nc * vptr[-1] <= np.iinfo(np.int32).max else np.int64
+        indices = np.empty(nc * nc * vptr[-1], dtype=itype)
+        slot = np.empty((len(t), 3, nc, 3, nc), dtype=np.intp)
+        first_e, step_e = first[pos], step[pos]
+        for ci in range(nc):
+            for cj in range(nc):
+                indices[first + cj * step + ci] = nc * rows + ci
+                slot[:, :, ci, :, cj] = first_e + (cj * step_e + ci)
+        indptr = nc * np.append(nc * vptr[:-1, None] + np.arange(nc) * size[:, None],
+                                nc * vptr[-1]).astype(itype)
+        return indptr, indices, slot.ravel()
 
     @cached_property
     def local_dofs(self):
@@ -106,22 +157,23 @@ def assemble_residual(space, law, coeffs):
     eps = space.strains(coeffs)
     sig = mat.stress(law, eps).reshape(len(eps), -1)
     loc = np.einsum("tm,tkm,t->tk", sig, space.basis_strains, space.areas)
-    R = np.zeros(space.ndof)
-    np.add.at(R, space.local_dofs, loc)
-    return R
+    return np.bincount(space.local_dofs.ravel(), weights=loc.ravel(),
+                       minlength=space.ndof)
 
 
 def assemble_tangent(space, law, coeffs):
-    """Sparse symmetric linearization of the residual at coeffs."""
+    """Sparse symmetric linearization of the residual at coeffs, in canonical
+    CSC form on the space's tangent_pattern: the element matrices summed
+    into their slots in element order, exact zeros stored."""
     eps = space.strains(coeffs)
     c1, c2 = mat.tangent_coeffs(law, eps)
     xb = np.einsum("tm,tkm->tk", eps.reshape(len(eps), -1), space.basis_strains)
     loc = (c1[:, None, None] * space.basis_gram
            + c2[:, None, None] * xb[:, :, None] * xb[:, None, :])
     loc *= space.areas[:, None, None]
-    rows, cols = space.tangent_pattern
-    A = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(space.ndof, space.ndof))
-    return A.tocsr()
+    indptr, indices, slot = space.tangent_pattern
+    data = np.bincount(slot, weights=loc.ravel(), minlength=len(indices))
+    return sp.csc_matrix((data, indices, indptr), shape=(space.ndof, space.ndof))
 
 
 def assemble_load(space, f, quad_order=4):
@@ -135,9 +187,8 @@ def assemble_load(space, f, quad_order=4):
     # (nt, 3, ncomp) moments on the reference triangle, scaled by the areas
     loc = bw @ fv.reshape(nt, nq, space.ncomp) * space.areas[:, None, None]
     loc = loc.reshape(nt, 3 * space.ncomp)
-    R = np.zeros(space.ndof)
-    np.add.at(R, space.local_dofs, loc)
-    return R
+    return np.bincount(space.local_dofs.ravel(), weights=loc.ravel(),
+                       minlength=space.ndof)
 
 
 def energy(space, law, coeffs):

@@ -40,13 +40,18 @@ products with B were: B^T S B and C = Cw B, or
 zeros are not stored, so the sparsity patterns are those of the sparse
 products.
 
-Per Newton step only the FE tangent changes: each step adds it to J_const
-with one sparse add, zeroes the held rows by a row mask and adds their unit
-diagonal with a second, which drops the zeroed entries.
-SuperLU factors the result with the symmetric minimum-degree ordering on
-A^T + A.  SuperLU does not raise on an exactly singular matrix; it warns and
-returns NaN, and the solver raises SolverError, as it does when the line
-search cannot decrease the residual or the steps run out.
+Every Newton matrix of one solve of a form is stored on one canonical CSC
+pattern, built once per solve: the union of J_const's entries, the FE
+tangent's structure (exact zeros included) and the diagonal.  The p = 2
+warm start shares the Steklov-Poincare form's pattern.  Per Newton step
+only the FE tangent changes: each step copies J_const's values on the
+pattern, adds the tangent's data at its slots, zeroes the held rows by a
+row mask and sets their diagonal slot to 1, with no sparse conversion or
+add, so SuperLU orders the same graph at every step.  It factors each
+matrix with the symmetric minimum-degree ordering on A^T + A.  SuperLU
+does not raise on an exactly singular matrix; it warns and returns NaN,
+and the solver raises SolverError, as it does when the line search cannot
+decrease the residual or the steps run out.
 """
 
 from __future__ import annotations
@@ -349,7 +354,8 @@ def _active_set_newton(y, residual, jacobian, idx_n, c_n, idx_f, c_f, F,
     friction on y[idx_f], friction force -R[idx_f] in [-F, F].
 
     residual(y) is the residual of a block form (_block_residual);
-    jacobian(y) is its derivative, a new canonical CSC matrix.  The
+    jacobian(y, fixed) is its derivative with the rows `fixed` replaced by
+    unit rows, a canonical CSC matrix on the same pattern at every step.  The
     NCP residual Phi replaces the bound rows by min(-y_n, -R_n) and the
     friction rows by mu - clip(mu + c_f y_f, -F, F), mu = -R_f, with one
     complementarity constant per row (c_n for the bound rows, c_f for the
@@ -382,14 +388,13 @@ def _active_set_newton(y, residual, jacobian, idx_n, c_n, idx_f, c_f, F,
             return y, R, steps, resid, history
         if steps >= max_iter:
             raise SolverError("%s solve stalled at residual %.3e" % (what, resid))
-        J = jacobian(y)
         rhs = -R
         q = -R[idx_f] + c_f * y[idx_f]
         rhs[idx_f] -= F * np.sign(q)
         fixed = np.concatenate([idx_n[-R[idx_n] + c_n * y[idx_n] > 0],
                                 idx_f[np.abs(q) <= F]])
         rhs[fixed] = -y[fixed]
-        dy = spla.spsolve(_fix_rows(J, fixed), rhs, permc_spec=_ORDERING)
+        dy = spla.spsolve(jacobian(y, fixed), rhs, permc_spec=_ORDERING)
         if not np.all(np.isfinite(dy)):
             raise SolverError("%s Newton matrix is singular at residual %.3e"
                               % (what, resid))
@@ -418,26 +423,61 @@ def _block_residual(system, form, y):
     return R
 
 
-def _block_jacobian(system, J0, U):
-    """Newton matrix of either formulation: the canonical CSC constant block
-    J0 plus the FE tangent at U, converted to CSC and padded to the leading
-    nU x nU block, by one sparse add."""
-    Hu = fem.assemble_tangent(system.space, system.law, U).tocsc()
-    pad = np.full(J0.shape[1] - Hu.shape[1], Hu.indptr[-1], dtype=Hu.indptr.dtype)
-    return J0 + sp.csc_matrix((Hu.data, Hu.indices, np.concatenate([Hu.indptr, pad])),
-                              shape=J0.shape)
+def _newton_pattern(space, J0):
+    """Canonical CSC pattern (indptr, indices) of every Newton matrix of a
+    form with constant block J0 (canonical CSC): the union of J0's entries,
+    the structure of the FE tangent on the leading nU x nU block and the
+    diagonal.  Also returns J0's values on it (zero elsewhere) and the
+    slots of the tangent's entries and of the diagonal.
+
+    The keys col * n + row of the three column-major walks form three
+    sorted runs, which a stable sort merges."""
+    n = J0.shape[0]
+    hptr, hind, _ = space.tangent_pattern
+    ktype = np.int32 if n * (n + 1) <= np.iinfo(np.int32).max else np.int64
+    col_keys = lambda indptr, m: np.repeat(np.arange(0, m * n, n, dtype=ktype),
+                                           np.diff(indptr))
+    keys = np.concatenate([col_keys(J0.indptr, n) + J0.indices,
+                           col_keys(hptr, space.ndof) + hind,
+                           np.arange(0, n * (n + 1), n + 1, dtype=ktype)])
+    itype = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    rank = np.cumsum(new, dtype=itype)
+    rank -= 1
+    slot = np.empty_like(rank)
+    slot[order] = rank
+    keys = keys[new]
+    indptr = np.searchsorted(keys, np.arange(0, (n + 1) * n, n, dtype=ktype))
+    base = np.zeros(len(keys))
+    base[slot[:J0.nnz]] = J0.data
+    return (indptr.astype(itype), (keys % n).astype(itype), base,
+            slot[J0.nnz:-n].astype(np.intp), slot[-n:].astype(np.intp))
 
 
-def _fix_rows(J, fixed):
-    """The CSC matrix J with the rows `fixed` replaced by unit rows: a row
-    mask zeroes their entries in place, and the sparse add of their unit
-    diagonal drops the zeroed entries."""
-    mask = np.zeros(J.shape[0], dtype=bool)
-    mask[fixed] = True
-    J.data[mask[J.indices]] = 0.0
-    rows = np.flatnonzero(mask).astype(J.indices.dtype)
-    indptr = np.concatenate([[0], np.cumsum(mask, dtype=J.indptr.dtype)])
-    return J + sp.csc_matrix((np.ones(len(rows)), rows, indptr), shape=J.shape)
+def _jacobian(system, pattern):
+    """jacobian(y, fixed) of _active_set_newton on a pattern of
+    _newton_pattern: J0's values plus the FE tangent at U = y[:nU], with
+    the rows `fixed` replaced by unit rows."""
+    indptr, indices, base, hslot, dslot = pattern
+    n = len(indptr) - 1
+
+    def jacobian(y, fixed):
+        data = base.copy()
+        data[hslot] += fem.assemble_tangent(system.space, system.law,
+                                            y[:system.nU]).data
+        held = np.zeros(n, dtype=bool)
+        held[fixed] = True
+        data[held[indices]] = 0.0
+        data[dslot[fixed]] = 1.0
+        J = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+        J.has_canonical_format = True
+        return J
+
+    return jacobian
 
 
 def _smooth_coords(system, n):
@@ -460,12 +500,12 @@ def default_tolerance(law):
     return 1e-10 if law.p == 2.0 else 1e-8
 
 
-def _newton(system, form, y0, tol, max_iter, what, contact=True):
+def _newton(system, form, pattern, y0, tol, max_iter, what, contact=True):
     """The active-set core on a block form of system (the CoupledSystem
     itself, or its LayerPotentialSystem): its residual with the Newton
-    matrix form.J_const plus the FE tangent, the bound rows of v_n (unless
-    contact is False) and the friction rows of the slip nodes with a
-    positive bound.
+    matrix form.J_const plus the FE tangent, stored on `pattern` (the
+    form's _newton_pattern), the bound rows of v_n (unless contact is
+    False) and the friction rows of the slip nodes with a positive bound.
 
     The complementarity constant of slip node k is c_k = scale * omega_k.
     The multiplier of a row is a lumped force, about sigma * omega_k, so the
@@ -480,7 +520,7 @@ def _newton(system, form, y0, tol, max_iter, what, contact=True):
     slip = fr.F > 0
     return _active_set_newton(
         y0, lambda y: _block_residual(system, form, y),
-        lambda y: _block_jacobian(system, form.J_const, y[:nU]),
+        _jacobian(system, pattern),
         nU + bound, c[:len(bound)], nU + system.idx_zt[slip], c[slip],
         fr.F[slip], scale, tol, max_iter, what)
 
@@ -507,12 +547,13 @@ def _solution(system, y, R, iters, resid, history, compat_mult,
         iterations=iters, residual=resid, residual_history=history)
 
 
-def _p2_warm_start(system, contact=True):
-    """Minimizer of the same problem with the linear (p = 2) law."""
+def _p2_warm_start(system, pattern, contact=True):
+    """Minimizer of the same problem with the linear (p = 2) law; pattern
+    is the Steklov-Poincare form's _newton_pattern."""
     p2 = copy.copy(system)
     p2.law = MaterialLaw(p=2.0, kind="plaplace", mode=system.law.mode)
     p2.J_const = system.J_const
-    y, *_ = _newton(p2, p2, _start(p2, np.zeros(system.nU + system.nZ)),
+    y, *_ = _newton(p2, p2, pattern, _start(p2, np.zeros(system.nU + system.nZ)),
                     default_tolerance(p2.law), 100, "p = 2 warm start", contact)
     return y[:system.nU + system.nZ]
 
@@ -520,11 +561,12 @@ def _p2_warm_start(system, contact=True):
 def _solve(system, x0, tol, max_iter, what, contact=True):
     tol = tol or default_tolerance(system.law)
     n = system.nU + system.nZ
+    pattern = _newton_pattern(system.space, system.J_const)
     if x0 is None:
-        x0 = (_p2_warm_start(system, contact) if system.law.p != 2.0
+        x0 = (_p2_warm_start(system, pattern, contact) if system.law.p != 2.0
               else np.zeros(n))
-    y, R, *run = _newton(system, system, _start(system, x0), tol, max_iter,
-                         what, contact)
+    y, R, *run = _newton(system, system, pattern, _start(system, x0), tol,
+                         max_iter, what, contact)
     return _solution(system, y, R, *run, compat_mult=y[n:],
                      compat_residual=system.compat_residual(y[:n]))
 
@@ -681,11 +723,12 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None, max_iter=200):
         # minimizer (with its density from the density rows of the form):
         # at zero strain the FE tangent of a p > 2 law vanishes and the
         # first Newton matrix is singular
-        x = _p2_warm_start(system)
+        x = _p2_warm_start(system, _newton_pattern(system.space, system.J_const))
         y[:nx] = x
         J = lp.J_const
         y[nx:] = np.linalg.solve(J[nx:, nx:].toarray(), lp.rhs[nx:] - J[nx:, :nx] @ x)
-    y, R, *run = _newton(system, lp, y, tol, max_iter, "layer-potential")
+    y, R, *run = _newton(system, lp, _newton_pattern(system.space, lp.J_const),
+                         y, tol, max_iter, "layer-potential")
     P = y[nx:]
     return _solution(system, y, R, *run, compat_mult=np.zeros(system.ncompat),
                      compat_residual=(float(np.abs(lp.compat_rows @ P).max())

@@ -101,7 +101,8 @@ def test_residual_constant_strain_single_triangle():
 
 
 def _tangent_per_call(space, law, coeffs):
-    """The tangent with the basis Gram array and the COO pattern rebuilt."""
+    """The tangent with the basis Gram array and the COO pattern rebuilt, as
+    a COO matrix, whose toarray() sums the element entries in order."""
     eps = space.strains(coeffs)
     c1, c2 = mat.tangent_coeffs(law, eps)
     bs = space.basis_strains.reshape((len(eps), -1) + eps.shape[1:])
@@ -119,7 +120,7 @@ def _tangent_per_call(space, law, coeffs):
     rows = np.repeat(dofs, n, axis=1).ravel()
     cols = np.tile(dofs, (1, n)).ravel()
     return sp.coo_matrix((loc.ravel(), (rows, cols)),
-                         shape=(space.ndof, space.ndof)).tocsr()
+                         shape=(space.ndof, space.ndof))
 
 
 def test_tangent_directional_derivative(unit_square):
@@ -137,13 +138,25 @@ def test_tangent_directional_derivative(unit_square):
                   - fem.assemble_residual(space, law, u - t * w)) / (2 * t)
             errs.append(np.linalg.norm(fd - M @ w))
         assert errs[-1] <= 1e-6 * max(1.0, np.linalg.norm(M @ w))
-        # the cached per-space constants give the same matrix, and a second
-        # call reuses them
-        ref = _tangent_per_call(space, law, u)
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(M, attr), getattr(ref, attr))
-        M2 = fem.assemble_tangent(space, law, -u)
-        assert np.array_equal(M2.data, _tangent_per_call(space, law, -u).data)
+        # canonical CSC on the vertex graph times a full ncomp x ncomp block,
+        # exact zeros stored; the cached per-space constants give the values
+        # of the COO construction, and a second call reuses them
+        assert M.format == "csc"
+        assert sp.csc_matrix((M.data, M.indices, M.indptr),
+                             shape=M.shape).has_canonical_format
+        nv = len(m.vertices)
+        a, b = m.edges.T
+        graph = sp.coo_matrix((np.ones(nv + 2 * len(a)),
+                               (np.concatenate([np.arange(nv), a, b]),
+                                np.concatenate([np.arange(nv), b, a]))))
+        block = sp.kron(graph, np.ones((ncomp, ncomp)), format="csc")
+        block.sort_indices()
+        assert np.array_equal(M.indptr, block.indptr)
+        assert np.array_equal(M.indices, block.indices)
+        for sign in (1.0, -1.0):
+            M = fem.assemble_tangent(space, law, sign * u)
+            assert np.array_equal(M.toarray(),
+                                  _tangent_per_call(space, law, sign * u).toarray())
 
 
 def test_tangent_p2_independent_of_state(unit_square):

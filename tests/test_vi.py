@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 from functools import cached_property
 
@@ -520,10 +521,13 @@ def test_no_safeguard_fires_on_standard_presets(monkeypatch, case):
 
 @pytest.mark.parametrize("solve", [solve_contact_vi, solve_layerpotential_vi])
 def test_singular_newton_matrix_raises(monkeypatch, solve):
-    # without the FE tangent the interior rows of the Newton matrix vanish
+    # without the FE tangent the interior rows of the Newton matrix vanish;
+    # the zero tangent keeps the space's structure, on which the Newton
+    # matrices are stored
     sys_, _ = scalar_system("transition", p=2.0, refines=1, slip=("b",))
+    tangent = fem.assemble_tangent
     monkeypatch.setattr(fem, "assemble_tangent",
-                        lambda space, law, U: sp.csr_matrix((len(U), len(U))))
+                        lambda space, law, U: tangent(space, law, U) * 0.0)
     with pytest.warns(MatrixRankWarning), \
             pytest.raises(vi.SolverError, match="singular"):
         solve(sys_)
@@ -660,30 +664,108 @@ def test_dense_boundary_blocks_match_sparse_products(case):
         _assert_same_matrix(lp.J_const, sparse_lp_block(sys_, stabilized))
 
 
+def _newton_matrix(system, J0, y, fixed=()):
+    """Newton matrix at y of the form with constant block J0, with the rows
+    `fixed` held, on the form's pattern."""
+    jacobian = vi._jacobian(system, vi._newton_pattern(system.space, J0))
+    return jacobian(y, np.asarray(fixed, dtype=int))
+
+
+def _assert_newton_matrix(J, system, J0, U, fixed):
+    """J is canonical CSC, its held rows are unit rows, and its values are
+    those of the COO construction bit for bit."""
+    from conftest import coo_newton_matrix
+    assert J.format == "csc"
+    assert sp.csc_matrix((J.data, J.indices, J.indptr),
+                         shape=J.shape).has_canonical_format
+    ref = coo_newton_matrix(system, sp.coo_matrix(J0), U, fixed)
+    assert np.array_equal(J.toarray(), ref.toarray())
+    assert np.array_equal(J[fixed].toarray(), np.eye(J.shape[0])[fixed])
+
+
 @pytest.mark.parametrize("form", ["sp", "lp"])
 @pytest.mark.parametrize("case", ["scalar", "vector"])
 def test_newton_matrix_matches_coo_construction(case, form):
-    # the COO construction stored the exact zeros of the FE tangent (on
-    # these structured meshes, cross-component couplings of the vector law,
-    # say); the sparse adds drop them and keep every other entry bit for bit
-    from conftest import coo_newton_matrix, sparse_lp_block, sparse_sp_blocks
+    # the Newton matrix stores the exact zeros of the FE tangent (on these
+    # structured meshes, cross-component couplings of the vector law, say)
+    # and of the held rows, on one pattern whatever rows are held; every
+    # value is that of the COO construction bit for bit
+    from conftest import sparse_lp_block, sparse_sp_blocks
     sys_ = _square_and_lshape_system(case)
     if form == "sp":
         J0, ref0 = sys_.J_const, sparse_sp_blocks(sys_)[4]
     else:
         J0, ref0 = vi.LayerPotentialSystem(sys_).J_const, sparse_lp_block(sys_, False)
     U = np.random.default_rng(7).normal(size=sys_.nU)
+    y = np.concatenate([U, np.zeros(J0.shape[0] - sys_.nU)])
     bound = sys_.nU + sys_.idx_zn
     assert len(bound) == (len(sys_.idx_zt) if case == "vector" else 0)
+    jacobian = vi._jacobian(sys_, vi._newton_pattern(sys_.space, J0))
+    first = jacobian(y, bound[:0])
     for fixed in (bound[:0], bound[::3], sys_.nU + sys_.idx_zt):
-        J = vi._fix_rows(vi._block_jacobian(sys_, J0, U), fixed)
-        assert J.format == "csc"
-        ref = coo_newton_matrix(sys_, ref0, U, fixed)
-        stored = ref.nnz
-        ref.eliminate_zeros()
-        assert J.nnz == ref.nnz <= stored
-        _assert_same_matrix(J, ref)
-        assert np.array_equal(J[fixed].toarray(), np.eye(J.shape[0])[fixed])
+        J = jacobian(y, fixed)
+        _assert_newton_matrix(J, sys_, ref0, U, fixed)
+        assert np.array_equal(J.indptr, first.indptr)
+        assert np.array_equal(J.indices, first.indices)
+
+
+@pytest.mark.parametrize("case", ["transition-sp", "stick-vec-lp"])
+def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
+    # p = 1.5: the p = 2 warm start changes the held rows from step to step;
+    # every matrix that spsolve gets is stored on its form's one pattern
+    # (the warm start shares the Steklov-Poincare form's), with unit held
+    # rows and the values of the COO construction bit for bit
+    if case == "transition-sp":
+        sys_, _ = scalar_system("transition", p=1.5, n=4, refines=2, slip=("b",))
+        solve, forms = solve_contact_vi, [sys_.J_const, sys_.J_const]
+    else:
+        sys_, _ = vector_system("stick-vec", p=1.5, n=4, refines=1)
+        solve = solve_layerpotential_vi
+        forms = [sys_.J_const, vi.LayerPotentialSystem(sys_).J_const]
+    core, spsolve = vi._active_set_newton, vi.spla.spsolve
+    tangent = fem.assemble_tangent
+    runs, solved, laws = [], [], []
+
+    def recording_core(y, residual, jacobian, *args, **kw):
+        steps = []
+        runs.append(steps)
+
+        def recording_jacobian(yv, fixed):
+            J = jacobian(yv, fixed)
+            steps.append((laws[-1], yv[:sys_.nU].copy(), fixed.copy(), J))
+            return J
+
+        return core(y, residual, recording_jacobian, *args, **kw)
+
+    def recording_tangent(space, law, U):
+        laws.append(law)
+        return tangent(space, law, U)
+
+    def recording_spsolve(A, *args, **kw):
+        solved.append(A)
+        return spsolve(A, *args, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(vi, "_active_set_newton", recording_core)
+        m.setattr(vi.spla, "spsolve", recording_spsolve)
+        m.setattr(fem, "assemble_tangent", recording_tangent)
+        solve(sys_)
+    steps = [step for run in runs for step in run]
+    assert [J for *_, J in steps] == solved
+    assert len(runs) == 2 and len(runs[0]) >= 2
+    assert len({tuple(fixed) for _, _, fixed, _ in steps}) > 1
+    for run, J0 in zip(runs, forms):
+        for law, U, fixed, J in run:
+            system = copy.copy(sys_)
+            system.law = law
+            _assert_newton_matrix(J, system, J0, U, fixed)
+    assert [law.p for law, *_ in runs[0]] == [2.0] * len(runs[0])
+    assert {law.p for law, *_ in runs[1]} == {1.5}
+    for form_steps in ([steps] if case == "transition-sp" else runs):
+        first = form_steps[0][-1]
+        for *_, J in form_steps:
+            assert np.array_equal(J.indptr, first.indptr)
+            assert np.array_equal(J.indices, first.indices)
 
 
 # -- Newton matrices from cached constant blocks vs. full assembly ----------
@@ -728,12 +810,12 @@ def test_layerpotential_jacobian_matches_block_assembly(stabilized):
     if stabilized is None:
         assert sys_.ncompat == 2
         y = rng.normal(size=sys_.nU + sys_.nZ + sys_.ncompat)
-        J = vi._block_jacobian(sys_, sys_.J_const, y[:sys_.nU]).toarray()
+        J = _newton_matrix(sys_, sys_.J_const, y).toarray()
         ref = _block_sp_jacobian(sys_, y).toarray()
     else:
         lp = vi.LayerPotentialSystem(sys_, stabilized=stabilized)
         y = rng.normal(size=lp.n)
-        J = vi._block_jacobian(sys_, lp.J_const, y[:sys_.nU]).toarray()
+        J = _newton_matrix(sys_, lp.J_const, y).toarray()
         ref = _block_lp_jacobian(lp, y).toarray()
     assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
 
