@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +16,11 @@ class AdaptiveRecord:
     level: int
     n_triangles: int
     dofs_interior: int
-    dofs_boundary_p1: int
-    dofs_boundary_p0: int
     h: float
     estimator_total: float
     estimator_parts: dict
     error: float = np.nan
     iterations: int = 0
-    wall_time: float = 0.0
 
 
 def mark(values, theta):
@@ -56,7 +52,6 @@ def run_adaptive(mesh, build_fn, solve_fn, estimate_fn,
     records = []
     solutions = []
     for level in range(max_levels):
-        t0 = time.perf_counter()
         system = build_fn(mesh)
         sol = solve_fn(system)
         ind = estimate_fn(system, sol)
@@ -67,14 +62,11 @@ def run_adaptive(mesh, build_fn, solve_fn, estimate_fn,
             level=level,
             n_triangles=len(mesh.triangles),
             dofs_interior=system.nU,
-            dofs_boundary_p1=system.bspace.n_nodes * system.d,
-            dofs_boundary_p0=system.bspace.n_panels * system.d,
             h=mesh_size(mesh)[0],
             estimator_total=total,
             estimator_parts={k: ind.term_value(k) for k in ind.parts},
             error=err,
-            iterations=sol.iterations,
-            wall_time=time.perf_counter() - t0)
+            iterations=sol.iterations)
         records.append(rec)
         solutions.append((system, sol, ind))
         if out_dir is not None:

@@ -51,9 +51,6 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
     def validate(self):
         v = self.values
         aliases = {"scalar-appendix": "scalar", "vector-lame": "vector"}
@@ -80,10 +77,22 @@ class RunConfig:
                 raise ConfigError("mesh.preset unknown: %s" % v["mesh.preset"])
             if v["mesh.preset"] == "lshape" and v["mesh.n"] % 2:
                 raise ConfigError("mesh.preset = lshape needs an even mesh.n")
+            least = {"lshape": 2, "circle": 3}.get(v["mesh.preset"], 1)
+            if v["mesh.n"] < least:
+                raise ConfigError("mesh.preset = %s needs mesh.n >= %d"
+                                  % (v["mesh.preset"], least))
+        if v["mesh.refine"] < 0:
+            raise ConfigError("mesh.refine must be >= 0")
         if not v["data.file"]:
             from .presets import DATA_PRESETS
             if v["data.preset"] not in DATA_PRESETS:
                 raise ConfigError("data.preset unknown: %s" % v["data.preset"])
+        if v["solver.tol"] < 0:
+            raise ConfigError("solver.tol must be >= 0 (0: by material.p)")
+        rigid = 1 if v["problem"] == "scalar" else 3
+        if not -1 <= v["solver.compat_constraints"] <= rigid:
+            raise ConfigError("solver.compat_constraints must lie in [-1, %d] "
+                              "for problem = %s" % (rigid, v["problem"]))
         if v["solver.formulation"] not in ("steklov", "layerpotential"):
             raise ConfigError("solver.formulation must be steklov or layerpotential")
         if v["estimate.kind"] not in ("auto", "sp", "lp", "appendix"):
@@ -96,6 +105,8 @@ class RunConfig:
                                                  or v["material.p"] < 2):
             raise ConfigError("estimate.kind = appendix needs problem = scalar "
                               "and material.p >= 2")
+        if v["estimate.delta"] < 0:
+            raise ConfigError("estimate.delta must be >= 0")
         if not 0 < v["adapt.theta"] <= 1:
             raise ConfigError("adapt.theta must lie in (0, 1]")
         orders = [q for q in sorted(_RULES) if q >= 2]
@@ -151,7 +162,8 @@ def load_data_file(path, bspace, ncomp):
 
     kinds: u0_node (P1 nodal values), t0_panel (per-panel tractions),
     F_node (nodal friction bound, comp 0).  Returns a ProblemData.  A
-    malformed row, or an index or component out of range, is a ConfigError.
+    malformed row, a value that is not finite, or an index or component out
+    of range, is a ConfigError.
     """
     from .vi import ProblemData
     u0 = np.zeros((bspace.n_nodes, ncomp))
@@ -176,6 +188,8 @@ def load_data_file(path, bspace, ncomp):
                 idx, comp, val = int(fields[1]), int(fields[2]), float(fields[3])
             except ValueError:
                 raise ConfigError("%s: bad number in %r" % (where, line))
+            if not np.isfinite(val):
+                raise ConfigError("%s: value is not finite in %r" % (where, line))
             arr = arrays[kind]
             if not (0 <= idx < arr.shape[0] and 0 <= comp < arr.shape[1]):
                 raise ConfigError("%s: %s index %d, comp %d outside %d x %d"

@@ -143,10 +143,6 @@ class Mesh:
         # boundary must be a single closed polygon
         self._trace_boundary(ids, tail)
 
-    def _check_hanging(self, edges):
-        """Reject a vertex strictly inside an edge; edges: (a, b) pairs."""
-        _scan_hanging(self.vertices, self.triangles, edges)
-
     def _trace_boundary(self, ids, tail):
         """Store the boundary loop, CCW as its triangles run, and its panel
         labels; ids: the boundary edges' rows in the edge table, tail: see

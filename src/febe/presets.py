@@ -3,8 +3,10 @@
 Manufactured presets prescribe the exterior data u0, t0 directly from the
 interior field's trace and conormal derivative, so the chosen field solves
 the coupled problem exactly (with zero exterior mismatch) and discretization
-errors are computable.  Geometry presets are pre-scaled below unit diameter
-and kept away from the origin so that power-law right-hand sides stay smooth.
+errors are computable.  Geometry presets are pre-scaled below unit diameter.
+The square and L-shape lie in x, y >= 0.6, so power-law right-hand sides stay
+smooth there; the circle is centred at the origin, where such a load can be
+singular or undefined (smooth-vec's x^(p-2) for p < 2 at x < 0).
 """
 
 from __future__ import annotations

@@ -42,8 +42,10 @@ products.
 
 Every Newton matrix of one solve of a form is stored on one canonical CSC
 pattern, built once per solve: the union of J_const's entries, the FE
-tangent's structure (exact zeros included) and the diagonal.  The p = 2
-warm start shares the Steklov-Poincare form's pattern.  Per Newton step
+tangent's structure (exact zeros included) and the diagonal.  One driver
+(_solve) runs both forms: unless the law is linear or a start is given, it
+first solves the same form with the p = 2 law on the same pattern and
+starts from that solution, multipliers and density included.  Per Newton step
 only the FE tangent changes: each step copies J_const's values on the
 pattern, adds the tangent's data at its slots, zeroes the held rows by a
 row mask and sets their diagonal slot to 1, with no sparse conversion or
@@ -67,6 +69,7 @@ import scipy.sparse.linalg as spla
 
 from . import fem
 from .bem import rigid_motions, stabilization_data, stabilization_vectors
+from .config import ConfigError
 from .material import MaterialLaw
 from .quadrature import segment_gauss
 
@@ -116,6 +119,7 @@ class CoupledSystem:
     rhs = (b_f + B^T gb, c0) with gb = t0 moments + S u0.  The compatibility
     rows C = Cw B and B^T S B come from dense blocks on the boundary columns
     bcols (times_bd, bd_sandwich); no dense block is kept on the system.
+    Problem data that is not finite is a ConfigError.
     """
 
     def __init__(self, space, bspace, ops, law, data, ncompat=None,
@@ -184,6 +188,10 @@ class CoupledSystem:
         self.t0b = self._boundary_moments(data.t0)
         self.gb = self.t0b + self.S @ self.U0
         self.friction = self._friction_data()
+        for name, vals in (("load f", self.b_f), ("trace u0", self.U0),
+                           ("traction t0", self.t0b), ("friction bound", self.friction.F)):
+            if not np.all(np.isfinite(vals)):
+                raise ConfigError("the %s of the problem data is not finite" % name)
 
         # compatibility constraint rows over x = (U, Z): the nodal traces of
         # the first ncompat rigid motions
@@ -526,19 +534,24 @@ def _newton(system, form, pattern, y0, tol, max_iter, what, contact=True):
 
 
 def _start(system, x0):
-    """Start (x0, lam0) of the bordered system: lam0 is the least-squares
-    multiplier of x0."""
-    x0 = np.asarray(x0, dtype=float)
+    """Start (x0, lam0) of the bordered system (x0 = 0 if None): lam0 is
+    the least-squares multiplier of x0."""
+    x0 = np.zeros(system.nU + system.nZ) if x0 is None else np.asarray(x0, dtype=float)
     return np.concatenate([x0, _compat_multiplier(system, system.grad_smooth(x0))])
 
 
-def _solution(system, y, R, iters, resid, history, compat_mult,
-              compat_residual, phi=None):
-    """DiscreteSolution of either formulation at the solved iterate y with
-    residual R: the multipliers lam_n and mu_t are the residual rows of the
-    v_n and Z_t coordinates."""
+def _solution(system, form, y, R, iters, resid, history):
+    """DiscreteSolution of either form at the solved iterate y with residual
+    R: the multipliers lam_n and mu_t are the residual rows of the v_n and
+    Z_t coordinates; y's tail is lam, or the layer-potential density."""
     nU, n = system.nU, system.nU + system.nZ
     x, Z = y[:n], y[nU:n]
+    if form is system:
+        phi, compat_mult, compat_residual = None, y[n:], system.compat_residual(x)
+    else:
+        phi, compat_mult = y[n:], np.zeros(system.ncompat)
+        compat_residual = (float(np.abs(form.compat_rows @ phi).max())
+                           if system.ncompat else 0.0)
     return DiscreteSolution(
         u=y[:nU], z=Z, v=system.Es @ Z, w=system.B @ x, phi=phi,
         lam_n=-R[nU + system.idx_zn] + 0.0, mu_t=-R[nU + system.idx_zt],
@@ -547,40 +560,36 @@ def _solution(system, y, R, iters, resid, history, compat_mult,
         iterations=iters, residual=resid, residual_history=history)
 
 
-def _p2_warm_start(system, pattern, contact=True):
-    """Minimizer of the same problem with the linear (p = 2) law; pattern
-    is the Steklov-Poincare form's _newton_pattern."""
-    p2 = copy.copy(system)
-    p2.law = MaterialLaw(p=2.0, kind="plaplace", mode=system.law.mode)
-    p2.J_const = system.J_const
-    y, *_ = _newton(p2, p2, pattern, _start(p2, np.zeros(system.nU + system.nZ)),
-                    default_tolerance(p2.law), 100, "p = 2 warm start", contact)
-    return y[:system.nU + system.nZ]
-
-
-def _solve(system, x0, tol, max_iter, what, contact=True):
-    tol = tol or default_tolerance(system.law)
-    n = system.nU + system.nZ
-    pattern = _newton_pattern(system.space, system.J_const)
-    if x0 is None:
-        x0 = (_p2_warm_start(system, pattern, contact) if system.law.p != 2.0
-              else np.zeros(n))
-    y, R, *run = _newton(system, system, pattern, _start(system, x0), tol,
-                         max_iter, what, contact)
-    return _solution(system, y, R, *run, compat_mult=y[n:],
-                     compat_residual=system.compat_residual(y[:n]))
+def _solve(system, form, y0, tol, max_iter, what, contact=True, warm=True):
+    """Solve a block form of system from y0 on the form's one Newton
+    pattern.  Unless warm is False or the law is linear, the solve first
+    runs the p = 2 law on the same form and pattern from y0 and starts from
+    its solution, multipliers included: at zero strain the FE tangent of a
+    p > 2 law vanishes and the first Newton matrix would be singular."""
+    pattern = _newton_pattern(system.space, form.J_const)
+    if warm and system.law.p != 2.0:
+        p2 = copy.copy(system)
+        p2.law = MaterialLaw(p=2.0, kind="plaplace", mode=system.law.mode)
+        y0 = _newton(p2, form, pattern, y0, default_tolerance(p2.law), 100,
+                     "p = 2 warm start", contact)[0]
+    return _solution(system, form, *_newton(
+        system, form, pattern, y0, tol or default_tolerance(system.law),
+        max_iter, what, contact))
 
 
 def solve_transmission(system, tol=None, max_iter=200):
     """Smooth coupled solve: no contact constraint, no friction."""
     if np.any(system.friction.F > 0):
         raise ValueError("transmission solve requires zero friction bound")
-    return _solve(system, None, tol, max_iter, "transmission", contact=False)
+    return _solve(system, system, _start(system, None), tol, max_iter,
+                  "transmission", contact=False)
 
 
 def solve_contact_vi(system, tol=None, max_iter=200, x0=None):
-    """Friction-contact solve by active-set Newton on the exact conditions."""
-    return _solve(system, x0, tol, max_iter, "contact")
+    """Friction-contact solve by active-set Newton on the exact conditions;
+    a given start x0 replaces the p = 2 warm start."""
+    return _solve(system, system, _start(system, x0), tol, max_iter, "contact",
+                  warm=x0 is None)
 
 
 def slip_fields(sol, system):
@@ -673,7 +682,6 @@ class LayerPotentialSystem:
     """
 
     def __init__(self, system, stabilized=False):
-        self.sp = system
         ops = system.ops
         self.nU, self.nZ = system.nU, system.nZ
         self.nP = ops.V.shape[0]
@@ -715,22 +723,4 @@ def solve_layerpotential_vi(system, stabilized=False, tol=None, max_iter=200):
     # with constants pins <phi, 1> to the data compatibility defect, so no
     # explicit constraint rows are added (they would be linearly dependent).
     lp = LayerPotentialSystem(system, stabilized=stabilized)
-    tol = tol or default_tolerance(system.law)
-    nx = system.nU + system.nZ
-    y = np.zeros(lp.n)
-    if system.law.p != 2.0:
-        # start, as the Steklov-Poincare solver does, from the p = 2
-        # minimizer (with its density from the density rows of the form):
-        # at zero strain the FE tangent of a p > 2 law vanishes and the
-        # first Newton matrix is singular
-        x = _p2_warm_start(system, _newton_pattern(system.space, system.J_const))
-        y[:nx] = x
-        J = lp.J_const
-        y[nx:] = np.linalg.solve(J[nx:, nx:].toarray(), lp.rhs[nx:] - J[nx:, :nx] @ x)
-    y, R, *run = _newton(system, lp, _newton_pattern(system.space, lp.J_const),
-                         y, tol, max_iter, "layer-potential")
-    P = y[nx:]
-    return _solution(system, y, R, *run, compat_mult=np.zeros(system.ncompat),
-                     compat_residual=(float(np.abs(lp.compat_rows @ P).max())
-                                      if system.ncompat else 0.0),
-                     phi=P)
+    return _solve(system, lp, np.zeros(lp.n), tol, max_iter, "layer-potential")

@@ -78,8 +78,23 @@ def test_mesh_error_exit_code(tmp_path, capsys):
     "material.kind = carreau\nmaterial.delta = 0.5",       # quadratic: power law
     "bem.dump = ture",                                      # misspelled boolean
     "solver.stabilized = maybe",                            # not a boolean
+    "solver.compat_constraints = 2",                        # 1 rigid motion
+    "problem = vector\ndata.preset = stick-vec\nsolver.compat_constraints = 4",
+    "solver.compat_constraints = -2",
+    "mesh.n = -2",
+    "mesh.preset = circle",                                 # n = 2: no triangles
+    "solver.tol = -1e-8",
+    "mesh.refine = -1",
+    "estimate.delta = -0.5",
+    # smooth-vec's load x^(p-2) is undefined left of the circle's centre
+    pytest.param("mesh.preset = circle\nmesh.n = 32\nproblem = vector\n"
+                 "data.preset = smooth-vec\nmaterial.p = 1.5",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
 ], ids=["quad-order", "lshape-odd-n", "appendix-vector", "appendix-p-below-2",
-        "quadratic-vector", "corner-p3", "quadratic-carreau", "bool-typo", "bool-maybe"])
+        "quadratic-vector", "corner-p3", "quadratic-carreau", "bool-typo", "bool-maybe",
+        "compat-above-scalar", "compat-above-vector", "compat-below", "mesh-n-negative",
+        "circle-n2", "tol-negative", "refine-negative", "delta-negative",
+        "circle-load-not-finite"])
 def test_config_mistakes_exit_2(tmp_path, capsys, extra):
     cfg = write_cfg(tmp_path, "%s\nout.dir = %s\n" % (extra, tmp_path / "out"))
     assert main(["solve", "--config", cfg]) == 2
@@ -168,6 +183,8 @@ def test_check_compat_builds_system_once(tmp_path, monkeypatch, capsys):
     "F_node,-1,0,2.0",          # negative node index
     "t0_panel,1000,0,1.0",      # panel index past the end
     "F_node,0,2.0",             # three fields
+    "F_node,0,0,nan",           # not finite
+    "u0_node,0,0,inf",
 ])
 def test_bad_data_file_row_is_config_error(tmp_path, capsys, row):
     datafile = tmp_path / "data.csv"

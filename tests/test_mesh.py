@@ -302,7 +302,7 @@ def _assert_conforming(m):
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             counts[(min(a, b), max(a, b))] = counts.get((min(a, b), max(a, b)), 0) + 1
     assert all(c <= 2 for c in counts.values())
-    m._check_hanging(counts.keys())
+    meshmod._scan_hanging(m.vertices, m.triangles, counts.keys())
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -320,7 +320,7 @@ def test_refined_meshes_stay_conforming(preset, seed):
         else:
             marked = rng.choice(nt, size=max(1, nt // rng.integers(2, 10)), replace=False)
         m = refine(m, marked)
-        m._check_hanging(m.edges)
+        meshmod._scan_hanging(m.vertices, m.triangles, m.edges)
         _assert_conforming(m)
 
 
@@ -407,10 +407,10 @@ def test_hanging_check_matches_x_window_version(seed, inject):
     mesh = SimpleNamespace(vertices=p, triangles=m.triangles)
     want = _x_window_hanging(mesh, edges)
     if want is None:
-        meshmod.Mesh._check_hanging(mesh, edges)
+        meshmod._scan_hanging(mesh.vertices, mesh.triangles, edges)
     else:
         with pytest.raises(MeshError) as err:
-            meshmod.Mesh._check_hanging(mesh, edges)
+            meshmod._scan_hanging(mesh.vertices, mesh.triangles, edges)
         assert str(err.value) == want
     if inject != "moved":
         assert (want is None) == (inject == "none")

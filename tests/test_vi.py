@@ -40,6 +40,18 @@ def exact_error(system, man, sol):
     return np.abs(sol.u - uex).max()
 
 
+@pytest.mark.parametrize("field", ["u0", "friction"])
+def test_non_finite_problem_data_rejected(field):
+    # nodal arrays bypass the data file's check
+    from febe.config import ConfigError
+    sys_, _ = scalar_system(slip=("b",))
+    vals = np.zeros(sys_.bspace.n_nodes)
+    vals[1] = np.nan if field == "u0" else np.inf
+    data = dataclasses.replace(sys_.data, **{field: vals})
+    with pytest.raises(ConfigError, match="not finite"):
+        build_system(sys_.space.mesh, sys_.law, data)
+
+
 def test_zero_data_zero_solution():
     sys_, _ = scalar_system()
     sys_b = build_system(sys_.space.mesh, sys_.law, ProblemData())
@@ -460,8 +472,8 @@ def test_p15_uniform_convergence():
 
 # -- solver structure: shared constant block, safeguards ---------------------
 
-def test_constant_block_built_once_per_system(monkeypatch):
-    # the p = 2 warm start shares the bordered block of its system
+def _count_sp_blocks(monkeypatch):
+    """The list of the systems whose Steklov-Poincare block gets built."""
     built = []
     block = vi.CoupledSystem.J_const.func
 
@@ -472,6 +484,12 @@ def test_constant_block_built_once_per_system(monkeypatch):
     prop = cached_property(counting)
     prop.__set_name__(vi.CoupledSystem, "J_const")
     monkeypatch.setattr(vi.CoupledSystem, "J_const", prop)
+    return built
+
+
+def test_constant_block_built_once_per_system(monkeypatch):
+    # the p = 2 warm start shares the bordered block of its system
+    built = _count_sp_blocks(monkeypatch)
     sys_c, _ = scalar_system("transition", p=1.5, n=4, refines=2, slip=("b",))
     solve_contact_vi(sys_c)
     solve_contact_vi(sys_c)
@@ -479,6 +497,24 @@ def test_constant_block_built_once_per_system(monkeypatch):
     sys_t, _ = scalar_system("quadratic", p=1.5, refines=1)
     solve_transmission(sys_t)
     assert built == [sys_c, sys_t]
+
+
+def test_layerpotential_solve_builds_no_steklov_block(monkeypatch):
+    # a p = 1.5 layer-potential solve warm-starts on its own form: it builds
+    # one Newton pattern, and no Steklov-Poincare block
+    built = _count_sp_blocks(monkeypatch)
+    patterns = []
+    pattern = vi._newton_pattern
+
+    def counting_pattern(space, J0):
+        patterns.append(J0)
+        return pattern(space, J0)
+
+    monkeypatch.setattr(vi, "_newton_pattern", counting_pattern)
+    sys_, _ = vector_system("stick-vec", p=1.5, n=4, refines=1)
+    sol = solve_layerpotential_vi(sys_)
+    assert built == [] and len(patterns) == 1
+    assert max(kkt_residuals(sol, sys_).values()) <= 1e-8
 
 
 @pytest.mark.parametrize("case", ["transition-p1.5", "stick-vec-p2",
@@ -712,16 +748,20 @@ def test_newton_matrix_matches_coo_construction(case, form):
 @pytest.mark.parametrize("case", ["transition-sp", "stick-vec-lp"])
 def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
     # p = 1.5: the p = 2 warm start changes the held rows from step to step;
-    # every matrix that spsolve gets is stored on its form's one pattern
-    # (the warm start shares the Steklov-Poincare form's), with unit held
-    # rows and the values of the COO construction bit for bit
+    # every matrix that spsolve gets, warm start included, is stored on the
+    # form's one pattern, with unit held rows and the values of the COO
+    # construction bit for bit.  Under the full stick of stick-vec the
+    # layer-potential form holds the same rows at every step, so its case
+    # keeps the stick-vec loads with a fifth of the friction bound.
     if case == "transition-sp":
         sys_, _ = scalar_system("transition", p=1.5, n=4, refines=2, slip=("b",))
-        solve, forms = solve_contact_vi, [sys_.J_const, sys_.J_const]
+        solve, J0 = solve_contact_vi, sys_.J_const
     else:
-        sys_, _ = vector_system("stick-vec", p=1.5, n=4, refines=1)
+        base, _ = vector_system("stick-vec", p=1.5, n=4, refines=1)
+        data = dataclasses.replace(base.data, friction=lambda p: 0.2 * np.ones(len(p)))
+        sys_ = build_system(base.space.mesh, base.law, data)
         solve = solve_layerpotential_vi
-        forms = [sys_.J_const, vi.LayerPotentialSystem(sys_).J_const]
+        J0 = vi.LayerPotentialSystem(sys_).J_const
     core, spsolve = vi._active_set_newton, vi.spla.spsolve
     tangent = fem.assemble_tangent
     runs, solved, laws = [], [], []
@@ -754,18 +794,16 @@ def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
     assert [J for *_, J in steps] == solved
     assert len(runs) == 2 and len(runs[0]) >= 2
     assert len({tuple(fixed) for _, _, fixed, _ in steps}) > 1
-    for run, J0 in zip(runs, forms):
-        for law, U, fixed, J in run:
-            system = copy.copy(sys_)
-            system.law = law
-            _assert_newton_matrix(J, system, J0, U, fixed)
+    for law, U, fixed, J in steps:
+        system = copy.copy(sys_)
+        system.law = law
+        _assert_newton_matrix(J, system, J0, U, fixed)
     assert [law.p for law, *_ in runs[0]] == [2.0] * len(runs[0])
     assert {law.p for law, *_ in runs[1]} == {1.5}
-    for form_steps in ([steps] if case == "transition-sp" else runs):
-        first = form_steps[0][-1]
-        for *_, J in form_steps:
-            assert np.array_equal(J.indptr, first.indptr)
-            assert np.array_equal(J.indices, first.indices)
+    first = steps[0][-1]
+    for *_, J in steps:
+        assert np.array_equal(J.indptr, first.indptr)
+        assert np.array_equal(J.indices, first.indices)
 
 
 # -- Newton matrices from cached constant blocks vs. full assembly ----------
@@ -780,10 +818,9 @@ def _block_sp_jacobian(system, y):
     return sp.bmat([[H, C.T], [C, None]]).tocsr()
 
 
-def _block_lp_jacobian(lp, y):
-    """Layer-potential Jacobian assembled block by block on every step."""
+def _block_lp_jacobian(sys_, lp, y):
+    """Layer-potential Jacobian of sys_ assembled block by block on every step."""
     from febe.bem import stabilization_data, stabilization_vectors
-    sys_ = lp.sp
     ops, B = sys_.ops, sys_.B
     T = ops.Mb - ops.K
     Hu = fem.assemble_tangent(sys_.space, sys_.law, y[:lp.nU])
@@ -816,7 +853,7 @@ def test_layerpotential_jacobian_matches_block_assembly(stabilized):
         lp = vi.LayerPotentialSystem(sys_, stabilized=stabilized)
         y = rng.normal(size=lp.n)
         J = _newton_matrix(sys_, lp.J_const, y).toarray()
-        ref = _block_lp_jacobian(lp, y).toarray()
+        ref = _block_lp_jacobian(sys_, lp, y).toarray()
     assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
