@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .mesh import diameter
+from .mesh import SLIP, diameter
 from .quadrature import graded_gauss, segment_gauss
 
 _ONLINE_REL = 1e-12
@@ -71,7 +71,7 @@ class BoundarySpace:
         self.n_panels = self.n_nodes
 
     def slip_panels(self):
-        return np.asarray([lab == "S" for lab in self.labels], dtype=bool)
+        return np.asarray(self.labels) == SLIP
 
     def slip_nodes(self):
         """Nodes whose both adjacent panels are slip panels (hat support in Gamma_s)."""
@@ -235,13 +235,13 @@ def _primitives(keys, bspace, src, X):
     L = np.take(bspace.lengths, src)
     rel = X - np.take(bspace.A, src, axis=0)
     # per source panel: xi, eta by BLAS, which rounds a two-term dot as
-    # fma(a0, b0, a1 b1), and tiny by scalar pow; no array form rounds alike
+    # fma(a0, b0, a1 b1); no array form (einsum, stacked matmul) rounds alike
     start = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])[:n]
-    xi, eta, tiny = np.empty((3, n))
+    xi, eta = np.empty((2, n))
     for s, e in zip(start, np.r_[start[1:], n]):
         xi[s:e] = rel[s:e] @ bspace.tangents[src[s]]
         eta[s:e] = rel[s:e] @ bspace.normals[src[s]]
-        tiny[s:e] = (_ONLINE_REL * bspace.lengths[src[s]]) ** 2
+    tiny = (_ONLINE_REL * L) ** 2
     tol = np.take(_ONLINE_REL * np.maximum(bspace.lengths,
                                            np.hypot(bspace.A[:, 0], bspace.A[:, 1])), src)
     online = np.abs(eta) <= tol

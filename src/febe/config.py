@@ -17,7 +17,6 @@ class ConfigError(ValueError):
 
 _DEFAULTS = {
     "problem": "scalar",                 # scalar | vector
-    "material.kind": "plaplace",
     "material.p": 2.0,
     "material.delta": 0.0,
     "exterior.mu": 1.0,
@@ -59,8 +58,6 @@ class RunConfig:
             raise ConfigError("problem must be 'scalar' or 'vector'")
         if not v["material.p"] > 1.0:
             raise ConfigError("material.p must be > 1")
-        if v["material.kind"] not in ("plaplace", "carreau"):
-            raise ConfigError("material.kind must be plaplace or carreau")
         if not 0.0 <= v["material.delta"] <= 1.0:
             raise ConfigError("material.delta must lie in [0, 1]")
         if not v["exterior.mu"] > 0:

@@ -1,5 +1,10 @@
 """Pointwise nonlinear constitutive laws and the exterior Lame coefficients.
 
+One family of radial laws A'(x) = c(|x|) x, c(s) = s^((1-delta)(p-2))
+(1 + s^2)^(delta (p-2)/2) with 0 <= delta <= 1: the p-Laplace law at
+delta = 0, the Carreau law at delta = 1.  It is continuous in delta, and
+|A'(x)| grows like |x|^(p-1), as the two-sided monotonicity bounds need.
+
 The law acts on 2-vectors (gradients, scalar problem) or on symmetric 2x2
 matrices (strains, vector problem) with the Frobenius inner product.  Both
 are the same radial law on one flat component axis (2 components, or the 4
@@ -13,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-P_LAPLACE = "plaplace"
-CARREAU = "carreau"
+from .quadrature import segment_gauss
 
 MODE_VECTOR = "vector"
 MODE_MATRIX = "matrix"
@@ -30,17 +34,14 @@ class SingularTangentWarning(UserWarning):
 @dataclass(frozen=True)
 class MaterialLaw:
     p: float
-    kind: str = P_LAPLACE
     delta: float = 0.0
     mode: str = MODE_VECTOR
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError("material exponent p must be > 1")
-        if self.kind not in (P_LAPLACE, CARREAU):
-            raise ValueError("unknown material kind %r" % self.kind)
         if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("Carreau delta must lie in [0, 1]")
+            raise ValueError("material delta must lie in [0, 1]")
         if self.mode not in (MODE_VECTOR, MODE_MATRIX):
             raise ValueError("unknown material mode %r" % self.mode)
 
@@ -101,21 +102,19 @@ def _scalar_coeff(law, s):
     s = np.asarray(s, dtype=float)
     e2 = 0.5 * (law.p - 2.0)
     s_safe = np.where(s > 0, s, 1.0)
-    if law.kind == P_LAPLACE or law.delta == 0.0:
+    if law.delta == 0.0:
         c = s_safe ** (2 * e2)
     else:
-        c = (s_safe ** (1.0 - law.delta) * (1.0 + s_safe ** 2) ** law.delta) ** e2
+        c = (s_safe ** (2.0 * (1.0 - law.delta)) * (1.0 + s_safe ** 2) ** law.delta) ** e2
     return np.where(s > 0, c, 0.0)
 
 
-def _scalar_coeff_deriv(law, s):
-    """d/ds of the radial coefficient, for s > 0."""
-    s = np.asarray(s, dtype=float)
-    c = _scalar_coeff(law, s)
+def _scalar_coeff_deriv(law, s, c):
+    """d/ds of the radial coefficient c = _scalar_coeff(law, s), for s > 0."""
     e2 = 0.5 * (law.p - 2.0)
-    if law.kind == P_LAPLACE or law.delta == 0.0:
+    if law.delta == 0.0:
         return 2 * e2 * c / s
-    return c * e2 * ((1.0 - law.delta) / s + 2.0 * law.delta * s / (1.0 + s ** 2))
+    return c * e2 * (2.0 * (1.0 - law.delta) / s + 2.0 * law.delta * s / (1.0 + s ** 2))
 
 
 def stress(law, x):
@@ -138,7 +137,7 @@ def tangent_coeffs(law, x):
                       SingularTangentWarning, stacklevel=2)
     s_eff = np.maximum(s, TANGENT_FLOOR)
     c1 = _scalar_coeff(law, s_eff)
-    dc = _scalar_coeff_deriv(law, s_eff)
+    dc = _scalar_coeff_deriv(law, s_eff, c1)
     c2 = dc / s_eff
     return c1, c2
 
@@ -160,21 +159,19 @@ def tangent_apply(law, x, h):
     return out.reshape(np.broadcast_shapes(np.shape(x), np.shape(h)))
 
 
-_GAUSS32 = np.polynomial.legendre.leggauss(32)
-
-
 def potential(law, x):
-    """A(x) with dA/dx = A'(x): |x|^p / p for the power law, radial quadrature otherwise."""
+    """A(x) with dA/dx = A'(x): |x|^p / p at delta = 0, else int_0^s c(t) t dt
+    = s^b/b int_0^1 g(s v^(1/b)) dv with b = (1-delta)(p-2) + 2 and
+    g(t) = (1 + t^2)^(delta (p-2)/2): a Gauss rule on a bounded integrand."""
     x = np.asarray(x, dtype=float)
     s = _norm(law, x)
-    if law.kind == P_LAPLACE or law.delta == 0.0:
+    if law.delta == 0.0:
         return s ** law.p / law.p
-    # integrate coeff(t) * t along the ray [0, s]
-    nodes, wts = _GAUSS32
-    t = 0.5 * (nodes + 1.0)[:, None] * s[None, ...].reshape(1, -1)
-    w = 0.5 * wts[:, None] * s.reshape(1, -1)
-    vals = _scalar_coeff(law, t) * t
-    return np.sum(vals * w, axis=0).reshape(s.shape)
+    b = (1.0 - law.delta) * (law.p - 2.0) + 2.0
+    v, w = segment_gauss(32)
+    t = s[..., None] * v ** (1.0 / b)
+    g = (1.0 + t ** 2) ** (0.5 * law.delta * (law.p - 2.0))
+    return s ** b / b * (g @ w)
 
 
 def monotonicity_gap(law, x, y):

@@ -119,9 +119,7 @@ MESH_PRESETS = {
 class Manufactured:
     """Bundle of problem data plus the exact field (when known)."""
 
-    def __init__(self, name, ncomp, data, exact=None, exact_grad=None):
-        self.name = name
-        self.ncomp = ncomp
+    def __init__(self, data, exact=None, exact_grad=None):
         self.data = data
         self.exact = exact
         self.exact_grad = exact_grad
@@ -148,13 +146,13 @@ def scalar_linear(law):
 
     data = ProblemData(f=lambda p: np.zeros(len(p)), u0=exact,
                        t0=_stress_t0(law, grad))
-    return Manufactured("linear", 1, data, exact, grad)
+    return Manufactured(data, exact, grad)
 
 
 def scalar_quadratic(law):
     """u = (x^2 - y^2)/2 with the p-power law; f analytic away from 0."""
-    if law.kind != mat.P_LAPLACE:
-        raise ValueError("quadratic preset is defined for the power law only")
+    if law.delta != 0:
+        raise ValueError("quadratic preset is defined for the power law (delta = 0) only")
     p_ = law.p
 
     def exact(p):
@@ -168,7 +166,7 @@ def scalar_quadratic(law):
         return -(p_ - 2.0) * r2 ** ((p_ - 4.0) / 2.0) * (p[:, 0] ** 2 - p[:, 1] ** 2)
 
     data = ProblemData(f=f, u0=exact, t0=_stress_t0(law, grad))
-    return Manufactured("quadratic", 1, data, exact, grad)
+    return Manufactured(data, exact, grad)
 
 
 def scalar_corner(law):
@@ -198,7 +196,7 @@ def scalar_corner(law):
 
     data = ProblemData(f=lambda p: np.zeros(len(p)), u0=exact,
                        t0=_stress_t0(law, grad))
-    return Manufactured("corner", 1, data, exact, grad)
+    return Manufactured(data, exact, grad)
 
 
 def _scalar_contact_sigma(law):
@@ -220,7 +218,7 @@ def scalar_stick(law, margin=1.5):
 
     data = ProblemData(f=base.data.f, u0=base.data.u0, t0=base.data.t0,
                        friction=g)
-    return Manufactured("stick", 1, data, base.exact, base.exact_grad)
+    return Manufactured(data, base.exact, base.exact_grad)
 
 
 def scalar_transition(law):
@@ -240,7 +238,7 @@ def scalar_transition(law):
 
     data = ProblemData(f=base.data.f, u0=base.data.u0, t0=base.data.t0,
                        friction=g)
-    return Manufactured("transition", 1, data, None, None)
+    return Manufactured(data)
 
 
 def vector_linear(law):
@@ -256,13 +254,13 @@ def vector_linear(law):
 
     data = ProblemData(f=lambda p: np.zeros((len(p), 2)), u0=exact,
                        t0=_stress_t0(law, grad))
-    return Manufactured("linear-vec", 2, data, exact, grad)
+    return Manufactured(data, exact, grad)
 
 
 def vector_smooth(law):
     """u = ((x^2 - y^2)/2, x y): strain diag(x, x), power-law f analytic."""
-    if law.kind != mat.P_LAPLACE:
-        raise ValueError("smooth-vec preset is defined for the power law only")
+    if law.delta != 0:
+        raise ValueError("smooth-vec preset is defined for the power law (delta = 0) only")
     p_ = law.p
 
     def exact(p):
@@ -282,7 +280,7 @@ def vector_smooth(law):
             np.zeros_like(x)])
 
     data = ProblemData(f=f, u0=exact, t0=_stress_t0(law, grad))
-    return Manufactured("smooth-vec", 2, data, exact, grad)
+    return Manufactured(data, exact, grad)
 
 
 def vector_stick(law):
@@ -291,7 +289,7 @@ def vector_stick(law):
     base = vector_smooth(law)
     data = ProblemData(f=base.data.f, u0=base.data.u0, t0=base.data.t0,
                        friction=lambda p: np.ones(len(p)))
-    return Manufactured("stick-vec", 2, data, base.exact, base.exact_grad)
+    return Manufactured(data, base.exact, base.exact_grad)
 
 
 DATA_PRESETS = {

@@ -49,7 +49,6 @@ class QuadratureRule:
             raise ValueError("no triangle quadrature rule of order %d (orders: %s)"
                              % (order, ", ".join(map(str, sorted(_RULES)))))
         data = np.asarray(_RULES[order], dtype=float)
-        self.order = order
         self.bary = data[:, :3]
         self.weights = data[:, 3]
         if np.any(self.weights <= 0):

@@ -18,8 +18,7 @@ from .vi import (solve_contact_vi, solve_layerpotential_vi, solve_transmission)
 
 def law_from_config(cfg):
     mode = mat.MODE_MATRIX if cfg["problem"] == "vector" else mat.MODE_VECTOR
-    return mat.MaterialLaw(p=cfg["material.p"], kind=cfg["material.kind"],
-                           delta=cfg["material.delta"], mode=mode)
+    return mat.MaterialLaw(p=cfg["material.p"], delta=cfg["material.delta"], mode=mode)
 
 
 def exterior_from_config(cfg):
@@ -46,7 +45,7 @@ def manufactured_from_config(cfg, mesh=None):
         bs = BoundarySpace(mesh)
         data = load_data_file(cfg["data.file"], bs, law.ncomp)
         from .presets import Manufactured
-        return Manufactured("file", law.ncomp, data)
+        return Manufactured(data)
     try:
         return data_from_preset(cfg["data.preset"], law)
     except ValueError as exc:

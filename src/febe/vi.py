@@ -176,18 +176,20 @@ class CoupledSystem:
             shape=(M * d, self.nU + self.nZ))
         self.bcols = np.concatenate([cols, self.nU + np.arange(self.nZ)])
 
-        # data vectors; u0/t0/friction accept callables or nodal/panel arrays
-        self.b_f = (fem.assemble_load(space, data.f, quad_order)
-                    if data.f is not None else np.zeros(self.nU))
-        if data.u0 is None:
-            self.U0 = np.zeros(M * d)
-        elif isinstance(data.u0, np.ndarray):
-            self.U0 = np.asarray(data.u0, dtype=float).reshape(M * d)
-        else:
-            self.U0 = bspace.interpolate_nodes(data.u0, d)
-        self.t0b = self._boundary_moments(data.t0)
-        self.gb = self.t0b + self.S @ self.U0
-        self.friction = self._friction_data()
+        # data vectors; u0/t0/friction accept callables or nodal/panel arrays;
+        # data that is not finite is reported by the check below, not by numpy
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            self.b_f = (fem.assemble_load(space, data.f, quad_order)
+                        if data.f is not None else np.zeros(self.nU))
+            if data.u0 is None:
+                self.U0 = np.zeros(M * d)
+            elif isinstance(data.u0, np.ndarray):
+                self.U0 = np.asarray(data.u0, dtype=float).reshape(M * d)
+            else:
+                self.U0 = bspace.interpolate_nodes(data.u0, d)
+            self.t0b = self._boundary_moments(data.t0)
+            self.gb = self.t0b + self.S @ self.U0
+            self.friction = self._friction_data()
         for name, vals in (("load f", self.b_f), ("trace u0", self.U0),
                            ("traction t0", self.t0b), ("friction bound", self.friction.F)):
             if not np.all(np.isfinite(vals)):
@@ -569,7 +571,7 @@ def _solve(system, form, y0, tol, max_iter, what, contact=True, warm=True):
     pattern = _newton_pattern(system.space, form.J_const)
     if warm and system.law.p != 2.0:
         p2 = copy.copy(system)
-        p2.law = MaterialLaw(p=2.0, kind="plaplace", mode=system.law.mode)
+        p2.law = MaterialLaw(p=2.0, mode=system.law.mode)
         y0 = _newton(p2, form, pattern, y0, default_tolerance(p2.law), 100,
                      "p = 2 warm start", contact)[0]
     return _solution(system, form, *_newton(

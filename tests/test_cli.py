@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,7 +76,8 @@ def test_mesh_error_exit_code(tmp_path, capsys):
     "estimate.kind = appendix\nmaterial.p = 1.5",
     "problem = vector",                                     # quadratic is scalar
     "data.preset = corner\nmaterial.p = 3.0",              # corner needs p = 2
-    "material.kind = carreau\nmaterial.delta = 0.5",       # quadratic: power law
+    "material.delta = 0.5",                                 # quadratic: power law
+    "material.kind = carreau",                              # no such key
     "bem.dump = ture",                                      # misspelled boolean
     "solver.stabilized = maybe",                            # not a boolean
     "solver.compat_constraints = 2",                        # 1 rigid motion
@@ -87,13 +89,12 @@ def test_mesh_error_exit_code(tmp_path, capsys):
     "mesh.refine = -1",
     "estimate.delta = -0.5",
     # smooth-vec's load x^(p-2) is undefined left of the circle's centre
-    pytest.param("mesh.preset = circle\nmesh.n = 32\nproblem = vector\n"
-                 "data.preset = smooth-vec\nmaterial.p = 1.5",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    "mesh.preset = circle\nmesh.n = 32\nproblem = vector\n"
+    "data.preset = smooth-vec\nmaterial.p = 1.5",
 ], ids=["quad-order", "lshape-odd-n", "appendix-vector", "appendix-p-below-2",
-        "quadratic-vector", "corner-p3", "quadratic-carreau", "bool-typo", "bool-maybe",
-        "compat-above-scalar", "compat-above-vector", "compat-below", "mesh-n-negative",
-        "circle-n2", "tol-negative", "refine-negative", "delta-negative",
+        "quadratic-vector", "corner-p3", "quadratic-carreau", "material-kind", "bool-typo",
+        "bool-maybe", "compat-above-scalar", "compat-above-vector", "compat-below",
+        "mesh-n-negative", "circle-n2", "tol-negative", "refine-negative", "delta-negative",
         "circle-load-not-finite"])
 def test_config_mistakes_exit_2(tmp_path, capsys, extra):
     cfg = write_cfg(tmp_path, "%s\nout.dir = %s\n" % (extra, tmp_path / "out"))
@@ -102,6 +103,15 @@ def test_config_mistakes_exit_2(tmp_path, capsys, extra):
     assert captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_readme_example_config_validates():
+    # the example config of the README's "Command line" section names only
+    # keys the parser knows, with values that validate
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    assert sum("=" in line.split("#", 1)[0] for line in example.splitlines()) >= 5
+    parse_config(example).validate()
 
 
 def test_boolean_spellings():

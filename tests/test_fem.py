@@ -249,7 +249,7 @@ def test_energy_gradient_is_residual(unit_square):
     space = fem.FESpace(m, ncomp=2)
     rng = np.random.default_rng(4)
     for law in (mat.MaterialLaw(p=3.0, mode=mat.MODE_MATRIX),
-                mat.MaterialLaw(p=1.5, kind=mat.CARREAU, delta=0.5, mode=mat.MODE_MATRIX)):
+                mat.MaterialLaw(p=1.5, delta=0.5, mode=mat.MODE_MATRIX)):
         u = rng.normal(size=space.ndof)
         w = rng.normal(size=space.ndof)
         R = fem.assemble_residual(space, law, u)
@@ -332,14 +332,14 @@ def _per_mode_residual(space, law, coeffs):
 
 
 @pytest.mark.parametrize("ncomp", [1, 2])
-@pytest.mark.parametrize("p, kind, delta", [(1.5, mat.P_LAPLACE, 0.0),
-                                            (3.0, mat.P_LAPLACE, 0.0),
-                                            (1.5, mat.CARREAU, 0.5)])
-def test_residual_on_flat_axis_matches_per_mode_formula(ncomp, p, kind, delta):
+@pytest.mark.parametrize("p, delta", [pytest.param(1.5, 0.0, id="1.5-plaplace-0.0"),
+                                      pytest.param(3.0, 0.0, id="3.0-plaplace-0.0"),
+                                      pytest.param(1.5, 0.5, id="1.5-carreau-0.5")])
+def test_residual_on_flat_axis_matches_per_mode_formula(ncomp, p, delta):
     m = refine_uniform(load_mesh(square_mesh_text(), scale=False), 3)
     space = fem.FESpace(m, ncomp=ncomp)
     mode = mat.MODE_MATRIX if ncomp == 2 else mat.MODE_VECTOR
-    law = mat.MaterialLaw(p=p, kind=kind, delta=delta, mode=mode)
+    law = mat.MaterialLaw(p=p, delta=delta, mode=mode)
     assert law.ncomp == ncomp
     assert space.basis_strains.shape == (len(m.triangles), 3 * ncomp, 2 * ncomp)
     rng = np.random.default_rng(12)

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from febe import material as mat
 
-LAWS = [mat.MaterialLaw(p=p, kind=k, delta=d)
-        for p in (1.2, 1.5, 2.0, 3.0, 4.0)
-        for (k, d) in ((mat.P_LAPLACE, 0.0), (mat.CARREAU, 0.0),
-                       (mat.CARREAU, 0.5), (mat.CARREAU, 1.0))]
+LAWS = [mat.MaterialLaw(p=p, delta=d)
+        for p in (1.2, 1.5, 2.0, 3.0, 4.0) for d in (0.0, 0.5, 1.0)]
+
+
+def _label(law):
+    """Test id name of a law: the p-Laplace end (delta = 0) or a Carreau-type law."""
+    return "plaplace" if law.delta == 0 else "carreau"
 
 
 def test_plaplace_zero_extension():
@@ -29,19 +32,32 @@ def test_plaplace_p3_norm2():
 
 
 def test_carreau_closed_form():
-    law = mat.MaterialLaw(p=1.5, kind=mat.CARREAU, delta=1.0)
+    law = mat.MaterialLaw(p=1.5, delta=1.0)
     x = np.array([1.0, 0.0])
     expect = np.array([2.0 ** -0.25, 0.0])
     assert mat.stress(law, x) == pytest.approx(expect)
 
 
 def test_carreau_delta0_equals_plaplace():
+    # the family is continuous at its p-Laplace end: delta -> 0 gives delta = 0
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(100, 2))
-    for p in (1.2, 1.7, 2.0, 3.5):
-        a = mat.stress(mat.MaterialLaw(p=p), x)
-        b = mat.stress(mat.MaterialLaw(p=p, kind=mat.CARREAU, delta=0.0), x)
-        assert a == pytest.approx(b, abs=1e-15)
+    x = rng.normal(size=(100, 2)) * np.exp(rng.uniform(-6, 6, size=(100, 1)))
+    for p in (1.2, 1.5, 1.7, 2.0, 3.0, 3.5, 4.0):
+        a, b = mat.MaterialLaw(p=p), mat.MaterialLaw(p=p, delta=1e-12)
+        for fa, fb in ((mat.stress(a, x), mat.stress(b, x)),
+                       *zip(mat.tangent_coeffs(a, x), mat.tangent_coeffs(b, x)),
+                       (mat.potential(a, x), mat.potential(b, x))):
+            assert fb == pytest.approx(fa, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+def test_stress_grows_like_power_p_minus_1(p, delta):
+    # |A'(x)| ~ |x|^(p-1) for large |x|, the growth of the two-sided bounds
+    law = mat.MaterialLaw(p=p, delta=delta)
+    s = np.array([1e6, 0.0])
+    rate = np.log2(np.linalg.norm(mat.stress(law, 2 * s)) / np.linalg.norm(mat.stress(law, s)))
+    assert abs(rate - (p - 1.0)) <= 1e-3
 
 
 def test_tangent_identity_for_linear_law():
@@ -56,7 +72,7 @@ def test_tangent_p4_closed_form():
     assert mat.tangent(law, x) == pytest.approx(np.diag([3.0, 1.0]))
 
 
-@pytest.mark.parametrize("law", LAWS, ids=lambda l: f"{l.kind}-p{l.p}-d{l.delta}")
+@pytest.mark.parametrize("law", LAWS, ids=lambda l: f"{_label(l)}-p{l.p}-d{l.delta}")
 def test_tangent_matches_finite_differences(law):
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -102,7 +118,7 @@ def test_monotonicity_gap_p2_exact():
     assert lhs == pytest.approx(up)
 
 
-@pytest.mark.parametrize("law", LAWS, ids=lambda l: f"{l.kind}-p{l.p}-d{l.delta}")
+@pytest.mark.parametrize("law", LAWS, ids=lambda l: f"{_label(l)}-p{l.p}-d{l.delta}")
 def test_two_sided_bounds_fitted_constants(law):
     rng = np.random.default_rng(11)
     x = rng.uniform(-1, 1, size=(10000, 2))
@@ -121,14 +137,14 @@ def test_two_sided_bounds_fitted_constants(law):
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5),
        st.sampled_from([1.2, 1.5, 2.0, 3.0, 4.0]))
 def test_pointwise_monotone(x1, x2, y1, y2, p):
-    law = mat.MaterialLaw(p=p, kind=mat.CARREAU, delta=0.5)
+    law = mat.MaterialLaw(p=p, delta=0.5)
     lhs, _, _ = mat.monotonicity_gap(law, np.array([x1, x2]), np.array([y1, y2]))
     assert lhs >= -1e-12
 
 
 def test_potential_gradient_consistency():
     rng = np.random.default_rng(2)
-    for law in (mat.MaterialLaw(p=3.0), mat.MaterialLaw(p=1.5, kind=mat.CARREAU, delta=0.7)):
+    for law in (mat.MaterialLaw(p=3.0), mat.MaterialLaw(p=1.5, delta=0.7)):
         x = rng.normal(size=2)
         h = rng.normal(size=2)
         t = 1e-6
@@ -140,7 +156,7 @@ def test_invalid_parameters():
     with pytest.raises(ValueError):
         mat.MaterialLaw(p=0.5)
     with pytest.raises(ValueError):
-        mat.MaterialLaw(p=2.0, kind=mat.CARREAU, delta=1.5)
+        mat.MaterialLaw(p=2.0, delta=1.5)
     with pytest.raises(ValueError):
         mat.ExteriorCoefficients(mu=-1.0)
     with pytest.raises(ValueError):
@@ -149,9 +165,8 @@ def test_invalid_parameters():
 
 @pytest.mark.parametrize("law", [mat.MaterialLaw(p=1.5, mode=mat.MODE_MATRIX),
                                  mat.MaterialLaw(p=3.0, mode=mat.MODE_MATRIX),
-                                 mat.MaterialLaw(p=1.7, kind=mat.CARREAU, delta=0.5,
-                                                 mode=mat.MODE_MATRIX)],
-                         ids=lambda l: f"{l.kind}-p{l.p}")
+                                 mat.MaterialLaw(p=1.7, delta=0.5, mode=mat.MODE_MATRIX)],
+                         ids=lambda l: f"{_label(l)}-p{l.p}")
 def test_matrix_mode_on_flat_axis_matches_frobenius_formulas(law):
     # the (..., 2, 2) formulas with the '...ij,...ij' Frobenius pairing
     rng = np.random.default_rng(13)

@@ -427,7 +427,7 @@ def test_vector_uniform_convergence_rate():
 
 
 def test_carreau_end_to_end():
-    law = mat.MaterialLaw(p=1.5, kind=mat.CARREAU, delta=0.5)
+    law = mat.MaterialLaw(p=1.5, delta=0.5)
     m = refine_uniform(load_mesh(presets.square_text(2), scale=False), 1)
     man = presets.scalar_linear(law)
     sys_ = build_system(m, law, man.data)
