@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimate as est
-from .mesh import mesh_size, refine, save_mesh
+from .mesh import mesh_size, refine
 
 
 @dataclass
@@ -41,16 +39,18 @@ def mark(values, theta):
 
 def run_adaptive(mesh, build_fn, solve_fn, estimate_fn,
                  theta=0.5, max_dofs=20000, target_eta=0.0, max_levels=30,
-                 error_fn=None, out_dir=None):
-    """Generic adaptive loop.
+                 error_fn=None):
+    """Generic adaptive loop; returns one AdaptiveRecord per level.
 
     build_fn(mesh)       -> CoupledSystem on the (possibly refined) mesh
     solve_fn(system)     -> DiscreteSolution
     estimate_fn(system, sol) -> IndicatorBreakdown
     error_fn(system, sol) -> scalar (optional, for manufactured runs)
+
+    Only the current level is kept: while the next system is built, the
+    previous one is the only older level still referenced.
     """
     records = []
-    solutions = []
     for level in range(max_levels):
         system = build_fn(mesh)
         sol = solve_fn(system)
@@ -68,15 +68,6 @@ def run_adaptive(mesh, build_fn, solve_fn, estimate_fn,
             error=err,
             iterations=sol.iterations)
         records.append(rec)
-        solutions.append((system, sol, ind))
-        if out_dir is not None:
-            ldir = os.path.join(out_dir, "level_%d" % level)
-            os.makedirs(ldir, exist_ok=True)
-            with open(os.path.join(ldir, "mesh.txt"), "w") as fh:
-                fh.write(save_mesh(mesh))
-            np.savetxt(os.path.join(ldir, "solution.csv"),
-                       sol.u.reshape(-1, system.d), delimiter=",", fmt="%.17g")
-            est.indicators_csv(ind, os.path.join(ldir, "indicators.csv"))
         if (level == max_levels - 1 or system.nU >= max_dofs
                 or (target_eta > 0 and total <= target_eta)):
             break
@@ -84,4 +75,4 @@ def run_adaptive(mesh, build_fn, solve_fn, estimate_fn,
         if not marked:
             break
         mesh = refine(mesh, marked)
-    return records, solutions
+    return records

@@ -200,7 +200,6 @@ def energy(space, law, coeffs):
 def norms(space, coeffs, p, quad_order=6, trace_labels=("S", "T")):
     """(full W^{1,p} norm, L^p norm of strain/gradient, L^1 boundary trace norm)."""
     rule = QuadratureRule(quad_order)
-    verts = space.mesh.vertices[space.mesh.triangles]
     vals = space.vertex_values(coeffs)[space.mesh.triangles]  # (nt,3,ncomp)
     uq = np.einsum("qk,tkc->tqc", rule.bary, vals)
     umag = np.sqrt(np.einsum("tqc,tqc->tq", uq, uq))

@@ -312,18 +312,17 @@ def refine(mesh, marked):
         t = tris[live]
         queue = live[np.isin(_edge_key(t, np.roll(t, -1, axis=1), n), keys).any(axis=1)]
 
-    # split the labeled boundary edges at their midpoints until none has one
+    # split the labeled boundary edges at their midpoints once: each half
+    # holds a new vertex, so it is no bisected (input) edge
     a, b = mesh.boundary_edges.T
     labels = np.asarray(mesh.boundary_labels)
-    while True:
-        key = _edge_key(a, b, n)
-        split = np.isin(key, keys)
-        if not split.any():
-            break
-        m = mids[np.searchsorted(keys, key[split])]
-        a = np.concatenate([a[~split], a[split], m])
-        b = np.concatenate([b[~split], m, b[split]])
-        labels = np.concatenate([labels[~split], labels[split], labels[split]])
+    key = _edge_key(a, b, n)
+    split = np.isin(key, keys)
+    m = mids[np.searchsorted(keys, key[split])]
+    a = np.concatenate([a[~split], a[split], m])
+    b = np.concatenate([b[~split], m, b[split]])
+    labels = np.concatenate([labels[~split], labels[split], labels[split]])
+    key = _edge_key(a, b, n)
     order = np.argsort(key)
     return Mesh(verts, tris[alive], np.column_stack(np.divmod(key[order], n)),
                 labels[order].tolist(), generation=gen[alive],

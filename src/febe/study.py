@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from . import adapt as adapt_mod
 from . import estimate as est
 from . import material as mat
+from .bem import BoundarySpace
 from .config import ConfigError, load_data_file
 from .driver import build_system
 from .mesh import load_mesh, mesh_size, refine_uniform
-from .presets import MESH_PRESETS, data_from_preset
+from .presets import MESH_PRESETS, Manufactured, data_from_preset
 from .quadrature import QuadratureRule
 from .vi import (solve_contact_vi, solve_layerpotential_vi, solve_transmission)
 
@@ -36,15 +36,10 @@ def mesh_from_config(cfg):
     return refine_uniform(m, cfg["mesh.refine"])
 
 
-def manufactured_from_config(cfg, mesh=None):
+def manufactured_from_config(cfg, mesh):
     law = law_from_config(cfg)
     if cfg["data.file"]:
-        from .bem import BoundarySpace
-        if mesh is None:
-            raise ConfigError("data.file needs the mesh")
-        bs = BoundarySpace(mesh)
-        data = load_data_file(cfg["data.file"], bs, law.ncomp)
-        from .presets import Manufactured
+        data = load_data_file(cfg["data.file"], BoundarySpace(mesh), law.ncomp)
         return Manufactured(data)
     try:
         return data_from_preset(cfg["data.preset"], law)
@@ -124,7 +119,14 @@ def boundary_energy_error(system, man, sol):
 # -- convergence study ----------------------------------------------------------
 
 def convergence_study(cfg, levels, mode="uniform"):
-    """Table of (h, dofs, errors, estimator totals, observed rates)."""
+    """Table of (h, dofs, errors, estimator totals, observed rates).
+
+    A data file indexes the boundary of one mesh, so a study, whose levels
+    refine that mesh, rejects it.
+    """
+    if cfg["data.file"]:
+        raise ConfigError("data.file indexes the boundary of one mesh; "
+                          "a study refines it, so it takes data.preset only")
     mesh0 = mesh_from_config(cfg)
     rows = []
     if mode == "uniform":
@@ -144,17 +146,14 @@ def convergence_study(cfg, levels, mode="uniform"):
             if lvl < levels - 1:
                 mesh = refine_uniform(mesh, 2)      # halves h
     elif mode == "adaptive":
-        def err(system, sol):
-            man = manufactured_from_config(cfg, system.space.mesh)
-            return gradient_error_lp(system, man, sol)
-
-        records, _ = adapt_mod.run_adaptive(
+        man = manufactured_from_config(cfg, mesh0)
+        records = adapt_mod.run_adaptive(
             mesh0, lambda m: build_from_config(cfg, m)[0],
             lambda s: solve_from_config(cfg, s),
             lambda s, sol: estimate_from_config(cfg, s, sol),
             theta=cfg["adapt.theta"], max_dofs=cfg["adapt.max_dofs"],
             target_eta=cfg["adapt.target_eta"], max_levels=levels,
-            error_fn=err)
+            error_fn=lambda s, sol: gradient_error_lp(s, man, sol))
         for rec in records:
             rows.append({
                 "level": rec.level, "h": rec.h, "dofs": rec.dofs_interior,

@@ -1,11 +1,16 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from febe import material as mat, presets
 from febe.adapt import AdaptiveRecord, mark, run_adaptive
+from febe.config import RunConfig
 from febe.driver import build_system
 from febe.estimate import estimate_sp
 from febe.mesh import load_mesh
+from febe.study import convergence_study
 from febe.vi import solve_contact_vi, solve_transmission
 
 from conftest import loop_mark
@@ -71,13 +76,13 @@ def _loop(max_dofs, theta=0.5, max_levels=6):
 
 
 def test_zero_dof_budget_single_record():
-    records, _ = _loop(max_dofs=0)
+    records = _loop(max_dofs=0)
     assert len(records) == 1
     assert records[0].level == 0
 
 
 def test_adaptive_estimator_decreases():
-    records, _ = _loop(max_dofs=800, max_levels=8)
+    records = _loop(max_dofs=800, max_levels=8)
     totals = [r.estimator_total for r in records]
     assert len(records) >= 4
     assert totals[-1] < totals[0]
@@ -88,29 +93,34 @@ def test_adaptive_estimator_decreases():
 
 
 def test_adaptive_deterministic():
-    rec_a, _ = _loop(max_dofs=300, max_levels=5)
-    rec_b, _ = _loop(max_dofs=300, max_levels=5)
+    rec_a = _loop(max_dofs=300, max_levels=5)
+    rec_b = _loop(max_dofs=300, max_levels=5)
     assert len(rec_a) == len(rec_b)
     for a, b in zip(rec_a, rec_b):
         assert a.n_triangles == b.n_triangles
         assert a.estimator_total == pytest.approx(b.estimator_total, rel=1e-12)
 
 
-def test_adaptive_writes_level_outputs(tmp_path):
+def test_adaptive_loop_holds_one_level():
+    # while level k is built, no system older than level k - 1 is alive
     law = mat.MaterialLaw(p=2.0)
     mesh = load_mesh(presets.square_text(2), scale=False)
+    refs = []
+    alive_at_build = []
 
     def build_fn(m):
-        return build_system(m, law, presets.scalar_quadratic(law).data)
+        gc.collect()
+        alive_at_build.append([k for k, r in enumerate(refs) if r() is not None])
+        system = build_system(m, law, presets.scalar_quadratic(law).data)
+        refs.append(weakref.ref(system))
+        return system
 
-    records, _ = run_adaptive(mesh, build_fn, solve_transmission,
-                              estimate_sp, theta=0.5, max_dofs=100,
-                              max_levels=3, out_dir=str(tmp_path))
-    for rec in records:
-        d = tmp_path / ("level_%d" % rec.level)
-        assert (d / "mesh.txt").exists()
-        assert (d / "solution.csv").exists()
-        assert (d / "indicators.csv").exists()
+    records = run_adaptive(mesh, build_fn, solve_transmission, estimate_sp,
+                           theta=0.5, max_dofs=10**6, max_levels=5)
+    assert isinstance(records, list) and len(records) == 5
+    assert all(isinstance(r, AdaptiveRecord) for r in records)
+    assert [r.level for r in records] == list(range(5))
+    assert alive_at_build == [[]] + [[k - 1] for k in range(1, 5)]
 
 
 def test_adaptive_loop_with_contact():
@@ -120,9 +130,9 @@ def test_adaptive_loop_with_contact():
     def build_fn(m):
         return build_system(m, law, presets.scalar_transition(law).data)
 
-    records, sols = run_adaptive(mesh, build_fn, solve_contact_vi,
-                                 estimate_sp, theta=0.5, max_dofs=400,
-                                 max_levels=8)
+    records = run_adaptive(mesh, build_fn, solve_contact_vi,
+                           estimate_sp, theta=0.5, max_dofs=400,
+                           max_levels=8)
     assert len(records) >= 3
     assert records[-1].estimator_total < records[0].estimator_total
     # per-level outputs carry friction terms
@@ -130,7 +140,7 @@ def test_adaptive_loop_with_contact():
 
 
 def test_target_eta_stops_early():
-    records, _ = _loop(max_dofs=10**6, max_levels=8)
+    records = _loop(max_dofs=10**6, max_levels=8)
     big_eta = records[0].estimator_total * 2
     law = mat.MaterialLaw(p=2.0)
     mesh = load_mesh(presets.square_text(2), scale=False)
@@ -138,9 +148,9 @@ def test_target_eta_stops_early():
     def build_fn(m):
         return build_system(m, law, presets.scalar_quadratic(law).data)
 
-    recs, _ = run_adaptive(mesh, build_fn, solve_transmission, estimate_sp,
-                           theta=0.5, max_dofs=10**6, target_eta=big_eta,
-                           max_levels=8)
+    recs = run_adaptive(mesh, build_fn, solve_transmission, estimate_sp,
+                        theta=0.5, max_dofs=10**6, target_eta=big_eta,
+                        max_levels=8)
     assert len(recs) == 1
 
 
@@ -154,6 +164,23 @@ def test_no_refinement_after_last_level(monkeypatch):
         return refine(mesh, marked)
 
     monkeypatch.setattr(adapt, "refine", counting)
-    records, _ = _loop(max_dofs=10**6, max_levels=3)
+    records = _loop(max_dofs=10**6, max_levels=3)
     assert len(records) == 3
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_adaptivity_pays_off_on_friction(p):
+    # the paper's comparison at equal dofs, at the stick/slip transition:
+    # adaptive eta at no more dofs than the last uniform level lies below
+    # the uniform eta there
+    cfg = RunConfig()
+    cfg.values.update({"data.preset": "transition", "mesh.preset": "square-slip",
+                       "mesh.n": 4, "material.p": p, "adapt.theta": 0.5,
+                       "adapt.max_dofs": 289})
+    uniform = convergence_study(cfg, 3, "uniform")[-1]
+    assert uniform["dofs"] == 289
+    rows = convergence_study(cfg, 40, "adaptive")
+    assert rows[-1]["dofs"] >= uniform["dofs"]      # the dof budget stopped it
+    adaptive = [r for r in rows if r["dofs"] <= uniform["dofs"]][-1]
+    assert adaptive["estimator"] < uniform["estimator"]

@@ -233,6 +233,26 @@ def test_study_single_level(tmp_path, capsys):
     assert lines[1].split(",")[-1] == "nan"
 
 
+@pytest.mark.parametrize("mode", ["uniform", "adaptive"])
+def test_study_rejects_data_file(tmp_path, capsys, monkeypatch, mode):
+    # the rows index the boundary of one mesh; a study's levels refine it
+    from febe import study
+
+    def build(*args, **kw):
+        raise AssertionError("a study with data.file built a system")
+
+    monkeypatch.setattr(study, "build_system", build)
+    datafile = tmp_path / "data.csv"
+    datafile.write_text("kind,index,comp,value\n"
+                        + "".join("t0_panel,%d,0,1.0\n" % l for l in range(8)))
+    cfg = write_cfg(tmp_path, "data.file = %s\nout.dir = %s\n"
+                    % (datafile, tmp_path / "out"))
+    assert main(["study", "--config", cfg, "--levels", "2",
+                 "--mode", mode]) == 2
+    assert capsys.readouterr().err.startswith("config error: data.file")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("p", [2.0, 1.5])
 def test_oracle_command(tmp_path, p):
     cfg = write_cfg(tmp_path, "mesh.refine = 0\nmesh.preset = square-slip\n"
