@@ -50,7 +50,6 @@ class BoundarySpace:
 
     def __init__(self, mesh):
         loop, labels = mesh.boundary_loop()
-        self.mesh = mesh
         self.loop = loop
         self.nodes = mesh.vertices[loop]                   # (M, 2)
         self.n_nodes = len(loop)

@@ -45,7 +45,6 @@ class Mesh:
     triangles      (nt, 3) int array, peak-first ordering, CCW
     boundary_edges (nb, 2) int array
     boundary_labels length-nb list of "S"/"T"
-    generation     (nt,) bisection depth per triangle
     scale_factor   factor applied to the input coordinates on load
     edges          (ne, 2) undirected edges (a < b) in lexicographic order
     edge_triangles (ne, 2) incident triangles in ascending order, -1 in the
@@ -55,21 +54,18 @@ class Mesh:
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_labels,
-                 generation=None, scale_factor=1.0):
+                 scale_factor=1.0):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(boundary_edges,
                                                    dtype=np.int64).reshape(-1, 2)
         self.boundary_labels = list(boundary_labels)
-        if generation is None:
-            generation = np.zeros(len(self.triangles), dtype=np.int64)
-        self.generation = np.asarray(generation, dtype=np.int64)
         self.scale_factor = float(scale_factor)
         self._orient_ccw()
         self._validate(*self._edge_table())
-        for a in (self.vertices, self.triangles, self.boundary_edges, self.generation,
-                  self.edges, self.edge_triangles, self.edge_lengths,
-                  self.triangle_edges, self._loop):
+        for a in (self.vertices, self.triangles, self.boundary_edges, self.edges,
+                  self.edge_triangles, self.edge_lengths, self.triangle_edges,
+                  self._loop):
             a.flags.writeable = False
 
     # -- construction helpers -------------------------------------------------
@@ -285,7 +281,7 @@ def refine(mesh, marked):
         return mesh
 
     n = len(mesh.vertices) + len(mesh.edges)
-    verts, tris, gen = mesh.vertices, mesh.triangles, mesh.generation
+    verts, tris = mesh.vertices, mesh.triangles
     alive = np.ones(nt, dtype=bool)
     keys = mids = np.empty(0, dtype=np.int64)     # bisected edges, sorted by key
     while queue.size:
@@ -305,7 +301,6 @@ def refine(mesh, marked):
         m = m[inv]
         alive[queue] = False
         tris = np.concatenate([tris, np.stack([m, a, b, m, c, a], 1).reshape(-1, 3)])
-        gen = np.concatenate([gen, np.repeat(gen[queue] + 1, 2)])
         alive = np.concatenate([alive, np.ones(2 * len(queue), dtype=bool)])
         # closure: any live triangle with a bisected edge must be bisected too
         live = np.flatnonzero(alive)
@@ -325,8 +320,7 @@ def refine(mesh, marked):
     key = _edge_key(a, b, n)
     order = np.argsort(key)
     return Mesh(verts, tris[alive], np.column_stack(np.divmod(key[order], n)),
-                labels[order].tolist(), generation=gen[alive],
-                scale_factor=mesh.scale_factor)
+                labels[order].tolist(), scale_factor=mesh.scale_factor)
 
 
 def refine_uniform(mesh, sweeps=1):

@@ -17,8 +17,9 @@ and its Newton matrix is J_const plus the FE tangent.  The Steklov-Poincare
 form acts on y = (U, Z, lam) with J_const = [[B^T S B, C^T], [C, 0]] and
 rhs = (b_f + B^T (t0 + S u0), c0); the layer-potential form acts on
 y = (U, Z, P) with the W, K, V and stabilization blocks (LayerPotentialSystem).
-Both are solved by one primal-dual active-set (semismooth) Newton core on
-the exact conditions, min(-v_n, lam_n) = 0 and
+Both are solved by one primal-dual active-set (semismooth) Newton loop
+(_newton), whose arguments are the system, the form, its Newton pattern
+and the material law, on the exact conditions, min(-v_n, lam_n) = 0 and
 mu_t = clip(mu_t + c_k Z_t, -F, F).  The constant
 c_k = scale * omega_k of slip node k scales the data magnitude by the node's
 hat-function weight on the slip boundary, as the lumped multipliers are, so
@@ -43,9 +44,10 @@ products.
 Every Newton matrix of one solve of a form is stored on one canonical CSC
 pattern, built once per solve: the union of J_const's entries, the FE
 tangent's structure (exact zeros included) and the diagonal.  One driver
-(_solve) runs both forms: unless the law is linear or a start is given, it
-first solves the same form with the p = 2 law on the same pattern and
-starts from that solution, multipliers and density included.  Per Newton step
+(_solve) runs both forms: unless the law is linear, it first runs the
+Newton loop with the p = 2 law on the same system, form and pattern from
+the given start and starts from that solution, multipliers and density
+included.  Per Newton step
 only the FE tangent changes: each step copies J_const's values on the
 pattern, adds the tangent's data at its slots, zeroes the held rows by a
 row mask and sets their diagonal slot to 1, with no sparse conversion or
@@ -58,7 +60,6 @@ decrease the residual or the steps run out.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -308,7 +309,7 @@ class CoupledSystem:
         """Gradient of the smooth energy: the x rows of the block residual
         at lam = 0."""
         y = np.concatenate([x, np.zeros(self.ncompat)])
-        return _block_residual(self, self, y)[:len(x)]
+        return _block_residual(self, self, self.law, y)[:len(x)]
 
     def objective(self, x):
         """J_h + lumped nonsmooth friction term."""
@@ -357,79 +358,11 @@ def _residual_scale(system):
     return max(1.0, np.abs(system.gb).max(), np.abs(system.b_f).max())
 
 
-def _active_set_newton(y, residual, jacobian, idx_n, c_n, idx_f, c_f, F,
-                       scale, tol, max_iter, what):
-    """Primal-dual active-set (semismooth) Newton on R(y) = 0 with the
-    contact bound y[idx_n] <= 0, multiplier -R[idx_n] >= 0, and Tresca
-    friction on y[idx_f], friction force -R[idx_f] in [-F, F].
-
-    residual(y) is the residual of a block form (_block_residual);
-    jacobian(y, fixed) is its derivative with the rows `fixed` replaced by
-    unit rows, a canonical CSC matrix on the same pattern at every step.  The
-    NCP residual Phi replaces the bound rows by min(-y_n, -R_n) and the
-    friction rows by mu - clip(mu + c_f y_f, -F, F), mu = -R_f, with one
-    complementarity constant per row (c_n for the bound rows, c_f for the
-    friction rows; _newton passes c_k = scale * omega_k, which keeps the
-    step counts from growing with the mesh).  Each step holds active
-    contact rows (-R_n + c_n y_n > 0) and sticking friction rows at zero
-    (identity rows); a slipping row carries the force F sign(mu + c_f y_f).
-    Armijo backtracking on |Phi|_2^2; the iteration stops at
-    |Phi|_inf <= tol * scale, tested on the start and after every step.  A
-    singular Newton matrix, an exhausted line search and an iterate that
-    misses the tolerance after max_iter steps (none if max_iter <= 0) raise
-    SolverError.
-
-    Returns y, R(y), the number of Newton steps, |Phi|_inf and |Phi|_2 per
-    iterate (the start included).
-    """
-    def ncp(R, yv):
-        phi = R.copy()
-        phi[idx_n] = np.minimum(-yv[idx_n], -R[idx_n])
-        phi[idx_f] = -R[idx_f] - np.clip(-R[idx_f] + c_f * yv[idx_f], -F, F)
-        return phi
-
-    R = residual(y)
-    phi = ncp(R, y)
-    merit = phi @ phi
-    history = [np.sqrt(merit)]
-    for steps in itertools.count():
-        resid = float(np.abs(phi).max(initial=0.0))
-        if resid <= tol * scale:
-            return y, R, steps, resid, history
-        if steps >= max_iter:
-            raise SolverError("%s solve stalled at residual %.3e" % (what, resid))
-        rhs = -R
-        q = -R[idx_f] + c_f * y[idx_f]
-        rhs[idx_f] -= F * np.sign(q)
-        fixed = np.concatenate([idx_n[-R[idx_n] + c_n * y[idx_n] > 0],
-                                idx_f[np.abs(q) <= F]])
-        rhs[fixed] = -y[fixed]
-        dy = spla.spsolve(jacobian(y, fixed), rhs, permc_spec=_ORDERING)
-        if not np.all(np.isfinite(dy)):
-            raise SolverError("%s Newton matrix is singular at residual %.3e"
-                              % (what, resid))
-        dy[fixed] = -y[fixed]            # SuperLU leaves rounding there
-        t = 1.0
-        for _ in range(40):
-            cand = y + t * dy
-            Rc = residual(cand)
-            phic = ncp(Rc, cand)
-            mc = phic @ phic
-            if mc <= (1 - 1e-4 * t) * merit:
-                break
-            t *= 0.5
-        else:
-            raise SolverError("%s line search failed at residual %.3e"
-                              % (what, resid))
-        y, R, phi, merit = cand, Rc, phic, mc
-        history.append(np.sqrt(merit))
-
-
-def _block_residual(system, form, y):
-    """Residual of a block form of system: form.J_const y - form.rhs, plus
-    the FE residual of U on the first nU rows."""
+def _block_residual(system, form, law, y):
+    """Residual of a block form of system under the law: form.J_const y -
+    form.rhs, plus the FE residual of U on the first nU rows."""
     R = form.J_const @ y - form.rhs
-    R[:system.nU] += fem.assemble_residual(system.space, system.law, y[:system.nU])
+    R[:system.nU] += fem.assemble_residual(system.space, law, y[:system.nU])
     return R
 
 
@@ -468,26 +401,102 @@ def _newton_pattern(space, J0):
             slot[J0.nnz:-n].astype(np.intp), slot[-n:].astype(np.intp))
 
 
-def _jacobian(system, pattern):
-    """jacobian(y, fixed) of _active_set_newton on a pattern of
-    _newton_pattern: J0's values plus the FE tangent at U = y[:nU], with
-    the rows `fixed` replaced by unit rows."""
+def _newton_matrix(system, law, pattern, U, fixed):
+    """Newton matrix on a pattern of _newton_pattern, canonical CSC: J0's
+    values plus the FE tangent of the law at U, with the rows `fixed`
+    replaced by unit rows."""
     indptr, indices, base, hslot, dslot = pattern
     n = len(indptr) - 1
+    data = base.copy()
+    data[hslot] += fem.assemble_tangent(system.space, law, U).data
+    held = np.zeros(n, dtype=bool)
+    held[fixed] = True
+    data[held[indices]] = 0.0
+    data[dslot[fixed]] = 1.0
+    J = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    J.has_canonical_format = True
+    return J
 
-    def jacobian(y, fixed):
-        data = base.copy()
-        data[hslot] += fem.assemble_tangent(system.space, system.law,
-                                            y[:system.nU]).data
-        held = np.zeros(n, dtype=bool)
-        held[fixed] = True
-        data[held[indices]] = 0.0
-        data[dslot[fixed]] = 1.0
-        J = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-        J.has_canonical_format = True
-        return J
 
-    return jacobian
+def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
+    """Primal-dual active-set (semismooth) Newton on a block form of system
+    (the CoupledSystem itself, or its LayerPotentialSystem) under the law:
+    R(y) = _block_residual = 0 with the contact bound y_n <= 0 on the v_n
+    rows (none if contact is False), multiplier lam_n = -R_n >= 0, and
+    Tresca friction on the Z_t rows of the slip nodes with a positive bound
+    F, friction force mu_t = -R_f in [-F, F].  Every Newton matrix is
+    form.J_const plus the FE tangent, with the held rows replaced by unit
+    rows, stored on `pattern` (the form's _newton_pattern).
+
+    The NCP residual Phi replaces the bound rows by min(-y_n, lam_n) and
+    the friction rows by mu_t - clip(mu_t + c_k y_f, -F, F).  The
+    complementarity constant of slip node k is c_k = scale * omega_k.  The
+    multiplier of a row is a lumped force, about sigma * omega_k, so the
+    discrete NCP is then the function-space one, sigma + scale * z, tested
+    with the hat function of node k; a mesh-free c would outweigh the
+    multiplier by 1/h and the step counts would grow with the mesh.  Each
+    step holds active contact rows (lam_n + c_k y_n > 0) and sticking
+    friction rows at zero (identity rows); a slipping row carries the force
+    F sign(mu_t + c_k y_f).  Armijo backtracking on |Phi|_2^2; the iteration
+    stops at |Phi|_inf <= tol * scale, tested on the start and after every
+    step.  A singular Newton matrix, an exhausted line search and an
+    iterate that misses the tolerance after max_iter steps (none if
+    max_iter <= 0) raise SolverError.
+
+    Returns y, R(y), the number of Newton steps, |Phi|_inf and |Phi|_2 per
+    iterate (the start included).
+    """
+    nU = system.nU
+    scale = _residual_scale(system)
+    fr = system.friction
+    c = scale * fr.omega
+    bound = system.idx_zn if contact else system.idx_zn[:0]   # none for d = 1
+    idx_n, c_n = nU + bound, c[:len(bound)]
+    slip = fr.F > 0
+    idx_f, c_f, F = nU + system.idx_zt[slip], c[slip], fr.F[slip]
+
+    def ncp(R, yv):
+        phi = R.copy()
+        phi[idx_n] = np.minimum(-yv[idx_n], -R[idx_n])
+        phi[idx_f] = -R[idx_f] - np.clip(-R[idx_f] + c_f * yv[idx_f], -F, F)
+        return phi
+
+    R = _block_residual(system, form, law, y)
+    phi = ncp(R, y)
+    merit = phi @ phi
+    history = [np.sqrt(merit)]
+    for steps in itertools.count():
+        resid = float(np.abs(phi).max(initial=0.0))
+        if resid <= tol * scale:
+            return y, R, steps, resid, history
+        if steps >= max_iter:
+            raise SolverError("%s solve stalled at residual %.3e" % (what, resid))
+        rhs = -R
+        q = -R[idx_f] + c_f * y[idx_f]
+        rhs[idx_f] -= F * np.sign(q)
+        fixed = np.concatenate([idx_n[-R[idx_n] + c_n * y[idx_n] > 0],
+                                idx_f[np.abs(q) <= F]])
+        rhs[fixed] = -y[fixed]
+        dy = spla.spsolve(_newton_matrix(system, law, pattern, y[:nU], fixed),
+                          rhs, permc_spec=_ORDERING)
+        if not np.all(np.isfinite(dy)):
+            raise SolverError("%s Newton matrix is singular at residual %.3e"
+                              % (what, resid))
+        dy[fixed] = -y[fixed]            # SuperLU leaves rounding there
+        t = 1.0
+        for _ in range(40):
+            cand = y + t * dy
+            Rc = _block_residual(system, form, law, cand)
+            phic = ncp(Rc, cand)
+            mc = phic @ phic
+            if mc <= (1 - 1e-4 * t) * merit:
+                break
+            t *= 0.5
+        else:
+            raise SolverError("%s line search failed at residual %.3e"
+                              % (what, resid))
+        y, R, phi, merit = cand, Rc, phic, mc
+        history.append(np.sqrt(merit))
 
 
 def _smooth_coords(system, n):
@@ -508,31 +517,6 @@ def _compat_multiplier(system, g):
 
 def default_tolerance(law):
     return 1e-10 if law.p == 2.0 else 1e-8
-
-
-def _newton(system, form, pattern, y0, tol, max_iter, what, contact=True):
-    """The active-set core on a block form of system (the CoupledSystem
-    itself, or its LayerPotentialSystem): its residual with the Newton
-    matrix form.J_const plus the FE tangent, stored on `pattern` (the
-    form's _newton_pattern), the bound rows of v_n (unless contact is
-    False) and the friction rows of the slip nodes with a positive bound.
-
-    The complementarity constant of slip node k is c_k = scale * omega_k.
-    The multiplier of a row is a lumped force, about sigma * omega_k, so the
-    discrete NCP is then the function-space one, sigma + scale * z, tested
-    with the hat function of node k; a mesh-free c would outweigh the
-    multiplier by 1/h and the step counts would grow with the mesh."""
-    nU = system.nU
-    scale = _residual_scale(system)
-    fr = system.friction
-    c = scale * fr.omega
-    bound = system.idx_zn if contact else system.idx_zn[:0]   # none for d = 1
-    slip = fr.F > 0
-    return _active_set_newton(
-        y0, lambda y: _block_residual(system, form, y),
-        _jacobian(system, pattern),
-        nU + bound, c[:len(bound)], nU + system.idx_zt[slip], c[slip],
-        fr.F[slip], scale, tol, max_iter, what)
 
 
 def _start(system, x0):
@@ -562,21 +546,20 @@ def _solution(system, form, y, R, iters, resid, history):
         iterations=iters, residual=resid, residual_history=history)
 
 
-def _solve(system, form, y0, tol, max_iter, what, contact=True, warm=True):
+def _solve(system, form, y0, tol, max_iter, what, contact=True):
     """Solve a block form of system from y0 on the form's one Newton
-    pattern.  Unless warm is False or the law is linear, the solve first
-    runs the p = 2 law on the same form and pattern from y0 and starts from
-    its solution, multipliers included: at zero strain the FE tangent of a
+    pattern.  Unless the law is linear, the solve first runs the p = 2 law
+    on the same system, form and pattern from y0 and starts from its
+    solution, multipliers included: at zero strain the FE tangent of a
     p > 2 law vanishes and the first Newton matrix would be singular."""
     pattern = _newton_pattern(system.space, form.J_const)
-    if warm and system.law.p != 2.0:
-        p2 = copy.copy(system)
-        p2.law = MaterialLaw(p=2.0, mode=system.law.mode)
-        y0 = _newton(p2, form, pattern, y0, default_tolerance(p2.law), 100,
+    if system.law.p != 2.0:
+        p2 = MaterialLaw(p=2.0, mode=system.law.mode)
+        y0 = _newton(system, form, pattern, p2, y0, default_tolerance(p2), 100,
                      "p = 2 warm start", contact)[0]
     return _solution(system, form, *_newton(
-        system, form, pattern, y0, tol or default_tolerance(system.law),
-        max_iter, what, contact))
+        system, form, pattern, system.law, y0,
+        tol or default_tolerance(system.law), max_iter, what, contact))
 
 
 def solve_transmission(system, tol=None, max_iter=200):
@@ -589,9 +572,9 @@ def solve_transmission(system, tol=None, max_iter=200):
 
 def solve_contact_vi(system, tol=None, max_iter=200, x0=None):
     """Friction-contact solve by active-set Newton on the exact conditions;
-    a given start x0 replaces the p = 2 warm start."""
-    return _solve(system, system, _start(system, x0), tol, max_iter, "contact",
-                  warm=x0 is None)
+    a given start x0 (default 0) starts the p = 2 warm start, or the solve
+    itself if the law is linear."""
+    return _solve(system, system, _start(system, x0), tol, max_iter, "contact")
 
 
 def slip_fields(sol, system):

@@ -537,13 +537,14 @@ def reference_lp_residual(system, stabilized, y):
     return R
 
 
-def coo_newton_matrix(system, J0, U, fixed):
+def coo_newton_matrix(system, law, J0, U, fixed):
     """Newton matrix of a step with the rows `fixed` held: the COO constant
-    block J0 and the FE tangent at U concatenated, the fixed rows removed
-    by np.isin, their unit diagonal appended, summed by the CSC conversion."""
+    block J0 and the FE tangent of the law at U concatenated, the fixed rows
+    removed by np.isin, their unit diagonal appended, summed by the CSC
+    conversion."""
     import scipy.sparse as sp
     from febe import fem
-    Hu = fem.assemble_tangent(system.space, system.law, U).tocoo()
+    Hu = fem.assemble_tangent(system.space, law, U).tocoo()
     J = sp.coo_matrix(
         (np.concatenate([J0.data, Hu.data]),
          (np.concatenate([J0.row, Hu.row]),
@@ -570,7 +571,6 @@ def loop_refine(mesh, marked):
 
     verts = [tuple(v) for v in mesh.vertices]
     tris = [tuple(t) for t in mesh.triangles]
-    gen = list(mesh.generation)
     alive = [True] * nt
     bnd = {tuple(sorted(e)): lab
            for e, lab in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels)}
@@ -593,8 +593,8 @@ def loop_refine(mesh, marked):
         a, b, c = tris[k]
         m = mid(b, c)
         alive[k] = False
-        tris.append((m, a, b)); gen.append(gen[k] + 1); alive.append(True)
-        tris.append((m, c, a)); gen.append(gen[k] + 1); alive.append(True)
+        tris.append((m, a, b)); alive.append(True)
+        tris.append((m, c, a)); alive.append(True)
 
     queue = list(marked)
     while queue:
@@ -614,11 +614,10 @@ def loop_refine(mesh, marked):
 
     keep = [k for k in range(len(tris)) if alive[k]]
     new_tris = np.asarray([tris[k] for k in keep], dtype=np.int64)
-    new_gen = np.asarray([gen[k] for k in keep], dtype=np.int64)
     edges = sorted(bnd)
     return Mesh(np.asarray(verts, dtype=float), new_tris,
                 np.asarray(edges, dtype=np.int64), [bnd[e] for e in edges],
-                generation=new_gen, scale_factor=mesh.scale_factor)
+                scale_factor=mesh.scale_factor)
 
 
 # -- mesh text reference: the line-by-line writer that each preset and

@@ -125,12 +125,6 @@ def test_shape_regularity_bounded(unit_square):
     _assert_conforming(m)
 
 
-def test_generation_tracking(unit_square):
-    m = refine_uniform(unit_square, 2)
-    assert m.generation.max() == 2
-    assert m.generation.min() >= 1
-
-
 def test_edge_sets(unit_square):
     interior = unit_square.edge_triangles[:, 1] >= 0
     assert np.count_nonzero(interior) == 1
@@ -195,7 +189,7 @@ _REFINE_MESHES = {
 
 
 def _assert_same_mesh(m, ref):
-    for name in ("vertices", "triangles", "boundary_edges", "generation", "edges",
+    for name in ("vertices", "triangles", "boundary_edges", "edges",
                  "edge_triangles"):
         assert np.array_equal(getattr(m, name), getattr(ref, name)), name
     assert m.boundary_labels == ref.boundary_labels

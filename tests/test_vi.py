@@ -1,5 +1,5 @@
-import copy
 import dataclasses
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -325,6 +325,26 @@ def test_uniqueness_from_random_starts():
     assert d <= 10 * 1e-9 * max(1.0, np.abs(sols[0].u).max())
 
 
+@pytest.mark.parametrize("p", [1.5, 4.0])
+@pytest.mark.parametrize("case", ["scalar", "vector"])
+def test_explicit_start_runs_the_warm_start(case, p):
+    # a given start starts the p = 2 warm start: the default start given
+    # explicitly is the default solve bit for bit, and the tangent floor
+    # does not engage (a p = 4 solve from it without the warm start fails)
+    if case == "scalar":
+        sys_, _ = scalar_system("transition", p=p, slip=("b",))
+    else:
+        sys_, _ = vector_system("stick-vec", p=p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", mat.SingularTangentWarning)
+        ref = solve_contact_vi(sys_)
+        sol = solve_contact_vi(sys_, x0=np.zeros(sys_.nU + sys_.nZ))
+    for name in ("u", "z", "lam_n", "mu_t", "compat_mult"):
+        assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
+    assert sol.objective == ref.objective
+    assert sol.residual_history == ref.residual_history
+
+
 def test_vi_certificate_nonnegative():
     sys_, _ = scalar_system("transition", p=2.0, refines=1, slip=("b",))
     sol = solve_contact_vi(sys_)
@@ -586,27 +606,27 @@ def test_contact_set_found_in_few_steps(refines):
 
 
 def _solves_per_run(monkeypatch, run):
-    """Linear solves (spsolve calls) of each active-set run that run() makes."""
+    """Linear solves (spsolve calls) of each Newton run that run() makes."""
     counts = []
-    core, spsolve = vi._active_set_newton, vi.spla.spsolve
+    newton, spsolve = vi._newton, vi.spla.spsolve
 
-    def counted_core(*args, **kw):
+    def counted_newton(*args, **kw):
         counts.append(0)
-        return core(*args, **kw)
+        return newton(*args, **kw)
 
     def counted_spsolve(*args, **kw):
         counts[-1] += 1
         return spsolve(*args, **kw)
 
     with monkeypatch.context() as m:
-        m.setattr(vi, "_active_set_newton", counted_core)
+        m.setattr(vi, "_newton", counted_newton)
         m.setattr(vi.spla, "spsolve", counted_spsolve)
         run()
     return counts
 
 
 def _newton_steps(monkeypatch, system):
-    """Newton steps (linear solves) of each active-set run of a contact solve:
+    """Newton steps (linear solves) of each Newton run of a contact solve:
     [warm start, main solve] for p != 2, [main solve] for p = 2."""
     return _solves_per_run(monkeypatch, lambda: solve_contact_vi(system))
 
@@ -701,20 +721,20 @@ def test_dense_boundary_blocks_match_sparse_products(case):
 
 
 def _newton_matrix(system, J0, y, fixed=()):
-    """Newton matrix at y of the form with constant block J0, with the rows
-    `fixed` held, on the form's pattern."""
-    jacobian = vi._jacobian(system, vi._newton_pattern(system.space, J0))
-    return jacobian(y, np.asarray(fixed, dtype=int))
+    """Newton matrix at y of the form with constant block J0 under the
+    system's law, with the rows `fixed` held, on the form's pattern."""
+    return vi._newton_matrix(system, system.law, vi._newton_pattern(system.space, J0),
+                             y[:system.nU], np.asarray(fixed, dtype=int))
 
 
-def _assert_newton_matrix(J, system, J0, U, fixed):
+def _assert_newton_matrix(J, system, law, J0, U, fixed):
     """J is canonical CSC, its held rows are unit rows, and its values are
-    those of the COO construction bit for bit."""
+    those of the COO construction under the law bit for bit."""
     from conftest import coo_newton_matrix
     assert J.format == "csc"
     assert sp.csc_matrix((J.data, J.indices, J.indptr),
                          shape=J.shape).has_canonical_format
-    ref = coo_newton_matrix(system, sp.coo_matrix(J0), U, fixed)
+    ref = coo_newton_matrix(system, law, sp.coo_matrix(J0), U, fixed)
     assert np.array_equal(J.toarray(), ref.toarray())
     assert np.array_equal(J[fixed].toarray(), np.eye(J.shape[0])[fixed])
 
@@ -736,11 +756,11 @@ def test_newton_matrix_matches_coo_construction(case, form):
     y = np.concatenate([U, np.zeros(J0.shape[0] - sys_.nU)])
     bound = sys_.nU + sys_.idx_zn
     assert len(bound) == (len(sys_.idx_zt) if case == "vector" else 0)
-    jacobian = vi._jacobian(sys_, vi._newton_pattern(sys_.space, J0))
-    first = jacobian(y, bound[:0])
+    pattern = vi._newton_pattern(sys_.space, J0)
+    first = vi._newton_matrix(sys_, sys_.law, pattern, U, bound[:0])
     for fixed in (bound[:0], bound[::3], sys_.nU + sys_.idx_zt):
-        J = jacobian(y, fixed)
-        _assert_newton_matrix(J, sys_, ref0, U, fixed)
+        J = vi._newton_matrix(sys_, sys_.law, pattern, U, fixed)
+        _assert_newton_matrix(J, sys_, sys_.law, ref0, U, fixed)
         assert np.array_equal(J.indptr, first.indptr)
         assert np.array_equal(J.indices, first.indices)
 
@@ -752,7 +772,8 @@ def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
     # form's one pattern, with unit held rows and the values of the COO
     # construction bit for bit.  Under the full stick of stick-vec the
     # layer-potential form holds the same rows at every step, so its case
-    # keeps the stick-vec loads with a fifth of the friction bound.
+    # keeps the stick-vec loads with a fifth of the friction bound.  Every
+    # Newton run gets the caller's system: the warm start swaps only the law.
     if case == "transition-sp":
         sys_, _ = scalar_system("transition", p=1.5, n=4, refines=2, slip=("b",))
         solve, J0 = solve_contact_vi, sys_.J_const
@@ -762,42 +783,36 @@ def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
         sys_ = build_system(base.space.mesh, base.law, data)
         solve = solve_layerpotential_vi
         J0 = vi.LayerPotentialSystem(sys_).J_const
-    core, spsolve = vi._active_set_newton, vi.spla.spsolve
-    tangent = fem.assemble_tangent
-    runs, solved, laws = [], [], []
+    newton, newton_matrix = vi._newton, vi._newton_matrix
+    spsolve = vi.spla.spsolve
+    systems, runs, solved = [], [], []
 
-    def recording_core(y, residual, jacobian, *args, **kw):
-        steps = []
-        runs.append(steps)
+    def recording_newton(system, *args, **kw):
+        systems.append(system)
+        runs.append([])
+        return newton(system, *args, **kw)
 
-        def recording_jacobian(yv, fixed):
-            J = jacobian(yv, fixed)
-            steps.append((laws[-1], yv[:sys_.nU].copy(), fixed.copy(), J))
-            return J
-
-        return core(y, residual, recording_jacobian, *args, **kw)
-
-    def recording_tangent(space, law, U):
-        laws.append(law)
-        return tangent(space, law, U)
+    def recording_matrix(system, law, pattern, U, fixed):
+        J = newton_matrix(system, law, pattern, U, fixed)
+        runs[-1].append((law, U.copy(), fixed.copy(), J))
+        return J
 
     def recording_spsolve(A, *args, **kw):
         solved.append(A)
         return spsolve(A, *args, **kw)
 
     with monkeypatch.context() as m:
-        m.setattr(vi, "_active_set_newton", recording_core)
+        m.setattr(vi, "_newton", recording_newton)
+        m.setattr(vi, "_newton_matrix", recording_matrix)
         m.setattr(vi.spla, "spsolve", recording_spsolve)
-        m.setattr(fem, "assemble_tangent", recording_tangent)
         solve(sys_)
+    assert len(systems) == 2 and all(system is sys_ for system in systems)
     steps = [step for run in runs for step in run]
     assert [J for *_, J in steps] == solved
     assert len(runs) == 2 and len(runs[0]) >= 2
     assert len({tuple(fixed) for _, _, fixed, _ in steps}) > 1
     for law, U, fixed, J in steps:
-        system = copy.copy(sys_)
-        system.law = law
-        _assert_newton_matrix(J, system, J0, U, fixed)
+        _assert_newton_matrix(J, sys_, law, J0, U, fixed)
     assert [law.p for law, *_ in runs[0]] == [2.0] * len(runs[0])
     assert {law.p for law, *_ in runs[1]} == {1.5}
     first = steps[0][-1]
@@ -878,7 +893,7 @@ def test_block_form_residual_matches_replaced_residuals(case):
         assert form.rhs.shape == (form.J_const.shape[0],)
         for _ in range(3):
             y = rng.normal(size=form.J_const.shape[0])
-            R, ref = vi._block_residual(sys_, form, y), reference(y)
+            R, ref = vi._block_residual(sys_, form, sys_.law, y), reference(y)
             assert np.abs(R - ref).max() <= 1e-14 * np.abs(ref).max()
     x = rng.normal(size=n)
     g, ref = sys_.grad_smooth(x), reference_grad_smooth(sys_, x)
