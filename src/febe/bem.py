@@ -16,8 +16,14 @@ integral is evaluated once at the outer points of every pair and contracted
 with the outer weights; then the table is contracted with these integrals.
 Self pairs take the exact panel x panel integrals of V and Ghat, and K's
 principal value, so at their outer points only the integrals of that value
-are evaluated (Lame).  Pointwise evaluation contracts the table with the
-densities per panel first and the integrals at the points afterwards.
+are evaluated (Lame).  The operators keep these pair integrals, and an
+adaptive level hands its operators to the next one: a panel whose start and
+end points are bitwise equal to those of a previous panel is kept, the
+integrals of every pair of two kept panels are copied, and only the pairs
+with a new panel are evaluated.  If every panel is kept in its place (same
+coefficients and quad_order), the previous operators, S included, are
+reused whole.  Pointwise evaluation contracts the table with the densities
+per panel first and the integrals at the points afterwards.
 Kernels: 2D Laplace (scalar exterior field) and 2D Lame (vector exterior
 field).
 """
@@ -317,7 +323,7 @@ def _primitives(keys, bspace, src, X):
 class BoundaryOperators:
     """Dense Galerkin matrices of the exterior boundary integral operators."""
 
-    bspace: BoundarySpace
+    bspace: BoundarySpace          # once reused whole: an earlier level's, same panels
     coeffs: object                 # ExteriorCoefficients or None (Laplace)
     d: int
     V: np.ndarray                  # (dL, dL)
@@ -326,6 +332,8 @@ class BoundaryOperators:
     Mb: np.ndarray                 # (dL, dM) P0xP1 coupling
     M1: np.ndarray                 # (dM, dM) P1 boundary mass
     M0: np.ndarray = None          # (dL,) P0 mass diagonal
+    quad_order: int = 8
+    ints: np.ndarray = field(default=None, repr=False)   # pair integrals (_pair_blocks)
     _S: np.ndarray = field(default=None, repr=False)
 
     def steklov_poincare(self):
@@ -352,7 +360,7 @@ def _kernel_for(coeffs):
 def _panel_blocks(counts):
     """Slices of consecutive panels with at most _BLOCK_POINTS points in all
     (panel m has counts[m]), or with one panel."""
-    step = max(1, _BLOCK_POINTS // max(1, int(counts.max())))
+    step = max(1, _BLOCK_POINTS // max(1, int(counts.max(initial=0))))
     return [slice(s, s + step) for s in range(0, len(counts), step)]
 
 
@@ -384,17 +392,34 @@ def _self_pair_integrals(lengths):
     return {"ilog0": L2 * (1.5 - np.log(lengths)), "dy00": L2, "dy01": zero, "dy11": zero}
 
 
-def _pair_blocks(ker, bspace, quad_order):
+def _kept_panels(prev, bspace):
+    """For each panel of bspace, the index of the panel of prev whose start
+    and end points are bitwise equal to its own, or -1."""
+    keys = [np.hstack([b.A, b.B]).view("V32")[:, 0] for b in (prev, bspace)]
+    order = np.argsort(keys[0])
+    hit = order[np.minimum(np.searchsorted(keys[0], keys[1], sorter=order), len(order) - 1)]
+    return np.where(keys[0][hit] == keys[1], hit, -1)
+
+
+def _pair_blocks(ker, bspace, quad_order, reuse=None):
     """(L, L, d, d) Galerkin blocks of V, Ghat and the start/end node parts
     of K for every (row panel, source panel) pair: the kernel table
-    contracted with the pair integrals.  For Laplace the Ghat array is the
-    V array.
+    contracted with the pair integrals, which are returned last, as
+    (integral, m L + l) for row l and source m.  For Laplace the Ghat array
+    is the V array.
 
     Self pairs stay out of the blocked passes: every self outer point lies
     on the source panel, where the non-PV K integrals vanish, and the V and
     Ghat integrals are analytic (_self_pair_integrals).  Only the principal
     values (ker.self_prims, none for Laplace) are evaluated at the self
     points, in passes of their own.
+
+    reuse = (old, prev): old[l] is panel l's index on a previous boundary
+    assembled with the same kernel and quad_order (-1 for a new panel),
+    prev that boundary's pair integrals as (integral, source, row).  A
+    pair's integrals depend only on its two panels, so those of every pair
+    of two kept panels are copied, and the passes run over the pairs with a
+    new panel.
     """
     table = ker.terms(bspace.tangents, bspace.normals)
     prims, kzero = _table_integrals(ker, table)
@@ -439,8 +464,17 @@ def _pair_blocks(ker, bspace, quad_order):
     nq = n_rule[cls]
     nq[panel, panel] = 0
     ints = np.zeros((len(prims), L * L))                    # [integral, m L + l]
+    fresh = panel
+    if reuse is not None:
+        old, prev = reuse
+        kept = np.flatnonzero(old >= 0)
+        fresh = np.flatnonzero(old < 0)
+        nq[np.ix_(kept, kept)] = 0
+        ints.reshape(-1, L, L)[:, kept[:, None], kept] = prev[:, old[kept][:, None], old[kept]]
     for blk in _panel_blocks(nq.sum(axis=1)):
         pair = np.flatnonzero(nq[blk])          # non-self pairs of the block
+        if not len(pair):                       # all kept
+            continue
         n = nq[blk].ravel()[pair]
         seg = np.cumsum(n) - n                  # pair j's points start at seg[j]
         idx = np.repeat(first[cls[blk], panel].ravel()[pair] - seg, n) + np.arange(n.sum())
@@ -457,8 +491,8 @@ def _pair_blocks(ker, bspace, quad_order):
         ints[prims.index(k), panel * (L + 1)] = exact[k]
     ns = n_rule[4]
     rows = [prims.index(k) for k in ker.self_prims]
-    for blk in _panel_blocks(np.full(L, ns)) if rows else ():
-        m = panel[blk]
+    for blk in _panel_blocks(np.full(len(fresh), ns)) if rows else ():
+        m = fresh[blk]
         idx = (first[4, m][:, None] + np.arange(ns)).ravel()
         P = _table_values(ker.self_prims, (), bspace, np.repeat(m, ns), np.take(pts, idx, axis=0))
         P = np.stack([P[k] for k in ker.self_prims])
@@ -474,22 +508,37 @@ def _pair_blocks(ker, bspace, quad_order):
 
     V = contract(table["V"])
     G = V if table["G"] is table["V"] else contract(table["G"])
-    return V, G, contract(table["K0"]), contract(table["Kt"])
+    return V, G, contract(table["K0"]), contract(table["Kt"]), ints
 
 
-def assemble_operators(bspace, coeffs=None, quad_order=8):
-    """Assemble V, K, W and the mass couplings for the given exterior kernel."""
+def assemble_operators(bspace, coeffs=None, quad_order=8, previous=None):
+    """Assemble V, K, W and the mass couplings for the given exterior kernel.
+
+    previous: the BoundaryOperators of the previous adaptive level, or None.
+    If it has the same coefficients and quad_order, the pair integrals of
+    the panels kept from it (start and end points bitwise equal) are copied
+    rather than evaluated, and if every panel is kept in its place,
+    previous itself is returned.  Either way the result equals a fresh
+    assembly bit for bit.
+    """
     if not isinstance(quad_order, numbers.Integral) or quad_order < 4:
         raise ValueError("quad_order must be an integer >= 4, got %r" % (quad_order,))
     if diameter(bspace.nodes) >= 1.0:
         raise ValueError("boundary diameter >= 1: rescale the geometry first "
                          "(single-layer positivity requires capacity < 1)")
+    reuse = None
+    if previous is not None and previous.coeffs == coeffs and previous.quad_order == quad_order:
+        old = _kept_panels(previous.bspace, bspace)
+        if np.array_equal(old, np.arange(previous.bspace.n_panels)):
+            return previous
+        Lp = previous.bspace.n_panels
+        reuse = old, previous.ints.reshape(-1, Lp, Lp)
     ker = _kernel_for(coeffs)
     d = ker.d
     L = bspace.n_panels
     M = bspace.n_nodes
     lengths = bspace.lengths
-    Vfull, Gfull, K0full, Ktfull = _pair_blocks(ker, bspace, quad_order)
+    Vfull, Gfull, K0full, Ktfull, ints = _pair_blocks(ker, bspace, quad_order, reuse)
 
     # flatten to (dL, dL) / (dL, dM)
     def flat_sym(Mfull):
@@ -531,7 +580,7 @@ def assemble_operators(bspace, coeffs=None, quad_order=8):
     np.add.at(M1, (n1, n0), M0 / 6)
 
     return BoundaryOperators(bspace=bspace, coeffs=coeffs, d=d, V=V, K=Kext,
-                             W=W, Mb=Mb, M1=M1, M0=M0)
+                             W=W, Mb=Mb, M1=M1, M0=M0, quad_order=quad_order, ints=ints)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ def manufactured_from_config(cfg, mesh):
         raise ConfigError("data.preset: %s" % exc)
 
 
-def build_from_config(cfg, mesh):
+def build_from_config(cfg, mesh, previous=None):
+    """(system, manufactured data) on mesh; previous as in build_system."""
     law = law_from_config(cfg)
     man = manufactured_from_config(cfg, mesh)
     ncompat = cfg["solver.compat_constraints"]
@@ -56,7 +57,8 @@ def build_from_config(cfg, mesh):
                           exterior=exterior_from_config(cfg),
                           ncompat=ncompat,
                           bem_quad=cfg["bem.quad_order"],
-                          fem_quad=cfg["fem.quad_order"])
+                          fem_quad=cfg["fem.quad_order"],
+                          previous=previous)
     return system, man
 
 
@@ -148,7 +150,7 @@ def convergence_study(cfg, levels, mode="uniform"):
     elif mode == "adaptive":
         man = manufactured_from_config(cfg, mesh0)
         records = adapt_mod.run_adaptive(
-            mesh0, lambda m: build_from_config(cfg, m)[0],
+            mesh0, lambda m, prev: build_from_config(cfg, m, prev)[0],
             lambda s: solve_from_config(cfg, s),
             lambda s, sol: estimate_from_config(cfg, s, sol),
             theta=cfg["adapt.theta"], max_dofs=cfg["adapt.max_dofs"],

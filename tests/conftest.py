@@ -341,13 +341,11 @@ def reference_layer_potentials(bspace, coeffs, density, wcoef, X):
     return vphi, kw
 
 
-def loop_pair_blocks(ker, bspace, quad_order):
-    """(L, L, d, d) Galerkin blocks of V, Ghat, K0 and Kt from one pass per
-    source panel: its integrals at the outer points of all rows, contracted
-    into one value per row, then its kernel table contracted with them."""
-    from febe import bem
+def loop_pair_rules(bspace, quad_order):
+    """The outer rule class of every (row l, source m) pair, as [l, m]: 0
+    far, 1 near, 2 the row is the next panel, 3 the previous one, 4 self;
+    and the (points, weights) on [0, 1] of each class's rule."""
     from febe.quadrature import graded_gauss, segment_gauss
-    d = ker.d
     L = bspace.n_panels
     q = max(4, int(quad_order))
     lengths = bspace.lengths
@@ -364,6 +362,19 @@ def loop_pair_blocks(ker, bspace, quad_order):
     rules = (segment_gauss(q), segment_gauss(3 * q), (xga, wga), (1.0 - xga, wga),
              (np.concatenate([0.5 * xga, 1.0 - 0.5 * xga]),
               np.concatenate([0.5 * wga, 0.5 * wga])))
+    return pair_class, rules
+
+
+def loop_pair_blocks(ker, bspace, quad_order):
+    """(L, L, d, d) Galerkin blocks of V, Ghat, K0 and Kt from one pass per
+    source panel: its integrals at the outer points of all rows, contracted
+    into one value per row, then its kernel table contracted with them."""
+    from febe import bem
+    d = ker.d
+    L = bspace.n_panels
+    lengths = bspace.lengths
+    panel = np.arange(L)
+    pair_class, rules = loop_pair_rules(bspace, quad_order)
     pts = np.concatenate([bspace.panel_points(t).reshape(-1, 2) for t, _ in rules])
     wts = np.concatenate([(lengths[:, None] * w[None, :]).ravel() for _, w in rules])
     n_rule = np.array([len(t) for t, _ in rules])

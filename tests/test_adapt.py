@@ -56,6 +56,18 @@ def test_mark_matches_greedy_loop():
             vals[rng.random(n) < 0.1] *= -1.0
         theta = float(rng.choice([1.0, 0.5, rng.uniform(1e-3, 1.0)]))
         assert mark(vals, theta) == loop_mark(vals, theta)
+    # large arrays, up to n = 4000, mostly tie-heavy (a few distinct values,
+    # so many tie with the value that completes the marking)
+    for case in range(120):
+        n = 4000 if case % 2 else int(rng.integers(100, 4000))
+        kind = case % 4
+        if kind == 3:
+            vals = rng.exponential(size=n) ** 3
+        else:
+            vals = rng.integers(0, (2, 5, 40)[kind], size=n) * 0.1
+            vals[rng.random(n) < 0.05] *= -1.0
+        theta = float(rng.choice([1.0, 0.5, rng.uniform(1e-3, 1.0)]))
+        assert mark(vals, theta) == loop_mark(vals, theta)
     # a running sum equal to the threshold stops the marking there
     vals = np.array([0.3, 0.2, 0.5, 0.0])
     theta = 0.5 + 1e-15
@@ -67,8 +79,9 @@ def _loop(max_dofs, theta=0.5, max_levels=6):
     law = mat.MaterialLaw(p=2.0)
     mesh = load_mesh(presets.square_text(2), scale=False)
 
-    def build_fn(m):
-        return build_system(m, law, presets.scalar_quadratic(law).data)
+    def build_fn(m, previous):
+        return build_system(m, law, presets.scalar_quadratic(law).data,
+                            previous=previous)
 
     return run_adaptive(mesh, build_fn, solve_transmission,
                         estimate_sp, theta=theta, max_dofs=max_dofs,
@@ -108,10 +121,11 @@ def test_adaptive_loop_holds_one_level():
     refs = []
     alive_at_build = []
 
-    def build_fn(m):
+    def build_fn(m, previous):
         gc.collect()
         alive_at_build.append([k for k, r in enumerate(refs) if r() is not None])
-        system = build_system(m, law, presets.scalar_quadratic(law).data)
+        system = build_system(m, law, presets.scalar_quadratic(law).data,
+                              previous=previous)
         refs.append(weakref.ref(system))
         return system
 
@@ -127,8 +141,9 @@ def test_adaptive_loop_with_contact():
     law = mat.MaterialLaw(p=2.0)
     mesh = load_mesh(presets.square_text(4, slip=("b",)), scale=False)
 
-    def build_fn(m):
-        return build_system(m, law, presets.scalar_transition(law).data)
+    def build_fn(m, previous):
+        return build_system(m, law, presets.scalar_transition(law).data,
+                            previous=previous)
 
     records = run_adaptive(mesh, build_fn, solve_contact_vi,
                            estimate_sp, theta=0.5, max_dofs=400,
@@ -145,8 +160,9 @@ def test_target_eta_stops_early():
     law = mat.MaterialLaw(p=2.0)
     mesh = load_mesh(presets.square_text(2), scale=False)
 
-    def build_fn(m):
-        return build_system(m, law, presets.scalar_quadratic(law).data)
+    def build_fn(m, previous):
+        return build_system(m, law, presets.scalar_quadratic(law).data,
+                            previous=previous)
 
     recs = run_adaptive(mesh, build_fn, solve_transmission, estimate_sp,
                         theta=0.5, max_dofs=10**6, target_eta=big_eta,

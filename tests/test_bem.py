@@ -711,7 +711,8 @@ def test_contracted_assembly_matches_pointwise_blocks(monkeypatch, kernel):
                     else:
                         assert np.array_equal(new[k][s], ref[k]), (name, k)
 
-        monkeypatch.setattr(bem, "_pair_blocks", reference_pair_blocks)
+        monkeypatch.setattr(bem, "_pair_blocks",
+                            lambda *a: (*reference_pair_blocks(*a[:3]), None))
         ref_ops = bem.assemble_operators(bs, co)
         monkeypatch.undo()
         for a, b in ((ops.V, ref_ops.V), (ops.K, ref_ops.K), (ops.W, ref_ops.W),
@@ -782,3 +783,141 @@ def test_assembly_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# reuse across adaptive levels -------------------------------------------------
+
+_OPERATORS = ("V", "K", "W", "Mb", "M1", "M0", "ints")
+
+
+def _assert_same_operators(ops, fresh):
+    for name in _OPERATORS:
+        assert np.array_equal(getattr(ops, name), getattr(fresh, name)), name
+    assert np.array_equal(ops.steklov_poincare(), fresh.steklov_poincare())
+
+
+def _local_refinements(levels, seed):
+    """An L-shape and `levels` random local refinements of it: a tenth of
+    the triangles marked, on every third level only triangles without a
+    boundary edge, so that some levels keep the whole boundary."""
+    from febe.mesh import refine
+    from febe.presets import lshape_text
+    rng = np.random.default_rng(seed)
+    m = load_mesh(lshape_text(4))
+    meshes = [m]
+    for lvl in range(levels):
+        nt = len(m.triangles)
+        cand = np.arange(nt)
+        if lvl % 3 == 1:
+            cand = np.setdiff1d(cand, m.edge_triangles[m.edge_triangles[:, 1] < 0, 0])
+        m = refine(m, rng.choice(cand, size=max(1, nt // 10), replace=False))
+        meshes.append(m)
+    return meshes
+
+
+def _pair_points(bs, quad_order, pairs, lame):
+    """(source panel, point, None) rows of the outer points of the given
+    (row, source) pairs, and for Lame the self rule's points of every
+    source panel that is a self pair among them."""
+    from conftest import loop_pair_rules
+    cls, rules = loop_pair_rules(bs, quad_order)
+    out = []
+    for l, m in pairs:
+        if l != m:
+            out.append((np.full(len(rules[cls[l, m]][0]), m),
+                        bs.panel_points(rules[cls[l, m]][0], [l])[0], None))
+        elif lame:
+            out.append((np.full(len(rules[4][0]), m), bs.panel_points(rules[4][0], [m])[0], None))
+    return out
+
+
+@pytest.mark.parametrize("lame", [False, True])
+def test_reused_assembly_equals_fresh_assembly(monkeypatch, lame):
+    # over random local refinements, the operators built from the previous
+    # level's equal a fresh assembly bit for bit; a level that keeps the
+    # whole boundary returns the previous operators object; only the
+    # (source, point) pairs of the pairs with a new panel are evaluated
+    co = ExteriorCoefficients(mu=1.0, lam=1.3) if lame else None
+    calls = _count_primitives(monkeypatch)
+    prev = None
+    unchanged = partial = 0
+    for m in _local_refinements(8, seed=1):
+        bs = bem.BoundarySpace(m)
+        calls.clear()
+        ops = bem.assemble_operators(bs, co, previous=prev)
+        evaluated = calls[:]
+        fresh = bem.assemble_operators(bs, co)
+        _assert_same_operators(ops, fresh)
+        if prev is None:
+            prev = ops
+            continue
+        old = bem._kept_panels(prev.bspace, bs)
+        new = old < 0
+        if np.array_equal(old, np.arange(prev.bspace.n_panels)):
+            unchanged += 1
+            assert ops is prev and evaluated == []
+        else:
+            partial += new.any() and not new.all()
+            assert ops is not prev
+            pairs = [(l, s) for s in range(bs.n_panels) for l in range(bs.n_panels)
+                     if new[l] or new[s]]
+            assert np.array_equal(_source_point_pairs(evaluated),
+                                  _source_point_pairs(_pair_points(bs, 8, pairs, lame)))
+        prev = ops
+    assert unchanged >= 2 and partial >= 2
+
+
+@pytest.mark.parametrize("lame", [False, True])
+def test_assembly_reuses_nothing_it_cannot(monkeypatch, lame):
+    # no panel survives refine_uniform halving h; a previous assembly with other
+    # coefficients or another quad_order is ignored, and so is one of other
+    # geometry under the same vertex ids: each evaluates every pair, as a
+    # fresh assembly does, and gives the fresh operators
+    from febe.mesh import Mesh
+    from febe.presets import lshape_text
+    co = ExteriorCoefficients(mu=1.0, lam=1.3) if lame else None
+    calls = _count_primitives(monkeypatch)
+    m = load_mesh(lshape_text(4))
+    bs = bem.BoundarySpace(m)
+    fine = bem.BoundarySpace(refine_uniform(m, 2))      # halves h
+    moved = bem.BoundarySpace(Mesh(0.9 * m.vertices, m.triangles, m.boundary_edges,
+                                   m.boundary_labels))
+    assert np.array_equal(moved.loop, bs.loop)
+    assert np.all(bem._kept_panels(bs, fine) < 0)
+    other = ExteriorCoefficients(mu=1.0, lam=0.7) if lame else ExteriorCoefficients()
+    cases = [(fine, co, 8, bem.assemble_operators(bs, co)),
+             (bs, co, 8, bem.assemble_operators(bs, other)),
+             (bs, co, 12, bem.assemble_operators(bs, co)),
+             (moved, co, 8, bem.assemble_operators(bs, co))]
+    for target, coeffs, q, prev in cases:
+        calls.clear()
+        ops = bem.assemble_operators(target, coeffs, q, previous=prev)
+        evaluated = calls[:]
+        calls.clear()
+        fresh = bem.assemble_operators(target, coeffs, q)
+        assert ops is not prev
+        _assert_same_operators(ops, fresh)
+        assert np.array_equal(_source_point_pairs(evaluated), _source_point_pairs(calls))
+
+
+@pytest.mark.parametrize("lame", [False, True])
+def test_reordered_boundary_copies_every_pair(monkeypatch, lame):
+    # the same boundary, its vertices numbered in reverse, starts its loop
+    # at another panel: every panel is kept but not in its place, so every
+    # pair is copied, none evaluated, and the result is a fresh assembly
+    from febe.mesh import Mesh
+    from febe.presets import lshape_text
+    co = ExteriorCoefficients(mu=1.0, lam=1.3) if lame else None
+    m = load_mesh(lshape_text(4))
+    last = len(m.vertices) - 1
+    bs = bem.BoundarySpace(m)
+    rev = bem.BoundarySpace(Mesh(m.vertices[::-1], last - m.triangles,
+                                 last - m.boundary_edges, m.boundary_labels))
+    old = bem._kept_panels(bs, rev)
+    assert sorted(old) == list(range(bs.n_panels)) and old[0] != 0
+    prev = bem.assemble_operators(bs, co)
+    calls = _count_primitives(monkeypatch)
+    ops = bem.assemble_operators(rev, co, previous=prev)
+    assert calls == [] and ops is not prev
+    monkeypatch.undo()
+    _assert_same_operators(ops, bem.assemble_operators(rev, co))
