@@ -21,9 +21,6 @@ class AdaptiveRecord:
     iterations: int = 0
 
 
-_FIRST_CANDIDATES = 512    # values mark sorts first; up to as many, all are sorted
-
-
 def mark(values, theta):
     """Minimal greedy set of entities whose indicator sum reaches theta*total."""
     if not 0 < theta <= 1:
@@ -32,28 +29,12 @@ def mark(values, theta):
     total = values.sum()
     if total <= 0:
         return []
-    target = theta * total - 1e-15 * total
-    npos = np.count_nonzero(values > 0)
-    # the marking order is the stable descending order of the positive
-    # values.  The m largest values and their ties are a prefix of it, so
-    # stable-sorting only them gives its first entries; m grows until their
-    # running sum reaches the target, or until all positive values are in
-    m = _FIRST_CANDIDATES
-    while True:
-        if m < npos:
-            cand = np.flatnonzero(values >= -np.partition(-values, m - 1)[m - 1])
-            pos = cand[np.argsort(-values[cand], kind="stable")]
-        else:
-            pos = np.argsort(-values, kind="stable")[:npos]
-        # cumsum adds in marking order, so acc[k] is the running sum after k + 1
-        acc = np.cumsum(values[pos])
-        k = np.searchsorted(acc, target)
-        if k < len(acc) or m >= npos:
-            return pos[:k + 1].tolist()
-        # no value left out exceeds the last one sorted, so at least `need`
-        # values are marked; ask for a quarter more, and at least twice m
-        need = len(pos) + (target - acc[-1]) / values[pos[-1]]
-        m = max(2 * m, int(1.25 * need) + 1) if need < npos else npos
+    order = np.argsort(-values, kind="stable")
+    pos = order[:np.count_nonzero(values > 0)]
+    # cumsum adds in marking order, so acc[k] is the running sum after k + 1
+    acc = np.cumsum(values[pos])
+    k = np.searchsorted(acc, theta * total - 1e-15 * total)
+    return pos[:k + 1].tolist()
 
 
 def run_adaptive(mesh, build_fn, solve_fn, estimate_fn,

@@ -331,9 +331,9 @@ class BoundaryOperators:
     W: np.ndarray                  # (dM, dM)
     Mb: np.ndarray                 # (dL, dM) P0xP1 coupling
     M1: np.ndarray                 # (dM, dM) P1 boundary mass
-    M0: np.ndarray = None          # (dL,) P0 mass diagonal
-    quad_order: int = 8
-    ints: np.ndarray = field(default=None, repr=False)   # pair integrals (_pair_blocks)
+    M0: np.ndarray                 # (dL,) P0 mass diagonal
+    quad_order: int
+    ints: np.ndarray = field(repr=False)   # pair integrals (_pair_blocks)
     _S: np.ndarray = field(default=None, repr=False)
 
     def steklov_poincare(self):

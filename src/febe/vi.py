@@ -141,7 +141,8 @@ class CoupledSystem:
         # trace map: boundary P1 dof (k, c) -> interior dof
         rows = np.arange(M * d)
         cols = np.repeat(bspace.loop, d) * d + np.tile(np.arange(d), M)
-        self.Tr = _csr(rows, cols, np.ones(M * d), (M * d, self.nU))
+        self.Tr = sp.csr_matrix((np.ones(M * d), (rows, cols)),
+                                shape=(M * d, self.nU))
 
         # slip structure
         self.slip_nodes = bspace.slip_nodes()
@@ -164,14 +165,16 @@ class CoupledSystem:
         srows = (d * self.slip_nodes)[:, None, None] + np.arange(d)[None, :, None]
         scols = (d * np.arange(ns))[:, None, None] + np.arange(d)[None, None, :]
         srows, scols = (a.ravel() for a in np.broadcast_arrays(srows, scols))
-        self.Es = _csr(srows, scols, frame.ravel(), (M * d, self.nZ))
+        self.Es = sp.csr_matrix((frame.ravel(), (srows, scols)),
+                                shape=(M * d, self.nZ))
         self.node_normals = nrm
         # B = [Tr, Es] maps x = (U, Z) to the boundary trace w; its columns
         # bcols (the trace dofs of the loop, then every Z dof) hold all its
         # entries, and B[:, bcols] = [I, Es]
-        self.B = _csr(np.concatenate([rows, srows]), np.concatenate([cols, self.nU + scols]),
-                      np.concatenate([np.ones(M * d), frame.ravel()]),
-                      (M * d, self.nU + self.nZ))
+        self.B = sp.csr_matrix(
+            (np.concatenate([np.ones(M * d), frame.ravel()]),
+             (np.concatenate([rows, srows]), np.concatenate([cols, self.nU + scols]))),
+            shape=(M * d, self.nU + self.nZ))
         self.bcols = np.concatenate([cols, self.nU + np.arange(self.nZ)])
 
         # data vectors; u0/t0/friction accept callables or nodal/panel arrays;
@@ -328,16 +331,6 @@ class CoupledSystem:
         Cb = self.C[:, self.bcols]
         block = np.block([[self.bd_sandwich(self.S), Cb.T], [Cb, np.zeros((m, m))]])
         return _embed(block, np.concatenate([self.bcols, n + np.arange(m)]), n + m)
-
-
-def _csr(rows, cols, vals, shape):
-    """The canonical CSR matrix of distinct entries whose columns ascend
-    within each row in the given order: the arrays a COO conversion gives,
-    built without its sort."""
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
 
 
 def _embed(block, idx, n):
