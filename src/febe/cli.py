@@ -110,6 +110,12 @@ def cmd_export(args):
     return 0
 
 
+def _positive_int(text):
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return int(text)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="febe",
                                  description="FE-BE coupled contact solver")
@@ -122,7 +128,7 @@ def main(argv=None):
     p = sub.add_parser("study", help="convergence study")
     p.add_argument("--config", required=True)
     p.add_argument("--mesh", default="")
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--levels", type=_positive_int, default=4)
     p.add_argument("--mode", choices=("uniform", "adaptive"), default="uniform")
     p.set_defaults(fn=cmd_study)
     p = sub.add_parser("oracle", help="compare against the enumeration oracle")

@@ -65,63 +65,12 @@ class FESpace:
 
     @cached_property
     def tangent_pattern(self):
-        """Canonical CSC structure (indptr, indices) of the tangent, and the
-        slot in its data of each element entry, flat in the local row-major
-        order of the (nt, k, k) element matrices.
-
-        The structure is the vertex graph (every mesh edge both ways, and
-        the diagonal) times a full ncomp x ncomp block, in the index type
-        scipy.sparse picks for this size, exact zeros included.  Column v of
-        the vertex graph lists the neighbours a < v (the edges (a, v),
-        ordered by a), v itself, then the neighbours c > v (the edges
-        (v, c), consecutive in the lexicographic edge table); dof column
-        (v, j) walks it with ncomp rows per vertex.
-        """
-        mesh, nc = self.mesh, self.ncomp
-        nv, (a, b) = len(mesh.vertices), mesh.edges.T
-        ne = len(a)
-        below = np.bincount(b, minlength=nv)
-        above = np.bincount(a, minlength=nv)
-        size = below + 1 + above
-        vptr = np.concatenate([[0], np.cumsum(size)])
-        # vertex-graph position of the diagonal and of (a, b) and (b, a)
-        # for each edge (a, b): the edges (a, .) are rows cumsum(above)[a - 1]
-        # on, and a stable sort by b lists the edges (., b) in the order of a
-        diag = vptr[:-1] + below
-        upper = (diag + 1 - np.cumsum(above) + above)[a] + np.arange(ne)
-        by_b = np.argsort(b, kind="stable")
-        lower = np.empty(ne, dtype=np.int64)
-        lower[by_b] = (vptr[:-1] - np.cumsum(below) + below)[b[by_b]] + np.arange(ne)
-        rows = np.empty(vptr[-1], dtype=np.int64)
-        rows[diag], rows[lower], rows[upper] = np.arange(nv), a, b
-
-        # position of element pair (i, j): (i, i + 1) and (i + 1, i) lie on
-        # triangle edge i
-        t = mesh.triangles
-        i, j = [0, 1, 2], [1, 2, 0]
-        flip = t > t[:, j]
-        lo, up = lower[mesh.triangle_edges], upper[mesh.triangle_edges]
-        pos = np.empty((len(t), 3, 3), dtype=np.int64)
-        pos[:, i, j] = np.where(flip, up, lo)
-        pos[:, j, i] = np.where(flip, lo, up)
-        pos[:, i, i] = diag[t]
-
-        # dof (v, c) = nc v + c: vertex column v becomes nc dof columns of
-        # nc size[v] entries each, and coupling (ci, cj) of vertex position p
-        # in it lies at first[p] + cj step[p] + ci
-        step = nc * np.repeat(size, size)
-        first = nc * (np.arange(vptr[-1]) + (nc - 1) * np.repeat(vptr[:-1], size))
-        itype = np.int32 if nc * nc * vptr[-1] <= np.iinfo(np.int32).max else np.int64
-        indices = np.empty(nc * nc * vptr[-1], dtype=itype)
-        slot = np.empty((len(t), 3, nc, 3, nc), dtype=np.intp)
-        first_e, step_e = first[pos], step[pos]
-        for ci in range(nc):
-            for cj in range(nc):
-                indices[first + cj * step + ci] = nc * rows + ci
-                slot[:, :, ci, :, cj] = first_e + (cj * step_e + ci)
-        indptr = nc * np.append(nc * vptr[:-1, None] + np.arange(nc) * size[:, None],
-                                nc * vptr[-1]).astype(itype)
-        return indptr, indices, slot.ravel()
+        """csc_structure of the element dof pairs of local_dofs: the
+        tangent's canonical CSC structure, the vertex graph times a full
+        ncomp x ncomp block with exact zeros stored, and the slot of each
+        entry of the (nt, k, k) element matrices, flat in row-major order."""
+        dofs = self.local_dofs
+        return csc_structure(dofs[:, :, None], dofs[:, None, :], self.ndof)
 
     @cached_property
     def local_dofs(self):
@@ -149,6 +98,28 @@ class FESpace:
     def interpolate(self, fn):
         """Nodal interpolation of a callable fn(points)->(n,) or (n,2)."""
         return np.asarray(fn(self.mesh.vertices), dtype=float).reshape(-1)
+
+
+def csc_structure(rows, cols, n):
+    """Canonical CSC structure (indptr, indices) of the n x n matrix with
+    entries at (rows, cols), duplicates merged, in the index type scipy
+    picks, and the slot in its data of each entry of rows and cols
+    broadcast together, in row-major order: one stable argsort of the keys
+    col * n + row (int32 when n (n + 1) fits)."""
+    ktype = np.int32 if n * (n + 1) <= np.iinfo(np.int32).max else np.int64
+    keys = (np.asarray(cols, dtype=ktype) * n + np.asarray(rows, dtype=ktype)).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys = keys[new]
+    rank = np.cumsum(new)
+    rank -= 1
+    slot = np.empty_like(rank)
+    slot[order] = rank
+    itype = np.int32 if max(len(keys), n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(keys, np.arange(0, (n + 1) * n, n, dtype=ktype))
+    return indptr.astype(itype), (keys % n).astype(itype), slot
 
 
 def assemble_residual(space, law, coeffs):

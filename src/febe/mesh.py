@@ -343,6 +343,14 @@ def _assign_peaks(vertices, triangles):
     return np.take_along_axis(triangles, cols, axis=1)
 
 
+def _numbers(tokens, dtype, what):
+    """The tokens as an array of dtype, or a MeshError that names `what`."""
+    try:
+        return np.asarray(tokens, dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        raise MeshError("%s: %s" % (what, exc)) from None
+
+
 def load_mesh(text, scale=True):
     """Parse the plain-text format: 'nv nt nb' header, vertices, triangles, labeled edges.
 
@@ -354,15 +362,17 @@ def load_mesh(text, scale=True):
     tok = text.split()
     if len(tok) < 3:
         raise MeshError("truncated mesh file")
-    nv, nt, nb = int(tok[0]), int(tok[1]), int(tok[2])
+    nv, nt, nb = _numbers(tok[:3], np.int64, "header 'nv nt nb'").tolist()
+    if min(nv, nt, nb) < 0:
+        raise MeshError("negative count in header '%d %d %d'" % (nv, nt, nb))
     need = 3 + 2 * nv + 3 * nt + 3 * nb
     if len(tok) < need:
         raise MeshError("truncated mesh file")
     body = tok[3:need]
-    verts = np.asarray(body[:2 * nv], dtype=float).reshape(nv, 2)
-    tris = np.asarray(body[2 * nv:2 * nv + 3 * nt], dtype=np.int64).reshape(nt, 3)
+    verts = _numbers(body[:2 * nv], float, "vertex coordinates").reshape(nv, 2)
+    tris = _numbers(body[2 * nv:2 * nv + 3 * nt], np.int64, "triangle ids").reshape(nt, 3)
     labeled = np.asarray(body[2 * nv + 3 * nt:], dtype=str).reshape(nb, 3)
-    edges = labeled[:, :2].astype(np.int64)
+    edges = _numbers(labeled[:, :2].tolist(), np.int64, "boundary edge ids").reshape(nb, 2)
     labels = np.char.upper(labeled[:, 2]).tolist()
     # both index the vertices below, before Mesh validates them
     for ids, what in ((tris, "triangle"), (edges, "boundary edge")):

@@ -42,20 +42,20 @@ zeros are not stored, so the sparsity patterns are those of the sparse
 products.
 
 Every Newton matrix of one solve of a form is stored on one canonical CSC
-pattern, built once per solve: the union of J_const's entries, the FE
-tangent's structure (exact zeros included) and the diagonal.  One driver
-(_solve) runs both forms: unless the law is linear, it first runs the
-Newton loop with the p = 2 law on the same system, form and pattern from
-the given start and starts from that solution, multipliers and density
-included.  Per Newton step
-only the FE tangent changes: each step copies J_const's values on the
-pattern, adds the tangent's data at its slots, zeroes the held rows by a
-row mask and sets their diagonal slot to 1, with no sparse conversion or
-add, so SuperLU orders the same graph at every step.  It factors each
-matrix with the symmetric minimum-degree ordering on A^T + A.  SuperLU
-does not raise on an exactly singular matrix; it warns and returns NaN,
-and the solver raises SolverError, as it does when the line search cannot
-decrease the residual or the steps run out.
+pattern, built once per solve by fem.csc_structure: the union of J_const's
+entries, the FE tangent's structure (exact zeros included) and the
+diagonal.  One driver (_solve) runs both forms: unless the law is linear,
+it first runs the Newton loop with the p = 2 law on the same system, form
+and pattern from the given start and starts from that solution,
+multipliers and density included.  Per Newton step only the FE tangent
+changes: each step copies J_const's values on the pattern, adds the
+tangent's data at its slots, zeroes the held rows by a row mask and sets
+their diagonal slot to 1, with no sparse conversion or add, so SuperLU
+orders the same graph at every step.  It factors each matrix with the
+symmetric minimum-degree ordering on A^T + A.  SuperLU does not raise on
+an exactly singular matrix; it warns and returns NaN, and the solver
+raises SolverError, as it does when the line search cannot decrease the
+residual or the steps run out.
 """
 
 from __future__ import annotations
@@ -368,37 +368,20 @@ def _block_residual(system, form, law, y):
 
 def _newton_pattern(space, J0):
     """Canonical CSC pattern (indptr, indices) of every Newton matrix of a
-    form with constant block J0 (canonical CSC): the union of J0's entries,
-    the structure of the FE tangent on the leading nU x nU block and the
-    diagonal.  Also returns J0's values on it (zero elsewhere) and the
-    slots of the tangent's entries and of the diagonal.
-
-    The keys col * n + row of the three column-major walks form three
-    sorted runs, which a stable sort merges."""
+    form with constant block J0 (canonical CSC): fem.csc_structure of the
+    union of J0's entries, the structure of the FE tangent on the leading
+    nU x nU block and the diagonal.  Also returns J0's values on it (zero
+    elsewhere) and the slots of the tangent's entries and of the diagonal."""
     n = J0.shape[0]
     hptr, hind, _ = space.tangent_pattern
-    ktype = np.int32 if n * (n + 1) <= np.iinfo(np.int32).max else np.int64
-    col_keys = lambda indptr, m: np.repeat(np.arange(0, m * n, n, dtype=ktype),
-                                           np.diff(indptr))
-    keys = np.concatenate([col_keys(J0.indptr, n) + J0.indices,
-                           col_keys(hptr, space.ndof) + hind,
-                           np.arange(0, n * (n + 1), n + 1, dtype=ktype)])
-    itype = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    rank = np.cumsum(new, dtype=itype)
-    rank -= 1
-    slot = np.empty_like(rank)
-    slot[order] = rank
-    keys = keys[new]
-    indptr = np.searchsorted(keys, np.arange(0, (n + 1) * n, n, dtype=ktype))
-    base = np.zeros(len(keys))
+    col_index = lambda indptr: np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    diag = np.arange(n)
+    indptr, indices, slot = fem.csc_structure(
+        np.concatenate([J0.indices, hind, diag]),
+        np.concatenate([col_index(J0.indptr), col_index(hptr), diag]), n)
+    base = np.zeros(len(indices))
     base[slot[:J0.nnz]] = J0.data
-    return (indptr.astype(itype), (keys % n).astype(itype), base,
-            slot[J0.nnz:-n].astype(np.intp), slot[-n:].astype(np.intp))
+    return indptr, indices, base, slot[J0.nnz:-n], slot[-n:]
 
 
 def _newton_matrix(system, law, pattern, U, fixed):

@@ -224,6 +224,25 @@ def test_exported_friction_stress_within_bound(tmp_path, capsys):
     assert np.abs(fields["sigma_t"]).max() <= 0.05 * (1 + 1e-8)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("1 0\n", "1 zero\n", "mesh error: vertex coordinates: "
+                          "could not convert string to float: 'zero'\n"),
+    ("4 2 4", "3 1 x", "mesh error: header 'nv nt nb': "
+                       "invalid literal for int() with base 10: 'x'\n"),
+    ("4 2 4", "-1 0 0", "mesh error: negative count in header '-1 0 0'\n"),
+])
+def test_unreadable_mesh_file_exit_code(tmp_path, capsys, old, new, message):
+    text = "4 2 4\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n0 1 T\n1 2 T\n2 3 T\n3 0 T\n"
+    meshfile = tmp_path / "bad.txt"
+    meshfile.write_text(text.replace(old, new, 1))
+    cfg = write_cfg(tmp_path, "out.dir = %s\n" % (tmp_path / "out"))
+    assert main(["solve", "--config", cfg, "--mesh", str(meshfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert "Traceback" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_study_single_level(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "out.dir = %s\n" % (tmp_path / "out_study"))
     assert main(["study", "--config", cfg, "--levels", "1"]) == 0
@@ -231,6 +250,24 @@ def test_study_single_level(tmp_path, capsys):
     lines = table.strip().split("\n")
     assert len(lines) == 2                 # header + one row
     assert lines[1].split(",")[-1] == "nan"
+
+
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_study_rejects_levels_below_one(tmp_path, capsys, monkeypatch, levels):
+    from febe import study
+
+    def build(*args, **kw):
+        raise AssertionError("a study with no levels built a system")
+
+    monkeypatch.setattr(study, "build_system", build)
+    cfg = write_cfg(tmp_path, "out.dir = %s\n" % (tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--config", cfg, "--levels", levels])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("argument --levels: expected an integer >= 1, got '%s'\n"
+                        % levels)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["uniform", "adaptive"])

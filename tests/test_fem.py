@@ -153,10 +153,49 @@ def test_tangent_directional_derivative(unit_square):
         block.sort_indices()
         assert np.array_equal(M.indptr, block.indptr)
         assert np.array_equal(M.indices, block.indices)
+        indptr, indices, slot = space.tangent_pattern
+        assert indptr.dtype == indices.dtype == block.indptr.dtype == np.int32
+        assert slot.dtype == np.intp
         for sign in (1.0, -1.0):
             M = fem.assemble_tangent(space, law, sign * u)
             assert np.array_equal(M.toarray(),
                                   _tangent_per_call(space, law, sign * u).toarray())
+
+
+@pytest.mark.parametrize("n, nnz", [(1, 3), (7, 0), (7, 40), (60, 500), (300, 200)])
+def test_csc_structure_matches_scipy(n, nnz):
+    # duplicates and empty columns: the structure of scipy's COO -> CSC
+    # conversion, and the slots sum each entry's weight into its place
+    rng = np.random.default_rng(n + nnz)
+    rows, cols = rng.integers(0, n, size=(2, nnz))
+    w = rng.integers(-5, 6, size=nnz)
+    indptr, indices, slot = fem.csc_structure(rows, cols, n)
+    ref = sp.coo_matrix((w, (rows, cols)), shape=(n, n)).tocsc()
+    ref.sort_indices()
+    assert indptr.dtype == indices.dtype == ref.indptr.dtype == ref.indices.dtype
+    assert np.array_equal(indptr, ref.indptr)
+    assert np.array_equal(indices, ref.indices)
+    assert slot.dtype == np.intp and slot.shape == (nnz,)
+    assert np.array_equal(np.bincount(slot, w, minlength=len(indices)), ref.data)
+    A = sp.csc_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    assert A.has_canonical_format
+
+
+def test_csc_structure_int64_keys_int32_indices():
+    # n (n + 1) > 2^31 - 1: the keys col * n + row need int64, the indices not
+    n = 50000
+    assert n * (n + 1) > np.iinfo(np.int32).max
+    rows = np.array([n - 1, 0, n - 1, 12345, n - 1, 0])
+    cols = np.array([n - 1, n - 1, 0, 40000, n - 1, 0])
+    indptr, indices, slot = fem.csc_structure(rows, cols, n)
+    ref = sp.coo_matrix((np.arange(1, 7), (rows, cols)), shape=(n, n)).tocsc()
+    ref.sort_indices()
+    assert indptr.dtype == indices.dtype == np.int32
+    assert np.array_equal(indptr, ref.indptr)
+    assert np.array_equal(indices, ref.indices)
+    assert np.array_equal(indices, [0, n - 1, 12345, 0, n - 1])
+    assert np.array_equal(slot, [4, 3, 1, 2, 4, 0])
+    assert np.array_equal(np.bincount(slot, np.arange(1, 7)), ref.data)
 
 
 def test_tangent_p2_independent_of_state(unit_square):

@@ -34,6 +34,27 @@ def test_boundary_edge_vertex_out_of_range():
         load_mesh(bad)
 
 
+@pytest.mark.parametrize("old, new, match", [
+    ("4 2 4", "3 1 x", "header 'nv nt nb'"),
+    ("4 2 4", "4.0 2 4", "header 'nv nt nb'"),
+    ("1.0 1.0", "zero 1.0", "vertex coordinates: .*'zero'"),
+    ("0 2 3\n", "0 2 3.5\n", "triangle ids: .*'3.5'"),
+    ("2 3 T", "2 x T", "boundary edge ids: .*'x'"),
+    ("0 1 2\n", "0 1 99999999999999999999\n", "triangle ids"),
+])
+def test_non_numeric_token_rejected(old, new, match):
+    text = square_mesh_text()
+    assert old in text
+    with pytest.raises(MeshError, match=match):
+        load_mesh(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("header", ["-1 0 0", "4 -2 4", "4 2 -4"])
+def test_negative_count_rejected(header):
+    with pytest.raises(MeshError, match="negative count in header '%s'" % header):
+        load_mesh(square_mesh_text().replace("4 2 4", header, 1))
+
+
 def test_unlabeled_boundary_edge_rejected():
     lines = square_mesh_text().split("\n")
     lines[0] = "4 2 3"
