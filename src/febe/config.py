@@ -64,10 +64,10 @@ class RunConfig:
             raise ConfigError("exterior.mu must be positive")
         if not v["exterior.lambda"] > -v["exterior.mu"]:
             raise ConfigError("exterior.lambda must exceed -exterior.mu")
-        if v["mesh.path"] and not os.path.exists(v["mesh.path"]):
-            raise ConfigError("mesh.path does not exist: %s" % v["mesh.path"])
-        if v["data.file"] and not os.path.exists(v["data.file"]):
-            raise ConfigError("data.file does not exist: %s" % v["data.file"])
+        for key in ("mesh.path", "data.file"):
+            if v[key] and not os.path.isfile(v[key]):
+                raise ConfigError("%s is not an existing regular file: %s"
+                                  % (key, v[key]))
         if not v["mesh.path"]:
             from .presets import MESH_PRESETS
             if v["mesh.preset"] not in MESH_PRESETS:
@@ -150,8 +150,15 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """The RunConfig of the file at path; a file that cannot be read is a
+    ConfigError naming the path."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError("cannot read config file %s: %s"
+                          % (path, exc.strerror)) from None
+    return parse_config(text)
 
 
 def load_data_file(path, bspace, ncomp):

@@ -37,9 +37,10 @@ def _edge_key(a, b, n):
 class Mesh:
     """Immutable conforming triangulation of a polygonal domain.
 
-    The constructor checks the topology, the labels and the boundary loop.
-    It does not scan for hanging nodes: load_mesh does that for input
-    meshes, and refine's bisection with closure makes none.
+    The constructor checks the topology (every vertex lies in a triangle),
+    the labels and the boundary loop.  It does not scan for hanging nodes:
+    load_mesh does that for input meshes, and refine's bisection with
+    closure makes none.
 
     vertices       (nv, 2) float array
     triangles      (nt, 3) int array, peak-first ordering, CCW
@@ -110,6 +111,9 @@ class Mesh:
         be = self.boundary_edges
         if be.size and (be.min() < 0 or be.max() >= len(self.vertices)):
             raise MeshError("boundary edge references vertex index out of range")
+        unused = np.bincount(self.triangles.ravel(), minlength=len(self.vertices)) == 0
+        if np.any(unused):
+            raise MeshError("vertex %d lies in no triangle" % np.argmax(unused))
         areas = triangle_areas(self)
         if np.any(areas <= 0):
             raise MeshError("degenerate (zero-area) triangle")

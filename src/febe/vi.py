@@ -31,15 +31,16 @@ a solution are the solved residual rows of the v_n and Z_t coordinates, for
 both formulations, and the KKT report and the field export read the same
 nodal stresses from them (slip_fields).
 
-The exterior problem enters only through the boundary columns bcols: the
-trace dofs of the boundary loop, then every Z dof.  The trace map
-B = [Tr, Es] has all its entries there, and Bd = B[:, bcols] = [I, Es].
+The exterior problem enters only through the trace map B, which takes
+x = (U, Z) to the boundary trace w: the trace of U plus the slip jump of Z.
+Its columns bcols, the trace dofs of the boundary loop and then every Z
+dof, hold all its entries, and the system stores Bd = B[:, bcols] once.
 J_const is built once per system, in canonical CSC form, from one dense
-block on bcols and the multiplier or density dofs, rounded as the sparse
-products with B were: B^T S B and C = Cw B, or
+block on bcols and the multiplier or density dofs, each a product with
+Bd: (Bd^T S) Bd and C = (D^T S) Bd for the compatibility directions D, or
 [[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] plus the stabilization.  Its exact
 zeros are not stored, so the sparsity patterns are those of the sparse
-products.
+products with B.
 
 Every Newton matrix of one solve of a form is stored on one canonical CSC
 pattern, built once per solve by fem.csc_structure: the union of J_const's
@@ -114,13 +115,14 @@ class DiscreteSolution:
 class CoupledSystem:
     """Discrete energy J_h + lumped friction over (U, Z) with S_h coupling.
 
-    B = [Tr, Es] maps x = (U, Z) to the boundary trace w.  The system is the
-    Steklov-Poincare block form (J_const, rhs) over y = (U, Z, lam): the
-    bordered block J_const = [[B^T S B, C^T], [C, 0]], canonical CSC, and
+    B maps x = (U, Z) to the boundary trace w, and Bd = B[:, bcols] is its
+    block on the boundary columns.  The system is the Steklov-Poincare
+    block form (J_const, rhs) over y = (U, Z, lam): the bordered block
+    J_const = [[B^T S B, C^T], [C, 0]], canonical CSC, and
     rhs = (b_f + B^T gb, c0) with gb = t0 moments + S u0.  The compatibility
-    rows C = Cw B and B^T S B come from dense blocks on the boundary columns
-    bcols (times_bd, bd_sandwich); no dense block is kept on the system.
-    Problem data that is not finite is a ConfigError.
+    rows C = Cw B and B^T S B come from dense products with Bd on bcols;
+    no dense block is kept on the system.  Problem data that is not finite
+    is a ConfigError.
     """
 
     def __init__(self, space, bspace, ops, law, data, ncompat=None,
@@ -138,12 +140,6 @@ class CoupledSystem:
         M = bspace.n_nodes
         d = self.d
         self.nU = space.ndof
-        # trace map: boundary P1 dof (k, c) -> interior dof
-        rows = np.arange(M * d)
-        cols = np.repeat(bspace.loop, d) * d + np.tile(np.arange(d), M)
-        self.Tr = sp.csr_matrix((np.ones(M * d), (rows, cols)),
-                                shape=(M * d, self.nU))
-
         # slip structure
         self.slip_nodes = bspace.slip_nodes()
         ns = len(self.slip_nodes)
@@ -154,28 +150,27 @@ class CoupledSystem:
         else:
             self.idx_zn = 2 * np.arange(ns)
             self.idx_zt = 2 * np.arange(ns) + 1
-        # Es maps Z to the slip jump: v_k = Z_j (d=1), v_k = nu_k Z_n + tau_k Z_t
-        nrm = bspace.node_normals()
+        self.node_normals = nrm = bspace.node_normals()
         if d == 1:
             frame = np.ones((ns, 1, 1))
         else:
             nu = nrm[self.slip_nodes]
             frame = np.stack([nu, np.column_stack([-nu[:, 1], nu[:, 0]])], axis=2)
-        self.slip_frames = frame
+        # B maps x = (U, Z) to w: boundary dof (k, c) takes interior dof
+        # (loop[k], c) plus, at slip node k, Z_j (d=1) or nu_k Z_n + tau_k Z_t;
+        # its columns bcols (the loop's trace dofs, then every Z dof) hold
+        # all its entries
+        rows = np.arange(M * d)
+        cols = np.repeat(bspace.loop, d) * d + np.tile(np.arange(d), M)
         srows = (d * self.slip_nodes)[:, None, None] + np.arange(d)[None, :, None]
         scols = (d * np.arange(ns))[:, None, None] + np.arange(d)[None, None, :]
         srows, scols = (a.ravel() for a in np.broadcast_arrays(srows, scols))
-        self.Es = sp.csr_matrix((frame.ravel(), (srows, scols)),
-                                shape=(M * d, self.nZ))
-        self.node_normals = nrm
-        # B = [Tr, Es] maps x = (U, Z) to the boundary trace w; its columns
-        # bcols (the trace dofs of the loop, then every Z dof) hold all its
-        # entries, and B[:, bcols] = [I, Es]
         self.B = sp.csr_matrix(
             (np.concatenate([np.ones(M * d), frame.ravel()]),
              (np.concatenate([rows, srows]), np.concatenate([cols, self.nU + scols]))),
             shape=(M * d, self.nU + self.nZ))
         self.bcols = np.concatenate([cols, self.nU + np.arange(self.nZ)])
+        self.Bd = self.B[:, self.bcols]
 
         # data vectors; u0/t0/friction accept callables or nodal/panel arrays;
         # data that is not finite is reported by the check below, not by numpy
@@ -212,32 +207,13 @@ class CoupledSystem:
         # the right-hand side of the block form over y = (U, Z, lam)
         n = self.nU + self.nZ
         self.C = np.zeros((self.ncompat, n))
-        self.C[:, self.bcols] = self.times_bd(self.compat_dirs.T @ self.S)
+        self.C[:, self.bcols] = self.compat_dirs.T @ self.S @ self.Bd
         self.rhs = np.concatenate([self.b_f, np.zeros(self.nZ), self.c0])
         self.rhs[:n] += self.B.T @ self.gb
 
         self.compat_data_residual = self._data_compat_residual()
 
     # -- assembly helpers ---------------------------------------------------
-
-    def times_bd(self, X):
-        """X B[:, bcols] for a dense X over the boundary P1 dofs: X itself
-        on the trace columns, and on Z column (j, b) the sum over a of
-        X[:, d s_j + a] frame_j[a, b], one rounding per product as in the
-        sparse product X B."""
-        d, frame = self.d, self.slip_frames
-        Xa = [X[:, d * self.slip_nodes + a] for a in range(d)]
-        XE = np.empty((len(X), len(frame), d))
-        for b in range(d):
-            XE[:, :, b] = Xa[0] * frame[:, 0, b]
-            for a in range(1, d):
-                XE[:, :, b] += Xa[a] * frame[:, a, b]
-        return np.hstack([X, XE.reshape(len(X), self.nZ)])
-
-    def bd_sandwich(self, X):
-        """B[:, bcols]^T X B[:, bcols], rounded as the sparse product
-        (B^T X) B."""
-        return self.times_bd(self.times_bd(X.T).T)
 
     def _boundary_moments(self, t0):
         """P1 moments of a traction given as panel values (L, d), which the
@@ -329,7 +305,8 @@ class CoupledSystem:
         [[B^T S B, C^T], [C, 0]].  Each Newton step adds the FE tangent."""
         n, m = self.nU + self.nZ, self.ncompat
         Cb = self.C[:, self.bcols]
-        block = np.block([[self.bd_sandwich(self.S), Cb.T], [Cb, np.zeros((m, m))]])
+        H = self.Bd.T @ self.S @ self.Bd     # left to right: the (B^T S) B rounding
+        block = np.block([[H, Cb.T], [Cb, np.zeros((m, m))]])
         return _embed(block, np.concatenate([self.bcols, n + np.arange(m)]), n + m)
 
 
@@ -522,7 +499,7 @@ def _solution(system, form, y, R, iters, resid, history):
         compat_residual = (float(np.abs(form.compat_rows @ phi).max())
                            if system.ncompat else 0.0)
     return DiscreteSolution(
-        u=y[:nU], z=Z, v=system.Es @ Z, w=system.B @ x, phi=phi,
+        u=y[:nU], z=Z, v=system.B[:, nU:] @ Z, w=system.B @ x, phi=phi,
         lam_n=-R[nU + system.idx_zn] + 0.0, mu_t=-R[nU + system.idx_zt],
         compat_mult=compat_mult, compat_residual=compat_residual,
         objective=system.objective(x),
@@ -643,7 +620,8 @@ class LayerPotentialSystem:
     The form (J_const, rhs) acts on y = (U, Z, P).  J_const, in canonical
     CSC form, holds one dense block over the boundary columns bcols and the
     density dofs, [[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] with T = Mb - K and
-    Bd = B[:, bcols], plus Atil^T Atil when stabilized;
+    the system's Bd = B[:, bcols], plus Atil^T Atil with Atil = [A_w Bd,
+    A_phi] when stabilized;
     rhs = (b_f + B^T (W u0 + t0 moments + A_w^T c), T u0 + A_phi^T c) with
     the stabilization rows A = [A_w, A_phi] and c = A_w u0 (zero when not
     stabilized).
@@ -661,8 +639,9 @@ class LayerPotentialSystem:
         self.compat_rows = (ops.M0[:, None] * p0).T
         # the constant block, dense on the boundary columns bcols and the
         # density dofs, and the data of the trace and density rows
-        TB = system.times_bd(T)
-        J = np.block([[system.bd_sandwich(ops.W), -TB.T], [TB, ops.V]])
+        Bd = system.Bd
+        TB = T @ Bd
+        J = np.block([[Bd.T @ ops.W @ Bd, -TB.T], [TB, ops.V]])
         rb = ops.W @ system.U0 + system.t0b
         rp = T @ system.U0
         if self.stabilized:
@@ -673,7 +652,7 @@ class LayerPotentialSystem:
             rp += A[:, dM:].T @ stab_c
             # Atil^T Atil summed over the D rows in order, as the sparse
             # product rounds it
-            Atil = np.hstack([system.times_bd(A[:, :dM]), A[:, dM:]])
+            Atil = np.hstack([A[:, :dM] @ Bd, A[:, dM:]])
             AtA = np.multiply.outer(Atil[0], Atil[0])
             for a in Atil[1:]:
                 AtA += np.multiply.outer(a, a)

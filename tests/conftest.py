@@ -462,11 +462,36 @@ def record_online_mismatches(monkeypatch):
 # -- matrix that the dense boundary blocks and the canonical CSC constant
 # -- block replaced ------------------------------------------------------------
 
+def trace_maps(system):
+    """The trace map B = [Tr, Es] of a CoupledSystem, written out entry by
+    entry: Tr takes interior dof (loop[k], c) to boundary P1 dof (k, c), and
+    Es maps Z to the slip jump, v_k = Z_j (d=1) or nu_k Z_n + tau_k Z_t."""
+    import scipy.sparse as sp
+    bs, d = system.bspace, system.d
+    M = bs.n_nodes
+    tr_cols = [d * k + c for k in bs.loop for c in range(d)]
+    Tr = sp.csr_matrix((np.ones(M * d), (np.arange(M * d), tr_cols)),
+                       shape=(M * d, system.nU))
+    nrm = bs.node_normals()
+    rows, cols, vals = [], [], []
+    for j, k in enumerate(system.slip_nodes):
+        if d == 1:
+            rows.append(k); cols.append(j); vals.append(1.0)
+        else:
+            nu = nrm[k]
+            tau = np.array([-nu[1], nu[0]])
+            for a in range(2):
+                rows.append(2 * k + a); cols.append(2 * j); vals.append(nu[a])
+                rows.append(2 * k + a); cols.append(2 * j + 1); vals.append(tau[a])
+    Es = sp.csr_matrix((vals, (rows, cols)), shape=(M * d, system.nZ))
+    return Tr, Es
+
+
 def sparse_sp_blocks(system):
     """H_bd, g_bd, C, c0 and the bordered J_const (COO) of a CoupledSystem
     from sparse products of B = [Tr, Es]."""
     import scipy.sparse as sp
-    B = sp.hstack([system.Tr, system.Es]).tocsr()
+    B = sp.hstack(trace_maps(system)).tocsr()
     H_bd = (B.T @ sp.csr_matrix(system.S) @ B).tocsr()
     g_bd = B.T @ system.gb
     Cw = system.compat_dirs.T @ system.S
@@ -482,7 +507,7 @@ def sparse_lp_block(system, stabilized):
     import scipy.sparse as sp
     from febe.bem import stabilization_data, stabilization_vectors
     ops = system.ops
-    B = sp.hstack([system.Tr, system.Es]).tocsr()
+    B = sp.hstack(trace_maps(system)).tocsr()
     T = ops.Mb - ops.K
     J = sp.bmat([[B.T @ sp.csr_matrix(ops.W) @ B, B.T @ sp.csr_matrix(-T.T)],
                  [sp.csr_matrix(T) @ B, sp.csr_matrix(ops.V)]]).tocsr()

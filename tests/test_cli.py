@@ -1,3 +1,4 @@
+import ast
 import os
 from pathlib import Path
 
@@ -112,6 +113,18 @@ def test_readme_example_config_validates():
     example = readme.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
     assert sum("=" in line.split("#", 1)[0] for line in example.splitlines()) >= 5
     parse_config(example).validate()
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's "Library use" block runs as written: it prints the KKT
+    # residuals of the contact solve and the estimator total
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    kkt, eta = capsys.readouterr().out.splitlines()
+    assert set(ast.literal_eval(kkt)) == {"sigma_n_positive", "gap_positive", "normal_compl",
+                              "tangential_excess", "friction_compl"}
+    assert 0 < float(eta) < np.inf
 
 
 def test_boolean_spellings():
@@ -230,6 +243,8 @@ def test_exported_friction_stress_within_bound(tmp_path, capsys):
     ("4 2 4", "3 1 x", "mesh error: header 'nv nt nb': "
                        "invalid literal for int() with base 10: 'x'\n"),
     ("4 2 4", "-1 0 0", "mesh error: negative count in header '-1 0 0'\n"),
+    ("4 2 4\n0 0\n1 0\n1 1\n0 1\n", "5 2 4\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n",
+     "mesh error: vertex 4 lies in no triangle\n"),
 ])
 def test_unreadable_mesh_file_exit_code(tmp_path, capsys, old, new, message):
     text = "4 2 4\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n0 1 T\n1 2 T\n2 3 T\n3 0 T\n"
@@ -239,6 +254,35 @@ def test_unreadable_mesh_file_exit_code(tmp_path, capsys, old, new, message):
     assert main(["solve", "--config", cfg, "--mesh", str(meshfile)]) == 2
     captured = capsys.readouterr()
     assert captured.err == message
+    assert "Traceback" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+_UNREADABLE = {
+    "config-missing": "cannot read config file %s: No such file or directory",
+    "config-dir": "cannot read config file %s: Is a directory",
+    "mesh-dir": "mesh.path is not an existing regular file: %s",
+    "data-dir": "data.file is not an existing regular file: %s",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE))
+def test_unreadable_input_file_is_config_error(tmp_path, capsys, case):
+    # a missing config file, or a directory where the config, mesh or data
+    # file should be
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    data = "data.file = %s\n" % folder if case == "data-dir" else ""
+    cfg = write_cfg(tmp_path, data + "out.dir = %s\n" % (tmp_path / "out"))
+    path = {"config-missing": str(tmp_path / "missing.cfg"),
+            "config-dir": str(folder)}.get(case, cfg)
+    argv = ["solve", "--config", path]
+    if case == "mesh-dir":
+        argv += ["--mesh", str(folder)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    shown = path if case.startswith("config") else str(folder)
+    assert captured.err == "config error: %s\n" % (_UNREADABLE[case] % shown)
     assert "Traceback" not in captured.out
     assert not (tmp_path / "out").exists()
 

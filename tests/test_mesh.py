@@ -34,6 +34,20 @@ def test_boundary_edge_vertex_out_of_range():
         load_mesh(bad)
 
 
+@pytest.mark.parametrize("xy", ["0.5 0.5", "2 2"])
+def test_vertex_in_no_triangle_rejected(xy, unit_square):
+    # the unit square plus a fifth vertex, on its diagonal or outside it,
+    # that no triangle uses
+    m = unit_square
+    with pytest.raises(MeshError, match="vertex 4 lies in no triangle"):
+        meshmod.Mesh(np.vstack([m.vertices, [float(c) for c in xy.split()]]),
+                     m.triangles, m.boundary_edges, m.boundary_labels)
+    lines = square_mesh_text().split("\n")
+    text = "\n".join(["5 2 4"] + lines[1:5] + [xy] + lines[5:])
+    with pytest.raises(MeshError, match="vertex 4 lies in no triangle"):
+        load_mesh(text)
+
+
 @pytest.mark.parametrize("old, new, match", [
     ("4 2 4", "3 1 x", "header 'nv nt nb'"),
     ("4 2 4", "4.0 2 4", "header 'nv nt nb'"),

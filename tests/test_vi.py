@@ -15,7 +15,7 @@ from febe.vi import (ProblemData, kkt_residuals, solve_contact_vi,
                      solve_layerpotential_vi, solve_transmission,
                      vi_certificate)
 
-from conftest import friction_bound_loop, graded_slip_system
+from conftest import friction_bound_loop, graded_slip_system, trace_maps
 
 
 def scalar_system(preset="quadratic", p=2.0, n=2, refines=0, slip=(),
@@ -85,8 +85,9 @@ def test_p2_scalar_matches_dense_solve():
             K[j, i] -= cot_k / 2
             K[i, i] += cot_k / 2
             K[j, j] += cot_k / 2
-    A = K + (sys_.Tr.T @ sys_.S @ sys_.Tr.toarray())
-    rhs = sys_.b_f + sys_.Tr.T @ sys_.gb
+    Tr = trace_maps(sys_)[0]
+    A = K + (Tr.T @ sys_.S @ Tr.toarray())
+    rhs = sys_.b_f + Tr.T @ sys_.gb
     x = np.linalg.solve(A, rhs)
     assert np.abs(sol.u - x).max() < 1e-8 * max(1, np.abs(x).max())
 
@@ -1085,24 +1086,13 @@ def test_friction_bound_checked_on_slip_panels_only():
 @pytest.mark.parametrize("vector", [False, True])
 def test_slip_frame_and_compat_rows_match_dense_build(vector):
     sys_ = graded_slip_system(vector)
-    M, d = sys_.bspace.n_nodes, sys_.d
-    rows, cols, vals = [], [], []
-    for j, k in enumerate(sys_.slip_nodes):
-        if d == 1:
-            rows.append(k); cols.append(j); vals.append(1.0)
-        else:
-            nu = sys_.node_normals[k]
-            tau = np.array([-nu[1], nu[0]])
-            for a in range(2):
-                rows.append(2 * k + a); cols.append(2 * j); vals.append(nu[a])
-                rows.append(2 * k + a); cols.append(2 * j + 1); vals.append(tau[a])
-    Es = sp.csr_matrix((vals, (rows, cols)), shape=(M * d, sys_.nZ))
+    Tr, Es = trace_maps(sys_)
     for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(sys_.Es, attr), getattr(Es, attr))
+        assert np.array_equal(getattr(sys_.B[:, sys_.nU:], attr), getattr(Es, attr))
     # a trace column of C copies one entry of Cw; a slip column sums d
     # products, which a dense BLAS product may fuse into one rounding
     Cw = sys_.compat_dirs.T @ sys_.S
-    C = np.hstack([Cw @ sys_.Tr.toarray(), Cw @ Es.toarray()])
+    C = np.hstack([Cw @ Tr.toarray(), Cw @ Es.toarray()])
     assert np.array_equal(sys_.C[:, :sys_.nU], C[:, :sys_.nU])
     assert np.abs(sys_.C - C).max() <= 1e-15 * np.abs(C).max()
     assert np.array_equal(sys_.c0, Cw @ sys_.U0)
