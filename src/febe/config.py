@@ -149,16 +149,22 @@ def parse_config(text):
     return cfg
 
 
-def load_config(path):
-    """The RunConfig of the file at path; a file that cannot be read is a
-    ConfigError naming the path."""
+def read_text(path, what):
+    """The text of the file at path; a file that cannot be read or is not
+    UTF-8 text is a ConfigError naming `what` and the path."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
-        raise ConfigError("cannot read config file %s: %s"
-                          % (path, exc.strerror)) from None
-    return parse_config(text)
+        raise ConfigError("cannot read %s %s: %s" % (what, path, exc.strerror)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s %s is not UTF-8 text: %s at byte %d"
+                          % (what, path, exc.reason, exc.start)) from None
+
+
+def load_config(path):
+    """The RunConfig of the file at path (read_text)."""
+    return parse_config(read_text(path, "config file"))
 
 
 def load_data_file(path, bspace, ncomp):
@@ -167,7 +173,7 @@ def load_data_file(path, bspace, ncomp):
     kinds: u0_node (P1 nodal values), t0_panel (per-panel tractions),
     F_node (nodal friction bound, comp 0).  Returns a ProblemData.  A
     malformed row, a value that is not finite, or an index or component out
-    of range, is a ConfigError.
+    of range, is a ConfigError, as is a file that read_text rejects.
     """
     from .vi import ProblemData
     u0 = np.zeros((bspace.n_nodes, ncomp))
@@ -175,31 +181,30 @@ def load_data_file(path, bspace, ncomp):
     F = np.zeros((bspace.n_nodes, 1))
     arrays = {"u0_node": u0, "t0_panel": t0, "F_node": F}
     seen = set()
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("kind"):
-                continue
-            where = "%s line %d" % (path, ln)
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise ConfigError("%s: expected 'kind,index,comp,value', got %r"
-                                  % (where, line))
-            kind = fields[0].strip()
-            if kind not in arrays:
-                raise ConfigError("%s: unknown data kind %r" % (where, kind))
-            try:
-                idx, comp, val = int(fields[1]), int(fields[2]), float(fields[3])
-            except ValueError:
-                raise ConfigError("%s: bad number in %r" % (where, line))
-            if not np.isfinite(val):
-                raise ConfigError("%s: value is not finite in %r" % (where, line))
-            arr = arrays[kind]
-            if not (0 <= idx < arr.shape[0] and 0 <= comp < arr.shape[1]):
-                raise ConfigError("%s: %s index %d, comp %d outside %d x %d"
-                                  % ((where, kind, idx, comp) + arr.shape))
-            arr[idx, comp] = val
-            seen.add(kind)
+    for ln, raw in enumerate(read_text(path, "data file").split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.startswith("kind"):
+            continue
+        where = "%s line %d" % (path, ln)
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise ConfigError("%s: expected 'kind,index,comp,value', got %r"
+                              % (where, line))
+        kind = fields[0].strip()
+        if kind not in arrays:
+            raise ConfigError("%s: unknown data kind %r" % (where, kind))
+        try:
+            idx, comp, val = int(fields[1]), int(fields[2]), float(fields[3])
+        except ValueError:
+            raise ConfigError("%s: bad number in %r" % (where, line))
+        if not np.isfinite(val):
+            raise ConfigError("%s: value is not finite in %r" % (where, line))
+        arr = arrays[kind]
+        if not (0 <= idx < arr.shape[0] and 0 <= comp < arr.shape[1]):
+            raise ConfigError("%s: %s index %d, comp %d outside %d x %d"
+                              % ((where, kind, idx, comp) + arr.shape))
+        arr[idx, comp] = val
+        seen.add(kind)
     return ProblemData(f=None,
                        u0=u0.reshape(-1) if "u0_node" in seen else None,
                        t0=t0 if "t0_panel" in seen else None,

@@ -104,11 +104,12 @@ def csc_structure(rows, cols, n):
     """Canonical CSC structure (indptr, indices) of the n x n matrix with
     entries at (rows, cols), duplicates merged, in the index type scipy
     picks, and the slot in its data of each entry of rows and cols
-    broadcast together, in row-major order: one stable argsort of the keys
-    col * n + row (int32 when n (n + 1) fits)."""
+    broadcast together, in row-major order: one argsort of the keys
+    col * n + row (int32 when n (n + 1) fits).  Equal keys share their
+    slot, so the order the sort leaves them in does not matter."""
     ktype = np.int32 if n * (n + 1) <= np.iinfo(np.int32).max else np.int64
     keys = (np.asarray(cols, dtype=ktype) * n + np.asarray(rows, dtype=ktype)).ravel()
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys = keys[order]
     new = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=new[1:])

@@ -9,6 +9,8 @@ identified everywhere by one integer key, `_edge_key`.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 SLIP = "S"
@@ -52,6 +54,8 @@ class Mesh:
                    second column for a boundary edge
     edge_lengths   (ne,) length of each edge
     triangle_edges (nt, 3) rows in `edges` of triangle edges (0,1), (1,2), (2,0)
+    dissection_order (nv,) vertex order for the sparse factorizations, built
+                   on first use
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_labels,
@@ -188,6 +192,85 @@ class Mesh:
     def max_boundary_edges_per_triangle(self):
         owners = self.edge_triangles[self.edge_triangles[:, 1] < 0, 0]
         return int(np.bincount(owners, minlength=1).max())
+
+    @cached_property
+    def dissection_order(self):
+        """Read-only order of all vertices, for the sparse factorizations:
+        the interior vertices by nested dissection (_dissect), then the
+        boundary loop in loop order."""
+        interior = np.ones(len(self.vertices), dtype=bool)
+        interior[self._loop] = False
+        order = np.concatenate([_dissect(self.vertices, np.flatnonzero(interior),
+                                         self.edges), self._loop])
+        order.flags.writeable = False
+        return order
+
+
+# groups of at most this many vertices are not split by _dissect
+_LEAF = 8
+
+
+def _dissect(p, ids, edges):
+    """Nested-dissection order of the vertices ids of points p in the graph
+    of the edges (pairs of vertices of p; an edge with an end outside ids
+    is ignored), built one level of groups at a time.
+
+    A group of more than _LEAF vertices splits at the median value of its
+    coordinate of longer extent; the vertices at that value go to the upper
+    side, unless that would leave the lower side empty, when the group
+    splits by rank instead.  The separator follows both halves.  It covers
+    every edge the split cuts by one end: the end with more cut edges, or,
+    when both have as many, the end on the side with fewer ends of cut
+    edges (the lower side when both have as many).
+    """
+    seq = ids.copy()                      # position -> vertex
+    lab = np.full(len(p), -1)             # vertex -> 2 group + side, or -1
+    # the vertices of the groups to split, by group, and their positions
+    v, pos = ids, np.arange(len(ids))
+    size = np.array([len(ids)] if len(ids) > _LEAF else [], dtype=np.int64)
+    g = np.zeros(len(ids), dtype=np.int64)
+    start = np.zeros(1, dtype=np.int64)
+    while size.size:
+        x = p.take(v, axis=0)
+        ext = np.maximum.reduceat(x, start) - np.minimum.reduceat(x, start)
+        c = np.where((ext[:, 1] > ext[:, 0])[g], x[:, 1], x[:, 0])
+        o = np.lexsort((c, g))
+        v, c = v[o], c[o]
+        mid = start + size // 2
+        cm = c[mid]
+        upper = np.where((c[start] == cm)[g], np.arange(len(g)) >= mid[g], c >= cm[g])
+        # an edge is cut where its ends' labels differ in the side bit only
+        # (a vertex outside the splitting groups has label -1)
+        side = 2 * g + upper
+        lab[v] = side
+        le = lab[edges]
+        cut = edges.compress((le[:, 0] ^ le[:, 1]) == 1, axis=0)
+        # each cut edge puts in the separator its end of higher score:
+        # 2 (cut edges at the end) + (1 on the side with fewer ends, the
+        # lower one if both have as many); the ends lie on different
+        # sides, so their scores differ
+        deg = np.bincount(cut.ravel(), minlength=len(p))[v]
+        n_ends = np.bincount(side[deg > 0], minlength=2 * len(size))
+        lab[v] = 2 * deg + (upper == (n_ends[1::2] < n_ends[::2])[g])
+        score = lab[cut]
+        lab[v] = -1
+        sep = np.zeros(len(p), dtype=bool)
+        sep[np.where(score[:, 0] > score[:, 1], cut[:, 0], cut[:, 1])] = True
+        sep = sep[v]
+        key = 3 * g + np.where(sep, 2, upper)
+        o = key.argsort(kind="stable")
+        v = v[o]
+        seq[pos] = v
+        # the halves with more than _LEAF vertices split at the next level
+        counts = np.bincount(key, minlength=3 * len(size))
+        split = counts > _LEAF
+        split[2::3] = False
+        keep = split[key[o]]
+        v, pos = v[keep], pos[keep]
+        size = counts[split]
+        g = np.arange(len(size)).repeat(size)
+        start = size.cumsum() - size
+    return seq
 
 
 def _scan_hanging(p, triangles, edges):

@@ -8,7 +8,7 @@ from . import adapt as adapt_mod
 from . import estimate as est
 from . import material as mat
 from .bem import BoundarySpace
-from .config import ConfigError, load_data_file
+from .config import ConfigError, load_data_file, read_text
 from .driver import build_system
 from .mesh import load_mesh, mesh_size, refine_uniform
 from .presets import MESH_PRESETS, Manufactured, data_from_preset
@@ -28,8 +28,7 @@ def exterior_from_config(cfg):
 
 def mesh_from_config(cfg):
     if cfg["mesh.path"]:
-        with open(cfg["mesh.path"]) as fh:
-            m = load_mesh(fh.read())
+        m = load_mesh(read_text(cfg["mesh.path"], "mesh file"))
     else:
         text = MESH_PRESETS[cfg["mesh.preset"]](cfg["mesh.n"])
         m = load_mesh(text, scale=False)

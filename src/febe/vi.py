@@ -51,12 +51,15 @@ and pattern from the given start and starts from that solution,
 multipliers and density included.  Per Newton step only the FE tangent
 changes: each step copies J_const's values on the pattern, adds the
 tangent's data at its slots, zeroes the held rows by a row mask and sets
-their diagonal slot to 1, with no sparse conversion or add, so SuperLU
-orders the same graph at every step.  It factors each matrix with the
-symmetric minimum-degree ordering on A^T + A.  SuperLU does not raise on
-an exactly singular matrix; it warns and returns NaN, and the solver
-raises SolverError, as it does when the line search cannot decrease the
-residual or the steps run out.
+their diagonal slot to 1, with no sparse conversion or add.  The pattern
+is numbered in the mesh's nested-dissection order (Mesh.dissection_order)
+times the components, then the Z, lam and density dofs, so the trace
+dofs, which J_const couples densely, come last with the boundary loop.
+SuperLU factors each step's matrix in that order (permc_spec NATURAL),
+with partial pivoting, and no step computes an ordering.  SuperLU does not
+raise on an exactly singular matrix; it warns and returns NaN, and the
+solver raises SolverError, as it does when the line search cannot
+decrease the residual or the steps run out.
 """
 
 from __future__ import annotations
@@ -324,12 +327,6 @@ def _embed(block, idx, n):
                           np.cumsum(counts, dtype=np.int32)), shape=(n, n))
 
 
-# SuperLU column ordering of every Newton solve: minimum degree on A^T + A
-# suits the symmetric (or nearly so) Newton matrices and fills in far less
-# than the default COLAMD
-_ORDERING = "MMD_AT_PLUS_A"
-
-
 def _residual_scale(system):
     """Data magnitude that the absolute solver tolerances are relative to."""
     return max(1.0, np.abs(system.gb).max(), np.abs(system.b_f).max())
@@ -345,32 +342,41 @@ def _block_residual(system, form, law, y):
 
 def _newton_pattern(space, J0):
     """Canonical CSC pattern (indptr, indices) of every Newton matrix of a
-    form with constant block J0 (canonical CSC): fem.csc_structure of the
-    union of J0's entries, the structure of the FE tangent on the leading
-    nU x nU block and the diagonal.  Also returns J0's values on it (zero
-    elsewhere) and the slots of the tangent's entries and of the diagonal."""
+    form with constant block J0 (canonical CSC), in the dissection
+    numbering: fem.csc_structure of the union of J0's entries, the
+    structure of the FE tangent on the leading nU x nU block and the
+    diagonal, each dof i renumbered rank[i].  The dof order perm (rank's
+    inverse) is the mesh's dissection_order times ncomp, then the Z, lam
+    and density dofs.  Also returns J0's values on the pattern (zero
+    elsewhere), the slots of the tangent's entries and of the diagonal of
+    dof 0, 1, ..., and perm and rank."""
     n = J0.shape[0]
     hptr, hind, _ = space.tangent_pattern
     col_index = lambda indptr: np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    nc = space.ncomp
+    perm = np.concatenate([(nc * space.mesh.dissection_order[:, None]
+                            + np.arange(nc)).ravel(), np.arange(space.ndof, n)])
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(n)
     diag = np.arange(n)
     indptr, indices, slot = fem.csc_structure(
-        np.concatenate([J0.indices, hind, diag]),
-        np.concatenate([col_index(J0.indptr), col_index(hptr), diag]), n)
+        rank[np.concatenate([J0.indices, hind, diag])],
+        rank[np.concatenate([col_index(J0.indptr), col_index(hptr), diag])], n)
     base = np.zeros(len(indices))
     base[slot[:J0.nnz]] = J0.data
-    return indptr, indices, base, slot[J0.nnz:-n], slot[-n:]
+    return indptr, indices, base, slot[J0.nnz:-n], slot[-n:], perm, rank
 
 
 def _newton_matrix(system, law, pattern, U, fixed):
-    """Newton matrix on a pattern of _newton_pattern, canonical CSC: J0's
-    values plus the FE tangent of the law at U, with the rows `fixed`
-    replaced by unit rows."""
-    indptr, indices, base, hslot, dslot = pattern
+    """Newton matrix on a pattern of _newton_pattern, canonical CSC in its
+    dissection numbering: J0's values plus the FE tangent of the law at U,
+    with the rows `fixed` (dofs) replaced by unit rows."""
+    indptr, indices, base, hslot, dslot, _, rank = pattern
     n = len(indptr) - 1
     data = base.copy()
     data[hslot] += fem.assemble_tangent(system.space, law, U).data
     held = np.zeros(n, dtype=bool)
-    held[fixed] = True
+    held[rank[fixed]] = True
     data[held[indices]] = 0.0
     data[dslot[fixed]] = 1.0
     J = sp.csc_matrix((data, indices, indptr), shape=(n, n))
@@ -386,7 +392,9 @@ def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
     Tresca friction on the Z_t rows of the slip nodes with a positive bound
     F, friction force mu_t = -R_f in [-F, F].  Every Newton matrix is
     form.J_const plus the FE tangent, with the held rows replaced by unit
-    rows, stored on `pattern` (the form's _newton_pattern).
+    rows, stored on `pattern` (the form's _newton_pattern) in its dissection
+    numbering; each step solves it for rhs[perm] and takes the step back by
+    [rank].
 
     The NCP residual Phi replaces the bound rows by min(-y_n, lam_n) and
     the friction rows by mu_t - clip(mu_t + c_k y_f, -F, F).  The
@@ -407,6 +415,7 @@ def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
     iterate (the start included).
     """
     nU = system.nU
+    perm, rank = pattern[-2:]
     scale = _residual_scale(system)
     fr = system.friction
     c = scale * fr.omega
@@ -438,7 +447,7 @@ def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
                                 idx_f[np.abs(q) <= F]])
         rhs[fixed] = -y[fixed]
         dy = spla.spsolve(_newton_matrix(system, law, pattern, y[:nU], fixed),
-                          rhs, permc_spec=_ORDERING)
+                          rhs[perm], permc_spec="NATURAL")[rank]
         if not np.all(np.isfinite(dy)):
             raise SolverError("%s Newton matrix is singular at residual %.3e"
                               % (what, resid))

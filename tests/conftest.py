@@ -84,6 +84,80 @@ def graded_slip_system(vector, p=2.0, friction="preset"):
     return build_system(m, law, data)
 
 
+def jittered_square(seed, sweeps=0):
+    """square-slip n=4 with its interior vertices moved by up to 0.003 in
+    each coordinate (seeded), after uniform sweeps."""
+    from febe import presets
+    m = meshmod.load_mesh(presets.square_text(4, slip=("b",)), scale=False)
+    inner = np.setdiff1d(np.arange(len(m.vertices)), m.boundary_loop()[0])
+    verts = m.vertices.copy()
+    verts[inner] += np.random.default_rng(seed).uniform(-0.003, 0.003, (len(inner), 2))
+    m = meshmod.Mesh(verts, m.triangles, m.boundary_edges, m.boundary_labels)
+    return meshmod.refine_uniform(m, sweeps)
+
+
+def random_graded_square(sweeps=3, seed=0):
+    """square-slip n=4 after uniform sweeps, then 4 rounds of bisecting a
+    random 20 % of the triangles."""
+    from febe import presets
+    rng = np.random.default_rng(seed)
+    m = meshmod.refine_uniform(meshmod.load_mesh(presets.square_text(4, slip=("b",)),
+                                                 scale=False), sweeps)
+    for _ in range(4):
+        m = meshmod.refine(m, rng.choice(len(m.triangles), len(m.triangles) // 5,
+                                         replace=False))
+    return m
+
+
+def loop_dissection(p, ids, edges, leaf):
+    """Recursive nested-dissection order of the vertices ids (ascending) of
+    points p with the edges (pairs of ids), one group at a time: the
+    reference for mesh._dissect.  A group of more than leaf vertices, in
+    the order of its coordinate of longer extent (x on a tie, stable),
+    splits at its median value, upper side from that value on, or by rank
+    if the lower side would be empty; each cut edge puts in the separator
+    its end with more cut edges, or on a tie its end on the side with
+    fewer ends (lower if equal).  Order: lower half, upper half, separator."""
+    nbrs = {}
+    for a, b in np.asarray(edges).tolist():
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    out = []
+
+    def visit(group):
+        if len(group) <= leaf:
+            out.extend(group)
+            return
+        x = p[group]
+        axis = 1 if np.ptp(x[:, 1]) > np.ptp(x[:, 0]) else 0
+        group = [group[i] for i in np.argsort(x[:, axis], kind="stable")]
+        c = p[group, axis]
+        mid = len(group) // 2
+        upper = set(group[mid:] if c[0] == c[mid]
+                    else [u for u, ci in zip(group, c) if ci >= c[mid]])
+        members = set(group)
+        cut = [(a, b) for a in group if a not in upper
+               for b in nbrs.get(a, ()) if b in upper and b in members]
+        deg = {}
+        for a, b in cut:
+            deg[a] = deg.get(a, 0) + 1
+            deg[b] = deg.get(b, 0) + 1
+        lower_ends = len({a for a, _ in cut})
+        upper_ends = len({b for _, b in cut})
+        sep = set()
+        for a, b in cut:
+            if deg[a] != deg[b]:
+                sep.add(a if deg[a] > deg[b] else b)
+            else:
+                sep.add(b if upper_ends < lower_ends else a)
+        visit([u for u in group if u not in upper and u not in sep])
+        visit([u for u in group if u in upper and u not in sep])
+        out.extend(u for u in group if u in sep)
+
+    visit(list(ids))
+    return np.array(out, dtype=np.int64)
+
+
 def friction_bound_loop(system, l, t):
     """The friction bound on panel l at parameters t, one panel at a time."""
     fr, bs = system.data.friction, system.bspace

@@ -287,6 +287,27 @@ def test_unreadable_input_file_is_config_error(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("reader", ["config", "mesh", "data"])
+def test_input_file_that_is_not_utf8_is_config_error(tmp_path, capsys, reader):
+    # random bytes where the config, mesh or data file should be
+    junk = np.random.default_rng(5).bytes(256)
+    with pytest.raises(UnicodeDecodeError):
+        junk.decode("utf-8")
+    bad = tmp_path / ("bad.%s" % reader)
+    bad.write_bytes(junk)
+    data = "data.file = %s\n" % bad if reader == "data" else ""
+    cfg = write_cfg(tmp_path, data + "out.dir = %s\n" % (tmp_path / "out"))
+    argv = ["solve", "--config", str(bad) if reader == "config" else cfg]
+    if reader == "mesh":
+        argv += ["--mesh", str(bad)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: %s file %s is not UTF-8 text: "
+                                   % (reader, bad))
+    assert "Traceback" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_study_single_level(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "out.dir = %s\n" % (tmp_path / "out_study"))
     assert main(["study", "--config", cfg, "--levels", "1"]) == 0

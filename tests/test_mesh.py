@@ -6,7 +6,8 @@ from febe.mesh import (MeshError, load_mesh, mesh_size, refine,
                        refine_uniform, save_mesh, shape_regularity)
 from febe.presets import MESH_PRESETS, square_text
 
-from conftest import loop_mesh_text, loop_refine, square_mesh_text, struct_square
+from conftest import (jittered_square, loop_dissection, loop_mesh_text, loop_refine,
+                      random_graded_square, square_mesh_text, struct_square)
 
 
 def test_load_unit_square(unit_square):
@@ -443,3 +444,81 @@ def test_hanging_check_matches_x_window_version(seed, inject):
         assert str(err.value) == want
     if inject != "moved":
         assert (want is None) == (inject == "none")
+
+
+# -- nested-dissection order ---------------------------------------------------
+
+@pytest.mark.parametrize("preset", sorted(MESH_PRESETS) + ["graded"])
+def test_dissection_order_is_a_permutation_with_the_boundary_loop_last(preset):
+    if preset == "graded":
+        m = random_graded_square()
+    else:
+        m = refine_uniform(load_mesh(MESH_PRESETS[preset](), scale=False), 4)
+    order, loop = m.dissection_order, m.boundary_loop()[0]
+    assert np.array_equal(np.sort(order), np.arange(len(m.vertices)))
+    assert np.array_equal(order[len(order) - len(loop):], loop)
+
+
+def test_dissection_order_is_computed_once_and_read_only(monkeypatch):
+    from febe import material as mat, presets
+    from febe.driver import build_system
+    from febe.vi import solve_contact_vi, solve_layerpotential_vi
+    calls = []
+    dissect = meshmod._dissect
+    monkeypatch.setattr(meshmod, "_dissect", lambda *a: calls.append(a) or dissect(*a))
+    m = refine_uniform(load_mesh(square_text(4, slip=("b",)), scale=False), 2)
+    order = m.dissection_order
+    assert m.dissection_order is order and len(calls) == 1
+    assert not order.flags.writeable
+    with pytest.raises(ValueError):
+        order[0] = order[1]
+    # every solve of every system on the mesh, both forms, reads the same order
+    for p in (1.5, 2.0):
+        law = mat.MaterialLaw(p=p)
+        system = build_system(m, law, presets.scalar_transition(law).data)
+        solve_contact_vi(system)
+        solve_layerpotential_vi(system)
+    assert len(calls) == 1
+    assert refine_uniform(m, 1).dissection_order is not order and len(calls) == 2
+
+
+def test_dissection_split_and_separator_rule(monkeypatch):
+    # groups of more than two vertices split; ties at the median value go up
+    monkeypatch.setattr(meshmod, "_LEAF", 2)
+    # a chain along x: the median splits {0, 1, 2 | 3, 4, 5, 6}; both ends of
+    # the cut edge (2, 3) have one cut edge, and both sides one end, so the
+    # lower end 2 is the separator; {3, 4, 5, 6} splits at 5, separator 4
+    p = np.column_stack([np.arange(7.0), np.zeros(7)])
+    chain = np.column_stack([np.arange(6), np.arange(1, 7)])
+    order = meshmod._dissect(p, np.arange(7), chain)
+    assert order.tolist() == [0, 1, 3, 5, 6, 4, 2]
+    # three of five vertices at the lowest x, the median value: the split
+    # by value would leave the lower side empty, so it splits by rank,
+    # {0, 3 | 4, 1, 2}.  Of the cut edges, (0, 4) goes to 4 and (3, 1) to 3,
+    # which have two cut edges each; (3, 4) is a tie, and both sides have
+    # two ends, so it goes to the lower end 3.  The separator {3, 4} comes
+    # last in the order of x
+    p = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+    edges = np.array([[0, 4], [3, 4], [1, 3], [1, 2]])
+    assert meshmod._dissect(p, np.arange(5), edges).tolist() == [0, 1, 2, 3, 4]
+    # a star from 0 into the upper side: 0 has all three cut edges
+    edges = np.array([[0, 4], [0, 1], [0, 2], [3, 0]])
+    order = meshmod._dissect(p, np.arange(5), edges)
+    assert order[-1] == 0 and sorted(order[:-1]) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("leaf", [2, 4, 8])
+def test_dissection_matches_recursive_reference(monkeypatch, leaf):
+    # the level-wise array build, given every mesh edge as dissection_order
+    # gives it, against a recursion over the interior graph, on structured,
+    # jittered, graded and curved meshes
+    monkeypatch.setattr(meshmod, "_LEAF", leaf)
+    for m in (refine_uniform(load_mesh(square_text(4, slip=("b",)), scale=False), 4),
+              jittered_square(3, 4), random_graded_square(2),
+              refine_uniform(load_mesh(MESH_PRESETS["lshape"](), scale=False), 3),
+              refine_uniform(load_mesh(MESH_PRESETS["circle"](), scale=False), 1)):
+        loop = m.boundary_loop()[0]
+        interior = np.setdiff1d(np.arange(len(m.vertices)), loop)
+        edges = m.edges[np.isin(m.edges, interior).all(axis=1)]
+        assert np.array_equal(meshmod._dissect(m.vertices, interior, m.edges),
+                              loop_dissection(m.vertices, interior, edges, leaf))

@@ -5,6 +5,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import MatrixRankWarning
 
 from febe import fem, material as mat, presets, vi
@@ -671,6 +672,78 @@ def test_benchmark_step_counts(monkeypatch, tmp_path, name, counts):
     assert _solves_per_run(monkeypatch, work.run) == counts
 
 
+# -- the nested-dissection order of the Newton matrices ----------------------
+
+class _FirstSolve(Exception):
+    pass
+
+
+def _first_newton_solve(monkeypatch, run):
+    """The matrix, right-hand side and keywords of the first spsolve call
+    that run() makes, and the rank of its pattern; run() stops there."""
+    got = {}
+    newton_matrix = vi._newton_matrix
+
+    def recording_matrix(system, law, pattern, U, fixed):
+        got["rank"] = pattern[-1]
+        return newton_matrix(system, law, pattern, U, fixed)
+
+    def stop(A, b, **kw):
+        got.update(A=A, b=b, kw=kw)
+        raise _FirstSolve
+
+    with monkeypatch.context() as m:
+        m.setattr(vi, "_newton_matrix", recording_matrix)
+        m.setattr(vi.spla, "spsolve", stop)
+        with pytest.raises(_FirstSolve):
+            run()
+    assert got["kw"] == {"permc_spec": "NATURAL"}
+    return got["A"], got["b"], got["rank"]
+
+
+@pytest.mark.parametrize("mesh", ["square-1024", "square-4096", "jittered-1024"])
+@pytest.mark.parametrize("case", ["transition-p1.5", "stick-vec-p2"])
+def test_dissection_order_fills_in_as_little_as_minimum_degree(monkeypatch, case,
+                                                               mesh):
+    # nnz(L + U) of the first Newton matrix of a contact solve on square-slip
+    # n=4 (nt = 1024 and 4096, and nt = 1024 with the coarse interior
+    # vertices jittered) under the dissection order, against SuperLU's
+    # minimum-degree order on A^T + A of the same matrix
+    from conftest import jittered_square
+    m = (jittered_square(4, 5) if mesh.startswith("jittered") else refine_uniform(
+        load_mesh(presets.square_text(4, slip=("b",)), scale=False),
+        {"1024": 5, "4096": 7}[mesh.split("-")[1]]))
+    if case.startswith("transition"):
+        law = mat.MaterialLaw(p=1.5)
+    else:
+        law = mat.MaterialLaw(p=2.0, mode=mat.MODE_MATRIX)
+    sys_ = build_system(m, law, presets.DATA_PRESETS[case.split("-p")[0]][1](law).data)
+    A, _, rank = _first_newton_solve(monkeypatch, lambda: solve_contact_vi(sys_))
+    nd = spla.splu(A, permc_spec="NATURAL")
+    mmd = spla.splu(A[rank][:, rank].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert nd.L.nnz + nd.U.nnz <= 1.1 * (mmd.L.nnz + mmd.U.nnz)
+
+
+@pytest.mark.parametrize("case", ["graded", "lshape"])
+def test_newton_step_matches_minimum_degree_solve(monkeypatch, case):
+    # the first Newton step of a contact solve on a randomly bisected graded
+    # square, and of the L-shape corner transmission solve, against the
+    # minimum-degree solve of the same matrix in the mesh's numbering
+    if case == "graded":
+        from conftest import random_graded_square
+        law = mat.MaterialLaw(p=1.5)
+        sys_ = build_system(random_graded_square(), law,
+                            presets.scalar_transition(law).data)
+        run = lambda: solve_contact_vi(sys_)
+    else:
+        sys_ = _square_and_lshape_system("lshape")
+        run = lambda: solve_transmission(sys_)
+    A, b, rank = _first_newton_solve(monkeypatch, run)
+    dy = spla.spsolve(A, b, permc_spec="NATURAL")[rank]
+    ref = spla.spsolve(A[rank][:, rank].tocsc(), b[rank], permc_spec="MMD_AT_PLUS_A")
+    assert np.abs(dy - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 # -- constant blocks and Newton matrices vs. the sparse constructions ------
 
 def _square_and_lshape_system(case):
@@ -723,21 +796,25 @@ def test_dense_boundary_blocks_match_sparse_products(case):
 
 def _newton_matrix(system, J0, y, fixed=()):
     """Newton matrix at y of the form with constant block J0 under the
-    system's law, with the rows `fixed` held, on the form's pattern."""
-    return vi._newton_matrix(system, system.law, vi._newton_pattern(system.space, J0),
-                             y[:system.nU], np.asarray(fixed, dtype=int))
+    system's law, with the rows `fixed` held, on the form's pattern, in its
+    dissection numbering, and the dof order perm of that numbering."""
+    pattern = vi._newton_pattern(system.space, J0)
+    return vi._newton_matrix(system, system.law, pattern, y[:system.nU],
+                             np.asarray(fixed, dtype=int)), pattern[-2]
 
 
-def _assert_newton_matrix(J, system, law, J0, U, fixed):
+def _assert_newton_matrix(J, perm, system, law, J0, U, fixed):
     """J is canonical CSC, its held rows are unit rows, and its values are
-    those of the COO construction under the law bit for bit."""
+    those of the COO construction under the law, in the dissection
+    numbering of the dof order perm, bit for bit."""
     from conftest import coo_newton_matrix
     assert J.format == "csc"
     assert sp.csc_matrix((J.data, J.indices, J.indptr),
                          shape=J.shape).has_canonical_format
     ref = coo_newton_matrix(system, law, sp.coo_matrix(J0), U, fixed)
-    assert np.array_equal(J.toarray(), ref.toarray())
-    assert np.array_equal(J[fixed].toarray(), np.eye(J.shape[0])[fixed])
+    assert np.array_equal(J.toarray(), ref[perm][:, perm].toarray())
+    held = np.argsort(perm)[fixed]
+    assert np.array_equal(J[held].toarray(), np.eye(J.shape[0])[held])
 
 
 @pytest.mark.parametrize("form", ["sp", "lp"])
@@ -758,10 +835,14 @@ def test_newton_matrix_matches_coo_construction(case, form):
     bound = sys_.nU + sys_.idx_zn
     assert len(bound) == (len(sys_.idx_zt) if case == "vector" else 0)
     pattern = vi._newton_pattern(sys_.space, J0)
+    perm, nc = pattern[-2], sys_.space.ncomp
+    # the mesh's dissection order times the components, then Z, lam or P
+    assert np.array_equal(perm[:sys_.nU:nc] // nc, sys_.space.mesh.dissection_order)
+    assert np.array_equal(perm[sys_.nU:], np.arange(sys_.nU, len(perm)))
     first = vi._newton_matrix(sys_, sys_.law, pattern, U, bound[:0])
     for fixed in (bound[:0], bound[::3], sys_.nU + sys_.idx_zt):
         J = vi._newton_matrix(sys_, sys_.law, pattern, U, fixed)
-        _assert_newton_matrix(J, sys_, sys_.law, ref0, U, fixed)
+        _assert_newton_matrix(J, perm, sys_, sys_.law, ref0, U, fixed)
         assert np.array_equal(J.indptr, first.indptr)
         assert np.array_equal(J.indices, first.indices)
 
@@ -795,7 +876,7 @@ def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
 
     def recording_matrix(system, law, pattern, U, fixed):
         J = newton_matrix(system, law, pattern, U, fixed)
-        runs[-1].append((law, U.copy(), fixed.copy(), J))
+        runs[-1].append((law, U.copy(), fixed.copy(), pattern[-2], J))
         return J
 
     def recording_spsolve(A, *args, **kw):
@@ -811,9 +892,9 @@ def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
     steps = [step for run in runs for step in run]
     assert [J for *_, J in steps] == solved
     assert len(runs) == 2 and len(runs[0]) >= 2
-    assert len({tuple(fixed) for _, _, fixed, _ in steps}) > 1
-    for law, U, fixed, J in steps:
-        _assert_newton_matrix(J, sys_, law, J0, U, fixed)
+    assert len({tuple(fixed) for _, _, fixed, _, _ in steps}) > 1
+    for law, U, fixed, perm, J in steps:
+        _assert_newton_matrix(J, perm, sys_, law, J0, U, fixed)
     assert [law.p for law, *_ in runs[0]] == [2.0] * len(runs[0])
     assert {law.p for law, *_ in runs[1]} == {1.5}
     first = steps[0][-1]
@@ -863,13 +944,14 @@ def test_layerpotential_jacobian_matches_block_assembly(stabilized):
     if stabilized is None:
         assert sys_.ncompat == 2
         y = rng.normal(size=sys_.nU + sys_.nZ + sys_.ncompat)
-        J = _newton_matrix(sys_, sys_.J_const, y).toarray()
-        ref = _block_sp_jacobian(sys_, y).toarray()
+        J, perm = _newton_matrix(sys_, sys_.J_const, y)
+        ref = _block_sp_jacobian(sys_, y)[perm][:, perm].toarray()
     else:
         lp = vi.LayerPotentialSystem(sys_, stabilized=stabilized)
         y = rng.normal(size=lp.n)
-        J = _newton_matrix(sys_, lp.J_const, y).toarray()
-        ref = _block_lp_jacobian(sys_, lp, y).toarray()
+        J, perm = _newton_matrix(sys_, lp.J_const, y)
+        ref = _block_lp_jacobian(sys_, lp, y)[perm][:, perm].toarray()
+    J = J.toarray()
     assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
