@@ -121,24 +121,6 @@ class BoundarySpace:
 # kernels
 # ---------------------------------------------------------------------------
 
-def fundamental_solution(coeffs, x, y):
-    """Fundamental solution at (x, y): scalar Laplace if coeffs is None, else 2D Lame."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = x - y
-    rho2 = np.sum(r * r, axis=-1)
-    if np.any(rho2 == 0):
-        raise ValueError("fundamental solution at coincident points")
-    if coeffs is None:
-        return -np.log(rho2) / (4 * np.pi)
-    lam, mu = coeffs.lam, coeffs.mu
-    A = (lam + 3 * mu) / (4 * np.pi * mu * (lam + 2 * mu))
-    B = (lam + mu) / (lam + 3 * mu)
-    eye = np.eye(2)
-    dyad = r[..., :, None] * r[..., None, :] / rho2[..., None, None]
-    return A * (-0.5 * np.log(rho2)[..., None, None] * eye + B * dyad)
-
-
 class _LaplaceKernel:
     """Scalar exterior Laplace: G = -(1/2pi) log|x-y|.  The W kernel Ghat
     equals G, so the Ghat table is the V table and the Ghat matrix is V."""

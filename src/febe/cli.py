@@ -18,9 +18,18 @@ from .study import (build_from_config, convergence_study, estimate_from_config,
 from .vi import SolverError, kkt_residuals
 
 
-def _out_dir(cfg):
+def _out_dir(cfg, dest=""):
+    """The output directory, dest or else out.dir (under $FEBE_OUT if set).
+    A path that is, or lies under, something other than a directory is a
+    ConfigError, raised before anything is built."""
     root = os.environ.get("FEBE_OUT", "")
-    return os.path.join(root, cfg["out.dir"]) if root else cfg["out.dir"]
+    out = dest or (os.path.join(root, cfg["out.dir"]) if root else cfg["out.dir"])
+    probe = os.path.abspath(out)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError("output path %s: %s exists and is not a directory" % (out, probe))
+    return out
 
 
 def _write_manifest(cfg, directory, extra):
@@ -37,6 +46,7 @@ def _apply_overrides(cfg, args):
 
 def cmd_solve(args):
     cfg = _apply_overrides(load_config(args.config), args)
+    out = _out_dir(cfg)
     mesh = mesh_from_config(cfg)
     system, man = build_from_config(cfg, mesh)
     if args.check_compat:
@@ -48,7 +58,6 @@ def cmd_solve(args):
             print("data compatibility residual %.3e" % res)
     sol = solve_from_config(cfg, system)
     ind = estimate_from_config(cfg, system, sol)
-    out = _out_dir(cfg)
     os.makedirs(out, exist_ok=True)
     if cfg["bem.dump"]:
         system.ops.dump_csv(os.path.join(out, "operators"))
@@ -69,8 +78,8 @@ def cmd_solve(args):
 
 def cmd_study(args):
     cfg = _apply_overrides(load_config(args.config), args)
-    rows = convergence_study(cfg, args.levels, mode=args.mode)
     out = _out_dir(cfg)
+    rows = convergence_study(cfg, args.levels, mode=args.mode)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "convergence_%s.csv" % args.mode)
     table_csv(rows, path)
@@ -100,12 +109,12 @@ def cmd_oracle(args):
 
 def cmd_export(args):
     cfg = _apply_overrides(load_config(args.config), args)
+    out = _out_dir(cfg, args.dest)
     mesh = mesh_from_config(cfg)
     system, man = build_from_config(cfg, mesh)
     sol = solve_from_config(cfg, system)
     ind = estimate_from_config(cfg, system, sol)
-    path = export_fields(sol, system, args.dest or _out_dir(cfg),
-                         indicators=ind.element_indicator())
+    path = export_fields(sol, system, out, indicators=ind.element_indicator())
     print("wrote %s" % path)
     return 0
 

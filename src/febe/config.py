@@ -52,6 +52,9 @@ class RunConfig:
 
     def validate(self):
         v = self.values
+        for key, default in _DEFAULTS.items():
+            if isinstance(default, float) and not np.isfinite(v[key]):
+                raise ConfigError("%s must be finite, got %s" % (key, v[key]))
         aliases = {"scalar-appendix": "scalar", "vector-lame": "vector"}
         v["problem"] = aliases.get(v["problem"], v["problem"])
         if v["problem"] not in ("scalar", "vector"):
@@ -86,6 +89,8 @@ class RunConfig:
                 raise ConfigError("data.preset unknown: %s" % v["data.preset"])
         if v["solver.tol"] < 0:
             raise ConfigError("solver.tol must be >= 0 (0: by material.p)")
+        if v["solver.max_iter"] < 0:
+            raise ConfigError("solver.max_iter must be >= 0")
         rigid = 1 if v["problem"] == "scalar" else 3
         if not -1 <= v["solver.compat_constraints"] <= rigid:
             raise ConfigError("solver.compat_constraints must lie in [-1, %d] "

@@ -302,18 +302,6 @@ def _kernel(p, delta, amag, bmag):
     return bmag ** 2 * (amag + bmag + delta) ** (p - 2.0)
 
 
-def quasinorm_kernel(p, delta, a, b):
-    """G_{p,delta}(a, b) = |b|^2 (|a| + |b| + delta)^(p-2).
-
-    a, b: arrays whose last axis holds vector components (scalars allowed).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    amag = np.linalg.norm(a, axis=-1) if a.ndim >= 1 else np.abs(a)
-    bmag = np.linalg.norm(b, axis=-1) if b.ndim >= 1 else np.abs(b)
-    return _kernel(p, delta, amag, bmag)
-
-
 def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
     """Gradient-recovery estimator for the scalar problem with p >= 2."""
     law = system.law

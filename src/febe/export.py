@@ -64,11 +64,3 @@ def export_fields(sol, system, directory, indicators=None):
         fh.write("triangle,indicator\n"
                  + format_rows("%d,%.17g\n", np.arange(nt), cell_ind))
     return os.path.join(directory, "solution.vtk")
-
-
-def read_fields_csv(path):
-    """Reload the fields.csv mirror as a dict of arrays (bitwise round-trip)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",").reshape(-1, len(header))
-    return {name: data[:, k] for k, name in enumerate(header)}

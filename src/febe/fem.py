@@ -1,4 +1,4 @@
-"""P1 finite elements: spaces, nonlinear residual/tangent assembly, loads, norms."""
+"""P1 finite elements: spaces, nonlinear residual/tangent assembly, loads."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from . import material as mat
 from .mesh import triangle_areas
-from .quadrature import QuadratureRule, segment_gauss
+from .quadrature import QuadratureRule
 
 
 class FESpace:
@@ -95,10 +95,6 @@ class FESpace:
             return g
         return 0.5 * (g + np.transpose(g, (0, 2, 1)))
 
-    def interpolate(self, fn):
-        """Nodal interpolation of a callable fn(points)->(n,) or (n,2)."""
-        return np.asarray(fn(self.mesh.vertices), dtype=float).reshape(-1)
-
 
 def csc_structure(rows, cols, n):
     """Canonical CSC structure (indptr, indices) of the n x n matrix with
@@ -167,34 +163,3 @@ def energy(space, law, coeffs):
     """int_Omega A(strain(u_h)); exact for P1 fields."""
     eps = space.strains(coeffs)
     return float(np.sum(mat.potential(law, eps) * space.areas))
-
-
-def norms(space, coeffs, p, quad_order=6, trace_labels=("S", "T")):
-    """(full W^{1,p} norm, L^p norm of strain/gradient, L^1 boundary trace norm)."""
-    rule = QuadratureRule(quad_order)
-    vals = space.vertex_values(coeffs)[space.mesh.triangles]  # (nt,3,ncomp)
-    uq = np.einsum("qk,tkc->tqc", rule.bary, vals)
-    umag = np.sqrt(np.einsum("tqc,tqc->tq", uq, uq))
-    int_u_p = np.einsum("tq,q,t->", umag ** p, rule.weights, space.areas)
-
-    nt = len(space.areas)
-    g = space.gradients(coeffs).reshape(nt, -1)
-    int_g_p = float(np.sum(np.sqrt(np.einsum("tm,tm->t", g, g)) ** p * space.areas))
-    eps = space.strains(coeffs).reshape(nt, -1)
-    int_e_p = float(np.sum(np.sqrt(np.einsum("tm,tm->t", eps, eps)) ** p * space.areas))
-
-    trace = boundary_trace_l1(space, coeffs, trace_labels)
-    w1p = (int_u_p + int_g_p) ** (1.0 / p)
-    return w1p, int_e_p ** (1.0 / p), trace
-
-
-def boundary_trace_l1(space, coeffs, labels=("S", "T")):
-    """L^1 norm of |u_h| over the selected boundary parts."""
-    mesh = space.mesh
-    a, b = mesh.boundary_edges[np.isin(mesh.boundary_labels, labels)].T
-    L = np.linalg.norm(mesh.vertices[b] - mesh.vertices[a], axis=1)
-    vals = space.vertex_values(coeffs)
-    x, w = segment_gauss(4)
-    # (edges, 4 points, ncomp) values of the linear trace on each edge
-    uq = vals[a, None, :] * (1 - x)[:, None] + vals[b, None, :] * x[:, None]
-    return float(np.sum(L * (np.linalg.norm(uq, axis=2) @ w)))

@@ -142,23 +142,6 @@ def tangent_coeffs(law, x):
     return c1, c2
 
 
-def tangent(law, x):
-    """Dense matrix of DA'(x) on the flattened component space (2x2 or 4x4)."""
-    c1, c2 = tangent_coeffs(law, x)
-    v = _flat(law, x)
-    eye = np.eye(v.shape[-1])
-    return c1[..., None, None] * eye + c2[..., None, None] * (
-        v[..., :, None] * v[..., None, :])
-
-
-def tangent_apply(law, x, h):
-    """DA'(x) h, in the shape of x and h broadcast together."""
-    c1, c2 = tangent_coeffs(law, x)
-    xv, hv = _flat(law, x), _flat(law, h)
-    out = c1[..., None] * hv + (c2 * _dot(xv, hv))[..., None] * xv
-    return out.reshape(np.broadcast_shapes(np.shape(x), np.shape(h)))
-
-
 def potential(law, x):
     """A(x) with dA/dx = A'(x): |x|^p / p at delta = 0, else int_0^s c(t) t dt
     = s^b/b int_0^1 g(s v^(1/b)) dv with b = (1-delta)(p-2) + 2 and
@@ -172,24 +155,3 @@ def potential(law, x):
     t = s[..., None] * v ** (1.0 / b)
     g = (1.0 + t ** 2) ** (0.5 * law.delta * (law.p - 2.0))
     return s ** b / b * (g @ w)
-
-
-def monotonicity_gap(law, x, y):
-    """(lhs, lower, upper) of the pointwise two-sided monotonicity bounds.
-
-    lhs   = <A'(x) - A'(y), x - y>
-    lower = (|x|+|y|)^(p-2) |x-y|^2   (p < 2)   resp.  |x-y|^p        (p >= 2)
-    upper = |x-y|^p                   (p < 2)   resp.  (|x|+|y|)^(p-2) |x-y|^2
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x - y
-    lhs = _dot(_flat(law, stress(law, x) - stress(law, y)), _flat(law, d))
-    sx, sy, sd = _norm(law, x), _norm(law, y), _norm(law, d)
-    ssum = sx + sy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mixed = np.where(ssum > 0, ssum ** (law.p - 2.0), 0.0) * sd ** 2
-    powr = sd ** law.p
-    if law.p < 2:
-        return lhs, mixed, powr
-    return lhs, powr, mixed

@@ -189,10 +189,6 @@ class Mesh:
         label of each panel (loop[k], loop[k + 1])."""
         return self._loop, self._loop_labels
 
-    def max_boundary_edges_per_triangle(self):
-        owners = self.edge_triangles[self.edge_triangles[:, 1] < 0, 0]
-        return int(np.bincount(owners, minlength=1).max())
-
     @cached_property
     def dissection_order(self):
         """Read-only order of all vertices, for the sparse factorizations:
@@ -337,15 +333,6 @@ def mesh_size(mesh):
     """
     h_T = mesh.edge_lengths[mesh.triangle_edges].max(axis=1)
     return float(h_T.max()), h_T, mesh.edge_lengths
-
-
-def shape_regularity(mesh):
-    """max over triangles of h_T / rho_T, rho_T the inscribed-circle diameter."""
-    a, b, c = mesh.edge_lengths[mesh.triangle_edges].T
-    area = triangle_areas(mesh)
-    rho = 4.0 * area / (a + b + c)
-    h = np.maximum(np.maximum(a, b), c)
-    return float(np.max(h / rho))
 
 
 # -- refinement ----------------------------------------------------------------
@@ -505,8 +492,3 @@ def _mesh_text(vertices, triangles, edges, labels):
             + ("\n%.17g %.17g" * (len(v) // 2)) % tuple(v)
             + ("\n%d %d %d" * (len(t) // 3)) % tuple(t)
             + "".join("\n%d %d %s" % (a, b, lab) for (a, b), lab in zip(e, labels)))
-
-
-def save_mesh(mesh):
-    return _mesh_text(mesh.vertices, mesh.triangles, mesh.boundary_edges,
-                      mesh.boundary_labels) + "\n"

@@ -153,7 +153,7 @@ class CoupledSystem:
         else:
             self.idx_zn = 2 * np.arange(ns)
             self.idx_zt = 2 * np.arange(ns) + 1
-        self.node_normals = nrm = bspace.node_normals()
+        nrm = bspace.node_normals()
         if d == 1:
             frame = np.ones((ns, 1, 1))
         else:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from febe import material as mat
 from febe import mesh as meshmod
 
 
@@ -730,8 +731,8 @@ def loop_refine(mesh, marked):
                 scale_factor=mesh.scale_factor)
 
 
-# -- mesh text reference: the line-by-line writer that each preset and
-# -- save_mesh carried before the shared block writer -------------------------
+# -- mesh text reference: the line-by-line writer that each preset carried
+# -- before the shared block writer -------------------------------------------
 
 def loop_mesh_text(vertices, triangles, edges, labels):
     """Header, then one formatted line per vertex, triangle and edge."""
@@ -848,3 +849,117 @@ def loop_mark(values, theta):
         if acc >= theta * total - 1e-15 * total:
             break
     return out
+
+
+# -- test-side quantities no program path computes: the fundamental solution,
+# -- the fields.csv reader, the Korn norms, the shape-regularity bound and the
+# -- pointwise tangent and monotonicity forms of a material law --------------
+
+def fundamental_solution(coeffs, x, y):
+    """Fundamental solution at (x, y): scalar Laplace if coeffs is None, else 2D Lame."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = x - y
+    rho2 = np.sum(r * r, axis=-1)
+    if np.any(rho2 == 0):
+        raise ValueError("fundamental solution at coincident points")
+    if coeffs is None:
+        return -np.log(rho2) / (4 * np.pi)
+    lam, mu = coeffs.lam, coeffs.mu
+    A = (lam + 3 * mu) / (4 * np.pi * mu * (lam + 2 * mu))
+    B = (lam + mu) / (lam + 3 * mu)
+    eye = np.eye(2)
+    dyad = r[..., :, None] * r[..., None, :] / rho2[..., None, None]
+    return A * (-0.5 * np.log(rho2)[..., None, None] * eye + B * dyad)
+
+
+def read_fields_csv(path):
+    """Reload the fields.csv mirror as a dict of arrays (bitwise round-trip)."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",").reshape(-1, len(header))
+    return {name: data[:, k] for k, name in enumerate(header)}
+
+
+def norms(space, coeffs, p, quad_order=6, trace_labels=("S", "T")):
+    """(full W^{1,p} norm, L^p norm of strain/gradient, L^1 boundary trace norm)."""
+    from febe.quadrature import QuadratureRule
+    rule = QuadratureRule(quad_order)
+    vals = space.vertex_values(coeffs)[space.mesh.triangles]  # (nt,3,ncomp)
+    uq = np.einsum("qk,tkc->tqc", rule.bary, vals)
+    umag = np.sqrt(np.einsum("tqc,tqc->tq", uq, uq))
+    int_u_p = np.einsum("tq,q,t->", umag ** p, rule.weights, space.areas)
+
+    nt = len(space.areas)
+    g = space.gradients(coeffs).reshape(nt, -1)
+    int_g_p = float(np.sum(np.sqrt(np.einsum("tm,tm->t", g, g)) ** p * space.areas))
+    eps = space.strains(coeffs).reshape(nt, -1)
+    int_e_p = float(np.sum(np.sqrt(np.einsum("tm,tm->t", eps, eps)) ** p * space.areas))
+
+    trace = boundary_trace_l1(space, coeffs, trace_labels)
+    w1p = (int_u_p + int_g_p) ** (1.0 / p)
+    return w1p, int_e_p ** (1.0 / p), trace
+
+
+def boundary_trace_l1(space, coeffs, labels=("S", "T")):
+    """L^1 norm of |u_h| over the selected boundary parts."""
+    from febe.quadrature import segment_gauss
+    mesh = space.mesh
+    a, b = mesh.boundary_edges[np.isin(mesh.boundary_labels, labels)].T
+    L = np.linalg.norm(mesh.vertices[b] - mesh.vertices[a], axis=1)
+    vals = space.vertex_values(coeffs)
+    x, w = segment_gauss(4)
+    # (edges, 4 points, ncomp) values of the linear trace on each edge
+    uq = vals[a, None, :] * (1 - x)[:, None] + vals[b, None, :] * x[:, None]
+    return float(np.sum(L * (np.linalg.norm(uq, axis=2) @ w)))
+
+
+def shape_regularity(mesh):
+    """max over triangles of h_T / rho_T, rho_T the inscribed-circle diameter."""
+    a, b, c = mesh.edge_lengths[mesh.triangle_edges].T
+    area = meshmod.triangle_areas(mesh)
+    rho = 4.0 * area / (a + b + c)
+    h = np.maximum(np.maximum(a, b), c)
+    return float(np.max(h / rho))
+
+
+def tangent(law, x):
+    """Dense matrix of DA'(x) from mat.tangent_coeffs, on the flattened
+    component space (2x2 or 4x4)."""
+    c1, c2 = mat.tangent_coeffs(law, x)
+    v = mat._flat(law, x)
+    eye = np.eye(v.shape[-1])
+    return c1[..., None, None] * eye + c2[..., None, None] * (
+        v[..., :, None] * v[..., None, :])
+
+
+def tangent_apply(law, x, h):
+    """DA'(x) h from mat.tangent_coeffs, in the shape of x and h broadcast
+    together."""
+    c1, c2 = mat.tangent_coeffs(law, x)
+    xv, hv = mat._flat(law, x), mat._flat(law, h)
+    out = c1[..., None] * hv + (c2 * mat._dot(xv, hv))[..., None] * xv
+    return out.reshape(np.broadcast_shapes(np.shape(x), np.shape(h)))
+
+
+def monotonicity_gap(law, x, y):
+    """(lhs, lower, upper) of the pointwise two-sided monotonicity bounds of
+    mat.stress.
+
+    lhs   = <A'(x) - A'(y), x - y>
+    lower = (|x|+|y|)^(p-2) |x-y|^2   (p < 2)   resp.  |x-y|^p        (p >= 2)
+    upper = |x-y|^p                   (p < 2)   resp.  (|x|+|y|)^(p-2) |x-y|^2
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    d = x - y
+    lhs = mat._dot(mat._flat(law, mat.stress(law, x) - mat.stress(law, y)),
+                   mat._flat(law, d))
+    sx, sy, sd = mat._norm(law, x), mat._norm(law, y), mat._norm(law, d)
+    ssum = sx + sy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mixed = np.where(ssum > 0, ssum ** (law.p - 2.0), 0.0) * sd ** 2
+    powr = sd ** law.p
+    if law.p < 2:
+        return lhs, mixed, powr
+    return lhs, powr, mixed

@@ -22,7 +22,8 @@ from febe.study import (boundary_energy_error, build_from_config,
 from febe.vi import (ProblemData, kkt_residuals, solve_contact_vi,
                      solve_layerpotential_vi, solve_transmission)
 
-from conftest import circle_mesh, square_mesh_text
+from conftest import (circle_mesh, monotonicity_gap, read_fields_csv,
+                      square_mesh_text, tangent_apply)
 
 
 def _report(num, ok, text):
@@ -41,7 +42,7 @@ def test_criterion_1_material_bounds():
             law = mat.MaterialLaw(p=p, delta=delta)
             x = rng.uniform(-1, 1, size=(10000, 2))
             y = rng.uniform(-1, 1, size=(10000, 2))
-            lhs, lo, up = mat.monotonicity_gap(law, x, y)
+            lhs, lo, up = monotonicity_gap(law, x, y)
             keep = lo > 1e-14
             clo = np.min(lhs[keep] / lo[keep])
             keep = up > 1e-14
@@ -53,7 +54,7 @@ def test_criterion_1_material_bounds():
             h = rng.normal(size=(50, 2))
             t = 1e-6
             fd = (mat.stress(law, xs + t * h) - mat.stress(law, xs - t * h)) / (2 * t)
-            an = mat.tangent_apply(law, xs, h)
+            an = tangent_apply(law, xs, h)
             rel = (np.linalg.norm(an - fd, axis=1)
                    / np.maximum(np.linalg.norm(fd, axis=1), 1e-8))
             ok &= bool(np.max(rel) <= 1e-6)
@@ -340,7 +341,6 @@ def test_criterion_9_adaptivity_localization():
 
 def test_criterion_10_reproducibility(tmp_path):
     from febe.cli import main
-    from febe.export import read_fields_csv
     base = ("problem = scalar\nmaterial.p = 2.0\nmesh.preset = square-slip\n"
             "mesh.n = 2\nmesh.refine = 2\ndata.preset = transition\n")
     ok = True

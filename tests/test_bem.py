@@ -6,7 +6,7 @@ from febe.material import ExteriorCoefficients
 from febe.mesh import load_mesh, refine_uniform
 from febe.quadrature import segment_gauss
 
-from conftest import circle_mesh, square_mesh_text, struct_square
+from conftest import circle_mesh, fundamental_solution, square_mesh_text, struct_square
 
 
 @pytest.fixture(scope="module")
@@ -34,12 +34,12 @@ def sq_scaled():
 def test_fundamental_solution_scalar_unit_distance():
     x = np.array([0.3, 0.4])
     y = x + np.array([1.0, 0.0])
-    assert bem.fundamental_solution(None, x, y) == pytest.approx(0.0, abs=1e-15)
+    assert fundamental_solution(None, x, y) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_fundamental_solution_lame_value():
     co = ExteriorCoefficients(mu=1.0, lam=1.0)
-    G = bem.fundamental_solution(co, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+    G = fundamental_solution(co, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
     expect = np.array([[1.0 / (6 * np.pi), 0.0], [0.0, 0.0]])
     assert G == pytest.approx(expect, abs=1e-15)
 
@@ -49,15 +49,15 @@ def test_fundamental_solution_symmetry():
     rng = np.random.default_rng(0)
     for _ in range(5):
         x, y = rng.normal(size=2), rng.normal(size=2)
-        Gxy = bem.fundamental_solution(co, x, y)
-        Gyx = bem.fundamental_solution(co, y, x)
+        Gxy = fundamental_solution(co, x, y)
+        Gyx = fundamental_solution(co, y, x)
         assert Gxy == pytest.approx(Gyx.T)
         assert Gxy == pytest.approx(Gxy.T)
 
 
 def test_fundamental_solution_coincident_rejected():
     with pytest.raises(ValueError):
-        bem.fundamental_solution(None, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        fundamental_solution(None, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
 def test_self_panel_entry_analytic(sq_scaled):
@@ -222,8 +222,8 @@ def test_lame_dipole_mapping(circ64_lame):
     h = 1e-6
 
     def u_vec(y):
-        Gp = bem.fundamental_solution(co, y, x0 + h * e)
-        Gm = bem.fundamental_solution(co, y, x0 - h * e)
+        Gp = fundamental_solution(co, y, x0 + h * e)
+        Gm = fundamental_solution(co, y, x0 - h * e)
         return (Gp - Gm) @ c / (2 * h)
 
     def traction(y, nv):
@@ -323,8 +323,8 @@ def test_lame_dipole_on_square_geometry():
     h = 1e-6
 
     def u_vec(y):
-        Gp = bem.fundamental_solution(co, y, x0 + h * e)
-        Gm = bem.fundamental_solution(co, y, x0 - h * e)
+        Gp = fundamental_solution(co, y, x0 + h * e)
+        Gm = fundamental_solution(co, y, x0 - h * e)
         return (Gp - Gm) @ c / (2 * h)
 
     def traction(y, nv):
@@ -560,7 +560,7 @@ def test_single_layer_matches_fundamental_solution_quadrature(lame):
     X = rad[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
     dens = rng.normal(size=(bs.n_panels, d))
     t, wq = segment_gauss(40)
-    G = bem.fundamental_solution(co, X[:, None, None, :], bs.panel_points(t)[None])
+    G = fundamental_solution(co, X[:, None, None, :], bs.panel_points(t)[None])
     G = G.reshape(len(X), bs.n_panels, len(t), d, d)
     ref = np.einsum("m,q,nmqab,mb->na", bs.lengths, wq, G, dens)
     vphi = bem.eval_single_layer(bs, co, dens.ravel(), X)

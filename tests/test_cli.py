@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from febe.cli import main
-from febe.config import ConfigError, parse_config
-from febe.export import read_fields_csv
+from febe.config import _DEFAULTS, ConfigError, parse_config
+
+from conftest import read_fields_csv
 
 
 BASE = """
@@ -104,6 +105,58 @@ def test_config_mistakes_exit_2(tmp_path, capsys, extra):
     assert captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(k for k, v in _DEFAULTS.items() if isinstance(v, float)))
+def test_non_finite_float_is_config_error(tmp_path, capsys, key, value):
+    # a vector problem, so that the exterior Lame coefficients are used
+    cfg = write_cfg(tmp_path, "problem = vector\ndata.preset = stick-vec\n%s = %s\n"
+                    "out.dir = %s\n" % (key, value, tmp_path / "out"))
+    assert main(["solve", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: %s must be finite, got %s\n" % (key, float(value))
+    assert "Traceback" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_max_iter_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "solver.max_iter = -1\nout.dir = %s\n" % (tmp_path / "out"))
+    assert main(["solve", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: solver.max_iter must be >= 0\n"
+    assert "Traceback" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd,where", [("solve", "out.dir"), ("solve", "under"),
+                                       ("study", "out.dir"), ("export", "--dest")])
+def test_output_path_that_is_a_file_is_config_error(tmp_path, capsys, monkeypatch,
+                                                     cmd, where):
+    # rejected before a mesh is loaded or a study starts
+    import febe.cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the output path was checked")
+
+    for name in ("mesh_from_config", "convergence_study"):
+        monkeypatch.setattr(febe.cli, name, unreachable)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if where == "under" else blocker
+    argv = [cmd, "--config"]
+    if where == "--dest":
+        argv += [write_cfg(tmp_path, "out.dir = %s\n" % (tmp_path / "out")),
+                 "--dest", str(out)]
+    else:
+        argv.append(write_cfg(tmp_path, "out.dir = %s\n" % out))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: output path %s: %s exists and is not "
+                            "a directory\n" % (out, blocker))
+    assert "Traceback" not in captured.out
+    assert blocker.read_text() == "kept\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_example_config_validates():

@@ -8,7 +8,7 @@ from febe import fem, material as mat
 from febe.mesh import Mesh, load_mesh, refine_uniform
 from febe.quadrature import QuadratureRule, segment_gauss
 
-from conftest import square_mesh_text
+from conftest import boundary_trace_l1, norms, square_mesh_text
 
 
 def ref_triangle():
@@ -267,7 +267,7 @@ def test_load_reference_triangle_moments():
 
 def test_norms_zero(unit_square):
     space = fem.FESpace(unit_square)
-    w, e, tr = fem.norms(space, np.zeros(space.ndof), p=2.0)
+    w, e, tr = norms(space, np.zeros(space.ndof), p=2.0)
     assert (w, e, tr) == (0.0, 0.0, 0.0)
 
 
@@ -275,7 +275,7 @@ def test_norms_linear_field(unit_square):
     # vector u = (x, x): grad = [[1,0],[1,0]], eps = [[1,.5],[.5,0]]
     space = fem.FESpace(unit_square, ncomp=2)
     u = np.repeat(unit_square.vertices[:, 0], 2)
-    w1p, epsn, tr = fem.norms(space, u, p=2.0)
+    w1p, epsn, tr = norms(space, u, p=2.0)
     assert epsn == pytest.approx(np.sqrt(1.5), rel=1e-12)
     # |u|^2 = 2x^2 on the square: integral 2/3; |grad|^2 = 2
     assert w1p == pytest.approx(np.sqrt(2 / 3 + 2), rel=1e-10)
@@ -317,8 +317,8 @@ def test_korn_constant_stable_under_refinement():
         cs = []
         for _ in range(50):
             u = rng.normal(size=space.ndof)
-            w1p, epsn, _ = fem.norms(space, u, p=2.0)
-            tr_t = fem.boundary_trace_l1(space, u, labels=("T",))
+            w1p, epsn, _ = norms(space, u, p=2.0)
+            tr_t = boundary_trace_l1(space, u, labels=("T",))
             cs.append(w1p / (epsn + tr_t))
         consts.append(max(cs))
         m = refine_uniform(m, 1)
@@ -350,7 +350,7 @@ def test_boundary_trace_matches_edge_loop(ncomp, labels):
     for _ in range(5):
         u = rng.normal(size=space.ndof)
         ref = _loop_boundary_trace_l1(space, u, labels)
-        got = fem.boundary_trace_l1(space, u, labels)
+        got = boundary_trace_l1(space, u, labels)
         assert ref > 0
         assert abs(got - ref) <= 1e-14 * ref
 

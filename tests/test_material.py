@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from febe import material as mat
 
+from conftest import monotonicity_gap, tangent, tangent_apply
+
 LAWS = [mat.MaterialLaw(p=p, delta=d)
         for p in (1.2, 1.5, 2.0, 3.0, 4.0) for d in (0.0, 0.5, 1.0)]
 
@@ -63,13 +65,13 @@ def test_stress_grows_like_power_p_minus_1(p, delta):
 def test_tangent_identity_for_linear_law():
     law = mat.MaterialLaw(p=2.0)
     x = np.array([0.4, 0.9])
-    assert mat.tangent(law, x) == pytest.approx(np.eye(2))
+    assert tangent(law, x) == pytest.approx(np.eye(2))
 
 
 def test_tangent_p4_closed_form():
     law = mat.MaterialLaw(p=4.0)
     x = np.array([1.0, 0.0])
-    assert mat.tangent(law, x) == pytest.approx(np.diag([3.0, 1.0]))
+    assert tangent(law, x) == pytest.approx(np.diag([3.0, 1.0]))
 
 
 @pytest.mark.parametrize("law", LAWS, ids=lambda l: f"{_label(l)}-p{l.p}-d{l.delta}")
@@ -81,7 +83,7 @@ def test_tangent_matches_finite_differences(law):
         h = rng.normal(size=2)
         t = 1e-6 * max(1.0, np.linalg.norm(x))
         fd = (mat.stress(law, x + t * h) - mat.stress(law, x - t * h)) / (2 * t)
-        an = mat.tangent_apply(law, x, h)
+        an = tangent_apply(law, x, h)
         assert np.linalg.norm(an - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-10) + 1e-9
 
 
@@ -96,7 +98,7 @@ def test_tangent_matrix_mode_spd():
     law = mat.MaterialLaw(p=3.0, mode=mat.MODE_MATRIX)
     g = rng.normal(size=(2, 2))
     x = 0.5 * (g + g.T)
-    T = mat.tangent(law, x)
+    T = tangent(law, x)
     assert T == pytest.approx(T.T)
     assert np.linalg.eigvalsh(T).min() >= -1e-12
 
@@ -104,7 +106,7 @@ def test_tangent_matrix_mode_spd():
 def test_monotonicity_gap_coincident():
     law = mat.MaterialLaw(p=1.5)
     x = np.array([0.3, 0.4])
-    lhs, lo, up = mat.monotonicity_gap(law, x, x)
+    lhs, lo, up = monotonicity_gap(law, x, x)
     assert (lhs, lo, up) == (0.0, 0.0, 0.0)
 
 
@@ -112,7 +114,7 @@ def test_monotonicity_gap_p2_exact():
     law = mat.MaterialLaw(p=2.0)
     rng = np.random.default_rng(1)
     x, y = rng.normal(size=2), rng.normal(size=2)
-    lhs, lo, up = mat.monotonicity_gap(law, x, y)
+    lhs, lo, up = monotonicity_gap(law, x, y)
     assert lhs == pytest.approx(np.sum((x - y) ** 2))
     assert lhs == pytest.approx(lo)
     assert lhs == pytest.approx(up)
@@ -123,7 +125,7 @@ def test_two_sided_bounds_fitted_constants(law):
     rng = np.random.default_rng(11)
     x = rng.uniform(-1, 1, size=(10000, 2))
     y = rng.uniform(-1, 1, size=(10000, 2))
-    lhs, lo, up = mat.monotonicity_gap(law, x, y)
+    lhs, lo, up = monotonicity_gap(law, x, y)
     keep = lo > 1e-14
     clo = np.min(lhs[keep] / lo[keep])
     keep = up > 1e-14
@@ -138,7 +140,7 @@ def test_two_sided_bounds_fitted_constants(law):
        st.sampled_from([1.2, 1.5, 2.0, 3.0, 4.0]))
 def test_pointwise_monotone(x1, x2, y1, y2, p):
     law = mat.MaterialLaw(p=p, delta=0.5)
-    lhs, _, _ = mat.monotonicity_gap(law, np.array([x1, x2]), np.array([y1, y2]))
+    lhs, _, _ = monotonicity_gap(law, np.array([x1, x2]), np.array([y1, y2]))
     assert lhs >= -1e-12
 
 
@@ -181,9 +183,9 @@ def test_matrix_mode_on_flat_axis_matches_frobenius_formulas(law):
     assert np.array_equal(mat.stress(law, x), stress(x))
     c1, c2 = mat.tangent_coeffs(law, x)
     dot = np.einsum("...ij,...ij->...", x, h)
-    assert np.array_equal(mat.tangent_apply(law, x, h),
+    assert np.array_equal(tangent_apply(law, x, h),
                           c1[..., None, None] * h + (c2 * dot)[..., None, None] * x)
-    lhs, lower, upper = mat.monotonicity_gap(law, x, y)
+    lhs, lower, upper = monotonicity_gap(law, x, y)
     assert np.array_equal(lhs, np.einsum("...ij,...ij->...", stress(x) - stress(y), x - y))
     sd, ssum = norm(x - y), norm(x) + norm(y)
     mixed, powr = ssum ** (law.p - 2.0) * sd ** 2, sd ** law.p
