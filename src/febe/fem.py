@@ -129,18 +129,25 @@ def assemble_residual(space, law, coeffs):
                        minlength=space.ndof)
 
 
-def assemble_tangent(space, law, coeffs):
-    """Sparse symmetric linearization of the residual at coeffs, in canonical
-    CSC form on the space's tangent_pattern: the element matrices summed
-    into their slots in element order, exact zeros stored."""
+def element_tangents(space, law, coeffs):
+    """(nt, k, k) element matrices of the linearized residual at coeffs,
+    each scaled by its triangle's area."""
     eps = space.strains(coeffs)
     c1, c2 = mat.tangent_coeffs(law, eps)
     xb = np.einsum("tm,tkm->tk", eps.reshape(len(eps), -1), space.basis_strains)
     loc = (c1[:, None, None] * space.basis_gram
            + c2[:, None, None] * xb[:, :, None] * xb[:, None, :])
     loc *= space.areas[:, None, None]
+    return loc
+
+
+def assemble_tangent(space, law, coeffs):
+    """Sparse symmetric linearization of the residual at coeffs, in canonical
+    CSC form on the space's tangent_pattern: the element_tangents summed
+    into their slots in element order, exact zeros stored."""
     indptr, indices, slot = space.tangent_pattern
-    data = np.bincount(slot, weights=loc.ravel(), minlength=len(indices))
+    data = np.bincount(slot, weights=element_tangents(space, law, coeffs).ravel(),
+                       minlength=len(indices))
     return sp.csc_matrix((data, indices, indptr), shape=(space.ndof, space.ndof))
 
 

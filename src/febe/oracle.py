@@ -110,7 +110,9 @@ def oracle_vi(system):
     F = system.friction.F
     eye = np.eye(n)
     tol_feas = 1e-10 * max(1.0, np.abs(system.rhs[:n]).max())
-    J0 = system.J_const[:n, :n].toarray()
+    nb = len(system.bcols)
+    J0 = np.zeros((n, n))
+    J0[np.ix_(system.bcols, system.bcols)] = system.J_block[:nb, :nb]
     H0 = _hessian(system, J0, MaterialLaw(p=2.0, mode=system.law.mode), np.zeros(nU))
     g0 = system.grad_smooth(np.zeros(n))
 

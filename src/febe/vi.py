@@ -8,13 +8,15 @@ exact nonsmooth term sum_k F_k |Z_t,k|.  The n=2 compatibility constraints
 <S 1_j, w - u0> = 0 are rows C x = c0 with a Lagrange multiplier lam, which
 borders the Steklov-Poincare system.
 
-Each formulation is one affine block form (J_const, rhs): apart from the FE
-residual, its residual is affine in the unknowns, so
+Each formulation is one affine block form (J_block, J_dofs, rhs) with a
+dense block J_block on the dofs J_dofs: apart from the FE residual, its
+residual is affine in the unknowns, so
 
-    R(y) = J_const y - rhs,  plus the FE residual of U on the first nU rows,
+    R(y) = -rhs,  plus J_block y[J_dofs] on the rows J_dofs,
+           plus the FE residual of U on the first nU rows,
 
-and its Newton matrix is J_const plus the FE tangent.  The Steklov-Poincare
-form acts on y = (U, Z, lam) with J_const = [[B^T S B, C^T], [C, 0]] and
+and its Newton matrix is J_block plus the FE tangent.  The Steklov-Poincare
+form acts on y = (U, Z, lam) with J_block = [[B^T S B, C^T], [C, 0]] and
 rhs = (b_f + B^T (t0 + S u0), c0); the layer-potential form acts on
 y = (U, Z, P) with the W, K, V and stabilization blocks (LayerPotentialSystem).
 Both are solved by one primal-dual active-set (semismooth) Newton loop
@@ -35,31 +37,31 @@ The exterior problem enters only through the trace map B, which takes
 x = (U, Z) to the boundary trace w: the trace of U plus the slip jump of Z.
 Its columns bcols, the trace dofs of the boundary loop and then every Z
 dof, hold all its entries, and the system stores Bd = B[:, bcols] once.
-J_const is built once per system, in canonical CSC form, from one dense
-block on bcols and the multiplier or density dofs, each a product with
-Bd: (Bd^T S) Bd and C = (D^T S) Bd for the compatibility directions D, or
-[[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] plus the stabilization.  Its exact
-zeros are not stored, so the sparsity patterns are those of the sparse
-products with B.
+J_dofs are bcols, then the multiplier or density dofs, and J_block is
+built once per system from products with Bd: (Bd^T S) Bd and
+C = (D^T S) Bd for the compatibility directions D, or
+[[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] plus the stabilization.
 
 Every Newton matrix of one solve of a form is stored on one canonical CSC
-pattern, built once per solve by fem.csc_structure: the union of J_const's
-entries, the FE tangent's structure (exact zeros included) and the
-diagonal.  One driver (_solve) runs both forms: unless the law is linear,
-it first runs the Newton loop with the p = 2 law on the same system, form
-and pattern from the given start and starts from that solution,
-multipliers and density included.  Per Newton step only the FE tangent
-changes: each step copies J_const's values on the pattern, adds the
-tangent's data at its slots, zeroes the held rows by a row mask and sets
-their diagonal slot to 1, with no sparse conversion or add.  The pattern
-is numbered in the mesh's nested-dissection order (Mesh.dissection_order)
-times the components, then the Z, lam and density dofs, so the trace
-dofs, which J_const couples densely, come last with the boundary loop.
-SuperLU factors each step's matrix in that order (permc_spec NATURAL),
-with partial pivoting, and no step computes an ordering.  SuperLU does not
-raise on an exactly singular matrix; it warns and returns NaN, and the
-solver raises SolverError, as it does when the line search cannot
-decrease the residual or the steps run out.
+pattern (_newton_pattern), numbered in the mesh's nested-dissection order
+(Mesh.dissection_order) times the components, then the Z, lam and density
+dofs, so J_dofs are the contiguous tail of the numbering, in order, with
+the boundary loop last.  fem.csc_structure sorts only the FE tangent's
+entries (exact zeros included) outside the tail block, and every tail
+column gets all tail rows spliced in after them, J_block's exact zeros
+included; the tail fills in completely in the factorization anyway.  One
+driver (_solve) runs both forms: unless the law is linear, it first runs
+the Newton loop with the p = 2 law on the same system, form and pattern
+from the given start and starts from that solution, multipliers and
+density included.  Per Newton step only the FE tangent changes: each step
+sums the element tangents onto the pattern by one bincount, adds
+J_block's values, zeroes the held rows by a row mask and sets their
+diagonal slot to 1, with no sparse conversion or add.  SuperLU factors
+each step's matrix in that order (permc_spec NATURAL), with partial
+pivoting, and no step computes an ordering.  SuperLU does not raise on an
+exactly singular matrix; it warns and returns NaN, and the solver raises
+SolverError, as it does when the line search cannot decrease the residual
+or the steps run out.
 """
 
 from __future__ import annotations
@@ -120,12 +122,12 @@ class CoupledSystem:
 
     B maps x = (U, Z) to the boundary trace w, and Bd = B[:, bcols] is its
     block on the boundary columns.  The system is the Steklov-Poincare
-    block form (J_const, rhs) over y = (U, Z, lam): the bordered block
-    J_const = [[B^T S B, C^T], [C, 0]], canonical CSC, and
-    rhs = (b_f + B^T gb, c0) with gb = t0 moments + S u0.  The compatibility
-    rows C = Cw B and B^T S B come from dense products with Bd on bcols;
-    no dense block is kept on the system.  Problem data that is not finite
-    is a ConfigError.
+    block form (J_block, J_dofs, rhs) over y = (U, Z, lam): the bordered
+    block J_block = [[B^T S B, C^T], [C, 0]], dense on J_dofs (bcols, then
+    the multiplier dofs), and rhs = (b_f + B^T gb, c0) with
+    gb = t0 moments + S u0.  The compatibility rows C = Cw B and B^T S B
+    come from dense products with Bd on bcols.  Problem data that is not
+    finite is a ConfigError.
     """
 
     def __init__(self, space, bspace, ops, law, data, ncompat=None,
@@ -213,6 +215,7 @@ class CoupledSystem:
         self.C[:, self.bcols] = self.compat_dirs.T @ self.S @ self.Bd
         self.rhs = np.concatenate([self.b_f, np.zeros(self.nZ), self.c0])
         self.rhs[:n] += self.B.T @ self.gb
+        self.J_dofs = np.concatenate([self.bcols, n + np.arange(self.ncompat)])
 
         self.compat_data_residual = self._data_compat_residual()
 
@@ -301,30 +304,15 @@ class CoupledSystem:
         return float(np.abs(self.C @ x - self.c0).max())
 
     @cached_property
-    def J_const(self):
-        """Constant block of the form over y = (U, Z, lam), built on first
-        use as canonical CSC from its dense block on bcols and the
-        multiplier dofs: the bordered compatibility system
-        [[B^T S B, C^T], [C, 0]].  Each Newton step adds the FE tangent."""
-        n, m = self.nU + self.nZ, self.ncompat
+    def J_block(self):
+        """Constant block of the form over y = (U, Z, lam) at its dofs
+        J_dofs, dense, built on first use: the bordered compatibility
+        system [[Bd^T S Bd, Cb^T], [Cb, 0]] with Cb = C[:, bcols].  Each
+        Newton step adds the FE tangent."""
+        m = self.ncompat
         Cb = self.C[:, self.bcols]
         H = self.Bd.T @ self.S @ self.Bd     # left to right: the (B^T S) B rounding
-        block = np.block([[H, Cb.T], [Cb, np.zeros((m, m))]])
-        return _embed(block, np.concatenate([self.bcols, n + np.arange(m)]), n + m)
-
-
-def _embed(block, idx, n):
-    """The n x n matrix, in canonical CSC form with int32 indices, that
-    holds the nonzero entries of the dense block at rows and columns idx
-    (distinct); exact zeros are not stored."""
-    order = np.argsort(idx)
-    idx = idx[order].astype(np.int32)
-    cols = block.take(order, axis=1).take(order, axis=0).T   # column-major walk
-    nz = cols != 0
-    counts = np.zeros(n + 1, dtype=np.int32)
-    counts[idx + 1] = np.count_nonzero(nz, axis=1)
-    return sp.csc_matrix((cols[nz], np.broadcast_to(idx, nz.shape)[nz],
-                          np.cumsum(counts, dtype=np.int32)), shape=(n, n))
+        return np.block([[H, Cb.T], [Cb, np.zeros((m, m))]])
 
 
 def _residual_scale(system):
@@ -333,51 +321,70 @@ def _residual_scale(system):
 
 
 def _block_residual(system, form, law, y):
-    """Residual of a block form of system under the law: form.J_const y -
-    form.rhs, plus the FE residual of U on the first nU rows."""
-    R = form.J_const @ y - form.rhs
+    """Residual of a block form of system under the law: -form.rhs plus
+    form.J_block y[J_dofs] on the rows J_dofs, plus the FE residual of U on
+    the first nU rows."""
+    R = -form.rhs
+    R[form.J_dofs] += form.J_block @ y[form.J_dofs]
     R[:system.nU] += fem.assemble_residual(system.space, law, y[:system.nU])
     return R
 
 
-def _newton_pattern(space, J0):
+def _newton_pattern(space, form):
     """Canonical CSC pattern (indptr, indices) of every Newton matrix of a
-    form with constant block J0 (canonical CSC), in the dissection
-    numbering: fem.csc_structure of the union of J0's entries, the
-    structure of the FE tangent on the leading nU x nU block and the
-    diagonal, each dof i renumbered rank[i].  The dof order perm (rank's
-    inverse) is the mesh's dissection_order times ncomp, then the Z, lam
-    and density dofs.  Also returns J0's values on the pattern (zero
-    elsewhere), the slots of the tangent's entries and of the diagonal of
-    dof 0, 1, ..., and perm and rank."""
-    n = J0.shape[0]
-    hptr, hind, _ = space.tangent_pattern
-    col_index = lambda indptr: np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    form, in the dissection numbering: each dof i is renumbered rank[i],
+    and the dof order perm (rank's inverse) is the mesh's dissection_order
+    times ncomp, then the Z, lam and density dofs, so the form's J_dofs
+    are the last len(J_dofs) ranks, in order.  The FE tangent's entries
+    outside that tail block and the diagonal before it go through
+    fem.csc_structure; each tail column then gets every tail row after its
+    rows above the tail, J_block's exact zeros included.  Also returns the
+    base values (J_block's columns in the tail block, zero elsewhere), the
+    slot of each entry of the element_tangents, flat, the slots of the
+    diagonal of dof 0, 1, ..., and perm and rank."""
+    n, nJ = len(form.rhs), len(form.J_dofs)
+    t0 = n - nJ
     nc = space.ncomp
     perm = np.concatenate([(nc * space.mesh.dissection_order[:, None]
                             + np.arange(nc)).ravel(), np.arange(space.ndof, n)])
     rank = np.empty_like(perm)
     rank[perm] = np.arange(n)
-    diag = np.arange(n)
-    indptr, indices, slot = fem.csc_structure(
-        rank[np.concatenate([J0.indices, hind, diag])],
-        rank[np.concatenate([col_index(J0.indptr), col_index(hptr), diag])], n)
+    assert np.array_equal(rank[form.J_dofs], np.arange(t0, n))
+    hptr, hind, eslot = space.tangent_pattern
+    rows, cols = rank[hind], rank[np.repeat(np.arange(space.ndof), np.diff(hptr))]
+    out = (rows < t0) | (cols < t0)
+    head = np.arange(t0)
+    ptr, ind, slot = fem.csc_structure(np.concatenate([rows[out], head]),
+                                       np.concatenate([cols[out], head]), n)
+    shift = nJ * np.maximum(np.arange(n + 1) - t0, 0)
+    indptr = (ptr + shift).astype(ptr.dtype)
+    move = np.arange(len(ind)) + np.repeat(shift[:-1], np.diff(ptr))
+    tail = (indptr[t0:-1] + np.diff(ptr)[t0:])[:, None] + np.arange(nJ)  # [col, row]
+    indices = np.empty(indptr[-1], dtype=ind.dtype)
+    indices[move] = ind
+    indices[tail] = np.arange(t0, n)
     base = np.zeros(len(indices))
-    base[slot[:J0.nnz]] = J0.data
-    return indptr, indices, base, slot[J0.nnz:-n], slot[-n:], perm, rank
+    base[tail] = form.J_block.T
+    hslot = np.empty(len(hind), dtype=np.intp)
+    hslot[out] = move[slot[:len(slot) - t0]]
+    hslot[~out] = tail[cols[~out] - t0, rows[~out] - t0]
+    dslot = np.concatenate([move[slot[len(slot) - t0:]], tail.diagonal()])
+    return indptr, indices, base, hslot[eslot], dslot, perm, rank
 
 
 def _newton_matrix(system, law, pattern, U, fixed):
     """Newton matrix on a pattern of _newton_pattern, canonical CSC in its
-    dissection numbering: J0's values plus the FE tangent of the law at U,
-    with the rows `fixed` (dofs) replaced by unit rows."""
-    indptr, indices, base, hslot, dslot, _, rank = pattern
+    dissection numbering: the element tangents of the law at U summed onto
+    the pattern, plus the base values, with the rows `fixed` (dofs)
+    replaced by unit rows."""
+    indptr, indices, base, eslot, dslot, _, rank = pattern
     n = len(indptr) - 1
-    data = base.copy()
-    data[hslot] += fem.assemble_tangent(system.space, law, U).data
+    data = np.bincount(eslot, weights=fem.element_tangents(system.space, law, U).ravel(),
+                       minlength=len(indices))
+    data += base
     held = np.zeros(n, dtype=bool)
     held[rank[fixed]] = True
-    data[held[indices]] = 0.0
+    data[held.take(indices)] = 0.0     # held[indices] is ~3x slower on int32 indices
     data[dslot[fixed]] = 1.0
     J = sp.csc_matrix((data, indices, indptr), shape=(n, n))
     J.has_canonical_format = True
@@ -391,7 +398,7 @@ def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
     rows (none if contact is False), multiplier lam_n = -R_n >= 0, and
     Tresca friction on the Z_t rows of the slip nodes with a positive bound
     F, friction force mu_t = -R_f in [-F, F].  Every Newton matrix is
-    form.J_const plus the FE tangent, with the held rows replaced by unit
+    form.J_block plus the FE tangent, with the held rows replaced by unit
     rows, stored on `pattern` (the form's _newton_pattern) in its dissection
     numbering; each step solves it for rhs[perm] and takes the step back by
     [rank].
@@ -521,7 +528,7 @@ def _solve(system, form, y0, tol, max_iter, what, contact=True):
     on the same system, form and pattern from y0 and starts from its
     solution, multipliers included: at zero strain the FE tangent of a
     p > 2 law vanishes and the first Newton matrix would be singular."""
-    pattern = _newton_pattern(system.space, form.J_const)
+    pattern = _newton_pattern(system.space, form)
     if system.law.p != 2.0:
         p2 = MaterialLaw(p=2.0, mode=system.law.mode)
         y0 = _newton(system, form, pattern, p2, y0, default_tolerance(p2), 100,
@@ -626,9 +633,9 @@ class LayerPotentialSystem:
     stabilization sum_j a_j (a_j . (w - u0, phi)), which vanishes at the
     solution.
 
-    The form (J_const, rhs) acts on y = (U, Z, P).  J_const, in canonical
-    CSC form, holds one dense block over the boundary columns bcols and the
-    density dofs, [[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] with T = Mb - K and
+    The form (J_block, J_dofs, rhs) acts on y = (U, Z, P).  J_block is
+    dense on J_dofs, the boundary columns bcols and then the density dofs:
+    [[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] with T = Mb - K and
     the system's Bd = B[:, bcols], plus Atil^T Atil with Atil = [A_w Bd,
     A_phi] when stabilized;
     rhs = (b_f + B^T (W u0 + t0 moments + A_w^T c), T u0 + A_phi^T c) with
@@ -666,8 +673,8 @@ class LayerPotentialSystem:
             for a in Atil[1:]:
                 AtA += np.multiply.outer(a, a)
             J += AtA
-        dens = self.nU + self.nZ + np.arange(self.nP)
-        self.J_const = _embed(J, np.concatenate([system.bcols, dens]), self.n)
+        self.J_dofs = np.concatenate([system.bcols, self.nU + self.nZ + np.arange(self.nP)])
+        self.J_block = J
         self.rhs = np.concatenate([system.b_f, np.zeros(self.nZ), rp])
         self.rhs[:self.nU + self.nZ] += system.B.T @ rb
 

@@ -563,8 +563,8 @@ def trace_maps(system):
 
 
 def sparse_sp_blocks(system):
-    """H_bd, g_bd, C, c0 and the bordered J_const (COO) of a CoupledSystem
-    from sparse products of B = [Tr, Es]."""
+    """H_bd, g_bd, C, c0 and the bordered constant block (COO) of a
+    CoupledSystem from sparse products of B = [Tr, Es]."""
     import scipy.sparse as sp
     B = sp.hstack(trace_maps(system)).tocsr()
     H_bd = (B.T @ sp.csr_matrix(system.S) @ B).tocsr()
@@ -577,8 +577,8 @@ def sparse_sp_blocks(system):
 
 
 def sparse_lp_block(system, stabilized):
-    """J_const (COO) of LayerPotentialSystem(system, stabilized) from
-    sparse products of B = [Tr, Es]."""
+    """Constant block (COO) of LayerPotentialSystem(system, stabilized)
+    from sparse products of B = [Tr, Es]."""
     import scipy.sparse as sp
     from febe.bem import stabilization_data, stabilization_vectors
     ops = system.ops
@@ -595,7 +595,7 @@ def sparse_lp_block(system, stabilized):
 
 
 # -- vi references: the hand-written residuals that the affine block forms
-# -- (J_const, rhs) replaced; the deleted system attributes H_bd, g_bd, WU0,
+# -- (J_block, rhs) replaced; the deleted system attributes H_bd, g_bd, WU0,
 # -- TU0, stabA and stab_c are recomputed here ------------------------------
 
 def reference_grad_smooth(system, x):
@@ -646,6 +646,32 @@ def reference_lp_residual(system, stabilized, y):
         R[:nU + nZ] += B.T @ add[:dM]
         R[nU + nZ:] += add[dM:]
     return R
+
+
+def sorted_newton_pattern(space, J0):
+    """The sort-based Newton pattern that vi._newton_pattern's splice
+    replaced: the canonical CSC structure (indptr, indices) of the union
+    of the entries of the constant block J0 (canonical CSC), the FE
+    tangent's structure and the diagonal, each dof i renumbered rank[i],
+    by one fem.csc_structure sort; J0's values on it (zero elsewhere), and
+    the dof order perm (rank's inverse): the mesh's dissection_order times
+    ncomp, then the Z, lam and density dofs."""
+    from febe import fem
+    n = J0.shape[0]
+    hptr, hind, _ = space.tangent_pattern
+    col_index = lambda indptr: np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    nc = space.ncomp
+    perm = np.concatenate([(nc * space.mesh.dissection_order[:, None]
+                            + np.arange(nc)).ravel(), np.arange(space.ndof, n)])
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(n)
+    diag = np.arange(n)
+    indptr, indices, slot = fem.csc_structure(
+        rank[np.concatenate([J0.indices, hind, diag])],
+        rank[np.concatenate([col_index(J0.indptr), col_index(hptr), diag])], n)
+    base = np.zeros(len(indices))
+    base[slot[:J0.nnz]] = J0.data
+    return indptr, indices, base, perm
 
 
 def coo_newton_matrix(system, law, J0, U, fixed):

@@ -498,15 +498,15 @@ def test_p15_uniform_convergence():
 def _count_sp_blocks(monkeypatch):
     """The list of the systems whose Steklov-Poincare block gets built."""
     built = []
-    block = vi.CoupledSystem.J_const.func
+    block = vi.CoupledSystem.J_block.func
 
     def counting(self):
         built.append(self)
         return block(self)
 
     prop = cached_property(counting)
-    prop.__set_name__(vi.CoupledSystem, "J_const")
-    monkeypatch.setattr(vi.CoupledSystem, "J_const", prop)
+    prop.__set_name__(vi.CoupledSystem, "J_block")
+    monkeypatch.setattr(vi.CoupledSystem, "J_block", prop)
     return built
 
 
@@ -529,9 +529,9 @@ def test_layerpotential_solve_builds_no_steklov_block(monkeypatch):
     patterns = []
     pattern = vi._newton_pattern
 
-    def counting_pattern(space, J0):
-        patterns.append(J0)
-        return pattern(space, J0)
+    def counting_pattern(space, form):
+        patterns.append(form)
+        return pattern(space, form)
 
     monkeypatch.setattr(vi, "_newton_pattern", counting_pattern)
     sys_, _ = vector_system("stick-vec", p=1.5, n=4, refines=1)
@@ -581,11 +581,10 @@ def test_no_safeguard_fires_on_standard_presets(monkeypatch, case):
 @pytest.mark.parametrize("solve", [solve_contact_vi, solve_layerpotential_vi])
 def test_singular_newton_matrix_raises(monkeypatch, solve):
     # without the FE tangent the interior rows of the Newton matrix vanish;
-    # the zero tangent keeps the space's structure, on which the Newton
-    # matrices are stored
+    # the zero element tangents still go to their slots of the pattern
     sys_, _ = scalar_system("transition", p=2.0, refines=1, slip=("b",))
-    tangent = fem.assemble_tangent
-    monkeypatch.setattr(fem, "assemble_tangent",
+    tangent = fem.element_tangents
+    monkeypatch.setattr(fem, "element_tangents",
                         lambda space, law, U: tangent(space, law, U) * 0.0)
     with pytest.warns(MatrixRankWarning), \
             pytest.raises(vi.SolverError, match="singular"):
@@ -759,47 +758,97 @@ def _square_and_lshape_system(case):
     return build_system(m, law, presets.scalar_corner(law).data)
 
 
-def _canonical_csr(A):
-    A = sp.csr_matrix(A, copy=True)
-    A.sum_duplicates()
-    return A
-
-
-def _assert_same_matrix(new, ref):
-    new, ref = _canonical_csr(new), _canonical_csr(ref)
-    assert np.array_equal(new.indptr, ref.indptr)
-    assert np.array_equal(new.indices, ref.indices)
-    assert np.array_equal(new.data, ref.data)
+def _assert_same_block(form, ref):
+    """form.J_block is the sparse matrix ref at the rows and columns
+    J_dofs, exact zeros included, bit for bit, and ref has no entry off
+    them."""
+    ref = ref.toarray()
+    at = np.ix_(form.J_dofs, form.J_dofs)
+    assert np.array_equal(form.J_block, ref[at])
+    ref[at] = 0.0
+    assert not ref.any()
 
 
 @pytest.mark.parametrize("case", ["scalar", "vector", "lshape", "graded"])
 def test_dense_boundary_blocks_match_sparse_products(case):
     # the dense blocks on the boundary columns round each entry as the
-    # sparse products of B = [Tr, Es] did, and their exact zeros are not
-    # stored, so the patterns SuperLU orders are the same
+    # sparse products of B = [Tr, Es] did, and hold every entry of them
     from conftest import sparse_lp_block, sparse_sp_blocks
     sys_ = _square_and_lshape_system(case)
     assert (sys_.nZ == 0) == (case == "lshape")
     n = sys_.nU + sys_.nZ
     H_bd, g_bd, C, c0, J = sparse_sp_blocks(sys_)
-    _assert_same_matrix(sys_.J_const[:n, :n], H_bd)
+    nb = len(sys_.bcols)
+    assert np.array_equal(sys_.J_block[:nb, :nb],
+                          H_bd.toarray()[np.ix_(sys_.bcols, sys_.bcols)])
     b = np.concatenate([sys_.b_f, np.zeros(sys_.nZ)]) + g_bd
     assert np.array_equal(sys_.rhs, np.concatenate([b, c0]))
     assert np.array_equal(sys_.C, C)
     assert np.array_equal(sys_.c0, c0)
-    assert sys_.J_const.format == "csc" and sys_.J_const.has_canonical_format
-    _assert_same_matrix(sys_.J_const, J)
+    assert np.array_equal(sys_.J_dofs, np.concatenate([sys_.bcols,
+                                                       n + np.arange(sys_.ncompat)]))
+    _assert_same_block(sys_, J)
     for stabilized in (False, True):
         lp = vi.LayerPotentialSystem(sys_, stabilized=stabilized)
-        assert lp.J_const.format == "csc" and lp.J_const.has_canonical_format
-        _assert_same_matrix(lp.J_const, sparse_lp_block(sys_, stabilized))
+        assert np.array_equal(lp.J_dofs, np.concatenate([sys_.bcols,
+                                                         n + np.arange(lp.nP)]))
+        _assert_same_block(lp, sparse_lp_block(sys_, stabilized))
 
 
-def _newton_matrix(system, J0, y, fixed=()):
-    """Newton matrix at y of the form with constant block J0 under the
-    system's law, with the rows `fixed` held, on the form's pattern, in its
-    dissection numbering, and the dof order perm of that numbering."""
-    pattern = vi._newton_pattern(system.space, J0)
+@pytest.mark.parametrize("case", ["scalar", "vector", "lshape", "graded",
+                                  "lp", "lp-stabilized"])
+def test_spliced_pattern_extends_sorted_pattern(case):
+    # the spliced Newton pattern holds every entry of the sort-based union
+    # of the sparse constant block, the FE tangent and the diagonal, in the
+    # same numbering and with the same constant values; the slots it adds
+    # lie in the tail block of the J_dofs and hold exact zeros
+    from conftest import sorted_newton_pattern, sparse_lp_block, sparse_sp_blocks
+    sys_ = _square_and_lshape_system("vector" if case.startswith("lp") else case)
+    if case.startswith("lp"):
+        form = vi.LayerPotentialSystem(sys_, stabilized=case == "lp-stabilized")
+        J0 = sparse_lp_block(sys_, form.stabilized)
+    else:
+        form, J0 = sys_, sparse_sp_blocks(sys_)[4]
+    indptr, indices, base, *_, perm, _ = vi._newton_pattern(sys_.space, form)
+    ref_ptr, ref_ind, ref_base, ref_perm = sorted_newton_pattern(sys_.space, J0.tocsc())
+    assert np.array_equal(perm, ref_perm)
+    n, t0 = len(perm), len(perm) - len(form.J_dofs)
+    assert sp.csc_matrix((base, indices, indptr), shape=(n, n)).has_canonical_format
+    keys = lambda ptr, ind: np.repeat(np.arange(n), np.diff(ptr)) * n + ind
+    new, ref = keys(indptr, indices), keys(ref_ptr, ref_ind)
+    assert np.all(np.isin(ref, new))
+    added = np.setdiff1d(new, ref)
+    assert np.all(added // n >= t0) and np.all(added % n >= t0)
+    assert np.array_equal(base[np.isin(new, ref)], ref_base)
+    assert not base[np.isin(new, added)].any()
+
+
+@pytest.mark.parametrize("case", ["scalar", "vector", "lshape", "graded"])
+def test_dense_block_residual_matches_sparse_block(case):
+    # R = -rhs, plus J_block y[J_dofs] on the rows J_dofs, plus the FE
+    # residual, against the CSC constant block of the sparse products
+    from conftest import sparse_lp_block, sparse_sp_blocks
+    sys_ = _square_and_lshape_system(case)
+    forms = [(sys_, sparse_sp_blocks(sys_)[4])]
+    for stabilized in (False, True):
+        forms.append((vi.LayerPotentialSystem(sys_, stabilized=stabilized),
+                      sparse_lp_block(sys_, stabilized)))
+    rng = np.random.default_rng(3)
+    for form, J0 in forms:
+        J0 = J0.tocsc()
+        for _ in range(3):
+            y = rng.normal(size=len(form.rhs))
+            ref = J0 @ y - form.rhs
+            ref[:sys_.nU] += fem.assemble_residual(sys_.space, sys_.law, y[:sys_.nU])
+            R = vi._block_residual(sys_, form, sys_.law, y)
+            assert np.abs(R - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _newton_matrix(system, form, y, fixed=()):
+    """Newton matrix at y of a block form of system under the system's law,
+    with the rows `fixed` held, on the form's pattern, in its dissection
+    numbering, and the dof order perm of that numbering."""
+    pattern = vi._newton_pattern(system.space, form)
     return vi._newton_matrix(system, system.law, pattern, y[:system.nU],
                              np.asarray(fixed, dtype=int)), pattern[-2]
 
@@ -828,14 +877,13 @@ def test_newton_matrix_matches_coo_construction(case, form):
     from conftest import sparse_lp_block, sparse_sp_blocks
     sys_ = _square_and_lshape_system(case)
     if form == "sp":
-        J0, ref0 = sys_.J_const, sparse_sp_blocks(sys_)[4]
+        form, ref0 = sys_, sparse_sp_blocks(sys_)[4]
     else:
-        J0, ref0 = vi.LayerPotentialSystem(sys_).J_const, sparse_lp_block(sys_, False)
+        form, ref0 = vi.LayerPotentialSystem(sys_), sparse_lp_block(sys_, False)
     U = np.random.default_rng(7).normal(size=sys_.nU)
-    y = np.concatenate([U, np.zeros(J0.shape[0] - sys_.nU)])
     bound = sys_.nU + sys_.idx_zn
     assert len(bound) == (len(sys_.idx_zt) if case == "vector" else 0)
-    pattern = vi._newton_pattern(sys_.space, J0)
+    pattern = vi._newton_pattern(sys_.space, form)
     perm, nc = pattern[-2], sys_.space.ncomp
     # the mesh's dissection order times the components, then Z, lam or P
     assert np.array_equal(perm[:sys_.nU:nc] // nc, sys_.space.mesh.dissection_order)
@@ -857,15 +905,16 @@ def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
     # layer-potential form holds the same rows at every step, so its case
     # keeps the stick-vec loads with a fifth of the friction bound.  Every
     # Newton run gets the caller's system: the warm start swaps only the law.
+    from conftest import sparse_lp_block, sparse_sp_blocks
     if case == "transition-sp":
         sys_, _ = scalar_system("transition", p=1.5, n=4, refines=2, slip=("b",))
-        solve, J0 = solve_contact_vi, sys_.J_const
+        solve, J0 = solve_contact_vi, sparse_sp_blocks(sys_)[4]
     else:
         base, _ = vector_system("stick-vec", p=1.5, n=4, refines=1)
         data = dataclasses.replace(base.data, friction=lambda p: 0.2 * np.ones(len(p)))
         sys_ = build_system(base.space.mesh, base.law, data)
         solve = solve_layerpotential_vi
-        J0 = vi.LayerPotentialSystem(sys_).J_const
+        J0 = sparse_lp_block(sys_, False)
     newton, newton_matrix = vi._newton, vi._newton_matrix
     spsolve = vi.spla.spsolve
     systems, runs, solved = [], [], []
@@ -945,12 +994,12 @@ def test_layerpotential_jacobian_matches_block_assembly(stabilized):
     if stabilized is None:
         assert sys_.ncompat == 2
         y = rng.normal(size=sys_.nU + sys_.nZ + sys_.ncompat)
-        J, perm = _newton_matrix(sys_, sys_.J_const, y)
+        J, perm = _newton_matrix(sys_, sys_, y)
         ref = _block_sp_jacobian(sys_, y)[perm][:, perm].toarray()
     else:
         lp = vi.LayerPotentialSystem(sys_, stabilized=stabilized)
         y = rng.normal(size=lp.n)
-        J, perm = _newton_matrix(sys_, lp.J_const, y)
+        J, perm = _newton_matrix(sys_, lp, y)
         ref = _block_lp_jacobian(sys_, lp, y)[perm][:, perm].toarray()
     J = J.toarray()
     assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -958,7 +1007,7 @@ def test_layerpotential_jacobian_matches_block_assembly(stabilized):
 
 @pytest.mark.parametrize("case", ["scalar", "vector", "lshape", "graded", "ncompat0"])
 def test_block_form_residual_matches_replaced_residuals(case):
-    # R(y) = J_const y - rhs plus the FE residual, against the hand-written
+    # the block form's residual plus the FE residual, against the hand-written
     # residuals it replaced, for both formulations on random iterates
     from conftest import (reference_grad_smooth, reference_lp_residual,
                           reference_sp_residual)
@@ -974,9 +1023,9 @@ def test_block_form_residual_matches_replaced_residuals(case):
         lp = vi.LayerPotentialSystem(sys_, stabilized=stabilized)
         forms.append((lp, lambda y, s=stabilized: reference_lp_residual(sys_, s, y)))
     for form, reference in forms:
-        assert form.rhs.shape == (form.J_const.shape[0],)
+        assert form.J_block.shape == (len(form.J_dofs),) * 2
         for _ in range(3):
-            y = rng.normal(size=form.J_const.shape[0])
+            y = rng.normal(size=len(form.rhs))
             R, ref = vi._block_residual(sys_, form, sys_.law, y), reference(y)
             assert np.abs(R - ref).max() <= 1e-14 * np.abs(ref).max()
     x = rng.normal(size=n)
@@ -1212,7 +1261,7 @@ def test_contact_solve_without_compatibility_rows():
     sys_ = build_system(m, law, presets.vector_stick(law).data, ncompat=0)
     n = sys_.nU + sys_.nZ
     assert sys_.C.shape == (0, n) and sys_.c0.shape == (0,)
-    assert sys_.J_const.shape == (n, n)
+    assert len(sys_.rhs) == n and sys_.J_block.shape == (len(sys_.bcols),) * 2
     sol = solve_contact_vi(sys_)
     assert sol.converged and sol.compat_residual == 0.0
     assert sol.compat_mult.shape == (0,)
