@@ -177,8 +177,9 @@ def load_data_file(path, bspace, ncomp):
 
     kinds: u0_node (P1 nodal values), t0_panel (per-panel tractions),
     F_node (nodal friction bound, comp 0).  Returns a ProblemData.  A
-    malformed row, a value that is not finite, or an index or component out
-    of range, is a ConfigError, as is a file that read_text rejects.
+    malformed row, a value that is not finite, a negative friction bound, or
+    an index or component out of range, is a ConfigError, as is a file that
+    read_text rejects.
     """
     from .vi import ProblemData
     u0 = np.zeros((bspace.n_nodes, ncomp))
@@ -204,6 +205,8 @@ def load_data_file(path, bspace, ncomp):
             raise ConfigError("%s: bad number in %r" % (where, line))
         if not np.isfinite(val):
             raise ConfigError("%s: value is not finite in %r" % (where, line))
+        if kind == "F_node" and val < 0:
+            raise ConfigError("%s: friction bound is negative in %r" % (where, line))
         arr = arrays[kind]
         if not (0 <= idx < arr.shape[0] and 0 <= comp < arr.shape[1]):
             raise ConfigError("%s: %s index %d, comp %d outside %d x %d"

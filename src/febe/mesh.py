@@ -56,6 +56,10 @@ class Mesh:
     triangle_edges (nt, 3) rows in `edges` of triangle edges (0,1), (1,2), (2,0)
     dissection_order (nv,) vertex order for the sparse factorizations, built
                    on first use
+    fe_tables      per ncomp (1, 2), the read-only arrays of fem.FESpace that
+                   depend only on the mesh, built on first use and shared by
+                   every space on the mesh; they hold arrays only, so nothing
+                   in them refers back to the mesh or to a space
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_labels,
@@ -188,6 +192,11 @@ class Mesh:
         """Ordered CCW vertex indices of the (single) boundary polygon and the
         label of each panel (loop[k], loop[k + 1])."""
         return self._loop, self._loop_labels
+
+    @cached_property
+    def fe_tables(self):
+        """{ncomp: {name: arrays}} that fem.FESpace fills on first use."""
+        return {1: {}, 2: {}}
 
     @cached_property
     def dissection_order(self):

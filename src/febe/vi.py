@@ -47,21 +47,25 @@ pattern (_newton_pattern), numbered in the mesh's nested-dissection order
 (Mesh.dissection_order) times the components, then the Z, lam and density
 dofs, so J_dofs are the contiguous tail of the numbering, in order, with
 the boundary loop last.  fem.csc_structure sorts only the FE tangent's
-entries (exact zeros included) outside the tail block, and every tail
-column gets all tail rows spliced in after them, J_block's exact zeros
-included; the tail fills in completely in the factorization anyway.  One
-driver (_solve) runs both forms: unless the law is linear, it first runs
-the Newton loop with the p = 2 law on the same system, form and pattern
-from the given start and starts from that solution, multipliers and
-density included.  Per Newton step only the FE tangent changes: each step
-sums the element tangents onto the pattern by one bincount, adds
-J_block's values, zeroes the held rows by a row mask and sets their
-diagonal slot to 1, with no sparse conversion or add.  SuperLU factors
-each step's matrix in that order (permc_spec NATURAL), with partial
-pivoting, and no step computes an ordering.  SuperLU does not raise on an
-exactly singular matrix; it warns and returns NaN, and the solver raises
-SolverError, as it does when the line search cannot decrease the residual
-or the steps run out.
+entries (exact zeros included) outside the tail block, once per mesh and
+ncomp (FESpace.dissection_pattern, shared by every form and system on the
+mesh: the tail starts at the boundary loop's first dof, which the mesh
+fixes); each form extends that structure over its Z, lam or density
+columns, and every tail column gets all tail rows spliced in after them,
+J_block's exact zeros included; the tail fills in completely in the
+factorization anyway.  One driver (_solve) runs both forms: unless the law
+is linear, it first runs the Newton loop with the p = 2 law on the same
+system, form and pattern from the given start and starts from that
+solution, multipliers and density included.  The element strains of each
+iterate are evaluated once, for its residual and the next Newton matrix.
+Per Newton step only the FE tangent changes: each step sums the element
+tangents onto the pattern by one bincount, adds J_block's values, zeroes
+the held rows by a row mask and sets their diagonal slot to 1, with no
+sparse conversion or add.  SuperLU factors each step's matrix in that
+order (permc_spec NATURAL), with partial pivoting, and no step computes an
+ordering.  SuperLU does not raise on an exactly singular matrix; it warns
+and returns NaN, and the solver raises SolverError, as it does when the
+line search cannot decrease the residual or the steps run out.
 """
 
 from __future__ import annotations
@@ -291,7 +295,8 @@ class CoupledSystem:
         """Gradient of the smooth energy: the x rows of the block residual
         at lam = 0."""
         y = np.concatenate([x, np.zeros(self.ncompat)])
-        return _block_residual(self, self, self.law, y)[:len(x)]
+        eps = self.space.strains(x[:self.nU])
+        return _block_residual(self, self, self.law, y, eps)[:len(x)]
 
     def objective(self, x):
         """J_h + lumped nonsmooth friction term."""
@@ -320,13 +325,13 @@ def _residual_scale(system):
     return max(1.0, np.abs(system.gb).max(), np.abs(system.b_f).max())
 
 
-def _block_residual(system, form, law, y):
+def _block_residual(system, form, law, y, eps):
     """Residual of a block form of system under the law: -form.rhs plus
     form.J_block y[J_dofs] on the rows J_dofs, plus the FE residual of U on
-    the first nU rows."""
+    the first nU rows, from the element strains eps of U = y[:nU]."""
     R = -form.rhs
     R[form.J_dofs] += form.J_block @ y[form.J_dofs]
-    R[:system.nU] += fem.assemble_residual(system.space, law, y[:system.nU])
+    R[:system.nU] += fem.assemble_residual(system.space, law, eps)
     return R
 
 
@@ -336,26 +341,21 @@ def _newton_pattern(space, form):
     and the dof order perm (rank's inverse) is the mesh's dissection_order
     times ncomp, then the Z, lam and density dofs, so the form's J_dofs
     are the last len(J_dofs) ranks, in order.  The FE tangent's entries
-    outside that tail block and the diagonal before it go through
-    fem.csc_structure; each tail column then gets every tail row after its
-    rows above the tail, J_block's exact zeros included.  Also returns the
-    base values (J_block's columns in the tail block, zero elsewhere), the
-    slot of each entry of the element_tangents, flat, the slots of the
-    diagonal of dof 0, 1, ..., and perm and rank."""
+    outside that tail block and the diagonal before it come sorted from
+    the space's dissection_pattern, shared by every form on the mesh; its
+    indptr is extended over the Z, lam and density columns, and each tail
+    column gets every tail row after its rows above the tail, J_block's
+    exact zeros included.  Also returns the base values (J_block's
+    columns in the tail block, zero elsewhere), the slot of each entry of
+    the element_tangents, flat, the slots of the diagonal of dof 0, 1, ...,
+    and perm and rank."""
     n, nJ = len(form.rhs), len(form.J_dofs)
     t0 = n - nJ
-    nc = space.ncomp
-    perm = np.concatenate([(nc * space.mesh.dissection_order[:, None]
-                            + np.arange(nc)).ravel(), np.arange(space.ndof, n)])
-    rank = np.empty_like(perm)
-    rank[perm] = np.arange(n)
+    fe_perm, fe_rank, out, tail_cols, tail_rows, ptr, ind, slot = space.dissection_pattern
+    extra = np.arange(space.ndof, n)
+    perm, rank = np.concatenate([fe_perm, extra]), np.concatenate([fe_rank, extra])
     assert np.array_equal(rank[form.J_dofs], np.arange(t0, n))
-    hptr, hind, eslot = space.tangent_pattern
-    rows, cols = rank[hind], rank[np.repeat(np.arange(space.ndof), np.diff(hptr))]
-    out = (rows < t0) | (cols < t0)
-    head = np.arange(t0)
-    ptr, ind, slot = fem.csc_structure(np.concatenate([rows[out], head]),
-                                       np.concatenate([cols[out], head]), n)
+    ptr = np.concatenate([ptr, np.full(n - space.ndof, ptr[-1], dtype=ptr.dtype)])
     shift = nJ * np.maximum(np.arange(n + 1) - t0, 0)
     indptr = (ptr + shift).astype(ptr.dtype)
     move = np.arange(len(ind)) + np.repeat(shift[:-1], np.diff(ptr))
@@ -365,21 +365,21 @@ def _newton_pattern(space, form):
     indices[tail] = np.arange(t0, n)
     base = np.zeros(len(indices))
     base[tail] = form.J_block.T
-    hslot = np.empty(len(hind), dtype=np.intp)
+    hslot = np.empty(len(out), dtype=np.intp)
     hslot[out] = move[slot[:len(slot) - t0]]
-    hslot[~out] = tail[cols[~out] - t0, rows[~out] - t0]
+    hslot[~out] = tail[tail_cols, tail_rows]
     dslot = np.concatenate([move[slot[len(slot) - t0:]], tail.diagonal()])
-    return indptr, indices, base, hslot[eslot], dslot, perm, rank
+    return indptr, indices, base, hslot[space.tangent_pattern[2]], dslot, perm, rank
 
 
-def _newton_matrix(system, law, pattern, U, fixed):
+def _newton_matrix(system, law, pattern, eps, fixed):
     """Newton matrix on a pattern of _newton_pattern, canonical CSC in its
-    dissection numbering: the element tangents of the law at U summed onto
-    the pattern, plus the base values, with the rows `fixed` (dofs)
-    replaced by unit rows."""
+    dissection numbering: the element tangents of the law at the element
+    strains eps summed onto the pattern, plus the base values, with the
+    rows `fixed` (dofs) replaced by unit rows."""
     indptr, indices, base, eslot, dslot, _, rank = pattern
     n = len(indptr) - 1
-    data = np.bincount(eslot, weights=fem.element_tangents(system.space, law, U).ravel(),
+    data = np.bincount(eslot, weights=fem.element_tangents(system.space, law, eps).ravel(),
                        minlength=len(indices))
     data += base
     held = np.zeros(n, dtype=bool)
@@ -401,7 +401,8 @@ def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
     form.J_block plus the FE tangent, with the held rows replaced by unit
     rows, stored on `pattern` (the form's _newton_pattern) in its dissection
     numbering; each step solves it for rhs[perm] and takes the step back by
-    [rank].
+    [rank].  The element strains of each iterate are evaluated once: its
+    residual and the next Newton matrix both read them.
 
     The NCP residual Phi replaces the bound rows by min(-y_n, lam_n) and
     the friction rows by mu_t - clip(mu_t + c_k y_f, -F, F).  The
@@ -437,7 +438,9 @@ def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
         phi[idx_f] = -R[idx_f] - np.clip(-R[idx_f] + c_f * yv[idx_f], -F, F)
         return phi
 
-    R = _block_residual(system, form, law, y)
+    strains = system.space.strains
+    eps = strains(y[:nU])
+    R = _block_residual(system, form, law, y, eps)
     phi = ncp(R, y)
     merit = phi @ phi
     history = [np.sqrt(merit)]
@@ -453,7 +456,7 @@ def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
         fixed = np.concatenate([idx_n[-R[idx_n] + c_n * y[idx_n] > 0],
                                 idx_f[np.abs(q) <= F]])
         rhs[fixed] = -y[fixed]
-        dy = spla.spsolve(_newton_matrix(system, law, pattern, y[:nU], fixed),
+        dy = spla.spsolve(_newton_matrix(system, law, pattern, eps, fixed),
                           rhs[perm], permc_spec="NATURAL")[rank]
         if not np.all(np.isfinite(dy)):
             raise SolverError("%s Newton matrix is singular at residual %.3e"
@@ -462,7 +465,8 @@ def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
         t = 1.0
         for _ in range(40):
             cand = y + t * dy
-            Rc = _block_residual(system, form, law, cand)
+            epsc = strains(cand[:nU])
+            Rc = _block_residual(system, form, law, cand, epsc)
             phic = ncp(Rc, cand)
             mc = phic @ phic
             if mc <= (1 - 1e-4 * t) * merit:
@@ -471,7 +475,7 @@ def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
         else:
             raise SolverError("%s line search failed at residual %.3e"
                               % (what, resid))
-        y, R, phi, merit = cand, Rc, phic, mc
+        y, eps, R, phi, merit = cand, epsc, Rc, phic, mc
         history.append(np.sqrt(merit))
 
 

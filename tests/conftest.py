@@ -602,9 +602,9 @@ def reference_grad_smooth(system, x):
     """CoupledSystem.grad_smooth: FE residual minus load, plus H_bd x - g_bd."""
     from febe import fem
     H_bd, g_bd = sparse_sp_blocks(system)[:2]
-    U = x[:system.nU]
+    eps = system.space.strains(x[:system.nU])
     g = np.zeros_like(x)
-    g[:system.nU] = fem.assemble_residual(system.space, system.law, U) - system.b_f
+    g[:system.nU] = fem.assemble_residual(system.space, system.law, eps) - system.b_f
     g += H_bd @ x - g_bd
     return g
 
@@ -633,7 +633,8 @@ def reference_lp_residual(system, stabilized, y):
     U = y[:nU]
     rb = ops.W @ w - WU0 + T.T @ (-P) - system.t0b
     R = np.zeros(n)
-    R[:nU] = fem.assemble_residual(system.space, system.law, U) - system.b_f
+    eps = system.space.strains(U)
+    R[:nU] = fem.assemble_residual(system.space, system.law, eps) - system.b_f
     R[:nU + nZ] += B.T @ rb
     R[nU + nZ:] = ops.V @ P + T @ w - TU0
     if stabilized:
@@ -672,6 +673,42 @@ def sorted_newton_pattern(space, J0):
     base = np.zeros(len(indices))
     base[slot[:J0.nnz]] = J0.data
     return indptr, indices, base, perm
+
+
+def reference_newton_pattern(space, form):
+    """vi._newton_pattern as it was before the FE part of the pattern was
+    shared per mesh: the whole pattern built per form, the FE tangent's
+    entries outside the tail block and the diagonal before it sorted by
+    fem.csc_structure with n = len(form.rhs)."""
+    from febe import fem
+    n, nJ = len(form.rhs), len(form.J_dofs)
+    t0 = n - nJ
+    nc = space.ncomp
+    perm = np.concatenate([(nc * space.mesh.dissection_order[:, None]
+                            + np.arange(nc)).ravel(), np.arange(space.ndof, n)])
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(n)
+    assert np.array_equal(rank[form.J_dofs], np.arange(t0, n))
+    hptr, hind, eslot = space.tangent_pattern
+    rows, cols = rank[hind], rank[np.repeat(np.arange(space.ndof), np.diff(hptr))]
+    out = (rows < t0) | (cols < t0)
+    head = np.arange(t0)
+    ptr, ind, slot = fem.csc_structure(np.concatenate([rows[out], head]),
+                                       np.concatenate([cols[out], head]), n)
+    shift = nJ * np.maximum(np.arange(n + 1) - t0, 0)
+    indptr = (ptr + shift).astype(ptr.dtype)
+    move = np.arange(len(ind)) + np.repeat(shift[:-1], np.diff(ptr))
+    tail = (indptr[t0:-1] + np.diff(ptr)[t0:])[:, None] + np.arange(nJ)  # [col, row]
+    indices = np.empty(indptr[-1], dtype=ind.dtype)
+    indices[move] = ind
+    indices[tail] = np.arange(t0, n)
+    base = np.zeros(len(indices))
+    base[tail] = form.J_block.T
+    hslot = np.empty(len(hind), dtype=np.intp)
+    hslot[out] = move[slot[:len(slot) - t0]]
+    hslot[~out] = tail[cols[~out] - t0, rows[~out] - t0]
+    dslot = np.concatenate([move[slot[len(slot) - t0:]], tail.diagonal()])
+    return indptr, indices, base, hslot[eslot], dslot, perm, rank
 
 
 def coo_newton_matrix(system, law, J0, U, fixed):

@@ -261,6 +261,7 @@ def test_check_compat_builds_system_once(tmp_path, monkeypatch, capsys):
     "F_node,0,2.0",             # three fields
     "F_node,0,0,nan",           # not finite
     "u0_node,0,0,inf",
+    "F_node,1,0,-1.0",          # negative friction bound
 ])
 def test_bad_data_file_row_is_config_error(tmp_path, capsys, row):
     datafile = tmp_path / "data.csv"

@@ -69,7 +69,7 @@ def test_quadrature_order_without_rule_rejected(order):
 def test_residual_zero_field(unit_square):
     space = fem.FESpace(unit_square, ncomp=2)
     law = mat.MaterialLaw(p=3.0, mode=mat.MODE_MATRIX)
-    R = fem.assemble_residual(space, law, np.zeros(space.ndof))
+    R = fem.assemble_residual(space, law, space.strains(np.zeros(space.ndof)))
     assert np.all(R == 0.0)
 
 
@@ -77,7 +77,7 @@ def test_residual_rigid_translation(unit_square):
     space = fem.FESpace(unit_square, ncomp=2)
     law = mat.MaterialLaw(p=2.0, mode=mat.MODE_MATRIX)
     u = np.tile([0.7, -0.3], len(unit_square.vertices))
-    R = fem.assemble_residual(space, law, u)
+    R = fem.assemble_residual(space, law, space.strains(u))
     assert np.linalg.norm(R) < 1e-14
 
 
@@ -90,7 +90,7 @@ def test_residual_constant_strain_single_triangle():
     u[2] = 1.0  # vertex 1, x-component: u_x = x
     eps = np.array([[1.0, 0.0], [0.0, 0.0]])
     sig = mat.stress(law, eps)
-    R = fem.assemble_residual(space, law, u)
+    R = fem.assemble_residual(space, law, space.strains(u))
     g = space.grads[0]
     area = 0.5
     for k in range(3):
@@ -134,12 +134,13 @@ def test_tangent_directional_derivative(unit_square):
         M = fem.assemble_tangent(space, law, u)
         errs = []
         for t in (1e-4, 1e-5, 1e-6):
-            fd = (fem.assemble_residual(space, law, u + t * w)
-                  - fem.assemble_residual(space, law, u - t * w)) / (2 * t)
+            fd = (fem.assemble_residual(space, law, space.strains(u + t * w))
+                  - fem.assemble_residual(space, law, space.strains(u - t * w)))
+            fd /= 2 * t
             errs.append(np.linalg.norm(fd - M @ w))
         assert errs[-1] <= 1e-6 * max(1.0, np.linalg.norm(M @ w))
         # canonical CSC on the vertex graph times a full ncomp x ncomp block,
-        # exact zeros stored; the cached per-space constants give the values
+        # exact zeros stored; the cached per-mesh tables give the values
         # of the COO construction, and a second call reuses them
         assert M.format == "csc"
         assert sp.csc_matrix((M.data, M.indices, M.indptr),
@@ -160,6 +161,46 @@ def test_tangent_directional_derivative(unit_square):
             M = fem.assemble_tangent(space, law, sign * u)
             assert np.array_equal(M.toarray(),
                                   _tangent_per_call(space, law, sign * u).toarray())
+
+
+_TABLES = ("areas", "grads", "basis_strains", "basis_gram", "local_dofs",
+           "tangent_pattern", "dissection_pattern")
+
+
+def _table_arrays(space, name):
+    value = getattr(space, name)
+    return value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_spaces_on_one_mesh_share_their_tables(monkeypatch, unit_square, ncomp):
+    # every space on a mesh with one ncomp reads the same array objects,
+    # built once on first use: one csc_structure sort for tangent_pattern
+    # and one for dissection_pattern, however many spaces read them
+    sorts = []
+    csc_structure = fem.csc_structure
+    monkeypatch.setattr(fem, "csc_structure",
+                        lambda *args: sorts.append(args) or csc_structure(*args))
+    m = refine_uniform(unit_square, 2)
+    a, b = fem.FESpace(m, ncomp), fem.FESpace(m, ncomp)
+    for name in _TABLES:
+        first = _table_arrays(a, name)
+        for space in (a, b, fem.FESpace(m, ncomp)):
+            again = _table_arrays(space, name)
+            assert len(again) == len(first)
+            assert all(x is y for x, y in zip(again, first))
+    assert len(sorts) == 2
+    assert fem.FESpace(m, 3 - ncomp).local_dofs.shape[1] == 3 * (3 - ncomp)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_shared_tables_are_read_only(unit_square, ncomp):
+    space = fem.FESpace(refine_uniform(unit_square, 1), ncomp)
+    for name in _TABLES:
+        for x in _table_arrays(space, name):
+            assert isinstance(x, np.ndarray) and not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x.flat[0] = x.flat[0]
 
 
 @pytest.mark.parametrize("n, nnz", [(1, 3), (7, 0), (7, 40), (60, 500), (300, 200)])
@@ -291,7 +332,7 @@ def test_energy_gradient_is_residual(unit_square):
                 mat.MaterialLaw(p=1.5, delta=0.5, mode=mat.MODE_MATRIX)):
         u = rng.normal(size=space.ndof)
         w = rng.normal(size=space.ndof)
-        R = fem.assemble_residual(space, law, u)
+        R = fem.assemble_residual(space, law, space.strains(u))
         t = 1e-6
         fd = (fem.energy(space, law, u + t * w) - fem.energy(space, law, u - t * w)) / (2 * t)
         assert fd == pytest.approx(float(R @ w), rel=2e-5)
@@ -303,8 +344,8 @@ def test_residual_monotone(unit_square):
     rng = np.random.default_rng(6)
     for _ in range(25):
         u, v = rng.normal(size=space.ndof), rng.normal(size=space.ndof)
-        Ru = fem.assemble_residual(space, law, u)
-        Rv = fem.assemble_residual(space, law, v)
+        Ru = fem.assemble_residual(space, law, space.strains(u))
+        Rv = fem.assemble_residual(space, law, space.strains(v))
         assert (Ru - Rv) @ (u - v) >= -1e-12
 
 
@@ -384,5 +425,5 @@ def test_residual_on_flat_axis_matches_per_mode_formula(ncomp, p, delta):
     rng = np.random.default_rng(12)
     for _ in range(3):
         u = rng.normal(size=space.ndof)
-        assert np.array_equal(fem.assemble_residual(space, law, u),
+        assert np.array_equal(fem.assemble_residual(space, law, space.strains(u)),
                               _per_mode_residual(space, law, u))

@@ -585,7 +585,7 @@ def test_singular_newton_matrix_raises(monkeypatch, solve):
     sys_, _ = scalar_system("transition", p=2.0, refines=1, slip=("b",))
     tangent = fem.element_tangents
     monkeypatch.setattr(fem, "element_tangents",
-                        lambda space, law, U: tangent(space, law, U) * 0.0)
+                        lambda space, law, eps: tangent(space, law, eps) * 0.0)
     with pytest.warns(MatrixRankWarning), \
             pytest.raises(vi.SolverError, match="singular"):
         solve(sys_)
@@ -684,9 +684,9 @@ def _first_newton_solve(monkeypatch, run):
     got = {}
     newton_matrix = vi._newton_matrix
 
-    def recording_matrix(system, law, pattern, U, fixed):
+    def recording_matrix(system, law, pattern, eps, fixed):
         got["rank"] = pattern[-1]
-        return newton_matrix(system, law, pattern, U, fixed)
+        return newton_matrix(system, law, pattern, eps, fixed)
 
     def stop(A, b, **kw):
         got.update(A=A, b=b, kw=kw)
@@ -823,6 +823,95 @@ def test_spliced_pattern_extends_sorted_pattern(case):
     assert not base[np.isin(new, added)].any()
 
 
+@pytest.mark.parametrize("case", ["scalar", "vector", "lshape", "graded",
+                                  "lp", "lp-stabilized", "shared"])
+def test_newton_pattern_matches_per_form_build(case):
+    # the pattern spliced onto the space's shared dissection_pattern is the
+    # one the whole per-form build gives, every array byte for byte and in
+    # its dtype; "shared": a Steklov-Poincare and a layer-potential form
+    # of two systems on one mesh, whose spaces read the same tables
+    from conftest import reference_newton_pattern
+    sys_ = _square_and_lshape_system("vector" if case in ("lp", "lp-stabilized",
+                                                          "shared") else case)
+    if case == "shared":
+        other = build_system(sys_.space.mesh, sys_.law, sys_.data)
+        assert other.space is not sys_.space
+        forms = [(sys_, sys_), (other, vi.LayerPotentialSystem(other)),
+                 (sys_, vi.LayerPotentialSystem(sys_, stabilized=True))]
+    elif case.startswith("lp"):
+        forms = [(sys_, vi.LayerPotentialSystem(sys_, stabilized=case == "lp-stabilized"))]
+    else:
+        forms = [(sys_, sys_)]
+    for system, form in forms:
+        got = vi._newton_pattern(system.space, form)
+        ref = reference_newton_pattern(system.space, form)
+        assert len(got) == len(ref) == 7
+        for a, b in zip(got, ref):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_mesh_is_freed_with_its_last_system():
+    # the per-mesh tables hold arrays only, so nothing on the mesh refers
+    # back to it: with the cycle collector off, a dropped mesh lives as long
+    # as a system on it and no longer, after solves of both forms
+    import gc
+    import weakref
+    sys_, _ = vector_system("stick-vec", n=2, refines=1)
+    mesh = sys_.space.mesh
+    law = mat.MaterialLaw(p=2.0)
+    systems = [sys_, build_system(mesh, law, presets.scalar_transition(law).data)]
+    del sys_
+    gc.collect()
+    gc.disable()
+    try:
+        for system in systems:
+            solve_contact_vi(system)
+            solve_layerpotential_vi(system)
+        ref = weakref.ref(mesh)
+        del mesh, system
+        while len(systems) > 1:
+            systems.pop()
+            assert ref() is not None
+        systems.pop()
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("case", ["scalar", "vector"])
+def test_one_strain_evaluation_per_iterate(monkeypatch, case):
+    # every FESpace.gradients call of a contact solve serves one residual
+    # evaluation or the objective's energy: each Newton matrix reads the
+    # strains of the iterate whose residual the line search accepted
+    if case == "scalar":
+        sys_, _ = scalar_system("transition", p=1.5, n=4, refines=1, slip=("b",))
+    else:
+        sys_, _ = vector_system("stick-vec", p=1.5, n=4, refines=1)
+    calls = dict(gradients=0, residual=0, energy=0, matrix=0, in_matrix=0)
+    gradients, residual, energy = fem.FESpace.gradients, fem.assemble_residual, fem.energy
+    newton_matrix = vi._newton_matrix
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    def matrix(*args, **kw):
+        before = calls["gradients"]
+        J = counted("matrix", newton_matrix)(*args, **kw)
+        calls["in_matrix"] += calls["gradients"] - before
+        return J
+
+    monkeypatch.setattr(fem.FESpace, "gradients", counted("gradients", gradients))
+    monkeypatch.setattr(fem, "assemble_residual", counted("residual", residual))
+    monkeypatch.setattr(fem, "energy", counted("energy", energy))
+    monkeypatch.setattr(vi, "_newton_matrix", matrix)
+    solve_contact_vi(sys_)
+    assert calls["matrix"] >= 3 and calls["in_matrix"] == 0
+    assert calls["gradients"] == calls["residual"] + calls["energy"]
+
+
 @pytest.mark.parametrize("case", ["scalar", "vector", "lshape", "graded"])
 def test_dense_block_residual_matches_sparse_block(case):
     # R = -rhs, plus J_block y[J_dofs] on the rows J_dofs, plus the FE
@@ -839,8 +928,9 @@ def test_dense_block_residual_matches_sparse_block(case):
         for _ in range(3):
             y = rng.normal(size=len(form.rhs))
             ref = J0 @ y - form.rhs
-            ref[:sys_.nU] += fem.assemble_residual(sys_.space, sys_.law, y[:sys_.nU])
-            R = vi._block_residual(sys_, form, sys_.law, y)
+            eps = sys_.space.strains(y[:sys_.nU])
+            ref[:sys_.nU] += fem.assemble_residual(sys_.space, sys_.law, eps)
+            R = vi._block_residual(sys_, form, sys_.law, y, eps)
             assert np.abs(R - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -849,7 +939,8 @@ def _newton_matrix(system, form, y, fixed=()):
     with the rows `fixed` held, on the form's pattern, in its dissection
     numbering, and the dof order perm of that numbering."""
     pattern = vi._newton_pattern(system.space, form)
-    return vi._newton_matrix(system, system.law, pattern, y[:system.nU],
+    return vi._newton_matrix(system, system.law, pattern,
+                             system.space.strains(y[:system.nU]),
                              np.asarray(fixed, dtype=int)), pattern[-2]
 
 
@@ -888,9 +979,10 @@ def test_newton_matrix_matches_coo_construction(case, form):
     # the mesh's dissection order times the components, then Z, lam or P
     assert np.array_equal(perm[:sys_.nU:nc] // nc, sys_.space.mesh.dissection_order)
     assert np.array_equal(perm[sys_.nU:], np.arange(sys_.nU, len(perm)))
-    first = vi._newton_matrix(sys_, sys_.law, pattern, U, bound[:0])
+    eps = sys_.space.strains(U)
+    first = vi._newton_matrix(sys_, sys_.law, pattern, eps, bound[:0])
     for fixed in (bound[:0], bound[::3], sys_.nU + sys_.idx_zt):
-        J = vi._newton_matrix(sys_, sys_.law, pattern, U, fixed)
+        J = vi._newton_matrix(sys_, sys_.law, pattern, eps, fixed)
         _assert_newton_matrix(J, perm, sys_, sys_.law, ref0, U, fixed)
         assert np.array_equal(J.indptr, first.indptr)
         assert np.array_equal(J.indices, first.indices)
@@ -905,6 +997,8 @@ def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
     # layer-potential form holds the same rows at every step, so its case
     # keeps the stick-vec loads with a fifth of the friction bound.  Every
     # Newton run gets the caller's system: the warm start swaps only the law.
+    # Each Newton matrix reads the strains of an iterate whose residual was
+    # evaluated; the residual calls map those strains back to the iterate.
     from conftest import sparse_lp_block, sparse_sp_blocks
     if case == "transition-sp":
         sys_, _ = scalar_system("transition", p=1.5, n=4, refines=2, slip=("b",))
@@ -916,17 +1010,22 @@ def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
         solve = solve_layerpotential_vi
         J0 = sparse_lp_block(sys_, False)
     newton, newton_matrix = vi._newton, vi._newton_matrix
-    spsolve = vi.spla.spsolve
-    systems, runs, solved = [], [], []
+    block_residual, spsolve = vi._block_residual, vi.spla.spsolve
+    systems, runs, solved, iterates = [], [], [], {}
 
     def recording_newton(system, *args, **kw):
         systems.append(system)
         runs.append([])
         return newton(system, *args, **kw)
 
-    def recording_matrix(system, law, pattern, U, fixed):
-        J = newton_matrix(system, law, pattern, U, fixed)
-        runs[-1].append((law, U.copy(), fixed.copy(), pattern[-2], J))
+    def recording_residual(system, form, law, y, eps):
+        iterates[id(eps)] = eps, y[:system.nU].copy()   # eps kept: ids stay unique
+        return block_residual(system, form, law, y, eps)
+
+    def recording_matrix(system, law, pattern, eps, fixed):
+        J = newton_matrix(system, law, pattern, eps, fixed)
+        U = iterates[id(eps)][1]
+        runs[-1].append((law, U, fixed.copy(), pattern[-2], J))
         return J
 
     def recording_spsolve(A, *args, **kw):
@@ -936,6 +1035,7 @@ def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
     with monkeypatch.context() as m:
         m.setattr(vi, "_newton", recording_newton)
         m.setattr(vi, "_newton_matrix", recording_matrix)
+        m.setattr(vi, "_block_residual", recording_residual)
         m.setattr(vi.spla, "spsolve", recording_spsolve)
         solve(sys_)
     assert len(systems) == 2 and all(system is sys_ for system in systems)
@@ -1026,7 +1126,8 @@ def test_block_form_residual_matches_replaced_residuals(case):
         assert form.J_block.shape == (len(form.J_dofs),) * 2
         for _ in range(3):
             y = rng.normal(size=len(form.rhs))
-            R, ref = vi._block_residual(sys_, form, sys_.law, y), reference(y)
+            eps = sys_.space.strains(y[:sys_.nU])
+            R, ref = vi._block_residual(sys_, form, sys_.law, y, eps), reference(y)
             assert np.abs(R - ref).max() <= 1e-14 * np.abs(ref).max()
     x = rng.normal(size=n)
     g, ref = sys_.grad_smooth(x), reference_grad_smooth(sys_, x)
