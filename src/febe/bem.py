@@ -12,18 +12,25 @@ whose Ghat table is V's, sixteen for Lame).  Outer integrals use Gauss rules
 graded toward shared vertices, picked per (row, source) panel pair by a
 pair-class table (self, cyclic neighbour, near, far).  Assembly works in
 blocked array passes over all pairs: per block of source panels, each
-integral is evaluated once at the outer points of every pair and contracted
-with the outer weights; then the table is contracted with these integrals.
-Self pairs take the exact panel x panel integrals of V and Ghat, and K's
-principal value, so at their outer points only the integrals of that value
-are evaluated (Lame).  The operators keep these pair integrals, and an
-adaptive level hands its operators to the next one: a panel whose start and
-end points are bitwise equal to those of a previous panel is kept, the
-integrals of every pair of two kept panels are copied, and only the pairs
-with a new panel are evaluated.  If every panel is kept in its place (same
-coefficients and quad_order), the previous operators, S included, are
-reused whole.  Pointwise evaluation contracts the table with the densities
-per panel first and the integrals at the points afterwards.
+integral is evaluated once at the outer points of every pair, weighted in
+place and summed per pair; then the table is contracted with these
+integrals, one (a, b) component of the d x d blocks at a time.  The
+integrals share one lazy core (_primitives): a call computes only the
+frame coordinates and what the integrals it asks for read, so the Lame
+self pass, which asks for the principal values alone, evaluates no arctan
+and no log of rho.  Self pairs take the exact panel x panel integrals of V
+and Ghat, and K's principal value, so at their outer points only the
+integrals of that value are evaluated (Lame).  The operators keep these
+pair integrals, and an adaptive level hands its operators to the next one:
+a panel whose start and end points are bitwise equal to those of a
+previous panel is kept, the integrals of every pair of two kept panels are
+copied, and only the pairs with a new panel are evaluated.  If every panel
+is kept in its place (same coefficients and quad_order), the previous
+operators, S included, are reused whole.  Pointwise evaluation contracts
+the table with the densities per panel first and the integrals at the
+points afterwards, one component at a time.  Every pass does the
+arithmetic of one pass per source panel, in the same order, so the
+operators and potentials do not depend on the blocking.
 Kernels: 2D Laplace (scalar exterior field) and 2D Lame (vector exterior
 field).
 """
@@ -95,7 +102,12 @@ class BoundarySpace:
     def panel_points(self, t, panels=slice(None)):
         """Points A + t (B - A) at parameters t on the given panels: (n, len(t), 2)."""
         A = self.A[panels]
-        return A[:, None, :] + t[None, :, None] * (self.B[panels] - A)[:, None, :]
+        D = self.B[panels] - A
+        out = np.empty((len(A), len(t), 2))
+        for c in range(2):
+            np.multiply(D[:, c, None], t, out=out[..., c])
+            out[..., c] += A[:, c, None]
+        return out
 
     def p1_values(self, coef, t):
         """Values of a nodal P1 field at parameters t on every panel: (L, len(t), d)."""
@@ -214,82 +226,152 @@ def _primitives(keys, bspace, src, X):
     length L): xi = (x-A).that, eta = (x-A).nhat, u in [-xi, L-xi].
     All returned combinations are finite; |eta| <= _ONLINE_REL*max(L, |A|)
     uses the on-line (principal-value) branch, as the rounding of eta grows
-    with the coordinates.  The shared core is computed always;
-    a combination, and a subexpression some combinations share, only when
-    it is asked for, and once.
+    with the coordinates.  Only xi, eta and the mask are computed always;
+    every other value, a combination or a subexpression that several share,
+    only when it is asked for, and once.  The principal values vanish off
+    the line and are evaluated at the on-line points alone.  Each value
+    takes the operations of its formula in their order; a shared
+    subexpression only moves a sign out of a product or turns -b + a into
+    a - b, which round alike, so the values do not depend on which others
+    a call asks for.  A rule writes in place only into arrays it made
+    itself, and no two returned arrays share memory, so a caller may change
+    each in place.
     """
     n = len(X)
-    L = np.take(bspace.lengths, src)
-    rel = X - np.take(bspace.A, src, axis=0)
     # per source panel: xi, eta by BLAS, which rounds a two-term dot as
     # fma(a0, b0, a1 b1); no array form (einsum, stacked matmul) rounds alike
     start = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])[:n]
+    rel = X - np.take(bspace.A, src, axis=0)
     xi, eta = np.empty((2, n))
-    for s, e in zip(start, np.r_[start[1:], n]):
-        xi[s:e] = rel[s:e] @ bspace.tangents[src[s]]
-        eta[s:e] = rel[s:e] @ bspace.normals[src[s]]
-    tiny = (_ONLINE_REL * L) ** 2
+    for s, e in zip(start.tolist(), np.r_[start[1:], n].tolist()):
+        np.dot(rel[s:e], bspace.tangents[src[s]], out=xi[s:e])
+        np.dot(rel[s:e], bspace.normals[src[s]], out=eta[s:e])
+    del rel                                  # not held while the rules run
     tol = np.take(_ONLINE_REL * np.maximum(bspace.lengths,
                                            np.hypot(bspace.A[:, 0], bspace.A[:, 1])), src)
     online = np.abs(eta) <= tol
-    eta_safe = np.where(online, 1.0, eta)
-    u1 = -xi
-    u2 = L - xi
-    r1s = u1 * u1 + eta * eta
-    r2s = u2 * u2 + eta * eta
-    # avoid log(0) when an observation point coincides with a panel endpoint
-    r1s = np.maximum(r1s, tiny * tiny)
-    r2s = np.maximum(r2s, tiny * tiny)
-    log1 = 0.5 * np.log(r1s)
-    log2 = 0.5 * np.log(r2s)
-    at1 = np.where(online, 0.0, np.arctan(u1 / eta_safe))
-    at2 = np.where(online, 0.0, np.arctan(u2 / eta_safe))
-    dat = at2 - at1
-    dlog = log2 - log1
+    tiny = (_ONLINE_REL * bspace.lengths) ** 2          # per panel
+
+    def off_line(a):
+        np.copyto(a, 0.0, where=online)
+        return a
+
+    def rsq(u, g):
+        # u^2 + eta^2, at least tiny^2: no log(0) when an observation point
+        # coincides with a panel endpoint
+        r = u * u
+        r += g["eta2"]
+        return np.maximum(r, np.take(tiny * tiny, src), out=r)
+
+    def half_log(r):
+        out = np.log(r)
+        out *= 0.5
+        return out
+
+    def atan(u, eta_safe):
+        out = np.divide(u, eta_safe)
+        return off_line(np.arctan(out, out=out))
+
+    def dat(g):
+        # arctan(u2/eta) - arctan(u1/eta), 0 on the line
+        eta_safe = np.where(online, 1.0, eta)
+        return diff(atan(g["u2"], eta_safe), atan(g["u1"], eta_safe))
+
+    def ulog(u, log, g):
+        out = u * log
+        np.copyto(out, 0.0, where=np.abs(u) < g["tiny"])
+        return out
+
+    def diff(a, b):
+        a -= b
+        return a
+
+    def by_t(a, f, g):
+        # (a + xi f) / L, the tau/L weighted combination from a and f
+        out = xi * f
+        out += a
+        out /= g["L"]
+        return out
 
     def ilog0(g):
         # int (-log rho)
-        ulog1 = np.where(np.abs(u1) < tiny, 0.0, u1 * log1)
-        ulog2 = np.where(np.abs(u2) < tiny, 0.0, u2 * log2)
-        return -(ulog2 - ulog1 - (u2 - u1) + eta * dat)
+        out = diff(ulog(g["u2"], g["log2"], g), ulog(g["u1"], g["log1"], g))
+        out -= g["du"]
+        out += g["edat"]
+        return np.negative(out, out=out)
+
+    def half_eta3_dinv(g):
+        out = g["eta2"] * eta
+        out *= 0.5
+        out *= g["dinv"]
+        return out
+
+    def on_line(g):
+        # the on-line points, and their xi, u1, u2 and L
+        i = np.flatnonzero(online)
+        x, length = xi[i], g["L"][i]
+        return i, x, -x, length - x, length
 
     def pv0(g):
         # log|u2| - log|u1|, without the log of an end within tol of the
         # point: at a shared vertex the two panels' terms cancel exactly
-        a1, a2 = np.abs(u1), np.abs(u2)
-        return np.where(online, np.log(np.where(a2 > tol, a2, 1.0))
-                        - np.log(np.where(a1 > tol, a1, 1.0)), 0.0)
+        i, _, u1, u2, _ = g["on_line"]
+        a1, a2, t = np.abs(u1), np.abs(u2), tol[i]
+        out = np.zeros(n)
+        out[i] = np.log(np.where(a2 > t, a2, 1.0)) - np.log(np.where(a1 > t, a1, 1.0))
+        return out
+
+    def pvt(g):
+        i, x, u1, u2, length = g["on_line"]
+        out = np.zeros(n)
+        out[i] = (u2 - u1) / length + x * g["pv0"][i] / length
+        return out
 
     rules = {
         # subexpressions shared by several combinations
-        "dq": lambda g: u2 / r2s - u1 / r1s,
-        "dinv": lambda g: 1 / r2s - 1 / r1s,
-        "eta3": lambda g: eta * eta * eta,
+        "L": lambda g: np.take(bspace.lengths, src),
+        "tiny": lambda g: np.take(tiny, src),
+        "eta2": lambda g: eta * eta,
+        "heta": lambda g: 0.5 * eta,
+        "u1": lambda g: np.negative(xi),
+        "u2": lambda g: g["L"] - xi,
+        "du": lambda g: g["u2"] - g["u1"],
+        "r1s": lambda g: rsq(g["u1"], g),
+        "r2s": lambda g: rsq(g["u2"], g),
+        "log1": lambda g: half_log(g["r1s"]),
+        "log2": lambda g: half_log(g["r2s"]),
+        "dat": dat,
+        "dlog": lambda g: g["log2"] - g["log1"],
+        "edat": lambda g: eta * g["dat"],
+        "edlog": lambda g: eta * g["dlog"],
+        "hdat": lambda g: 0.5 * g["dat"],
+        "dq": lambda g: diff(g["u2"] / g["r2s"], g["u1"] / g["r1s"]),
+        "dinv": lambda g: diff(1 / g["r2s"], 1 / g["r1s"]),
+        "hdq": lambda g: g["heta"] * g["dq"],
+        "h3d": half_eta3_dinv,
+        "p2": lambda g: g["hdat"] - g["hdq"],          # -eta dq / 2 + dat / 2
+        "m2": lambda g: -0.5 * g["eta2"],
+        "on_line": on_line,
         "ilog0": ilog0,
         # dyadic /rho^2 pieces
-        "dy00": lambda g: (u2 - u1) - eta * dat,
-        "dy01": lambda g: -eta * dlog,
-        "dy11": lambda g: eta * dat,
+        "dy00": lambda g: g["du"] - g["edat"],
+        "dy01": lambda g: np.negative(g["edlog"]),
+        "dy11": lambda g: g["edat"],
         # dlp combos, plain and tau/L weighted
-        "s1_0": lambda g: dat,
-        "s1_t": lambda g: (eta * dlog + xi * dat) / L,
-        "s2_0": lambda g: dlog,
-        "s2_t": lambda g: ((u2 - u1) - eta * dat + xi * dlog) / L,
-        "p2_0": lambda g: np.where(online, 0.0, -0.5 * eta * g["dq"] + 0.5 * dat),
-        "p2_t": lambda g: np.where(
-            online, 0.0,
-            (eta * dlog + 0.5 * g["eta3"] * g["dinv"]
-             + xi * (-0.5 * eta * g["dq"] + 0.5 * dat)) / L),
-        "p1_0": lambda g: -0.5 * eta ** 2 * g["dinv"],
-        "p1_t": lambda g: (np.where(online, 0.0,
-                                    -0.5 * eta ** 2 * g["dq"] + 0.5 * eta * dat)
-                           + xi * g["p1_0"]) / L,
-        "p0_0": lambda g: np.where(online, 0.0, 0.5 * eta * g["dq"] + 0.5 * dat),
-        "p0_t": lambda g: (np.where(online, 0.0, -0.5 * g["eta3"] * g["dinv"])
-                           + xi * g["p0_0"]) / L,
+        "s1_0": lambda g: g["dat"],
+        "s1_t": lambda g: by_t(g["edlog"], g["dat"], g),
+        "s2_0": lambda g: g["dlog"],
+        "s2_t": lambda g: by_t(g["dy00"], g["dlog"], g),
+        "p2_0": lambda g: np.where(online, 0.0, g["p2"]),
+        "p2_t": lambda g: off_line(by_t(g["edlog"] + g["h3d"], g["p2"], g)),
+        "p1_0": lambda g: g["m2"] * g["dinv"],
+        "p1_t": lambda g: by_t(off_line(g["m2"] * g["dq"] + g["heta"] * g["dat"]),
+                               g["p1_0"], g),
+        "p0_0": lambda g: off_line(g["hdq"] + g["hdat"]),
+        "p0_t": lambda g: by_t(off_line(np.negative(g["h3d"])), g["p0_0"], g),
         # on-line principal values of int w/u (Lame self/collinear rotation term)
         "pv0": pv0,
-        "pvt": lambda g: np.where(online, (u2 - u1) / L, 0.0) + xi * g["pv0"] / L,
+        "pvt": pvt,
     }
     g = _Memo(rules)
     p = {k: g[k] for k in keys}
@@ -363,6 +445,15 @@ def _table_values(prims, kzero, bspace, src, X):
     for k in kzero:
         np.copyto(prim[k], 0.0, where=prim["online"])
     return prim
+
+
+def _weigh_and_reduce(ints, prims, P, w, seg, cols):
+    """ints[prims.index(k), cols] = the sums over the segments seg of the
+    integrals P[k] times the weights w, each P[k] weighted in place."""
+    for k, a in P.items():
+        if k != "online":
+            a *= w
+            ints[prims.index(k), cols] = np.add.reduceat(a, seg)
 
 
 def _self_pair_integrals(lengths):
@@ -462,9 +553,7 @@ def _pair_blocks(ker, bspace, quad_order, reuse=None):
         idx = np.repeat(first[cls[blk], panel].ravel()[pair] - seg, n) + np.arange(n.sum())
         src = np.repeat(panel[blk], nq[blk].sum(axis=1))
         P = _table_values(prims, kzero, bspace, src, np.take(pts, idx, axis=0))
-        P = np.stack([P[k] for k in prims])
-        P *= wts[idx]
-        ints[:, blk.start * L + pair] = np.add.reduceat(P, seg, axis=1)
+        _weigh_and_reduce(ints, prims, P, wts[idx], seg, blk.start * L + pair)
 
     # self pairs (m, m), flat at m (L + 1): the analytic V and Ghat
     # integrals, and the principal values from the self rule's points
@@ -472,21 +561,29 @@ def _pair_blocks(ker, bspace, quad_order, reuse=None):
     for k in {**table["V"], **table["G"]}:
         ints[prims.index(k), panel * (L + 1)] = exact[k]
     ns = n_rule[4]
-    rows = [prims.index(k) for k in ker.self_prims]
-    for blk in _panel_blocks(np.full(len(fresh), ns)) if rows else ():
+    for blk in _panel_blocks(np.full(len(fresh), ns)) if ker.self_prims else ():
         m = fresh[blk]
         idx = (first[4, m][:, None] + np.arange(ns)).ravel()
         P = _table_values(ker.self_prims, (), bspace, np.repeat(m, ns), np.take(pts, idx, axis=0))
-        P = np.stack([P[k] for k in ker.self_prims])
-        P *= wts[idx]
-        ints[np.ix_(rows, m * (L + 1))] = np.add.reduceat(P, ns * np.arange(len(m)), axis=1)
+        _weigh_and_reduce(ints, prims, P, wts[idx], ns * np.arange(len(m)), m * (L + 1))
 
-    # every (row, source) block at once: each operator's coefficient blocks
-    # times its integrals, summed in table order
-    red = dict(zip(prims, ints.reshape(-1, L, L).transpose(0, 2, 1)))
+    # every (row, source) block at once, one (a, b) component at a time:
+    # each operator's coefficients times its integrals, summed in table
+    # order on (source, row) arrays, then written to the (row, a, source, b)
+    # layout of the flat matrix
+    red = dict(zip(prims, ints.reshape(-1, L, L)))
+    d = ker.d
+    term = np.empty((L, L))
 
     def contract(terms):
-        return sum(red[k][..., None, None] * c for k, c in terms.items())
+        out = np.empty((L, d, L, d))
+        for a in range(d):
+            for b in range(d):
+                acc = np.zeros((L, L))
+                for k, c in terms.items():
+                    acc += np.multiply(red[k], c[:, a, b, None], out=term)
+                out[:, a, :, b] = acc.T
+        return out.transpose(0, 2, 1, 3)
 
     V = contract(table["V"])
     G = V if table["G"] is table["V"] else contract(table["G"])
@@ -645,18 +742,25 @@ def eval_layer_potentials(bspace, coeffs, density, wcoef, X):
     gv = {k: _apply(c, dens) for k, c in table["V"].items()}
     gk = {k: _apply(c, w0) + (_apply(kt[k], w1) if k in kt else 0)
           for k, c in table["K0"].items()}
-    acc = np.zeros((1, 2, n, d))              # running (V phi, K_pv w)
+    acc = np.zeros((2, d, n))                 # running (V phi, K_pv w), by component
     for blk in _panel_blocks(np.full(bspace.n_panels, n)):
         m = np.arange(bspace.n_panels)[blk]
         P = _table_values(prims, kzero, bspace, np.repeat(m, n), np.tile(X, (len(m), 1)))
-        # sums over the integrals in table order; contributions added to the
-        # sums in panel order, as += per panel would
-        c = np.zeros((len(m), 2, n, d))
+        # per potential and component, the sums over the integrals in table
+        # order on (panel, point) arrays, after the running sums in row 0,
+        # then added in panel order, as += per panel would: numpy reduces
+        # axis 0 one row after another while the other axes hold more than
+        # one element (2 d n >= 2); on a single column it would sum pairwise
+        c = np.zeros((len(m) + 1, 2, d, n))
+        c[0] = acc
+        term = np.empty((len(m), n))
         for j, gs in enumerate((gv, gk)):
             for k, g in gs.items():
-                c[:, j] += P[k].reshape(len(m), n, 1) * g[m, None]
-        acc = np.cumsum(np.concatenate([acc, c]), axis=0)[-1:]
-    return acc[0, 0], acc[0, 1]
+                Pk = P[k].reshape(len(m), n)
+                for a in range(d):
+                    c[1:, j, a] += np.multiply(Pk, g[m, a, None], out=term)
+        acc = np.add.reduce(c, axis=0)
+    return np.ascontiguousarray(acc[0].T), np.ascontiguousarray(acc[1].T)
 
 
 def eval_single_layer(bspace, coeffs, density, X):

@@ -1,8 +1,9 @@
 """P1 finite elements: spaces, nonlinear residual/tangent assembly, loads.
 
-The tables of an FESpace depend only on its mesh and ncomp.  Each is built
-once per mesh and ncomp, on first use, and kept read-only in the mesh's
-fe_tables, so every space on one mesh reads the same arrays; the tables
+The tables of an FESpace depend only on its mesh and ncomp, the areas and
+gradients only on the mesh.  Each is built once per mesh (and ncomp), on
+first use, and kept read-only in the mesh's fe_tables (the areas are the
+mesh's own), so every space on one mesh reads the same arrays; the tables
 hold arrays only, with no reference back to the mesh or to a space.  The
 residual and the element tangents take the element strains
 (FESpace.strains), so a caller that needs both at one field evaluates the
@@ -11,23 +12,25 @@ strains once.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import scipy.sparse as sp
 
 from . import material as mat
-from .mesh import triangle_areas
 from .quadrature import QuadratureRule
 
 
-def _mesh_table(build):
+def _mesh_table(build, per_ncomp=True):
     """Read-only property whose value build(space) is stored in the
-    space's mesh, in mesh.fe_tables[ncomp]: the first space of a mesh and
-    ncomp to read it builds it, every later one reads the same arrays,
+    space's mesh, in mesh.fe_tables[ncomp] (in mesh.fe_tables[None] for a
+    table that does not depend on ncomp): the first space of a mesh (and
+    ncomp) to read it builds it, every later one reads the same arrays,
     made read-only."""
     name = build.__name__
 
     def get(space):
-        tables = space.mesh.fe_tables[space.ncomp]
+        tables = space.mesh.fe_tables[space.ncomp if per_ncomp else None]
         if name not in tables:
             value = build(space)
             for a in value if isinstance(value, tuple) else (value,):
@@ -39,9 +42,10 @@ def _mesh_table(build):
 
 class FESpace:
     """Piecewise-linear space on a triangulation, 1 (scalar) or 2 (vector)
-    components.  Its tables (areas, grads, basis_strains, basis_gram,
-    local_dofs, tangent_pattern, dissection_pattern) are the mesh's, shared
-    by every space on it with the same ncomp."""
+    components.  Its tables are the mesh's: areas (the mesh's own) and
+    grads are shared by every space on the mesh, basis_strains,
+    basis_gram, local_dofs, tangent_pattern and dissection_pattern by every
+    space on it with the same ncomp."""
 
     def __init__(self, mesh, ncomp=1):
         if ncomp not in (1, 2):
@@ -50,12 +54,12 @@ class FESpace:
         self.ncomp = ncomp
         self.ndof = len(mesh.vertices) * ncomp
 
-    @_mesh_table
+    @property
     def areas(self):
-        """(nt,) triangle areas."""
-        return triangle_areas(self.mesh)
+        """(nt,) triangle areas, read-only."""
+        return self.mesh.areas
 
-    @_mesh_table
+    @partial(_mesh_table, per_ncomp=False)
     def grads(self):
         """(nt, 3, 2) gradients of the three barycentric basis functions
         per triangle."""

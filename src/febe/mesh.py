@@ -54,11 +54,13 @@ class Mesh:
                    second column for a boundary edge
     edge_lengths   (ne,) length of each edge
     triangle_edges (nt, 3) rows in `edges` of triangle edges (0,1), (1,2), (2,0)
+    areas          (nt,) triangle areas, all positive
     dissection_order (nv,) vertex order for the sparse factorizations, built
                    on first use
     fe_tables      per ncomp (1, 2), the read-only arrays of fem.FESpace that
                    depend only on the mesh, built on first use and shared by
-                   every space on the mesh; they hold arrays only, so nothing
+                   every space on the mesh; under None those that do not
+                   depend on ncomp either.  They hold arrays only, so nothing
                    in them refers back to the mesh or to a space
     """
 
@@ -74,7 +76,7 @@ class Mesh:
         self._validate(*self._edge_table())
         for a in (self.vertices, self.triangles, self.boundary_edges, self.edges,
                   self.edge_triangles, self.edge_lengths, self.triangle_edges,
-                  self._loop):
+                  self.areas, self._loop):
             a.flags.writeable = False
 
     # -- construction helpers -------------------------------------------------
@@ -122,8 +124,8 @@ class Mesh:
         unused = np.bincount(self.triangles.ravel(), minlength=len(self.vertices)) == 0
         if np.any(unused):
             raise MeshError("vertex %d lies in no triangle" % np.argmax(unused))
-        areas = triangle_areas(self)
-        if np.any(areas <= 0):
+        self.areas = triangle_areas(self)
+        if np.any(self.areas <= 0):
             raise MeshError("degenerate (zero-area) triangle")
 
         # every undirected edge must appear in at most two triangles
@@ -195,8 +197,8 @@ class Mesh:
 
     @cached_property
     def fe_tables(self):
-        """{ncomp: {name: arrays}} that fem.FESpace fills on first use."""
-        return {1: {}, 2: {}}
+        """{ncomp or None: {name: arrays}} that fem.FESpace fills on first use."""
+        return {None: {}, 1: {}, 2: {}}
 
     @cached_property
     def dissection_order(self):

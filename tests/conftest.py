@@ -172,8 +172,10 @@ def friction_bound_loop(system, l, t):
 
 # -- BEM references: the per-point-block assembly, its d x d block formulas
 # -- and the all-integrals primitives that the contracted assembly and the
-# -- kernel tables replaced, and the per-source-panel loops that the blocked
-# -- assembly and evaluation replaced ------------------------------------------
+# -- kernel tables replaced, the eager primitives and the broadcast panel
+# -- points that the lazy kernel and the component-wise passes replaced, and
+# -- the per-source-panel loops that the blocked assembly and evaluation
+# -- replaced ----------------------------------------------------------------
 
 def reference_primitives(panel_A, that, nhat, L, X):
     """Every inner integral over the source panel at observation points X."""
@@ -232,6 +234,105 @@ def reference_primitives(panel_A, that, nhat, L, X):
     p["pvt"] = np.where(online, (u2 - u1) / L, 0.0) + xi * pv / L
     p["online"] = online
     return p
+
+
+def eager_primitives(keys, bspace, src, X):
+    """febe.bem._primitives before its core became lazy: the inner
+    integrals `keys` over the panel src[i] of bspace at each observation
+    point X[i], plus the on-line mask "online".
+
+    Frame coordinates of the panel (start A, tangent that, normal nhat,
+    length L): xi = (x-A).that, eta = (x-A).nhat, u in [-xi, L-xi].
+    All returned combinations are finite; |eta| <= _ONLINE_REL*max(L, |A|)
+    uses the on-line (principal-value) branch, as the rounding of eta grows
+    with the coordinates.  The shared core is computed always;
+    a combination, and a subexpression some combinations share, only when
+    it is asked for, and once.
+    """
+    from febe.bem import _ONLINE_REL, _Memo
+    n = len(X)
+    L = np.take(bspace.lengths, src)
+    rel = X - np.take(bspace.A, src, axis=0)
+    # per source panel: xi, eta by BLAS, which rounds a two-term dot as
+    # fma(a0, b0, a1 b1); no array form (einsum, stacked matmul) rounds alike
+    start = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])[:n]
+    xi, eta = np.empty((2, n))
+    for s, e in zip(start, np.r_[start[1:], n]):
+        xi[s:e] = rel[s:e] @ bspace.tangents[src[s]]
+        eta[s:e] = rel[s:e] @ bspace.normals[src[s]]
+    tiny = (_ONLINE_REL * L) ** 2
+    tol = np.take(_ONLINE_REL * np.maximum(bspace.lengths,
+                                           np.hypot(bspace.A[:, 0], bspace.A[:, 1])), src)
+    online = np.abs(eta) <= tol
+    eta_safe = np.where(online, 1.0, eta)
+    u1 = -xi
+    u2 = L - xi
+    r1s = u1 * u1 + eta * eta
+    r2s = u2 * u2 + eta * eta
+    # avoid log(0) when an observation point coincides with a panel endpoint
+    r1s = np.maximum(r1s, tiny * tiny)
+    r2s = np.maximum(r2s, tiny * tiny)
+    log1 = 0.5 * np.log(r1s)
+    log2 = 0.5 * np.log(r2s)
+    at1 = np.where(online, 0.0, np.arctan(u1 / eta_safe))
+    at2 = np.where(online, 0.0, np.arctan(u2 / eta_safe))
+    dat = at2 - at1
+    dlog = log2 - log1
+
+    def ilog0(g):
+        # int (-log rho)
+        ulog1 = np.where(np.abs(u1) < tiny, 0.0, u1 * log1)
+        ulog2 = np.where(np.abs(u2) < tiny, 0.0, u2 * log2)
+        return -(ulog2 - ulog1 - (u2 - u1) + eta * dat)
+
+    def pv0(g):
+        # log|u2| - log|u1|, without the log of an end within tol of the
+        # point: at a shared vertex the two panels' terms cancel exactly
+        a1, a2 = np.abs(u1), np.abs(u2)
+        return np.where(online, np.log(np.where(a2 > tol, a2, 1.0))
+                        - np.log(np.where(a1 > tol, a1, 1.0)), 0.0)
+
+    rules = {
+        # subexpressions shared by several combinations
+        "dq": lambda g: u2 / r2s - u1 / r1s,
+        "dinv": lambda g: 1 / r2s - 1 / r1s,
+        "eta3": lambda g: eta * eta * eta,
+        "ilog0": ilog0,
+        # dyadic /rho^2 pieces
+        "dy00": lambda g: (u2 - u1) - eta * dat,
+        "dy01": lambda g: -eta * dlog,
+        "dy11": lambda g: eta * dat,
+        # dlp combos, plain and tau/L weighted
+        "s1_0": lambda g: dat,
+        "s1_t": lambda g: (eta * dlog + xi * dat) / L,
+        "s2_0": lambda g: dlog,
+        "s2_t": lambda g: ((u2 - u1) - eta * dat + xi * dlog) / L,
+        "p2_0": lambda g: np.where(online, 0.0, -0.5 * eta * g["dq"] + 0.5 * dat),
+        "p2_t": lambda g: np.where(
+            online, 0.0,
+            (eta * dlog + 0.5 * g["eta3"] * g["dinv"]
+             + xi * (-0.5 * eta * g["dq"] + 0.5 * dat)) / L),
+        "p1_0": lambda g: -0.5 * eta ** 2 * g["dinv"],
+        "p1_t": lambda g: (np.where(online, 0.0,
+                                    -0.5 * eta ** 2 * g["dq"] + 0.5 * eta * dat)
+                           + xi * g["p1_0"]) / L,
+        "p0_0": lambda g: np.where(online, 0.0, 0.5 * eta * g["dq"] + 0.5 * dat),
+        "p0_t": lambda g: (np.where(online, 0.0, -0.5 * g["eta3"] * g["dinv"])
+                           + xi * g["p0_0"]) / L,
+        # on-line principal values of int w/u (Lame self/collinear rotation term)
+        "pv0": pv0,
+        "pvt": lambda g: np.where(online, (u2 - u1) / L, 0.0) + xi * g["pv0"] / L,
+    }
+    g = _Memo(rules)
+    p = {k: g[k] for k in keys}
+    p["online"] = online
+    return p
+
+
+def broadcast_panel_points(bspace, t, panels=slice(None)):
+    """BoundarySpace.panel_points as one broadcast to a trailing axis of 2."""
+    A = bspace.A[panels]
+    return A[:, None, :] + t[None, :, None] * (bspace.B[panels] - A)[:, None, :]
 
 
 class _ReferenceLaplace:

@@ -921,3 +921,144 @@ def test_reordered_boundary_copies_every_pair(monkeypatch, lame):
     assert calls == [] and ops is not prev
     monkeypatch.undo()
     _assert_same_operators(ops, bem.assemble_operators(rev, co))
+
+
+# the lazy kernel against the eager one -----------------------------------------
+
+_INTEGRALS = ("ilog0", "dy00", "dy01", "dy11", "s1_0", "s1_t", "s2_0", "s2_t",
+              "p2_0", "p2_t", "p1_0", "p1_t", "p0_0", "p0_t", "pv0", "pvt")
+
+
+def _kernel_meshes():
+    """_assembly_meshes and the contact-sweep boundary."""
+    from febe.presets import square_text
+    meshes = _assembly_meshes()
+    meshes["contact-sweep"] = refine_uniform(load_mesh(square_text(4, slip=("b",)),
+                                                       scale=False), 5)
+    return meshes
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _observation_points(bs, seed):
+    """Every panel as the source of points on panels, at vertices and off
+    the boundary: (source panels, points)."""
+    rng = np.random.default_rng(seed)
+    on = bs.panel_points(np.array([0.0, 0.2, 0.5, 0.9])).reshape(-1, 2)
+    lo, hi = bs.nodes.min(axis=0), bs.nodes.max(axis=0)
+    X = np.concatenate([on, bs.nodes, rng.uniform(lo - 0.1, hi + 0.1, size=(16, 2))])
+    return np.repeat(np.arange(bs.n_panels), len(X)), np.tile(X, (bs.n_panels, 1))
+
+
+@pytest.mark.parametrize("name", list(_kernel_meshes()))
+def test_lazy_primitives_match_eager_core_bit_for_bit(name):
+    # every integral, asked for with all the others and alone, at on-line
+    # and off-line points of every source panel, is the eager kernel's bit
+    # for bit, as are the on-line masks
+    from conftest import eager_primitives
+    bs = bem.BoundarySpace(_kernel_meshes()[name])
+    src, X = _observation_points(bs, 5)
+    ref = eager_primitives(_INTEGRALS, bs, src, X)
+    assert 0 < ref["online"].sum() < len(X)
+    new = bem._primitives(_INTEGRALS, bs, src, X)
+    assert set(new) == set(_INTEGRALS) | {"online"}
+    for k in new:
+        assert _same_bytes(new[k], ref[k]), k
+    for k in _INTEGRALS:
+        alone = bem._primitives((k,), bs, src, X)
+        assert set(alone) == {k, "online"}
+        assert _same_bytes(alone[k], ref[k]), k
+        assert _same_bytes(alone["online"], ref["online"])
+
+
+@pytest.mark.parametrize("kernel", ["laplace", "lame"])
+def test_lazy_kernel_operators_match_eager_core_bit_for_bit(monkeypatch, kernel):
+    # V, K, W, the mass couplings, the pair integrals, S and both
+    # potentials (at on-line and off-line points, one at a time and in a
+    # batch) equal those of the eager kernel and the broadcast panel points
+    # byte for byte
+    from conftest import broadcast_panel_points, eager_primitives
+    co = ExteriorCoefficients(mu=1.0, lam=1.3) if kernel == "lame" else None
+    for name, m in _kernel_meshes().items():
+        out = []
+        for eager in (False, True):
+            with monkeypatch.context() as mp:
+                if eager:
+                    mp.setattr(bem, "_primitives", eager_primitives)
+                    mp.setattr(bem.BoundarySpace, "panel_points", broadcast_panel_points)
+                bs = bem.BoundarySpace(m)
+                ops = bem.assemble_operators(bs, co)
+                rng = np.random.default_rng(2)
+                d = ops.d
+                on = bs.panel_points(np.array([0.2, 0.5, 0.9])).reshape(-1, 2)
+                lo, hi = bs.nodes.min(axis=0), bs.nodes.max(axis=0)
+                X = np.concatenate([on, bs.nodes, rng.uniform(lo - 0.1, hi + 0.1, size=(9, 2))])
+                dens = rng.normal(size=bs.n_panels * d)
+                w = rng.normal(size=bs.n_nodes * d)
+                out.append([getattr(ops, k) for k in _OPERATORS] + [ops.steklov_poincare()]
+                           + list(bem.eval_layer_potentials(bs, co, dens, w, X))
+                           + list(bem.eval_layer_potentials(bs, co, dens, w, X[:1])))
+        for k, a, b in zip(_OPERATORS + ("S", "Vphi", "Kw", "Vphi(x0)", "Kw(x0)"), *out):
+            assert _same_bytes(a, b), (name, k)
+
+
+def test_lame_self_pass_evaluates_no_arctan(monkeypatch):
+    # the self pass asks for the principal values alone, which read
+    # neither arctan nor the logs of rho: with np.arctan raising, the
+    # ("pv0", "pvt") call at the self rule's points and at off-line points
+    # still gives the eager values
+    from conftest import eager_primitives
+    bs = bem.BoundarySpace(_kernel_meshes()["contact-sweep"])
+    rows = _self_rule_points(bs)
+    src = np.concatenate([r[0] for r in rows])
+    X = np.concatenate([r[1] for r in rows])
+    off_src, off_X = _observation_points(bs, 6)
+    ref = [eager_primitives(("pv0", "pvt"), bs, s, x) for s, x in ((src, X), (off_src, off_X))]
+
+    def no_arctan(*args, **kwargs):
+        raise AssertionError("np.arctan evaluated")
+
+    monkeypatch.setattr(np, "arctan", no_arctan)
+    for (s, x), r in zip(((src, X), (off_src, off_X)), ref):
+        new = bem._primitives(("pv0", "pvt"), bs, s, x)
+        for k in ("pv0", "pvt", "online"):
+            assert _same_bytes(new[k], r[k]), k
+    with pytest.raises(AssertionError, match="arctan"):
+        bem._primitives(("s1_0",), bs, src, X)
+
+
+def test_primitives_return_no_shared_memory():
+    # _table_values zeroes the K integrals in place and assembly weighs
+    # every integral in place, so no two returned arrays may share memory;
+    # checked for all integrals and for the sets the Laplace and Lame
+    # tables and the self pass ask for
+    bs = bem.BoundarySpace(_kernel_meshes()["square"])
+    src, X = _observation_points(bs, 7)
+    keysets = [_INTEGRALS, ("pv0", "pvt")]
+    for co in (None, ExteriorCoefficients(mu=1.0, lam=1.3)):
+        ker = bem._kernel_for(co)
+        keysets.append(bem._table_integrals(ker, ker.terms(bs.tangents, bs.normals))[0])
+    for keys in keysets:
+        out = list(bem._primitives(keys, bs, src, X).items())
+        for i, (k, a) in enumerate(out):
+            for j, b in out[i + 1:]:
+                assert not np.shares_memory(a, b), (k, j)
+
+
+def test_panel_points_match_broadcast_formula():
+    # the component-wise points are the broadcast formula's bit for bit,
+    # on all panels and on a subset, for the outer rules and a few others
+    from conftest import broadcast_panel_points
+    from febe.quadrature import graded_gauss
+    xga, _ = graded_gauss(levels=12, order=8)
+    ts = [segment_gauss(8)[0], segment_gauss(24)[0], xga, 1.0 - xga,
+          np.array([0.0, 0.2, 0.5, 0.9, 1.0]), np.array([0.5])]
+    for name, m in _kernel_meshes().items():
+        bs = bem.BoundarySpace(m)
+        for t in ts:
+            for panels in (slice(None), [0], np.arange(1, bs.n_panels, 3)):
+                assert _same_bytes(bs.panel_points(t, panels),
+                                   broadcast_panel_points(bs, t, panels)), name

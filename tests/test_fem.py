@@ -193,6 +193,27 @@ def test_spaces_on_one_mesh_share_their_tables(monkeypatch, unit_square, ncomp):
     assert fem.FESpace(m, 3 - ncomp).local_dofs.shape[1] == 3 * (3 - ncomp)
 
 
+def test_scalar_and_vector_spaces_share_areas_and_grads(monkeypatch, unit_square):
+    # the areas and gradients do not depend on ncomp: a scalar and a vector
+    # space on one mesh read the same arrays, the areas are the ones the
+    # mesh computed when it checked its triangles, and the areas are
+    # computed once per mesh, however many spaces read them
+    from febe import mesh as meshmod
+    fine = refine_uniform(unit_square, 2)
+    calls = []
+    areas = meshmod.triangle_areas
+    monkeypatch.setattr(meshmod, "triangle_areas", lambda m: calls.append(m) or areas(m))
+    m = Mesh(fine.vertices, fine.triangles, fine.boundary_edges, fine.boundary_labels)
+    assert calls == [m]
+    calls.clear()
+    scalar, vector = fem.FESpace(m, 1), fem.FESpace(m, 2)
+    assert scalar.areas is vector.areas is m.areas
+    assert scalar.grads is vector.grads
+    assert np.array_equal(m.areas, areas(m))
+    assert vector.basis_strains.shape[1] == 6 and scalar.basis_strains is scalar.grads
+    assert calls == []
+
+
 @pytest.mark.parametrize("ncomp", [1, 2])
 def test_shared_tables_are_read_only(unit_square, ncomp):
     space = fem.FESpace(refine_uniform(unit_square, 1), ncomp)
