@@ -15,13 +15,15 @@ blocked array passes over all pairs: per block of source panels, each
 integral is evaluated once at the outer points of every pair, weighted in
 place and summed per pair; then the table is contracted with these
 integrals, one (a, b) component of the d x d blocks at a time.  The
-integrals share one lazy core (_primitives): a call computes only the
-frame coordinates and what the integrals it asks for read, so the Lame
-self pass, which asks for the principal values alone, evaluates no arctan
-and no log of rho.  Self pairs take the exact panel x panel integrals of V
-and Ghat, and K's principal value, so at their outer points only the
-integrals of that value are evaluated (Lame).  The operators keep these
-pair integrals, and an adaptive level hands its operators to the next one:
+integrals come from one straight-line core (_primitives) in three blocks:
+the principal values, the Laplace core with the Laplace table's three
+integrals, and the integrals only the Lame table reads.  A call runs only
+the blocks its keys need, so the Lame self pass, which asks for the
+principal values alone, evaluates no arctan and no log of rho.  Self pairs
+take the exact panel x panel integrals of V and Ghat, and K's principal
+value, so at their outer points only the integrals of that value are
+evaluated (Lame).  The operators keep these pair integrals, and an
+adaptive level hands its operators to the next one:
 a panel whose start and end points are bitwise equal to those of a
 previous panel is kept, the integrals of every pair of two kept panels are
 copied, and only the pairs with a new panel are evaluated.  If every panel
@@ -204,18 +206,17 @@ class _LameKernel:
 # analytic inner integrals over source panels
 # ---------------------------------------------------------------------------
 
-class _Memo(dict):
-    """Values computed on first access by rules[key](self).  The rules get
-    the memo as an argument rather than by closure, so no reference cycle
-    keeps a call's arrays alive until the next garbage collection."""
+_PV_KEYS = {"pv0", "pvt"}
+_LAPLACE_KEYS = {"ilog0", "s1_0", "s1_t"}
 
-    def __init__(self, rules):
-        super().__init__()
-        self.rules = rules
 
-    def __missing__(self, key):
-        val = self[key] = self.rules[key](self)
-        return val
+def _by_t(a, f, xi, L):
+    """(a + xi f) / L: the tau/L weighted form of an integral f, with a the
+    part that does not carry xi."""
+    out = xi * f
+    out += a
+    out /= L
+    return out
 
 
 def _primitives(keys, bspace, src, X):
@@ -226,16 +227,16 @@ def _primitives(keys, bspace, src, X):
     length L): xi = (x-A).that, eta = (x-A).nhat, u in [-xi, L-xi].
     All returned combinations are finite; |eta| <= _ONLINE_REL*max(L, |A|)
     uses the on-line (principal-value) branch, as the rounding of eta grows
-    with the coordinates.  Only xi, eta and the mask are computed always;
-    every other value, a combination or a subexpression that several share,
-    only when it is asked for, and once.  The principal values vanish off
-    the line and are evaluated at the on-line points alone.  Each value
-    takes the operations of its formula in their order; a shared
-    subexpression only moves a sign out of a product or turns -b + a into
-    a - b, which round alike, so the values do not depend on which others
-    a call asks for.  A rule writes in place only into arrays it made
-    itself, and no two returned arrays share memory, so a caller may change
-    each in place.
+    with the coordinates.  After xi, eta and the mask, straight-line code
+    computes the three sets the kernel tables ask for, in three blocks that
+    run only when a key they cover is asked for: the principal values pv0
+    and pvt (the Lame self pass), which vanish off the line and are
+    evaluated at the on-line points alone, with no arctan and no log of
+    rho; the Laplace core and its integrals ilog0, s1_0 and s1_t; and from
+    that core the eleven integrals only the Lame table reads.  Each value
+    takes the operations of its formula in their order, so it does not
+    depend on which others a call asks for.  No two returned arrays share
+    memory, so a caller may change each in place.
     """
     n = len(X)
     # per source panel: xi, eta by BLAS, which rounds a two-term dot as
@@ -246,137 +247,104 @@ def _primitives(keys, bspace, src, X):
     for s, e in zip(start.tolist(), np.r_[start[1:], n].tolist()):
         np.dot(rel[s:e], bspace.tangents[src[s]], out=xi[s:e])
         np.dot(rel[s:e], bspace.normals[src[s]], out=eta[s:e])
-    del rel                                  # not held while the rules run
+    del rel                                  # not held while the blocks run
     tol = np.take(_ONLINE_REL * np.maximum(bspace.lengths,
                                            np.hypot(bspace.A[:, 0], bspace.A[:, 1])), src)
     online = np.abs(eta) <= tol
-    tiny = (_ONLINE_REL * bspace.lengths) ** 2          # per panel
+    need = set(keys)
+    out = {"online": online}
 
-    def off_line(a):
-        np.copyto(a, 0.0, where=online)
-        return a
+    if need & _PV_KEYS:
+        # on-line principal values of int w/u (Lame self/collinear rotation
+        # term): log|u2| - log|u1|, without the log of an end within tol of
+        # the point (at a shared vertex the two panels' terms cancel
+        # exactly), and its tau/L weighted form
+        i = np.flatnonzero(online)
+        x, length, t = xi[i], np.take(bspace.lengths, src[i]), tol[i]
+        u1, u2 = -x, length - x
+        a1, a2 = np.abs(u1), np.abs(u2)
+        pv = np.log(np.where(a2 > t, a2, 1.0)) - np.log(np.where(a1 > t, a1, 1.0))
+        out["pv0"], out["pvt"] = np.zeros(n), np.zeros(n)
+        out["pv0"][i] = pv
+        out["pvt"][i] = (u2 - u1) / length + x * pv / length
+        del i, x, length, t, u1, u2, a1, a2, pv
+    del tol
 
-    def rsq(u, g):
-        # u^2 + eta^2, at least tiny^2: no log(0) when an observation point
-        # coincides with a panel endpoint
-        r = u * u
-        r += g["eta2"]
-        return np.maximum(r, np.take(tiny * tiny, src), out=r)
-
-    def half_log(r):
-        out = np.log(r)
-        out *= 0.5
-        return out
-
-    def atan(u, eta_safe):
-        out = np.divide(u, eta_safe)
-        return off_line(np.arctan(out, out=out))
-
-    def dat(g):
+    if need - _PV_KEYS:
+        L = np.take(bspace.lengths, src)
+        tiny = np.take((_ONLINE_REL * bspace.lengths) ** 2, src)
+        u1 = np.negative(xi)
+        u2 = L - xi
+        eta2 = eta * eta
+        # rho^2 at the ends, at least tiny^2: no log(0) when an observation
+        # point coincides with a panel endpoint
+        r1s, r2s = u1 * u1, u2 * u2
+        r1s += eta2
+        r2s += eta2
+        np.maximum(r1s, tiny * tiny, out=r1s)
+        np.maximum(r2s, tiny * tiny, out=r2s)
+        log1, log2 = np.log(r1s), np.log(r2s)
+        log1 *= 0.5
+        log2 *= 0.5
         # arctan(u2/eta) - arctan(u1/eta), 0 on the line
         eta_safe = np.where(online, 1.0, eta)
-        return diff(atan(g["u2"], eta_safe), atan(g["u1"], eta_safe))
-
-    def ulog(u, log, g):
-        out = u * log
-        np.copyto(out, 0.0, where=np.abs(u) < g["tiny"])
-        return out
-
-    def diff(a, b):
-        a -= b
-        return a
-
-    def by_t(a, f, g):
-        # (a + xi f) / L, the tau/L weighted combination from a and f
-        out = xi * f
-        out += a
-        out /= g["L"]
-        return out
-
-    def ilog0(g):
+        dat, at1 = u2 / eta_safe, u1 / eta_safe
+        del eta_safe
+        np.arctan(dat, out=dat)
+        dat -= np.arctan(at1, out=at1)
+        del at1
+        np.copyto(dat, 0.0, where=online)
+        du = u2 - u1
+        dlog = log2 - log1
+        edat = eta * dat
+        edlog = eta * dlog
         # int (-log rho)
-        out = diff(ulog(g["u2"], g["log2"], g), ulog(g["u1"], g["log1"], g))
-        out -= g["du"]
-        out += g["edat"]
-        return np.negative(out, out=out)
+        ilog0, ulog1 = u2 * log2, u1 * log1
+        del log1, log2
+        np.copyto(ilog0, 0.0, where=np.abs(u2) < tiny)
+        np.copyto(ulog1, 0.0, where=np.abs(u1) < tiny)
+        del tiny
+        ilog0 -= ulog1
+        del ulog1
+        ilog0 -= du
+        ilog0 += edat
+        np.negative(ilog0, out=ilog0)
+        out.update(ilog0=ilog0, s1_0=dat, s1_t=_by_t(edlog, dat, xi, L))
 
-    def half_eta3_dinv(g):
-        out = g["eta2"] * eta
-        out *= 0.5
-        out *= g["dinv"]
-        return out
-
-    def on_line(g):
-        # the on-line points, and their xi, u1, u2 and L
-        i = np.flatnonzero(online)
-        x, length = xi[i], g["L"][i]
-        return i, x, -x, length - x, length
-
-    def pv0(g):
-        # log|u2| - log|u1|, without the log of an end within tol of the
-        # point: at a shared vertex the two panels' terms cancel exactly
-        i, _, u1, u2, _ = g["on_line"]
-        a1, a2, t = np.abs(u1), np.abs(u2), tol[i]
-        out = np.zeros(n)
-        out[i] = np.log(np.where(a2 > t, a2, 1.0)) - np.log(np.where(a1 > t, a1, 1.0))
-        return out
-
-    def pvt(g):
-        i, x, u1, u2, length = g["on_line"]
-        out = np.zeros(n)
-        out[i] = (u2 - u1) / length + x * g["pv0"][i] / length
-        return out
-
-    rules = {
-        # subexpressions shared by several combinations
-        "L": lambda g: np.take(bspace.lengths, src),
-        "tiny": lambda g: np.take(tiny, src),
-        "eta2": lambda g: eta * eta,
-        "heta": lambda g: 0.5 * eta,
-        "u1": lambda g: np.negative(xi),
-        "u2": lambda g: g["L"] - xi,
-        "du": lambda g: g["u2"] - g["u1"],
-        "r1s": lambda g: rsq(g["u1"], g),
-        "r2s": lambda g: rsq(g["u2"], g),
-        "log1": lambda g: half_log(g["r1s"]),
-        "log2": lambda g: half_log(g["r2s"]),
-        "dat": dat,
-        "dlog": lambda g: g["log2"] - g["log1"],
-        "edat": lambda g: eta * g["dat"],
-        "edlog": lambda g: eta * g["dlog"],
-        "hdat": lambda g: 0.5 * g["dat"],
-        "dq": lambda g: diff(g["u2"] / g["r2s"], g["u1"] / g["r1s"]),
-        "dinv": lambda g: diff(1 / g["r2s"], 1 / g["r1s"]),
-        "hdq": lambda g: g["heta"] * g["dq"],
-        "h3d": half_eta3_dinv,
-        "p2": lambda g: g["hdat"] - g["hdq"],          # -eta dq / 2 + dat / 2
-        "m2": lambda g: -0.5 * g["eta2"],
-        "on_line": on_line,
-        "ilog0": ilog0,
-        # dyadic /rho^2 pieces
-        "dy00": lambda g: g["du"] - g["edat"],
-        "dy01": lambda g: np.negative(g["edlog"]),
-        "dy11": lambda g: g["edat"],
-        # dlp combos, plain and tau/L weighted
-        "s1_0": lambda g: g["dat"],
-        "s1_t": lambda g: by_t(g["edlog"], g["dat"], g),
-        "s2_0": lambda g: g["dlog"],
-        "s2_t": lambda g: by_t(g["dy00"], g["dlog"], g),
-        "p2_0": lambda g: np.where(online, 0.0, g["p2"]),
-        "p2_t": lambda g: off_line(by_t(g["edlog"] + g["h3d"], g["p2"], g)),
-        "p1_0": lambda g: g["m2"] * g["dinv"],
-        "p1_t": lambda g: by_t(off_line(g["m2"] * g["dq"] + g["heta"] * g["dat"]),
-                               g["p1_0"], g),
-        "p0_0": lambda g: off_line(g["hdq"] + g["hdat"]),
-        "p0_t": lambda g: by_t(off_line(np.negative(g["h3d"])), g["p0_0"], g),
-        # on-line principal values of int w/u (Lame self/collinear rotation term)
-        "pv0": pv0,
-        "pvt": pvt,
-    }
-    g = _Memo(rules)
-    p = {k: g[k] for k in keys}
-    p["online"] = online
-    return p
+    if need - _PV_KEYS - _LAPLACE_KEYS:
+        # the dyadic /rho^2 pieces dy.., and the dlp combinations s.., p..
+        # plain (_0) and tau/L weighted (_t)
+        heta, hdat = 0.5 * eta, 0.5 * dat
+        dq = u2 / r2s
+        dq -= u1 / r1s
+        dinv = 1 / r2s
+        dinv -= 1 / r1s
+        del u1, u2, r1s, r2s
+        hdq = heta * dq
+        h3d = eta2 * eta                     # eta^3 dinv / 2
+        h3d *= 0.5
+        h3d *= dinv
+        m2 = -0.5 * eta2
+        del eta2
+        p2 = hdat - hdq                      # -eta dq / 2 + dat / 2
+        p1_0 = m2 * dinv
+        del dinv
+        p1_t = m2 * dq
+        p1_t += heta * dat
+        del m2, dq, heta
+        p0_0 = hdq + hdat
+        del hdq, hdat
+        dy00 = du - edat
+        del du
+        p2_t = _by_t(edlog + h3d, p2, xi, L)
+        np.negative(h3d, out=h3d)
+        for a in (p2_t, p1_t, p0_0, h3d):
+            np.copyto(a, 0.0, where=online)
+        out.update(dy00=dy00, dy01=np.negative(edlog), dy11=edat, s2_0=dlog,
+                   s2_t=_by_t(dy00, dlog, xi, L), p2_0=np.where(online, 0.0, p2),
+                   p2_t=p2_t, p1_0=p1_0, p1_t=_by_t(p1_t, p1_0, xi, L),
+                   p0_0=p0_0, p0_t=_by_t(h3d, p0_0, xi, L))
+    return {k: out[k] for k in (*keys, "online")}
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,20 @@ def reference_primitives(panel_A, that, nhat, L, X):
     return p
 
 
+class _Memo(dict):
+    """Values computed on first access by rules[key](self).  The rules get
+    the memo as an argument rather than by closure, so no reference cycle
+    keeps a call's arrays alive until the next garbage collection."""
+
+    def __init__(self, rules):
+        super().__init__()
+        self.rules = rules
+
+    def __missing__(self, key):
+        val = self[key] = self.rules[key](self)
+        return val
+
+
 def eager_primitives(keys, bspace, src, X):
     """febe.bem._primitives before its core became lazy: the inner
     integrals `keys` over the panel src[i] of bspace at each observation
@@ -249,7 +263,7 @@ def eager_primitives(keys, bspace, src, X):
     a combination, and a subexpression some combinations share, only when
     it is asked for, and once.
     """
-    from febe.bem import _ONLINE_REL, _Memo
+    from febe.bem import _ONLINE_REL
     n = len(X)
     L = np.take(bspace.lengths, src)
     rel = X - np.take(bspace.A, src, axis=0)

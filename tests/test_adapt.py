@@ -173,6 +173,36 @@ def test_no_refinement_after_last_level(monkeypatch):
     assert len(calls) == 2
 
 
+def test_loop_stops_when_nothing_is_marked(monkeypatch):
+    # every indicator of the first level is zero, so mark returns [] and
+    # the loop stops after that level, although the dof budget and the
+    # level count would allow more, without refining
+    from dataclasses import replace
+
+    from febe import adapt
+    refined = []
+    monkeypatch.setattr(adapt, "refine", lambda mesh, marked: refined.append(marked) or mesh)
+
+    def zero_estimate(system, sol):
+        ind = estimate_sp(system, sol)
+        zero = lambda terms: {k: np.zeros_like(v) for k, v in terms.items()}
+        return replace(ind, parts=dict.fromkeys(ind.parts, 0.0),
+                       element_terms=zero(ind.element_terms),
+                       edge_terms=zero(ind.edge_terms),
+                       boundary_terms=zero(ind.boundary_terms))
+
+    law = mat.MaterialLaw(p=2.0)
+    mesh = load_mesh(presets.square_text(2), scale=False)
+
+    def build_fn(m, previous):
+        return build_system(m, law, presets.scalar_quadratic(law).data, previous=previous)
+
+    records = run_adaptive(mesh, build_fn, solve_transmission, zero_estimate,
+                           theta=0.5, max_dofs=10**6, max_levels=6)
+    assert len(records) == 1 and records[0].estimator_total == 0.0
+    assert refined == []
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0])
 def test_adaptivity_pays_off_on_friction(p):
     # the paper's comparison at equal dofs, at the stick/slip transition:

@@ -1048,6 +1048,42 @@ def test_primitives_return_no_shared_memory():
                 assert not np.shares_memory(a, b), (k, j)
 
 
+@pytest.mark.parametrize("lame", [False, True])
+def test_primitives_are_asked_for_the_kernel_tables_sets_only(monkeypatch, lame):
+    # _primitives computes three fixed sets of integrals, and every call of
+    # a fresh assembly, of an assembly from a previous level's operators and
+    # of the pointwise potentials asks for one of them whole: the Laplace
+    # table's, the Lame table's or the principal values of the Lame self
+    # pass.  A new kernel or integral fails here instead of taking a slower
+    # path through the core
+    co = ExteriorCoefficients(mu=1.0, lam=1.3) if lame else None
+    coarse, fine = _local_refinements(4, seed=1)[3:]      # keeps 15 of 16 panels
+    bs, bs_fine = bem.BoundarySpace(coarse), bem.BoundarySpace(fine)
+    old = bem._kept_panels(bs, bs_fine)
+    assert (old >= 0).any() and (old < 0).any()
+    sets = set()
+    for c in (None, ExteriorCoefficients(mu=1.0, lam=1.3)):
+        ker = bem._kernel_for(c)
+        sets.add(tuple(bem._table_integrals(ker, ker.terms(bs.tangents, bs.normals))[0]))
+    assert sorted(map(len, sets)) == [3, 16]
+    sets.add(("pv0", "pvt"))
+    recorded = []
+    prim = bem._primitives
+    monkeypatch.setattr(bem, "_primitives",
+                        lambda keys, *args: recorded.append(tuple(keys)) or prim(keys, *args))
+    prev = bem.assemble_operators(bs, co)
+    fresh = recorded[:]
+    recorded.clear()
+    bem.assemble_operators(bs_fine, co, previous=prev)
+    reused = recorded[:]
+    recorded.clear()
+    d = prev.d
+    bem.eval_layer_potentials(bs_fine, co, np.ones(bs_fine.n_panels * d),
+                              np.ones(bs_fine.n_nodes * d), np.vstack([bs_fine.mids, [[0, 0]]]))
+    for calls in (fresh, reused, recorded):
+        assert calls and set(calls) <= sets
+
+
 def test_panel_points_match_broadcast_formula():
     # the component-wise points are the broadcast formula's bit for bit,
     # on all panels and on a subset, for the outer rules and a few others

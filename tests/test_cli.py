@@ -107,6 +107,37 @@ def test_config_mistakes_exit_2(tmp_path, capsys, extra):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("extra, data_row, message", [
+    ("problem = plate", None, "problem must be 'scalar' or 'vector'"),
+    ("material.delta = 1.5", None, "material.delta must lie in [0, 1]"),
+    ("exterior.mu = 0", None, "exterior.mu must be positive"),
+    ("exterior.lambda = -2", None, "exterior.lambda must exceed -exterior.mu"),
+    ("mesh.preset = disc", None, "mesh.preset unknown: disc"),
+    ("data.preset = wave", None, "data.preset unknown: wave"),
+    ("solver.formulation = steklow", None,
+     "solver.formulation must be steklov or layerpotential"),
+    ("estimate.kind = apendix", None, "estimate.kind must be auto, sp, lp or appendix"),
+    ("adapt.theta = 0", None, "adapt.theta must lie in (0, 1]"),
+    ("mesh.refine 2", None, "line 8: expected 'key = value'"),   # BASE has 7 lines
+    ("", "G_node,0,0,1.0", "{data} line 2: unknown data kind 'G_node'"),
+    ("", "F_node,0,zero,1.0", "{data} line 2: bad number in 'F_node,0,zero,1.0'"),
+], ids=["problem-unknown", "delta-above-one", "mu-zero", "lambda-below-minus-mu",
+        "mesh-preset-unknown", "data-preset-unknown", "formulation-typo", "estimate-kind-typo",
+        "theta-zero", "line-without-equals", "data-kind-unknown", "data-bad-number"])
+def test_config_mistakes_exit_2_naming_the_mistake(tmp_path, capsys, extra, data_row,
+                                                   message):
+    datafile = tmp_path / "data.csv"
+    if data_row is not None:
+        datafile.write_text("kind,index,comp,value\n%s\n" % data_row)
+        extra = "data.file = %s" % datafile
+    cfg = write_cfg(tmp_path, "%s\nout.dir = %s\n" % (extra, tmp_path / "out"))
+    assert main(["solve", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: %s\n" % message.format(data=datafile)
+    assert "Traceback" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", sorted(k for k, v in _DEFAULTS.items() if isinstance(v, float)))
 def test_non_finite_float_is_config_error(tmp_path, capsys, key, value):
@@ -415,6 +446,40 @@ def test_oracle_command(tmp_path, p):
                               "data.preset = transition\nmaterial.p = %r\n"
                               "out.dir = %s\n" % (p, tmp_path / "out_o"))
     assert main(["oracle", "--config", cfg]) == 0
+
+
+def test_oracle_command_on_too_large_instance(tmp_path, capsys):
+    # 15 Z dofs on the slip side, above the enumeration limit
+    from febe.oracle import MAX_CONSTRAINED
+    cfg = write_cfg(tmp_path, "mesh.preset = square-slip\nmesh.n = 4\nmesh.refine = 4\n"
+                              "data.preset = stick\nout.dir = %s\n" % (tmp_path / "out_o"))
+    assert MAX_CONSTRAINED < 15
+    assert main(["oracle", "--config", cfg]) == 2
+    assert capsys.readouterr().out == ("oracle unavailable: instance too large for "
+                                       "enumeration (15 dofs)\n")
+
+
+def test_solve_with_appendix_estimator(tmp_path):
+    # estimate.kind = appendix on a scalar p = 3 friction problem: the run
+    # writes the seven gradient-recovery terms, and its manifest total is
+    # the one estimate_scalar_appendix gives for the same solve
+    from febe import study
+    from febe.config import load_config
+    from febe.estimate import estimate_scalar_appendix
+    cfg_path = write_cfg(tmp_path, "material.p = 3.0\nmesh.preset = square-slip\n"
+                                   "data.preset = stick\nestimate.kind = appendix\n"
+                                   "out.dir = %s\n" % (tmp_path / "out"))
+    assert main(["solve", "--config", cfg_path]) == 0
+    rows = (tmp_path / "out" / "indicators.csv").read_text().splitlines()[1:]
+    assert list(dict.fromkeys(r.split(",")[1] for r in rows)) == [
+        "grad_recovery", "data_oscillation", "consistency", "boundary_residual",
+        "friction_excess", "friction_slack_slip", "friction_compl"]
+    cfg = load_config(cfg_path).validate()
+    system, _ = study.build_from_config(cfg, study.mesh_from_config(cfg))
+    sol = study.solve_from_config(cfg, system)
+    total = estimate_scalar_appendix(system, sol, delta=cfg["estimate.delta"]).total()
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert "estimator_total = %.17g" % total in manifest
 
 
 def test_export_zero_solution_parses(tmp_path):

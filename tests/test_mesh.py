@@ -83,6 +83,60 @@ def test_empty_transmission_rejected():
         load_mesh(txt)
 
 
+_SQUARE = ["0 0", "1 0", "1 1", "0 1"]
+_SQUARE_EDGES = ["0 1 T", "1 2 T", "2 3 T", "3 0 T"]
+
+
+@pytest.mark.parametrize("lines, match", [
+    (["3 1 3", "0 0", "1 0", "2 0", "0 1 2", "0 1 T", "1 2 T", "2 0 T"],
+     r"degenerate \(zero-area\) triangle"),
+    # the diagonal 0 2 in a third triangle, whose apex lies off the square
+    (["5 3 4", *_SQUARE, "2 0.5", "0 1 2", "0 2 3", "0 2 4", *_SQUARE_EDGES],
+     "edge shared by >2 triangles"),
+    (["4 2 5", *_SQUARE, "0 1 2", "0 2 3", *_SQUARE_EDGES, "0 2 T"],
+     "labeled edge is not a boundary edge"),
+    (["4 2 4", *_SQUARE, "0 1 2", "0 2 3", *_SQUARE_EDGES[:3], "3 0 Q"],
+     "unknown boundary label 'Q'"),
+    # two unit squares one unit apart
+    (["8 4 8", *_SQUARE, "2 0", "3 0", "3 1", "2 1", "0 1 2", "0 2 3", "4 5 6", "4 6 7",
+      *_SQUARE_EDGES, "4 5 T", "5 6 T", "6 7 T", "7 4 T"],
+     "boundary has more than one component"),
+    (["4 2"], "truncated mesh file"),
+    (["4 2 4", *_SQUARE, "0 1 2", "0 2 3", *_SQUARE_EDGES[:3]], "truncated mesh file"),
+], ids=["zero-area", "edge-in-three-triangles", "labeled-interior-edge", "unknown-label",
+        "two-boundary-components", "truncated-header", "truncated-body"])
+def test_malformed_mesh_file_rejected(lines, match):
+    with pytest.raises(MeshError, match=match):
+        load_mesh("\n".join(lines))
+
+
+@pytest.mark.parametrize("clockwise", ["every", "every-other"])
+def test_clockwise_mesh_file_loads_as_counter_clockwise_twin(clockwise):
+    # the square-slip preset with its triangles listed clockwise: the mesh
+    # turns them back, so it has the vertices, peak-first triangles and
+    # boundary loop of the counter-clockwise file, and so do two uniform
+    # refinements of it
+    text = square_text(2, slip=("b",))
+    lines = text.split("\n")
+    nv, nt, _ = (int(s) for s in lines[0].split())
+    flip = slice(None) if clockwise == "every" else slice(None, None, 2)
+    tris = lines[1 + nv:1 + nv + nt]
+    tris[flip] = [" ".join(t.split()[::-1]) for t in tris[flip]]
+    lines[1 + nv:1 + nv + nt] = tris
+    verts = np.array([[float(s) for s in ln.split()] for ln in lines[1:1 + nv]])
+    t = np.array([[int(s) for s in ln.split()] for ln in tris])
+    turn = meshmod._cross2(verts[t[:, 1]] - verts[t[:, 0]], verts[t[:, 2]] - verts[t[:, 0]])
+    assert np.count_nonzero(turn < 0) == len(range(nt)[flip])
+    ccw, cw = load_mesh(text), load_mesh("\n".join(lines))
+    for a, b in ((ccw, cw), (refine_uniform(ccw, 2), refine_uniform(cw, 2))):
+        assert np.array_equal(a.vertices, b.vertices)
+        assert np.array_equal(a.triangles, b.triangles)
+        assert np.array_equal(a.boundary_edges, b.boundary_edges)
+        assert a.boundary_labels == b.boundary_labels
+        assert np.array_equal(a.boundary_loop()[0], b.boundary_loop()[0])
+        assert a.boundary_loop()[1] == b.boundary_loop()[1]
+
+
 def test_scaling_applied_for_large_domains():
     m = load_mesh(square_mesh_text(lo=0.0, hi=3.0))
     assert m.scale_factor < 1.0
