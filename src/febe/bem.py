@@ -3,7 +3,9 @@
 Single layer V, double layer K (exterior-trace convention: K = 1/2 M + K_pv),
 hypersingular W (assembled through its tangential-derivative regularization),
 boundary mass couplings, the discrete Steklov-Poincare operator
-S = W + (M - K)^T V^{-1} (M - K), and rigid-body stabilization data.
+S = W + (M - K)^T V^{-1} (M - K), and the rigid motions at any points:
+both coupled formulations read this one table, at the nodes or at the
+panel midpoints.
 
 Each kernel is described once, by a table: for V, Ghat and the start and
 end node parts of K, the d x d coefficient block of every analytic inner
@@ -631,54 +633,33 @@ def assemble_operators(bspace, coeffs=None, quad_order=8, previous=None):
 
 
 # ---------------------------------------------------------------------------
-# rigid body stabilization
+# rigid motions
 # ---------------------------------------------------------------------------
 
-def rigid_motions(bspace, d):
-    """Rigid-motion traces: P0 midpoint projections and P1 nodal values."""
-    L, M = bspace.n_panels, bspace.n_nodes
-    if d == 1:
-        p0 = np.ones((L, 1))
-        p1 = np.ones((M, 1))
-        return p0.reshape(L, 1), p1.reshape(M, 1)
-    cols0, cols1 = [], []
-    for e in np.eye(2):
-        cols0.append(np.tile(e, (L, 1)).reshape(-1))
-        cols1.append(np.tile(e, (M, 1)).reshape(-1))
-    rot0 = np.column_stack([-bspace.mids[:, 1], bspace.mids[:, 0]]).reshape(-1)
-    rot1 = np.column_stack([-bspace.nodes[:, 1], bspace.nodes[:, 0]]).reshape(-1)
-    cols0.append(rot0)
-    cols1.append(rot1)
-    return np.column_stack(cols0), np.column_stack(cols1)
+def rigid_motions(points, d):
+    """The D = d (d + 1) / 2 rigid motions at points (n, 2) as (n d, D)
+    columns, component-minor: the d translations, then for d = 2 the
+    rotation (-y, x)."""
+    R = np.zeros((len(points), d, d * (d + 1) // 2))
+    R[:, range(d), range(d)] = 1.0
+    if d == 2:
+        R[:, 0, 2] = -points[:, 1]
+        R[:, 1, 2] = points[:, 0]
+    return R.reshape(len(points) * d, -1)
 
 
 def stabilization_data(bspace, ops):
     """L2-orthonormal piecewise-constant projections xi (dL, D) of the rigid
-    motions: Gram-Schmidt of their P0 projections in the boundary L2
+    motions: Gram-Schmidt of their panel-midpoint values in the boundary L2
     product."""
-    p0 = rigid_motions(bspace, ops.d)[0]
+    xi = rigid_motions(bspace.mids, ops.d)
     w = ops.M0
-    xi = p0.astype(float).copy()
     for j in range(xi.shape[1]):
         for i in range(j):
             xi[:, j] -= (xi[:, i] * w) @ xi[:, j] * xi[:, i]
         nrm = np.sqrt((xi[:, j] * w) @ xi[:, j])
         xi[:, j] /= nrm
     return xi
-
-
-def stabilization_vectors(ops, xi):
-    """Rows a_j over stacked (P1 trace dofs, P0 density dofs) such that
-
-    a_j . (w, phi) = <xi_j, (1-K) w + V phi>.
-
-    The stabilized bilinear form adds sum_j a_j a_j^T; the stabilized right
-    hand side adds sum_j <xi_j, (1-K) u0> a_j.
-    """
-    T = ops.Mb - ops.K
-    aw = xi.T @ T           # (D, dM)
-    aphi = xi.T @ ops.V     # (D, dL)
-    return np.hstack([aw, aphi])
 
 
 # pointwise evaluation --------------------------------------------------------

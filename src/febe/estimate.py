@@ -153,11 +153,7 @@ def _volume_term(system, quad_order=4):
     if system.data.f is None:
         return np.zeros(len(mesh.triangles))
     rule = QuadratureRule(quad_order)
-    verts = mesh.vertices[mesh.triangles]
-    pts = rule.points(verts)
-    fv = np.asarray(system.data.f(pts.reshape(-1, 2)), dtype=float)
-    nt, nq = pts.shape[:2]
-    mag = np.linalg.norm(fv.reshape(nt, nq, -1), axis=2)
+    mag = np.linalg.norm(rule.sample(mesh, system.data.f), axis=2)
     integ = np.einsum("tq,q,t->t", mag ** pp, rule.weights, space.areas)
     return h_T ** pp * integ
 
@@ -318,8 +314,6 @@ def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
     grads = space.gradients(sol.u)                       # (nt, 2)
     gmag = np.linalg.norm(grads, axis=1)[:, None]
     G = recover_gradient(space, sol.u)                   # (nv, 2)
-    pts = rule.points(mesh.vertices[mesh.triangles])
-    nt, nq = pts.shape[:2]
     Gq = np.einsum("qk,tkc->tqc", rule.bary, G[mesh.triangles])
 
     # eta_gr^2 = sum_K int G_{p,delta}(grad u_h, grad u_h - G_h u_h)
@@ -328,13 +322,13 @@ def estimate_scalar_appendix(system, sol, delta=0.0, quad_order=4):
 
     # eta_f^2 = sum_K int G_{p',1}(|grad u_h|^{p-1}, h_K (f - f_K))
     if system.data.f is not None:
-        fv = np.asarray(system.data.f(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq)
+        fv = rule.sample(mesh, system.data.f).squeeze(2)
         fK = np.einsum("tq,q->t", fv, rule.weights)      # elementwise mean
         dev = h_T[:, None] * (fv - fK[:, None])
         kern = _kernel(pp, 1.0, gmag ** (law.p - 1.0), np.abs(dev))
         eta_f = np.einsum("tq,q,t->t", kern, rule.weights, space.areas)
     else:
-        eta_f = np.zeros(nt)
+        eta_f = np.zeros(len(mesh.triangles))
 
     incidence = _incidence(system)
     # boundary residual nu.A'(grad u_h) + S_h(w - u0) - t0 in W^{-1+1/p,p'},

@@ -217,14 +217,11 @@ def assemble_tangent(space, law, coeffs):
 def assemble_load(space, f, quad_order=4):
     """Vector with entries int_Omega f . phi_i, by elementwise quadrature."""
     rule = QuadratureRule(quad_order)
-    verts = space.mesh.vertices[space.mesh.triangles]   # (nt, 3, 2)
-    pts = rule.points(verts)                            # (nt, nq, 2)
-    fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
-    nt, nq = pts.shape[:2]
+    fv = rule.sample(space.mesh, f)                     # (nt, nq, ncomp)
     bw = rule.bary.T * rule.weights                     # (3, nq) constant table
     # (nt, 3, ncomp) moments on the reference triangle, scaled by the areas
-    loc = bw @ fv.reshape(nt, nq, space.ncomp) * space.areas[:, None, None]
-    loc = loc.reshape(nt, 3 * space.ncomp)
+    loc = bw @ fv * space.areas[:, None, None]
+    loc = loc.reshape(len(fv), 3 * space.ncomp)
     return np.bincount(space.local_dofs.ravel(), weights=loc.ravel(),
                        minlength=space.ndof)
 

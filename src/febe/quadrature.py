@@ -58,6 +58,12 @@ class QuadratureRule:
         """Physical points for triangle vertex arrays (..., 3, 2)."""
         return np.einsum("qk,...kd->...qd", self.bary, verts)
 
+    def sample(self, mesh, fn):
+        """fn, called once on the rule's points of every triangle of mesh,
+        as (nt, nq, m)."""
+        pts = self.points(mesh.vertices[mesh.triangles])
+        return np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(*pts.shape[:2], -1)
+
 
 @lru_cache(maxsize=None)
 def segment_gauss(n):

@@ -67,7 +67,7 @@ def solve_from_config(cfg, system):
     if cfg["solver.formulation"] == "layerpotential":
         return solve_layerpotential_vi(system, stabilized=cfg["solver.stabilized"],
                                        **kw)
-    if np.any(system.friction.F > 0) or len(system.slip_nodes):
+    if len(system.slip_nodes):
         return solve_contact_vi(system, **kw)
     return solve_transmission(system, **kw)
 
@@ -95,14 +95,10 @@ def gradient_error_lp(system, man, sol, quad_order=6):
     if man.exact_grad is None:
         return np.nan
     space = system.space
-    mesh = space.mesh
     p = system.law.p
     rule = QuadratureRule(quad_order)
-    verts = mesh.vertices[mesh.triangles]
-    pts = rule.points(verts)
-    nt, nq = pts.shape[:2]
-    gex = np.asarray(man.exact_grad(pts.reshape(-1, 2)), dtype=float)
-    diff = space.strains(sol.u).reshape(nt, 1, -1) - gex.reshape(nt, nq, -1)
+    gex = rule.sample(space.mesh, man.exact_grad)
+    diff = space.strains(sol.u).reshape(len(gex), 1, -1) - gex
     mag = np.sqrt(np.einsum("tqm,tqm->tq", diff, diff))
     val = np.einsum("tq,q,t->", mag ** p, rule.weights, space.areas)
     return float(val ** (1.0 / p))

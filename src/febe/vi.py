@@ -79,7 +79,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .bem import rigid_motions, stabilization_data, stabilization_vectors
+from .bem import rigid_motions, stabilization_data
 from .config import ConfigError
 from .material import MaterialLaw
 from .quadrature import segment_gauss
@@ -205,7 +205,7 @@ class CoupledSystem:
         if ncompat is None:
             ncompat = 1 if d == 1 else 2
         self.ncompat = int(ncompat)
-        rigid = rigid_motions(bspace, d)[1]
+        rigid = rigid_motions(bspace.nodes, d)
         if self.ncompat > rigid.shape[1]:
             raise ValueError("ncompat = %d exceeds the %d rigid motions"
                              % (self.ncompat, rigid.shape[1]))
@@ -272,16 +272,12 @@ class CoupledSystem:
         return FrictionData(F=F, omega=omega)
 
     def _data_compat_residual(self):
-        """int f . c + <t0, c> per constant direction (should vanish for n=2)."""
-        M, d = self.bspace.n_nodes, self.d
-        out = []
-        for a in range(d):
-            const = np.zeros(self.nU)
-            const[a::d] = 1.0
-            tvec = np.zeros(M * d)
-            tvec[a::d] = 1.0
-            out.append(float(self.b_f @ const + self.t0b @ tvec))
-        return np.asarray(out)
+        """int f . c + <t0, c> per translation c (should vanish for n=2)."""
+        # contiguous rows, so each product is the same dot of two vectors
+        cu, ct = (np.ascontiguousarray(rigid_motions(x, self.d)[:, :self.d].T)
+                  for x in (self.space.mesh.vertices, self.bspace.nodes))
+        return np.asarray([float(self.b_f @ cu[a] + self.t0b @ ct[a])
+                           for a in range(self.d)])
 
     # -- objective ----------------------------------------------------------
 
@@ -563,7 +559,7 @@ def slip_fields(sol, system):
     in stress units, and the bound density F / omega.  v_n and sigma_n are
     zero for d = 1."""
     fr = system.friction
-    omega = np.maximum(fr.omega, 1e-300)
+    omega = fr.omega
     if system.d == 2:
         vn, vt = sol.z[system.idx_zn], sol.z[system.idx_zt]
         sigma_n = -sol.lam_n / omega
@@ -632,10 +628,10 @@ class LayerPotentialSystem:
         A'(eps(U)) + W(w - u0) + (K' - 1) phi = f, t0 moments
     rows tested with densities:
         V phi + (1 - K)(w - u0) = 0
-    plus nodewise contact bounds, lumped friction on Z_t, the zero-mean
-    compatibility rows on phi, and optionally the rank-D rigid-body
-    stabilization sum_j a_j (a_j . (w - u0, phi)), which vanishes at the
-    solution.
+    plus nodewise contact bounds, lumped friction on Z_t, the compatibility
+    rows on phi (its moments against the rigid motions at the panel
+    midpoints), and optionally the rank-D rigid-body stabilization
+    sum_j a_j (a_j . (w - u0, phi)), which vanishes at the solution.
 
     The form (J_block, J_dofs, rhs) acts on y = (U, Z, P).  J_block is
     dense on J_dofs, the boundary columns bcols and then the density dofs:
@@ -643,8 +639,10 @@ class LayerPotentialSystem:
     the system's Bd = B[:, bcols], plus Atil^T Atil with Atil = [A_w Bd,
     A_phi] when stabilized;
     rhs = (b_f + B^T (W u0 + t0 moments + A_w^T c), T u0 + A_phi^T c) with
-    the stabilization rows A = [A_w, A_phi] and c = A_w u0 (zero when not
-    stabilized).
+    c = A_w u0 (zero when not stabilized).  The stabilization rows
+    A = [A_w, A_phi] = [xi^T T, xi^T V] are formed here from the
+    orthonormal rigid-motion densities xi of bem.stabilization_data, so
+    a_j . (w, phi) = <xi_j, T w + V phi>.
     """
 
     def __init__(self, system, stabilized=False):
@@ -655,7 +653,7 @@ class LayerPotentialSystem:
         self.stabilized = bool(stabilized)
         T = ops.Mb - ops.K                 # (dL, dM)
         # moments of the density against the first ncompat rigid motions
-        p0 = rigid_motions(system.bspace, ops.d)[0][:, :system.ncompat]
+        p0 = rigid_motions(system.bspace.mids, ops.d)[:, :system.ncompat]
         self.compat_rows = (ops.M0[:, None] * p0).T
         # the constant block, dense on the boundary columns bcols and the
         # density dofs, and the data of the trace and density rows
@@ -665,7 +663,8 @@ class LayerPotentialSystem:
         rb = ops.W @ system.U0 + system.t0b
         rp = T @ system.U0
         if self.stabilized:
-            A = stabilization_vectors(ops, stabilization_data(system.bspace, ops))
+            xi = stabilization_data(system.bspace, ops)
+            A = np.hstack([xi.T @ T, xi.T @ ops.V])
             dM = ops.Mb.shape[1]
             stab_c = A[:, :dM] @ system.U0
             rb += A[:, :dM].T @ stab_c

@@ -695,14 +695,15 @@ def sparse_lp_block(system, stabilized):
     """Constant block (COO) of LayerPotentialSystem(system, stabilized)
     from sparse products of B = [Tr, Es]."""
     import scipy.sparse as sp
-    from febe.bem import stabilization_data, stabilization_vectors
+    from febe.bem import stabilization_data
     ops = system.ops
     B = sp.hstack(trace_maps(system)).tocsr()
     T = ops.Mb - ops.K
     J = sp.bmat([[B.T @ sp.csr_matrix(ops.W) @ B, B.T @ sp.csr_matrix(-T.T)],
                  [sp.csr_matrix(T) @ B, sp.csr_matrix(ops.V)]]).tocsr()
     if stabilized:
-        A = stabilization_vectors(ops, stabilization_data(system.bspace, ops))
+        xi = stabilization_data(system.bspace, ops)
+        A = np.hstack([xi.T @ T, xi.T @ ops.V])
         lift = sp.bmat([[B, None], [None, sp.identity(ops.V.shape[0])]]).tocsr()
         Atil = sp.csr_matrix(A) @ lift
         J = J + Atil.T @ Atil
@@ -736,7 +737,7 @@ def reference_sp_residual(system, y):
 def reference_lp_residual(system, stabilized, y):
     """LayerPotentialSystem.residual over y = (U, Z, P)."""
     from febe import fem
-    from febe.bem import stabilization_data, stabilization_vectors
+    from febe.bem import stabilization_data
     ops = system.ops
     nU, nZ = system.nU, system.nZ
     n = nU + nZ + ops.V.shape[0]
@@ -753,7 +754,8 @@ def reference_lp_residual(system, stabilized, y):
     R[:nU + nZ] += B.T @ rb
     R[nU + nZ:] = ops.V @ P + T @ w - TU0
     if stabilized:
-        stabA = stabilization_vectors(ops, stabilization_data(system.bspace, ops))
+        xi = stabilization_data(system.bspace, ops)
+        stabA = np.hstack([xi.T @ T, xi.T @ ops.V])
         dM = ops.Mb.shape[1]
         stab_c = stabA[:, :dM] @ system.U0
         wP = np.concatenate([w, P])

@@ -6,7 +6,7 @@ import pytest
 
 from febe import material as mat, presets
 from febe.adapt import AdaptiveRecord, mark, run_adaptive
-from febe.config import RunConfig
+from febe.config import ConfigError, RunConfig
 from febe.driver import build_system
 from febe.estimate import estimate_sp
 from febe.mesh import load_mesh
@@ -74,6 +74,11 @@ def _loop(max_dofs, theta=0.5, max_levels=6):
     return run_adaptive(mesh, build_fn, solve_transmission,
                         estimate_sp, theta=theta, max_dofs=max_dofs,
                         max_levels=max_levels)
+
+
+def test_convergence_study_rejects_unknown_mode():
+    with pytest.raises(ConfigError, match="study mode must be uniform or adaptive"):
+        convergence_study(RunConfig(), 1, "bogus")
 
 
 def test_zero_dof_budget_single_record():

@@ -232,6 +232,21 @@ def test_appendix_requires_scalar_p_ge_2():
         estimate_scalar_appendix(sys_, sol)
 
 
+@pytest.mark.parametrize("case", ["lp-without-phi", "appendix-on-vector"])
+def test_estimator_input_rejected(case):
+    if case == "lp-without-phi":
+        sys_, _, sol = make("quadratic")
+        assert sol.phi is None
+        with pytest.raises(ValueError, match="layer-potential estimator needs the phi density"):
+            estimate_lp(sys_, sol)
+    else:
+        law = mat.MaterialLaw(p=2.0, mode=mat.MODE_MATRIX)
+        m = load_mesh(presets.square_text(2), scale=False)
+        sys_ = build_system(m, law, presets.vector_smooth(law).data)
+        with pytest.raises(ValueError, match="appendix estimator is scalar-only"):
+            estimate_scalar_appendix(sys_, solve_transmission(sys_))
+
+
 def test_appendix_total_on_stick():
     sys_, man, sol = make("stick", p=3.0, slip=("b",))
     ind = estimate_scalar_appendix(sys_, sol)

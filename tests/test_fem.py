@@ -66,6 +66,11 @@ def test_quadrature_order_without_rule_rejected(order):
         QuadratureRule(order)
 
 
+def test_fespace_rejects_three_components(unit_square):
+    with pytest.raises(ValueError, match="ncomp must be 1 or 2"):
+        fem.FESpace(unit_square, 3)
+
+
 def test_residual_zero_field(unit_square):
     space = fem.FESpace(unit_square, ncomp=2)
     law = mat.MaterialLaw(p=3.0, mode=mat.MODE_MATRIX)

@@ -165,6 +165,11 @@ def test_invalid_parameters():
         mat.ExteriorCoefficients(mu=1.0, lam=-2.0)
 
 
+def test_unknown_material_mode_rejected():
+    with pytest.raises(ValueError, match="unknown material mode 'tensor'"):
+        mat.MaterialLaw(p=2.0, mode="tensor")
+
+
 @pytest.mark.parametrize("law", [mat.MaterialLaw(p=1.5, mode=mat.MODE_MATRIX),
                                  mat.MaterialLaw(p=3.0, mode=mat.MODE_MATRIX),
                                  mat.MaterialLaw(p=1.7, delta=0.5, mode=mat.MODE_MATRIX)],

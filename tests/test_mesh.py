@@ -110,6 +110,22 @@ def test_malformed_mesh_file_rejected(lines, match):
         load_mesh("\n".join(lines))
 
 
+@pytest.mark.parametrize("change, match", [
+    (lambda t, e, lab: (t + [[0, 1, 4]], e, lab),
+     "triangle references vertex index out of range"),
+    (lambda t, e, lab: (t, e + [[3, 4]], lab + ["T"]),
+     "boundary edge references vertex index out of range"),
+    (lambda t, e, lab: (t, e, lab[:-1]), "label count does not match boundary edge count"),
+], ids=["triangle-index", "boundary-edge-index", "label-too-few"])
+def test_mesh_arrays_rejected(change, match, unit_square):
+    # the arrays of the unit square, handed to Mesh with one defect
+    m = unit_square
+    tri, edges, labels = change(m.triangles.tolist(), m.boundary_edges.tolist(),
+                                m.boundary_labels)
+    with pytest.raises(MeshError, match=match):
+        meshmod.Mesh(m.vertices, tri, edges, labels)
+
+
 @pytest.mark.parametrize("clockwise", ["every", "every-other"])
 def test_clockwise_mesh_file_loads_as_counter_clockwise_twin(clockwise):
     # the square-slip preset with its triangles listed clockwise: the mesh

@@ -365,6 +365,31 @@ def test_kkt_detector_flags_infeasible():
     assert res["gap_positive"] >= 1.0
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: presets.lshape_text(3), "lshape preset needs an even subdivision count"),
+    (lambda: presets.vector_smooth(mat.MaterialLaw(p=2.0, delta=0.5, mode=mat.MODE_MATRIX)),
+     r"smooth-vec preset is defined for the power law \(delta = 0\) only"),
+    (lambda: presets.data_from_preset("nope", mat.MaterialLaw(p=2.0)),
+     "unknown data preset 'nope'"),
+], ids=["lshape-odd-n", "smooth-vec-delta", "unknown-data-preset"])
+def test_preset_input_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_coupled_system_rejects_other_kernels_operators(ncomp):
+    # a scalar space with the Lame operators, a vector space with the Laplace ones
+    from febe.bem import BoundarySpace, assemble_operators
+    m = load_mesh(presets.square_text(2), scale=False)
+    bs = BoundarySpace(m)
+    ops = assemble_operators(bs, mat.ExteriorCoefficients(mu=1.0, lam=1.0)
+                             if ncomp == 1 else None)
+    law = mat.MaterialLaw(p=2.0, mode=mat.MODE_VECTOR if ncomp == 1 else mat.MODE_MATRIX)
+    with pytest.raises(ValueError, match="operator/space component mismatch"):
+        vi.CoupledSystem(fem.FESpace(m, ncomp), bs, ops, law, ProblemData())
+
+
 def test_transmission_rejects_friction():
     sys_, _ = scalar_system("stick", p=2.0, slip=("b",))
     with pytest.raises(ValueError):
@@ -1067,7 +1092,7 @@ def _block_sp_jacobian(system, y):
 
 def _block_lp_jacobian(sys_, lp, y):
     """Layer-potential Jacobian of sys_ assembled block by block on every step."""
-    from febe.bem import stabilization_data, stabilization_vectors
+    from febe.bem import stabilization_data
     ops, B = sys_.ops, sys_.B
     T = ops.Mb - ops.K
     Hu = fem.assemble_tangent(sys_.space, sys_.law, y[:lp.nU])
@@ -1078,7 +1103,8 @@ def _block_lp_jacobian(sys_, lp, y):
     J22 = sp.csr_matrix(ops.V)
     J = sp.bmat([[J11, J12], [J21, J22]]).tocsr()
     if lp.stabilized:
-        stabA = stabilization_vectors(ops, stabilization_data(sys_.bspace, ops))
+        xi = stabilization_data(sys_.bspace, ops)
+        stabA = np.hstack([xi.T @ T, xi.T @ ops.V])
         lift = sp.bmat([[B, None], [None, sp.identity(lp.nP)]]).tocsr()
         Atil = sp.csr_matrix(stabA) @ lift
         J = J + Atil.T @ Atil
