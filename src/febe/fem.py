@@ -1,13 +1,15 @@
 """P1 finite elements: spaces, nonlinear residual/tangent assembly, loads.
 
-The tables of an FESpace depend only on its mesh and ncomp, the areas and
-gradients only on the mesh.  Each is built once per mesh (and ncomp), on
-first use, and kept read-only in the mesh's fe_tables (the areas are the
-mesh's own), so every space on one mesh reads the same arrays; the tables
-hold arrays only, with no reference back to the mesh or to a space.  The
-residual and the element tangents take the element strains
-(FESpace.strains), so a caller that needs both at one field evaluates the
-strains once.
+The tables of an FESpace depend only on its mesh and ncomp; the areas, the
+basis gradients and the sparse gradient operator only on the mesh.  Each
+is built once per mesh (and ncomp), on first use, and kept read-only in
+the mesh's fe_tables (the areas are the mesh's own), so every space on one
+mesh reads the same arrays; the tables hold arrays only (the operator its
+three CSR arrays), with no reference back to the mesh or to a space.  The
+element gradients are one product with the operator and the residual one
+product with its transpose.  The residual and the element tangents take
+the element strains (FESpace.strains), so a caller that needs both at one
+field evaluates the strains once.
 """
 
 from __future__ import annotations
@@ -26,14 +28,18 @@ def _mesh_table(build, per_ncomp=True):
     space's mesh, in mesh.fe_tables[ncomp] (in mesh.fe_tables[None] for a
     table that does not depend on ncomp): the first space of a mesh (and
     ncomp) to read it builds it, every later one reads the same arrays,
-    made read-only."""
+    made read-only (a sparse matrix's data, indices and indptr)."""
     name = build.__name__
 
     def get(space):
         tables = space.mesh.fe_tables[space.ncomp if per_ncomp else None]
         if name not in tables:
             value = build(space)
-            for a in value if isinstance(value, tuple) else (value,):
+            if sp.issparse(value):
+                arrays = (value.data, value.indices, value.indptr)
+            else:
+                arrays = value if isinstance(value, tuple) else (value,)
+            for a in arrays:
                 a.flags.writeable = False
             tables[name] = value
         return tables[name]
@@ -42,8 +48,8 @@ def _mesh_table(build, per_ncomp=True):
 
 class FESpace:
     """Piecewise-linear space on a triangulation, 1 (scalar) or 2 (vector)
-    components.  Its tables are the mesh's: areas (the mesh's own) and
-    grads are shared by every space on the mesh, basis_strains,
+    components.  Its tables are the mesh's: areas (the mesh's own), grads
+    and grad_operator are shared by every space on the mesh, basis_strains,
     basis_gram, local_dofs, tangent_pattern and dissection_pattern by every
     space on it with the same ncomp."""
 
@@ -74,6 +80,19 @@ class FESpace:
         g[:, 2, 0] = v0[:, 1] - v1[:, 1]
         g[:, 2, 1] = v1[:, 0] - v0[:, 0]
         return g / twoA[:, None, None]
+
+    @partial(_mesh_table, per_ncomp=False)
+    def grad_operator(self):
+        """(2 nt, nv) CSR gradient operator: row 2 t + d holds the
+        derivatives d/dx_d of the barycentric basis functions of triangle t,
+        at its three vertices in local order (three stored entries per row,
+        columns not sorted), so each row of a product sums its three terms
+        in local order."""
+        t = self.mesh.triangles
+        return sp.csr_matrix((self.grads.transpose(0, 2, 1).ravel(),
+                              np.repeat(t, 2, axis=0).ravel(),
+                              3 * np.arange(2 * len(t) + 1)),
+                             shape=(2 * len(t), len(self.mesh.vertices)))
 
     @_mesh_table
     def basis_strains(self):
@@ -141,15 +160,12 @@ class FESpace:
         t = self.mesh.triangles
         return (self.ncomp * t[:, :, None] + np.arange(self.ncomp)).reshape(len(t), -1)
 
-    def vertex_values(self, coeffs):
-        """(nv, ncomp) view of a coefficient vector."""
-        return np.asarray(coeffs).reshape(-1, self.ncomp)
-
     def gradients(self, coeffs):
-        """Elementwise gradient: (nt, 2) scalar mode, (nt, 2, 2) rows=components vector mode."""
-        vals = self.vertex_values(coeffs)[self.mesh.triangles]  # (nt, 3, ncomp)
-        g = np.einsum("tkc,tkd->tcd", vals, self.grads)
-        return g[:, 0, :] if self.ncomp == 1 else g
+        """Elementwise gradient, one product with grad_operator: (nt, 2)
+        scalar mode, (nt, 2, 2) rows=components vector mode."""
+        g = self.grad_operator @ np.reshape(coeffs, (-1, self.ncomp))  # (2 nt, ncomp)
+        nt = len(self.mesh.triangles)
+        return g.reshape(nt, 2) if self.ncomp == 1 else g.reshape(nt, 2, 2).transpose(0, 2, 1)
 
     def strains(self, coeffs):
         """Elementwise gradient (scalar) or symmetric strain (vector)."""
@@ -185,11 +201,12 @@ def csc_structure(rows, cols, n):
 def assemble_residual(space, law, eps):
     """Vector with entries <A'(eps), strain(phi_i)> for the element strains
     eps = space.strains(u_h): the residual of u_h, exact for P1 (the
-    integrand is constant per element)."""
-    sig = mat.stress(law, eps).reshape(len(eps), -1)
-    loc = np.einsum("tm,tkm,t->tk", sig, space.basis_strains, space.areas)
-    return np.bincount(space.local_dofs.ravel(), weights=loc.ravel(),
-                       minlength=space.ndof)
+    integrand is constant per element).  The stress is symmetric, so
+    <sigma, strain(phi)> = <sigma, grad(phi)>, and the residual is the
+    transposed gradient operator applied to the area-weighted stresses."""
+    nt = len(eps)
+    w = mat.stress(law, eps).reshape(nt, -1) * space.areas[:, None]
+    return (space.grad_operator.T @ w.reshape(2 * nt, space.ncomp)).reshape(-1)
 
 
 def element_tangents(space, law, eps):

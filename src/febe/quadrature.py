@@ -55,8 +55,10 @@ class QuadratureRule:
             raise AssertionError("quadrature weights must be positive")
 
     def points(self, verts):
-        """Physical points for triangle vertex arrays (..., 3, 2)."""
-        return np.einsum("qk,...kd->...qd", self.bary, verts)
+        """Physical points (..., nq, 2) for triangle vertex arrays
+        (..., 3, 2): one matmul of the barycentric coordinates with the
+        vertices of each triangle."""
+        return self.bary @ verts
 
     def sample(self, mesh, fn):
         """fn, called once on the rule's points of every triangle of mesh,

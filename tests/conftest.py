@@ -1061,11 +1061,25 @@ def read_fields_csv(path):
     return {name: data[:, k] for k, name in enumerate(header)}
 
 
+def vertex_values(space, coeffs):
+    """(nv, ncomp) view of a coefficient vector of space."""
+    return np.asarray(coeffs).reshape(-1, space.ncomp)
+
+
+def einsum_gradients(space, coeffs):
+    """The elementwise gradients the sparse gradient operator replaced: the
+    vertex values of each triangle contracted with its basis gradients,
+    (nt, 2) scalar, (nt, 2, 2) rows=components vector."""
+    vals = vertex_values(space, coeffs)[space.mesh.triangles]  # (nt, 3, ncomp)
+    g = np.einsum("tkc,tkd->tcd", vals, space.grads)
+    return g[:, 0, :] if space.ncomp == 1 else g
+
+
 def norms(space, coeffs, p, quad_order=6, trace_labels=("S", "T")):
     """(full W^{1,p} norm, L^p norm of strain/gradient, L^1 boundary trace norm)."""
     from febe.quadrature import QuadratureRule
     rule = QuadratureRule(quad_order)
-    vals = space.vertex_values(coeffs)[space.mesh.triangles]  # (nt,3,ncomp)
+    vals = vertex_values(space, coeffs)[space.mesh.triangles]  # (nt,3,ncomp)
     uq = np.einsum("qk,tkc->tqc", rule.bary, vals)
     umag = np.sqrt(np.einsum("tqc,tqc->tq", uq, uq))
     int_u_p = np.einsum("tq,q,t->", umag ** p, rule.weights, space.areas)
@@ -1087,7 +1101,7 @@ def boundary_trace_l1(space, coeffs, labels=("S", "T")):
     mesh = space.mesh
     a, b = mesh.boundary_edges[np.isin(mesh.boundary_labels, labels)].T
     L = np.linalg.norm(mesh.vertices[b] - mesh.vertices[a], axis=1)
-    vals = space.vertex_values(coeffs)
+    vals = vertex_values(space, coeffs)
     x, w = segment_gauss(4)
     # (edges, 4 points, ncomp) values of the linear trace on each edge
     uq = vals[a, None, :] * (1 - x)[:, None] + vals[b, None, :] * x[:, None]

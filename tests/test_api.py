@@ -26,9 +26,10 @@ def _identifiers(node):
 
 
 def test_every_public_name_has_a_program_caller():
-    """Each public module-level function and class of src/febe is named
-    somewhere outside its own definition in src/febe, in bench/ or in
-    pyproject.toml: an API that only tests read belongs in tests/."""
+    """Each public module-level function and class of src/febe, and each
+    public method of those classes, is named somewhere outside its own
+    definition in src/febe, in bench/ or in pyproject.toml: an API that
+    only tests read belongs in tests/."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in
              sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))}
     used = sum((_identifiers(t) for t in trees.values()), Counter())
@@ -38,8 +39,13 @@ def test_every_public_name_has_a_program_caller():
         if path.parent != PACKAGE:
             continue
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and used[node.name] <= _identifiers(node)[node.name]):
-                unused.append("%s.%s" % (path.stem, node.name))
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(path.stem, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [("%s.%s" % (path.stem, node.name), n) for n in node.body
+                            if isinstance(n, ast.FunctionDef)]
+            unused += ["%s.%s" % (owner, n.name) for owner, n in members
+                       if not n.name.startswith("_")
+                       and used[n.name] <= _identifiers(n)[n.name]]
     assert not unused, "public names no program path reads: " + ", ".join(unused)

@@ -8,7 +8,8 @@ from febe import fem, material as mat
 from febe.mesh import Mesh, load_mesh, refine_uniform
 from febe.quadrature import QuadratureRule, segment_gauss
 
-from conftest import boundary_trace_l1, norms, square_mesh_text
+from conftest import (boundary_trace_l1, einsum_gradients, jittered_square, norms,
+                      random_graded_square, square_mesh_text, vertex_values)
 
 
 def ref_triangle():
@@ -57,6 +58,19 @@ def test_graded_gauss_cached_and_read_only():
     assert not x.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 5, 6])
+def test_quadrature_points_match_einsum_map(order):
+    # reference: the einsum over the barycentric coordinates that the one
+    # matmul replaced, on one triangle and on a stack of a mesh's triangles
+    rule = QuadratureRule(order)
+    m = random_graded_square(sweeps=2, seed=order)
+    for verts in (m.vertices[m.triangles], m.vertices[m.triangles[0]]):
+        ref = np.einsum("qk,...kd->...qd", rule.bary, verts)
+        got = rule.points(verts)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("order", [0, 3, 7])
@@ -168,12 +182,14 @@ def test_tangent_directional_derivative(unit_square):
                                   _tangent_per_call(space, law, sign * u).toarray())
 
 
-_TABLES = ("areas", "grads", "basis_strains", "basis_gram", "local_dofs",
-           "tangent_pattern", "dissection_pattern")
+_TABLES = ("areas", "grads", "grad_operator", "basis_strains", "basis_gram",
+           "local_dofs", "tangent_pattern", "dissection_pattern")
 
 
 def _table_arrays(space, name):
     value = getattr(space, name)
+    if sp.issparse(value):
+        return value.data, value.indices, value.indptr
     return value if isinstance(value, tuple) else (value,)
 
 
@@ -214,6 +230,7 @@ def test_scalar_and_vector_spaces_share_areas_and_grads(monkeypatch, unit_square
     scalar, vector = fem.FESpace(m, 1), fem.FESpace(m, 2)
     assert scalar.areas is vector.areas is m.areas
     assert scalar.grads is vector.grads
+    assert scalar.grad_operator is vector.grad_operator
     assert np.array_equal(m.areas, areas(m))
     assert vector.basis_strains.shape[1] == 6 and scalar.basis_strains is scalar.grads
     assert calls == []
@@ -396,7 +413,7 @@ def _loop_boundary_trace_l1(space, coeffs, labels):
     """The per-edge loop boundary_trace_l1 replaced: the same 4-point rule
     on each selected boundary edge, summed in edge order."""
     mesh = space.mesh
-    vals = space.vertex_values(coeffs)
+    vals = vertex_values(space, coeffs)
     x, w = segment_gauss(4)
     total = 0.0
     for (a, b), lab in zip(mesh.boundary_edges, mesh.boundary_labels):
@@ -451,5 +468,25 @@ def test_residual_on_flat_axis_matches_per_mode_formula(ncomp, p, delta):
     rng = np.random.default_rng(12)
     for _ in range(3):
         u = rng.normal(size=space.ndof)
-        assert np.array_equal(fem.assemble_residual(space, law, space.strains(u)),
-                              _per_mode_residual(space, law, u))
+        ref = _per_mode_residual(space, law, u)
+        got = fem.assemble_residual(space, law, space.strains(u))
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+@pytest.mark.parametrize("make_mesh", [lambda: jittered_square(3, sweeps=2),
+                                       lambda: random_graded_square(sweeps=2, seed=5)],
+                         ids=["jittered", "random-graded"])
+def test_gradients_match_einsum_bit_for_bit(ncomp, make_mesh):
+    # each row of the sparse gradient operator sums its three products in
+    # the triangle's local vertex order, as the einsum it replaced did
+    space = fem.FESpace(make_mesh(), ncomp=ncomp)
+    G = space.grad_operator
+    nt, nv = len(space.mesh.triangles), len(space.mesh.vertices)
+    assert G.format == "csr" and G.shape == (2 * nt, nv)
+    assert np.array_equal(G.indptr, 3 * np.arange(2 * nt + 1))
+    rng = np.random.default_rng(ncomp)
+    for u in (rng.normal(size=space.ndof), rng.normal(size=2 * space.ndof)[::2]):
+        got, ref = space.gradients(u), einsum_gradients(space, u)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
