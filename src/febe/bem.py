@@ -1,11 +1,12 @@
 """Galerkin boundary integral operators on polygonal boundaries.
 
 Single layer V, double layer K (exterior-trace convention: K = 1/2 M + K_pv),
-hypersingular W (assembled through its tangential-derivative regularization),
+hypersingular W (its tangential-derivative regularization, in O((dL)^2):
+Ghat / (|panel| |panel'|) differenced between each node's two panels),
 boundary mass couplings, the discrete Steklov-Poincare operator
 S = W + (M - K)^T V^{-1} (M - K), and the rigid motions at any points:
 both coupled formulations read this one table, at the nodes or at the
-panel midpoints.
+panel midpoints.  Every panel-to-node map is one roll, x + roll(y, d).
 
 Each kernel is described once, by a table: for V, Ghat and the start and
 end node parts of K, the d x d coefficient block of every analytic inner
@@ -62,7 +63,10 @@ class BoundarySpace:
     """Panelization of the (single, closed, CCW) boundary polygon of a mesh.
 
     P1 dofs live on the loop nodes, P0 dofs on the panels.  Node k joins
-    panels k-1 and k; panel k runs from node k to node k+1.
+    panels k-1 and k; panel k runs from node k to node k+1.  So every
+    panel-to-node map is one roll: on d-component dofs, the node sums of
+    per-panel start values x and end values y are 0.0 + x + roll(y, d):
+    summed from +0.0, as a scatter into zeros is, two -0.0 terms give +0.0.
     """
 
     def __init__(self, mesh):
@@ -72,7 +76,6 @@ class BoundarySpace:
         self.n_nodes = len(loop)
         self.labels = list(labels)                         # per panel
         nxt = np.roll(np.arange(self.n_nodes), -1)
-        self.panel_start = np.arange(self.n_nodes)
         self.panel_end = nxt
         self.A = self.nodes
         self.B = self.nodes[nxt]
@@ -97,10 +100,8 @@ class BoundarySpace:
 
     def node_normals(self):
         """Averaged (length-weighted) outward normals at nodes, normalized."""
-        n = np.zeros((self.n_nodes, 2))
         w = self.normals * self.lengths[:, None]
-        np.add.at(n, self.panel_start, w)
-        np.add.at(n, self.panel_end, w)
+        n = 0.0 + w + np.roll(w, 1, axis=0)
         return n / np.linalg.norm(n, axis=1)[:, None]
 
     def panel_points(self, t, panels=slice(None)):
@@ -116,7 +117,7 @@ class BoundarySpace:
     def p1_values(self, coef, t):
         """Values of a nodal P1 field at parameters t on every panel: (L, len(t), d)."""
         g = np.asarray(coef).reshape(self.n_nodes, -1)
-        return (g[self.panel_start][:, None, :] * (1 - t)[None, :, None]
+        return (g[:, None, :] * (1 - t)[None, :, None]
                 + g[self.panel_end][:, None, :] * t[None, :, None])
 
     def p1_moments(self, vals, t, w):
@@ -124,10 +125,9 @@ class BoundarySpace:
         w, given as (L, len(t), d): (M d,), the transpose of p1_values."""
         f = np.asarray(vals, dtype=float).reshape(self.n_panels, len(t), -1)
         wl = self.lengths[:, None] * w
-        out = np.zeros((self.n_nodes, f.shape[2]))
-        out[self.panel_start] += np.sum((wl * (1 - t))[:, :, None] * f, axis=1)
-        out[self.panel_end] += np.sum((wl * t)[:, :, None] * f, axis=1)
-        return out.reshape(-1)
+        start = np.sum((wl * (1 - t))[:, :, None] * f, axis=1)
+        end = np.sum((wl * t)[:, :, None] * f, axis=1)
+        return (0.0 + start + np.roll(end, 1, axis=0)).reshape(-1)
 
     def interpolate_nodes(self, fn, ncomp):
         return np.asarray(fn(self.nodes), dtype=float).reshape(self.n_nodes * ncomp)
@@ -242,7 +242,12 @@ def _primitives(keys, bspace, src, X):
     """
     n = len(X)
     # per source panel: xi, eta by BLAS, which rounds a two-term dot as
-    # fma(a0, b0, a1 b1); no array form (einsum, stacked matmul) rounds alike
+    # fma(a0, b0, a1 b1); no array form (einsum, stacked matmul, rel[:, 0]
+    # t[:, 0] + ...) rounds alike.  The loop buys reproducibility, not
+    # accuracy: 5e-6 L from a shared vertex eta (~7e-8) is a difference of
+    # products ~0.03, and both forms are off the exact geometry by 2.5e-10
+    # relative.  An array form moves V, K, W, S by < 1e-15, but single
+    # off-line integrals by up to 7e-10: the bit-for-bit tests pin the loop
     start = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])[:n]
     rel = X - np.take(bspace.A, src, axis=0)
     xi, eta = np.empty((2, n))
@@ -595,40 +600,30 @@ def assemble_operators(bspace, coeffs=None, quad_order=8, previous=None):
         return 0.5 * (A + A.T)
 
     V = flat_sym(Vfull)
-    Gpair = V if Gfull is Vfull else flat_sym(Gfull)
 
-    # scatter panel blocks to nodes: node j starts panel j and ends panel j-1
-    Kp = K0full + np.roll(Ktfull, 1, axis=1)
-    Kpv = Kp.transpose(0, 2, 1, 3).reshape(L * d, M * d)
-
-    comp = np.arange(d)
-    panel = np.arange(L)
-    prow = (panel[:, None] * d + comp).ravel()                  # P0 dof a of panel m
-    n0 = (bspace.panel_start[:, None] * d + comp).ravel()       # P1 dof a of its start
-    n1 = (bspace.panel_end[:, None] * d + comp).ravel()         # P1 dof a of its end
+    # panel blocks to nodes: node j starts panel j and ends panel j-1, so
+    # on the dofs, P0 dof i's start node is P1 dof i and its end node nxt[i]
+    dof = np.arange(L * d)
+    nxt = np.roll(dof, -d)
     M0 = np.repeat(lengths, d)
-
     Mb = np.zeros((L * d, M * d))
-    np.add.at(Mb, (prow, n0), 0.5 * M0)
-    np.add.at(Mb, (prow, n1), 0.5 * M0)
+    Mb[dof, dof] = Mb[dof, nxt] = 0.5 * M0
+    K = (K0full + np.roll(Ktfull, 1, axis=1)).transpose(0, 2, 1, 3).reshape(L * d, M * d)
+    K += 0.5 * Mb                                     # exterior trace: 1/2 Mb + K_pv
 
-    Kext = 0.5 * Mb + Kpv
-
-    # W through its tangential-derivative reduction: W = D^T Gpair D
-    D = np.zeros((L * d, M * d))
-    inv = 1.0 / M0
-    D[prow, n0] = -inv
-    D[prow, n1] = inv
-    W = D.T @ Gpair @ D
-    W = 0.5 * (W + W.T)
+    # W through its tangential-derivative reduction: Ghat / (|panel| |panel'|)
+    # differenced between each node's two panels, over rows, then columns
+    G = (V if Gfull is Vfull else flat_sym(Gfull)) / np.outer(M0, M0)
+    G = np.roll(G, d, axis=0) - G
+    G = np.roll(G, d, axis=1) - G
+    W = 0.5 * (G + G.T)
+    del G
 
     M1 = np.zeros((M * d, M * d))
-    np.add.at(M1, (n0, n0), M0 / 3)
-    np.add.at(M1, (n1, n1), M0 / 3)
-    np.add.at(M1, (n0, n1), M0 / 6)
-    np.add.at(M1, (n1, n0), M0 / 6)
+    M1[dof, dof] = M0 / 3 + np.roll(M0 / 3, d)
+    M1[dof, nxt] = M1[nxt, dof] = M0 / 6
 
-    return BoundaryOperators(bspace=bspace, coeffs=coeffs, d=d, V=V, K=Kext,
+    return BoundaryOperators(bspace=bspace, coeffs=coeffs, d=d, V=V, K=K,
                              W=W, Mb=Mb, M1=M1, M0=M0, quad_order=quad_order, ints=ints)
 
 
@@ -687,9 +682,9 @@ def eval_layer_potentials(bspace, coeffs, density, wcoef, X):
     prims, kzero = _table_integrals(ker, table)
     dens = np.asarray(density).reshape(bspace.n_panels, d)
     w = np.asarray(wcoef).reshape(bspace.n_nodes, d)
-    w0, w1, kt = w[bspace.panel_start], w[bspace.panel_end], table["Kt"]
+    w1, kt = w[bspace.panel_end], table["Kt"]
     gv = {k: _apply(c, dens) for k, c in table["V"].items()}
-    gk = {k: _apply(c, w0) + (_apply(kt[k], w1) if k in kt else 0)
+    gk = {k: _apply(c, w) + (_apply(kt[k], w1) if k in kt else 0)
           for k, c in table["K0"].items()}
     acc = np.zeros((2, d, n))                 # running (V phi, K_pv w), by component
     for blk in _panel_blocks(np.full(bspace.n_panels, n)):

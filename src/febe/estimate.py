@@ -124,7 +124,7 @@ def _incidence(system):
     bs = system.bspace
     mesh = system.space.mesh
     interior = mesh.edge_triangles[:, 1] >= 0
-    panels = mesh.find_edges(bs.loop[bs.panel_start], bs.loop[bs.panel_end])
+    panels = mesh.find_edges(bs.loop, bs.loop[bs.panel_end])
     return mesh.edges[interior], mesh.edge_triangles[interior], mesh.edge_triangles[panels, 0]
 
 

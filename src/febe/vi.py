@@ -249,7 +249,7 @@ class CoupledSystem:
             return np.zeros((len(panels), len(t)))
         if isinstance(fr, np.ndarray):
             v = np.asarray(fr, dtype=float).reshape(bs.n_nodes)
-            return (v[bs.panel_start[panels]][:, None] * (1 - t)
+            return (v[panels][:, None] * (1 - t)
                     + v[bs.panel_end[panels]][:, None] * t)
         pts = bs.panel_points(t, panels).reshape(-1, 2)
         return np.asarray(fr(pts), dtype=float).reshape(len(panels), len(t))

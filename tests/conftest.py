@@ -165,7 +165,7 @@ def friction_bound_loop(system, l, t):
     if fr is None:
         return np.zeros(len(t))
     if isinstance(fr, np.ndarray):
-        return fr[bs.panel_start[l]] * (1 - t) + fr[bs.panel_end[l]] * t
+        return fr[l] * (1 - t) + fr[bs.panel_end[l]] * t
     pts = bs.A[l][None, :] + t[:, None] * (bs.B[l] - bs.A[l])[None, :]
     return np.asarray(fr(pts), dtype=float).reshape(-1)
 
@@ -513,6 +513,25 @@ def reference_pair_blocks(ker, bspace, quad_order):
     return Vfull, Gfull, K0full, Ktfull
 
 
+def dense_difference_w(bspace, coeffs, quad_order=8):
+    """W = sym(D^T Ghat D) through the dense (dL, dM) difference matrix D:
+    per component, -1/length at each panel's start node and +1/length at
+    its end node, with Ghat the symmetrized (dL, dL) pair blocks."""
+    from febe import bem
+    ker = bem._kernel_for(coeffs)
+    d, L, M = ker.d, bspace.n_panels, bspace.n_nodes
+    G = bem._pair_blocks(ker, bspace, quad_order)[1].transpose(0, 2, 1, 3).reshape(L * d, L * d)
+    G = 0.5 * (G + G.T)
+    dof = np.arange(L * d)                               # P0 dofs and their start nodes
+    end = (bspace.panel_end[:, None] * d + np.arange(d)).ravel()
+    inv = 1.0 / np.repeat(bspace.lengths, d)
+    D = np.zeros((L * d, M * d))
+    D[dof, dof] = -inv
+    D[dof, end] = inv
+    W = D.T @ G @ D
+    return 0.5 * (W + W.T)
+
+
 def reference_layer_potentials(bspace, coeffs, density, wcoef, X):
     """(V phi)(x) and principal-value (K_pv w)(x) from the reference blocks."""
     from febe.bem import _kernel_for
@@ -525,7 +544,7 @@ def reference_layer_potentials(bspace, coeffs, density, wcoef, X):
     kw = np.zeros((len(X), d))
     for m in range(bspace.n_panels):
         vb, _, k0, kt = _reference_inner(ker, bspace, m, X)
-        n0, n1 = int(bspace.panel_start[m]), int(bspace.panel_end[m])
+        n0, n1 = m, int(bspace.panel_end[m])
         vphi += np.einsum("nab,b->na", vb, dens[m])
         kw += np.einsum("nab,b->na", k0, w[n0]) + np.einsum("nab,b->na", kt, w[n1])
     return vphi, kw
@@ -615,7 +634,7 @@ def loop_layer_potentials(bspace, coeffs, density, wcoef, X):
     kw = np.zeros((len(X), d))
     # the densities contracted with the tables per panel
     gv = {k: bem._apply(c, dens) for k, c in table["V"].items()}
-    gk = {k: bem._apply(c, w[bspace.panel_start]) for k, c in table["K0"].items()}
+    gk = {k: bem._apply(c, w) for k, c in table["K0"].items()}
     for k, c in table["Kt"].items():
         gk[k] = gk[k] + bem._apply(c, w[bspace.panel_end])
     for m in range(bspace.n_panels):

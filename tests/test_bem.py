@@ -206,7 +206,7 @@ def test_steklov_maps_traces_to_negative_flux():
         for l in range(bs.n_panels):
             y = bs.A[l] + xq[:, None] * (bs.B[l] - bs.A[l])[None, :]
             tn = grad(y) @ bs.normals[l]
-            n0, n1 = bs.panel_start[l], bs.panel_end[l]
+            n0, n1 = l, bs.panel_end[l]
             mom[n0] += -bs.lengths[l] * np.sum(wq * tn * (1 - xq))
             mom[n1] += -bs.lengths[l] * np.sum(wq * tn * xq)
         errs.append(np.linalg.norm(S @ w - mom) / np.linalg.norm(mom))
@@ -242,7 +242,7 @@ def test_lame_dipole_mapping(circ64_lame):
     tn = traction(bs.mids, bs.normals)
     mom = np.zeros(2 * bs.n_nodes)
     for l in range(bs.n_panels):
-        n0, n1 = bs.panel_start[l], bs.panel_end[l]
+        n0, n1 = l, bs.panel_end[l]
         for a in range(2):
             mom[2 * n0 + a] += -tn[l, a] * bs.lengths[l] / 2
             mom[2 * n1 + a] += -tn[l, a] * bs.lengths[l] / 2
@@ -344,7 +344,7 @@ def test_lame_dipole_on_square_geometry():
     for l in range(bs.n_panels):
         y = bs.A[l] + xq[:, None] * (bs.B[l] - bs.A[l])[None, :]
         tn = traction(y, bs.normals[l])
-        n0, n1 = bs.panel_start[l], bs.panel_end[l]
+        n0, n1 = l, bs.panel_end[l]
         for a in range(2):
             mom[2 * n0 + a] += -bs.lengths[l] * np.sum(wq * tn[:, a] * (1 - xq))
             mom[2 * n1 + a] += -bs.lengths[l] * np.sum(wq * tn[:, a] * xq)
@@ -620,7 +620,7 @@ def test_node_scatter_matches_panel_loops(lame):
     Mb = np.zeros((L * d, M * d))
     M1 = np.zeros((M * d, M * d))
     for k in range(L):
-        n0, n1 = bs.panel_start[k], bs.panel_end[k]
+        n0, n1 = k, bs.panel_end[k]
         Le = bs.lengths[k]
         nrm[n0] += bs.normals[k] * Le
         nrm[n1] += bs.normals[k] * Le
@@ -635,6 +635,21 @@ def test_node_scatter_matches_panel_loops(lame):
     assert np.array_equal(bs.node_normals(), nrm / np.linalg.norm(nrm, axis=1)[:, None])
     assert np.array_equal(ops.Mb, Mb)
     assert np.array_equal(ops.M1, M1)
+
+
+@pytest.mark.parametrize("kernel", ["laplace", "lame"])
+def test_rolled_w_matches_dense_difference_matrix(kernel):
+    # W from the differences of Ghat between each node's two panels
+    # against D^T Ghat D with the dense difference matrix, and S with each
+    import dataclasses
+    from conftest import dense_difference_w
+    co = ExteriorCoefficients(mu=1.0, lam=1.3) if kernel == "lame" else None
+    for name, m in _kernel_meshes().items():
+        bs = bem.BoundarySpace(m)
+        ops = bem.assemble_operators(bs, co)
+        ref = dataclasses.replace(ops, W=dense_difference_w(bs, co), _S=None)
+        for a, b in ((ops.W, ref.W), (ops.steklov_poincare(), ref.steklov_poincare())):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -336,12 +336,12 @@ def test_boundary_terms_match_panel_loops(vector):
     for l in range(bs.n_panels):
         Le = bs.lengths[l]
         pts = bs.A[l][None, :] + x3[:, None] * (bs.B[l] - bs.A[l])[None, :]
-        a, b = g.reshape(-1, d)[bs.panel_start[l]], g.reshape(-1, d)[bs.panel_end[l]]
+        a, b = g.reshape(-1, d)[l], g.reshape(-1, d)[bs.panel_end[l]]
         gl = a[None, :] * (1 - x3)[:, None] + b[None, :] * x3[:, None]
         vals = (eval_single_layer(bs, ops.coeffs, phi, pts) + 0.5 * gl
                 - eval_double_layer_pv(bs, ops.coeffs, g, pts))
         cons[l] = Le * Le * np.sum(w3 * np.linalg.norm(vals, axis=1) ** 2)
-        a = lifted.reshape(-1, d)[bs.panel_start[l]]
+        a = lifted.reshape(-1, d)[l]
         b = lifted.reshape(-1, d)[bs.panel_end[l]]
         mag = np.linalg.norm(a[None, :] * (1 - x6)[:, None] + b[None, :] * x6[:, None], axis=1)
         for k, e in enumerate(expos):
@@ -395,7 +395,7 @@ def _friction_loop(system, sol, sigma_n, sigma_t):
     stick, compl, pos_n, pos_t = (np.zeros(bs.n_panels) for _ in range(4))
     for l in np.nonzero(bs.slip_panels())[0]:
         Fv = friction_bound_loop(system, l, xq)
-        vv = v[bs.panel_start[l]][None, :] * (1 - xq)[:, None] \
+        vv = v[l][None, :] * (1 - xq)[:, None] \
             + v[bs.panel_end[l]][None, :] * xq[:, None]
         if d == 1:
             vt, vn = vv[:, 0], np.zeros(len(xq))
@@ -468,7 +468,7 @@ def test_appendix_friction_terms_match_panel_loop(friction):
            ("friction_excess", "friction_slack_slip", "friction_compl")}
     for l in np.nonzero(bs.slip_panels())[0]:
         g = friction_bound_loop(sys_, l, xq)
-        vv = v[bs.panel_start[l]] * (1 - xq) + v[bs.panel_end[l]] * xq
+        vv = v[l] * (1 - xq) + v[bs.panel_end[l]] * xq
         s, Le = sigma_t[l], bs.lengths[l]
         ref["friction_excess"][l] = Le * Le * np.sum(wq * np.maximum(np.abs(s) - g, 0.0) ** 2)
         ref["friction_slack_slip"][l] = Le * np.sum(

@@ -1233,7 +1233,7 @@ def _boundary_moments_loop(system, t0):
     if isinstance(t0, np.ndarray):
         for l in range(bs.n_panels):
             for a in range(d):
-                out[bs.panel_start[l] * d + a] += 0.5 * bs.lengths[l] * t0[l, a]
+                out[l * d + a] += 0.5 * bs.lengths[l] * t0[l, a]
                 out[bs.panel_end[l] * d + a] += 0.5 * bs.lengths[l] * t0[l, a]
         return out
     xq, wq = segment_gauss(4)
@@ -1244,7 +1244,7 @@ def _boundary_moments_loop(system, t0):
         w0 = bs.lengths[l] * wq * (1 - xq)
         w1 = bs.lengths[l] * wq * xq
         for a in range(d):
-            out[bs.panel_start[l] * d + a] += np.sum(w0 * vals[:, a])
+            out[l * d + a] += np.sum(w0 * vals[:, a])
             out[bs.panel_end[l] * d + a] += np.sum(w1 * vals[:, a])
     return out
 
@@ -1256,7 +1256,7 @@ def _friction_data_loop(system):
     F, omega = np.zeros(len(pos)), np.zeros(len(pos))
     xq, wq = segment_gauss(4)
     for l in np.nonzero(bs.slip_panels())[0]:
-        n0, n1 = int(bs.panel_start[l]), int(bs.panel_end[l])
+        n0, n1 = l, int(bs.panel_end[l])
         g = friction_bound_loop(system, l, xq)
         Le = bs.lengths[l]
         if n0 in pos:
@@ -1335,7 +1335,7 @@ def test_friction_bound_checked_on_slip_panels_only():
     slip = bs.slip_panels()
     fr = np.ones(bs.n_nodes)
     fr[np.setdiff1d(np.arange(bs.n_nodes),
-                    np.concatenate([bs.panel_start[slip], bs.panel_end[slip]]))] = -1.0
+                    np.concatenate([np.flatnonzero(slip), bs.panel_end[slip]]))] = -1.0
     graded_slip_system(False, friction=fr)
     fr[bs.slip_nodes()[0]] = -1.0
     with pytest.raises(ValueError, match="nonnegative"):
