@@ -3,8 +3,10 @@
 Triangles are stored peak-first: the refinement edge of triangle (a, b, c)
 is (b, c), and bisection inserts the midpoint of (b, c).  Boundary edges
 carry a label: "S" (slip/contact part) or "T" (transmission part).
-Refinement runs in rounds of whole-array bisection.  An undirected edge is
-identified everywhere by one integer key, `_edge_key`.
+Refinement runs in rounds of whole-array bisection on raw arrays, and
+tests whether an edge is bisected by binary search in the sorted keys of the
+bisected edges.  An undirected edge is identified everywhere by one integer
+key, `_edge_key`; `_find_keys` looks keys up in a sorted key array.
 """
 
 from __future__ import annotations
@@ -36,13 +38,22 @@ def _edge_key(a, b, n):
     return np.minimum(a, b) * n + np.maximum(a, b)
 
 
+def _find_keys(keys, x):
+    """Position of each of x in the sorted, distinct keys, -1 where it is none."""
+    if not len(keys):
+        return np.full(np.shape(x), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+    return np.where(keys[pos] == x, pos, -1)
+
+
 class Mesh:
     """Immutable conforming triangulation of a polygonal domain.
 
     The constructor checks the topology (every vertex lies in a triangle),
     the labels and the boundary loop.  It does not scan for hanging nodes:
     load_mesh does that for input meshes, and refine's bisection with
-    closure makes none.
+    closure makes none.  refine and refine_uniform build one Mesh per call,
+    so only the meshes they return are validated.
 
     vertices       (nv, 2) float array
     triangles      (nt, 3) int array, peak-first ordering, CCW
@@ -186,9 +197,7 @@ class Mesh:
 
     def find_edges(self, a, b):
         """Row of each undirected edge (a, b) in `edges`, -1 if it is no edge."""
-        key = _edge_key(a, b, len(self.vertices))
-        pos = np.minimum(np.searchsorted(self._edge_keys, key), len(self._edge_keys) - 1)
-        return np.where(self._edge_keys[pos] == key, pos, -1)
+        return _find_keys(self._edge_keys, _edge_key(a, b, len(self.vertices)))
 
     def boundary_loop(self):
         """Ordered CCW vertex indices of the (single) boundary polygon and the
@@ -349,40 +358,69 @@ def mesh_size(mesh):
 # -- refinement ----------------------------------------------------------------
 
 def refine(mesh, marked):
-    """Newest-vertex bisection of the marked triangles plus conforming closure.
-
-    Each round bisects its queue in index order: (a, b, c) gets m = mid(b, c),
-    numbered when a round first meets (b, c), and children (m, a, b),
-    (m, c, a).  The next queue is every live triangle with a bisected edge.
-    Only input edges are bisected (a child's refinement edge is an edge of its
-    parent; every edge of a grandchild has a new vertex), so fewer than
-    n = nv + ne vertices are made, and n keys the edges.
-    """
+    """Newest-vertex bisection of the marked triangles plus conforming closure:
+    one _bisect pass, which finds bisected edges by binary search in their
+    sorted keys, and one validated Mesh; the mesh itself if nothing is
+    marked."""
     nt = len(mesh.triangles)
     queue = np.unique(np.fromiter(marked, dtype=np.int64))
     if queue.size and (queue[0] < 0 or queue[-1] >= nt):
         raise MeshError("marked triangle id out of range")
     if not queue.size:
         return mesh
+    verts, tris, bedges, labels = _bisect(mesh.vertices, mesh.triangles,
+                                          mesh.boundary_edges, mesh.boundary_labels, queue)
+    return Mesh(verts, tris, bedges, labels.tolist(), scale_factor=mesh.scale_factor)
 
-    n = len(mesh.vertices) + len(mesh.edges)
-    verts, tris = mesh.vertices, mesh.triangles
-    alive = np.ones(nt, dtype=bool)
+
+def refine_uniform(mesh, sweeps=1):
+    """`sweeps` bisection passes that each mark every triangle.  The passes
+    run on arrays, and only the mesh returned is built and validated; with
+    no sweep that is the mesh itself."""
+    if sweeps < 1:
+        return mesh
+    arrays = (mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_labels)
+    for _ in range(sweeps):
+        arrays = _bisect(*arrays, np.arange(len(arrays[1])))
+    verts, tris, bedges, labels = arrays
+    return Mesh(verts, tris, bedges, labels.tolist(), scale_factor=mesh.scale_factor)
+
+
+def _bisect(verts, tris, bedges, labels, marked):
+    """One pass of newest-vertex bisection with closure on the arrays of a
+    conforming CCW triangulation; marked: sorted distinct triangle ids.
+    Returns the refined vertices, triangles, boundary edges (sorted by key)
+    and their labels (array).
+
+    Each round bisects its queue in index order: (a, b, c) gets m = mid(b, c),
+    numbered when a round first meets (b, c), and children (m, a, b),
+    (m, c, a), which stay CCW.  The next queue is every live triangle with a
+    bisected edge, found by binary search in the sorted bisected-edge keys.
+    Only input edges are bisected (a child's refinement edge is an edge of
+    its parent; every edge of a grandchild has a new vertex), so fewer than
+    ne <= 3 nt vertices are made, and n = nv + 3 nt keys the edges without
+    an edge table.  While every id is below n, keys order the edges by
+    (min, max), so no output depends on n.
+    """
+    n = len(verts) + 3 * len(tris)
+    alive = np.ones(len(tris), dtype=bool)
     keys = mids = np.empty(0, dtype=np.int64)     # bisected edges, sorted by key
+    queue = marked
     while queue.size:
         a, b, c = tris[queue].T
         edge, first, inv = np.unique(_edge_key(b, c, n), return_index=True,
                                      return_inverse=True)
         # new midpoints are numbered in the order the round first meets them
-        known = np.isin(edge, keys)
+        pos = _find_keys(keys, edge)
+        known = pos >= 0
         new = np.flatnonzero(~known)[np.argsort(first[~known])]
         m = np.empty(len(edge), dtype=np.int64)
-        m[known] = mids[np.searchsorted(keys, edge[known])]
+        m[known] = mids[pos[known]]
         m[new] = len(verts) + np.arange(len(new))
         verts = np.concatenate([verts, 0.5 * (verts[b] + verts[c])[first[new]]])
         keys = np.concatenate([keys, edge[new]])
-        mids = np.concatenate([mids, m[new]])[np.argsort(keys)]
-        keys = np.sort(keys)
+        order = np.argsort(keys)
+        keys, mids = keys[order], np.concatenate([mids, m[new]])[order]
         m = m[inv]
         alive[queue] = False
         tris = np.concatenate([tris, np.stack([m, a, b, m, c, a], 1).reshape(-1, 3)])
@@ -390,28 +428,22 @@ def refine(mesh, marked):
         # closure: any live triangle with a bisected edge must be bisected too
         live = np.flatnonzero(alive)
         t = tris[live]
-        queue = live[np.isin(_edge_key(t, np.roll(t, -1, axis=1), n), keys).any(axis=1)]
+        queue = live[(_find_keys(keys, _edge_key(t, np.roll(t, -1, axis=1), n)) >= 0)
+                     .any(axis=1)]
 
     # split the labeled boundary edges at their midpoints once: each half
     # holds a new vertex, so it is no bisected (input) edge
-    a, b = mesh.boundary_edges.T
-    labels = np.asarray(mesh.boundary_labels)
-    key = _edge_key(a, b, n)
-    split = np.isin(key, keys)
-    m = mids[np.searchsorted(keys, key[split])]
+    a, b = bedges.T
+    labels = np.asarray(labels)
+    pos = _find_keys(keys, _edge_key(a, b, n))
+    split = pos >= 0
+    m = mids[pos[split]]
     a = np.concatenate([a[~split], a[split], m])
     b = np.concatenate([b[~split], m, b[split]])
     labels = np.concatenate([labels[~split], labels[split], labels[split]])
     key = _edge_key(a, b, n)
     order = np.argsort(key)
-    return Mesh(verts, tris[alive], np.column_stack(np.divmod(key[order], n)),
-                labels[order].tolist(), scale_factor=mesh.scale_factor)
-
-
-def refine_uniform(mesh, sweeps=1):
-    for _ in range(sweeps):
-        mesh = refine(mesh, range(len(mesh.triangles)))
-    return mesh
+    return verts, tris[alive], np.column_stack(np.divmod(key[order], n)), labels[order]
 
 
 # -- I/O -------------------------------------------------------------------------

@@ -336,6 +336,35 @@ def test_array_refine_matches_loop_refine(preset, seed):
         assert shape_regularity(m) == np.max(h_T / rho)
 
 
+@pytest.mark.parametrize("preset", sorted(_REFINE_MESHES))
+def test_refine_uniform_matches_sweep_by_sweep_refine(preset):
+    """Sweeps on arrays give the meshes of one refine, and one Mesh, per sweep."""
+    m0 = load_mesh(_REFINE_MESHES[preset](), scale=False)
+    assert refine_uniform(m0, 0) is m0
+    m = m0
+    for k in (1, 2, 3):
+        m = refine(m, range(len(m.triangles)))
+        _assert_same_mesh(refine_uniform(m0, k), m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_find_keys_matches_isin_and_dict(seed):
+    rng = np.random.default_rng(seed)
+    keys = np.unique(rng.integers(-50, 10 ** 12, size=int(rng.integers(1, 200))))
+    # queries below the first key, above the last, on keys, repeated
+    x = np.concatenate([rng.choice(keys, 100), keys[:1] - 1, keys[-1:] + 1,
+                        rng.integers(-100, 2 * 10 ** 12, size=100), keys[:3], keys[:3]])
+    x = rng.permutation(x).reshape(-1, 2)
+    pos = meshmod._find_keys(keys, x)
+    assert pos.shape == x.shape
+    assert np.array_equal(pos >= 0, np.isin(x, keys))
+    assert np.array_equal(keys[pos[pos >= 0]], x[pos >= 0])
+    row = {k: i for i, k in enumerate(keys.tolist())}
+    assert pos.ravel().tolist() == [row.get(k, -1) for k in x.ravel().tolist()]
+    empty = meshmod._find_keys(np.empty(0, dtype=np.int64), x)
+    assert empty.shape == x.shape and np.all(empty == -1)
+
+
 def test_edge_table_read_only(unit_square):
     for a in (unit_square.edges, unit_square.edge_triangles, unit_square.edge_lengths,
               unit_square.boundary_loop()[0]):
