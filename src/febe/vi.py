@@ -58,14 +58,20 @@ is linear, it first runs the Newton loop with the p = 2 law on the same
 system, form and pattern from the given start and starts from that
 solution, multipliers and density included.  The element strains of each
 iterate are evaluated once, for its residual and the next Newton matrix.
-Per Newton step only the FE tangent changes: each step sums the element
-tangents onto the pattern by one bincount, adds J_block's values, zeroes
-the held rows by a row mask and sets their diagonal slot to 1, with no
-sparse conversion or add.  SuperLU factors each step's matrix in that
-order (permc_spec NATURAL), with partial pivoting, and no step computes an
-ordering.  SuperLU does not raise on an exactly singular matrix; it warns
-and returns NaN, and the solver raises SolverError, as it does when the
-line search cannot decrease the residual or the steps run out.
+Per Newton step only the FE tangent and the held rows change: a step that
+builds its matrix sums the element tangents onto the pattern by one
+bincount, adds J_block's values, zeroes the held rows by a row mask and
+sets their diagonal slot to 1, with no sparse conversion or add.  Each
+Newton loop solves its steps through one _StepSolver.  SuperLU factors a
+matrix in that order (permc_spec NATURAL), with partial pivoting, and no
+step computes an ordering.  Under a nonlinear law every step factors its
+own matrix.  Under the p = 2 law (every warm start, and every solve of a
+linear law) the FE tangent is constant, so the loop factors its first
+matrix only; each later step builds no matrix and updates that factor by
+the held rows that changed (a Woodbury update).  A singular matrix, on
+which SuperLU's factorization raises, and a singular update raise
+SolverError, as do a line search that cannot decrease the residual and
+steps that run out.
 """
 
 from __future__ import annotations
@@ -387,6 +393,71 @@ def _newton_matrix(system, law, pattern, eps, fixed):
     return J
 
 
+class _StepSolver:
+    """The linear steps of one Newton loop (_newton) under one law, on the
+    form's Newton pattern: solve(eps, fixed, rhs) solves the Newton matrix
+    at the element strains eps with the rows `fixed` (dofs) held for rhs,
+    and returns the step in dof numbering, with dy[fixed] = rhs[fixed].
+
+    SuperLU factors a Newton matrix in the pattern's dissection numbering
+    (permc_spec NATURAL).  Under a nonlinear law (p != 2) every step
+    factors its own matrix and keeps no factor.  Under the p = 2 law the
+    FE tangent is constant: the first step's factor A is kept, and a later
+    step's matrix differs from A only in the rows r whose held state
+    changed.  Each is a Z row, in the tail of the numbering, and changes
+    by g_r = +-(unit row - J_block row) there (+ if r is held now).  With
+    E the unit columns of those rows and G the rows g_r, the step is the
+    Woodbury update (W. W. Hager, SIAM Review 31, 1989)
+
+        x = A^-1 b - X (I + G X)^-1 G A^-1 b,    X = A^-1 E,
+
+    whose columns A^-1 e_r are solved once per factor and kept.  A
+    singular matrix raises RuntimeError from splu, a singular update
+    LinAlgError."""
+
+    def __init__(self, system, form, law, pattern):
+        self.system, self.law, self.pattern = system, law, pattern
+        self.J_block = form.J_block
+        self.t0 = len(form.rhs) - len(form.J_dofs)
+        self.fac = None
+
+    def solve(self, eps, fixed, rhs):
+        perm, rank = self.pattern[-2:]
+        held = np.zeros(len(self.J_block), dtype=bool)
+        held[rank[fixed] - self.t0] = True
+        if self.fac is None:
+            fac = spla.splu(_newton_matrix(self.system, self.law, self.pattern, eps, fixed),
+                            permc_spec="NATURAL")
+            x = fac.solve(rhs[perm])
+            if self.law.p == 2.0:          # constant FE tangent: keep the factor
+                self.fac, self.held, self.cols = fac, held, {}
+        else:
+            x = self._update(held, rhs[perm])
+        dy = x[rank]
+        dy[fixed] = rhs[fixed]             # SuperLU leaves rounding there
+        return dy
+
+    def _update(self, held, b):
+        """A'^-1 b for the Newton matrix A' with the tail rows `held` held,
+        by the Woodbury update of the factor A."""
+        t0 = self.t0
+        x = self.fac.solve(b)
+        rows = np.flatnonzero(held != self.held)
+        if not len(rows):
+            return x
+        new = rows[[r not in self.cols for r in rows]]
+        if len(new):
+            E = np.zeros((len(b), len(new)))
+            E[t0 + new, np.arange(len(new))] = 1.0
+            self.cols.update(zip(new.tolist(), self.fac.solve(E).T))
+        X = np.stack([self.cols[r] for r in rows.tolist()], axis=1)
+        G = -self.J_block[rows]
+        G[np.arange(len(rows)), rows] += 1.0
+        G[~held[rows]] *= -1.0
+        w = np.linalg.solve(np.eye(len(rows)) + G @ X[t0:], G @ x[t0:])
+        return x - X @ w
+
+
 def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
     """Primal-dual active-set (semismooth) Newton on a block form of system
     (the CoupledSystem itself, or its LayerPotentialSystem) under the law:
@@ -396,9 +467,11 @@ def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
     F, friction force mu_t = -R_f in [-F, F].  Every Newton matrix is
     form.J_block plus the FE tangent, with the held rows replaced by unit
     rows, stored on `pattern` (the form's _newton_pattern) in its dissection
-    numbering; each step solves it for rhs[perm] and takes the step back by
-    [rank].  The element strains of each iterate are evaluated once: its
-    residual and the next Newton matrix both read them.
+    numbering.  One _StepSolver solves every step of the loop: it factors
+    each step's matrix under a nonlinear law, and under the p = 2 law
+    factors the first one only and updates that factor by the held rows
+    that change.  The element strains of each iterate are evaluated once:
+    its residual and the next Newton matrix both read them.
 
     The NCP residual Phi replaces the bound rows by min(-y_n, lam_n) and
     the friction rows by mu_t - clip(mu_t + c_k y_f, -F, F).  The
@@ -419,7 +492,7 @@ def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
     iterate (the start included).
     """
     nU = system.nU
-    perm, rank = pattern[-2:]
+    solver = _StepSolver(system, form, law, pattern)
     scale = _residual_scale(system)
     fr = system.friction
     c = scale * fr.omega
@@ -452,12 +525,13 @@ def _newton(system, form, pattern, law, y, tol, max_iter, what, contact):
         fixed = np.concatenate([idx_n[-R[idx_n] + c_n * y[idx_n] > 0],
                                 idx_f[np.abs(q) <= F]])
         rhs[fixed] = -y[fixed]
-        dy = spla.spsolve(_newton_matrix(system, law, pattern, eps, fixed),
-                          rhs[perm], permc_spec="NATURAL")[rank]
-        if not np.all(np.isfinite(dy)):
+        try:
+            dy = solver.solve(eps, fixed, rhs)
+            if not np.all(np.isfinite(dy)):
+                raise np.linalg.LinAlgError
+        except (RuntimeError, np.linalg.LinAlgError) as err:  # splu, or the update
             raise SolverError("%s Newton matrix is singular at residual %.3e"
-                              % (what, resid))
-        dy[fixed] = -y[fixed]            # SuperLU leaves rounding there
+                              % (what, resid)) from err
         t = 1.0
         for _ in range(40):
             cand = y + t * dy

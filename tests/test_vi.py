@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.linalg import MatrixRankWarning
 
 from febe import fem, material as mat, presets, vi
 from febe.driver import build_system
@@ -578,16 +577,23 @@ def test_no_safeguard_fires_on_standard_presets(monkeypatch, case):
         sys_, _ = vector_system("stick-vec", n=4, refines=1)
     solve = solve_layerpotential_vi if case.endswith("-lp") else solve_contact_vi
     failed_solves, certificates = [], []
-    spsolve = vi.spla.spsolve
+    splu, step = vi.spla.splu, vi._StepSolver.solve
     certificate = vi.vi_certificate
 
-    def counted_spsolve(*args, **kw):
+    def counted_splu(*args, **kw):
         try:
-            x = spsolve(*args, **kw)
-        except RuntimeError:               # a SuperLU failure other than singularity
+            return splu(*args, **kw)
+        except RuntimeError:               # SuperLU failed, or the matrix is singular
             failed_solves.append(args)
             raise
-        if not np.all(np.isfinite(x)):     # exactly singular: NaN and a warning
+
+    def counted_step(*args, **kw):
+        try:
+            x = step(*args, **kw)
+        except np.linalg.LinAlgError:      # a singular update of the factor
+            failed_solves.append(args)
+            raise
+        if not np.all(np.isfinite(x)):
             failed_solves.append(args)
         return x
 
@@ -595,7 +601,8 @@ def test_no_safeguard_fires_on_standard_presets(monkeypatch, case):
         certificates.append(args)
         return certificate(*args, **kw)
 
-    monkeypatch.setattr(vi.spla, "spsolve", counted_spsolve)
+    monkeypatch.setattr(vi.spla, "splu", counted_splu)
+    monkeypatch.setattr(vi._StepSolver, "solve", counted_step)
     monkeypatch.setattr(vi, "vi_certificate", counted_certificate)
     sol = solve(sys_)
     assert sol.converged
@@ -606,21 +613,21 @@ def test_no_safeguard_fires_on_standard_presets(monkeypatch, case):
 @pytest.mark.parametrize("solve", [solve_contact_vi, solve_layerpotential_vi])
 def test_singular_newton_matrix_raises(monkeypatch, solve):
     # without the FE tangent the interior rows of the Newton matrix vanish;
-    # the zero element tangents still go to their slots of the pattern
+    # the zero element tangents still go to their slots of the pattern;
+    # SuperLU's factorization raises on the exactly singular matrix
     sys_, _ = scalar_system("transition", p=2.0, refines=1, slip=("b",))
     tangent = fem.element_tangents
     monkeypatch.setattr(fem, "element_tangents",
                         lambda space, law, eps: tangent(space, law, eps) * 0.0)
-    with pytest.warns(MatrixRankWarning), \
-            pytest.raises(vi.SolverError, match="singular"):
+    with pytest.raises(vi.SolverError, match="singular"):
         solve(sys_)
 
 
 def test_line_search_failure_raises(monkeypatch):
     # a reversed Newton step multiplies the linear residual by 1 + t
     sys_, _ = scalar_system("quadratic", p=2.0, refines=1)
-    spsolve = vi.spla.spsolve
-    monkeypatch.setattr(vi.spla, "spsolve", lambda *a, **kw: -spsolve(*a, **kw))
+    step = vi._StepSolver.solve
+    monkeypatch.setattr(vi._StepSolver, "solve", lambda *a, **kw: -step(*a, **kw))
     with pytest.raises(vi.SolverError, match="line search"):
         solve_transmission(sys_)
 
@@ -632,30 +639,37 @@ def test_contact_set_found_in_few_steps(refines):
     assert solve_contact_vi(sys_).iterations <= 7
 
 
-def _solves_per_run(monkeypatch, run):
-    """Linear solves (spsolve calls) of each Newton run that run() makes."""
-    counts = []
-    newton, spsolve = vi._newton, vi.spla.spsolve
+def _counts_per_run(monkeypatch, run):
+    """Linear solves (Newton steps) and SuperLU factorizations of each
+    Newton run that run() makes."""
+    steps, factors = [], []
+    newton, step, splu = vi._newton, vi._StepSolver.solve, vi.spla.splu
 
     def counted_newton(*args, **kw):
-        counts.append(0)
+        steps.append(0)
+        factors.append(0)
         return newton(*args, **kw)
 
-    def counted_spsolve(*args, **kw):
-        counts[-1] += 1
-        return spsolve(*args, **kw)
+    def counted_step(*args, **kw):
+        steps[-1] += 1
+        return step(*args, **kw)
+
+    def counted_splu(*args, **kw):
+        factors[-1] += 1
+        return splu(*args, **kw)
 
     with monkeypatch.context() as m:
         m.setattr(vi, "_newton", counted_newton)
-        m.setattr(vi.spla, "spsolve", counted_spsolve)
+        m.setattr(vi._StepSolver, "solve", counted_step)
+        m.setattr(vi.spla, "splu", counted_splu)
         run()
-    return counts
+    return steps, factors
 
 
 def _newton_steps(monkeypatch, system):
     """Newton steps (linear solves) of each Newton run of a contact solve:
     [warm start, main solve] for p != 2, [main solve] for p = 2."""
-    return _solves_per_run(monkeypatch, lambda: solve_contact_vi(system))
+    return _counts_per_run(monkeypatch, lambda: solve_contact_vi(system))[0]
 
 
 def test_max_iter_caps_the_steps_and_tests_the_last_iterate(monkeypatch):
@@ -685,16 +699,20 @@ def test_newton_steps_do_not_grow_with_the_mesh(monkeypatch):
 
 
 @pytest.mark.parametrize("name, counts", [
-    ("pipeline-transition", [2, 3]),
-    ("contact-sweep", [2, 5, 3, 5, 3, 1]),
+    ("pipeline-transition", ([2, 3], [1, 3])),
+    ("contact-sweep", ([2, 5, 3, 5, 3, 1], [1, 5, 1, 5, 1, 1])),
+    ("adapt-corner", ([1] * 11, [1] * 11)),
 ])
 def test_benchmark_step_counts(monkeypatch, tmp_path, name, counts):
-    # linear solves per Newton run of one benchmark case at seed 0 (nt=1024):
-    # warm start and main solve of p=1.5; p=1.2, p=4, stick-vec SP and LP
+    # linear solves and SuperLU factorizations per Newton run of one
+    # benchmark case at seed 0 (nt=1024): warm start and main solve of
+    # p=1.5; p=1.2, p=4, stick-vec SP and LP; the corner's 11 levels.  A
+    # p = 2 run (warm starts, stick-vec, the corner) factors once, a
+    # p != 2 run once per step
     from test_bench_workloads import WORKLOADS
     work = WORKLOADS[name](0, "full", str(tmp_path))
     work.setup()
-    assert _solves_per_run(monkeypatch, work.run) == counts
+    assert _counts_per_run(monkeypatch, work.run) == counts
 
 
 # -- the nested-dissection order of the Newton matrices ----------------------
@@ -704,22 +722,24 @@ class _FirstSolve(Exception):
 
 
 def _first_newton_solve(monkeypatch, run):
-    """The matrix, right-hand side and keywords of the first spsolve call
-    that run() makes, and the rank of its pattern; run() stops there."""
+    """The matrix and keywords of the first SuperLU factorization that run()
+    makes, the right-hand side of its step in the pattern's numbering, and
+    the rank of its pattern; run() stops there."""
     got = {}
-    newton_matrix = vi._newton_matrix
+    step = vi._StepSolver.solve
 
-    def recording_matrix(system, law, pattern, eps, fixed):
-        got["rank"] = pattern[-1]
-        return newton_matrix(system, law, pattern, eps, fixed)
+    def recording_step(self, eps, fixed, rhs):
+        perm, got["rank"] = self.pattern[-2:]
+        got["b"] = rhs[perm]
+        return step(self, eps, fixed, rhs)
 
-    def stop(A, b, **kw):
-        got.update(A=A, b=b, kw=kw)
+    def stop(A, **kw):
+        got.update(A=A, kw=kw)
         raise _FirstSolve
 
     with monkeypatch.context() as m:
-        m.setattr(vi, "_newton_matrix", recording_matrix)
-        m.setattr(vi.spla, "spsolve", stop)
+        m.setattr(vi._StepSolver, "solve", recording_step)
+        m.setattr(vi.spla, "splu", stop)
         with pytest.raises(_FirstSolve):
             run()
     assert got["kw"] == {"permc_spec": "NATURAL"}
@@ -1013,12 +1033,52 @@ def test_newton_matrix_matches_coo_construction(case, form):
         assert np.array_equal(J.indices, first.indices)
 
 
+@pytest.mark.parametrize("form", ["sp", "lp", "lp-stabilized"])
+@pytest.mark.parametrize("case", ["scalar", "vector"])
+def test_updated_step_matches_spsolve_of_its_own_matrix(monkeypatch, case, form):
+    # a p = 2 Newton loop factors its first matrix only: that step is
+    # spsolve bit for bit, and each later step, whose held set grows,
+    # shrinks, stays, swaps rows or empties against the factored one,
+    # updates the factor and solves its own Newton matrix to 1e-13
+    if case == "scalar":
+        sys_, _ = scalar_system("transition", p=2.0, n=4, refines=2, slip=("b",))
+    else:
+        sys_, _ = vector_system("stick-vec", p=2.0, n=4, refines=2)
+    if form != "sp":
+        form = vi.LayerPotentialSystem(sys_, stabilized=form == "lp-stabilized")
+    else:
+        form = sys_
+    pattern = vi._newton_pattern(sys_.space, form)
+    perm, rank = pattern[-2:]
+    z = sys_.nU + np.concatenate([sys_.idx_zn, sys_.idx_zt])
+    assert len(z) >= 7
+    rng = np.random.default_rng(3)
+    eps = sys_.space.strains(rng.normal(size=sys_.nU))
+    splu, factors = vi.spla.splu, []
+    monkeypatch.setattr(vi.spla, "splu", lambda A, **kw: factors.append(A) or splu(A, **kw))
+    solver = vi._StepSolver(sys_, form, sys_.law, pattern)
+    for k, fixed in enumerate([z[::3], np.union1d(z[::3], z[1::3]), z[::6], z[::6],
+                               z[1::2], z[:0], z[::3]]):
+        rhs = rng.normal(size=len(form.rhs))
+        dy = solver.solve(eps, fixed, rhs)
+        J = vi._newton_matrix(sys_, sys_.law, pattern, eps, fixed)
+        ref = spla.spsolve(J, rhs[perm], permc_spec="NATURAL")[rank]
+        ref[fixed] = rhs[fixed]
+        if k == 0:
+            assert np.array_equal(dy, ref)
+        else:
+            assert np.abs(dy - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert len(factors) == 1
+
+
 @pytest.mark.parametrize("case", ["transition-sp", "stick-vec-lp"])
 def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
     # p = 1.5: the p = 2 warm start changes the held rows from step to step;
-    # every matrix that spsolve gets, warm start included, is stored on the
+    # the Newton matrix of every step, warm start included, is stored on the
     # form's one pattern, with unit held rows and the values of the COO
-    # construction bit for bit.  Under the full stick of stick-vec the
+    # construction bit for bit.  The matrices that SuperLU factors are those
+    # of the warm start's first step and of every p = 1.5 step; the other
+    # warm-start steps update that factor and build no matrix.  Under the full stick of stick-vec the
     # layer-potential form holds the same rows at every step, so its case
     # keeps the stick-vec loads with a fifth of the friction bound.  Every
     # Newton run gets the caller's system: the warm start swaps only the law.
@@ -1034,8 +1094,8 @@ def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
         sys_ = build_system(base.space.mesh, base.law, data)
         solve = solve_layerpotential_vi
         J0 = sparse_lp_block(sys_, False)
-    newton, newton_matrix = vi._newton, vi._newton_matrix
-    block_residual, spsolve = vi._block_residual, vi.spla.spsolve
+    newton, newton_matrix, step = vi._newton, vi._newton_matrix, vi._StepSolver.solve
+    block_residual, splu = vi._block_residual, vi.spla.splu
     systems, runs, solved, iterates = [], [], [], {}
 
     def recording_newton(system, *args, **kw):
@@ -1047,25 +1107,33 @@ def test_one_pattern_serves_a_whole_solve(monkeypatch, case):
         iterates[id(eps)] = eps, y[:system.nU].copy()   # eps kept: ids stay unique
         return block_residual(system, form, law, y, eps)
 
+    def recording_step(self, eps, fixed, rhs):
+        runs[-1].append([self.law, iterates[id(eps)][1], fixed.copy(), self.pattern, eps,
+                         None])
+        return step(self, eps, fixed, rhs)
+
     def recording_matrix(system, law, pattern, eps, fixed):
-        J = newton_matrix(system, law, pattern, eps, fixed)
-        U = iterates[id(eps)][1]
-        runs[-1].append((law, U, fixed.copy(), pattern[-2], J))
+        runs[-1][-1][-1] = J = newton_matrix(system, law, pattern, eps, fixed)
         return J
 
-    def recording_spsolve(A, *args, **kw):
+    def recording_splu(A, *args, **kw):
         solved.append(A)
-        return spsolve(A, *args, **kw)
+        return splu(A, *args, **kw)
 
     with monkeypatch.context() as m:
         m.setattr(vi, "_newton", recording_newton)
+        m.setattr(vi._StepSolver, "solve", recording_step)
         m.setattr(vi, "_newton_matrix", recording_matrix)
         m.setattr(vi, "_block_residual", recording_residual)
-        m.setattr(vi.spla, "spsolve", recording_spsolve)
+        m.setattr(vi.spla, "splu", recording_splu)
         solve(sys_)
     assert len(systems) == 2 and all(system is sys_ for system in systems)
-    steps = [step for run in runs for step in run]
-    assert [J for *_, J in steps] == solved
+    assert [[J is not None for *_, J in run] for run in runs] == [
+        [True] + [False] * (len(runs[0]) - 1), [True] * len(runs[1])]
+    assert [J for run in runs for *_, J in run if J is not None] == solved
+    steps = [(law, U, fixed, pattern[-2], newton_matrix(sys_, law, pattern, eps, fixed)
+              if J is None else J)
+             for run in runs for law, U, fixed, pattern, eps, J in run]
     assert len(runs) == 2 and len(runs[0]) >= 2
     assert len({tuple(fixed) for _, _, fixed, _, _ in steps}) > 1
     for law, U, fixed, perm, J in steps:
