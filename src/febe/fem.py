@@ -1,15 +1,16 @@
 """P1 finite elements: spaces, nonlinear residual/tangent assembly, loads.
 
 The tables of an FESpace depend only on its mesh and ncomp; the areas, the
-basis gradients and the sparse gradient operator only on the mesh.  Each
-is built once per mesh (and ncomp), on first use, and kept read-only in
-the mesh's fe_tables (the areas are the mesh's own), so every space on one
-mesh reads the same arrays; the tables hold arrays only (the operator its
-three CSR arrays), with no reference back to the mesh or to a space.  The
-element gradients are one product with the operator and the residual one
-product with its transpose.  The residual and the element tangents take
-the element strains (FESpace.strains), so a caller that needs both at one
-field evaluates the strains once.
+basis gradients and the sparse gradient operator and its transpose only on
+the mesh.  Each is built once per mesh (and ncomp), on first use, and kept
+read-only in the mesh's fe_tables (the areas are the mesh's own), so every
+space on one mesh reads the same arrays; the tables hold arrays only (each
+operator its three CSR arrays), with no reference back to the mesh or to a
+space.  The element gradients are one product with the operator and the
+residual one product with the stored transpose, grad_operator_T.  The
+residual and the element tangents take the element strains
+(FESpace.strains), so a caller that needs both at one field evaluates the
+strains once.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ def _mesh_table(build, per_ncomp=True):
 
 class FESpace:
     """Piecewise-linear space on a triangulation, 1 (scalar) or 2 (vector)
-    components.  Its tables are the mesh's: areas (the mesh's own), grads
-    and grad_operator are shared by every space on the mesh, basis_strains,
-    basis_gram, local_dofs, tangent_pattern and dissection_pattern by every
-    space on it with the same ncomp."""
+    components.  Its tables are the mesh's: areas (the mesh's own), grads,
+    grad_operator and grad_operator_T are shared by every space on the
+    mesh, basis_strains, basis_gram, local_dofs, tangent_pattern and
+    dissection_pattern by every space on it with the same ncomp."""
 
     def __init__(self, mesh, ncomp=1):
         if ncomp not in (1, 2):
@@ -93,6 +94,18 @@ class FESpace:
                               np.repeat(t, 2, axis=0).ravel(),
                               3 * np.arange(2 * len(t) + 1)),
                              shape=(2 * len(t), len(self.mesh.vertices)))
+
+    @partial(_mesh_table, per_ncomp=False)
+    def grad_operator_T(self):
+        """(nv, 2 nt) CSR transpose of grad_operator, by one stable argsort
+        of its columns: the column indices of each row are sorted, so each
+        row of a product sums its terms in the row order of grad_operator."""
+        G = self.grad_operator
+        order = np.argsort(G.indices, kind="stable")
+        indptr = np.zeros(G.shape[1] + 1, dtype=G.indptr.dtype)
+        np.cumsum(np.bincount(G.indices, minlength=G.shape[1]), out=indptr[1:])
+        return sp.csr_matrix((G.data[order], (order // 3).astype(G.indices.dtype), indptr),
+                             shape=G.shape[::-1])
 
     @_mesh_table
     def basis_strains(self):
@@ -203,10 +216,11 @@ def assemble_residual(space, law, eps):
     eps = space.strains(u_h): the residual of u_h, exact for P1 (the
     integrand is constant per element).  The stress is symmetric, so
     <sigma, strain(phi)> = <sigma, grad(phi)>, and the residual is the
-    transposed gradient operator applied to the area-weighted stresses."""
+    stored transpose grad_operator_T applied to the area-weighted
+    stresses."""
     nt = len(eps)
     w = mat.stress(law, eps).reshape(nt, -1) * space.areas[:, None]
-    return (space.grad_operator.T @ w.reshape(2 * nt, space.ncomp)).reshape(-1)
+    return (space.grad_operator_T @ w.reshape(2 * nt, space.ncomp)).reshape(-1)
 
 
 def element_tangents(space, law, eps):

@@ -36,11 +36,17 @@ nodal stresses from them (slip_fields).
 The exterior problem enters only through the trace map B, which takes
 x = (U, Z) to the boundary trace w: the trace of U plus the slip jump of Z.
 Its columns bcols, the trace dofs of the boundary loop and then every Z
-dof, hold all its entries, and the system stores Bd = B[:, bcols] once.
-J_dofs are bcols, then the multiplier or density dofs, and J_block is
-built once per system from products with Bd: (Bd^T S) Bd and
-C = (D^T S) Bd for the compatibility directions D, or
-[[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] plus the stabilization.
+dof, hold all its entries.  The system holds B as three index arrays, the
+trace columns, the slip rows (ns, d) and the nodal frame (ns, d, d), and
+applies it by three products: B x (CoupledSystem.trace), Bd^T g
+(trace_adjoint) and A Bd for a dense A (trace_right), Bd = B[:, bcols].
+Each rounds every entry as the sparse product did, and A Bd is
+Fortran-ordered, as a dense-sparse product is.  J_dofs are bcols, then the
+multiplier or density dofs, and J_block is built once per system from
+these products: (Bd^T S) Bd and C = (D^T S) Bd for the compatibility
+directions D, or [[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] plus the
+stabilization.  J_block @ y rounds by J_block's memory layout, which
+np.block takes from those blocks.
 
 Every Newton matrix of one solve of a form is stored on one canonical CSC
 pattern (_newton_pattern), numbered in the mesh's nested-dissection order
@@ -131,13 +137,15 @@ class CoupledSystem:
     """Discrete energy J_h + lumped friction over (U, Z) with S_h coupling.
 
     B maps x = (U, Z) to the boundary trace w, and Bd = B[:, bcols] is its
-    block on the boundary columns.  The system is the Steklov-Poincare
-    block form (J_block, J_dofs, rhs) over y = (U, Z, lam): the bordered
-    block J_block = [[B^T S B, C^T], [C, 0]], dense on J_dofs (bcols, then
-    the multiplier dofs), and rhs = (b_f + B^T gb, c0) with
-    gb = t0 moments + S u0.  The compatibility rows C = Cw B and B^T S B
-    come from dense products with Bd on bcols.  Problem data that is not
-    finite is a ConfigError.
+    block on the boundary columns; the system holds B as the index arrays
+    trace_cols, slip_rows and frame and applies it by trace, slip_jump,
+    trace_adjoint and trace_right, with no sparse matrix.  The system is
+    the Steklov-Poincare block form (J_block, J_dofs, rhs) over
+    y = (U, Z, lam): the bordered block J_block = [[B^T S B, C^T], [C, 0]],
+    dense on J_dofs (bcols, then the multiplier dofs), and
+    rhs = (b_f + B^T gb, c0) with gb = t0 moments + S u0.  The
+    compatibility rows C = Cw B and B^T S B come from those products on
+    bcols.  Problem data that is not finite is a ConfigError.
     """
 
     def __init__(self, space, bspace, ops, law, data, ncompat=None,
@@ -171,21 +179,15 @@ class CoupledSystem:
         else:
             nu = nrm[self.slip_nodes]
             frame = np.stack([nu, np.column_stack([-nu[:, 1], nu[:, 0]])], axis=2)
-        # B maps x = (U, Z) to w: boundary dof (k, c) takes interior dof
-        # (loop[k], c) plus, at slip node k, Z_j (d=1) or nu_k Z_n + tau_k Z_t;
-        # its columns bcols (the loop's trace dofs, then every Z dof) hold
-        # all its entries
-        rows = np.arange(M * d)
-        cols = np.repeat(bspace.loop, d) * d + np.tile(np.arange(d), M)
-        srows = (d * self.slip_nodes)[:, None, None] + np.arange(d)[None, :, None]
-        scols = (d * np.arange(ns))[:, None, None] + np.arange(d)[None, None, :]
-        srows, scols = (a.ravel() for a in np.broadcast_arrays(srows, scols))
-        self.B = sp.csr_matrix(
-            (np.concatenate([np.ones(M * d), frame.ravel()]),
-             (np.concatenate([rows, srows]), np.concatenate([cols, self.nU + scols]))),
-            shape=(M * d, self.nU + self.nZ))
-        self.bcols = np.concatenate([cols, self.nU + np.arange(self.nZ)])
-        self.Bd = self.B[:, self.bcols]
+        # the trace map B takes x = (U, Z) to w: boundary dof (k, c) takes
+        # interior dof (loop[k], c) plus, at slip node j, Z_j (d=1) or
+        # nu_j Z_n + tau_j Z_t, held as the trace columns, the slip rows
+        # (ns, d) and the frame (ns, d, d) of the slip nodes; its columns
+        # bcols (the trace columns, then every Z dof) hold all its entries
+        self.trace_cols = (d * bspace.loop[:, None] + np.arange(d)).ravel()
+        self.slip_rows = d * self.slip_nodes[:, None] + np.arange(d)
+        self.frame = frame
+        self.bcols = np.concatenate([self.trace_cols, self.nU + np.arange(self.nZ)])
 
         # data vectors; u0/t0/friction accept callables or nodal/panel arrays;
         # data that is not finite is reported by the check below, not by numpy
@@ -222,12 +224,53 @@ class CoupledSystem:
         # the right-hand side of the block form over y = (U, Z, lam)
         n = self.nU + self.nZ
         self.C = np.zeros((self.ncompat, n))
-        self.C[:, self.bcols] = self.compat_dirs.T @ self.S @ self.Bd
+        self.C[:, self.bcols] = self.trace_right(self.compat_dirs.T @ self.S)
         self.rhs = np.concatenate([self.b_f, np.zeros(self.nZ), self.c0])
-        self.rhs[:n] += self.B.T @ self.gb
+        self.rhs[self.bcols] += self.trace_adjoint(self.gb)    # B^T gb is 0 off bcols
         self.J_dofs = np.concatenate([self.bcols, n + np.arange(self.ncompat)])
 
-        self.compat_data_residual = self._data_compat_residual()
+    # -- the trace map B ----------------------------------------------------
+    # Each product rounds every entry as the sparse product with B (or its
+    # block Bd = B[:, bcols]) did: a single-term entry is 0.0 + x, a slip
+    # entry adds its d frame terms to it left to right in frame-column order.
+
+    def trace(self, x):
+        """w = B x for x = (U, Z): the trace of U plus the slip jump of Z."""
+        w = x[self.trace_cols]
+        w += 0.0
+        return self._add_jump(w, x[self.nU:])
+
+    def slip_jump(self, Z):
+        """v = B[:, nU:] Z, zero off the slip nodes."""
+        return self._add_jump(np.zeros(len(self.trace_cols)), Z)
+
+    def _add_jump(self, w, Z):
+        """w plus the slip jump of Z on the slip rows, in place."""
+        ws = w[self.slip_rows]
+        z = Z.reshape(-1, self.d)
+        for a in range(self.d):
+            ws += self.frame[:, :, a] * z[:, a, None]
+        w[self.slip_rows] = ws
+        return w
+
+    def trace_adjoint(self, g):
+        """Bd^T g for g of shape (M d,) or (M d, k), C-ordered: the rows of
+        B^T g at bcols, which hold all its nonzero entries."""
+        nb, tail = len(self.bcols), g.shape[1:]
+        out = np.empty((nb,) + tail)
+        np.add(g, 0.0, out=out[:len(self.trace_cols)])
+        gs = g[self.slip_rows]                                  # (ns, d, ...)
+        frame = self.frame.reshape(self.frame.shape + (1,) * len(tail))
+        jump = np.zeros(self.slip_rows.shape + tail)
+        for c in range(self.d):
+            jump += frame[:, c] * gs[:, c, None]
+        out[len(self.trace_cols):] = jump.reshape((self.nZ,) + tail)
+        return out
+
+    def trace_right(self, A):
+        """A Bd for a dense A of shape (m, M d): (Bd^T A^T)^T, so it is
+        Fortran-ordered, as a dense-sparse product is."""
+        return self.trace_adjoint(A.T).T
 
     # -- assembly helpers ---------------------------------------------------
 
@@ -277,8 +320,10 @@ class CoupledSystem:
         omega = bs.p1_moments(np.ones_like(g), xq, wq)[nodes]
         return FrictionData(F=F, omega=omega)
 
-    def _data_compat_residual(self):
-        """int f . c + <t0, c> per translation c (should vanish for n=2)."""
+    @cached_property
+    def compat_data_residual(self):
+        """int f . c + <t0, c> per translation c (should vanish for n=2),
+        computed on first use."""
         # contiguous rows, so each product is the same dot of two vectors
         cu, ct = (np.ascontiguousarray(rigid_motions(x, self.d)[:, :self.d].T)
                   for x in (self.space.mesh.vertices, self.bspace.nodes))
@@ -289,7 +334,7 @@ class CoupledSystem:
 
     def phi_smooth(self, x):
         U = x[:self.nU]
-        w = self.B @ x
+        w = self.trace(x)
         e = fem.energy(self.space, self.law, U)
         return (e + 0.5 * w @ (self.S @ w) - self.b_f @ U - self.gb @ w)
 
@@ -318,7 +363,7 @@ class CoupledSystem:
         Newton step adds the FE tangent."""
         m = self.ncompat
         Cb = self.C[:, self.bcols]
-        H = self.Bd.T @ self.S @ self.Bd     # left to right: the (B^T S) B rounding
+        H = self.trace_right(self.trace_adjoint(self.S))    # the (Bd^T S) Bd rounding
         return np.block([[H, Cb.T], [Cb, np.zeros((m, m))]])
 
 
@@ -589,7 +634,7 @@ def _solution(system, form, y, R, iters, resid, history):
         compat_residual = (float(np.abs(form.compat_rows @ phi).max())
                            if system.ncompat else 0.0)
     return DiscreteSolution(
-        u=y[:nU], z=Z, v=system.B[:, nU:] @ Z, w=system.B @ x, phi=phi,
+        u=y[:nU], z=Z, v=system.slip_jump(Z), w=system.trace(x), phi=phi,
         lam_n=-R[nU + system.idx_zn] + 0.0, mu_t=-R[nU + system.idx_zt],
         compat_mult=compat_mult, compat_residual=compat_residual,
         objective=system.objective(x),
@@ -710,8 +755,8 @@ class LayerPotentialSystem:
     The form (J_block, J_dofs, rhs) acts on y = (U, Z, P).  J_block is
     dense on J_dofs, the boundary columns bcols and then the density dofs:
     [[Bd^T W Bd, -Bd^T T^T], [T Bd, V]] with T = Mb - K and
-    the system's Bd = B[:, bcols], plus Atil^T Atil with Atil = [A_w Bd,
-    A_phi] when stabilized;
+    Bd = B[:, bcols], from the system's trace_adjoint and trace_right,
+    plus Atil^T Atil with Atil = [A_w Bd, A_phi] when stabilized;
     rhs = (b_f + B^T (W u0 + t0 moments + A_w^T c), T u0 + A_phi^T c) with
     c = A_w u0 (zero when not stabilized).  The stabilization rows
     A = [A_w, A_phi] = [xi^T T, xi^T V] are formed here from the
@@ -731,9 +776,9 @@ class LayerPotentialSystem:
         self.compat_rows = (ops.M0[:, None] * p0).T
         # the constant block, dense on the boundary columns bcols and the
         # density dofs, and the data of the trace and density rows
-        Bd = system.Bd
-        TB = T @ Bd
-        J = np.block([[Bd.T @ ops.W @ Bd, -TB.T], [TB, ops.V]])
+        TB = system.trace_right(T)
+        J = np.block([[system.trace_right(system.trace_adjoint(ops.W)), -TB.T],
+                      [TB, ops.V]])
         rb = ops.W @ system.U0 + system.t0b
         rp = T @ system.U0
         if self.stabilized:
@@ -745,7 +790,7 @@ class LayerPotentialSystem:
             rp += A[:, dM:].T @ stab_c
             # Atil^T Atil summed over the D rows in order, as the sparse
             # product rounds it
-            Atil = np.hstack([A[:, :dM] @ Bd, A[:, dM:]])
+            Atil = np.hstack([system.trace_right(A[:, :dM]), A[:, dM:]])
             AtA = np.multiply.outer(Atil[0], Atil[0])
             for a in Atil[1:]:
                 AtA += np.multiply.outer(a, a)
@@ -753,7 +798,7 @@ class LayerPotentialSystem:
         self.J_dofs = np.concatenate([system.bcols, self.nU + self.nZ + np.arange(self.nP)])
         self.J_block = J
         self.rhs = np.concatenate([system.b_f, np.zeros(self.nZ), rp])
-        self.rhs[:self.nU + self.nZ] += system.B.T @ rb
+        self.rhs[system.bcols] += system.trace_adjoint(rb)
 
 
 def solve_layerpotential_vi(system, stabilized=False, tol=None, max_iter=200):

@@ -671,6 +671,13 @@ def record_online_mismatches(monkeypatch):
 # -- matrix that the dense boundary blocks and the canonical CSC constant
 # -- block replaced ------------------------------------------------------------
 
+def same_bits(a, b):
+    """a and b hold the same float64 bits in the same shape: -0.0 and +0.0
+    differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def trace_maps(system):
     """The trace map B = [Tr, Es] of a CoupledSystem, written out entry by
     entry: Tr takes interior dof (loop[k], c) to boundary P1 dof (k, c), and
@@ -755,12 +762,13 @@ def reference_sp_residual(system, y):
 
 def reference_lp_residual(system, stabilized, y):
     """LayerPotentialSystem.residual over y = (U, Z, P)."""
+    import scipy.sparse as sp
     from febe import fem
     from febe.bem import stabilization_data
     ops = system.ops
     nU, nZ = system.nU, system.nZ
     n = nU + nZ + ops.V.shape[0]
-    B, T = system.B, ops.Mb - ops.K
+    B, T = sp.hstack(trace_maps(system)).tocsr(), ops.Mb - ops.K
     WU0, TU0 = ops.W @ system.U0, T @ system.U0
     x = y[:nU + nZ]
     P = y[nU + nZ:]

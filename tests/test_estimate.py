@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from febe import estimate, fem, material as mat, presets
 from febe.driver import build_system
@@ -359,7 +360,8 @@ def _random_solution(system, seed, u_scale=1.0):
     x = rng.normal(size=system.nU + system.nZ)
     x[:system.nU] *= u_scale
     U, Z = x[:system.nU], x[system.nU:]
-    return DiscreteSolution(u=U, z=Z, v=trace_maps(system)[1] @ Z, w=system.B @ x)
+    Tr, Es = trace_maps(system)
+    return DiscreteSolution(u=U, z=Z, v=Es @ Z, w=sp.hstack([Tr, Es]).tocsr() @ x)
 
 
 def _edge_tractions_loop(system, sig, panel_owner):

@@ -182,8 +182,8 @@ def test_tangent_directional_derivative(unit_square):
                                   _tangent_per_call(space, law, sign * u).toarray())
 
 
-_TABLES = ("areas", "grads", "grad_operator", "basis_strains", "basis_gram",
-           "local_dofs", "tangent_pattern", "dissection_pattern")
+_TABLES = ("areas", "grads", "grad_operator", "grad_operator_T", "basis_strains",
+           "basis_gram", "local_dofs", "tangent_pattern", "dissection_pattern")
 
 
 def _table_arrays(space, name):
@@ -231,6 +231,7 @@ def test_scalar_and_vector_spaces_share_areas_and_grads(monkeypatch, unit_square
     assert scalar.areas is vector.areas is m.areas
     assert scalar.grads is vector.grads
     assert scalar.grad_operator is vector.grad_operator
+    assert scalar.grad_operator_T is vector.grad_operator_T
     assert np.array_equal(m.areas, areas(m))
     assert vector.basis_strains.shape[1] == 6 and scalar.basis_strains is scalar.grads
     assert calls == []
@@ -490,3 +491,26 @@ def test_gradients_match_einsum_bit_for_bit(ncomp, make_mesh):
         got, ref = space.gradients(u), einsum_gradients(space, u)
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_residual_matches_transposed_product_bit_for_bit(ncomp):
+    # grad_operator_T is grad_operator.T entry for entry with sorted column
+    # indices, so the residual sums each vertex's terms in the order the
+    # product with the transpose did
+    m = random_graded_square(sweeps=2, seed=7)
+    space = fem.FESpace(m, ncomp=ncomp)
+    G, GT = space.grad_operator, space.grad_operator_T
+    ref = G.T.tocsr()
+    ref.sort_indices()
+    assert GT.format == "csr" and GT.shape == (len(m.vertices), 2 * len(m.triangles))
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(GT, attr), getattr(ref, attr))
+    law = mat.MaterialLaw(p=1.5, mode=mat.MODE_MATRIX if ncomp == 2 else mat.MODE_VECTOR)
+    rng = np.random.default_rng(ncomp)
+    nt = len(m.triangles)
+    for _ in range(3):
+        eps = space.strains(rng.normal(size=space.ndof))
+        w = mat.stress(law, eps).reshape(nt, -1) * space.areas[:, None]
+        want = (G.T @ w.reshape(2 * nt, ncomp)).reshape(-1)
+        assert np.array_equal(fem.assemble_residual(space, law, eps), want)

@@ -15,7 +15,7 @@ from febe.vi import (ProblemData, kkt_residuals, solve_contact_vi,
                      solve_layerpotential_vi, solve_transmission,
                      vi_certificate)
 
-from conftest import friction_bound_loop, graded_slip_system, trace_maps
+from conftest import friction_bound_loop, graded_slip_system, same_bits, trace_maps
 
 
 def scalar_system(preset="quadratic", p=2.0, n=2, refines=0, slip=(),
@@ -124,6 +124,8 @@ def test_compatibility_residual_small():
     sys_, man = scalar_system("quadratic", p=2.0, refines=1)
     sol = solve_transmission(sys_)
     assert sol.compat_residual < 1e-9
+    # computed on first use: a build and a solve do not evaluate it
+    assert "compat_data_residual" not in vars(sys_)
     assert np.abs(sys_.compat_data_residual).max() < 1e-10
 
 
@@ -840,6 +842,93 @@ def test_dense_boundary_blocks_match_sparse_products(case):
         _assert_same_block(lp, sparse_lp_block(sys_, stabilized))
 
 
+def _signed_normal(rng, shape):
+    """Normal samples with every fifth entry -0.0 and every seventh +0.0."""
+    a = rng.normal(size=shape)
+    a.flat[::5] = -0.0
+    a.flat[3::7] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("case", ["scalar", "vector", "lshape", "graded"])
+def test_trace_products_match_sparse_map(case):
+    # B x, Bd^T g and A Bd from the index arrays round every entry as the
+    # sparse products with B = [Tr, Es] and Bd = B[:, bcols] do, signed
+    # zeros included, and A Bd has the dense-sparse product's layout;
+    # ncompat 0 gives A no rows
+    from conftest import sparse_sp_blocks
+    from febe.bem import rigid_motions
+    base = _square_and_lshape_system(case)
+    rng = np.random.default_rng(8)
+    for ncompat in range(rigid_motions(base.bspace.nodes, base.d).shape[1] + 1):
+        sys_ = build_system(base.space.mesh, base.law, base.data, ncompat=ncompat)
+        Tr, Es = trace_maps(sys_)
+        B = sp.hstack([Tr, Es]).tocsr()
+        Bd = B[:, sys_.bcols]
+        Md, n = B.shape
+        x, Z = _signed_normal(rng, n), _signed_normal(rng, sys_.nZ)
+        assert same_bits(sys_.trace(x), B @ x)
+        assert same_bits(sys_.slip_jump(Z), Es @ Z)
+        for g in (_signed_normal(rng, Md), _signed_normal(rng, (Md, 3)), sys_.S):
+            got, ref = sys_.trace_adjoint(g), Bd.T @ g
+            assert same_bits(got, ref) and got.flags.c_contiguous
+            full = B.T @ g
+            assert same_bits(full[sys_.bcols], ref)
+            rest = np.ones(len(full), dtype=bool)
+            rest[sys_.bcols] = False
+            assert same_bits(full[rest], np.zeros_like(full[rest]))
+        for A in (_signed_normal(rng, (ncompat, Md)), sys_.compat_dirs.T @ sys_.S):
+            got, ref = sys_.trace_right(A), A @ Bd
+            assert same_bits(got, ref) and got.flags.f_contiguous == ref.flags.f_contiguous
+        assert same_bits(sys_.C, sparse_sp_blocks(sys_)[2])
+
+
+def _sparse_product_J_block(sys_, form):
+    """J_block of a form as np.block over the sparse-product blocks with
+    Bd = B[:, bcols], B = [Tr, Es], built as the system built it before it
+    held the trace map as index arrays."""
+    from febe.bem import stabilization_data
+    Bd = sp.hstack(trace_maps(sys_)).tocsr()[:, sys_.bcols]
+    if form is sys_:
+        m = sys_.ncompat
+        Cb = sys_.C[:, sys_.bcols]
+        return np.block([[Bd.T @ sys_.S @ Bd, Cb.T], [Cb, np.zeros((m, m))]])
+    ops = sys_.ops
+    T = ops.Mb - ops.K
+    TB = T @ Bd
+    J = np.block([[Bd.T @ ops.W @ Bd, -TB.T], [TB, ops.V]])
+    if form.stabilized:
+        xi = stabilization_data(sys_.bspace, ops)
+        A = np.hstack([xi.T @ T, xi.T @ ops.V])
+        dM = ops.Mb.shape[1]
+        Atil = np.hstack([A[:, :dM] @ Bd, A[:, dM:]])
+        AtA = np.multiply.outer(Atil[0], Atil[0])
+        for a in Atil[1:]:
+            AtA += np.multiply.outer(a, a)
+        J += AtA
+    return J
+
+
+@pytest.mark.parametrize("form", ["sp", "lp", "lp-stabilized"])
+@pytest.mark.parametrize("case", ["scalar", "vector", "lshape", "graded"])
+def test_J_block_layout_matches_sparse_product_blocks(case, form):
+    # J_block @ y rounds by J_block's memory layout (numpy picks the BLAS
+    # kernel by it), so J_block keeps the layout np.block gave the sparse
+    # products: Fortran order for the scalar Steklov-Poincare block, C
+    # order for the others
+    sys_ = _square_and_lshape_system(case)
+    if form != "sp":
+        form = vi.LayerPotentialSystem(sys_, stabilized=form == "lp-stabilized")
+    else:
+        form = sys_
+    J, ref = form.J_block, _sparse_product_J_block(sys_, form)
+    assert same_bits(J, ref)
+    assert (J.flags.c_contiguous, J.flags.f_contiguous) == (ref.flags.c_contiguous,
+                                                            ref.flags.f_contiguous)
+    y = np.random.default_rng(9).normal(size=len(J))
+    assert same_bits(J @ y, ref @ y)
+
+
 @pytest.mark.parametrize("case", ["scalar", "vector", "lshape", "graded",
                                   "lp", "lp-stabilized"])
 def test_spliced_pattern_extends_sorted_pattern(case):
@@ -1161,7 +1250,7 @@ def _block_sp_jacobian(system, y):
 def _block_lp_jacobian(sys_, lp, y):
     """Layer-potential Jacobian of sys_ assembled block by block on every step."""
     from febe.bem import stabilization_data
-    ops, B = sys_.ops, sys_.B
+    ops, B = sys_.ops, sp.hstack(trace_maps(sys_)).tocsr()
     T = ops.Mb - ops.K
     Hu = fem.assemble_tangent(sys_.space, sys_.law, y[:lp.nU])
     J11 = (sp.block_diag([Hu, sp.csr_matrix((lp.nZ, lp.nZ))])
@@ -1414,8 +1503,8 @@ def test_friction_bound_checked_on_slip_panels_only():
 def test_slip_frame_and_compat_rows_match_dense_build(vector):
     sys_ = graded_slip_system(vector)
     Tr, Es = trace_maps(sys_)
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(sys_.B[:, sys_.nU:], attr), getattr(Es, attr))
+    Z = np.random.default_rng(3).normal(size=sys_.nZ)
+    assert same_bits(sys_.slip_jump(Z), Es @ Z)
     # a trace column of C copies one entry of Cw; a slip column sums d
     # products, which a dense BLAS product may fuse into one rounding
     Cw = sys_.compat_dirs.T @ sys_.S
